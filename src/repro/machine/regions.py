@@ -17,12 +17,15 @@ region shapes the paper's schedules use:
 
 Flat indexing requires the backing matrix's column count, so constructors
 take ``ncols``; the :class:`~repro.machine.machine.TwoLevelMachine` facade
-offers shape-aware wrappers.
+offers shape-aware wrappers.  The triangle-shaped constructors and the
+triangle ops of :mod:`repro.sched.ops` draw their element pairs from one
+shared table, :func:`tril_pairs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +66,21 @@ class Region:
         return f"Region({self.matrix!r}, n={self.size}, [{preview}{suffix}])"
 
 
+@lru_cache(maxsize=64)
+def tril_pairs(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(n, k=k)``, built once per ``(n, k)`` and read-only.
+
+    The table depends on ``(n, k)`` alone, and a schedule asks for the
+    same few sizes once per op, so it is cached process-wide (bounded:
+    the sizes in use are the handful of tile and row-set sides).  Every
+    caller shares the arrays, so they are read-only.
+    """
+    il, jl = np.tril_indices(n, k=k)
+    il.setflags(write=False)
+    jl.setflags(write=False)
+    return il, jl
+
+
 def _flat_from_pairs(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
     return rows.astype(np.int64) * np.int64(ncols) + cols.astype(np.int64)
 
@@ -99,9 +117,8 @@ def triangle_block_region(matrix: str, R, ncols: int) -> Region:
     r = np.sort(r)
     if np.any(np.diff(r) == 0):
         raise ValueError("triangle block row set R must be duplicate-free")
-    n = r.size
-    # tril_indices yields (i, j) with i > j for k=-1: subdiagonal pairs.
-    il, jl = np.tril_indices(n, k=-1)
+    # k=-1 yields the pairs (i, j) with i > j: the subdiagonal pairs.
+    il, jl = tril_pairs(r.size, -1)
     rows = r[il]
     cols = r[jl]
     flat = _flat_from_pairs(rows, cols, ncols)
@@ -116,9 +133,7 @@ def lower_tile_region(matrix: str, rows, ncols: int, *, strict: bool = False) ->
     elements are referenced.
     """
     r = np.sort(as_index_array(rows))
-    n = r.size
-    k = -1 if strict else 0
-    il, jl = np.tril_indices(n, k=k)
+    il, jl = tril_pairs(r.size, -1 if strict else 0)
     rows_idx = r[il]
     cols_idx = r[jl]
     flat = _flat_from_pairs(rows_idx, cols_idx, ncols)

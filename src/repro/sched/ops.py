@@ -34,8 +34,14 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..machine.machine import TwoLevelMachine
-from ..machine.regions import Region
+from ..machine.regions import Region, tril_pairs
 from ..utils.intervals import as_index_array
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark an array the op derived itself read-only (ops never change)."""
+    arr.setflags(write=False)
+    return arr
 
 
 class ComputeOp:
@@ -115,18 +121,16 @@ class TriangleUpdate(ComputeOp):
 
     def __init__(self, m: TwoLevelMachine, c: str, a: str, R, k: int, sign: float = 1.0, include_diagonal: bool = False):
         self.c, self.a = c, a
-        self.R = np.sort(as_index_array(R))
+        self.R = _frozen(np.sort(as_index_array(R)))
         if self.R.size >= 2 and np.any(np.diff(self.R) == 0):
             raise ConfigurationError("TriangleUpdate row set R must be duplicate-free")
         self.k = int(k)
         self.sign = float(sign)
         self.include_diagonal = bool(include_diagonal)
-        n = self.R.size
-        diag_k = 0 if include_diagonal else -1
-        il, jl = np.tril_indices(n, k=diag_k)
+        il, jl = tril_pairs(self.R.size, 0 if include_diagonal else -1)
         self._il, self._jl = il, jl
         nc = m.ncols(c)
-        self._target_flat = self.R[il] * np.int64(nc) + self.R[jl]
+        self._target_flat = _frozen(self.R[il] * np.int64(nc) + self.R[jl])
         if include_diagonal:
             self._c_region = m.lower_tile(c, self.R, strict=False)
         else:
@@ -253,12 +257,12 @@ class CholFactorResident(ComputeOp):
 
     def __init__(self, m: TwoLevelMachine, a: str, R):
         self.a = a
-        self.R = np.sort(as_index_array(R))
+        self.R = _frozen(np.sort(as_index_array(R)))
         n = self.R.size
-        il, jl = np.tril_indices(n)
+        il, jl = tril_pairs(n, 0)
         self._il, self._jl = il, jl
         nc = m.ncols(a)
-        self._flat = self.R[il] * np.int64(nc) + self.R[jl]
+        self._flat = _frozen(self.R[il] * np.int64(nc) + self.R[jl])
         self._region = m.lower_tile(a, self.R, strict=False)
         self.mults = cholesky_mults(n)
         self.flops = cholesky_flops(n)
@@ -388,7 +392,7 @@ class LuFactorResident(ComputeOp):
         from ..kernels.flops import lu_flops, lu_mults
 
         self.a = a
-        self.R = np.sort(as_index_array(R))
+        self.R = _frozen(np.sort(as_index_array(R)))
         self._region = m.tile(a, self.R, self.R)
         n = self.R.size
         self.mults = lu_mults(n)
@@ -428,18 +432,16 @@ class TriangleCrossUpdate(ComputeOp):
 
     def __init__(self, m: TwoLevelMachine, c: str, a: str, b: str, R, k: int, sign: float = 1.0, include_diagonal: bool = False):
         self.c, self.a, self.b = c, a, b
-        self.R = np.sort(as_index_array(R))
+        self.R = _frozen(np.sort(as_index_array(R)))
         if self.R.size >= 2 and np.any(np.diff(self.R) == 0):
             raise ConfigurationError("TriangleCrossUpdate row set R must be duplicate-free")
         self.k = int(k)
         self.sign = float(sign)
         self.include_diagonal = bool(include_diagonal)
-        n = self.R.size
-        diag_k = 0 if include_diagonal else -1
-        il, jl = np.tril_indices(n, k=diag_k)
+        il, jl = tril_pairs(self.R.size, 0 if include_diagonal else -1)
         self._il, self._jl = il, jl
         nc = m.ncols(c)
-        self._target_flat = self.R[il] * np.int64(nc) + self.R[jl]
+        self._target_flat = _frozen(self.R[il] * np.int64(nc) + self.R[jl])
         if include_diagonal:
             self._c_region = m.lower_tile(c, self.R, strict=False)
         else:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,6 +42,7 @@ from ..errors import ConfigurationError
 from ..obs.probe import get_probe, timed
 from ..sched.schedule import Schedule
 from ..trace.io import load_schedule, save_schedule
+from ..utils.atomic import atomic_write_json
 
 MANIFEST_VERSION = 1
 MANIFEST_KIND = "repro.serve.manifest"
@@ -132,15 +132,16 @@ class ScheduleStore:
         return entries if isinstance(entries, dict) else {}
 
     def _write_manifest(self, entries: dict) -> None:
-        doc = {"kind": MANIFEST_KIND, "version": MANIFEST_VERSION, "entries": entries}
-        tmp = f"{self._manifest_path}.{os.getpid()}.{threading.get_ident()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-            os.replace(tmp, self._manifest_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        """Replace the manifest atomically, entries sorted by digest."""
+        atomic_write_json(
+            self._manifest_path,
+            {
+                "kind": MANIFEST_KIND,
+                "version": MANIFEST_VERSION,
+                "entries": dict(sorted(entries.items())),
+            },
+            indent=1,
+        )
 
     def rescan(self) -> dict:
         """Reconcile the manifest with the objects actually on disk.
@@ -202,7 +203,9 @@ class ScheduleStore:
         Never raises on a bad object: any failure to open, parse or
         reconstruct the container counts as ``serve.store.corrupt`` and
         reads as a miss, so the caller's fall-through search repairs the
-        entry with its next ``put``.
+        entry with its next ``put``.  That includes a parseable container
+        whose records point outside their index data or outside their
+        matrix, which :func:`~repro.trace.io.load_schedule` rejects.
 
         With ``verify=True`` the loaded schedule is additionally *certified*
         statically (:func:`repro.check.certify.certify_schedule` at the

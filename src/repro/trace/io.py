@@ -16,9 +16,13 @@ Two kinds:
     a full :class:`~repro.sched.schedule.Schedule`: every load/evict step
     with its region, every compute step as the op class name plus its
     constructor parameters (index arrays packed into one shared int64
-    payload).  Loading reconstructs real op objects against a shape-only
-    machine, so a loaded schedule replays to bit-identical numerics —
-    recorded runs can be shipped to workers or cached between sweeps.
+    payload).  Loading first checks that every record points inside that
+    payload and inside its matrix, then rebuilds every compute op eagerly
+    against a per-load shape index: the op constructors see only matrix
+    column counts and region constructors, and each distinct region is
+    built once per load and shared, read-only, by every op that names it.
+    A loaded schedule replays to bit-identical numerics, so recorded runs
+    can be shipped to workers or cached between sweeps.
 """
 
 from __future__ import annotations
@@ -31,8 +35,14 @@ from typing import IO, Any
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..machine.machine import TwoLevelMachine
-from ..machine.regions import Region
+from ..machine.regions import (
+    Region,
+    column_segment_region,
+    lower_tile_region,
+    row_segment_region,
+    tile_region,
+    triangle_block_region,
+)
 from ..sched.ops import (
     CholFactorResident,
     ComputeOp,
@@ -46,6 +56,7 @@ from ..sched.ops import (
     UpperSolveStep,
 )
 from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule, Step
+from ..utils.intervals import as_index_array
 from .compiled import CompiledTrace
 
 FORMAT_VERSION = 1
@@ -226,28 +237,133 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike | IO[bytes]) -> No
     _write_npz(path, header, dict(index_data=index_data))
 
 
-def _shape_machine(shapes: dict[str, tuple[int, int]]) -> TwoLevelMachine:
-    """A counting-only machine whose sole job is shape-aware op rebuilding."""
-    m = TwoLevelMachine(1, strict=False, numerics=False, check_residency=False)
-    for name, (rows, cols) in shapes.items():
-        m.add_matrix(name, np.zeros((rows, cols)))
-    return m
+class _ShapeIndex:
+    """The part of a machine op constructors use, with each region built once.
+
+    Op constructors call only ``ncols`` and the five shape-aware region
+    constructors of :class:`~repro.machine.machine.TwoLevelMachine`.  The
+    ops of one schedule name the same regions several times over, so one
+    load keys each region on (constructor, matrix, index bytes, scalars)
+    and builds it once.  Every op that names a region shares it, so its
+    flat is read-only.  An index lives for one load only.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, int]]) -> None:
+        self._ncols = {name: cols for name, (_, cols) in shapes.items()}
+        self._regions: dict[tuple, Region] = {}
+
+    def ncols(self, name: str) -> int:
+        try:
+            return self._ncols[name]
+        except KeyError:
+            raise ConfigurationError(
+                f"compute op names matrix {name!r}, absent from shapes"
+            ) from None
+
+    def _shared(self, key: tuple, build, *args, **kwargs) -> Region:
+        region = self._regions.get(key)
+        if region is None:
+            region = build(*args, **kwargs)
+            region.flat.setflags(write=False)
+            self._regions[key] = region
+        return region
+
+    def tile(self, name: str, rows, cols) -> Region:
+        rows, cols = as_index_array(rows), as_index_array(cols)
+        key = ("tile", name, rows.tobytes(), cols.tobytes())
+        return self._shared(key, tile_region, name, rows, cols, self.ncols(name))
+
+    def triangle_block(self, name: str, R) -> Region:
+        R = as_index_array(R)
+        key = ("triangle_block", name, R.tobytes())
+        return self._shared(key, triangle_block_region, name, R, self.ncols(name))
+
+    def lower_tile(self, name: str, rows, *, strict: bool = False) -> Region:
+        rows = as_index_array(rows)
+        key = ("lower_tile", name, rows.tobytes(), strict)
+        return self._shared(
+            key, lower_tile_region, name, rows, self.ncols(name), strict=strict
+        )
+
+    def column_segment(self, name: str, rows, col: int) -> Region:
+        rows = as_index_array(rows)
+        key = ("column_segment", name, rows.tobytes(), int(col))
+        return self._shared(
+            key, column_segment_region, name, rows, int(col), self.ncols(name)
+        )
+
+    def row_segment(self, name: str, row: int, cols) -> Region:
+        cols = as_index_array(cols)
+        key = ("row_segment", name, int(row), cols.tobytes())
+        return self._shared(
+            key, row_segment_region, name, int(row), cols, self.ncols(name)
+        )
+
+
+def _check_spans(
+    records: list[dict], shapes: dict[str, tuple[int, int]], index_data: np.ndarray
+) -> None:
+    """Reject a parseable container whose records point outside their data.
+
+    Every span must lie within ``index_data``, which may hold no negative
+    index; every load/evict must name a matrix of ``shapes`` and stay
+    below its ``rows * cols`` elements.  The numpy work is a fixed number
+    of calls per load, whatever the number of steps.
+    """
+    if index_data.dtype != np.int64 or index_data.ndim != 1:
+        raise ConfigurationError(
+            f"index_data must be 1-D int64, found {index_data.dtype} {index_data.shape}"
+        )
+    moves = [rec for rec in records if rec["t"] in ("L", "E")]
+    names = [rec["m"] for rec in moves]
+    sizes = {name: rows * cols for name, (rows, cols) in shapes.items()}
+    unknown = set(names) - sizes.keys()
+    if unknown:
+        raise ConfigurationError(
+            f"load/evict records name matrices absent from shapes: {sorted(unknown)}"
+        )
+    limits = np.array([sizes[name] for name in names], dtype=np.int64)
+    spans = [rec["i"] for rec in moves]
+    spans += [span for rec in records if rec["t"] == "C" for span in rec["i"].values()]
+    spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    starts, ends = spans[:, 0], spans[:, 1]
+    if spans.size and (
+        starts.min() < 0 or (ends < starts).any() or ends.max() > index_data.size
+    ):
+        raise ConfigurationError(
+            f"an index span runs outside index_data ({index_data.size} entries)"
+        )
+    if index_data.size and index_data.min() < 0:
+        raise ConfigurationError("index_data holds a negative index")
+    # Gather every load/evict flat beside its matrix's element count.
+    starts, lengths = starts[: len(moves)], (ends - starts)[: len(moves)]
+    offsets = np.cumsum(lengths) - lengths
+    at = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+    if (index_data[at] >= np.repeat(limits, lengths)).any():
+        raise ConfigurationError("a load/evict flat index lies outside its matrix")
 
 
 def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
     """Load a schedule written by :func:`save_schedule`.
 
-    Compute ops are rebuilt as real op objects against a machine holding
-    zero matrices of the recorded shapes, so the loaded schedule can be
-    replayed (:func:`~repro.sched.schedule.replay_schedule`) on any machine
-    with matching shapes and reproduces the original numerics bit for bit.
+    Every compute op is rebuilt eagerly, as a real op object, against a
+    per-load :class:`_ShapeIndex` of the recorded shapes, so the loaded
+    schedule can be replayed (:func:`~repro.sched.schedule.replay_schedule`)
+    on any machine with matching shapes and reproduces the original
+    numerics bit for bit.  Ops share their regions, the index payload and
+    the derived index arrays, all read-only.  A container whose records
+    point outside the payload or outside their matrix raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     header, npz = _read_npz(path, "schedule")
     shapes = {name: (int(r), int(c)) for name, (r, c) in header["shapes"].items()}
+    records = header["steps"]
     index_data = npz["index_data"]
-    m = _shape_machine(shapes)
+    _check_spans(records, shapes, index_data)
+    index_data.setflags(write=False)
+    m = _ShapeIndex(shapes)
     steps: list[Step] = []
-    for rec in header["steps"]:
+    for rec in records:
         kind = rec["t"]
         if kind in ("L", "E"):
             start, end = rec["i"]

@@ -119,6 +119,53 @@ class TestScheduleStore:
             fh.truncate(size // 2)
         assert store.get(key) is None
 
+    @pytest.mark.parametrize(
+        "tamper",
+        ["span_past_end", "unknown_matrix", "negative_flat", "flat_past_matrix"],
+    )
+    def test_malformed_container_reads_as_miss(self, store, case, key, tamper):
+        """A parseable container whose records point outside their data is
+        corrupt: ``get`` counts it and reads a miss, even without verify."""
+        store.put(key, case.schedule)
+        path = store.object_path(key)
+        with np.load(path, allow_pickle=False) as npz:
+            header = json.loads(str(npz["header"][()]))
+            index_data = npz["index_data"].copy()
+        load = next(rec for rec in header["steps"] if rec["t"] == "L")
+        start, end = load["i"]
+        if tamper == "span_past_end":
+            # a 4-element span of which only the first 2 elements exist
+            load["i"] = [index_data.size - 2, index_data.size + 2]
+        elif tamper == "unknown_matrix":
+            load["m"] = "Z"
+        elif tamper == "negative_flat":
+            index_data[start] = -5
+        else:
+            rows, cols = header["shapes"][load["m"]]
+            index_data[end - 1] = rows * cols
+        np.savez_compressed(
+            path, header=np.asarray(json.dumps(header)), index_data=index_data
+        )
+        with probe_scope() as probe:
+            assert store.get(key) is None
+        assert probe.counters["serve.store.corrupt"] == 1
+        store.put(key, case.schedule)  # the next put repairs the entry
+        assert case.check_exact(store.get(key))
+
+    def test_manifest_is_sorted_and_deterministic(self, store, case, key):
+        others = [ScheduleKey("tbs", 20, 3, 10, policy=p) for p in ("search", "cosearch")]
+        for k in [key, *others]:
+            store.put(k, case.schedule)
+        path = os.path.join(store.root, "manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        assert list(doc["entries"]) == sorted(k.digest() for k in [key, *others])
+        store.rescan()
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == text
+        assert sorted(os.listdir(store.root)) == ["manifest.json", "objects"]
+
     def test_deleted_manifest_recovers(self, store, case, key):
         store.put(key, case.schedule)
         os.unlink(os.path.join(store.root, "manifest.json"))

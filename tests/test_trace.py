@@ -5,8 +5,10 @@ import pytest
 
 from repro import TwoLevelMachine
 from repro.analysis.lru_replay import lru_replay, lru_replay_reference
+from repro.baselines.lu import ooc_lu
 from repro.baselines.ooc_chol import ooc_chol
 from repro.baselines.ooc_syrk import ooc_syrk
+from repro.baselines.ooc_trsm import ooc_trsm
 from repro.core.syr2k import tbs_syr2k
 from repro.core.tbs import tbs_syrk
 from repro.errors import ConfigurationError, ScheduleError
@@ -14,7 +16,9 @@ from repro.graph.compare import record_case
 from repro.graph.dependency import DependencyGraph, dependency_graph
 from repro.graph.policies import belady_replay, belady_replay_reference
 from repro.graph.rewriter import rewrite_trace
+from repro.machine.regions import Region
 from repro.sched.schedule import (
+    ComputeStep,
     access_sequence,
     access_sequence_reference,
     record_schedule,
@@ -22,6 +26,7 @@ from repro.sched.schedule import (
 )
 from repro.trace.compiled import CompiledTrace, compile_trace
 from repro.trace.io import (
+    _OP_SPECS,
     file_kind,
     load_schedule,
     load_trace,
@@ -29,6 +34,11 @@ from repro.trace.io import (
     save_trace,
 )
 from repro.trace.replay import belady_replay_trace, lru_replay_trace
+from repro.utils.rng import (
+    random_diag_dominant_matrix,
+    random_lower_triangular,
+    random_tall_matrix,
+)
 
 
 def recorded(kernel, n, mc, s):
@@ -51,6 +61,56 @@ def sched(request):
     }[request.param]
     n, mc = (20, 0) if request.param == "chol" else (26, 3)
     return recorded(kernel, n, mc, 15)
+
+
+def numeric_case(name):
+    """(schedule, fresh-machine factory, reference results) of a numeric run.
+
+    ``lu`` and ``trsm`` are the baselines whose ops (GEMM outer updates,
+    the three solve steps, the resident LU) no ``record_case`` kernel uses.
+    """
+    if name in ("tbs", "syr2k", "chol"):
+        n, mc = (16, 0) if name == "chol" else ((26, 3) if name == "tbs" else (24, 3))
+        case = record_case(name, n, mc, 15)
+        return case.schedule, case.make_machine, {
+            r: case.reference[r] for r in case.result_names
+        }
+    if name == "lu":
+        n, s = 14, 20
+        a = random_diag_dominant_matrix(n, seed=0)
+
+        def make_machine():
+            m = TwoLevelMachine(s)
+            m.add_matrix("A", a)
+            return m
+
+        m = make_machine()
+        schedule = record_schedule(m, lambda: ooc_lu(m, "A", range(n)))
+        return schedule, make_machine, {"A": m.result("A").copy()}
+    assert name == "trsm"
+    ntri, mrows = 13, 9
+    l = random_lower_triangular(ntri, seed=0)
+    b = random_tall_matrix(mrows, ntri, seed=1)
+
+    def make_machine():
+        m = TwoLevelMachine(15)
+        m.add_matrix("L", l)
+        m.add_matrix("B", b)
+        return m
+
+    m = make_machine()
+    schedule = record_schedule(
+        m, lambda: ooc_trsm(m, "L", "B", range(ntri), range(mrows))
+    )
+    return schedule, make_machine, {"B": m.result("B").copy()}
+
+
+NUMERIC_CASES = ("tbs", "syr2k", "chol", "lu", "trsm")
+
+
+@pytest.fixture(scope="module")
+def numeric_cases():
+    return {name: numeric_case(name) for name in NUMERIC_CASES}
 
 
 def synthetic_trace(ids, writes, op_sizes=None):
@@ -317,26 +377,68 @@ class TestTraceIO:
             b = belady_replay_trace(loaded, capacity)
             assert (a.loads, a.stores) == (b.loads, b.stores)
 
-    def test_schedule_roundtrip_bit_identical(self, tmp_path):
-        for name, n, mc in (("tbs", 26, 3), ("syr2k", 24, 3), ("chol", 16, 0)):
-            case = record_case(name, n, mc, 15)
+    def test_schedule_roundtrip_bit_identical(self, numeric_cases, tmp_path):
+        for name, (schedule, make_machine, reference) in numeric_cases.items():
             path = tmp_path / f"{name}.npz"
-            save_schedule(case.schedule, path)
+            save_schedule(schedule, path)
             loaded = load_schedule(path)
-            assert loaded.shapes == case.schedule.shapes
-            assert len(loaded.steps) == len(case.schedule.steps)
-            assert loaded.io_volume() == case.schedule.io_volume()
-            assert loaded.counts() == case.schedule.counts()
-            m = case.make_machine()
+            assert loaded.shapes == schedule.shapes
+            assert len(loaded.steps) == len(schedule.steps)
+            assert loaded.io_volume() == schedule.io_volume()
+            assert loaded.counts() == schedule.counts()
+            m = make_machine()
             replay_schedule(loaded, m)
             m.assert_empty()
-            for rname in case.result_names:
-                assert np.array_equal(m.result(rname), case.reference[rname])
+            for rname, want in reference.items():
+                assert np.array_equal(m.result(rname), want), name
             # the compiled streams are identical too
             assert (
                 compile_trace(loaded).to_access_sequence()
-                == compile_trace(case.schedule).to_access_sequence()
+                == compile_trace(schedule).to_access_sequence()
             )
+            # and a second save writes the same container
+            again = tmp_path / f"{name}-again.npz"
+            save_schedule(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_loaded_ops_equal_recorded_and_read_only(self, numeric_cases, tmp_path):
+        """Every op class: regions, work counts and derived index arrays
+        survive the round trip, and the loaded arrays cannot be written."""
+        seen = set()
+        for name, (schedule, _, _) in numeric_cases.items():
+            path = tmp_path / f"{name}.npz"
+            save_schedule(schedule, path)
+            loaded = load_schedule(path)
+            for want, got in zip(schedule.steps, loaded.steps):
+                if not isinstance(want, ComputeStep):
+                    assert not got.region.flat.flags.writeable
+                    continue
+                a, b = want.op, got.op
+                assert type(a) is type(b)
+                seen.add(type(b))
+                assert (a.mults, a.flops) == (b.mults, b.flops)
+                for want_regions, got_regions in (
+                    (a.reads(), b.reads()), (a.writes(), b.writes()),
+                ):
+                    assert len(want_regions) == len(got_regions)
+                    for r, q in zip(want_regions, got_regions):
+                        assert r.matrix == q.matrix
+                        assert np.array_equal(r.flat, q.flat)
+                        assert not q.flat.flags.writeable
+                assert vars(a).keys() == vars(b).keys()
+                for attr, value in vars(a).items():
+                    other = getattr(b, attr)
+                    if isinstance(value, np.ndarray):
+                        assert np.array_equal(value, other), (name, attr)
+                        assert not other.flags.writeable, (name, attr)
+                        with pytest.raises(ValueError):
+                            other[...] = 0
+                    elif isinstance(value, Region):
+                        assert value.matrix == other.matrix
+                        assert np.array_equal(value.flat, other.flat)
+                    else:
+                        assert value == other, (name, attr)
+        assert seen == set(_OP_SPECS)
 
     def test_file_kind_and_mismatch(self, sched, tmp_path):
         trace = compile_trace(sched)
