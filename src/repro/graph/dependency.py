@@ -111,6 +111,9 @@ class DependencyGraph:
         # succs[u] / preds[v]: neighbor -> set of edge kinds.
         self.succs: list[dict[int, set[str]]] = [dict() for _ in nodes]
         self.preds: list[dict[int, set[str]]] = [dict() for _ in nodes]
+        # relax_reductions -> per-node effective predecessor tuples, built
+        # on first use by the legality checks (edges are fixed by then).
+        self._pred_tables: dict[bool, list[tuple[int, ...]]] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -305,15 +308,47 @@ class DependencyGraph:
                 best = cost[v]
         return best
 
+    def _pred_table(self, relax_reductions: bool) -> list[tuple[int, ...]]:
+        table = self._pred_tables.get(relax_reductions)
+        if table is None:
+            table = [
+                tuple(self.effective_preds(v, relax_reductions=relax_reductions))
+                for v in range(len(self.nodes))
+            ]
+            self._pred_tables[relax_reductions] = table
+        return table
+
     def is_valid_order(self, order: list[int], *, relax_reductions: bool = False) -> bool:
         """Does ``order`` (a permutation of node indices) respect the DAG?"""
         if sorted(order) != list(range(len(self.nodes))):
             return False
         position = {v: i for i, v in enumerate(order)}
-        for v in range(len(self.nodes)):
-            for u in self.effective_preds(v, relax_reductions=relax_reductions):
-                if position[u] >= position[v]:
+        for v, preds in enumerate(self._pred_table(relax_reductions)):
+            pv = position[v]
+            for u in preds:
+                if position[u] >= pv:
                     return False
+        return True
+
+    def is_valid_window(
+        self, segment: "Sequence[int]", *, relax_reductions: bool = False
+    ) -> bool:
+        """Is a re-permuted window of a legal order still legal?
+
+        ``segment`` is the new content of a window ``[i, j)`` of an order
+        already known to be legal, holding the same ops the window held.
+        Every edge with an endpoint outside the window keeps its direction
+        (its window end still sits on the same side of the other end), so
+        the candidate is legal exactly when no op of ``segment`` has an
+        effective predecessor later in ``segment``: the
+        :meth:`is_valid_order` verdict in time proportional to the window.
+        """
+        preds = self._pred_table(relax_reductions)
+        later: set[int] = set()
+        for v in reversed(segment):
+            if not later.isdisjoint(preds[v]):
+                return False
+            later.add(v)
         return True
 
     # ------------------------------------------------------------------ #

@@ -27,10 +27,16 @@ load count that scored it:
     Simulated annealing over reduction-class interleavings: the
     neighborhood reverses or rotates short segments of the current order
     (the moves that re-interleave commuting ``+=`` chains when reduction
-    edges are relaxed), legality is re-checked against the graph for
-    every proposal, and candidate costs are LRU replays of the reordered
-    trace — re-costed from the nearest mid-stream cache checkpoint
-    (:meth:`~repro.trace.replay.LruCursor.snapshot`), never recompiled.
+    edges are relaxed).  A proposal costs only what it changes.  The
+    walk starts from a legal order and a move permutes one window, so
+    legality is checked on the window's own edges
+    (:meth:`~repro.graph.dependency.DependencyGraph.is_valid_window`).
+    The candidate's LRU loads come from a
+    :class:`~repro.trace.replay.LruLedger`: it replays from the cache
+    checkpoint before the window and stops at the first checkpoint after
+    it where the cache equals the committed replay's, since LRU state
+    depends only on recent history.  Both shortcuts are exact, and the
+    trace is never recompiled.
 
 The annealer's Metropolis move/accept loop is factored out as
 :func:`anneal_minimize` — a state-agnostic harness (propose/commit
@@ -63,7 +69,7 @@ from ..errors import ConfigurationError, ScheduleError
 from ..obs.convergence import AnnealSeries, RoundSeries
 from ..obs.probe import get_probe
 from ..sched.ops import ComputeOp
-from ..trace.replay import LruCursor
+from ..trace.replay import LruLedger
 from .dependency import DependencyGraph
 from .objective import IncrementalObjective, order_cost
 from .scheduler import HEURISTICS, list_schedule
@@ -129,7 +135,15 @@ def anneal_minimize(
     ``best`` is the lowest accepted cost so far (seeded with the starting
     cost).  Recording touches no RNG state, so a recorded run is
     bit-identical to an unrecorded one.
+
+    Both temperatures must be finite and positive (``ConfigurationError``
+    otherwise): the accept rule divides by the temperature.
     """
+    for name, temp in (("t_start", t_start), ("t_end", t_end)):
+        if not (math.isfinite(temp) and temp > 0):
+            raise ConfigurationError(
+                f"{name} must be a finite temperature > 0, got {temp}"
+            )
     stats = AnnealStats()
     cooling = 1.0 if iters <= 1 else (t_end / t_start) ** (1.0 / (iters - 1))
     temp = t_start
@@ -455,7 +469,7 @@ def _anneal_chain(
     — a plain tuple (no graph inside) so portfolio chains can run in
     worker processes and pickle their results back cheaply.  The cold
     re-cost cross-check of the winner runs in-chain, so a drifted
-    checkpoint replay fails loudly wherever the chain ran.
+    ledger fails loudly wherever the chain ran.
     """
     trace = graph.trace
     n = len(graph)
@@ -471,24 +485,11 @@ def _anneal_chain(
         cost = order_cost(trace, order, capacity)
         return order, cost, 0, chain_params, series
 
-    # LRU checkpoints every `interval` ops of the *current* order:
-    # snaps[j] is the cache state before position j*interval, so a move
-    # whose leftmost change is at position i re-costs only order[i0:]
-    # with i0 = (i // interval) * interval.
-    interval = max(8, n // 64)
-    cursor = LruCursor(trace, capacity)
-    snaps: list[tuple[int, tuple[int, ...]]] = [cursor.snapshot()]  # cold start
-
-    def replay_from(j0: int, candidate: list[int]) -> tuple[int, list]:
-        cursor.restore(snaps[j0])
-        new_snaps = []
-        for j in range(j0 * interval, n, interval):
-            new_snaps.append(cursor.snapshot())
-            cursor.apply(candidate[j : j + interval])
-        return cursor.loads, new_snaps
-
-    cur_cost, snaps = replay_from(0, order)
-    # replay_from(0, ...) rebuilds every snapshot, so snaps is complete.
+    # The checkpointed LRU replay of the committed order: a move of
+    # window [i, j) re-costs from the checkpoint at or before i and stops
+    # once the cache re-converges with the committed replay after j.
+    ledger = LruLedger(trace, capacity, order)
+    cur_cost = ledger.loads[0]
     best_order, best_cost = list(order), cur_cost
 
     # Reduction-class membership drives the segment-aware moves; the
@@ -502,19 +503,20 @@ def _anneal_chain(
         )
         if segment == order[i:j]:
             return None
-        candidate = order[:i] + segment + order[j:]
-        if not graph.is_valid_order(candidate, relax_reductions=relax_reductions):
+        # The committed order is legal, so only edges inside the window
+        # can break.
+        if not graph.is_valid_window(segment, relax_reductions=relax_reductions):
             chain_params["illegal"] += 1
             return None
-        j0 = i // interval
-        cand_cost, new_snaps = replay_from(j0, candidate)
+        candidate = order[:i] + segment + order[j:]
+        cand_cost = ledger.score(candidate, from_pos=i, settled=j)[0]
 
         def commit() -> None:
             nonlocal order, best_order, best_cost
             order = candidate
-            snaps[j0:] = new_snaps
+            ledger.commit()
             if cand_cost < best_cost:
-                best_order, best_cost = list(candidate), cand_cost
+                best_order, best_cost = candidate, cand_cost
 
         return cand_cost, commit
 
@@ -526,12 +528,12 @@ def _anneal_chain(
     chain_params["acceptance_rate"] = stats.acceptance_rate
 
     # Ground-truth re-cost of the winner on the reordered trace (shared
-    # interning, no recompilation): the checkpointed suffix replays must
+    # interning, no recompilation): the ledger's cut-off replays must
     # agree with a cold full replay.
     final_cost = order_cost(trace, best_order, capacity)
     if final_cost != best_cost:
         raise ScheduleError(
-            f"annealing checkpoint replay drifted: {best_cost} != {final_cost}"
+            f"annealing LRU ledger drifted: {best_cost} != {final_cost}"
         )
     return best_order, final_cost, stats.evaluations, chain_params, series
 
@@ -570,9 +572,13 @@ def anneal_search(
     other strategies) in-chain reversals are rejected and the walk
     explores only bit-exact chain permutations; pass
     ``relax_reductions=True`` to open the interleaving space the
-    neighborhood is designed for — and costed by replaying only the
-    order suffix the move changed, from the nearest cached LRU
-    checkpoint.  Cooling is geometric from
+    neighborhood is designed for.  The check covers only the edges inside
+    the moved window, which is exact because the walk starts from a legal
+    order (an illegal or incomplete ``start`` raises ``ScheduleError``
+    before the walk).  Each legal proposal is costed by an
+    :class:`~repro.trace.replay.LruLedger`, which replays from the LRU
+    checkpoint before the window until the cache re-converges with the
+    committed replay.  Cooling is geometric from
     ``t_start`` to ``t_end``; the best order ever seen is returned,
     re-costed from cold as a cross-check.
 
@@ -602,6 +608,12 @@ def anneal_search(
             "graph with DependencyGraph.from_trace/from_schedule"
         )
     order = _start_order(graph, start, relax_reductions)
+    # Proposals are checked window by window, which is exact only when
+    # the walk starts from a legal order.
+    if not graph.is_valid_order(order, relax_reductions=relax_reductions):
+        raise ScheduleError(
+            "anneal start order is not a legal order of the graph"
+        )
     want_series = record_convergence or get_probe().enabled
     params = {"iters": iters, "seed": seed, "max_segment": max_segment}
 

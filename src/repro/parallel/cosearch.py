@@ -31,10 +31,15 @@ and its incoming transfer volume, both converted to time by ``beta``.
 Every term is delta-evaluable from the leftmost changed position, so the
 anneal inner loop stays hot: the makespan re-scores through
 :class:`~repro.parallel.makespan.MakespanLedger` checkpoints, the
-per-node LRU loads through one checkpointed
-:class:`~repro.trace.replay.LruCursor` per node, and the transfers
-through the refiner's exact ledger.  Like its exemplars, the state
-exposes a ``profitable()`` cost-model gate next to its move generators.
+per-node LRU loads through the :class:`~repro.trace.replay.LruLedger` the
+order search also uses, and the transfers through the refiner's exact
+ledger.  The LRU ledger stops replaying at the first checkpoint after
+the moved positions where every node's cache equals the committed one
+(LRU state depends only on recent history), and order moves check
+legality only inside the moved window
+(:meth:`~repro.graph.dependency.DependencyGraph.is_valid_window`).
+Like its exemplars, the state exposes a ``profitable()`` cost-model gate
+next to its move generators.
 
 The driver (:func:`cosearch`) runs the shared Metropolis harness
 (:func:`repro.graph.search.anneal_minimize`) from a seed portfolio of
@@ -67,7 +72,7 @@ from ..graph.search import (
 from ..obs.convergence import AnnealSeries
 from ..obs.probe import get_probe
 from ..perf.pool import parallel_map, task_seed
-from ..trace.replay import LruCursor, lru_replay_trace
+from ..trace.replay import LruLedger, lru_replay_trace
 from .executor import PARTITIONERS, partition_graph
 from .makespan import MakespanLedger, makespan_model
 from .partition import balance_cap
@@ -156,12 +161,12 @@ class CoSearchState:
 
     Holds the committed ``(order, owner)`` pair and three incremental
     models of the unified objective — the
-    :class:`~repro.parallel.makespan.MakespanLedger` (latency), one
-    checkpointed :class:`~repro.trace.replay.LruCursor` per node (shard
-    loads), and the refiner's :class:`~repro.parallel.refine.PartitionLedger`
+    :class:`~repro.parallel.makespan.MakespanLedger` (latency), an
+    :class:`~repro.trace.replay.LruLedger` over the pair (shard loads),
+    and the refiner's :class:`~repro.parallel.refine.PartitionLedger`
     (exact transfers + balance cap).  The LRU checkpoints share the
-    makespan ledger's interval, so both move kinds re-evaluate exactly the
-    order suffix they changed.
+    makespan ledger's interval; the LRU replay stops once every node's
+    cache re-converges after the moved positions.
 
     Invariants (the property suite pins them): the owner map is an exact
     cover of the op set at every step, the order stays a legal order of
@@ -210,8 +215,8 @@ class CoSearchState:
         self.order_move_prob = order_move_prob
         order = list(range(n)) if order is None else [int(v) for v in order]
         self.ledger = PartitionLedger(graph, owner, p)
-        # The makespan ledger validates the order once; every proposal is
-        # re-checked against the graph before it is costed.
+        # The makespan ledger validates the order once; every order move
+        # is then checked on its window before it is costed.
         self.span = MakespanLedger(
             graph, self.ledger.owner, p=p, order=order, alpha=alpha,
             beta=beta, relax_reductions=relax_reductions, interval=interval,
@@ -235,19 +240,14 @@ class CoSearchState:
         self.illegal = 0
         self.order_moves = 0
         self.owner_moves = 0
-        # Per-node LRU cursors, checkpointed in lockstep with the makespan
-        # ledger: snapshot j holds every node's cache state before position
-        # j*interval of the committed order.
-        self._cursors = [LruCursor(graph.trace, s) for _ in range(p)]
-        self._io_snaps: list[tuple] = [
-            tuple(c.snapshot() for c in self._cursors)
-        ]
-        loads, new_snaps = self._replay_io(0, self.order, self.ledger.owner)
-        if new_snaps:
-            self._io_snaps = new_snaps
-        self._loads = loads
+        # Per-node LRU loads, checkpointed in lockstep with the makespan
+        # ledger.
+        self.lru = LruLedger(
+            graph.trace, s, self.order, self.ledger.owner, p=p,
+            interval=self.interval,
+        )
         self._cost = self._combine(
-            self.span.makespan, loads, self.ledger.transfer_in
+            self.span.makespan, self.lru.loads, self.ledger.transfer_in
         )
         #: the measured objective this state started from — the floor the
         #: never-worse postcondition holds the walk to.
@@ -272,7 +272,7 @@ class CoSearchState:
     @property
     def loads(self) -> list[int]:
         """Per-node LRU loads of the committed pair."""
-        return list(self._loads)
+        return list(self.lru.loads)
 
     def profitable(self) -> bool:
         """Cost-model gate: is the committed state better than the seed?
@@ -283,22 +283,6 @@ class CoSearchState:
         """
         return self._cost < self.seed_cost
 
-    def _replay_io(
-        self, j0: int, order: Sequence[int], owner: Sequence[int]
-    ) -> tuple[list[int], list[tuple]]:
-        """Replay positions ``j0*interval..n`` through the node cursors."""
-        interval = self.interval
-        cursors = self._cursors
-        for q, c in enumerate(cursors):
-            c.restore(self._io_snaps[j0][q])
-        new_snaps: list[tuple] = []
-        for idx in range(j0 * interval, len(order)):
-            if idx % interval == 0:
-                new_snaps.append(tuple(c.snapshot() for c in cursors))
-            v = order[idx]
-            cursors[owner[v]].apply_op(v)
-        return [c.loads for c in cursors], new_snaps
-
     # -- move kinds ------------------------------------------------------ #
 
     def propose_order(self, rng: random.Random):
@@ -306,29 +290,31 @@ class CoSearchState:
         n = len(self.order)
         if n < 3:
             return None
-        i, _j, segment = propose_segment_move(
+        i, j, segment = propose_segment_move(
             self.order, self.class_of, rng, max_segment=self.max_segment
         )
-        if segment == self.order[i : i + len(segment)]:
+        if segment == self.order[i:j]:
             return None
-        candidate = self.order[:i] + segment + self.order[i + len(segment):]
-        if not self.graph.is_valid_order(
-            candidate, relax_reductions=self.relax_reductions
+        # The committed order is legal, so only edges inside the window
+        # can break.
+        if not self.graph.is_valid_window(
+            segment, relax_reductions=self.relax_reductions
         ):
             self.illegal += 1
             return None
-        j0 = i // self.interval
+        candidate = self.order[:i] + segment + self.order[j:]
         cand_ms = self.span.score(order=candidate, from_pos=i)
-        cand_loads, new_snaps = self._replay_io(j0, candidate, self.ledger.owner)
+        cand_loads = self.lru.score(
+            candidate, self.ledger.owner, from_pos=i, settled=j
+        )
         cand_cost = self._combine(cand_ms, cand_loads, self.ledger.transfer_in)
 
         def commit() -> None:
             self.order = candidate
-            for idx in range(i, i + len(segment)):
+            for idx in range(i, j):
                 self.pos[candidate[idx]] = idx
             self.span.commit()
-            self._io_snaps[j0:] = new_snaps
-            self._loads = cand_loads
+            self.lru.commit()
             self._cost = cand_cost
             self.order_moves += 1
 
@@ -352,21 +338,22 @@ class CoSearchState:
             )
             if ledger.loads[q] + weight > self.cap:
                 return None
-        i0 = min(self.pos[v] for v in group)
-        j0 = i0 // self.interval
+        positions = [self.pos[v] for v in group]
+        i0, i1 = min(positions), max(positions) + 1
         # Evaluate applied (the makespan ledger copies the owner array at
         # score time), then revert; commit re-applies the same move.
         undo = ledger.move_group(group, q)
         cand_ms = self.span.score(owner=ledger.owner, from_pos=i0)
-        cand_loads, new_snaps = self._replay_io(j0, self.order, ledger.owner)
+        cand_loads = self.lru.score(
+            self.order, ledger.owner, from_pos=i0, settled=i1
+        )
         cand_cost = self._combine(cand_ms, cand_loads, ledger.transfer_in)
         ledger.undo(undo)
 
         def commit() -> None:
             ledger.move_group(group, q)
             self.span.commit()
-            self._io_snaps[j0:] = new_snaps
-            self._loads = cand_loads
+            self.lru.commit()
             self._cost = cand_cost
             self.owner_moves += 1
 

@@ -33,6 +33,7 @@ from .io import (
 from .replay import (
     BeladyReplayResult,
     LruCursor,
+    LruLedger,
     LruReplayResult,
     belady_replay_trace,
     lru_replay_trace,
@@ -51,6 +52,7 @@ __all__ = [
     "save_trace",
     "BeladyReplayResult",
     "LruCursor",
+    "LruLedger",
     "LruReplayResult",
     "belady_replay_trace",
     "lru_replay_trace",

@@ -1032,6 +1032,14 @@ class LruCursor:
         self.loads = snap[0]
         self._cache = dict.fromkeys(snap[1])
 
+    def matches(self, snap: tuple[int, tuple[int, ...]]) -> bool:
+        """Is the cache exactly ``snap``'s recency list (loads ignored)?
+
+        Under LRU the future depends on the cache only through this list,
+        so two replays that match here incur equal loads from here on.
+        """
+        return tuple(self._cache) == snap[1]
+
     def clone(self) -> "LruCursor":
         other = object.__new__(LruCursor)
         other.trace = self.trace
@@ -1083,6 +1091,143 @@ class LruCursor:
         for i in ops:
             self.apply_op(i)
         return self.loads - before
+
+
+class LruLedger:
+    """Checkpointed delta evaluation of per-node LRU loads of a pair.
+
+    The search-loop form of replaying an ``(order, owner)`` pair through
+    one :class:`LruCursor` per node — node ``owner[v]`` applies op ``v``
+    when the order reaches it; ``owner=None`` means one node applying the
+    whole order.  It mirrors
+    :class:`~repro.parallel.makespan.MakespanLedger`: keep every node's
+    cache state before positions ``0, interval, 2*interval, ...`` of the
+    committed pair, :meth:`score` a candidate by replaying from the
+    checkpoint at or before ``from_pos``, and :meth:`commit` it in the
+    accepted case (a later :meth:`score` discards it).  The caller owns
+    the pair and passes the whole candidate to :meth:`score`.
+
+    Re-convergence cut-off: an LRU cache holds the ``capacity`` most
+    recently used distinct elements in recency order, so it depends only
+    on recent history, and a candidate's replay usually rejoins the
+    committed one a few ops after the moved window.  From the first
+    checkpoint at or after ``settled`` on, :meth:`score` stops at the
+    first checkpoint where every node's recency list equals the committed
+    one (:meth:`LruCursor.matches`).  Every later load then equals the
+    committed load, so the candidate's loads are the committed loads plus
+    the per-node deltas so far, and :meth:`commit` shifts the load counts
+    of the later checkpoints by those deltas.  The cut-off is exact:
+    convergence is an equality of recency lists, never an estimate.
+
+    Caller contract for :meth:`score`: the candidate agrees with the
+    committed pair — the op at each position and that op's owner — below
+    ``from_pos`` and at or after ``settled``.  An order move of window
+    ``[i, j)`` passes ``from_pos=i, settled=j``; an ownership move passes
+    the smallest committed position of a moved op and the largest plus
+    one.
+    """
+
+    def __init__(
+        self,
+        trace: CompiledTrace,
+        capacity: int,
+        order: "Sequence[int]",
+        owner: "Sequence[int] | None" = None,
+        *,
+        p: int | None = None,
+        interval: int | None = None,
+    ):
+        if owner is not None and len(owner) != trace.n_ops:
+            raise ConfigurationError(
+                f"owner has {len(owner)} entries for {trace.n_ops} ops"
+            )
+        top = max(owner, default=0) + 1 if owner is not None else 1
+        if p is None:
+            p = top
+        elif p < top:
+            raise ConfigurationError(f"owner references node {top - 1} but p = {p}")
+        if owner is not None and min(owner, default=0) < 0:
+            raise ConfigurationError("owner indices must be >= 0")
+        if interval is not None and interval < 1:
+            raise ConfigurationError(f"interval must be >= 1, got {interval}")
+        n = len(order)
+        self.interval = int(interval) if interval is not None else max(8, n // 64)
+        #: committed per-node loads.
+        self.loads = [0] * p
+        self._cursors = [LruCursor(trace, capacity) for _ in range(p)]
+        # _snaps[j]: every node's snapshot before position j * interval.
+        self._snaps = [tuple(c.snapshot() for c in self._cursors)]
+        self._pending: tuple | None = None
+        self.score(order, owner)
+        self.commit()
+
+    @property
+    def checkpoints(self) -> tuple:
+        """Committed per-node snapshots, one tuple per checkpoint."""
+        return tuple(self._snaps)
+
+    def score(
+        self,
+        order: "Sequence[int]",
+        owner: "Sequence[int] | None" = None,
+        from_pos: int = 0,
+        settled: int | None = None,
+    ) -> list[int]:
+        """Per-node loads of the candidate pair ``(order, owner)``.
+
+        ``settled=None`` replays to the end of the order.
+        """
+        n = len(order)
+        if settled is None:
+            settled = n
+        interval = self.interval
+        cursors = self._cursors
+        snaps = self._snaps
+        j0 = min(from_pos // interval, len(snaps) - 1)
+        for cursor, snap in zip(cursors, snaps[j0]):
+            cursor.restore(snap)
+        new_snaps: list[tuple] = []
+        stop = None
+        for j in range(j0, max(1, -(-n // interval))):
+            pos = j * interval
+            if j > j0:
+                if pos >= settled and all(
+                    c.matches(snap) for c, snap in zip(cursors, snaps[j])
+                ):
+                    stop = j
+                    break
+                new_snaps.append(tuple(c.snapshot() for c in cursors))
+            if owner is None:
+                cursors[0].apply(order[pos : pos + interval])
+            else:
+                for v in order[pos : pos + interval]:
+                    cursors[owner[v]].apply_op(v)
+        if stop is None:
+            delta = None
+            loads = [c.loads for c in cursors]
+        else:
+            delta = [c.loads - snap[0] for c, snap in zip(cursors, snaps[stop])]
+            loads = [l + d for l, d in zip(self.loads, delta)]
+        self._pending = (j0, stop, new_snaps, delta, loads)
+        return list(loads)
+
+    def commit(self) -> list[int]:
+        """Adopt the last scored candidate as the committed state."""
+        if self._pending is not None:
+            j0, stop, new_snaps, delta, loads = self._pending
+            snaps = self._snaps
+            if stop is None:
+                snaps[j0 + 1 :] = new_snaps
+            else:
+                snaps[j0 + 1 : stop] = new_snaps
+                if any(delta):
+                    for j in range(stop, len(snaps)):
+                        snaps[j] = tuple(
+                            (snap[0] + d, snap[1]) for snap, d in zip(snaps[j], delta)
+                        )
+            self.loads = loads
+            self._pending = None
+        return list(self.loads)
 
 
 def lru_suffix_cost(
