@@ -8,8 +8,7 @@ into an optimization surface:
   classes);
 * :mod:`repro.graph.scheduler` — a worklist list scheduler with pluggable
   priority heuristics that emits alternative legal total orders, plus the
-  reusable primitives (ready frontier, locality scorer) the search engine
-  builds on;
+  reusable ready-frontier state the search engine builds on;
 * :mod:`repro.graph.objective` — incremental I/O objectives: exact
   per-candidate miss counts from cache-coupled candidate proposal, and
   whole-order costs via trace reordering;
@@ -53,9 +52,7 @@ from .rewriter import (
 from .scheduler import (
     HEURISTICS,
     ListScheduleResult,
-    LocalityScore,
     Worklist,
-    argbest,
     list_schedule,
 )
 from .objective import IncrementalObjective, element_op_lists, order_cost
@@ -96,9 +93,7 @@ __all__ = [
     "rewrite_trace",
     "HEURISTICS",
     "ListScheduleResult",
-    "LocalityScore",
     "Worklist",
-    "argbest",
     "list_schedule",
     "IncrementalObjective",
     "element_op_lists",

@@ -9,8 +9,8 @@ WAW dependences derived from :class:`~repro.machine.regions.Region` overlap.
 Extraction runs over the compiled trace IR
 (:class:`~repro.trace.compiled.CompiledTrace`): per-element last-writer /
 reader state is tracked by interned integer element IDs, not per-key
-``(matrix, flat)`` tuples, and each node's access sets come from one
-vectorized slice of the trace.
+``(matrix, flat)`` tuples, and each node's access sets are Python sets
+over one slice of the trace's ID and write-flag lists.
 
 Commuting accumulations get special treatment.  Every ``+=`` update op in
 this library (:class:`~repro.sched.ops.OuterColsUpdate`,
@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
-
-import numpy as np
 
 from ..errors import ConfigurationError
 from ..sched.ops import (
@@ -144,23 +143,22 @@ class DependencyGraph:
                 "Schedule or op list"
             )
         nodes: list[OpNode] = []
-        ids, flags = trace.elem_ids, trace.is_write
-        starts, read_ends = trace.op_starts, trace.op_read_ends
+        ids, flags = trace.elem_ids.tolist(), trace.is_write.tolist()
+        starts, read_ends = trace.op_starts.tolist(), trace.op_read_ends.tolist()
         for i, op in enumerate(trace.ops):
-            s, e = int(starts[i]), int(starts[i + 1])
-            sl = ids[s:e]
-            writes = np.unique(sl[flags[s:e]])
-            reads = np.unique(ids[s : int(read_ends[i])])
-            if is_commuting_accumulation(op):
-                inputs = np.setdiff1d(reads, writes, assume_unique=True)
-            else:
-                inputs = reads
+            s, e = starts[i], starts[i + 1]
+            writes = set(compress(ids[s:e], flags[s:e]))
+            reads = set(ids[s : read_ends[i]])
+            inputs = reads - writes if is_commuting_accumulation(op) else reads
+            # Built from sorted lists so that a set's iteration order, which
+            # fixes the order edges are inserted and consumers walk the
+            # set, depends on its contents only.
             nodes.append(
                 OpNode(
                     index=i,
                     op=op,
-                    input_keys=frozenset(inputs.tolist()),
-                    write_keys=frozenset(writes.tolist()),
+                    input_keys=frozenset(sorted(inputs)),
+                    write_keys=frozenset(sorted(writes)),
                 )
             )
         graph = cls(nodes, trace=trace)

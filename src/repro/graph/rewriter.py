@@ -5,24 +5,27 @@ The dependency layer deals in *compute* orders only; to run one on a
 model's rules) it must be dressed back up as a full
 :class:`~repro.sched.schedule.Schedule` with explicit
 :class:`~repro.sched.schedule.LoadStep` / :class:`~repro.sched.schedule.EvictStep`
-traffic.  :func:`rewrite_ops` does this with the canonical optimal policy
-for a fixed order:
+traffic.  :func:`rewrite_ops` does this for a fixed order:
 
 * **load on demand** — before each compute, load exactly the op's
   non-resident elements (grouped into one region per matrix);
 * **evict by furthest next use** — under capacity pressure, evict the
   resident elements whose next use (at op granularity) is furthest away,
-  dead elements first; Belady's MIN rule, so the generated stream's load
-  volume is the floor for that compute order at that capacity;
+  dead elements first: Belady's MIN rule applied between ops.  Every
+  element of an op stays resident while it runs, whereas element-level
+  MIN (:func:`~repro.trace.replay.belady_replay_trace`) may evict an op's
+  own operand between two of its accesses, so that replay's load count
+  is a floor on the stream's, not equal to it;
 * **lazy writeback** — an evicted element is written back iff some executed
   op wrote it since it was (re)loaded; everything still resident at the end
   is flushed, so the stream satisfies the validator's empty-end rule.
 
 The rewrite core runs on the compiled trace IR
 (:class:`~repro.trace.compiled.CompiledTrace`): per-op touched/write sets
-are vectorized slices over interned element IDs, residency and dirtiness
-are flat bool arrays, and the op-granularity next-use oracle is a CSR walk
-over one argsort of the access stream — no per-element tuples or dicts.
+are slices of the trace's element-ID and write-flag lists, residency is
+one set and dirtiness one list indexed by element ID, and the
+op-granularity next-use oracle is a CSR walk over one argsort of the
+access stream — no per-element tuples.
 Reordering reuses the interning (:meth:`CompiledTrace.reorder`), so sweeps
 over many orders of one recorded trace stay cheap.
 
@@ -33,6 +36,7 @@ scheduler → rewrite → :func:`~repro.sched.validate.validate_schedule`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -98,28 +102,28 @@ class _OpNextUse:
 def _emit_regions(
     steps: list[Step],
     elems: list[int],
-    trace: CompiledTrace,
-    dirty: np.ndarray | None,
+    decode: tuple[tuple[str, ...], list[int], list[int]],
+    dirty: list[bool] | None,
 ) -> None:
-    """Append one Load/Evict step per (matrix[, dirty]) group of ``elems``."""
+    """Append one Load/Evict step per (matrix[, dirty]) group of ``elems``.
+
+    Groups go out in (matrix index, writeback) order, each as one region
+    of sorted flats; ``decode`` is the trace's ``(matrices, key_matrix,
+    key_flat)`` with both tables as lists.
+    """
     if not elems:
         return
-    arr = np.asarray(elems, dtype=np.int64)
-    mats = trace.key_matrix[arr]
-    flags = (
-        dirty[arr].astype(np.int8) if dirty is not None else np.zeros(arr.size, np.int8)
-    )
-    for mi in np.unique(mats):
-        name = trace.matrices[int(mi)]
-        for wb in (0, 1):
-            group = arr[(mats == mi) & (flags == wb)]
-            if not group.size:
-                continue
-            region = Region(name, np.sort(trace.key_flat[group]))
-            if dirty is None:
-                steps.append(LoadStep(region))
-            else:
-                steps.append(EvictStep(region, writeback=bool(wb)))
+    names, mats, flats = decode
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for elem in elems:
+        key = (mats[elem], dirty is not None and dirty[elem])
+        groups.setdefault(key, []).append(flats[elem])
+    for mi, wb in sorted(groups):
+        region = Region(names[mi], np.array(sorted(groups[mi, wb]), dtype=np.int64))
+        if dirty is None:
+            steps.append(LoadStep(region))
+        else:
+            steps.append(EvictStep(region, writeback=wb))
 
 
 def rewrite_trace(trace: CompiledTrace, capacity: int) -> Schedule:
@@ -130,51 +134,44 @@ def rewrite_trace(trace: CompiledTrace, capacity: int) -> Schedule:
     if trace.ops is None:
         raise ScheduleError("cannot rewrite a trace without op objects")
     ops = trace.ops
-    ids, flags = trace.elem_ids, trace.is_write
-    starts = trace.op_starts
+    ids, flags = trace.elem_ids.tolist(), trace.is_write.tolist()
+    starts = trace.op_starts.tolist()
+    decode = (trace.matrices, trace.key_matrix.tolist(), trace.key_flat.tolist())
     oracle = _OpNextUse(trace)
 
-    resident = np.zeros(trace.n_elements, dtype=bool)
-    resident_set: set[int] = set()  # same contents; O(capacity) iteration
-    dirty = np.zeros(trace.n_elements, dtype=bool)
-    touched_mask = np.zeros(trace.n_elements, dtype=bool)
+    resident: set[int] = set()
+    dirty = [False] * trace.n_elements
     steps: list[Step] = []
 
     for p, op in enumerate(ops):
-        s, e = int(starts[p]), int(starts[p + 1])
+        s, e = starts[p], starts[p + 1]
         sl = ids[s:e]
         # Touched elements in first-occurrence (region) order, as the
         # original tuple walker produced them.
-        _u, first_idx = np.unique(sl, return_index=True)
-        touched = sl[np.sort(first_idx)]
-        writes = np.unique(sl[flags[s:e]])
-        if touched.size > capacity:
+        touched = dict.fromkeys(sl)
+        if len(touched) > capacity:
             raise ScheduleError(
-                f"op {p} ({op.name!r}) touches {touched.size} elements; "
+                f"op {p} ({op.name!r}) touches {len(touched)} elements; "
                 f"cannot fit capacity {capacity}"
             )
-        missing = touched[~resident[touched]]
-        overflow = len(resident_set) + int(missing.size) - capacity
+        missing = [elem for elem in touched if elem not in resident]
+        overflow = len(resident) + len(missing) - capacity
         if overflow > 0:
-            touched_mask[touched] = True
-            candidates = [elem for elem in resident_set if not touched_mask[elem]]
-            touched_mask[touched] = False
+            candidates = [elem for elem in resident if elem not in touched]
             candidates.sort(key=lambda elem: (-oracle.next_use(elem, p), elem))
             victims = candidates[:overflow]
-            _emit_regions(steps, victims, trace, dirty)
-            varr = np.asarray(victims, dtype=np.int64)
-            resident[varr] = False
-            dirty[varr] = False
-            resident_set.difference_update(victims)
-        if missing.size:
-            _emit_regions(steps, missing.tolist(), trace, None)
-            resident[missing] = True
-            resident_set.update(missing.tolist())
+            _emit_regions(steps, victims, decode, dirty)
+            for elem in victims:
+                dirty[elem] = False
+            resident.difference_update(victims)
+        if missing:
+            _emit_regions(steps, missing, decode, None)
+            resident.update(missing)
         steps.append(ComputeStep(op))
-        dirty[writes] = True
+        for elem in compress(sl, flags[s:e]):
+            dirty[elem] = True
 
-    leftovers = np.flatnonzero(resident).tolist()
-    _emit_regions(steps, leftovers, trace, dirty)
+    _emit_regions(steps, sorted(resident), decode, dirty)
     return Schedule(steps=steps, shapes=dict(trace.shapes))
 
 

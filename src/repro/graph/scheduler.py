@@ -14,10 +14,10 @@ Heuristics (``HEURISTICS``):
 ``"depth-first"``  most recently released first (LIFO): chase one dependence
                    chain to completion before starting the next, the order
                    that keeps a reduction's accumulator hot;
-``"locality"``     among ready nodes, prefer the one whose operand elements
-                   were touched most recently (a greedy min-next-reuse-
-                   distance rule): reuse what is still in fast memory before
-                   moving on;
+``"locality"``     among ready nodes, prefer the one with the most elements
+                   touched within the last ``window`` emitted ops (a greedy
+                   reuse-distance rule): reuse what is still in fast memory
+                   before moving on;
 ``"fan-out"``      most effective successors first: release as much of the
                    DAG as possible early (a span-reduction order, useful as
                    a parallel-frontier baseline).
@@ -25,44 +25,30 @@ Heuristics (``HEURISTICS``):
 Every heuristic breaks ties by original index, so schedules are
 deterministic and replayable.
 
-The building blocks are exposed as reusable primitives so the order-search
-engine (:mod:`repro.graph.search`) can drive the same machinery
-incrementally: :class:`Worklist` is the copyable ready-frontier state of a
-scheduling pass, :class:`LocalityScore` is the locality heuristic's scoring
-state, and :func:`argbest` is the shared max-score/lowest-index selection
-rule.
+The locality pass keeps every op's score incrementally.  Emitting an op
+changes the hot status of two groups of elements only: its own (hot for
+the next ``window`` steps) and those of the op emitted ``window`` steps
+earlier that nothing has touched since (they leave the window).  Each
+change moves the score of every unemitted op on that element by one, and
+a lazy max-heap of ``(-score, index)`` entries, pushed on release and on
+every score change and skipped on pop when stale, yields the best ready
+op — highest score, ties to the lowest index.
+
+:class:`Worklist`, the copyable ready-frontier state of a scheduling pass,
+is exposed so the order-search engine (:mod:`repro.graph.search`) can
+drive the same machinery incrementally.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 from ..errors import ConfigurationError, ScheduleError
 from ..sched.ops import ComputeOp
 from .dependency import DependencyGraph
 
 HEURISTICS = ("original", "depth-first", "locality", "fan-out")
-
-
-def argbest(candidates: Iterable[int], score: Callable[[int], float]) -> int | None:
-    """The candidate with the *highest* score, ties broken by lowest index.
-
-    The selection rule every greedy pass in this package shares.  The
-    guard is explicit — the first candidate wins outright — so the rule
-    never compares a node against an absent ``best`` (the seed locality
-    scheduler leaned on a ``best_score = -1`` sentinel to dodge that
-    comparison, which silently broke for score functions that can go
-    negative).  Returns ``None`` only for an empty candidate set.
-    """
-    best: int | None = None
-    best_score = 0.0
-    for v in candidates:
-        s = score(v)
-        if best is None or s > best_score or (s == best_score and v < best):
-            best, best_score = v, s
-    return best
 
 
 class Worklist:
@@ -107,47 +93,6 @@ class Worklist:
         other.relax_reductions = self.relax_reductions
         other.indeg = self.indeg.copy()
         other.ready = self.ready.copy()
-        return other
-
-
-class LocalityScore:
-    """The locality heuristic's scoring state as a standalone primitive.
-
-    Scores a node by how many of its elements were touched within the
-    last ``window`` emitted ops — a greedy min-next-reuse-distance rule.
-    :meth:`emit` advances the clock; :meth:`clone` lets rollouts score
-    hypothetical futures without disturbing the live state.
-    """
-
-    __slots__ = ("graph", "window", "last_touch", "step")
-
-    def __init__(self, graph: DependencyGraph, window: int = 4):
-        self.graph = graph
-        self.window = window
-        self.last_touch: dict[int, int] = {}
-        self.step = 0
-
-    def score(self, v: int) -> int:
-        floor = self.step - self.window
-        last_touch = self.last_touch
-        score = 0
-        for key in self.graph.nodes[v].touched_keys():
-            if last_touch.get(key, -(10 ** 9)) >= floor:
-                score += 1
-        return score
-
-    def emit(self, v: int) -> None:
-        step = self.step
-        for key in self.graph.nodes[v].touched_keys():
-            self.last_touch[key] = step
-        self.step = step + 1
-
-    def clone(self) -> "LocalityScore":
-        other = object.__new__(LocalityScore)
-        other.graph = self.graph
-        other.window = self.window
-        other.last_touch = self.last_touch.copy()
-        other.step = self.step
         return other
 
 
@@ -212,20 +157,47 @@ def _schedule_locality(
     worklist: Worklist,
     window: int,
 ) -> list[int]:
-    # Greedy reuse-distance rule: score each ready node by how many of its
-    # elements were touched within the last ``window`` emitted ops, pick the
-    # max (ties: original index, via argbest's explicit guard — an all-zero
-    # scoring round must still pick the lowest ready index, not trip over an
-    # unset best).  O(ready x op-footprint) per emission — fine at trace
-    # scale, and worth it: this is the heuristic that rediscovers blocked
-    # orders from the bare DAG.
-    scorer = LocalityScore(graph, window)
+    # Scores are kept incrementally and the pick comes off a lazy heap (see
+    # the module docstring): an emission costs the ops on the elements whose
+    # hot status it changes, not a rescan of the ready set.
+    elems = [tuple(node.touched_keys()) for node in graph.nodes]
+    ops_on: dict = {}
+    for v, keys in enumerate(elems):
+        for key in keys:
+            ops_on.setdefault(key, []).append(v)
+    score = [0] * len(elems)
+    last_touch: dict = {}
+    ready = worklist.ready
+    heap = [(0, v) for v in sorted(ready)]
+    heappop, heappush = heapq.heappop, heapq.heappush
     order: list[int] = []
-    while worklist.ready:
-        best = argbest(worklist.ready, scorer.score)
-        worklist.emit(best)
-        scorer.emit(best)
-        order.append(best)
+    while heap:
+        neg, v = heappop(heap)
+        if v not in ready or -neg != score[v]:
+            continue  # stale: emitted, or re-pushed since with a new score
+        t = len(order)
+        changed = set(worklist.emit(v))
+        order.append(v)
+        for key in elems[v]:
+            ops_on[key].remove(v)  # lists hold unemitted ops only
+        if window:  # at window 0 nothing is ever hot: every score stays 0
+            floor = t - window
+            for key in elems[v]:
+                if last_touch.get(key, floor - 1) < floor:  # enters the window
+                    for w in ops_on[key]:
+                        score[w] += 1
+                        if w in ready:
+                            changed.add(w)
+                last_touch[key] = t
+            if floor >= 0:
+                for key in elems[order[floor]]:
+                    if last_touch[key] == floor:  # leaves the window
+                        for w in ops_on[key]:
+                            score[w] -= 1
+                            if w in ready:
+                                changed.add(w)
+        for w in changed:
+            heappush(heap, (-score[w], w))
     return order
 
 
@@ -241,10 +213,20 @@ def list_schedule(
     With ``relax_reductions=True`` edges that carry only the ``"reduction"``
     kind are ignored, enlarging the legal order space at the cost of
     bit-exactness (results then match only up to FP reassociation).
+    ``locality_window`` is the ``"locality"`` look-back in emitted ops, an
+    ``int`` >= 0 (``ConfigurationError`` otherwise; 0 gives index order).
     """
     if heuristic not in HEURISTICS:
         raise ConfigurationError(
             f"unknown heuristic {heuristic!r}; choose from {', '.join(HEURISTICS)}"
+        )
+    if (
+        not isinstance(locality_window, int)
+        or isinstance(locality_window, bool)
+        or locality_window < 0
+    ):
+        raise ConfigurationError(
+            f"locality_window must be an int >= 0, got {locality_window!r}"
         )
     if heuristic == "locality":
         worklist = Worklist(graph, relax_reductions=relax_reductions)

@@ -2,15 +2,14 @@
 
 import pytest
 
+from graph_oracles import LocalityScore, argbest
 from repro.errors import ConfigurationError, ScheduleError
 from repro.graph import (
     DependencyGraph,
     IncrementalObjective,
-    LocalityScore,
     STRATEGIES,
     Worklist,
     anneal_search,
-    argbest,
     beam_search,
     dependency_graph,
     element_op_lists,
@@ -49,10 +48,9 @@ def chol_graph(chol_case):
 
 class TestPrimitives:
     def test_argbest_all_zero_scores_picks_lowest_index(self):
-        # The seed locality scheduler's tie-break leaned on a
-        # ``best_score = -1`` sentinel; the explicit guard must pick the
-        # lowest index when every candidate scores 0 (and when scores go
-        # negative, where the old sentinel would have mis-ranked).
+        # The rescan oracle's selection rule (the incremental scheduler's
+        # heap reproduces it): the explicit guard must pick the lowest
+        # index when every candidate scores 0, and when scores go negative.
         assert argbest([5, 3, 9], lambda v: 0) == 3
         assert argbest([5, 3, 9], lambda v: -2) == 3
         assert argbest([], lambda v: 0) is None
@@ -63,6 +61,11 @@ class TestPrimitives:
         # original order rather than crash or mis-rank.
         result = list_schedule(tbs_graph, "locality", locality_window=0)
         assert result.order == list(range(len(tbs_graph)))
+
+    @pytest.mark.parametrize("window", [-1, 2.5, None, "4", True])
+    def test_locality_window_must_be_a_non_negative_int(self, tbs_graph, window):
+        with pytest.raises(ConfigurationError, match="locality_window"):
+            list_schedule(tbs_graph, "locality", locality_window=window)
 
     def test_worklist_emit_and_clone(self, chol_graph):
         wl = Worklist(chol_graph)
