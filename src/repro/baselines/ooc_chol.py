@@ -29,7 +29,7 @@ from ..errors import ConfigurationError
 from ..machine.machine import TwoLevelMachine
 from ..machine.tracker import IOStats
 from ..sched.ops import CholFactorResident, OuterColsUpdate, TriangleUpdate, TrsmSolveStep
-from ..utils.intervals import as_index_array, split_indices
+from ..utils.intervals import as_distinct_index_array, split_indices
 
 
 def ooc_chol(
@@ -44,7 +44,7 @@ def ooc_chol(
     factor diagonal blocks of a larger matrix in place.  Returns the I/O
     stats delta of this call.
     """
-    rows = as_index_array(rows)
+    rows = as_distinct_index_array(rows)
     before = m.stats.snapshot()
     s = tile if tile is not None else square_tile_side_for_memory(m.capacity)
     if s * s + 2 * s > m.capacity:
@@ -52,10 +52,12 @@ def ooc_chol(
     blocks = split_indices(rows, s)
     for jb, ij in enumerate(blocks):
         prior_cols = rows[: int(jb) * s] if jb else rows[:0]
+        # The diagonal tile and every tile below it stream the same
+        # segments of this block column, built once.
+        segs_j = m.column_segments(a, ij, prior_cols)
         # --- diagonal tile: downdate, factor resident, write back ---------
         with m.hold(m.lower_tile(a, ij), writeback=True):
-            for t in prior_cols:
-                seg = m.column_segment(a, ij, int(t))
+            for t, seg in zip(prior_cols, segs_j):
                 m.load(seg)
                 m.compute(TriangleUpdate(m, a, a, ij, int(t), sign=-1.0, include_diagonal=True))
                 m.evict(seg)
@@ -63,9 +65,8 @@ def ooc_chol(
         # --- sub-diagonal tiles: downdate, solve vs diagonal, write back --
         for ii in blocks[jb + 1 :]:
             with m.hold(m.tile(a, ii, ij), writeback=True):
-                for t in prior_cols:
-                    seg_i = m.column_segment(a, ii, int(t))
-                    seg_j = m.column_segment(a, ij, int(t))
+                segs_i = m.column_segments(a, ii, prior_cols)
+                for t, seg_i, seg_j in zip(prior_cols, segs_i, segs_j):
                     m.load(seg_i)
                     m.load(seg_j)
                     m.compute(OuterColsUpdate(m, a, a, a, ii, ij, int(t), int(t), sign=-1.0))

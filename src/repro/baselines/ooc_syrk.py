@@ -23,9 +23,10 @@ import numpy as np
 from ..config import square_tile_side_for_memory
 from ..errors import ConfigurationError
 from ..machine.machine import TwoLevelMachine
+from ..machine.regions import Region
 from ..machine.tracker import IOStats
 from ..sched.ops import OuterColsUpdate, TriangleUpdate
-from ..utils.intervals import as_index_array, split_indices
+from ..utils.intervals import as_distinct_index_array, as_index_array, split_indices
 
 
 def _check_disjoint(a: np.ndarray, b: np.ndarray) -> None:
@@ -48,24 +49,26 @@ def ooc_syrk(
     the ``A`` columns to accumulate over.  Returns the I/O stats delta of
     this call.
     """
-    rows = as_index_array(rows)
+    rows = as_distinct_index_array(rows)
     cols = as_index_array(cols)
     before = m.stats.snapshot()
     s = tile if tile is not None else square_tile_side_for_memory(m.capacity)
     if s * s + 2 * s > m.capacity:
         raise ConfigurationError(f"tile {s} too large for S={m.capacity}")
     blocks = split_indices(rows, s)
+    # Every tile of a block row streams that row set's column segments of
+    # A, so they are built once per row set and held for the whole call.
+    segments = [m.column_segments(a, ri, cols) for ri in blocks]
     for bi, ri in enumerate(blocks):
         # Diagonal tile: lower triangle only, single streamed segment.
         with m.hold(m.lower_tile(c, ri), writeback=True):
-            for k in cols:
-                seg = m.column_segment(a, ri, int(k))
+            for k, seg in zip(cols, segments[bi]):
                 m.load(seg)
                 m.compute(TriangleUpdate(m, c, a, ri, int(k), sign=sign, include_diagonal=True))
                 m.evict(seg)
         # Tiles strictly below the diagonal in this block column.
-        for rj in blocks[:bi]:
-            _rect_tile(m, a, c, ri, rj, cols, sign)
+        for bj, rj in enumerate(blocks[:bi]):
+            _rect_tile(m, a, c, ri, rj, cols, sign, segments[bi], segments[bj])
     return m.stats.diff(before)
 
 
@@ -91,18 +94,26 @@ def ooc_syrk_rect(
     _check_disjoint(rows_i, rows_j)
     before = m.stats.snapshot()
     s = tile if tile is not None else square_tile_side_for_memory(m.capacity)
+    blocks_j = split_indices(rows_j, s)
+    segments_j = [m.column_segments(a, rj, cols) for rj in blocks_j]
     for ri in split_indices(rows_i, s):
-        for rj in split_indices(rows_j, s):
-            _rect_tile(m, a, c, ri, rj, cols, sign)
+        segments_i = m.column_segments(a, ri, cols)
+        for rj, segs_j in zip(blocks_j, segments_j):
+            _rect_tile(m, a, c, ri, rj, cols, sign, segments_i, segs_j)
     return m.stats.diff(before)
 
 
-def _rect_tile(m: TwoLevelMachine, a: str, c: str, ri: np.ndarray, rj: np.ndarray, cols: np.ndarray, sign: float) -> None:
-    """Hold one rectangular tile of C and stream column pairs of A past it."""
+def _rect_tile(
+    m: TwoLevelMachine, a: str, c: str, ri: np.ndarray, rj: np.ndarray, cols: np.ndarray,
+    sign: float, segs_i: list[Region], segs_j: list[Region],
+) -> None:
+    """Hold one rectangular tile of C and stream column pairs of A past it.
+
+    ``segs_i`` and ``segs_j`` are the column segments of ``ri`` and ``rj``
+    over ``cols``.
+    """
     with m.hold(m.tile(c, ri, rj), writeback=True):
-        for k in cols:
-            seg_i = m.column_segment(a, ri, int(k))
-            seg_j = m.column_segment(a, rj, int(k))
+        for k, seg_i, seg_j in zip(cols, segs_i, segs_j):
             m.load(seg_i)
             m.load(seg_j)
             m.compute(OuterColsUpdate(m, c, a, a, ri, rj, int(k), int(k), sign=sign))

@@ -39,7 +39,7 @@ from ..errors import ConfigurationError
 from ..machine.machine import TwoLevelMachine
 from ..machine.tracker import IOStats
 from ..sched.ops import OuterColsUpdate, TriangleCrossUpdate
-from ..utils.intervals import as_index_array, split_indices
+from ..utils.intervals import as_distinct_index_array, as_index_array, split_indices
 from .partition import plan_partition
 
 
@@ -103,38 +103,28 @@ def ooc_syr2k(
     Holds one tile of ``C`` and streams *four* column segments per inner
     step; diagonal tiles hold their lower triangle and stream two.
     """
-    rows = as_index_array(rows)
+    rows = as_distinct_index_array(rows)
     cols = as_index_array(cols)
     before = m.stats.snapshot()
     t = tile if tile is not None else syr2k_square_tile_side(m.capacity)
     if t * t + 4 * t > m.capacity:
         raise ConfigurationError(f"tile {t} too large for S={m.capacity}")
     blocks = split_indices(rows, t)
+    # As in OOC_SYRK: each row set's column segments, built once per call.
+    seg_a = [m.column_segments(a, ri, cols) for ri in blocks]
+    seg_b = [m.column_segments(b, ri, cols) for ri in blocks]
     for bi, ri in enumerate(blocks):
         with m.hold(m.lower_tile(c, ri), writeback=True):
-            for k in cols:
-                sa = m.column_segment(a, ri, int(k))
-                sb = m.column_segment(b, ri, int(k))
+            for k, sa, sb in zip(cols, seg_a[bi], seg_b[bi]):
                 m.load(sa)
                 m.load(sb)
                 m.compute(TriangleCrossUpdate(m, c, a, b, ri, int(k), sign=sign, include_diagonal=True))
                 m.evict(sa)
                 m.evict(sb)
-        for rj in blocks[:bi]:
-            with m.hold(m.tile(c, ri, rj), writeback=True):
-                for k in cols:
-                    segs = [
-                        m.column_segment(a, ri, int(k)),
-                        m.column_segment(b, rj, int(k)),
-                        m.column_segment(b, ri, int(k)),
-                        m.column_segment(a, rj, int(k)),
-                    ]
-                    for seg in segs:
-                        m.load(seg)
-                    m.compute(OuterColsUpdate(m, c, a, b, ri, rj, int(k), int(k), sign=sign))
-                    m.compute(OuterColsUpdate(m, c, b, a, ri, rj, int(k), int(k), sign=sign))
-                    for seg in segs:
-                        m.evict(seg)
+        for bj, rj in enumerate(blocks[:bi]):
+            _syr2k_tile(
+                m, a, b, c, ri, rj, cols, sign, (seg_a[bi], seg_b[bj], seg_b[bi], seg_a[bj])
+            )
     return m.stats.diff(before)
 
 
@@ -154,7 +144,7 @@ def tbs_syr2k(
     per column instead of one.  Falls back to :func:`ooc_syr2k` below the
     applicability threshold, exactly like Algorithm 4.
     """
-    rows = as_index_array(rows)
+    rows = as_distinct_index_array(rows)
     cols = as_index_array(cols)
     if k is None:
         k = syr2k_triangle_side_for_memory(m.capacity)
@@ -194,9 +184,9 @@ def _syr2k_recurse(
         r_global = rows[local_rows]
         block = m.triangle_block(c, r_global)
         m.load(block)
-        for kk in cols:
-            sa = m.column_segment(a, r_global, int(kk))
-            sb = m.column_segment(b, r_global, int(kk))
+        seg_a = m.column_segments(a, r_global, cols)
+        seg_b = m.column_segments(b, r_global, cols)
+        for kk, sa, sb in zip(cols, seg_a, seg_b):
             m.load(sa)
             m.load(sb)
             m.compute(TriangleCrossUpdate(m, c, a, b, r_global, int(kk), sign=sign))
@@ -216,22 +206,38 @@ def _syr2k_rect(
     sign: float,
 ) -> None:
     t = syr2k_square_tile_side(m.capacity)
+    blocks_j = split_indices(rows_j, t)
+    segs_j = [(m.column_segments(a, rj, cols), m.column_segments(b, rj, cols)) for rj in blocks_j]
     for ri in split_indices(rows_i, t):
-        for rj in split_indices(rows_j, t):
-            with m.hold(m.tile(c, ri, rj), writeback=True):
-                for kk in cols:
-                    segs = [
-                        m.column_segment(a, ri, int(kk)),
-                        m.column_segment(b, rj, int(kk)),
-                        m.column_segment(b, ri, int(kk)),
-                        m.column_segment(a, rj, int(kk)),
-                    ]
-                    for seg in segs:
-                        m.load(seg)
-                    m.compute(OuterColsUpdate(m, c, a, b, ri, rj, int(kk), int(kk), sign=sign))
-                    m.compute(OuterColsUpdate(m, c, b, a, ri, rj, int(kk), int(kk), sign=sign))
-                    for seg in segs:
-                        m.evict(seg)
+        seg_a, seg_b = m.column_segments(a, ri, cols), m.column_segments(b, ri, cols)
+        for rj, (seg_aj, seg_bj) in zip(blocks_j, segs_j):
+            _syr2k_tile(m, a, b, c, ri, rj, cols, sign, (seg_a, seg_bj, seg_b, seg_aj))
+
+
+def _syr2k_tile(
+    m: TwoLevelMachine,
+    a: str,
+    b: str,
+    c: str,
+    ri: np.ndarray,
+    rj: np.ndarray,
+    cols: np.ndarray,
+    sign: float,
+    streams: tuple[list, list, list, list],
+) -> None:
+    """Hold tile ``C[ri, rj]`` and stream four column segments per column past it.
+
+    ``streams`` holds the segments of ``A[ri]``, ``B[rj]``, ``B[ri]`` and
+    ``A[rj]`` over ``cols``, in that load order.
+    """
+    with m.hold(m.tile(c, ri, rj), writeback=True):
+        for kk, *segs in zip(cols, *streams):
+            for seg in segs:
+                m.load(seg)
+            m.compute(OuterColsUpdate(m, c, a, b, ri, rj, int(kk), int(kk), sign=sign))
+            m.compute(OuterColsUpdate(m, c, b, a, ri, rj, int(kk), int(kk), sign=sign))
+            for seg in segs:
+                m.evict(seg)
 
 
 def syr2k_reference(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None, sign: float = 1.0) -> np.ndarray:

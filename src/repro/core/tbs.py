@@ -28,7 +28,7 @@ from ..errors import ConfigurationError
 from ..machine.machine import TwoLevelMachine
 from ..machine.tracker import IOStats
 from ..sched.ops import TriangleUpdate
-from ..utils.intervals import as_index_array
+from ..utils.intervals import as_distinct_index_array, as_index_array
 from .partition import plan_partition, recursion_profile
 
 
@@ -71,7 +71,7 @@ def tbs_syrk(
     (``k(k+1)/2 <= S``); passing a smaller ``k`` under-uses memory (useful
     for experiments).
     """
-    rows = as_index_array(rows)
+    rows = as_distinct_index_array(rows)
     cols = as_index_array(cols)
     if k is None:
         k = triangle_side_for_memory(m.capacity)
@@ -115,8 +115,7 @@ def _tbs_recurse(
         r_global = rows[local_rows]
         block = m.triangle_block(c, r_global)
         m.load(block)
-        for kk in cols:
-            seg = m.column_segment(a, r_global, int(kk))
+        for kk, seg in zip(cols, m.column_segments(a, r_global, cols)):
             m.load(seg)
             m.compute(TriangleUpdate(m, c, a, r_global, int(kk), sign=sign, include_diagonal=False))
             m.evict(seg)

@@ -1,10 +1,11 @@
 """Record→analyze→reschedule harness shared by the CLI, bench and tests.
 
 One :class:`RecordedCase` bundles everything the graph layer needs to reason
-about a kernel run: the recorded schedule, the capacity it ran at, its
-explicit I/O volume, the relevant lower bound, a factory for fresh machines
-holding the *same* input values (for numeric replay checks), and the
-original results to compare against.
+about a kernel run: the schedule recorded on a counting machine, the
+capacity it ran at, its explicit I/O volume, the relevant lower bound, a
+factory for fresh numeric machines holding the *same* seeded input values
+(for numeric replay checks), and the kernel's own results to compare
+against, computed on first use.
 
 :func:`compare_case` produces the full comparison for one case: explicit
 volume, LRU and Belady replays of the original order, a validated,
@@ -38,13 +39,69 @@ from .rewriter import RewriteResult, reschedule, rewrite_schedule
 from .scheduler import HEURISTICS
 from .search import SearchResult, search_order
 
-#: Kernels the harness can record (name -> human description).
-CASES = {
-    "tbs": "TBS SYRK (Algorithm 4)",
-    "ocs": "OOC_SYRK (Bereux square tiles)",
-    "syr2k": "TBS SYR2K extension",
-    "chol": "OOC_CHOL (left-looking Cholesky)",
+@dataclass(frozen=True)
+class _Kernel:
+    """How the harness runs one kernel of :data:`CASES`."""
+
+    description: str
+    shapes: Callable[[int, int], dict[str, tuple[int, int]]]
+    inputs: Callable[[int, int, int], dict[str, np.ndarray]]  # (n, mcols, seed)
+    run: Callable[[TwoLevelMachine, int, int], object]  # (machine, n, mcols)
+    bound: Callable[[int, int, int], float]  # (n, mcols, s)
+    results: tuple[str, ...]
+
+
+def _syrk_shapes(n: int, mcols: int) -> dict[str, tuple[int, int]]:
+    return {"A": (n, mcols), "C": (n, n)}
+
+
+def _syrk_inputs(n: int, mcols: int, seed: int) -> dict[str, np.ndarray]:
+    return {"A": random_tall_matrix(n, mcols, seed=seed), "C": np.zeros((n, n))}
+
+
+def _syrk_bound(n: int, mcols: int, s: int) -> float:
+    return syrk_lower_bound(n, mcols, s, form="exact")
+
+
+#: The one kernel table: :func:`record_case` records each kernel from it on
+#: a counting machine and runs it again, numerically, for the reference.
+_KERNELS = {
+    "tbs": _Kernel(
+        "TBS SYRK (Algorithm 4)",
+        _syrk_shapes, _syrk_inputs,
+        lambda m, n, mcols: tbs_syrk(m, "A", "C", range(n), range(mcols)),
+        _syrk_bound, ("C",),
+    ),
+    "ocs": _Kernel(
+        "OOC_SYRK (Bereux square tiles)",
+        _syrk_shapes, _syrk_inputs,
+        lambda m, n, mcols: ooc_syrk(m, "A", "C", range(n), range(mcols)),
+        _syrk_bound, ("C",),
+    ),
+    "syr2k": _Kernel(
+        "TBS SYR2K extension",
+        lambda n, mcols: {"A": (n, mcols), "B": (n, mcols), "C": (n, n)},
+        lambda n, mcols, seed: {
+            "A": random_tall_matrix(n, mcols, seed=seed),
+            "B": random_tall_matrix(n, mcols, seed=seed + 1),
+            "C": np.zeros((n, n)),
+        },
+        lambda m, n, mcols: tbs_syr2k(m, "A", "B", "C", range(n), range(mcols)),
+        lambda n, mcols, s: syr2k_lower_bound(n, mcols, s, form="exact"),
+        ("C",),
+    ),
+    "chol": _Kernel(
+        "OOC_CHOL (left-looking Cholesky)",
+        lambda n, mcols: {"A": (n, n)},
+        lambda n, mcols, seed: {"A": random_spd_matrix(n, seed=seed)},
+        lambda m, n, mcols: ooc_chol(m, "A", range(n)),
+        lambda n, mcols, s: cholesky_lower_bound(n, s, form="exact"),
+        ("A",),
+    ),
 }
+
+#: Kernels the harness can record (name -> human description).
+CASES = {name: kernel.description for name, kernel in _KERNELS.items()}
 
 
 @dataclass
@@ -59,8 +116,10 @@ class RecordedCase:
     lower_bound: float
     make_machine: Callable[[], TwoLevelMachine]
     result_names: list[str]
-    reference: dict[str, np.ndarray]
+    #: Runs the kernel itself on a machine from ``make_machine``.
+    run: Callable[[TwoLevelMachine], object] = field(repr=False)
     _trace: CompiledTrace | None = None
+    _reference: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def trace(self) -> CompiledTrace:
@@ -68,6 +127,20 @@ class RecordedCase:
         if self._trace is None:
             self._trace = compile_trace(self.schedule)
         return self._trace
+
+    @property
+    def reference(self) -> dict[str, np.ndarray]:
+        """The kernel's own results on a numeric strict machine (run once, lazily).
+
+        The kernel runs again rather than the recorded schedule being
+        replayed, so a step the recording lost would show up as a mismatch.
+        """
+        if self._reference is None:
+            m = self.make_machine()
+            self.run(m)
+            m.assert_empty()
+            self._reference = {r: m.result(r).copy() for r in self.result_names}
+        return self._reference
 
     def check_exact(self, rewritten: Schedule) -> bool:
         """Replay ``rewritten`` on a fresh machine; results bit-identical?"""
@@ -81,64 +154,41 @@ class RecordedCase:
 
 
 def record_case(name: str, n: int, mcols: int, s: int, seed: int = 0) -> RecordedCase:
-    """Run one kernel with numerics on, recording its schedule."""
-    if name in ("tbs", "ocs"):
-        a = random_tall_matrix(n, mcols, seed=seed)
+    """Record one kernel's schedule on a counting machine.
 
-        def make_machine() -> TwoLevelMachine:
-            m = TwoLevelMachine(s)
-            m.add_matrix("A", a)
-            m.add_matrix("C", np.zeros((n, n)))
-            return m
-
-        fn = tbs_syrk if name == "tbs" else ooc_syrk
-        m = make_machine()
-        schedule = record_schedule(m, lambda: fn(m, "A", "C", range(n), range(mcols)))
-        bound = syrk_lower_bound(n, mcols, s, form="exact")
-        results = ["C"]
-    elif name == "syr2k":
-        a = random_tall_matrix(n, mcols, seed=seed)
-        b = random_tall_matrix(n, mcols, seed=seed + 1)
-
-        def make_machine() -> TwoLevelMachine:
-            m = TwoLevelMachine(s)
-            m.add_matrix("A", a)
-            m.add_matrix("B", b)
-            m.add_matrix("C", np.zeros((n, n)))
-            return m
-
-        m = make_machine()
-        schedule = record_schedule(
-            m, lambda: tbs_syr2k(m, "A", "B", "C", range(n), range(mcols))
-        )
-        bound = syr2k_lower_bound(n, mcols, s, form="exact")
-        results = ["C"]
-    elif name == "chol":
-        spd = random_spd_matrix(n, seed=seed)
-
-        def make_machine() -> TwoLevelMachine:
-            m = TwoLevelMachine(s)
-            m.add_matrix("A", spd.copy())
-            return m
-
-        m = make_machine()
-        schedule = record_schedule(m, lambda: ooc_chol(m, "A", range(n)))
-        bound = cholesky_lower_bound(n, s, form="exact")
-        results = ["A"]
-    else:
+    The recording machine is ``TwoLevelMachine(s, strict=False,
+    numerics=False)``: residency and capacity are checked on every step
+    and I/O is counted, but no input is generated and no arithmetic runs.
+    Numerics wait until a caller asks: ``make_machine`` builds strict
+    machines holding the seeded inputs, and ``reference`` runs the kernel
+    on one the first time it is read.  The serve path's misses record
+    here and never ask.
+    """
+    kernel = _KERNELS.get(name)
+    if kernel is None:
         raise ConfigurationError(f"unknown case {name!r}; choose from {', '.join(CASES)}")
-
+    m = TwoLevelMachine(s, strict=False, numerics=False)
+    for matrix, shape in kernel.shapes(n, mcols).items():
+        m.add_matrix(matrix, np.zeros(shape))
+    schedule = record_schedule(m, lambda: kernel.run(m, n, mcols))
     m.assert_empty()
+
+    def make_machine() -> TwoLevelMachine:
+        fresh = TwoLevelMachine(s)
+        for matrix, array in kernel.inputs(n, mcols, seed).items():
+            fresh.add_matrix(matrix, array)
+        return fresh
+
     return RecordedCase(
         name=name,
         schedule=schedule,
         capacity=s,
         explicit_loads=m.stats.loads,
         explicit_stores=m.stats.stores,
-        lower_bound=bound,
+        lower_bound=kernel.bound(n, mcols, s),
         make_machine=make_machine,
-        result_names=results,
-        reference={r: m.result(r).copy() for r in results},
+        result_names=list(kernel.results),
+        run=lambda machine: kernel.run(machine, n, mcols),
     )
 
 

@@ -19,6 +19,14 @@ volumes grow like ``N^3/sqrt(S)``, so benches run many machine ops):
 * ``check_residency=False`` additionally skips the per-compute residency
   assertion (loads/evicts still enforce capacity and legality).  The test
   suite always runs with both checks on.
+
+A *counting machine* — ``TwoLevelMachine(S, strict=False, numerics=False)``
+— keeps residency and capacity checks but allocates no shadow and does no
+arithmetic.  It is what :func:`~repro.graph.compare.record_case` records
+on, so a served miss runs no numerics at all.  Every region the machine
+hands out comes from the process-wide region table of
+:mod:`repro.machine.regions`: a kernel's load and the op that reads it
+share one read-only region, checked and built once per distinct input.
 """
 
 from __future__ import annotations
@@ -31,14 +39,7 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import ConfigurationError
 from .fast_memory import FastMemory
-from .regions import (
-    Region,
-    column_segment_region,
-    lower_tile_region,
-    row_segment_region,
-    tile_region,
-    triangle_block_region,
-)
+from .regions import Region, ShapeAwareRegions
 from .slow_memory import SlowMemory
 from .tracker import IOStats
 
@@ -46,8 +47,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sched.ops import ComputeOp
 
 
-class TwoLevelMachine:
-    """Simulated two-level memory machine (fast memory of ``S`` elements)."""
+class TwoLevelMachine(ShapeAwareRegions):
+    """Simulated two-level memory machine (fast memory of ``S`` elements).
+
+    The shape-aware region constructors (``tile``, ``triangle_block``,
+    ``lower_tile``, ``column_segment``, ``row_segment``) come from
+    :class:`~repro.machine.regions.ShapeAwareRegions`.
+    """
 
     def __init__(
         self,
@@ -101,24 +107,6 @@ class TwoLevelMachine:
         if self.config.strict:
             return self.fast.shadow(name)
         return self.slow.array(name)
-
-    # ------------------------------------------------------------------ #
-    # region constructors (shape-aware)
-    # ------------------------------------------------------------------ #
-    def tile(self, name: str, rows, cols) -> Region:
-        return tile_region(name, rows, cols, self.ncols(name))
-
-    def triangle_block(self, name: str, R) -> Region:
-        return triangle_block_region(name, R, self.ncols(name))
-
-    def lower_tile(self, name: str, rows, *, strict: bool = False) -> Region:
-        return lower_tile_region(name, rows, self.ncols(name), strict=strict)
-
-    def column_segment(self, name: str, rows, col: int) -> Region:
-        return column_segment_region(name, rows, col, self.ncols(name))
-
-    def row_segment(self, name: str, row: int, cols) -> Region:
-        return row_segment_region(name, row, cols, self.ncols(name))
 
     # ------------------------------------------------------------------ #
     # the three verbs

@@ -13,23 +13,43 @@ region shapes the paper's schedules use:
 * ``lower_tile_region`` — the at-or-below-diagonal part of a diagonal tile
   (used by OOC_SYRK/OOC_CHOL for tiles on the main diagonal);
 * ``column_segment_region`` / ``row_segment_region`` — the narrow streamed
-  operands of the one-tile algorithms.
+  operands of the one-tile algorithms (``column_segment_regions`` builds
+  every column of one row set at once).
 
 Flat indexing requires the backing matrix's column count, so constructors
-take ``ncols``; the :class:`~repro.machine.machine.TwoLevelMachine` facade
-offers shape-aware wrappers.  The triangle-shaped constructors and the
-triangle ops of :mod:`repro.sched.ops` draw their element pairs from one
-shared table, :func:`tril_pairs`.
+take ``ncols``; :class:`ShapeAwareRegions` offers them by matrix name, to
+the :class:`~repro.machine.machine.TwoLevelMachine` facade and to
+:class:`MatrixShapes`.  The triangle-shaped constructors and the triangle
+ops of :mod:`repro.sched.ops` draw their element pairs from one shared
+table, :func:`tril_pairs`.
+
+**One region table.**  A kernel builds a region to load it, and the op it
+then computes names the same region again, so every constructor looks its
+input up in one process-wide table keyed on (constructor, matrix, column
+count, index bytes, scalars).  A miss checks the input once — no repeated
+index, no negative index, columns below ``ncols`` (unsorted input is
+sorted) — and builds the flat with plain arithmetic; a hit returns the
+same :class:`Region` object and runs nothing.  A bad input raises
+:class:`~repro.errors.ConfigurationError` on every call, since failures
+are never stored.  Because many holders share one region, its flat is
+read-only, and an in-place write raises.  The table holds its regions
+weakly: an entry lives as long as a kernel, an op or a recorded schedule
+holds the region, so a long counting-only run keeps nothing alive.  The
+machine, the compute ops and :func:`~repro.trace.io.load_schedule` all
+build their regions through it.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..utils.intervals import as_index_array, is_strictly_increasing
 
 
@@ -81,28 +101,102 @@ def tril_pairs(n: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return il, jl
 
 
-def _flat_from_pairs(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
-    return rows.astype(np.int64) * np.int64(ncols) + cols.astype(np.int64)
+#: The process-wide region table: (constructor, matrix, ncols, index
+#: bytes..., scalars) -> the one Region built for that input.  Values are
+#: held weakly, so an entry lives exactly as long as something else (a
+#: kernel's local, an op, a recorded schedule) holds its region.
+_TABLE: "weakref.WeakValueDictionary[tuple, Region]" = weakref.WeakValueDictionary()
+#: Serializes misses, so threads recording at once (the serve front end
+#: runs one search per thread) still get one object per input.
+_MISS_LOCK = threading.Lock()
 
 
-def _finalize(matrix: str, flat: np.ndarray, *, assume_sorted: bool = False) -> Region:
-    flat = np.asarray(flat, dtype=np.int64).ravel()
-    if not assume_sorted:
-        flat = np.unique(flat)
-    return Region(matrix, flat)
+def _shared(key: tuple, build, *args) -> Region:
+    """The table's region for ``key``, built by ``build(*args)`` on a miss.
+
+    A build that raises stores nothing, so a bad input raises on every
+    call.  A hit takes no lock.
+    """
+    region = _TABLE.get(key)
+    if region is None:
+        with _MISS_LOCK:
+            region = _TABLE.get(key)
+            if region is None:
+                region = build(*args)
+                region.flat.setflags(write=False)
+                _TABLE[key] = region
+    return region
+
+
+def _sorted_distinct(idx: np.ndarray, what: str) -> np.ndarray:
+    """``idx`` in increasing order; raise if it repeats or holds a negative index."""
+    if not is_strictly_increasing(idx):
+        idx = np.sort(idx)
+        if not is_strictly_increasing(idx):
+            raise ConfigurationError(f"{what} must be duplicate-free")
+    if idx.size and idx[0] < 0:
+        raise ConfigurationError(f"{what} holds a negative index")
+    return idx
+
+
+def _columns(idx: np.ndarray, ncols: int, what: str) -> np.ndarray:
+    """``_sorted_distinct(idx)``, also checked to lie below ``ncols``.
+
+    Every flat below is then ``row * ncols + col`` with ``col < ncols`` over
+    sorted, distinct rows and columns, so it comes out sorted and
+    duplicate-free with no ``np.unique``.
+    """
+    idx = _sorted_distinct(idx, what)
+    if idx.size and idx[-1] >= ncols:
+        raise ConfigurationError(f"{what} reaches column {int(idx[-1])} of {ncols}")
+    return idx
+
+
+def _build_tile(matrix: str, rows: np.ndarray, cols: np.ndarray, ncols: int) -> Region:
+    r = _sorted_distinct(rows, "tile rows")
+    c = _columns(cols, ncols, "tile columns")
+    return Region(matrix, (r[:, None] * ncols + c[None, :]).ravel())
+
+
+def _build_triangle(matrix: str, R: np.ndarray, ncols: int, k: int) -> Region:
+    # R indexes both the rows and the columns of the pairs.
+    r = _columns(R, ncols, "triangle row set R")
+    il, jl = tril_pairs(r.size, k)
+    return Region(matrix, r[il] * ncols + r[jl])
+
+
+def _build_column_segments(
+    matrix: str, rows: np.ndarray, cols: list[int], ncols: int
+) -> list[Region]:
+    r = _sorted_distinct(rows, "column segment rows")
+    if min(cols) < 0 or max(cols) >= ncols:
+        raise ConfigurationError(f"column segment columns {cols} outside [0, {ncols})")
+    # One arithmetic block; row t of it is column cols[t]'s segment.
+    block = np.array(cols, dtype=np.int64)[:, None] + r * ncols
+    return [Region(matrix, flat) for flat in block]
+
+
+def _build_column_segment(matrix: str, rows: np.ndarray, col: int, ncols: int) -> Region:
+    return _build_column_segments(matrix, rows, [col], ncols)[0]
+
+
+def _build_row_segment(matrix: str, row: int, cols: np.ndarray, ncols: int) -> Region:
+    c = _columns(cols, ncols, "row segment columns")
+    if row < 0:
+        raise ConfigurationError(f"row segment row {row} is negative")
+    return Region(matrix, row * ncols + c)
 
 
 def tile_region(matrix: str, rows, cols, ncols: int) -> Region:
     """The rectangular tile ``matrix[rows, cols]`` as a region.
 
     ``rows`` and ``cols`` are 1-D global index collections (need not be
-    contiguous).  The region has ``len(rows) * len(cols)`` elements.
+    contiguous or sorted, but may not repeat an index).  The region has
+    ``len(rows) * len(cols)`` elements.
     """
-    r = as_index_array(rows)
-    c = as_index_array(cols)
-    flat = (r[:, None] * np.int64(ncols) + c[None, :]).ravel()
-    sorted_ok = is_strictly_increasing(r) and is_strictly_increasing(c)
-    return _finalize(matrix, flat, assume_sorted=False if not sorted_ok else True)
+    r, c = as_index_array(rows), as_index_array(cols)
+    key = ("tile", matrix, int(ncols), r.tobytes(), c.tobytes())
+    return _shared(key, _build_tile, matrix, r, c, int(ncols))
 
 
 def triangle_block_region(matrix: str, R, ncols: int) -> Region:
@@ -113,16 +207,7 @@ def triangle_block_region(matrix: str, R, ncols: int) -> Region:
     may be any duplicate-free index collection (TBS uses one row per zone
     row, so ``R`` is scattered across the matrix).
     """
-    r = as_index_array(R)
-    r = np.sort(r)
-    if np.any(np.diff(r) == 0):
-        raise ValueError("triangle block row set R must be duplicate-free")
-    # k=-1 yields the pairs (i, j) with i > j: the subdiagonal pairs.
-    il, jl = tril_pairs(r.size, -1)
-    rows = r[il]
-    cols = r[jl]
-    flat = _flat_from_pairs(rows, cols, ncols)
-    return _finalize(matrix, flat)
+    return lower_tile_region(matrix, R, ncols, strict=True)
 
 
 def lower_tile_region(matrix: str, rows, ncols: int, *, strict: bool = False) -> Region:
@@ -130,28 +215,102 @@ def lower_tile_region(matrix: str, rows, ncols: int, *, strict: bool = False) ->
 
     Includes the diagonal unless ``strict=True``.  Used for diagonal tiles
     of symmetric outputs, where only ``|R|(|R|+1)/2`` (or ``|R|(|R|-1)/2``)
-    elements are referenced.
+    elements are referenced.  The pairs come in :func:`tril_pairs` order,
+    so the flat of a sorted row set lines up with ``tril_pairs(|R|, k)``.
     """
-    r = np.sort(as_index_array(rows))
-    il, jl = tril_pairs(r.size, -1 if strict else 0)
-    rows_idx = r[il]
-    cols_idx = r[jl]
-    flat = _flat_from_pairs(rows_idx, cols_idx, ncols)
-    return _finalize(matrix, flat)
+    r = as_index_array(rows)
+    k = -1 if strict else 0
+    key = ("triangle", matrix, int(ncols), r.tobytes(), k)
+    return _shared(key, _build_triangle, matrix, r, int(ncols), k)
 
 
 def column_segment_region(matrix: str, rows, col: int, ncols: int) -> Region:
     """The column segment ``matrix[rows, col]`` (a streamed narrow operand)."""
     r = as_index_array(rows)
-    flat = _flat_from_pairs(r, np.full(r.size, int(col), dtype=np.int64), ncols)
-    return _finalize(matrix, flat, assume_sorted=is_strictly_increasing(r))
+    key = ("column_segment", matrix, int(ncols), r.tobytes(), int(col))
+    return _shared(key, _build_column_segment, matrix, r, int(col), int(ncols))
+
+
+def column_segment_regions(matrix: str, rows, cols, ncols: int) -> list[Region]:
+    """The column segments ``matrix[rows, k]`` for each ``k`` in ``cols``.
+
+    The same table entries as :func:`column_segment_region` per column, but
+    the misses of one call check ``rows`` once and are built as one
+    arithmetic block.  A kernel that streams every column of a row set past
+    a tile builds them here, and holding the list keeps them in the table.
+    """
+    r = as_index_array(rows)
+    prefix = ("column_segment", matrix, int(ncols), r.tobytes())
+    keys = [prefix + (k,) for k in as_index_array(cols).tolist()]
+    found = [_TABLE.get(key) for key in keys]
+    missing = [t for t, region in enumerate(found) if region is None]
+    if missing:
+        with _MISS_LOCK:
+            built = _build_column_segments(
+                matrix, r, [keys[t][-1] for t in missing], int(ncols)
+            )
+            for t, region in zip(missing, built):
+                region.flat.setflags(write=False)
+                # Another thread, or a repeated column, may have filed it.
+                found[t] = _TABLE.setdefault(keys[t], region)
+    return found
 
 
 def row_segment_region(matrix: str, row: int, cols, ncols: int) -> Region:
     """The row segment ``matrix[row, cols]`` (streamed by the TRSM solves)."""
     c = as_index_array(cols)
-    flat = _flat_from_pairs(np.full(c.size, int(row), dtype=np.int64), c, ncols)
-    return _finalize(matrix, flat, assume_sorted=is_strictly_increasing(c))
+    key = ("row_segment", matrix, int(ncols), int(row), c.tobytes())
+    return _shared(key, _build_row_segment, matrix, int(row), c, int(ncols))
+
+
+class ShapeAwareRegions:
+    """The region constructors by matrix name, for anything that knows ``ncols``.
+
+    Compute ops name their regions this way.  :class:`~repro.machine.machine.
+    TwoLevelMachine` answers ``ncols`` from slow memory, and
+    :class:`MatrixShapes` answers it from a recorded shapes map.  Every call
+    goes through the process-wide region table.
+    """
+
+    def ncols(self, name: str) -> int:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def tile(self, name: str, rows, cols) -> Region:
+        return tile_region(name, rows, cols, self.ncols(name))
+
+    def triangle_block(self, name: str, R) -> Region:
+        return triangle_block_region(name, R, self.ncols(name))
+
+    def lower_tile(self, name: str, rows, *, strict: bool = False) -> Region:
+        return lower_tile_region(name, rows, self.ncols(name), strict=strict)
+
+    def column_segment(self, name: str, rows, col: int) -> Region:
+        return column_segment_region(name, rows, col, self.ncols(name))
+
+    def column_segments(self, name: str, rows, cols) -> list[Region]:
+        return column_segment_regions(name, rows, cols, self.ncols(name))
+
+    def row_segment(self, name: str, row: int, cols) -> Region:
+        return row_segment_region(name, row, cols, self.ncols(name))
+
+
+class MatrixShapes(ShapeAwareRegions):
+    """Shape-aware region constructors over a ``{name: (rows, cols)}`` map.
+
+    What :func:`~repro.trace.io.load_schedule` rebuilds compute ops against:
+    the ops see column counts and region constructors, and no machine.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, int]]) -> None:
+        self._ncols = {name: int(cols) for name, (_, cols) in shapes.items()}
+
+    def ncols(self, name: str) -> int:
+        try:
+            return self._ncols[name]
+        except KeyError:
+            raise ConfigurationError(
+                f"compute op names matrix {name!r}, absent from shapes"
+            ) from None
 
 
 def merge_regions(regions: Sequence[Region]) -> list[Region]:

@@ -122,19 +122,15 @@ class TriangleUpdate(ComputeOp):
     def __init__(self, m: TwoLevelMachine, c: str, a: str, R, k: int, sign: float = 1.0, include_diagonal: bool = False):
         self.c, self.a = c, a
         self.R = _frozen(np.sort(as_index_array(R)))
-        if self.R.size >= 2 and np.any(np.diff(self.R) == 0):
-            raise ConfigurationError("TriangleUpdate row set R must be duplicate-free")
         self.k = int(k)
         self.sign = float(sign)
         self.include_diagonal = bool(include_diagonal)
         il, jl = tril_pairs(self.R.size, 0 if include_diagonal else -1)
         self._il, self._jl = il, jl
-        nc = m.ncols(c)
-        self._target_flat = _frozen(self.R[il] * np.int64(nc) + self.R[jl])
-        if include_diagonal:
-            self._c_region = m.lower_tile(c, self.R, strict=False)
-        else:
-            self._c_region = m.triangle_block(c, self.R)
+        # The region constructor rejects a repeated row; its flat lists the
+        # pairs of the sorted R in tril_pairs order, so it is the target.
+        self._c_region = m.lower_tile(c, self.R, strict=not include_diagonal)
+        self._target_flat = self._c_region.flat
         self._a_region = m.column_segment(a, self.R, self.k)
         self.mults = int(il.size)
         self.flops = 2 * self.mults
@@ -259,11 +255,9 @@ class CholFactorResident(ComputeOp):
         self.a = a
         self.R = _frozen(np.sort(as_index_array(R)))
         n = self.R.size
-        il, jl = tril_pairs(n, 0)
-        self._il, self._jl = il, jl
-        nc = m.ncols(a)
-        self._flat = _frozen(self.R[il] * np.int64(nc) + self.R[jl])
+        self._il, self._jl = tril_pairs(n, 0)
         self._region = m.lower_tile(a, self.R, strict=False)
+        self._flat = self._region.flat  # the tile's pairs in tril_pairs order
         self.mults = cholesky_mults(n)
         self.flops = cholesky_flops(n)
 
@@ -433,19 +427,13 @@ class TriangleCrossUpdate(ComputeOp):
     def __init__(self, m: TwoLevelMachine, c: str, a: str, b: str, R, k: int, sign: float = 1.0, include_diagonal: bool = False):
         self.c, self.a, self.b = c, a, b
         self.R = _frozen(np.sort(as_index_array(R)))
-        if self.R.size >= 2 and np.any(np.diff(self.R) == 0):
-            raise ConfigurationError("TriangleCrossUpdate row set R must be duplicate-free")
         self.k = int(k)
         self.sign = float(sign)
         self.include_diagonal = bool(include_diagonal)
         il, jl = tril_pairs(self.R.size, 0 if include_diagonal else -1)
         self._il, self._jl = il, jl
-        nc = m.ncols(c)
-        self._target_flat = _frozen(self.R[il] * np.int64(nc) + self.R[jl])
-        if include_diagonal:
-            self._c_region = m.lower_tile(c, self.R, strict=False)
-        else:
-            self._c_region = m.triangle_block(c, self.R)
+        self._c_region = m.lower_tile(c, self.R, strict=not include_diagonal)
+        self._target_flat = self._c_region.flat  # as in TriangleUpdate
         self._a_region = m.column_segment(a, self.R, self.k)
         self._b_region = m.column_segment(b, self.R, self.k)
         self.mults = 2 * int(il.size)

@@ -50,6 +50,12 @@ COSEARCH_ITERS = 200
 
 
 def _case_graph(key: ScheduleKey):
+    """The key's recorded case and its DAG.
+
+    :func:`~repro.graph.compare.record_case` records on a counting machine
+    (residency and capacity checked, no arithmetic), and no searcher reads
+    the case's reference numerics, so a miss never computes them.
+    """
     from ..graph.compare import record_case
     from ..graph.dependency import DependencyGraph
 

@@ -18,11 +18,16 @@ Two kinds:
     constructor parameters (index arrays packed into one shared int64
     payload).  Loading first checks that every record points inside that
     payload and inside its matrix, then rebuilds every compute op eagerly
-    against a per-load shape index: the op constructors see only matrix
-    column counts and region constructors, and each distinct region is
-    built once per load and shared, read-only, by every op that names it.
-    A loaded schedule replays to bit-identical numerics, so recorded runs
-    can be shipped to workers or cached between sweeps.
+    against the recorded shapes: the op constructors see only matrix
+    column counts and region constructors.  Those constructors are the
+    process-wide region table of :mod:`repro.machine.regions`, so each
+    distinct region is checked and built once — not once per op that
+    names it — and shared, read-only, by every op, every load and every
+    schedule in the process that holds it.  An op whose index set repeats
+    an index raises :class:`~repro.errors.ConfigurationError`, so the
+    serve store reads such a container as corrupt.  A loaded schedule
+    replays to bit-identical numerics, so recorded runs can be shipped to
+    workers or cached between sweeps.
 """
 
 from __future__ import annotations
@@ -35,14 +40,7 @@ from typing import IO, Any
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..machine.regions import (
-    Region,
-    column_segment_region,
-    lower_tile_region,
-    row_segment_region,
-    tile_region,
-    triangle_block_region,
-)
+from ..machine.regions import MatrixShapes, Region
 from ..sched.ops import (
     CholFactorResident,
     ComputeOp,
@@ -56,7 +54,6 @@ from ..sched.ops import (
     UpperSolveStep,
 )
 from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule, Step
-from ..utils.intervals import as_index_array
 from .compiled import CompiledTrace
 
 FORMAT_VERSION = 1
@@ -237,69 +234,6 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike | IO[bytes]) -> No
     _write_npz(path, header, dict(index_data=index_data))
 
 
-class _ShapeIndex:
-    """The part of a machine op constructors use, with each region built once.
-
-    Op constructors call only ``ncols`` and the five shape-aware region
-    constructors of :class:`~repro.machine.machine.TwoLevelMachine`.  The
-    ops of one schedule name the same regions several times over, so one
-    load keys each region on (constructor, matrix, index bytes, scalars)
-    and builds it once.  Every op that names a region shares it, so its
-    flat is read-only.  An index lives for one load only.
-    """
-
-    def __init__(self, shapes: dict[str, tuple[int, int]]) -> None:
-        self._ncols = {name: cols for name, (_, cols) in shapes.items()}
-        self._regions: dict[tuple, Region] = {}
-
-    def ncols(self, name: str) -> int:
-        try:
-            return self._ncols[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"compute op names matrix {name!r}, absent from shapes"
-            ) from None
-
-    def _shared(self, key: tuple, build, *args, **kwargs) -> Region:
-        region = self._regions.get(key)
-        if region is None:
-            region = build(*args, **kwargs)
-            region.flat.setflags(write=False)
-            self._regions[key] = region
-        return region
-
-    def tile(self, name: str, rows, cols) -> Region:
-        rows, cols = as_index_array(rows), as_index_array(cols)
-        key = ("tile", name, rows.tobytes(), cols.tobytes())
-        return self._shared(key, tile_region, name, rows, cols, self.ncols(name))
-
-    def triangle_block(self, name: str, R) -> Region:
-        R = as_index_array(R)
-        key = ("triangle_block", name, R.tobytes())
-        return self._shared(key, triangle_block_region, name, R, self.ncols(name))
-
-    def lower_tile(self, name: str, rows, *, strict: bool = False) -> Region:
-        rows = as_index_array(rows)
-        key = ("lower_tile", name, rows.tobytes(), strict)
-        return self._shared(
-            key, lower_tile_region, name, rows, self.ncols(name), strict=strict
-        )
-
-    def column_segment(self, name: str, rows, col: int) -> Region:
-        rows = as_index_array(rows)
-        key = ("column_segment", name, rows.tobytes(), int(col))
-        return self._shared(
-            key, column_segment_region, name, rows, int(col), self.ncols(name)
-        )
-
-    def row_segment(self, name: str, row: int, cols) -> Region:
-        cols = as_index_array(cols)
-        key = ("row_segment", name, int(row), cols.tobytes())
-        return self._shared(
-            key, row_segment_region, name, int(row), cols, self.ncols(name)
-        )
-
-
 def _check_spans(
     records: list[dict], shapes: dict[str, tuple[int, int]], index_data: np.ndarray
 ) -> None:
@@ -346,13 +280,15 @@ def _check_spans(
 def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
     """Load a schedule written by :func:`save_schedule`.
 
-    Every compute op is rebuilt eagerly, as a real op object, against a
-    per-load :class:`_ShapeIndex` of the recorded shapes, so the loaded
-    schedule can be replayed (:func:`~repro.sched.schedule.replay_schedule`)
-    on any machine with matching shapes and reproduces the original
-    numerics bit for bit.  Ops share their regions, the index payload and
-    the derived index arrays, all read-only.  A container whose records
-    point outside the payload or outside their matrix raises
+    Every compute op is rebuilt eagerly, as a real op object, against the
+    recorded shapes (:class:`~repro.machine.regions.MatrixShapes`), so the
+    loaded schedule can be replayed
+    (:func:`~repro.sched.schedule.replay_schedule`) on any machine with
+    matching shapes and reproduces the original numerics bit for bit.  Ops
+    build their regions through the process-wide region table and share
+    them, the index payload and the derived index arrays, all read-only.
+    A container whose records point outside the payload or outside their
+    matrix, or whose op indices repeat, raises
     :class:`~repro.errors.ConfigurationError`.
     """
     header, npz = _read_npz(path, "schedule")
@@ -361,7 +297,7 @@ def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
     index_data = npz["index_data"]
     _check_spans(records, shapes, index_data)
     index_data.setflags(write=False)
-    m = _ShapeIndex(shapes)
+    m = MatrixShapes(shapes)
     steps: list[Step] = []
     for rec in records:
         kind = rec["t"]

@@ -10,7 +10,11 @@ region arithmetic rests on them.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from ..errors import ConfigurationError
 
 
 def block_starts(lo: int, hi: int, size: int) -> list[int]:
@@ -75,13 +79,40 @@ def contiguous_runs(indices: np.ndarray) -> list[tuple[int, int]]:
 
 def as_index_array(x) -> np.ndarray:
     """Coerce ``x`` (range, list, slice-free array) to an int64 index array."""
-    arr = np.asarray(list(x) if isinstance(x, range) else x, dtype=np.int64)
+    if isinstance(x, range):
+        return np.arange(x.start, x.stop, x.step, dtype=np.int64)
+    arr = np.asarray(x, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError(f"index arrays must be 1-D, got shape {arr.shape}")
     return arr
 
 
+def as_distinct_index_array(x) -> np.ndarray:
+    """:func:`as_index_array`, rejecting an index set that repeats an index.
+
+    Kernels take their row sets through this, so a repeated row fails at
+    the call with :class:`~repro.errors.ConfigurationError` (a
+    ``ValueError``) rather than deep inside the schedule.  The order of
+    ``x`` is kept.
+    """
+    arr = as_index_array(x)
+    if not is_strictly_increasing(arr) and np.unique(arr).size != arr.size:
+        raise ConfigurationError("rows must be duplicate-free")
+    return arr
+
+
+#: Below this length a Python comparison beats numpy's per-call overhead.
+_SHORT = 48
+
+
 def is_strictly_increasing(arr: np.ndarray) -> bool:
-    """True iff the 1-D array is strictly increasing (thus duplicate-free)."""
+    """True iff the 1-D array is strictly increasing (thus duplicate-free).
+
+    Schedules check row sets of a handful of indices, for which one numpy
+    call costs more than comparing the values in plain Python.
+    """
     arr = np.asarray(arr)
-    return bool(np.all(np.diff(arr) > 0)) if arr.size > 1 else True
+    if arr.size > _SHORT:
+        return bool((arr[1:] > arr[:-1]).all())
+    values = arr.tolist()
+    return all(map(operator.lt, values, values[1:]))

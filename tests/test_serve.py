@@ -152,6 +152,29 @@ class TestScheduleStore:
         store.put(key, case.schedule)  # the next put repairs the entry
         assert case.check_exact(store.get(key))
 
+    def test_repeated_op_indices_read_as_miss(self, store, case, key):
+        """An op whose stored index set repeats an index cannot be rebuilt:
+        its region constructor raises, so ``get`` counts a corrupt miss."""
+        store.put(key, case.schedule)
+        path = store.object_path(key)
+        with np.load(path, allow_pickle=False) as npz:
+            header = json.loads(str(npz["header"][()]))
+            index_data = npz["index_data"].copy()
+        start, end = next(
+            span
+            for rec in header["steps"] if rec["t"] == "C"
+            for span in rec["i"].values() if span[1] - span[0] >= 2
+        )
+        index_data[start + 1] = index_data[start]
+        np.savez_compressed(
+            path, header=np.asarray(json.dumps(header)), index_data=index_data
+        )
+        with probe_scope() as probe:
+            assert store.get(key) is None
+        assert probe.counters["serve.store.corrupt"] == 1
+        store.put(key, case.schedule)  # the next put repairs the entry
+        assert case.check_exact(store.get(key))
+
     def test_manifest_is_sorted_and_deterministic(self, store, case, key):
         others = [ScheduleKey("tbs", 20, 3, 10, policy=p) for p in ("search", "cosearch")]
         for k in [key, *others]:
