@@ -4,9 +4,10 @@ Two measurements, one per half of the PR 7 tentpole:
 
 * **Sweep engines** (the speed claim): record a TBS SYRK schedule per N
   (``S = 8N``), then answer a capacity grid under Belady/MIN twice —
-  per-capacity through the adaptive chunked simulation, and in **one
-  pass** through the grouped OPT-stack sweep (``sweep_replay_trace`` /
-  ``method="distance"``).  Two grids: E13's 9 factors up to 16x S
+  per-capacity through the adaptive chunked simulation
+  (``belady_replay_trace``, the single-capacity engine), and in **one
+  pass** through the grouped OPT-stack sweep (``sweep_replay_trace``, the
+  sweep engine).  Two grids: E13's 9 factors up to 16x S
   (i.e. 128N), and a dense 25-point log-spaced grid over the same range
   — the resource-augmentation-curve use case, where the chunked engine
   pays a full pass per point while the one-pass cost is nearly flat in
@@ -71,11 +72,11 @@ def sweep_one(n: int, factors=CAP_FACTORS, grid="e13"):
     # one-pass first: it pays for the shared next-use artifacts, the
     # chunked engine then reuses them from the trace cache.
     t0 = time.perf_counter()
-    one = sweep_replay_trace(trace, caps, policy="belady", method="distance")
+    one = sweep_replay_trace(trace, caps, policy="belady")
     t_one = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    chunked = [belady_replay_trace(trace, c, method="simulate") for c in caps]
+    chunked = [belady_replay_trace(trace, c) for c in caps]
     t_chunked = time.perf_counter() - t0
 
     for c, a, b in zip(caps, one, chunked):

@@ -1,26 +1,25 @@
-"""E20 — static certification throughput vs the dynamic validator.
+"""E20 — static certification throughput vs the validated replay.
 
 Records the E13 configuration (TBS SYRK, ``m = 6``, ``S = 8N``) per N and
-puts the same schedule through both residency checkers:
+puts the same schedule through two pipelines:
 
-* the **validated replay** — the dynamic pipeline every rewrite/search
-  pays to establish a schedule's legality and counters today: compile the
-  trace IR (:func:`repro.trace.compiled.compile_trace`), replay the op
-  order through the array engine (:func:`repro.trace.replay.lru_replay_trace`)
-  and validate the explicit stream step by step
-  (:func:`repro.sched.validate.validate_schedule`);
-* the **static certifier** (:func:`repro.check.certify.certify_schedule`)
+* the **validated replay** — what a rewrite/search pipeline pays to get a
+  schedule's cache counters and legality: compile the trace IR
+  (:func:`repro.trace.compiled.compile_trace`), count the op order's LRU
+  loads (:func:`repro.trace.replay.lru_replay_trace`) and validate the
+  explicit stream (:func:`repro.sched.validate.validate_schedule`, the
+  certifier raising its first error);
+* the **static certifier** alone (:func:`repro.check.certify.certify_schedule`)
   — one sorted event table over the whole stream, no simulation, the
   ``repro check`` CI gate's engine.
 
 Claims asserted:
 
-* certifier and validator agree on every schedule: zero findings and
-  bit-identical (loads, stores, peak occupancy);
+* the certificate and the validated pipeline agree on every schedule:
+  zero findings and bit-identical (loads, stores, peak occupancy);
 * mutated schedules fail closed: dropping a load flips both verdicts;
-* at N >= 512 certification is >= 10x faster than the validated replay —
-  the ISSUE 10 acceptance bar that makes certifying every store object
-  before upload affordable.
+* at N >= 512 certification is >= 10x faster than the validated replay,
+  which makes certifying every store object before upload affordable.
 
 Results land in a BENCH JSON (``benchmarks/out/bench_e20_check.json`` or
 ``$BENCH_E20_JSON``).  Run with ``--smoke`` for CI sizes (agreement stays

@@ -9,7 +9,8 @@ TBS/LBC's advantage survives under hardware-style replacement, and how much
 slack does LRU need (the classic resource-augmentation question)?
 
 The default :func:`lru_replay` compiles the schedule to the array IR
-(:mod:`repro.trace`) and runs the chunked array-based replay — one to two
+(:mod:`repro.trace`) and counts misses and stores from the trace's reuse
+distances (:func:`repro.trace.replay.lru_replay_trace`) — one to two
 orders of magnitude faster than walking Python tuples, which is what opens
 up N in the thousands (benchmark E13).  The original tuple/OrderedDict
 walker survives as :func:`lru_replay_reference`; the test suite asserts
@@ -32,7 +33,7 @@ from collections import OrderedDict
 from ..errors import ConfigurationError
 from ..sched.schedule import Schedule, access_sequence_reference
 from ..trace.compiled import CompiledTrace, compile_trace
-from ..trace.replay import LruReplayResult, lru_replay_trace
+from ..trace.replay import LruReplayResult, as_capacity, lru_replay_trace
 
 __all__ = [
     "LruReplayResult",
@@ -53,9 +54,7 @@ def lru_replay(schedule: Schedule | CompiledTrace, capacity: int) -> LruReplayRe
     dirty elements count as stores, as do dirty elements flushed at the
     end.
     """
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-    return lru_replay_trace(compile_trace(schedule), capacity)
+    return lru_replay_trace(compile_trace(schedule), as_capacity(capacity))
 
 
 def lru_replay_reference(
@@ -67,8 +66,7 @@ def lru_replay_reference(
     shares no code with the array engine, so agreement between the two is
     a meaningful check.
     """
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+    capacity = as_capacity(capacity)
     if isinstance(schedule, CompiledTrace):
         seq = schedule.to_access_sequence()
     else:

@@ -1,8 +1,10 @@
-"""Static memory certifier for recorded schedules.
+"""Static memory certifier for recorded schedules: the one legality engine.
 
 :func:`certify_schedule` proves (or refutes) the two-level model's memory
-invariants from the load/evict stream alone — no machine, no replay, not
-even the per-step bitmap walk of :func:`repro.sched.validate.validate_schedule`.
+invariants from the load/evict stream alone — no machine, no replay, no
+per-step bitmap walk — and reports *every* finding.
+:func:`repro.sched.validate.validate_schedule` is its raising form: the
+certificate's first error becomes a :class:`~repro.errors.ScheduleError`.
 The whole schedule is flattened into one event table (element id, event
 code, step position), sorted once by element, and every rule becomes a
 vectorized predicate over *adjacent events of the same element*:
@@ -16,10 +18,12 @@ vectorized predicate over *adjacent events of the same element*:
 Peak residency is then *exact* arithmetic: +1 at every fresh load, -1 at
 every resident evict, cumulated in step order — the first position whose
 running occupancy exceeds ``capacity`` is RPS104, and a non-empty final
-residency set is RPS105.  On schedules free of RPS101–RPS103 errors the
-stream semantics and the replay semantics coincide, so the certificate's
-verdict and counters agree with ``validate_schedule`` (pinned by
-``tests/test_check.py``) at a fraction of the cost.
+residency set is RPS105.  A step that is not a load, evict or compute
+raises :class:`~repro.errors.ScheduleError` outright.  Up to the first
+error the stream semantics and the step-by-step replay semantics
+coincide, so the first error is the one a replay would stop at: the test
+suite pins the raised ``(code, op_index)`` and the clean counters against
+an independent step walker kept in ``tests/legality_oracle.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import ScheduleError
 from ..machine.regions import Region
 from ..obs.probe import get_probe, timed
 from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule
@@ -62,8 +67,9 @@ def certify_schedule(
 
     Returns a :class:`Certificate` whose ``findings`` list every violation
     (it does not stop at the first, unlike ``validate_schedule``) and whose
-    ``stats`` carry the same ``loads``/``stores``/``peak_occupancy``
-    counters the dynamic validator returns.
+    ``stats`` carry the ``loads``/``stores``/``peak_occupancy`` counters
+    ``validate_schedule`` returns.  Raises :class:`ScheduleError` on a step
+    that is not a load, evict or compute.
     """
     with timed("check.certify"):
         cert = _certify(
@@ -95,6 +101,7 @@ def _certify(
     unknown_seen: set[str] = set()
 
     parts: list[np.ndarray] = []
+    part_mi: list[int] = []
     part_code: list[int] = []
     part_pos: list[int] = []
 
@@ -116,7 +123,8 @@ def _certify(
             mi = len(matrices)
             mat_index[region.matrix] = mi
             matrices.append(region.matrix)
-        parts.append(region.flat + mi * stride)
+        parts.append(region.flat)
+        part_mi.append(mi)
         part_code.append(code)
         part_pos.append(pos)
         return True
@@ -136,13 +144,18 @@ def _certify(
                     add(region, _USE, pos)
             for region in writes:
                 add(region, _WRITE, pos)
+        else:
+            raise ScheduleError(f"step {pos}: unknown step type {type(step).__name__}")
 
     stats = {"loads": 0, "stores": 0, "peak_occupancy": 0, "n_steps": n_steps}
     if not parts:
         return Certificate(findings=sort_findings(findings), stats=stats)
 
     sizes = np.fromiter((p.size for p in parts), dtype=np.int64, count=len(parts))
-    gid = np.concatenate(parts)
+    # global element id: flat + matrix index * stride, offset per part
+    gid = np.concatenate(parts) + np.repeat(
+        np.asarray(part_mi, dtype=np.int64) * stride, sizes
+    )
     if len(matrices) * stride <= np.iinfo(np.int32).max:
         gid = gid.astype(np.int32, copy=False)  # halves sort/gather traffic
     code = np.repeat(np.asarray(part_code, dtype=np.int8), sizes)

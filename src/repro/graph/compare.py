@@ -197,25 +197,21 @@ def sweep_case(
     capacities,
     *,
     policies: tuple[str, ...] = ("lru", "belady"),
-    method: str = "distance",
     jobs: int = 1,
 ):
     """Replay one recorded case at many capacities under each policy.
 
     Returns ``{policy: [replay results, in capacity order]}`` via
     :func:`repro.trace.replay.sweep_replay_trace` — the one-pass engines
-    by default (``method="distance"``: cached reuse distances for LRU,
-    one grouped OPT stack pass for Belady), with ``jobs`` sharding the
-    capacity list over worker processes.  The resource-augmentation
-    harness behind ``python -m repro trace replay --capacity a,b,c``
-    and benchmark E17.
+    (cached reuse distances for LRU, one grouped OPT stack pass for
+    Belady), with ``jobs`` sharding the capacity list over worker
+    processes.  The resource-augmentation harness behind
+    ``python -m repro trace replay --capacity a,b,c`` and benchmark E17.
     """
     from ..trace.replay import sweep_replay_trace
 
     return {
-        policy: sweep_replay_trace(
-            case.trace, capacities, policy=policy, method=method, jobs=jobs
-        )
+        policy: sweep_replay_trace(case.trace, capacities, policy=policy, jobs=jobs)
         for policy in policies
     }
 

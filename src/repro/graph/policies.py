@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import heapq
 
-from ..errors import ConfigurationError
 from ..sched.ops import ComputeOp
 from ..sched.schedule import Schedule, access_sequence, access_sequence_reference
 from ..trace.compiled import CompiledTrace, compile_trace
-from ..trace.replay import BeladyReplayResult, belady_replay_trace
+from ..trace.replay import BeladyReplayResult, as_capacity, belady_replay_trace
 
 __all__ = [
     "NEVER",
@@ -64,9 +63,7 @@ def belady_replay(
     stores are not inflated).  Dirty evictions and the final flush count as
     stores, exactly as in the LRU replay.
     """
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-    return belady_replay_trace(compile_trace(schedule), capacity)
+    return belady_replay_trace(compile_trace(schedule), as_capacity(capacity))
 
 
 def belady_replay_reference(
@@ -82,8 +79,7 @@ def belady_replay_reference(
     dirty bit makes the heap prefer clean victims with live information
     instead of a push-time snapshot.
     """
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+    capacity = as_capacity(capacity)
     if isinstance(schedule, CompiledTrace):
         seq = schedule.to_access_sequence()
     else:

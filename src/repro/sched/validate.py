@@ -1,36 +1,29 @@
 """Machine-independent legality checking of recorded schedules.
 
-:func:`validate_schedule` replays a schedule purely symbolically — residency
-bitmaps and an occupancy counter, no numerics, no machine — and raises
-:class:`~repro.errors.ScheduleError` on the first violation of the model's
-rules:
+:func:`validate_schedule` is the raising form of the static certifier
+(:func:`repro.check.certify.certify_schedule`), the repo's one legality
+engine.  It certifies the schedule — no numerics, no machine — and raises
+:class:`~repro.errors.ScheduleError` for the certificate's first error,
+in ``(op_index, code)`` order, against the model's rules:
 
 * a load may not exceed capacity ``S`` (and, by default, may not target
   already-resident elements);
 * an evict must target resident elements;
 * a compute may only touch resident elements.
 
-This is the test suite's independent referee: the simulator that produced
-the I/O counts cannot be the only thing asserting the schedule was legal.
-Every raised error carries a structured
-:class:`~repro.check.findings.Finding` (same codes as the static certifier
-:mod:`repro.check.certify`, which proves the same invariants without the
-step-by-step walk and reports *all* violations instead of the first).
+This is what lets the test suite prove legality independently of the
+simulator that produced the I/O counts.  The raised error carries the
+certificate's :class:`~repro.check.findings.Finding` as ``.finding``; the
+test suite pins the raised ``(code, op_index)`` against a step-by-step
+walker kept in ``tests/`` as the oracle.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..check.findings import Finding
+from ..check.findings import ERROR
 from ..errors import ScheduleError
 from ..machine.regions import Region, merge_regions
-from .schedule import ComputeStep, EvictStep, LoadStep, Schedule
-
-
-def _fail(code: str, message: str, op_index: int | None = None, **context) -> ScheduleError:
-    finding = Finding(code=code, message=message, op_index=op_index, context=context)
-    return ScheduleError(message, finding=finding)
+from .schedule import LoadStep, Schedule
 
 
 def validate_schedule(
@@ -44,96 +37,21 @@ def validate_schedule(
 
     Returns summary counters (loads, stores, peak occupancy) on success,
     raises :class:`ScheduleError` — with a :class:`Finding` attached as
-    ``.finding`` — on the first violation.
+    ``.finding`` — for the first violation.
     """
-    masks = {name: np.zeros(r * c, dtype=bool) for name, (r, c) in schedule.shapes.items()}
-    occupancy = 0
-    peak = 0
-    loads = 0
-    stores = 0
+    # Imported at call time: ``repro.check.certify`` imports this package.
+    from ..check.certify import certify_schedule
 
-    def mask_for(region: Region, pos: int) -> np.ndarray:
-        try:
-            return masks[region.matrix]
-        except KeyError:
-            raise _fail(
-                "RPS106",
-                f"step references unknown matrix {region.matrix!r}",
-                pos,
-                matrix=region.matrix,
-            ) from None
-
-    for pos, step in enumerate(schedule.steps):
-        if isinstance(step, LoadStep):
-            mask = mask_for(step.region, pos)
-            idx = step.region.flat
-            already = mask[idx]
-            if already.any() and not allow_redundant_loads:
-                raise _fail(
-                    "RPS102",
-                    f"step {pos}: redundant load of {int(already.sum())} resident "
-                    f"element(s) of {step.region.matrix!r}",
-                    pos,
-                    elements=int(already.sum()),
-                    matrix=step.region.matrix,
-                )
-            fresh = int((~already).sum())
-            if occupancy + fresh > capacity:
-                raise _fail(
-                    "RPS104",
-                    f"step {pos}: load would push occupancy {occupancy} -> "
-                    f"{occupancy + fresh} beyond capacity {capacity}",
-                    pos,
-                    occupancy=occupancy + fresh,
-                    capacity=capacity,
-                )
-            mask[idx] = True
-            occupancy += fresh
-            peak = max(peak, occupancy)
-            loads += idx.size
-        elif isinstance(step, EvictStep):
-            mask = mask_for(step.region, pos)
-            idx = step.region.flat
-            resident = mask[idx]
-            if not resident.all():
-                raise _fail(
-                    "RPS103",
-                    f"step {pos}: evict of {int((~resident).sum())} non-resident "
-                    f"element(s) of {step.region.matrix!r}",
-                    pos,
-                    elements=int((~resident).sum()),
-                    matrix=step.region.matrix,
-                )
-            mask[idx] = False
-            occupancy -= int(idx.size)
-            if step.writeback:
-                stores += int(idx.size)
-        elif isinstance(step, ComputeStep):
-            for region in list(step.op.reads()) + list(step.op.writes()):
-                mask = mask_for(region, pos)
-                resident = mask[region.flat]
-                if not resident.all():
-                    raise _fail(
-                        "RPS101",
-                        f"step {pos}: compute {step.op.name!r} touches "
-                        f"{int((~resident).sum())} non-resident element(s) of "
-                        f"{region.matrix!r}",
-                        pos,
-                        elements=int((~resident).sum()),
-                        matrix=region.matrix,
-                        op=step.op.name,
-                    )
-        else:  # pragma: no cover - defensive
-            raise ScheduleError(f"step {pos}: unknown step type {type(step).__name__}")
-
-    if require_empty_end and occupancy != 0:
-        raise _fail(
-            "RPS105",
-            f"fast memory not empty at end of schedule ({occupancy} resident)",
-            len(schedule.steps) - 1 if schedule.steps else None,
-            resident=occupancy,
-        )
-    return {"loads": loads, "stores": stores, "peak_occupancy": peak}
+    cert = certify_schedule(
+        schedule,
+        capacity,
+        allow_redundant_loads=allow_redundant_loads,
+        require_empty_end=require_empty_end,
+    )
+    for f in cert.findings:
+        if f.severity == ERROR:
+            raise ScheduleError(f"step {f.op_index}: {f.message}", finding=f)
+    return {key: cert.stats[key] for key in ("loads", "stores", "peak_occupancy")}
 
 
 def schedule_footprint(schedule: Schedule) -> dict[str, int]:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -48,6 +49,17 @@ MANIFEST_VERSION = 1
 MANIFEST_KIND = "repro.serve.manifest"
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int if it is a non-bool real number equal to one."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (OverflowError, ValueError):  # inf, nan
+            pass
+    raise ConfigurationError(f"key field {name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True, order=True)
 class ScheduleKey:
     """The canonical request tuple a served schedule is keyed by.
@@ -56,9 +68,12 @@ class ScheduleKey:
     (``heuristic`` / ``search`` / ``cosearch`` — see
     :data:`repro.serve.frontend.SEARCHERS`), and is part of the hash:
     the same kernel shape served under two policies is two entries.
-    ``alpha``/``beta`` are the latency-model constants the ``cosearch``
-    policy optimizes under; they are normalized to floats so ``1`` and
-    ``1.0`` address the same object.
+    ``n``/``m``/``s``/``p`` are normalized to ints, so ``15``, ``15.0`` and
+    ``numpy.int64(15)`` address the same object; a value that is not a
+    whole number (``15.5``, ``True``, ``"15"``) is rejected rather than
+    truncated into another key.  ``alpha``/``beta`` are the latency-model
+    constants the ``cosearch`` policy optimizes under; they are normalized
+    to floats so ``1`` and ``1.0`` address the same object.
     """
 
     kernel: str
@@ -71,14 +86,12 @@ class ScheduleKey:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.s < 1 or self.p < 1:
-            raise ConfigurationError(f"key dimensions must be >= 1: {self}")
         # Normalize numeric types so equal tuples hash equally regardless
         # of how the caller spelled them (1 vs 1.0, numpy ints, ...).
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "s", int(self.s))
-        object.__setattr__(self, "p", int(self.p))
+        for name in ("n", "m", "s", "p"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
+        if self.n < 1 or self.m < 1 or self.s < 1 or self.p < 1:
+            raise ConfigurationError(f"key dimensions must be >= 1: {self}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
 

@@ -7,8 +7,10 @@ This package is the performance substrate of the analysis layers:
   IDs, write flags, op boundaries) plus vectorized next-use/previous-
   access links;
 * :mod:`repro.trace.replay` — array-based LRU and Belady/MIN cache
-  replays over the IR (chunked boundary scanning: vectorized hit runs,
-  per-access work only at misses);
+  replays over the IR, one engine per call shape (reuse distances for
+  every LRU count, the chunked simulation for one Belady capacity, one
+  grouped OPT-stack pass for a Belady sweep) plus the incremental LRU
+  cursor the order searches use;
 * :mod:`repro.trace.io` — compact ``.npz`` + JSON-header on-disk formats
   for compiled traces and for full schedules (reconstructible compute
   ops), behind ``python -m repro trace``.
@@ -37,7 +39,6 @@ from .replay import (
     LruReplayResult,
     belady_replay_trace,
     lru_replay_trace,
-    lru_suffix_cost,
     sweep_replay_trace,
 )
 
@@ -56,6 +57,5 @@ __all__ = [
     "LruReplayResult",
     "belady_replay_trace",
     "lru_replay_trace",
-    "lru_suffix_cost",
     "sweep_replay_trace",
 ]

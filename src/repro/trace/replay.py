@@ -1,32 +1,33 @@
 """Array-based cache replays over a :class:`~repro.trace.compiled.CompiledTrace`.
 
-Both replays simulate exactly the policies of the reference walkers
+Every count equals the reference walkers'
 (:func:`repro.analysis.lru_replay.lru_replay_reference` and
-:func:`repro.graph.policies.belady_replay_reference`) but run on the
-compiled IR: element IDs are dense ints, residency/dirtiness live in flat
-numpy arrays, and — the key observation — *hits never change the cache
-contents*, only misses do.  The engine therefore scans ahead for the next
-miss with one vectorized residency gather per window (chunked boundary
-scanning), bulk-applies whole hit runs (dirty marking, recency/next-use
-stamps, one heap entry per element per run), and only drops to per-access
-Python for the misses themselves.  On reuse-friendly schedules this is one
-to two orders of magnitude faster than the tuple-per-touch walkers
-(benchmark E13); on thrashing schedules the scan window shrinks adaptively
-and the engine degrades to a plain int loop that still beats the
-tuple/dict paths.
+:func:`repro.graph.policies.belady_replay_reference`), and each call shape
+has exactly one engine:
 
-Priorities are packed into single ints (``stamp << id_bits | elem``), with
-lazy invalidation against the live stamp arrays:
+* **LRU, any capacity or sweep** — reuse distances
+  (:func:`_reuse_distances`, one capacity-independent pass cached per
+  trace).  By the inclusion property an access hits at capacity ``C`` iff
+  fewer than ``C`` distinct other elements were touched since its previous
+  access, so loads and the eviction/flush split of stores are O(n) array
+  passes per capacity.
+* **Belady/MIN, one capacity** (:func:`belady_replay_trace`) — the adaptive
+  chunked simulation (:func:`_belady_simulate`).  Hits never change the
+  cache contents, so it scans ahead for the next miss with one vectorized
+  residency gather per window, bulk-applies whole hit runs and drops to
+  per-access Python only at the misses (a tight int loop once misses are
+  dense).
+* **Belady/MIN, a capacity sweep** (:func:`sweep_replay_trace`) — one
+  grouped OPT-stack pass over the canonical grid of the requested
+  capacities (:func:`_belady_buckets`), then an O(n) count per capacity.
+  The stack pass wins at small capacities and whenever a grid amortizes
+  it; the chunked engine wins at large single capacities, where hit runs
+  are long.
+* **Incremental LRU** — :class:`LruCursor` and :class:`LruLedger` replay an
+  order op by op from any cache snapshot, for the order searches.
 
-* LRU evicts the valid entry with the smallest last-access position;
-* Belady/MIN evicts the valid entry with the largest next use.  Next-use
-  positions are unique, so distances can only tie at "never used again";
-  among those the packed dirty bit prefers clean victims — and because a
-  never-reused element's dirty status is final by its last access (dirty
-  only changes when an element is accessed), the bit packed at push time
-  provably equals the live status whenever the tie-break can fire.
-
-Store accounting matches the references: dirty evictions count as stores
+Every entry point takes its capacity through :func:`as_capacity`.  Store
+accounting matches the references: dirty evictions count as stores
 (``evict_stores``) and dirty elements still resident at the end are
 flushed; ``stores`` is the sum of both.
 """
@@ -34,6 +35,7 @@ flushed; ``stores`` is the sum of both.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,28 +79,38 @@ class BeladyReplayResult(LruReplayResult):
     """
 
 
+def as_capacity(capacity) -> int:
+    """``capacity`` as a plain ``int >= 1``, else :class:`ConfigurationError`.
+
+    Integers of any type pass (numpy ints included, via
+    :func:`operator.index`); ``bool``, floats and strings are rejected
+    rather than truncated or rounded.
+    """
+    try:
+        value = operator.index(capacity)
+    except TypeError:
+        value = None
+    if value is None or isinstance(capacity, bool):
+        raise ConfigurationError(f"capacity must be an integer, got {capacity!r}")
+    if value < 1:
+        raise ConfigurationError(f"capacity must be >= 1, got {value}")
+    return value
+
+
 #: Hit-run length below which vectorized bulk handling is not worth the
 #: numpy call overhead, and above which the scalar mode hands back to the
-#: vectorized scanner.  Callers may override per replay via the
-#: ``scalar_run=`` keyword (``0`` forces the vector mode everywhere, a
-#: value above the trace length forces the scalar loop) — the two modes
-#: maintain identical state, so every threshold yields identical counts.
+#: vectorized scanner.  Read at call time; the two modes maintain
+#: identical state, so every threshold yields identical counts.
 _SCALAR_RUN = 32
 
 
-def _replay(
-    trace: CompiledTrace,
-    capacity: int,
-    belady: bool,
-    *,
-    scalar_run: int = _SCALAR_RUN,
-) -> tuple[int, int, int]:
-    """Shared adaptive engine; returns (loads, evict_stores, flush_stores).
+def _belady_simulate(trace: CompiledTrace, capacity: int) -> tuple[int, int, int]:
+    """Chunked Belady/MIN simulation; returns (loads, evict_stores, flush_stores).
 
     Two modes, switched by observed hit-run length:
 
     * **vector**: gather residency for a doubling window, bulk-apply the
-      whole hit run (dirty marking, one stamp/heap entry per element via
+      whole hit run (dirty marking, one next-use stamp per element via
       reverse ``np.unique``), drop to per-access work only at the miss;
     * **scalar**: a tight Python-int loop over pre-extracted lists — the
       regime where misses are dense and per-window numpy overhead would
@@ -106,32 +118,35 @@ def _replay(
 
     Both modes maintain identical state, so switching is free: residency
     and dirtiness live in ``bytearray``s wrapped zero-copy by numpy views
-    (scalar reads are plain-Python fast, gathers are vectorized), stamps
-    (last-access position for LRU, current next-use for Belady) in an
-    int64 array, and the eviction heap holds packed ints
-    ``priority << id_bits | elem`` with lazy invalidation against the
-    stamp array.
+    (scalar reads are plain-Python fast, gathers are vectorized), each
+    element's current next use in an int64 stamp array, and eviction
+    candidates are packed ints ``(n - next_use) << (id_bits + 1) | dirty
+    << id_bits | elem`` (smallest = furthest next use), lazily invalidated
+    against the stamp array.  Next-use positions are unique, so distances
+    can only tie at "never used again"; among those the packed dirty bit
+    prefers clean victims — and because a never-reused element's dirty
+    status is final by its last access (dirty only changes when an
+    element is accessed), the bit packed at push time provably equals the
+    live status whenever the tie-break can fire.
     """
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+    scalar_run = _SCALAR_RUN
     n = trace.n_accesses
     ids = trace.elem_ids
     n_elem = trace.n_elements
 
     id_bits = max(1, n_elem - 1).bit_length()
     id_mask = (1 << id_bits) - 1
-    shift = id_bits + 1 if belady else id_bits
+    shift = id_bits + 1
     cached_b = bytearray(n_elem)
     dirty_b = bytearray(n_elem)
     cached = np.frombuffer(cached_b, dtype=np.uint8)  # zero-copy views
     dirty = np.frombuffer(dirty_b, dtype=np.uint8)
     stamp = np.full(n_elem, -1, dtype=np.int64)
     heap: list[int] = []
-    # Belady fast path: resident elements that are *never used again* are
-    # always the furthest-next-use victims, mutually tied, and their dirty
-    # status is final by their last access (dirty only changes when an
-    # element is accessed) — so they live in two plain stacks instead of
-    # the heap, clean ones preferred, no invalidation needed.
+    # Resident elements that are *never used again* are always the
+    # furthest-next-use victims, mutually tied, and their dirty status is
+    # final by their last access — so they live in two plain stacks
+    # instead of the heap, clean ones preferred, no invalidation needed.
     never_clean: list[int] = []
     never_dirty: list[int] = []
     # Bulk-mode entries avoid per-entry heap pushes entirely: each hit run
@@ -180,13 +195,11 @@ def _replay(
     # indexing by ~5x in tight loops.
     ids_l = ids.tolist()
     writes_l = trace.is_write.tolist()
-    nxt = trace.next_use() if belady else None
-    nxt_l = None
-    if belady:
-        nxt_l = trace._replay_cache.get("next_use_list")
-        if nxt_l is None:
-            nxt_l = nxt.tolist()
-            trace._replay_cache["next_use_list"] = nxt_l
+    nxt = trace.next_use()
+    nxt_l = trace._replay_cache.get("next_use_list")
+    if nxt_l is None:
+        nxt_l = nxt.tolist()
+        trace._replay_cache["next_use_list"] = nxt_l
 
     def handle_miss(p: int, e: int) -> None:
         nonlocal loads, evict_stores, resident, evictions
@@ -209,8 +222,7 @@ def _replay(
             victim = entry & id_mask
             if not cached_b[victim]:
                 continue
-            sp = (n - (entry >> shift)) if belady else entry >> shift
-            if stamp[victim] != sp:
+            if stamp[victim] != n - (entry >> shift):
                 continue  # superseded by a later access of the same element
             cached_b[victim] = 0
             resident -= 1
@@ -223,16 +235,12 @@ def _replay(
         dirty_b[e] = 1 if write else 0
         loads += 1
         resident += 1
-        if belady:
-            nu = nxt_l[p]
-            stamp[e] = nu
-            if nu == n:
-                (never_dirty if write else never_clean).append(e)
-            else:
-                heappush(heap, ((n - nu) << shift) | (write << id_bits) | e)
+        nu = nxt_l[p]
+        stamp[e] = nu
+        if nu == n:
+            (never_dirty if write else never_clean).append(e)
         else:
-            stamp[e] = p
-            heappush(heap, (p << shift) | e)
+            heappush(heap, ((n - nu) << shift) | (write << id_bits) | e)
 
     pos = 0
     window = _MIN_WINDOW
@@ -246,19 +254,15 @@ def _replay(
                 if cached_b[e]:
                     if writes_l[pos]:
                         dirty_b[e] = 1
-                    if belady:
-                        nu = nxt_l[pos]
-                        stamp[e] = nu
-                        if nu == n:
-                            (never_dirty if dirty_b[e] else never_clean).append(e)
-                        else:
-                            heappush(
-                                heap,
-                                ((n - nu) << shift) | (dirty_b[e] << id_bits) | e,
-                            )
+                    nu = nxt_l[pos]
+                    stamp[e] = nu
+                    if nu == n:
+                        (never_dirty if dirty_b[e] else never_clean).append(e)
                     else:
-                        stamp[e] = pos
-                        heappush(heap, (pos << shift) | e)
+                        heappush(
+                            heap,
+                            ((n - nu) << shift) | (dirty_b[e] << id_bits) | e,
+                        )
                     run += 1
                     if run >= 2 * scalar_run and capacity >= scalar_run:
                         pos += 1
@@ -282,28 +286,20 @@ def _replay(
             if written.size:
                 dirty[written] = 1
             u, first_rev = np.unique(sub[::-1], return_index=True)
-            last_abs = pos + (hits - 1 - first_rev)
-            if belady:
-                stamps = nxt[last_abs]
-                stamp[u] = stamps
-                finite = stamps < n
-                if not finite.all():
-                    gone = u[~finite]
-                    gone_dirty = dirty[gone] != 0
-                    never_dirty.extend(gone[gone_dirty].tolist())
-                    never_clean.extend(gone[~gone_dirty].tolist())
-                    u, stamps = u[finite], stamps[finite]
-                entries = ((n - stamps) << shift) | (
-                    dirty[u].astype(np.int64) << id_bits
-                ) | u
-                if entries.size:
-                    push_level(entries)
-            else:
-                stamps = last_abs
-                stamp[u] = stamps
-                entries = (stamps << shift) | u
-                for entry in entries.tolist():
-                    heappush(heap, entry)
+            stamps = nxt[pos + (hits - 1 - first_rev)]
+            stamp[u] = stamps
+            finite = stamps < n
+            if not finite.all():
+                gone = u[~finite]
+                gone_dirty = dirty[gone] != 0
+                never_dirty.extend(gone[gone_dirty].tolist())
+                never_clean.extend(gone[~gone_dirty].tolist())
+                u, stamps = u[finite], stamps[finite]
+            entries = ((n - stamps) << shift) | (
+                dirty[u].astype(np.int64) << id_bits
+            ) | u
+            if entries.size:
+                push_level(entries)
         if not miss_rel.size:
             pos = stop
             window = min(_MAX_WINDOW, window * 2)
@@ -335,25 +331,19 @@ def _replay(
             dirty[run_ids] = run_writes
             loads += run
             resident += run
-            if belady:
-                run_next = nxt[p : p + run]
-                stamp[run_ids] = run_next
-                finite = run_next < n
-                if not finite.all():
-                    gone = run_ids[~finite]
-                    gone_dirty = run_writes[~finite]
-                    never_dirty.extend(gone[gone_dirty].tolist())
-                    never_clean.extend(gone[~gone_dirty].tolist())
-                entries = ((n - run_next[finite]) << shift) | (
-                    run_writes[finite].astype(np.int64) << id_bits
-                ) | run_ids[finite]
-                if entries.size:
-                    push_level(entries)
-            else:
-                positions = np.arange(p, p + run, dtype=np.int64)
-                stamp[run_ids] = positions
-                for entry in ((positions << shift) | run_ids).tolist():
-                    heappush(heap, entry)
+            run_next = nxt[p : p + run]
+            stamp[run_ids] = run_next
+            finite = run_next < n
+            if not finite.all():
+                gone = run_ids[~finite]
+                gone_dirty = run_writes[~finite]
+                never_dirty.extend(gone[gone_dirty].tolist())
+                never_clean.extend(gone[~gone_dirty].tolist())
+            entries = ((n - run_next[finite]) << shift) | (
+                run_writes[finite].astype(np.int64) << id_bits
+            ) | run_ids[finite]
+            if entries.size:
+                push_level(entries)
             pos = p + run
             continue
         handle_miss(p, ids_l[p])
@@ -361,10 +351,9 @@ def _replay(
 
     probe = get_probe()
     if probe.enabled:
-        prefix = "replay.belady" if belady else "replay.lru"
-        probe.count(f"{prefix}.evictions", evictions)
-        probe.count(f"{prefix}.windows", windows)
-        probe.count(f"{prefix}.scalar_switches", scalar_switches)
+        probe.count("replay.belady.evictions", evictions)
+        probe.count("replay.belady.windows", windows)
+        probe.count("replay.belady.scalar_switches", scalar_switches)
     return loads, evict_stores, int(dirty.sum())
 
 
@@ -508,15 +497,6 @@ def _lru_counts_from_distances(trace: CompiledTrace, capacity: int) -> tuple[int
 # another cannot change any later hit/miss (Belady's optimality is
 # tie-break independent), so any deterministic pop order yields the
 # engine's exact counts — pinned by the cross-checks in the test suite.
-
-
-def _canonical_caps(capacities) -> tuple[int, ...]:
-    caps = sorted({int(c) for c in capacities})
-    if not caps:
-        raise ConfigurationError("capacity sweep needs at least one capacity")
-    if caps[0] < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {caps[0]}")
-    return tuple(caps)
 
 
 def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
@@ -680,21 +660,6 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _bucket_grid_for(trace: CompiledTrace, capacity: int):
-    """(caps, bucket, index) of a cached grid containing ``capacity``.
-
-    The quantized buckets are exact *at grid capacities*, so any cached
-    sweep that included this capacity serves it; otherwise a one-capacity
-    grid is computed (and cached — repeated single-capacity distance
-    replays still pay the stack pass only once each).
-    """
-    for key, cached in trace._replay_cache.items():
-        if isinstance(key, tuple) and key[0] == "belady_buckets" and capacity in key[1]:
-            return key[1], cached, key[1].index(capacity)
-    caps = (int(capacity),)
-    return caps, _belady_buckets(trace, caps), 0
-
-
 def _belady_counts_from_buckets(
     trace: CompiledTrace, bucket: np.ndarray, caps: tuple[int, ...], index: int
 ) -> tuple[int, int, int]:
@@ -761,183 +726,12 @@ def _belady_counts_from_buckets(
     return loads, stores - flush, flush
 
 
-def lru_replay_trace(
-    trace: CompiledTrace,
-    capacity: int,
-    *,
-    method: str = "distance",
-    scalar_run: int = _SCALAR_RUN,
-) -> LruReplayResult:
-    """Array-based LRU replay of a compiled trace.
+def _results(policy: str, trace: CompiledTrace, caps, counts) -> list[LruReplayResult]:
+    """Result records for ``(loads, evict_stores, flush)`` per capacity.
 
-    ``method="distance"`` (default) computes capacity-independent reuse
-    distances once per trace (cached), making every further capacity an
-    O(n) pass — the natural shape for resource-augmentation sweeps.
-    ``method="simulate"`` runs the adaptive chunked simulation instead
-    (cheaper for a single replay of a heavily-thrashing trace; also an
-    independent implementation the tests cross-check); ``scalar_run``
-    overrides its scalar/vector switch threshold.
+    Also emits the ``replay.<policy>.*`` probe counters, summed over the
+    capacities.
     """
-    if method == "simulate":
-        loads, evict_stores, flush = _replay(
-            trace, capacity, belady=False, scalar_run=scalar_run
-        )
-    else:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        loads, evict_stores, flush = _lru_counts_from_distances(trace, capacity)
-    probe = get_probe()
-    if probe.enabled:
-        probe.count("replay.lru.replays")
-        probe.count("replay.lru.accesses", trace.n_accesses)
-        probe.count("replay.lru.misses", loads)
-        probe.count("replay.lru.hits", trace.n_accesses - loads)
-        probe.count("replay.lru.stores", evict_stores + flush)
-    return LruReplayResult(
-        capacity=capacity,
-        loads=loads,
-        stores=evict_stores + flush,
-        n_accesses=trace.n_accesses,
-        distinct=trace.n_elements,
-        evict_stores=evict_stores,
-    )
-
-
-def belady_replay_trace(
-    trace: CompiledTrace,
-    capacity: int,
-    *,
-    method: str = "simulate",
-    scalar_run: int = _SCALAR_RUN,
-) -> BeladyReplayResult:
-    """Array-based Belady/MIN replay of a compiled trace.
-
-    ``method="simulate"`` (default) runs the adaptive chunked engine —
-    still the cheapest way to replay one capacity of a fresh trace.
-    ``method="distance"`` classifies the access against a grouped OPT
-    stack pass (:func:`_belady_buckets`, cached per capacity grid), the
-    path :func:`sweep_replay_trace` amortizes across a whole sweep; both
-    produce bit-identical counts.
-    """
-    if method == "simulate":
-        loads, evict_stores, flush = _replay(
-            trace, capacity, belady=True, scalar_run=scalar_run
-        )
-    elif method == "distance":
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        caps, bucket, index = _bucket_grid_for(trace, int(capacity))
-        loads, evict_stores, flush = _belady_counts_from_buckets(
-            trace, bucket, caps, index
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown replay method {method!r}; choose 'simulate' or 'distance'"
-        )
-    probe = get_probe()
-    if probe.enabled:
-        probe.count("replay.belady.replays")
-        probe.count("replay.belady.accesses", trace.n_accesses)
-        probe.count("replay.belady.misses", loads)
-        probe.count("replay.belady.hits", trace.n_accesses - loads)
-        probe.count("replay.belady.stores", evict_stores + flush)
-    return BeladyReplayResult(
-        capacity=capacity,
-        loads=loads,
-        stores=evict_stores + flush,
-        n_accesses=trace.n_accesses,
-        distinct=trace.n_elements,
-        evict_stores=evict_stores,
-    )
-
-
-def _sweep_task(task) -> list[tuple[int, int, int]]:
-    """Worker for sharded sweeps: replay one chunk of capacities."""
-    trace, policy, method, scalar_run, caps = task
-    out = []
-    for capacity in caps:
-        loads, evict_stores, flush = _replay_counts(
-            trace, capacity, policy, method, scalar_run
-        )
-        out.append((loads, evict_stores, flush))
-    return out
-
-
-def _replay_counts(
-    trace: CompiledTrace, capacity: int, policy: str, method: str, scalar_run: int
-) -> tuple[int, int, int]:
-    if capacity < 1:
-        raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-    if method == "simulate":
-        return _replay(
-            trace, capacity, belady=policy == "belady", scalar_run=scalar_run
-        )
-    if policy == "belady":
-        caps, bucket, index = _bucket_grid_for(trace, int(capacity))
-        return _belady_counts_from_buckets(trace, bucket, caps, index)
-    return _lru_counts_from_distances(trace, capacity)
-
-
-def sweep_replay_trace(
-    trace: CompiledTrace,
-    capacities,
-    *,
-    policy: str = "belady",
-    method: str = "distance",
-    jobs: int = 1,
-    scalar_run: int = _SCALAR_RUN,
-) -> list[LruReplayResult]:
-    """Replay one trace at many capacities; results in input order.
-
-    ``method="distance"`` makes the whole sweep one pass: LRU classifies
-    every capacity against the cached reuse distances, Belady against one
-    grouped OPT stack pass over the *canonical grid* of all requested
-    capacities (:func:`_belady_buckets`), leaving only an O(n) counting
-    step per capacity.  ``method="simulate"`` runs the chunked engine per
-    capacity — the independent implementation the sweep tests pin
-    against.  ``jobs > 1`` shards the capacity list over a worker pool
-    (:func:`repro.perf.pool.parallel_map`); the parent precomputes the
-    shared artifacts so workers inherit them via the pickled trace, and
-    the merge is in capacity order — results never depend on ``jobs``.
-    Engine probe counters are emitted from the parent (worker probes are
-    process-local and deliberately lost); a Belady distance sweep
-    additionally counts ``replay.belady.sweep_one_pass``.
-    """
-    if policy not in ("lru", "belady"):
-        raise ConfigurationError(
-            f"unknown replay policy {policy!r}; choose 'lru' or 'belady'"
-        )
-    if method not in ("simulate", "distance"):
-        raise ConfigurationError(
-            f"unknown replay method {method!r}; choose 'simulate' or 'distance'"
-        )
-    caps = [int(c) for c in capacities]
-    if not caps:
-        return []
-    probe = get_probe()
-    if method == "distance":
-        # Shared one-pass artifacts, computed (and cached) up front.
-        if policy == "belady":
-            _belady_buckets(trace, _canonical_caps(caps))
-            if probe.enabled:
-                probe.count("replay.belady.sweep_one_pass")
-        else:
-            _reuse_distances(trace)
-        _element_runs(trace)
-    jobs = min(int(jobs), len(caps))
-    if jobs <= 1:
-        counts = [_replay_counts(trace, c, policy, method, scalar_run) for c in caps]
-    else:
-        from ..perf.pool import parallel_map
-
-        bounds = [len(caps) * k // jobs for k in range(jobs + 1)]
-        tasks = [
-            (trace, policy, method, scalar_run, tuple(caps[bounds[k] : bounds[k + 1]]))
-            for k in range(jobs)
-            if bounds[k] < bounds[k + 1]
-        ]
-        counts = [triple for chunk in parallel_map(_sweep_task, tasks, jobs=jobs)
-                  for triple in chunk]
     cls = BeladyReplayResult if policy == "belady" else LruReplayResult
     results = [
         cls(
@@ -950,15 +744,110 @@ def sweep_replay_trace(
         )
         for c, (loads, evict_stores, flush) in zip(caps, counts)
     ]
+    probe = get_probe()
     if probe.enabled:
         prefix = f"replay.{policy}"
-        probe.count(f"{prefix}.replays", len(results))
-        probe.count(f"{prefix}.accesses", trace.n_accesses * len(results))
+        accesses = trace.n_accesses * len(results)
         misses = sum(r.loads for r in results)
+        probe.count(f"{prefix}.replays", len(results))
+        probe.count(f"{prefix}.accesses", accesses)
         probe.count(f"{prefix}.misses", misses)
-        probe.count(f"{prefix}.hits", trace.n_accesses * len(results) - misses)
+        probe.count(f"{prefix}.hits", accesses - misses)
         probe.count(f"{prefix}.stores", sum(r.stores for r in results))
     return results
+
+
+def lru_replay_trace(trace: CompiledTrace, capacity: int) -> LruReplayResult:
+    """LRU replay of a compiled trace, counted from its reuse distances.
+
+    The distances are computed once per trace and cached, so every further
+    capacity costs one O(n) pass.
+    """
+    capacity = as_capacity(capacity)
+    counts = _lru_counts_from_distances(trace, capacity)
+    return _results("lru", trace, [capacity], [counts])[0]
+
+
+def belady_replay_trace(trace: CompiledTrace, capacity: int) -> BeladyReplayResult:
+    """Belady/MIN replay of a compiled trace at one capacity.
+
+    Runs the adaptive chunked simulation (:func:`_belady_simulate`); a
+    capacity sweep goes through :func:`sweep_replay_trace` instead.
+    """
+    capacity = as_capacity(capacity)
+    counts = _belady_simulate(trace, capacity)
+    return _results("belady", trace, [capacity], [counts])[0]
+
+
+def _sweep_task(task) -> list[tuple[int, int, int]]:
+    """Counts for one chunk of a sweep's capacities (also a pool worker).
+
+    ``grid`` is the Belady sweep's canonical capacity grid, or ``None`` for
+    LRU; the one-pass artifacts come from the trace's cache.
+    """
+    trace, grid, caps = task
+    if grid is None:
+        return [_lru_counts_from_distances(trace, c) for c in caps]
+    bucket = _belady_buckets(trace, grid)
+    return [
+        _belady_counts_from_buckets(trace, bucket, grid, grid.index(c))
+        for c in caps
+    ]
+
+
+def sweep_replay_trace(
+    trace: CompiledTrace,
+    capacities,
+    *,
+    policy: str = "belady",
+    jobs: int = 1,
+) -> list[LruReplayResult]:
+    """Replay one trace at many capacities; results in input order.
+
+    The whole sweep is one pass: LRU classifies every capacity against the
+    cached reuse distances, Belady against one grouped OPT stack pass over
+    the *canonical grid* of all requested capacities
+    (:func:`_belady_buckets`, counted as ``replay.belady.sweep_one_pass``),
+    leaving only an O(n) counting step per capacity.  ``jobs > 1`` shards
+    the capacity list over a worker pool
+    (:func:`repro.perf.pool.parallel_map`); the parent computes the shared
+    artifacts first so workers inherit them via the pickled trace, and the
+    merge is in capacity order — results never depend on ``jobs``.  Probe
+    counters are emitted from the parent (worker probes are process-local
+    and deliberately lost).
+    """
+    if policy not in ("lru", "belady"):
+        raise ConfigurationError(
+            f"unknown replay policy {policy!r}; choose 'lru' or 'belady'"
+        )
+    caps = [as_capacity(c) for c in capacities]
+    if not caps:
+        return []
+    grid = None
+    if policy == "belady":
+        grid = tuple(sorted(set(caps)))
+        _belady_buckets(trace, grid)
+        probe = get_probe()
+        if probe.enabled:
+            probe.count("replay.belady.sweep_one_pass")
+    else:
+        _reuse_distances(trace)
+    _element_runs(trace)
+    jobs = min(int(jobs), len(caps))
+    if jobs <= 1:
+        counts = _sweep_task((trace, grid, caps))
+    else:
+        from ..perf.pool import parallel_map
+
+        bounds = [len(caps) * k // jobs for k in range(jobs + 1)]
+        tasks = [
+            (trace, grid, caps[bounds[k] : bounds[k + 1]])
+            for k in range(jobs)
+            if bounds[k] < bounds[k + 1]
+        ]
+        counts = [triple for chunk in parallel_map(_sweep_task, tasks, jobs=jobs)
+                  for triple in chunk]
+    return _results(policy, trace, caps, counts)
 
 
 # --------------------------------------------------------------------- #
@@ -1009,10 +898,8 @@ class LruCursor:
     __slots__ = ("trace", "capacity", "loads", "_cache", "_accesses")
 
     def __init__(self, trace: CompiledTrace, capacity: int):
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.trace = trace
-        self.capacity = capacity
+        self.capacity = as_capacity(capacity)
         self.loads = 0
         # insertion-ordered dict as LRU recency list: oldest entry first.
         self._cache: dict[int, None] = {}
@@ -1229,21 +1116,3 @@ class LruLedger:
             self._pending = None
         return list(self.loads)
 
-
-def lru_suffix_cost(
-    trace: CompiledTrace,
-    capacity: int,
-    ops: "Sequence[int]",
-    snapshot: tuple[int, tuple[int, ...]] | None = None,
-) -> int:
-    """Total LRU loads of replaying ``ops`` from ``snapshot`` (or cold).
-
-    The one-shot form of :class:`LruCursor`: restore the checkpoint, apply
-    the suffix, return the cumulative load count (prefix loads included
-    when the snapshot carries them).
-    """
-    cursor = LruCursor(trace, capacity)
-    if snapshot is not None:
-        cursor.restore(snapshot)
-    cursor.apply(ops)
-    return cursor.loads

@@ -1,0 +1,128 @@
+"""The step-by-step legality walker: the oracle for the certifier.
+
+:func:`walk_schedule` is the straightforward form of
+:func:`repro.sched.validate.validate_schedule`: it replays a schedule
+purely symbolically — residency bitmaps and an occupancy counter, no
+numerics, no machine — and raises :class:`~repro.errors.ScheduleError` on
+the first violation, with the same ``Finding`` codes.  Production
+validation runs the event-table certifier instead
+(:mod:`repro.check.certify`); the tests pin its first error and its
+clean counters to this walker's.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.check.findings import Finding
+from repro.errors import ScheduleError
+from repro.machine.regions import Region
+from repro.sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule
+
+
+def _fail(code: str, message: str, op_index: int | None = None, **context) -> ScheduleError:
+    finding = Finding(code=code, message=message, op_index=op_index, context=context)
+    return ScheduleError(message, finding=finding)
+
+
+def walk_schedule(
+    schedule: Schedule,
+    capacity: int,
+    *,
+    allow_redundant_loads: bool = False,
+    require_empty_end: bool = True,
+) -> dict[str, int]:
+    """Check every step of ``schedule`` against the model's rules.
+
+    Returns summary counters (loads, stores, peak occupancy) on success,
+    raises :class:`ScheduleError` — with a :class:`Finding` attached as
+    ``.finding`` — on the first violation.
+    """
+    masks = {name: np.zeros(r * c, dtype=bool) for name, (r, c) in schedule.shapes.items()}
+    occupancy = 0
+    peak = 0
+    loads = 0
+    stores = 0
+
+    def mask_for(region: Region, pos: int) -> np.ndarray:
+        try:
+            return masks[region.matrix]
+        except KeyError:
+            raise _fail(
+                "RPS106",
+                f"step references unknown matrix {region.matrix!r}",
+                pos,
+                matrix=region.matrix,
+            ) from None
+
+    for pos, step in enumerate(schedule.steps):
+        if isinstance(step, LoadStep):
+            mask = mask_for(step.region, pos)
+            idx = step.region.flat
+            already = mask[idx]
+            if already.any() and not allow_redundant_loads:
+                raise _fail(
+                    "RPS102",
+                    f"step {pos}: redundant load of {int(already.sum())} resident "
+                    f"element(s) of {step.region.matrix!r}",
+                    pos,
+                    elements=int(already.sum()),
+                    matrix=step.region.matrix,
+                )
+            fresh = int((~already).sum())
+            if occupancy + fresh > capacity:
+                raise _fail(
+                    "RPS104",
+                    f"step {pos}: load would push occupancy {occupancy} -> "
+                    f"{occupancy + fresh} beyond capacity {capacity}",
+                    pos,
+                    occupancy=occupancy + fresh,
+                    capacity=capacity,
+                )
+            mask[idx] = True
+            occupancy += fresh
+            peak = max(peak, occupancy)
+            loads += idx.size
+        elif isinstance(step, EvictStep):
+            mask = mask_for(step.region, pos)
+            idx = step.region.flat
+            resident = mask[idx]
+            if not resident.all():
+                raise _fail(
+                    "RPS103",
+                    f"step {pos}: evict of {int((~resident).sum())} non-resident "
+                    f"element(s) of {step.region.matrix!r}",
+                    pos,
+                    elements=int((~resident).sum()),
+                    matrix=step.region.matrix,
+                )
+            mask[idx] = False
+            occupancy -= int(idx.size)
+            if step.writeback:
+                stores += int(idx.size)
+        elif isinstance(step, ComputeStep):
+            for region in list(step.op.reads()) + list(step.op.writes()):
+                mask = mask_for(region, pos)
+                resident = mask[region.flat]
+                if not resident.all():
+                    raise _fail(
+                        "RPS101",
+                        f"step {pos}: compute {step.op.name!r} touches "
+                        f"{int((~resident).sum())} non-resident element(s) of "
+                        f"{region.matrix!r}",
+                        pos,
+                        elements=int((~resident).sum()),
+                        matrix=region.matrix,
+                        op=step.op.name,
+                    )
+        else:  # pragma: no cover - defensive
+            raise ScheduleError(f"step {pos}: unknown step type {type(step).__name__}")
+
+    if require_empty_end and occupancy != 0:
+        raise _fail(
+            "RPS105",
+            f"fast memory not empty at end of schedule ({occupancy} resident)",
+            len(schedule.steps) - 1 if schedule.steps else None,
+            resident=occupancy,
+        )
+    return {"loads": loads, "stores": stores, "peak_occupancy": peak}

@@ -1,16 +1,18 @@
 """The static analyzers (repro.check): certifier, races, conservation, CLI.
 
 The load-bearing property: the *static* certifier's verdict agrees with
-the *dynamic* validator on every schedule — clean schedules (recorded,
-rescheduled, searched) certify clean with identical counters, and every
-seeded mutation is flagged with the same code at the same op the dynamic
-replay fails at.
+the step-by-step walker kept as the oracle (``tests/legality_oracle.py``)
+on every schedule — clean schedules (recorded, rescheduled, searched)
+certify clean with the walker's counters, and on every seeded mutation
+``validate_schedule`` (the certifier's first error) raises exactly the
+walker's ``(code, op_index)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from legality_oracle import walk_schedule
 
 from repro.check import (
     Certificate,
@@ -58,10 +60,11 @@ class TestCleanAgreement:
     def test_recorded_schedules_certify_clean(self, cases, kernel):
         case = cases[kernel]
         cert = certify_schedule(case.schedule, case.capacity)
-        ref = validate_schedule(case.schedule, case.capacity)
+        ref = walk_schedule(case.schedule, case.capacity)
         assert cert.ok and not cert.findings
         for key in ("loads", "stores", "peak_occupancy"):
             assert cert.stats[key] == ref[key]
+        assert validate_schedule(case.schedule, case.capacity) == ref
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_rescheduled_schedules_certify_clean(self, cases, kernel):
@@ -71,6 +74,7 @@ class TestCleanAgreement:
         assert cert.ok
         assert cert.stats["loads"] == result.summary["loads"]
         assert cert.stats["peak_occupancy"] == result.summary["peak_occupancy"]
+        assert result.summary == walk_schedule(result.schedule, case.capacity)
 
     def test_searched_schedule_certifies_clean(self, cases):
         case = cases["tbs"]
@@ -88,18 +92,52 @@ class TestCleanAgreement:
 
 
 # --------------------------------------------------------------------- #
-# the seeded mutation suite (satellite): each injection is flagged with
-# the code the dynamic validator fails with, at the same op
+# the seeded mutation suite: validate_schedule raises exactly the oracle
+# walker's (code, op_index), and the certificate carries that finding
 # --------------------------------------------------------------------- #
-def _validator_verdict(schedule, capacity) -> Finding:
+def _first_error(validate, schedule, capacity) -> Finding:
     with pytest.raises(ScheduleError) as err:
-        validate_schedule(schedule, capacity)
+        validate(schedule, capacity)
     finding = err.value.finding
     assert finding is not None, "validator error lost its Finding"
     return finding
 
 
+def _validator_verdict(schedule, capacity) -> Finding:
+    """The oracle's first error; ``validate_schedule`` must raise the same."""
+    expected = _first_error(walk_schedule, schedule, capacity)
+    got = _first_error(validate_schedule, schedule, capacity)
+    assert (got.code, got.op_index) == (expected.code, expected.op_index)
+    assert str(expected.op_index) in str(got)
+    return expected
+
+
+def _mutations(steps):
+    """Drop, duplicate and swap-adjacent mutations at spread positions."""
+    n = len(steps)
+    for i in sorted({n * k // 7 for k in range(7)}):
+        yield "drop", steps[:i] + steps[i + 1 :]
+        yield "duplicate", steps[: i + 1] + steps[i:]
+        if i + 1 < n:
+            yield "swap", steps[:i] + [steps[i + 1], steps[i]] + steps[i + 2 :]
+
+
 class TestMutations:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_spread_mutations_match_oracle(self, cases, kernel):
+        """Both verdicts agree on every mutation: same first error or same
+        summary (a duplicated compute or a harmless swap stays legal)."""
+        case = cases[kernel]
+        for kind, steps in _mutations(list(case.schedule.steps)):
+            mutated = Schedule(steps=steps, shapes=case.schedule.shapes)
+            try:
+                expected = walk_schedule(mutated, case.capacity)
+            except ScheduleError:
+                _validator_verdict(mutated, case.capacity)
+                assert not certify_schedule(mutated, case.capacity).ok, kind
+            else:
+                assert validate_schedule(mutated, case.capacity) == expected, kind
+
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_dropped_load(self, cases, kernel):
         case = cases[kernel]
@@ -121,7 +159,7 @@ class TestMutations:
     def test_inflated_residency(self, cases, kernel):
         """Certifying below the recorded peak is the capacity proof failing."""
         case = cases[kernel]
-        peak = validate_schedule(case.schedule, case.capacity)["peak_occupancy"]
+        peak = walk_schedule(case.schedule, case.capacity)["peak_occupancy"]
         expected = _validator_verdict(case.schedule, peak - 1)
         cert = certify_schedule(case.schedule, peak - 1)
         assert not cert.ok
@@ -332,6 +370,24 @@ class TestValidatorFindings:
 
     def test_plain_schedule_errors_have_no_finding(self):
         assert ScheduleError("boom").finding is None
+
+    def test_unknown_step_type_rejected(self):
+        region = _region("A", [1])
+        bogus = _tiny([LoadStep(region), "bogus", EvictStep(region, writeback=False)])
+        for check in (certify_schedule, validate_schedule, walk_schedule):
+            with pytest.raises(ScheduleError, match="step 1: unknown step type str"):
+                check(bogus, 4)
+
+    def test_first_error_in_op_then_code_order(self):
+        """Several errors at one step: the lowest code is raised."""
+        steps = [
+            LoadStep(_region("A", [0, 1])),
+            LoadStep(_region("A", [1, 2, 3])),  # redundant *and* over capacity
+        ]
+        expected = _validator_verdict(_tiny(steps), 3)
+        assert (expected.code, expected.op_index) == ("RPS102", 1)
+        codes = [(f.code, f.op_index) for f in certify_schedule(_tiny(steps), 3).findings]
+        assert ("RPS104", 1) in codes
 
 
 # --------------------------------------------------------------------- #

@@ -41,7 +41,7 @@ from repro.graph.search import (
 )
 from repro.sched.schedule import record_schedule
 from repro.trace.compiled import compile_trace
-from repro.trace.replay import LruCursor, lru_suffix_cost
+from repro.trace.replay import LruCursor, lru_replay_trace
 
 try:
     from hypothesis import given, settings
@@ -144,9 +144,12 @@ def check_suffix_replay(schedule, s, split_fraction):
     cursor = LruCursor(trace, s)
     split = int(trace.n_ops * split_fraction)
     cursor.apply(range(split))
-    snap = cursor.snapshot()
-    total = lru_suffix_cost(trace, s, range(split, trace.n_ops), snap)
-    assert total == lru_suffix_cost(trace, s, range(trace.n_ops))
+    resumed = LruCursor(trace, s)
+    resumed.restore(cursor.snapshot())
+    resumed.apply(range(split, trace.n_ops))
+    cold = LruCursor(trace, s)
+    cold.apply(range(trace.n_ops))
+    assert resumed.loads == cold.loads == lru_replay_trace(trace, s).loads
 
 
 if HAVE_HYPOTHESIS:

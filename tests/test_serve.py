@@ -53,8 +53,21 @@ def store(tmp_path):
 class TestScheduleKey:
     def test_digest_is_spelling_independent(self):
         a = ScheduleKey("tbs", 40, 6, 15, p=1, alpha=1, beta=1)
-        b = ScheduleKey("tbs", np.int64(40), 6.0, 15, p=True, alpha=1.0, beta=1.0)
+        b = ScheduleKey("tbs", np.int64(40), 6.0, 15, p=np.int64(1), alpha=1.0, beta=1.0)
         assert a == b and a.digest() == b.digest()
+        c = ScheduleKey("tbs", 40, 6, 15.0)
+        assert c.digest() == a.digest() and type(c.s) is int
+
+    @pytest.mark.parametrize("field", ["n", "m", "s", "p"])
+    @pytest.mark.parametrize("value", [15.5, 32.7, True, "15", float("nan"), float("inf")])
+    def test_non_whole_dimension_rejected(self, field, value):
+        """Never truncated into another key's digest, however it arrives."""
+        fields = {**ScheduleKey("tbs", 20, 3, 10).as_dict(), field: value}
+        with pytest.raises(ConfigurationError, match=f"key field {field} "):
+            ScheduleKey.from_dict(fields)
+        kernel = fields.pop("kernel")
+        with pytest.raises(ConfigurationError, match=f"key field {field} "):
+            ScheduleKey(kernel, **fields)
 
     def test_dict_roundtrip(self, key):
         assert ScheduleKey.from_dict(key.as_dict()) == key

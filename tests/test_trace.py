@@ -33,7 +33,12 @@ from repro.trace.io import (
     save_schedule,
     save_trace,
 )
-from repro.trace.replay import belady_replay_trace, lru_replay_trace
+from repro.trace.replay import (
+    LruCursor,
+    belady_replay_trace,
+    lru_replay_trace,
+    sweep_replay_trace,
+)
 from repro.utils.rng import (
     random_diag_dominant_matrix,
     random_lower_triangular,
@@ -254,27 +259,83 @@ class TestCompiledTrace:
         assert belady_replay_trace(trace, 4).loads == 0
 
 
+def _three_element_trace():
+    """Reads of elements [0, 1, 2, 0, 1, 2], one access per op."""
+    return CompiledTrace(
+        matrices=("M",),
+        shapes={"M": (1, 3)},
+        elem_ids=np.array([0, 1, 2, 0, 1, 2], dtype=np.int64),
+        is_write=np.zeros(6, dtype=bool),
+        op_starts=np.arange(7, dtype=np.int64),
+        op_read_ends=np.arange(1, 7, dtype=np.int64),
+        key_matrix=np.zeros(3, dtype=np.int32),
+        key_flat=np.arange(3, dtype=np.int64),
+        ops=None,
+    )
+
+
+#: Every replay entry point, as (name, (trace, capacity) -> result).
+CAPACITY_ENTRY_POINTS = (
+    ("lru", lru_replay_trace),
+    ("belady", belady_replay_trace),
+    ("sweep-lru", lambda t, c: sweep_replay_trace(t, [c], policy="lru")[0]),
+    ("sweep-belady", lambda t, c: sweep_replay_trace(t, [c], policy="belady")[0]),
+    ("lru-public", lru_replay),
+    ("belady-public", belady_replay),
+    ("lru-reference", lru_replay_reference),
+    ("belady-reference", belady_replay_reference),
+)
+
+
+@pytest.mark.parametrize("capacity", [2.5, True, "3", 0, -1])
+def test_capacity_must_be_a_positive_integer(capacity):
+    """One check for every entry point: no truncating, rounding or bools."""
+    trace = _three_element_trace()
+    for name, replay in CAPACITY_ENTRY_POINTS:
+        with pytest.raises(ConfigurationError, match="capacity"):
+            replay(trace, capacity)
+    with pytest.raises(ConfigurationError, match="capacity"):
+        LruCursor(trace, capacity)
+
+
+def test_capacity_string_is_not_a_sweep():
+    with pytest.raises(ConfigurationError, match="capacity"):
+        sweep_replay_trace(_three_element_trace(), "12")  # not capacities 1, 2
+
+
+def test_numpy_integer_capacity_accepted():
+    trace = _three_element_trace()
+    for name, replay in CAPACITY_ENTRY_POINTS:
+        result = replay(trace, np.int64(3))
+        assert type(result.capacity) is int, name
+        assert (result.capacity, result.loads) == (3, 3), name
+    cursor = LruCursor(trace, np.int64(3))
+    assert type(cursor.capacity) is int
+    assert cursor.apply(range(trace.n_ops)) == 3
+
+
 class TestVectorizedReplays:
     CAPACITIES = (1, 2, 7, 15, 31, 10**6)
 
     def test_lru_matches_reference(self, sched):
         trace = compile_trace(sched)
-        for capacity in self.CAPACITIES:
+        rows = sweep_replay_trace(trace, self.CAPACITIES, policy="lru")
+        for capacity, row in zip(self.CAPACITIES, rows):
             ref = lru_replay_reference(sched, capacity)
-            for method in ("distance", "simulate"):
-                fast = lru_replay_trace(trace, capacity, method=method)
+            for fast in (lru_replay_trace(trace, capacity), row):
                 assert (fast.loads, fast.stores, fast.evict_stores) == (
-                    ref.loads, ref.stores, ref.evict_stores), (capacity, method)
+                    ref.loads, ref.stores, ref.evict_stores), capacity
                 assert fast.n_accesses == ref.n_accesses
                 assert fast.distinct == ref.distinct
 
     def test_belady_matches_reference(self, sched):
         trace = compile_trace(sched)
-        for capacity in self.CAPACITIES:
-            fast = belady_replay_trace(trace, capacity)
+        rows = sweep_replay_trace(trace, self.CAPACITIES, policy="belady")
+        for capacity, row in zip(self.CAPACITIES, rows):
             ref = belady_replay_reference(sched, capacity)
-            assert (fast.loads, fast.stores, fast.evict_stores) == (
-                ref.loads, ref.stores, ref.evict_stores), capacity
+            for fast in (belady_replay_trace(trace, capacity), row):
+                assert (fast.loads, fast.stores, fast.evict_stores) == (
+                    ref.loads, ref.stores, ref.evict_stores), capacity
 
     def test_public_entrypoints_accept_traces(self, sched):
         trace = compile_trace(sched)

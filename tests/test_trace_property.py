@@ -7,7 +7,8 @@ reference paths at every capacity:
 * *synthetic streams*: adversarial raw access sequences (arbitrary element
   IDs, write flags, op boundaries) built directly as
   :class:`~repro.trace.compiled.CompiledTrace` arrays, hammering the
-  chunked engine's miss handling at tiny capacities;
+  chunked Belady engine's miss handling, the reuse-distance LRU counts
+  and the Belady sweep's OPT stack at tiny capacities;
 * *recorded op streams*: genuine kernel schedules at random shapes, which
   additionally exercise the vectorized compilation itself against
   :func:`~repro.sched.schedule.access_sequence_reference`.
@@ -35,7 +36,7 @@ from repro.sched.schedule import (
 )
 from repro.trace.compiled import CompiledTrace, compile_trace
 from repro.trace.io import load_schedule, load_trace, save_schedule, save_trace
-from repro.trace.replay import belady_replay_trace, lru_replay_trace
+from repro.trace.replay import belady_replay_trace, lru_replay_trace, sweep_replay_trace
 
 try:
     from hypothesis import given, settings
@@ -68,18 +69,15 @@ def build_trace(ids, writes, op_sizes):
 
 
 def assert_replays_match(trace, capacity):
+    key = lambda r: (r.loads, r.stores, r.evict_stores, r.distinct)
     fast_lru = lru_replay_trace(trace, capacity)
-    sim_lru = lru_replay_trace(trace, capacity, method="simulate")
     ref_lru = lru_replay_reference(trace, capacity)
-    assert (fast_lru.loads, fast_lru.stores, fast_lru.distinct) == (
-        ref_lru.loads, ref_lru.stores, ref_lru.distinct), ("lru", capacity)
-    assert (sim_lru.loads, sim_lru.stores, sim_lru.evict_stores) == (
-        ref_lru.loads, ref_lru.stores, ref_lru.evict_stores), ("lru-sim", capacity)
-    assert fast_lru.evict_stores == ref_lru.evict_stores, ("lru-split", capacity)
+    assert key(fast_lru) == key(ref_lru), ("lru", capacity)
     fast_min = belady_replay_trace(trace, capacity)
+    (sweep_min,) = sweep_replay_trace(trace, [capacity], policy="belady")
     ref_min = belady_replay_reference(trace, capacity)
-    assert (fast_min.loads, fast_min.stores, fast_min.distinct) == (
-        ref_min.loads, ref_min.stores, ref_min.distinct), ("belady", capacity)
+    assert key(fast_min) == key(ref_min), ("belady", capacity)
+    assert key(sweep_min) == key(ref_min), ("belady-sweep", capacity)
     assert fast_min.loads <= fast_lru.loads
 
 
