@@ -15,6 +15,11 @@ vectorized predicate over *adjacent events of the same element*:
 * ``EVICT`` directly after ``LOAD``      -> RPS201 (dead evict, warning)
 * writeback with no write since load     -> RPS202 (store of clean, warning)
 
+An element outside its matrix (a flat at or past ``rows * cols``, or
+negative) is RPS108, reported at the first step that names one, and is
+kept out of the event table, where it would alias another matrix's
+element.
+
 Peak residency is then *exact* arithmetic: +1 at every fresh load, -1 at
 every resident evict, cumulated in step order — the first position whose
 running occupancy exceeds ``capacity`` is RPS104, and a non-empty final
@@ -97,6 +102,7 @@ def _certify(
     stride = max((r * c for r, c in shapes.values()), default=0) + 1
     mat_index: dict[str, int] = {}
     matrices: list[str] = []
+    mat_size: list[int] = []
     findings: list[Finding] = []
     unknown_seen: set[str] = set()
 
@@ -123,6 +129,8 @@ def _certify(
             mi = len(matrices)
             mat_index[region.matrix] = mi
             matrices.append(region.matrix)
+            rows, cols = shapes[region.matrix]
+            mat_size.append(rows * cols)
         parts.append(region.flat)
         part_mi.append(mi)
         part_code.append(code)
@@ -152,14 +160,38 @@ def _certify(
         return Certificate(findings=sort_findings(findings), stats=stats)
 
     sizes = np.fromiter((p.size for p in parts), dtype=np.int64, count=len(parts))
-    # global element id: flat + matrix index * stride, offset per part
-    gid = np.concatenate(parts) + np.repeat(
-        np.asarray(part_mi, dtype=np.int64) * stride, sizes
-    )
-    if len(matrices) * stride <= np.iinfo(np.int32).max:
-        gid = gid.astype(np.int32, copy=False)  # halves sort/gather traffic
+    # global element id: flat + matrix index * stride, offset per part;
+    # the same pass finds every flat outside its matrix
+    flat = np.concatenate(parts)
+    mi = np.repeat(np.asarray(part_mi, dtype=np.int64), sizes)
+    gid = flat + mi * stride
     code = np.repeat(np.asarray(part_code, dtype=np.int8), sizes)
     pos_ = np.repeat(np.asarray(part_pos, dtype=np.int32), sizes)
+    outside = (flat < 0) | (flat >= np.asarray(mat_size, dtype=np.int64)[mi])
+    if outside.any():
+        # Such an element would alias another matrix's (or none): report
+        # it at the first step that names one (parts are in step order),
+        # and keep it out of the table.
+        hits = np.flatnonzero(outside)
+        first = hits[0]
+        matrix = matrices[int(mi[first])]
+        findings.append(
+            Finding(
+                code="RPS108",
+                message=(
+                    f"{hits.size} element(s) outside their matrix, first "
+                    f"{matrix}[{int(flat[first])}] of {shapes[matrix]}"
+                ),
+                op_index=int(pos_[first]),
+                context={"elements": int(hits.size), "example": [matrix, int(flat[first])]},
+            )
+        )
+        keep = ~outside
+        gid, code, pos_ = gid[keep], code[keep], pos_[keep]
+        if not gid.size:
+            return Certificate(findings=sort_findings(findings), stats=stats)
+    if len(matrices) * stride <= np.iinfo(np.int32).max:
+        gid = gid.astype(np.int32, copy=False)  # halves sort/gather traffic
 
     # Per-element event chains: stable sort by element id keeps step order
     # inside each chain, so "previous event of the same element" is just

@@ -31,6 +31,7 @@ CODES: dict[str, tuple[str, str]] = {
     "RPS105": (ERROR, "fast memory not empty at end of schedule"),
     "RPS106": (ERROR, "step references an unknown matrix"),
     "RPS107": (ERROR, "artifact unreadable or missing"),
+    "RPS108": (ERROR, "element outside its matrix"),
     "RPS201": (WARNING, "dead evict (loaded but never touched)"),
     "RPS202": (WARNING, "store of a clean element (writeback without write)"),
     # cross-shard race detector (graph-level)

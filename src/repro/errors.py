@@ -22,6 +22,15 @@ class ConfigurationError(ReproError, ValueError):
     """
 
 
+class StaleFormatError(ConfigurationError):
+    """A container was written in a format version this build does not read.
+
+    The serve store counts such an object as stale (``serve.store.stale``),
+    not corrupt, and reads it as a miss; the next put rewrites it in the
+    current format.
+    """
+
+
 class MachineError(ReproError):
     """Base class for errors raised by the two-level machine simulator."""
 

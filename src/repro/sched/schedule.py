@@ -11,7 +11,8 @@ the integration test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -40,30 +41,85 @@ class ComputeStep:
 Step = LoadStep | EvictStep | ComputeStep
 
 
-@dataclass
 class Schedule:
-    """A recorded op stream plus the matrix shapes it addresses."""
+    """A recorded op stream plus the matrix shapes it addresses.
 
-    steps: list[Step] = field(default_factory=list)
-    shapes: dict[str, tuple[int, int]] = field(default_factory=dict)
-    # One-pass step statistics, keyed by len(steps).  Recording only ever
-    # appends, so a length match means the cache is current; any append
-    # (or truncation) invalidates it automatically.  In-place *replacement*
-    # of a step without a length change is not supported — steps are frozen
-    # dataclasses and nothing in the library rewrites them in place.
-    _stats_cache: "tuple[int, dict[str, int], tuple[int, int]] | None" = field(
-        default=None, repr=False, compare=False
-    )
+    ``steps`` is a plain list.  A schedule read from disk
+    (:func:`repro.trace.io.load_schedule`) builds that list once, on first
+    access, and until then answers ``len()``, ``counts()`` and
+    ``io_volume()`` from counts its loader seeded (:meth:`deferred`).
+    """
+
+    def __init__(
+        self,
+        steps: list[Step] | None = None,
+        shapes: dict[str, tuple[int, int]] | None = None,
+    ):
+        self._steps: list[Step] | None = [] if steps is None else steps
+        self.shapes: dict[str, tuple[int, int]] = {} if shapes is None else shapes
+        self._build: Callable[[], list[Step]] | None = None
+        self._lock: threading.Lock | None = None
+        # One-pass step statistics, keyed by len(steps).  Recording only
+        # ever appends, so a length match means the cache is current; any
+        # append (or truncation) invalidates it automatically.  In-place
+        # *replacement* of a step without a length change is not supported
+        # — steps are frozen dataclasses and nothing in the library rewrites
+        # them in place.
+        self._stats_cache: tuple[int, dict[str, int], tuple[int, int]] | None = None
+
+    @classmethod
+    def deferred(
+        cls,
+        shapes: dict[str, tuple[int, int]],
+        build: Callable[[], list[Step]],
+        counts: dict[str, int],
+        io_volume: tuple[int, int],
+    ) -> "Schedule":
+        """A schedule whose steps ``build()`` makes on first access.
+
+        ``counts`` and ``io_volume`` are what :meth:`counts` and
+        :meth:`io_volume` would compute from the built steps; ``len()``
+        is their step total.  Concurrent first accesses build once and
+        all get the same list.
+        """
+        schedule = cls(shapes=shapes)
+        schedule._steps = None
+        schedule._build = build
+        schedule._lock = threading.Lock()
+        schedule._stats_cache = (sum(counts.values()), dict(counts), io_volume)
+        return schedule
+
+    @property
+    def steps(self) -> list[Step]:
+        steps = self._steps
+        if steps is None:
+            with self._lock:
+                if self._steps is None:
+                    self._steps = self._build()
+                    self._build = None
+                steps = self._steps
+        return steps
+
+    def __getstate__(self) -> dict:
+        # The build closure and the lock do not pickle; the built steps do.
+        return {"steps": self.steps, "shapes": self.shapes}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["steps"], state["shapes"])
+
+    def __repr__(self) -> str:
+        return f"Schedule({len(self)} steps, shapes={self.shapes!r})"
 
     def __len__(self) -> int:
-        return len(self.steps)
+        steps = self._steps
+        return self._stats_cache[0] if steps is None else len(steps)
 
     def __iter__(self):
         return iter(self.steps)
 
     def _stats(self) -> tuple[dict[str, int], tuple[int, int]]:
         cache = self._stats_cache
-        if cache is not None and cache[0] == len(self.steps):
+        if cache is not None and cache[0] == len(self):
             return cache[1], cache[2]
         counts = {"load": 0, "evict": 0, "compute": 0}
         loads = stores = 0

@@ -25,9 +25,9 @@ that is what turns a thundering herd of identical cold requests into one
 search plus N−1 futures.
 
 Counters (``serve.{requests,hits,misses,coalesced,searches,store_hits,
-evictions}`` plus ``serve.store.{puts,corrupt}``) report into the active
-probe *and* into plain attributes on the service, so the CLI can print a
-stats table without a recording probe installed.
+evictions}`` plus ``serve.store.{puts,corrupt,stale}``) report into the
+active probe *and* into plain attributes on the service, so the CLI can
+print a stats table without a recording probe installed.
 """
 
 from __future__ import annotations

@@ -26,7 +26,8 @@ hash, layered over the existing ``.npz`` containers of
 Reads are corruption-tolerant by contract: a truncated, overwritten or
 otherwise unreadable object is *a miss*, never an exception —
 :meth:`ScheduleStore.get` quarantines nothing and raises nothing, it
-reports ``serve.store.corrupt`` and returns ``None`` so the front end
+reports ``serve.store.corrupt`` (or ``serve.store.stale`` for an object
+in an older container format) and returns ``None`` so the front end
 falls through to a fresh search that overwrites the bad object.
 """
 
@@ -39,7 +40,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StaleFormatError
 from ..obs.probe import get_probe, timed
 from ..sched.schedule import Schedule
 from ..trace.io import load_schedule, save_schedule
@@ -60,6 +61,11 @@ def _whole_number(name: str, value) -> int:
     raise ConfigurationError(f"key field {name} must be a whole number, got {value!r}")
 
 
+#: Serving policies whose searchers read neither the node count ``p`` nor
+#: the latency constants ``alpha`` and ``beta``.
+_SINGLE_NODE_POLICIES = frozenset({"heuristic", "search"})
+
+
 @dataclass(frozen=True, order=True)
 class ScheduleKey:
     """The canonical request tuple a served schedule is keyed by.
@@ -73,7 +79,11 @@ class ScheduleKey:
     whole number (``15.5``, ``True``, ``"15"``) is rejected rather than
     truncated into another key.  ``alpha``/``beta`` are the latency-model
     constants the ``cosearch`` policy optimizes under; they are normalized
-    to floats so ``1`` and ``1.0`` address the same object.
+    to floats so ``1`` and ``1.0`` address the same object.  The
+    ``heuristic`` and ``search`` policies read none of ``p``, ``alpha``
+    and ``beta``, so their keys reset the three to ``1``, ``1.0`` and
+    ``1.0``: a request that spells them otherwise addresses the same
+    object.
     """
 
     kernel: str
@@ -94,6 +104,12 @@ class ScheduleKey:
             raise ConfigurationError(f"key dimensions must be >= 1: {self}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
+        if self.policy in _SINGLE_NODE_POLICIES:
+            # One schedule, one digest: a field the policy never reads
+            # does not split its key.
+            object.__setattr__(self, "p", 1)
+            object.__setattr__(self, "alpha", 1.0)
+            object.__setattr__(self, "beta", 1.0)
 
     def as_dict(self) -> dict:
         return {
@@ -213,12 +229,14 @@ class ScheduleStore:
     def get(self, key: ScheduleKey, *, verify: bool = False) -> Schedule | None:
         """The stored schedule for ``key``, or ``None`` (missing/corrupt).
 
-        Never raises on a bad object: any failure to open, parse or
-        reconstruct the container counts as ``serve.store.corrupt`` and
-        reads as a miss, so the caller's fall-through search repairs the
-        entry with its next ``put``.  That includes a parseable container
-        whose records point outside their index data or outside their
-        matrix, which :func:`~repro.trace.io.load_schedule` rejects.
+        Never raises on a bad object: any failure to open, parse or check
+        the container counts as ``serve.store.corrupt`` and reads as a
+        miss, so the caller's fall-through search repairs the entry with
+        its next ``put``.  That includes a parseable container whose
+        columns fail :func:`~repro.trace.io.load_schedule`'s checks.  An
+        object written in an older container format counts as
+        ``serve.store.stale`` instead, and is repaired the same way.  The
+        returned schedule builds its steps only when a caller reads them.
 
         With ``verify=True`` the loaded schedule is additionally *certified*
         statically (:func:`repro.check.certify.certify_schedule` at the
@@ -232,6 +250,11 @@ class ScheduleStore:
         with timed("serve.store.get"):
             try:
                 schedule = load_schedule(path)
+            except StaleFormatError:
+                probe = get_probe()
+                if probe.enabled:
+                    probe.count("serve.store.stale")
+                return None
             except Exception:
                 probe = get_probe()
                 if probe.enabled:

@@ -12,8 +12,9 @@ This package is the performance substrate of the analysis layers:
   grouped OPT-stack pass for a Belady sweep) plus the incremental LRU
   cursor the order searches use;
 * :mod:`repro.trace.io` — compact ``.npz`` + JSON-header on-disk formats
-  for compiled traces and for full schedules (reconstructible compute
-  ops), behind ``python -m repro trace``.
+  for compiled traces and for full schedules (integer step columns whose
+  compute ops are rebuilt on first access), behind ``python -m repro
+  trace``.
 
 The legacy tuple-per-touch walkers survive as ``*_reference``
 implementations next to their vectorized replacements
@@ -25,7 +26,7 @@ cross-checked bit for bit in the test suite.
 
 from .compiled import CompiledTrace, compile_trace
 from .io import (
-    FORMAT_VERSION,
+    FORMAT_VERSIONS,
     file_kind,
     load_schedule,
     load_trace,
@@ -45,7 +46,7 @@ from .replay import (
 __all__ = [
     "CompiledTrace",
     "compile_trace",
-    "FORMAT_VERSION",
+    "FORMAT_VERSIONS",
     "file_kind",
     "load_schedule",
     "load_trace",

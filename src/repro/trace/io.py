@@ -2,32 +2,55 @@
 
 Both containers are a single ``.npz`` file (numpy's zip format, compressed)
 holding the payload arrays plus one ``header`` entry — a JSON string with
-the kind tag, format version, matrix names/shapes and, for schedules, the
-structural step records.  The split keeps the bulk data binary and compact
-while the metadata stays greppable (``python -m repro trace info``).
+the kind tag, the format version and the matrix names and shapes.  The
+split keeps the bulk data binary and compact while the metadata stays
+greppable (``python -m repro trace info``).  Each kind has its own format
+version (:data:`FORMAT_VERSIONS`); a container in another version raises
+:class:`~repro.errors.StaleFormatError`, and no reader for an older
+version is kept.
 
 Two kinds:
 
-``trace``
+``trace`` (version 1)
     the arrays of a :class:`~repro.trace.compiled.CompiledTrace`.  Enough
     to replay (LRU/Belady at any capacity) and to re-derive every count,
     but op objects are gone — ``ops`` is ``None`` after loading.
-``schedule``
-    a full :class:`~repro.sched.schedule.Schedule`: every load/evict step
-    with its region, every compute step as the op class name plus its
-    constructor parameters (index arrays packed into one shared int64
-    payload).  Loading first checks that every record points inside that
-    payload and inside its matrix, then rebuilds every compute op eagerly
-    against the recorded shapes: the op constructors see only matrix
-    column counts and region constructors.  Those constructors are the
-    process-wide region table of :mod:`repro.machine.regions`, so each
-    distinct region is checked and built once — not once per op that
-    names it — and shared, read-only, by every op, every load and every
-    schedule in the process that holds it.  An op whose index set repeats
-    an index raises :class:`~repro.errors.ConfigurationError`, so the
-    serve store reads such a container as corrupt.  A loaded schedule
-    replays to bit-identical numerics, so recorded runs can be shipped to
-    workers or cached between sweeps.
+``schedule`` (version 2)
+    a full :class:`~repro.sched.schedule.Schedule` as integer columns.
+    Three hold one entry per step, in step order: ``kind`` (load, evict or
+    compute), ``ref`` (a matrix id for a load or evict, an op-type id for a
+    compute) and ``writeback``.  ``lengths`` holds one length per index
+    array, in step order: a load or evict has one array, its region's
+    flats, and a compute has one per index-array field of its op type.
+    The arrays themselves sit back to back in ``index_data``, so each
+    starts at the sum of the lengths before it.  One table ``params_<t>``
+    per op type present has a row per compute step of that type: its
+    matrix-name fields as matrix ids, then its scalar fields.  The header
+    adds only the matrix names and shapes and the op-type names that the
+    ids index.
+
+Loading a schedule checks the columns in a fixed number of numpy passes
+per op type: every step kind, matrix and op type is known; the lengths
+are non-negative and sum to the size of ``index_data``, which holds no
+negative index; every load or evict flat lies below its matrix's
+``rows * cols``; and every op index array is duplicate-free and, like
+every integer scalar, lies below the rows or columns of each matrix it
+indexes, as :data:`_OP_SPECS` declares (a solve step's ``t`` lies below
+its array's length).  A container that fails raises
+:class:`~repro.errors.ConfigurationError`, so the serve store reads it as
+a corrupt miss.  A container that loads builds every one of its steps.
+
+It builds them only when asked.  The loaded schedule answers ``len()``,
+``counts()`` and ``io_volume()`` from the columns, and builds its
+``steps``, and with them its compute ops, once, on first access; the
+serve path reads nothing else, so a disk hit builds no op.  Load and
+evict regions are read-only views of ``index_data``.  Ops are rebuilt
+against the recorded shapes, through the process-wide region table of
+:mod:`repro.machine.regions`, so each distinct region is built once and
+shared, read-only, by every op, every load and every schedule in the
+process that holds it.  A built schedule replays to bit-identical
+numerics, so recorded runs can be shipped to workers or cached between
+sweeps.
 """
 
 from __future__ import annotations
@@ -39,7 +62,7 @@ from typing import IO, Any
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StaleFormatError
 from ..machine.regions import MatrixShapes, Region
 from ..sched.ops import (
     CholFactorResident,
@@ -56,24 +79,67 @@ from ..sched.ops import (
 from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule, Step
 from .compiled import CompiledTrace
 
-FORMAT_VERSION = 1
+#: The format version each container kind is written in and read at.
+FORMAT_VERSIONS = {"trace": 1, "schedule": 2}
 
-#: op class -> (string fields, index-array fields, scalar fields).  Scalar
-#: fields round-trip through JSON (ints, floats, bools); index arrays are
-#: packed into the shared ``index_data`` payload.  Field names equal both
-#: the attribute and the constructor-keyword names.
-_OP_SPECS: dict[type, tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
-    OuterColsUpdate: (("c", "a", "b"), ("I", "J"), ("ka", "kb", "sign")),
-    TriangleUpdate: (("c", "a"), ("R",), ("k", "sign", "include_diagonal")),
-    TriangleCrossUpdate: (("c", "a", "b"), ("R",), ("k", "sign", "include_diagonal")),
-    GemmOuterUpdate: (("c", "a", "b"), ("I", "J"), ("k", "sign")),
-    TrsmSolveStep: (("x", "l"), ("I", "Jcols"), ("t",)),
-    UpperSolveStep: (("x", "u"), ("I", "Jcols"), ("t",)),
-    UnitLowerSolveStep: (("x", "l"), ("Irows", "J"), ("t",)),
-    CholFactorResident: (("a",), ("R",), ()),
-    LuFactorResident: (("a",), ("R",), ()),
+#: op class -> (matrix-name fields, index-array fields, scalar fields).
+#: Field names equal both the attribute and the constructor-keyword names.
+#: Each index array and integer scalar maps to the bounds it must stay
+#: below: ``"<field>.rows"`` or ``"<field>.cols"`` of the matrix that
+#: matrix-name field names, or ``"<field>.size"``, the length of that
+#: index array.  Index arrays must also be duplicate-free.  ``float`` and
+#: ``bool`` mark the other scalars.
+_OP_SPECS: dict[type, tuple[tuple[str, ...], dict[str, tuple[str, ...]], dict[str, Any]]] = {
+    OuterColsUpdate: (
+        ("c", "a", "b"),
+        {"I": ("c.rows", "a.rows"), "J": ("c.cols", "b.rows")},
+        {"ka": ("a.cols",), "kb": ("b.cols",), "sign": float},
+    ),
+    TriangleUpdate: (
+        ("c", "a"),
+        {"R": ("c.rows", "c.cols", "a.rows")},
+        {"k": ("a.cols",), "sign": float, "include_diagonal": bool},
+    ),
+    TriangleCrossUpdate: (
+        ("c", "a", "b"),
+        {"R": ("c.rows", "c.cols", "a.rows", "b.rows")},
+        {"k": ("a.cols", "b.cols"), "sign": float, "include_diagonal": bool},
+    ),
+    GemmOuterUpdate: (
+        ("c", "a", "b"),
+        {"I": ("c.rows", "a.rows"), "J": ("c.cols", "b.cols")},
+        {"k": ("a.cols", "b.rows"), "sign": float},
+    ),
+    TrsmSolveStep: (
+        ("x", "l"),
+        {"I": ("x.rows",), "Jcols": ("x.cols", "l.rows", "l.cols")},
+        {"t": ("Jcols.size",)},
+    ),
+    UpperSolveStep: (
+        ("x", "u"),
+        {"I": ("x.rows",), "Jcols": ("x.cols", "u.rows", "u.cols")},
+        {"t": ("Jcols.size",)},
+    ),
+    UnitLowerSolveStep: (
+        ("x", "l"),
+        {"Irows": ("x.rows", "l.rows", "l.cols"), "J": ("x.cols",)},
+        {"t": ("Irows.size",)},
+    ),
+    CholFactorResident: (("a",), {"R": ("a.rows", "a.cols")}, {}),
+    LuFactorResident: (("a",), {"R": ("a.rows", "a.cols")}, {}),
 }
 _OP_BY_NAME = {cls.name: cls for cls in _OP_SPECS}
+
+#: Values of the schedule container's ``kind`` column.
+_LOAD, _EVICT, _COMPUTE = 0, 1, 2
+#: The schedule container's step columns and their dtypes.
+_COLUMNS = {
+    "kind": np.int8,
+    "ref": np.int32,
+    "writeback": np.bool_,
+    "lengths": np.int64,
+    "index_data": np.int64,
+}
 
 
 def _write_npz(path: str | os.PathLike | IO[bytes], header: dict, arrays: dict) -> None:
@@ -108,13 +174,13 @@ def _read_npz(
             raise ConfigurationError(
                 f"{path}: not a repro {kind} file (no header)"
             ) from None
-        if header.get("kind") != kind:
-            raise ConfigurationError(
-                f"{path}: expected a {kind!r} file, found {header.get('kind')!r}"
-            )
-        if header.get("version") != FORMAT_VERSION:
-            raise ConfigurationError(
-                f"{path}: unsupported {kind} format version {header.get('version')!r}"
+        if not isinstance(header, dict) or header.get("kind") != kind:
+            found = header.get("kind") if isinstance(header, dict) else header
+            raise ConfigurationError(f"{path}: expected a {kind!r} file, found {found!r}")
+        if header.get("version") != FORMAT_VERSIONS[kind]:
+            raise StaleFormatError(
+                f"{path}: {kind} format version {header.get('version')!r}; "
+                f"this build reads version {FORMAT_VERSIONS[kind]}"
             )
         # Materialize before the file closes (NpzFile reads lazily).
         arrays = {name: npz[name] for name in npz.files if name != "header"}
@@ -139,7 +205,7 @@ def save_trace(trace: CompiledTrace, path: str | os.PathLike | IO[bytes]) -> Non
     """Write a compiled trace as a compact ``.npz`` + JSON-header container."""
     header = {
         "kind": "trace",
-        "version": FORMAT_VERSION,
+        "version": FORMAT_VERSIONS["trace"],
         "matrices": list(trace.matrices),
         "shapes": {name: list(shape) for name, shape in trace.shapes.items()},
         "n_accesses": trace.n_accesses,
@@ -180,142 +246,303 @@ def load_trace(path: str | os.PathLike | IO[bytes]) -> CompiledTrace:
 # ---------------------------------------------------------------------- #
 # full schedules
 # ---------------------------------------------------------------------- #
-def _op_record(op: ComputeOp, chunks: list[np.ndarray], offset: int) -> tuple[dict, int]:
-    spec = _OP_SPECS.get(type(op))
-    if spec is None:
-        raise ConfigurationError(
-            f"cannot serialize compute op of type {type(op).__name__}"
-        )
-    strs, arrays, scalars = spec
-    params: dict[str, Any] = {f: getattr(op, f) for f in strs}
-    for f in scalars:
-        value = getattr(op, f)
-        params[f] = bool(value) if isinstance(value, bool) else value
-    spans = {}
-    for f in arrays:
-        arr = np.asarray(getattr(op, f), dtype=np.int64).ravel()
-        chunks.append(arr)
-        spans[f] = [offset, offset + int(arr.size)]
-        offset += int(arr.size)
-    return {"t": "C", "op": type(op).name, "p": params, "i": spans}, offset
-
-
 def save_schedule(schedule: Schedule, path: str | os.PathLike | IO[bytes]) -> None:
-    """Write a full schedule (loads, evicts, reconstructible compute ops)."""
+    """Write a full schedule (loads, evicts, reconstructible compute ops)
+    as the integer columns of schedule format version 2."""
+    names = list(schedule.shapes)
+    matrix_ids = {name: i for i, name in enumerate(names)}
+    op_ids: dict[type, int] = {}
+    params: list[list[list[float]]] = []
+    kind: list[int] = []
+    ref: list[int] = []
+    writeback: list[bool] = []
     chunks: list[np.ndarray] = []
-    offset = 0
-    steps: list[dict] = []
+
+    def matrix_id(name: str) -> int:
+        try:
+            return matrix_ids[name]
+        except KeyError:
+            raise ConfigurationError(
+                f"a step names matrix {name!r}, absent from the schedule's shapes"
+            ) from None
+
     for step in schedule.steps:
-        if isinstance(step, (LoadStep, EvictStep)):
-            flat = step.region.flat
-            chunks.append(flat)
-            rec: dict[str, Any] = {
-                "t": "E" if isinstance(step, EvictStep) else "L",
-                "m": step.region.matrix,
-                "i": [offset, offset + int(flat.size)],
-            }
-            if isinstance(step, EvictStep):
-                rec["wb"] = bool(step.writeback)
-            offset += int(flat.size)
-        elif isinstance(step, ComputeStep):
-            rec, offset = _op_record(step.op, chunks, offset)
-        else:  # pragma: no cover - defensive
+        if isinstance(step, ComputeStep):
+            op = step.op
+            spec = _OP_SPECS.get(type(op))
+            if spec is None:
+                raise ConfigurationError(
+                    f"cannot serialize compute op of type {type(op).__name__}"
+                )
+            matrices, arrays, scalars = spec
+            t = op_ids.setdefault(type(op), len(op_ids))
+            if t == len(params):
+                params.append([])
+            params[t].append(
+                [matrix_id(getattr(op, f)) for f in matrices]
+                + [float(getattr(op, f)) for f in scalars]
+            )
+            chunks.extend(np.asarray(getattr(op, f), dtype=np.int64).ravel() for f in arrays)
+            kind.append(_COMPUTE)
+            ref.append(t)
+            writeback.append(False)
+        elif isinstance(step, (LoadStep, EvictStep)):
+            evict = isinstance(step, EvictStep)
+            kind.append(_EVICT if evict else _LOAD)
+            ref.append(matrix_id(step.region.matrix))
+            writeback.append(evict and bool(step.writeback))
+            chunks.append(step.region.flat)
+        else:
             raise ConfigurationError(f"unknown step type {type(step).__name__}")
-        steps.append(rec)
     header = {
         "kind": "schedule",
-        "version": FORMAT_VERSION,
-        "shapes": {name: list(shape) for name, shape in schedule.shapes.items()},
-        "steps": steps,
+        "version": FORMAT_VERSIONS["schedule"],
+        "matrices": names,
+        "shapes": [[int(r), int(c)] for r, c in schedule.shapes.values()],
+        "ops": [cls.name for cls in op_ids],
     }
-    index_data = (
-        np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    )
-    _write_npz(path, header, dict(index_data=index_data))
+    columns = {
+        "kind": kind,
+        "ref": ref,
+        "writeback": writeback,
+        "lengths": [chunk.size for chunk in chunks],
+    }
+    arrays = {name: np.asarray(col, dtype=_COLUMNS[name]) for name, col in columns.items()}
+    arrays["index_data"] = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    for t, rows in enumerate(params):
+        arrays[f"params_{t}"] = np.asarray(rows, dtype=np.float64)
+    _write_npz(path, header, arrays)
 
 
-def _check_spans(
-    records: list[dict], shapes: dict[str, tuple[int, int]], index_data: np.ndarray
-) -> None:
-    """Reject a parseable container whose records point outside their data.
-
-    Every span must lie within ``index_data``, which may hold no negative
-    index; every load/evict must name a matrix of ``shapes`` and stay
-    below its ``rows * cols`` elements.  The numpy work is a fixed number
-    of calls per load, whatever the number of steps.
-    """
-    if index_data.dtype != np.int64 or index_data.ndim != 1:
-        raise ConfigurationError(
-            f"index_data must be 1-D int64, found {index_data.dtype} {index_data.shape}"
+def _schedule_header(header: dict) -> tuple[list[str], np.ndarray, list[type]]:
+    """The matrix names, their ``(rows, cols)`` as an array, and the op classes."""
+    names, shapes, ops = header.get("matrices"), header.get("shapes"), header.get("ops")
+    if not (
+        isinstance(names, list)
+        and all(isinstance(name, str) for name in names)
+        and len(set(names)) == len(names)
+    ):
+        raise ConfigurationError(f"header matrices must be distinct names, found {names!r}")
+    if not (
+        isinstance(shapes, list)
+        and len(shapes) == len(names)
+        and all(
+            isinstance(shape, list)
+            and len(shape) == 2
+            and all(type(v) is int and 0 <= v < 2**31 for v in shape)
+            for shape in shapes
         )
-    moves = [rec for rec in records if rec["t"] in ("L", "E")]
-    names = [rec["m"] for rec in moves]
-    sizes = {name: rows * cols for name, (rows, cols) in shapes.items()}
-    unknown = set(names) - sizes.keys()
-    if unknown:
-        raise ConfigurationError(
-            f"load/evict records name matrices absent from shapes: {sorted(unknown)}"
-        )
-    limits = np.array([sizes[name] for name in names], dtype=np.int64)
-    spans = [rec["i"] for rec in moves]
-    spans += [span for rec in records if rec["t"] == "C" for span in rec["i"].values()]
-    spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
-    starts, ends = spans[:, 0], spans[:, 1]
-    if spans.size and (
-        starts.min() < 0 or (ends < starts).any() or ends.max() > index_data.size
     ):
         raise ConfigurationError(
-            f"an index span runs outside index_data ({index_data.size} entries)"
+            f"header shapes must be one [rows, cols] pair per matrix, found {shapes!r}"
         )
-    if index_data.size and index_data.min() < 0:
-        raise ConfigurationError("index_data holds a negative index")
-    # Gather every load/evict flat beside its matrix's element count.
-    starts, lengths = starts[: len(moves)], (ends - starts)[: len(moves)]
+    if not (
+        isinstance(ops, list)
+        and all(isinstance(op, str) and op in _OP_BY_NAME for op in ops)
+        and len(set(ops)) == len(ops)
+    ):
+        raise ConfigurationError(f"header names unknown or repeated op types: {ops!r}")
+    dims = np.array(shapes, dtype=np.int64).reshape(len(names), 2)
+    return names, dims, [_OP_BY_NAME[op] for op in ops]
+
+
+def _gather(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The spans ``data[start:start + length]``, back to back."""
     offsets = np.cumsum(lengths) - lengths
-    at = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
-    if (index_data[at] >= np.repeat(limits, lengths)).any():
-        raise ConfigurationError("a load/evict flat index lies outside its matrix")
+    return data[np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)]
+
+
+def _repeats(values: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether a span of ``values`` (back-to-back spans of ``lengths``)
+    holds some index twice: one sort of (span, index) keys."""
+    span = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    keyed = np.sort(span * (int(values.max(initial=0)) + 1) + values)
+    return bool((keyed[1:] == keyed[:-1]).any())
+
+
+def _check_op_type(
+    cls: type,
+    table: np.ndarray,
+    slots: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    data: np.ndarray,
+    dims: np.ndarray,
+) -> None:
+    """Check every op of type ``cls`` against its :data:`_OP_SPECS` bounds.
+
+    ``table`` is the type's params table and ``slots`` the index of each
+    op's first array in ``starts``/``lengths``.
+    """
+    matrices, fields, scalars = _OP_SPECS[cls]
+    if table.dtype != np.float64 or table.shape != (slots.size, len(matrices) + len(scalars)):
+        raise ConfigurationError(
+            f"{cls.name} params must be float64 of shape "
+            f"{(slots.size, len(matrices) + len(scalars))}, found {table.dtype} {table.shape}"
+        )
+    kinds = [None] * len(matrices) + list(scalars.values())
+    whole = [j for j, kind in enumerate(kinds) if kind is not float]
+    if (table[:, whole] != np.floor(table[:, whole])).any():
+        raise ConfigurationError(f"a {cls.name} matrix id or integer scalar is not whole")
+    ids = table[:, : len(matrices)]
+    if ((ids < 0) | (ids >= dims.shape[0])).any():
+        raise ConfigurationError(f"a {cls.name} op names an unknown matrix")
+    ids = ids.astype(np.int64)
+    sizes = {f: lengths[slots + j] for j, f in enumerate(fields)}
+
+    def limit(bounds: tuple[str, ...]) -> np.ndarray:
+        """Per op, the least of ``bounds``."""
+        values = []
+        for bound in bounds:
+            field, what = bound.split(".")
+            if what == "size":
+                values.append(sizes[field])
+            else:
+                axis = ("rows", "cols").index(what)
+                values.append(dims[ids[:, matrices.index(field)], axis])
+        return np.minimum.reduce(values)
+
+    for j, (f, bounds) in enumerate(fields.items()):
+        values = _gather(data, starts[slots + j], sizes[f])
+        if (values >= np.repeat(limit(bounds), sizes[f])).any():
+            raise ConfigurationError(
+                f"a {cls.name} {f} index lies outside a matrix it indexes"
+            )
+        if _repeats(values, sizes[f]):
+            raise ConfigurationError(f"a {cls.name} {f} index set repeats an index")
+    for j, (f, kind) in enumerate(scalars.items(), start=len(matrices)):
+        if kind is float:
+            continue
+        column = table[:, j]
+        if kind is bool:
+            bad = (column != 0) & (column != 1)
+        else:
+            bad = (column < 0) | (column >= limit(kind))
+        if bad.any():
+            raise ConfigurationError(f"a {cls.name} {f} lies outside its range")
 
 
 def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
     """Load a schedule written by :func:`save_schedule`.
 
-    Every compute op is rebuilt eagerly, as a real op object, against the
-    recorded shapes (:class:`~repro.machine.regions.MatrixShapes`), so the
-    loaded schedule can be replayed
-    (:func:`~repro.sched.schedule.replay_schedule`) on any machine with
-    matching shapes and reproduces the original numerics bit for bit.  Ops
-    build their regions through the process-wide region table and share
-    them, the index payload and the derived index arrays, all read-only.
-    A container whose records point outside the payload or outside their
-    matrix, or whose op indices repeat, raises
-    :class:`~repro.errors.ConfigurationError`.
+    Checks the container's columns (see the module docstring) and returns
+    a schedule whose ``len()``, ``counts()`` and ``io_volume()`` come from
+    them.  Its ``steps`` are built once, on first access, as real op
+    objects against the recorded shapes
+    (:class:`~repro.machine.regions.MatrixShapes`), so the schedule can be
+    replayed (:func:`~repro.sched.schedule.replay_schedule`) on any machine
+    with matching shapes and reproduces the original numerics bit for bit.
+    A container that fails a check raises
+    :class:`~repro.errors.ConfigurationError`, and one written in another
+    format version raises :class:`~repro.errors.StaleFormatError`.
     """
-    header, npz = _read_npz(path, "schedule")
-    shapes = {name: (int(r), int(c)) for name, (r, c) in header["shapes"].items()}
-    records = header["steps"]
-    index_data = npz["index_data"]
-    _check_spans(records, shapes, index_data)
-    index_data.setflags(write=False)
+    header, arrays = _read_npz(path, "schedule")
+    names, dims, op_classes = _schedule_header(header)
+    tables = [f"params_{t}" for t in range(len(op_classes))]
+    if sorted(arrays) != sorted([*_COLUMNS, *tables]):
+        raise ConfigurationError(
+            f"container members {sorted(arrays)} are not the columns its header names"
+        )
+    for name, dtype in _COLUMNS.items():
+        if arrays[name].dtype != dtype or arrays[name].ndim != 1:
+            raise ConfigurationError(
+                f"{name} must be 1-D {np.dtype(dtype)}, found "
+                f"{arrays[name].dtype} {arrays[name].shape}"
+            )
+    kind, ref, writeback, lengths, data = (arrays[name] for name in _COLUMNS)
+    if not kind.size == ref.size == writeback.size:
+        raise ConfigurationError("the kind, ref and writeback columns differ in length")
+    if ((kind < _LOAD) | (kind > _COMPUTE)).any():
+        raise ConfigurationError("a step has an unknown kind")
+    compute = kind == _COMPUTE
+    if ((ref < 0) | (ref >= np.where(compute, len(op_classes), len(names)))).any():
+        raise ConfigurationError("a step names an unknown matrix or op type")
+    if (writeback & (kind != _EVICT)).any():
+        raise ConfigurationError("a step that is not an evict carries a writeback flag")
+    arity = np.ones(kind.size, dtype=np.int64)
+    n_fields = np.array([len(_OP_SPECS[cls][1]) for cls in op_classes], dtype=np.int64)
+    arity[compute] = n_fields[ref[compute]]
+    slot = np.cumsum(arity) - arity  # each step's first index array
+    if int(arity.sum()) != lengths.size:
+        raise ConfigurationError(
+            f"lengths holds {lengths.size} entries for {int(arity.sum())} index arrays"
+        )
+    if lengths.size and (lengths.min() < 0 or lengths.max() > data.size) or (
+        int(lengths.sum()) != data.size
+    ):
+        raise ConfigurationError(
+            f"the index spans do not tile index_data ({data.size} entries)"
+        )
+    if data.size and data.min() < 0:
+        raise ConfigurationError("index_data holds a negative index")
+    starts = np.cumsum(lengths) - lengths
+    move = np.flatnonzero(~compute)
+    move_lengths = lengths[slot[move]]
+    flats = _gather(data, starts[slot[move]], move_lengths)
+    limits = dims[ref[move], 0] * dims[ref[move], 1]
+    if (flats >= np.repeat(limits, move_lengths)).any():
+        raise ConfigurationError("a load/evict flat index lies outside its matrix")
+    op_slots = [slot[compute & (ref == t)] for t in range(len(op_classes))]
+    for cls, table, slots in zip(op_classes, tables, op_slots):
+        _check_op_type(cls, arrays[table], slots, starts, lengths, data, dims)
+
+    data.setflags(write=False)
+    shapes = {name: (r, c) for name, (r, c) in zip(names, dims.tolist())}
+    moved = kind[move]
+    counts = {
+        "load": int((moved == _LOAD).sum()),
+        "evict": int((moved == _EVICT).sum()),
+        "compute": int(compute.sum()),
+    }
+    volume = (int(move_lengths[moved == _LOAD].sum()), int(move_lengths[writeback[move]].sum()))
+    spans = (starts, starts + lengths)
+    return Schedule.deferred(
+        shapes,
+        lambda: _build_steps(
+            names, shapes, op_classes, op_slots, [arrays[name] for name in tables],
+            kind, ref, writeback, slot, spans, data,
+        ),
+        counts,
+        volume,
+    )
+
+
+def _build_steps(
+    names: list[str],
+    shapes: dict[str, tuple[int, int]],
+    op_classes: list[type],
+    op_slots: list[np.ndarray],
+    tables: list[np.ndarray],
+    kind: np.ndarray,
+    ref: np.ndarray,
+    writeback: np.ndarray,
+    slot: np.ndarray,
+    spans: tuple[np.ndarray, np.ndarray],
+    data: np.ndarray,
+) -> list[Step]:
+    """The steps of columns :func:`load_schedule` checked; none raises.
+
+    ``op_slots[t]`` holds the first index-array slot of each op of type
+    ``t``, in step order, beside that type's params ``tables[t]``.
+    """
     m = MatrixShapes(shapes)
+    starts, ends = spans[0].tolist(), spans[1].tolist()
+    ops = []
+    for cls, slots, table in zip(op_classes, op_slots, tables):
+        matrices, fields, scalars = _OP_SPECS[cls]
+        casts = [c if c in (float, bool) else int for c in scalars.values()]
+        built = []
+        for s, row in zip(slots.tolist(), table.tolist()):
+            params: dict[str, Any] = {f: names[int(v)] for f, v in zip(matrices, row)}
+            params.update(zip(scalars, (cast(v) for cast, v in zip(casts, row[len(matrices):]))))
+            params.update((f, data[starts[s + j]:ends[s + j]]) for j, f in enumerate(fields))
+            built.append(cls(m, **params))
+        ops.append(iter(built))
     steps: list[Step] = []
-    for rec in records:
-        kind = rec["t"]
-        if kind in ("L", "E"):
-            start, end = rec["i"]
-            region = Region(rec["m"], index_data[start:end])
-            if kind == "L":
-                steps.append(LoadStep(region))
-            else:
-                steps.append(EvictStep(region, writeback=bool(rec["wb"])))
-        elif kind == "C":
-            cls = _OP_BY_NAME.get(rec["op"])
-            if cls is None:
-                raise ConfigurationError(f"unknown compute op {rec['op']!r}")
-            params = dict(rec["p"])
-            for f, (start, end) in rec["i"].items():
-                params[f] = index_data[start:end]
-            steps.append(ComputeStep(cls(m, **params)))
+    for k, r, wb, s in zip(kind.tolist(), ref.tolist(), writeback.tolist(), slot.tolist()):
+        if k == _COMPUTE:
+            steps.append(ComputeStep(next(ops[r])))
         else:
-            raise ConfigurationError(f"unknown step record {kind!r}")
-    return Schedule(steps=steps, shapes=shapes)
+            region = Region(names[r], data[starts[s]:ends[s]])
+            steps.append(LoadStep(region) if k == _LOAD else EvictStep(region, writeback=wb))
+    return steps

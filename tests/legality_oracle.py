@@ -46,7 +46,7 @@ def walk_schedule(
 
     def mask_for(region: Region, pos: int) -> np.ndarray:
         try:
-            return masks[region.matrix]
+            mask = masks[region.matrix]
         except KeyError:
             raise _fail(
                 "RPS106",
@@ -54,6 +54,17 @@ def walk_schedule(
                 pos,
                 matrix=region.matrix,
             ) from None
+        outside = (region.flat < 0) | (region.flat >= mask.size)
+        if outside.any():
+            raise _fail(
+                "RPS108",
+                f"step {pos}: {int(outside.sum())} element(s) outside "
+                f"{region.matrix!r}",
+                pos,
+                elements=int(outside.sum()),
+                matrix=region.matrix,
+            )
+        return mask
 
     for pos, step in enumerate(schedule.steps):
         if isinstance(step, LoadStep):

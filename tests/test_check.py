@@ -288,6 +288,53 @@ class TestStreamRules:
         assert cert.ok and cert.stats["loads"] == 0
 
 
+class TestElementsOutsideTheirMatrix:
+    """A flat outside ``rows * cols`` is RPS108 at the first step naming
+    one, and is kept out of the event table, where ``flat + matrix *
+    stride`` would read it as another matrix's element (or crash)."""
+
+    SHAPES = {"A": (3, 3), "C": (3, 3)}
+
+    @pytest.mark.parametrize("flat", [9, 10, 25, -1])
+    def test_load_and_evict_outside(self, flat):
+        sched = _tiny(
+            [LoadStep(_region("A", [flat])), EvictStep(_region("A", [flat]), writeback=False)],
+            self.SHAPES,
+        )
+        cert = certify_schedule(sched, 4)
+        assert [(f.code, f.op_index) for f in cert.findings] == [("RPS108", 0)]
+        assert not cert.ok and cert.findings[0].context["example"] == ["A", flat]
+        for check in (validate_schedule, walk_schedule):
+            with pytest.raises(ScheduleError) as err:
+                check(sched, 4)
+            assert (err.value.finding.code, err.value.finding.op_index) == ("RPS108", 0)
+
+    def test_outside_element_does_not_alias_another_matrix(self):
+        """A[12] used to be read as C[2], so C[2]'s load looked evicted."""
+        sched = _tiny(
+            [
+                LoadStep(_region("A", [0])),
+                EvictStep(_region("A", [0]), writeback=False),
+                LoadStep(_region("C", [2])),
+                EvictStep(_region("A", [12]), writeback=False),
+            ],
+            self.SHAPES,
+        )
+        cert = certify_schedule(sched, 4)
+        errors = [(f.code, f.op_index) for f in cert.findings if f.severity == "error"]
+        assert errors == [("RPS105", 3), ("RPS108", 3)]  # C[2] is never evicted
+        with pytest.raises(ScheduleError):
+            validate_schedule(sched, 4)
+        # Without the end-state rule, RPS108 is the first error of both engines.
+        for check in (validate_schedule, walk_schedule):
+            with pytest.raises(ScheduleError) as err:
+                check(sched, 4, require_empty_end=False)
+            assert (err.value.finding.code, err.value.finding.op_index) == ("RPS108", 3)
+        with pytest.raises(ScheduleError) as err:
+            walk_schedule(sched, 4)
+        assert err.value.finding.code == "RPS108"
+
+
 # --------------------------------------------------------------------- #
 # race detector specifics
 # --------------------------------------------------------------------- #

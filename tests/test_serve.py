@@ -17,6 +17,8 @@ import time
 import numpy as np
 import pytest
 
+from container_columns import read_columns, step_spans, write_columns
+
 from repro.__main__ import main
 from repro.errors import ConfigurationError
 from repro.graph.compare import record_case
@@ -74,17 +76,45 @@ class TestScheduleKey:
         assert json.loads(key.canonical()) == key.as_dict()
 
     def test_every_field_addresses(self, key):
-        for other in (
-            ScheduleKey("ocs", 20, 3, 10),
-            ScheduleKey("tbs", 21, 3, 10),
-            ScheduleKey("tbs", 20, 4, 10),
-            ScheduleKey("tbs", 20, 3, 11),
-            ScheduleKey("tbs", 20, 3, 10, p=4),
-            ScheduleKey("tbs", 20, 3, 10, policy="search"),
-            ScheduleKey("tbs", 20, 3, 10, alpha=2.0),
-            ScheduleKey("tbs", 20, 3, 10, beta=0.5),
+        cosearch = ScheduleKey("tbs", 20, 3, 10, policy="cosearch")
+        for base, other in (
+            (key, ScheduleKey("ocs", 20, 3, 10)),
+            (key, ScheduleKey("tbs", 21, 3, 10)),
+            (key, ScheduleKey("tbs", 20, 4, 10)),
+            (key, ScheduleKey("tbs", 20, 3, 11)),
+            (key, ScheduleKey("tbs", 20, 3, 10, policy="search")),
+            (key, cosearch),
+            (cosearch, ScheduleKey("tbs", 20, 3, 10, p=4, policy="cosearch")),
+            (cosearch, ScheduleKey("tbs", 20, 3, 10, policy="cosearch", alpha=2.0)),
+            (cosearch, ScheduleKey("tbs", 20, 3, 10, policy="cosearch", beta=0.5)),
         ):
-            assert other.digest() != key.digest()
+            assert other.digest() != base.digest()
+
+    @pytest.mark.parametrize("policy", ["heuristic", "search"])
+    def test_ignored_fields_share_a_digest(self, policy):
+        """heuristic and search read neither p nor alpha nor beta, so keys
+        that differ only there are one key: one search, one object."""
+        base = ScheduleKey("tbs", 20, 3, 10, policy=policy)
+        for fields in ({"p": 4}, {"alpha": 2.0}, {"beta": 0.5},
+                       {"p": 2, "alpha": 3.0, "beta": 0.25}):
+            other = ScheduleKey("tbs", 20, 3, 10, policy=policy, **fields)
+            assert other == base and other.digest() == base.digest()
+            assert (other.p, other.alpha, other.beta) == (1, 1.0, 1.0)
+        assert ScheduleKey.from_dict({**base.as_dict(), "p": 8}) == base
+
+    def test_cosearch_keeps_placement_fields(self):
+        keys = [
+            ScheduleKey("tbs", 20, 3, 10, policy="cosearch", **fields)
+            for fields in ({}, {"p": 4}, {"alpha": 2.0}, {"beta": 0.5})
+        ]
+        assert len({k.digest() for k in keys}) == len(keys)
+        assert keys[1].p == 4
+
+    def test_ignored_fields_are_still_checked(self):
+        with pytest.raises(ConfigurationError):
+            ScheduleKey("tbs", 20, 3, 10, p=0, policy="search")
+        with pytest.raises(ConfigurationError, match="key field p"):
+            ScheduleKey("tbs", 20, 3, 10, p=2.5)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -137,28 +167,24 @@ class TestScheduleStore:
         ["span_past_end", "unknown_matrix", "negative_flat", "flat_past_matrix"],
     )
     def test_malformed_container_reads_as_miss(self, store, case, key, tamper):
-        """A parseable container whose records point outside their data is
+        """A parseable container whose columns point outside their data is
         corrupt: ``get`` counts it and reads a miss, even without verify."""
         store.put(key, case.schedule)
         path = store.object_path(key)
-        with np.load(path, allow_pickle=False) as npz:
-            header = json.loads(str(npz["header"][()]))
-            index_data = npz["index_data"].copy()
-        load = next(rec for rec in header["steps"] if rec["t"] == "L")
-        start, end = load["i"]
+        header, arrays = read_columns(path)
+        step = int(np.flatnonzero(arrays["kind"] == 0)[0])  # the first load
+        (start, end), = step_spans(header, arrays)[step]
         if tamper == "span_past_end":
-            # a 4-element span of which only the first 2 elements exist
-            load["i"] = [index_data.size - 2, index_data.size + 2]
+            # the last span claims 2 entries past the end of index_data
+            arrays["lengths"][-1] += 2
         elif tamper == "unknown_matrix":
-            load["m"] = "Z"
+            arrays["ref"][step] = len(header["matrices"])
         elif tamper == "negative_flat":
-            index_data[start] = -5
+            arrays["index_data"][start] = -5
         else:
-            rows, cols = header["shapes"][load["m"]]
-            index_data[end - 1] = rows * cols
-        np.savez_compressed(
-            path, header=np.asarray(json.dumps(header)), index_data=index_data
-        )
+            rows, cols = header["shapes"][arrays["ref"][step]]
+            arrays["index_data"][end - 1] = rows * cols
+        write_columns(path, header, arrays)
         with probe_scope() as probe:
             assert store.get(key) is None
         assert probe.counters["serve.store.corrupt"] == 1
@@ -167,26 +193,70 @@ class TestScheduleStore:
 
     def test_repeated_op_indices_read_as_miss(self, store, case, key):
         """An op whose stored index set repeats an index cannot be rebuilt:
-        its region constructor raises, so ``get`` counts a corrupt miss."""
+        the loader rejects it, so ``get`` counts a corrupt miss."""
         store.put(key, case.schedule)
         path = store.object_path(key)
-        with np.load(path, allow_pickle=False) as npz:
-            header = json.loads(str(npz["header"][()]))
-            index_data = npz["index_data"].copy()
-        start, end = next(
+        header, arrays = read_columns(path)
+        start, _ = next(
             span
-            for rec in header["steps"] if rec["t"] == "C"
-            for span in rec["i"].values() if span[1] - span[0] >= 2
+            for kind, spans in zip(arrays["kind"], step_spans(header, arrays))
+            if kind == 2
+            for span in spans if span[1] - span[0] >= 2
         )
-        index_data[start + 1] = index_data[start]
-        np.savez_compressed(
-            path, header=np.asarray(json.dumps(header)), index_data=index_data
-        )
+        arrays["index_data"][start + 1] = arrays["index_data"][start]
+        write_columns(path, header, arrays)
         with probe_scope() as probe:
             assert store.get(key) is None
         assert probe.counters["serve.store.corrupt"] == 1
         store.put(key, case.schedule)  # the next put repairs the entry
         assert case.check_exact(store.get(key))
+
+    @pytest.mark.parametrize("row", [20, 500])
+    def test_op_row_past_matrix_reads_as_miss(self, store, row):
+        """A stored op row at or past its matrix's row count is corrupt.
+
+        Region constructors bound columns only, so before the loader
+        bounded rows, row 20 of the 20-row ``C`` was served as flat 402 of
+        its 400 elements, and row 500 made ``get(verify=True)`` raise.
+        """
+        case = record_case("tbs", 20, 3, 15)
+        key = ScheduleKey("tbs", 20, 3, 15)
+        store.put(key, case.schedule)
+        path = store.object_path(key)
+        header, arrays = read_columns(path)
+        outer = header["ops"].index("outer_cols")
+        step = int(np.flatnonzero((arrays["kind"] == 2) & (arrays["ref"] == outer))[0])
+        (_, i_end), _ = step_spans(header, arrays)[step]  # the spans of I and J
+        arrays["index_data"][i_end - 1] = row
+        write_columns(path, header, arrays)
+        for verify in (False, True):
+            with probe_scope() as probe:
+                assert store.get(key, verify=verify) is None
+            assert probe.counters["serve.store.corrupt"] == 1
+
+    def test_older_format_reads_as_stale(self, store, case, key):
+        """An object in the retired version-1 format (JSON step records) is
+        a counted stale miss, and the next put rewrites it."""
+        store.put(key, case.schedule)
+        path = store.object_path(key)
+        header = {
+            "kind": "schedule",
+            "version": 1,
+            "shapes": {"A": [20, 3], "C": [20, 20]},
+            "steps": [
+                {"t": "L", "m": "A", "i": [0, 2]},
+                {"t": "E", "m": "A", "i": [0, 2], "wb": False},
+            ],
+        }
+        write_columns(path, header, {"index_data": np.arange(2, dtype=np.int64)})
+        with probe_scope() as probe:
+            assert store.get(key) is None
+        assert probe.counters["serve.store.stale"] == 1
+        assert "serve.store.corrupt" not in probe.counters
+        store.put(key, case.schedule)
+        with probe_scope() as probe:
+            assert case.check_exact(store.get(key))
+        assert "serve.store.stale" not in probe.counters
 
     def test_manifest_is_sorted_and_deterministic(self, store, case, key):
         others = [ScheduleKey("tbs", 20, 3, 10, policy=p) for p in ("search", "cosearch")]

@@ -15,7 +15,10 @@ sweeps otherwise (mirroring ``test_trace_property.py``):
   requester gets the identical object;
 * **corruption tolerance** — any strict-prefix truncation or byte-level
   mangling of a stored object reads as a miss (``None``), never an
-  exception.
+  exception; and any one corrupted entry of a column (a step kind, a
+  matrix or op-type id, a length, an index, an op scalar or a writeback
+  flag) either reads as a counted corrupt miss or loads into a schedule
+  whose every step builds inside its matrices.
 """
 
 import asyncio
@@ -28,7 +31,11 @@ import time
 import numpy as np
 import pytest
 
+from container_columns import read_columns, write_columns
+
 from repro.graph.compare import record_case
+from repro.obs.probe import probe_scope
+from repro.sched.schedule import ComputeStep
 from repro.serve import (
     ScheduleCache,
     ScheduleKey,
@@ -132,6 +139,56 @@ def assert_corruption_tolerated(mangle):
         assert store.get(key) is not None
 
 
+#: Column -> the values a corrupted entry of it takes (``shift`` moves
+#: entries from one index span to the next, keeping the lengths' sum).
+#: The schedule is chol N=9, whose ``A`` is 9 x 9.
+COLUMN_VALUES = {
+    "kind": list(range(-1, 4)),
+    "ref": list(range(-1, 6)),
+    "writeback": [0, 1],
+    "lengths": list(range(-1, 12)),
+    "shift": list(range(-3, 4)),
+    "index_data": list(range(-2, 12)) + [80, 81, 90],
+    "params": [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 8.0, 9.0, 81.0, float("nan")],
+}
+
+
+def assert_column_corruption_tolerated(column, where, value):
+    """Set one entry of ``column`` (at fraction ``where`` of it) to ``value``."""
+    case = cached_case("chol", 9, 2, 15)
+    key = ScheduleKey("chol", 9, 2, 15)
+    with tempfile.TemporaryDirectory() as root:
+        store = ScheduleStore(root)
+        store.put(key, case.schedule)
+        path = store.object_path(key)
+        header, arrays = read_columns(path)
+        if column == "params":
+            cells = [(name, i) for name in sorted(arrays) if name.startswith("params_")
+                     for i in range(arrays[name].size)]
+            name, i = cells[int(where * len(cells))]
+            arrays[name].flat[i] = value
+        elif column == "shift":
+            i = int(where * (arrays["lengths"].size - 1))
+            arrays["lengths"][i] += value
+            arrays["lengths"][i + 1] -= value
+        else:
+            arrays[column][int(where * arrays[column].size)] = value
+        write_columns(path, header, arrays)
+        with probe_scope() as probe:
+            got = store.get(key)
+        if got is None:
+            assert probe.counters["serve.store.corrupt"] == 1
+            return
+        for step in got.steps:  # every step builds ...
+            if isinstance(step, ComputeStep):
+                regions = step.op.reads() + step.op.writes()
+            else:
+                regions = [step.region]
+            for region in regions:  # ... inside its matrices
+                rows, cols = got.shapes[region.matrix]
+                assert ((region.flat >= 0) & (region.flat < rows * cols)).all()
+
+
 KERNELS = ("tbs", "ocs", "syr2k", "chol")
 
 if HAVE_HYPOTHESIS:
@@ -177,6 +234,22 @@ if HAVE_HYPOTHESIS:
                     buf[pos] ^= 0xFF
                 return bytes(buf)
         assert_corruption_tolerated(mangle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_column_corruption_hypothesis(data):
+        column = data.draw(st.sampled_from(sorted(COLUMN_VALUES)))
+        where = data.draw(st.floats(min_value=0.0, max_value=0.999))
+        value = data.draw(st.sampled_from(COLUMN_VALUES[column]))
+        assert_column_corruption_tolerated(column, where, value)
+
+
+def test_column_corruption_seeded_sweep():
+    rng = np.random.default_rng(18)
+    for column, values in COLUMN_VALUES.items():
+        for _ in range(6):
+            value = values[int(rng.integers(0, len(values)))]
+            assert_column_corruption_tolerated(column, float(rng.uniform(0.0, 0.999)), value)
 
 
 def test_store_roundtrip_seeded_sweep():

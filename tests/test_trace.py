@@ -471,7 +471,11 @@ class TestTraceIO:
             save_schedule(schedule, path)
             loaded = load_schedule(path)
             for want, got in zip(schedule.steps, loaded.steps):
+                assert type(want) is type(got)
                 if not isinstance(want, ComputeStep):
+                    assert want.region.matrix == got.region.matrix
+                    assert np.array_equal(want.region.flat, got.region.flat)
+                    assert getattr(want, "writeback", None) == getattr(got, "writeback", None)
                     assert not got.region.flat.flags.writeable
                     continue
                 a, b = want.op, got.op
@@ -500,6 +504,79 @@ class TestTraceIO:
                     else:
                         assert value == other, (name, attr)
         assert seen == set(_OP_SPECS)
+
+    def test_loaded_schedule_builds_steps_only_when_read(self, sched, tmp_path, monkeypatch):
+        import repro.trace.io as tio
+
+        builds = []
+        real = tio._build_steps
+        monkeypatch.setattr(tio, "_build_steps", lambda *a: builds.append(1) or real(*a))
+        path = tmp_path / "s.npz"
+        save_schedule(sched, path)
+        loaded = load_schedule(path)
+        assert len(loaded) == len(sched.steps)
+        assert loaded.counts() == sched.counts()
+        assert loaded.io_volume() == sched.io_volume()
+        assert builds == []
+        steps = loaded.steps
+        assert builds == [1] and loaded.steps is steps and isinstance(steps, list)
+        assert len(loaded) == len(steps) and loaded.counts() == sched.counts()
+        assert builds == [1]
+
+    def test_concurrent_first_access_builds_once(self, sched, tmp_path, monkeypatch):
+        """Eight threads read ``steps`` of one loaded schedule at once: one
+        build, and every thread gets the same list."""
+        import sys
+        import threading
+        import time
+
+        import repro.trace.io as tio
+
+        builds = []
+        real = tio._build_steps
+
+        def slow_build(*args):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # hold the build open while the others arrive
+            return real(*args)
+
+        monkeypatch.setattr(tio, "_build_steps", slow_build)
+        path = tmp_path / "s.npz"
+        save_schedule(sched, path)
+        loaded = load_schedule(path)
+        barrier = threading.Barrier(8)
+        got = [None] * 8
+
+        def read(i):
+            barrier.wait(timeout=10)
+            got[i] = loaded.steps
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        assert all(steps is got[0] for steps in got) and len(got[0]) == len(sched.steps)
+
+    def test_loaded_schedule_pickles(self, numeric_cases, tmp_path):
+        import pickle
+
+        schedule, make_machine, reference = numeric_cases["chol"]
+        path = tmp_path / "s.npz"
+        save_schedule(schedule, path)
+        copy = pickle.loads(pickle.dumps(load_schedule(path)))
+        assert copy.counts() == schedule.counts() and copy.shapes == schedule.shapes
+        m = make_machine()
+        replay_schedule(copy, m)
+        for name, want in reference.items():
+            assert np.array_equal(m.result(name), want)
 
     def test_file_kind_and_mismatch(self, sched, tmp_path):
         trace = compile_trace(sched)
