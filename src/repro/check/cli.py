@@ -19,6 +19,7 @@ stricter: any finding at all fails), 1 otherwise, 2 on usage errors.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any
 
 from ..utils.fmt import Table, banner
@@ -92,6 +93,29 @@ def _cert_rows(label: str, cert: Certificate) -> dict[str, Any]:
     return stats
 
 
+def _read_object(path: str):
+    """``(schedule, None)`` for a store object that loads, else ``(None,
+    (reason, detail))`` with reason ``missing``, ``stale`` or ``unreadable``.
+
+    Reads the file directly rather than through ``ScheduleStore.get``,
+    which answers ``None`` for every failure alike and needs the object's
+    key, so an orphan (an object with no manifest entry) is certified too.
+    """
+    from ..errors import StaleFormatError
+    from ..trace.io import load_schedule
+
+    if not os.path.exists(path):
+        return None, ("missing", "is missing")
+    try:
+        return load_schedule(path), None
+    except StaleFormatError:
+        return None, (
+            "stale", "is in an older container format; the next put rewrites it"
+        )
+    except Exception as exc:
+        return None, ("unreadable", f"is unreadable: {exc}")
+
+
 def cmd_check(args) -> int:
     fmt = args.format
 
@@ -128,11 +152,12 @@ def cmd_check(args) -> int:
                 print(f"skipping {digest[:12]}: no key in the manifest and "
                       f"no --capacity")
                 continue
-            schedule = store.get(key) if key else None
+            schedule, problem = _read_object(store.object_path(digest))
             if schedule is None:
+                reason, detail = problem
                 findings.append(Finding(
-                    code="RPS107", message=f"store object {digest[:12]} is "
-                    f"unreadable or missing", context={"digest": digest},
+                    code="RPS107", message=f"store object {digest[:12]} {detail}",
+                    context={"digest": digest, "reason": reason},
                 ))
                 continue
             cert = certify_schedule(schedule, capacity)

@@ -60,10 +60,10 @@ from .search import (
     STRATEGIES,
     AnnealStats,
     SearchResult,
-    anneal_minimize,
     anneal_search,
     beam_search,
     lookahead_search,
+    run_chain,
     search_order,
 )
 from .compare import (
@@ -101,10 +101,10 @@ __all__ = [
     "STRATEGIES",
     "AnnealStats",
     "SearchResult",
-    "anneal_minimize",
     "anneal_search",
     "beam_search",
     "lookahead_search",
+    "run_chain",
     "search_order",
     "CASES",
     "Comparison",

@@ -38,11 +38,16 @@ load count that scored it:
     depends only on recent history.  Both shortcuts are exact, and the
     trace is never recompiled.
 
-The annealer's Metropolis move/accept loop is factored out as
-:func:`anneal_minimize` — a state-agnostic harness (propose/commit
-callbacks, geometric cooling, caller-owned best tracking) that the
-transfer-aware partition refiner (:mod:`repro.parallel.refine`) drives
-over shard assignments with the exact same accept rule.
+This module also holds the one annealing engine.  :func:`run_chain` runs
+one Metropolis walk over any state that offers ``cost``, ``step``,
+``snapshot``, ``measure`` and ``counters``: it owns the seeded RNG, the
+cooling, the accept rule, the best state and the closing re-measure that
+catches a drifted ledger.  :func:`run_chains` fans a portfolio of chains
+out over worker processes and picks the ``(cost, chain index)`` winner.
+Three walks run on it: :class:`OrderWalk` here, the joint
+:class:`~repro.parallel.cosearch.CoSearchState` and refinement's owner
+walk (:mod:`repro.parallel.refine`).  The order move
+(:class:`OrderMove`) exists once, for the order walk and co-search.
 
 Every strategy can narrate itself: ``record_convergence=True`` (or an
 enabled :mod:`repro.obs.probe`) attaches iteration-level telemetry to the
@@ -63,7 +68,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError, ScheduleError
 from ..obs.convergence import AnnealSeries, RoundSeries
@@ -79,12 +85,27 @@ STRATEGIES = ("beam", "lookahead", "anneal")
 
 
 # --------------------------------------------------------------------- #
-# the shared move/accept loop
+# the annealing engine
 # --------------------------------------------------------------------- #
+
+#: Every chain cools geometrically from its starting temperature (``T_START``
+#: scaled by the portfolio ladder) down to ``T_END``.
+T_START = 1.5
+T_END = 0.05
+
+#: Deterministic starting-temperature multipliers of a chain portfolio,
+#: cycled by chain index.  Chain 0 runs at ``T_START`` with the caller's
+#: seed — the classic serial run — so the best-of merge is never worse
+#: than a single chain by construction.
+_CHAIN_TEMP_LADDER = (1.0, 0.5, 2.0, 0.25, 4.0)
+
+#: The longest generic window an order move reverses or rotates.
+MAX_SEGMENT = 12
+
 
 @dataclass
 class AnnealStats:
-    """Counters of one :func:`anneal_minimize` run."""
+    """Counters of one :func:`run_chain` walk."""
 
     iters: int = 0
     evaluations: int = 0  # proposals that were costed
@@ -104,73 +125,143 @@ class AnnealStats:
         return self.accepted / self.evaluations
 
 
-def anneal_minimize(
-    cost: float,
-    step: "Callable[[random.Random], tuple[float, Callable[[], None]] | None]",
-    *,
-    iters: int,
-    rng: random.Random,
-    t_start: float = 1.5,
-    t_end: float = 0.05,
-    series: "AnnealSeries | None" = None,
-) -> tuple[float, AnnealStats]:
-    """The Metropolis move/accept loop shared by every annealer here.
+@dataclass
+class Chain:
+    """One finished walk: its best state, re-measured, plus its counters."""
 
-    One proposal per iteration: ``step(rng)`` either returns
-    ``(candidate_cost, commit)`` — calling ``commit()`` applies the move to
-    the caller's state — or ``None`` for a no-op/illegal proposal (the
-    temperature still cools, matching a rejected move).  The loop owns
-    cooling (geometric from ``t_start`` to ``t_end``; a single iteration
-    runs entirely at ``t_start`` — the ``iters=1`` schedule has no second
-    temperature to cool toward) and the accept rule (downhill always;
-    uphill with probability ``exp(-dc / temp)``); the caller owns every
-    piece of state, including best-seen tracking (do it inside
-    ``commit``).  :func:`anneal_search` drives it over compute orders;
-    :func:`repro.parallel.refine.refine_partition` drives the same loop
-    over shard assignments.  Returns the final accepted cost and the
-    proposal counters.
+    #: the walk's ``snapshot()`` of the lowest-cost state it accepted.
+    best: Any
+    #: that state's cost, as ``measure`` recomputed it from scratch.
+    cost: float
+    stats: AnnealStats
+    #: the walk's own ``counters()`` (illegal proposals, moves by kind).
+    counters: dict
+    #: the per-iteration series when the chain was given a label.
+    series: "AnnealSeries | None" = None
 
-    ``series`` opts into per-iteration convergence telemetry: one
-    ``(iter, temp, cost, best, accepted)`` row per iteration, where
-    ``best`` is the lowest accepted cost so far (seeded with the starting
-    cost).  Recording touches no RNG state, so a recorded run is
-    bit-identical to an unrecorded one.
+    @property
+    def params(self) -> dict:
+        """The chain's outcome as result ``params`` entries."""
+        return {
+            "accepted": self.stats.accepted,
+            "acceptance_rate": self.stats.acceptance_rate,
+            **self.counters,
+        }
 
-    Both temperatures must be finite and positive (``ConfigurationError``
-    otherwise): the accept rule divides by the temperature.
+
+def run_chain(
+    walk, *, iters: int, seed: int, t_start: float = T_START,
+    label: str | None = None,
+) -> Chain:
+    """Run one Metropolis walk of ``iters`` proposals; the one annealer.
+
+    A walk is any state object with five methods:
+
+    * ``cost()`` — the committed state's cost, read once at the start;
+    * ``step(rng)`` — one proposal: ``(candidate_cost, commit)``, where
+      calling ``commit()`` applies the move, or ``None`` for a no-op or
+      illegal proposal (the temperature still cools, as for a rejection);
+    * ``snapshot()`` — a picklable copy of the committed state;
+    * ``measure(snapshot)`` — that state's cost recomputed from scratch;
+    * ``counters()`` — the walk's own tallies, merged into ``params``.
+
+    ``run_chain`` owns everything else: the RNG (seeded with ``seed``, and the
+    only one the walk may draw from), geometric cooling from ``t_start``
+    to :data:`T_END` (a single iteration runs entirely at ``t_start``),
+    the accept rule (downhill always, uphill with probability
+    ``exp(-dc / temp)``) and the best state seen.  The best state is
+    re-measured at the end and a disagreement with the incremental cost
+    raises :class:`~repro.errors.ScheduleError`, so a drifted ledger fails
+    loudly in whichever process ran the chain.
+
+    ``label`` opts into per-iteration telemetry: an
+    :class:`~repro.obs.convergence.AnnealSeries` with one ``(iter, temp,
+    cost, best, accepted)`` row per iteration, ``best`` being the lowest
+    accepted cost so far (seeded with the starting cost).  Recording
+    touches no RNG, so a recorded run is bit-identical to an unrecorded one.
     """
-    for name, temp in (("t_start", t_start), ("t_end", t_end)):
-        if not (math.isfinite(temp) and temp > 0):
-            raise ConfigurationError(
-                f"{name} must be a finite temperature > 0, got {temp}"
-            )
-    stats = AnnealStats()
-    cooling = 1.0 if iters <= 1 else (t_end / t_start) ** (1.0 / (iters - 1))
+    if not (math.isfinite(t_start) and t_start > 0):
+        # the accept rule divides by the temperature
+        raise ConfigurationError(
+            f"t_start must be a finite temperature > 0, got {t_start}"
+        )
+    rng = random.Random(seed)
+    series = None if label is None else AnnealSeries(label=label)
+    stats = AnnealStats(iters=iters)
+    cost = best = walk.cost()
+    best_state = walk.snapshot()
+    cooling = 1.0 if iters <= 1 else (T_END / t_start) ** (1.0 / (iters - 1))
     temp = t_start
-    best = cost
-    for _ in range(iters):
-        stats.iters += 1
-        proposal = step(rng)
+    for i in range(iters):
+        took = False
+        proposal = walk.step(rng)
         if proposal is None:
             stats.skipped += 1
-            if series is not None:
-                series.add(stats.iters - 1, temp, cost, best, False)
-            temp *= cooling
-            continue
-        cand, commit = proposal
-        stats.evaluations += 1
-        dc = cand - cost
-        took = dc <= 0 or rng.random() < math.exp(-dc / temp)
-        if took:
-            commit()
-            cost = cand
-            stats.accepted += 1
-            if cost < best:
-                best = cost
+        else:
+            cand, commit = proposal
+            stats.evaluations += 1
+            dc = cand - cost
+            took = dc <= 0 or rng.random() < math.exp(-dc / temp)
+            if took:
+                commit()
+                cost = cand
+                stats.accepted += 1
+                if cost < best:
+                    best, best_state = cost, walk.snapshot()
         if series is not None:
-            series.add(stats.iters - 1, temp, cost, best, took)
+            series.add(i, temp, cost, best, took)
         temp *= cooling
-    return cost, stats
+    measured = walk.measure(best_state)
+    if measured != best:
+        raise ScheduleError(
+            f"{type(walk).__name__} ledger drifted: model {best} != "
+            f"measured {measured}"
+        )
+    return Chain(best_state, measured, stats, walk.counters(), series)
+
+
+def _chain_task(task) -> Chain:
+    """Module-level (picklable) wrapper: one portfolio chain per worker."""
+    build, start, iters, seed, t_start, label = task
+    return run_chain(
+        build(start), iters=iters, seed=seed, t_start=t_start, label=label
+    )
+
+
+def run_chains(
+    build: "Callable[[Any], Any]",
+    starts: Sequence,
+    labels: Sequence[str],
+    *,
+    iters: int,
+    seed: int,
+    jobs: int = 1,
+    record: bool = False,
+) -> tuple[list[Chain], int]:
+    """A portfolio of chains, one per start; returns ``(chains, winner)``.
+
+    Chain ``k`` walks ``build(starts[k])`` with the seed
+    :func:`repro.perf.pool.task_seed` gives index ``k`` (disjoint RNG
+    streams; chain 0 keeps ``seed``) from ``T_START`` scaled by
+    :data:`_CHAIN_TEMP_LADDER`, and records the series ``"{labels[k]}
+    seed={chain seed}"`` when ``record`` is set.  The chains fan out over
+    :func:`repro.perf.pool.parallel_map` (``build`` and the starts must
+    pickle when ``jobs > 1``); the winner minimizes ``(cost, chain
+    index)``, so the result is bit-identical at any ``jobs``.
+    """
+    from ..perf.pool import parallel_map, task_seed
+
+    ladder = _CHAIN_TEMP_LADDER
+    tasks = []
+    for k, (start, label) in enumerate(zip(starts, labels)):
+        chain_seed = task_seed(seed, k)
+        tasks.append((
+            build, start, iters, chain_seed, T_START * ladder[k % len(ladder)],
+            f"{label} seed={chain_seed}" if record else None,
+        ))
+    chains = parallel_map(_chain_task, tasks, jobs=jobs)
+    winner = min(range(len(chains)), key=lambda k: (chains[k].cost, k))
+    return chains, winner
 
 
 @dataclass
@@ -375,19 +466,10 @@ def _start_order(graph: DependencyGraph, start, relax: bool) -> list[int]:
     return list(start)
 
 
-#: Deterministic starting-temperature multipliers of a multi-chain anneal
-#: portfolio, cycled by chain index.  Chain 0 always runs the caller's
-#: exact ``(seed, t_start)`` — the classic serial run — so the best-of
-#: merge is never worse than a single chain by construction.
-_CHAIN_TEMP_LADDER = (1.0, 0.5, 2.0, 0.25, 4.0)
-
-
 def reduction_class_of(graph: DependencyGraph) -> list[int]:
     """Per-op reduction-class index (``-1`` for ops in no class).
 
-    The dense lookup the segment-aware move generator keys on; shared by
-    :func:`anneal_search` and the joint co-search layer
-    (:mod:`repro.parallel.cosearch`).
+    The dense lookup :class:`OrderMove`'s segment moves key on.
     """
     class_of = [-1] * len(graph)
     for ci, members in enumerate(graph.reduction_classes()):
@@ -400,19 +482,15 @@ def propose_segment_move(
     order: list[int],
     class_of: list[int],
     rng: random.Random,
-    *,
-    max_segment: int = 12,
 ) -> tuple[int, int, list[int]]:
     """One order move: ``(window start, window end, new segment)``.
 
-    The reduction-class-aware neighborhood shared by every order annealer
-    here and by the joint co-search: most proposals pick the contiguous
-    run of same-class ops around a random position and reverse it, rotate
-    it, or swap it with the following run; the rest reverse/rotate a
-    generic window of at most ``max_segment`` ops.  Needs ``len(order) >=
-    2``; the proposal may be a no-op (callers compare against the current
-    window) and is *not* legality-checked — that stays with the caller,
-    which owns the graph.
+    The reduction-class-aware neighborhood of :class:`OrderMove`: most
+    proposals pick the contiguous run of same-class ops around a random
+    position and reverse it, rotate it, or swap it with the following
+    run; the rest reverse/rotate a generic window of at most
+    :data:`MAX_SEGMENT` ops.  Needs ``len(order) >= 2``; the proposal may
+    be a no-op and is *not* legality-checked.
     """
     n = len(order)
 
@@ -443,7 +521,7 @@ def propose_segment_move(
                     _, k = class_run(j)
                     return i, k, order[j:k] + seg
     i = rng.randrange(0, n - 1)
-    j = min(n, i + rng.randrange(2, max_segment + 1))
+    j = min(n, i + rng.randrange(2, MAX_SEGMENT + 1))
     seg = order[i:j]
     if rng.random() < 0.5:
         return i, j, seg[::-1]
@@ -451,96 +529,85 @@ def propose_segment_move(
     return i, j, seg[r:] + seg[:r]
 
 
-def _anneal_chain(
-    graph: DependencyGraph,
-    capacity: int,
-    iters: int,
-    seed: int,
-    relax_reductions: bool,
-    order: list[int],
-    max_segment: int,
-    t_start: float,
-    t_end: float,
-    want_series: bool,
-):
-    """One Metropolis chain over orders, from a fixed start.
+class OrderMove:
+    """The one order move, shared by :class:`OrderWalk` and co-search.
 
-    Returns ``(best_order, best_cost, evaluations, chain_params, series)``
-    — a plain tuple (no graph inside) so portfolio chains can run in
-    worker processes and pickle their results back cheaply.  The cold
-    re-cost cross-check of the winner runs in-chain, so a drifted
-    ledger fails loudly wherever the chain ran.
+    :meth:`draw` proposes a segment move (:func:`propose_segment_move`),
+    drops a no-op, and checks legality on the moved window only
+    (:meth:`~repro.graph.dependency.DependencyGraph.is_valid_window`) —
+    exact because every walk starts from, and only commits, legal orders.
+    Illegal proposals are tallied in :attr:`illegal`.
     """
-    trace = graph.trace
-    n = len(graph)
-    order = list(order)
-    rng = random.Random(seed)
-    chain_params: dict = {"accepted": 0, "illegal": 0}
 
-    series = None
-    if want_series:
-        series = AnnealSeries(label=f"anneal iters={iters} seed={seed}")
+    def __init__(self, graph: DependencyGraph, relax_reductions: bool):
+        self.graph = graph
+        self.relax_reductions = relax_reductions
+        self.class_of = reduction_class_of(graph)
+        self.illegal = 0
 
-    if n < 3 or iters == 0:
-        cost = order_cost(trace, order, capacity)
-        return order, cost, 0, chain_params, series
-
-    # The checkpointed LRU replay of the committed order: a move of
-    # window [i, j) re-costs from the checkpoint at or before i and stops
-    # once the cache re-converges with the committed replay after j.
-    ledger = LruLedger(trace, capacity, order)
-    cur_cost = ledger.loads[0]
-    best_order, best_cost = list(order), cur_cost
-
-    # Reduction-class membership drives the segment-aware moves; the
-    # neighborhood itself is the shared :func:`propose_segment_move`.
-    class_of = reduction_class_of(graph)
-
-    def step(_rng: random.Random):
-        # the proposer draws from the same rng the loop drives.
-        i, j, segment = propose_segment_move(
-            order, class_of, rng, max_segment=max_segment
-        )
+    def draw(self, order: list[int], rng: random.Random):
+        """``(i, j, candidate order)`` for a legal move of window ``[i, j)``,
+        or ``None``.  Orders of fewer than three ops have no move."""
+        if len(order) < 3:
+            return None
+        i, j, segment = propose_segment_move(order, self.class_of, rng)
         if segment == order[i:j]:
             return None
-        # The committed order is legal, so only edges inside the window
-        # can break.
-        if not graph.is_valid_window(segment, relax_reductions=relax_reductions):
-            chain_params["illegal"] += 1
+        if not self.graph.is_valid_window(
+            segment, relax_reductions=self.relax_reductions
+        ):
+            self.illegal += 1
             return None
-        candidate = order[:i] + segment + order[j:]
-        cand_cost = ledger.score(candidate, from_pos=i, settled=j)[0]
+        return i, j, order[:i] + segment + order[j:]
+
+
+class OrderWalk:
+    """The order search's walk for :func:`run_chain`: an order and its loads.
+
+    The committed order's LRU loads live in an
+    :class:`~repro.trace.replay.LruLedger`: a move of window ``[i, j)``
+    re-costs from the checkpoint at or before ``i`` and stops once the
+    cache re-converges with the committed replay after ``j``.  A commit
+    replaces the order list rather than editing it, so a snapshot is the
+    list itself.
+    """
+
+    def __init__(
+        self, graph: DependencyGraph, capacity: int, relax_reductions: bool,
+        order: list[int],
+    ):
+        self.trace = graph.trace
+        self.capacity = capacity
+        self.order = list(order)
+        self.move = OrderMove(graph, relax_reductions)
+        self.ledger = LruLedger(self.trace, capacity, self.order)
+
+    def cost(self) -> int:
+        return self.ledger.loads[0]
+
+    def step(self, rng: random.Random):
+        drawn = self.move.draw(self.order, rng)
+        if drawn is None:
+            return None
+        i, j, candidate = drawn
+        cost = self.ledger.score(candidate, from_pos=i, settled=j)[0]
 
         def commit() -> None:
-            nonlocal order, best_order, best_cost
-            order = candidate
-            ledger.commit()
-            if cand_cost < best_cost:
-                best_order, best_cost = candidate, cand_cost
+            self.order = candidate
+            self.ledger.commit()
 
-        return cand_cost, commit
+        return cost, commit
 
-    cur_cost, stats = anneal_minimize(
-        cur_cost, step, iters=iters, rng=rng, t_start=t_start, t_end=t_end,
-        series=series,
-    )
-    chain_params["accepted"] = stats.accepted
-    chain_params["acceptance_rate"] = stats.acceptance_rate
+    def snapshot(self) -> list[int]:
+        return self.order
 
-    # Ground-truth re-cost of the winner on the reordered trace (shared
-    # interning, no recompilation): the ledger's cut-off replays must
-    # agree with a cold full replay.
-    final_cost = order_cost(trace, best_order, capacity)
-    if final_cost != best_cost:
-        raise ScheduleError(
-            f"annealing LRU ledger drifted: {best_cost} != {final_cost}"
-        )
-    return best_order, final_cost, stats.evaluations, chain_params, series
+    def measure(self, order: list[int]) -> int:
+        """A cold replay of the reordered trace (shared interning, no
+        recompilation)."""
+        return order_cost(self.trace, order, self.capacity)
 
-
-def _anneal_chain_task(task):
-    """Module-level (picklable) wrapper: one portfolio chain per worker."""
-    return _anneal_chain(*task)
+    def counters(self) -> dict:
+        return {"illegal": self.move.illegal}
 
 
 def anneal_search(
@@ -551,9 +618,6 @@ def anneal_search(
     seed: int = 0,
     relax_reductions: bool = False,
     start: "str | list[int] | None" = None,
-    max_segment: int = 12,
-    t_start: float = 1.5,
-    t_end: float = 0.05,
     record_convergence: bool = False,
     chains: int = 1,
     jobs: int = 1,
@@ -567,30 +631,27 @@ def anneal_search(
     head — the zigzag that shares operand columns across chain
     boundaries; swapping runs re-chooses which chains are neighbors).
     The rest are generic reversals/rotations of windows of at most
-    ``max_segment`` ops.  Every proposal is legality-checked against the
-    graph — under ``relax_reductions=False`` (the default, matching the
-    other strategies) in-chain reversals are rejected and the walk
+    :data:`MAX_SEGMENT` ops.  Every proposal is legality-checked against
+    the graph — under ``relax_reductions=False`` (the default, matching
+    the other strategies) in-chain reversals are rejected and the walk
     explores only bit-exact chain permutations; pass
     ``relax_reductions=True`` to open the interleaving space the
     neighborhood is designed for.  The check covers only the edges inside
     the moved window, which is exact because the walk starts from a legal
     order (an illegal or incomplete ``start`` raises ``ScheduleError``
-    before the walk).  Each legal proposal is costed by an
-    :class:`~repro.trace.replay.LruLedger`, which replays from the LRU
-    checkpoint before the window until the cache re-converges with the
-    committed replay.  Cooling is geometric from
-    ``t_start`` to ``t_end``; the best order ever seen is returned,
-    re-costed from cold as a cross-check.
+    before the walk).  Each legal proposal is costed by the
+    :class:`OrderWalk`'s LRU ledger.  The chain (:func:`run_chain`) cools
+    geometrically from :data:`T_START` to :data:`T_END` and returns
+    the best order ever seen, re-costed from cold as a cross-check.
 
-    ``chains > 1`` runs a portfolio of independent Metropolis chains from
-    the same start order: chain 0 is exactly the classic serial run
-    (caller's ``seed`` and ``t_start``); chain ``k`` draws its seed from
-    :func:`repro.perf.pool.task_seed` (disjoint RNG streams) and scales
-    ``t_start`` by the deterministic ladder :data:`_CHAIN_TEMP_LADDER`.
-    The merge takes the minimum by ``(cost, chain_index)`` — deterministic
-    and never worse than the single-chain result.  ``jobs > 1`` fans the
-    chains out over worker processes; the merged result is bit-identical
-    for any ``jobs`` (the serial reduction order *is* chain-index order).
+    ``chains > 1`` runs a portfolio of independent chains from the same
+    start order (:func:`run_chains`): chain 0 is exactly the classic
+    serial run, chain ``k`` draws its own RNG stream and scales the
+    starting temperature by :data:`_CHAIN_TEMP_LADDER`, and the merge
+    takes the minimum by ``(cost, chain_index)`` — deterministic and never
+    worse than the single-chain result.  ``jobs > 1`` fans the chains out
+    over worker processes; the merged result is bit-identical for any
+    ``jobs``.
 
     With ``record_convergence=True`` (or an enabled probe) the result
     carries the per-iteration ``(iter, temp, cost, best, accepted)``
@@ -614,43 +675,22 @@ def anneal_search(
         raise ScheduleError(
             "anneal start order is not a legal order of the graph"
         )
-    want_series = record_convergence or get_probe().enabled
-    params = {"iters": iters, "seed": seed, "max_segment": max_segment}
-
-    if chains == 1:
-        best_order, best_cost, evaluations, chain_params, series = _anneal_chain(
-            graph, capacity, iters, seed, relax_reductions, order,
-            max_segment, t_start, t_end, want_series,
-        )
-        params.update(chain_params)
-        return _finish(
-            graph, "anneal", relax_reductions, capacity, best_order, best_cost,
-            evaluations, params, series,
-        )
-
-    from ..perf.pool import parallel_map, task_seed
-
-    ladder = _CHAIN_TEMP_LADDER
-    chain_seeds = [task_seed(seed, k) for k in range(chains)]
-    chain_t_starts = [t_start * ladder[k % len(ladder)] for k in range(chains)]
-    tasks = [
-        (
-            graph, capacity, iters, chain_seeds[k], relax_reductions, order,
-            max_segment, chain_t_starts[k], t_end, want_series,
-        )
-        for k in range(chains)
-    ]
-    outcomes = parallel_map(_anneal_chain_task, tasks, jobs=jobs)
-    winner = min(range(chains), key=lambda k: (outcomes[k][1], k))
-    best_order, best_cost, _, chain_params, series = outcomes[winner]
-    params.update(chain_params)
-    params.update(
-        chains=chains, jobs=jobs, winner_chain=winner,
-        chain_costs=[outcomes[k][1] for k in range(chains)],
+    runs, winner = run_chains(
+        partial(OrderWalk, graph, capacity, relax_reductions),
+        [order] * chains, [f"anneal iters={iters}"] * chains,
+        iters=iters, seed=seed, jobs=jobs,
+        record=record_convergence or get_probe().enabled,
     )
+    best = runs[winner]
+    params = {"iters": iters, "seed": seed, **best.params}
+    if chains > 1:
+        params.update(
+            chains=chains, jobs=jobs, winner_chain=winner,
+            chain_costs=[run.cost for run in runs],
+        )
     return _finish(
-        graph, "anneal", relax_reductions, capacity, best_order, best_cost,
-        sum(outcomes[k][2] for k in range(chains)), params, series,
+        graph, "anneal", relax_reductions, capacity, best.best, best.cost,
+        sum(run.stats.evaluations for run in runs), params, best.series,
     )
 
 

@@ -1,16 +1,17 @@
 """Iteration-level telemetry of the search engines.
 
-The three search drivers (simulated annealing, the greedy partition
-refiner, beam search) return a final cost and a handful of counters;
-whether the run *plateaued* or was *still descending* — the question the
-ROADMAP raises about the measured refined/bound ratios — needs the full
+The search engines (simulated annealing, the greedy partition refiner,
+beam search) return a final cost and a handful of counters; whether the
+run *plateaued* or was *still descending* — the question the ROADMAP
+raises about the measured refined/bound ratios — needs the full
 trajectory.  Two column-oriented series cover every engine:
 
 * :class:`AnnealSeries` — one row per Metropolis iteration:
-  ``(iter, temp, cost, best, accepted)``.  Produced by
-  :func:`repro.graph.search.anneal_minimize` and therefore shared by both
-  of its drivers (:func:`repro.graph.search.anneal_search` over compute
-  orders, :func:`repro.parallel.refine.refine_partition` over shard
+  ``(iter, temp, cost, best, accepted)``.  Produced by the one annealing
+  engine, :func:`repro.graph.search.run_chain`, and therefore shared by
+  its three walks (:func:`repro.graph.search.anneal_search` over compute
+  orders, :func:`repro.parallel.cosearch.cosearch` over order × owner
+  pairs, :func:`repro.parallel.refine.refine_partition` over shard
   assignments);
 * :class:`RoundSeries` — one row per improvement round:
   ``(round, best)``.  Produced by the greedy refiner (one row per accepted

@@ -14,10 +14,10 @@ precisely by choosing placement and schedule together; this module is
 that experiment for our DAGs.
 
 :class:`CoSearchState` threads one state object through *both* move
-kinds — the reduction-class segment moves of the order annealer
-(:func:`repro.graph.search.propose_segment_move`) and the
-single-op / reduction-class / write-group ownership moves of the refiner
-(:func:`repro.parallel.refine.movable_units` over a
+kinds — the reduction-class segment move of the order annealer
+(:class:`repro.graph.search.OrderMove`) and the single-op /
+reduction-class ownership move of the refiner
+(:class:`repro.parallel.refine.OwnerMove` over a
 :class:`~repro.parallel.refine.PartitionLedger`) — under one unified
 latency objective
 
@@ -38,45 +38,38 @@ the moved positions where every node's cache equals the committed one
 (LRU state depends only on recent history), and order moves check
 legality only inside the moved window
 (:meth:`~repro.graph.dependency.DependencyGraph.is_valid_window`).
-Like its exemplars, the state exposes a ``profitable()`` cost-model gate
-next to its move generators.
 
-The driver (:func:`cosearch`) runs the shared Metropolis harness
-(:func:`repro.graph.search.anneal_minimize`) from a seed portfolio of
-{all partitioners} × {recorded + heuristic + searched orders}, fanning
-one chain per seed over the process pool (:mod:`repro.perf.pool` —
-chain 0 is the classic serial run and the merged result is bit-identical
-at any ``jobs``).  The model only *ranks*: seeds and winner are
-re-measured with real per-shard replays (:func:`cosearch_cost`) and the
-best measured seed is returned whenever the search did not genuinely
-improve on it — co-search can never hand back a worse schedule than the
-best thing it was seeded with.
+The state is one of the three walks of the shared annealing engine:
+:func:`cosearch` runs one chain per seed of a portfolio of
+{all partitioners} × {recorded + heuristic + searched orders} through
+:func:`repro.graph.search.run_chains`, which fans the chains over the
+process pool (:mod:`repro.perf.pool` — chain 0 is the classic serial run
+and the merged result is bit-identical at any ``jobs``) and re-measures
+each chain's best pair with real per-shard replays
+(:func:`cosearch_cost`).  The model only *ranks*: the best measured seed
+is returned whenever the search did not genuinely improve on it —
+co-search can never hand back a worse schedule than the best thing it
+was seeded with.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
-from ..errors import ConfigurationError, ScheduleError
+from ..errors import ConfigurationError
 from ..graph.compare import searched_orders
 from ..graph.dependency import DependencyGraph
 from ..graph.scheduler import list_schedule
-from ..graph.search import (
-    _CHAIN_TEMP_LADDER,
-    anneal_minimize,
-    propose_segment_move,
-    reduction_class_of,
-)
+from ..graph.search import OrderMove, run_chains
 from ..obs.convergence import AnnealSeries
 from ..obs.probe import get_probe
-from ..perf.pool import parallel_map, task_seed
 from ..trace.replay import LruLedger, lru_replay_trace
 from .executor import PARTITIONERS, partition_graph
 from .makespan import MakespanLedger, makespan_model
-from .partition import balance_cap
-from .refine import PartitionLedger, movable_units
+from .refine import OwnerMove, PartitionLedger
 
 
 @dataclass(frozen=True)
@@ -164,9 +157,13 @@ class CoSearchState:
     :class:`~repro.parallel.makespan.MakespanLedger` (latency), an
     :class:`~repro.trace.replay.LruLedger` over the pair (shard loads),
     and the refiner's :class:`~repro.parallel.refine.PartitionLedger`
-    (exact transfers + balance cap).  The LRU checkpoints share the
-    makespan ledger's interval; the LRU replay stops once every node's
-    cache re-converges after the moved positions.
+    (exact transfers).  The LRU checkpoints share the makespan ledger's
+    interval; the LRU replay stops once every node's cache re-converges
+    after the moved positions.  Half the proposals are the order walk's
+    :class:`~repro.graph.search.OrderMove`, the other half the refiner's
+    :class:`~repro.parallel.refine.OwnerMove` (which holds the balance
+    cap).  The state is a walk of the annealing engine
+    (:func:`repro.graph.search.run_chain`).
 
     Invariants (the property suite pins them): the owner map is an exact
     cover of the op set at every step, the order stays a legal order of
@@ -185,11 +182,7 @@ class CoSearchState:
         alpha: float = 1.0,
         beta: float = 1.0,
         relax_reductions: bool = True,
-        keep_writers_together: bool = False,
         balance_slack: float | None = 1.5,
-        max_segment: int = 12,
-        order_move_prob: float = 0.5,
-        interval: int | None = None,
     ):
         if graph.trace is None:
             raise ConfigurationError(
@@ -200,10 +193,6 @@ class CoSearchState:
             raise ConfigurationError(f"p must be >= 1, got {p}")
         if s < 1:
             raise ConfigurationError(f"S must be >= 1, got {s}")
-        if not 0.0 <= order_move_prob <= 1.0:
-            raise ConfigurationError(
-                f"order_move_prob must lie in [0, 1], got {order_move_prob}"
-            )
         n = len(graph)
         self.graph = graph
         self.p = p
@@ -211,47 +200,31 @@ class CoSearchState:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.relax_reductions = relax_reductions
-        self.max_segment = max_segment
-        self.order_move_prob = order_move_prob
         order = list(range(n)) if order is None else [int(v) for v in order]
         self.ledger = PartitionLedger(graph, owner, p)
         # The makespan ledger validates the order once; every order move
         # is then checked on its window before it is costed.
         self.span = MakespanLedger(
             graph, self.ledger.owner, p=p, order=order, alpha=alpha,
-            beta=beta, relax_reductions=relax_reductions, interval=interval,
+            beta=beta, relax_reductions=relax_reductions,
         )
         self.order = list(order)
         self.pos = [0] * n
         for i, v in enumerate(self.order):
             self.pos[v] = i
-        self.interval = self.span.interval
-        self.class_of = reduction_class_of(graph)
-        self.units, self.op_units = movable_units(
-            graph, keep_writers_together=keep_writers_together
-        )
-        self.group_units = [g for g in self.units if len(g) > 1]
-        self.cap = None
-        if balance_slack is not None:
-            self.cap = max(
-                balance_cap(sum(self.ledger.weights), p, balance_slack),
-                max(self.ledger.loads, default=0),
-            )
-        self.illegal = 0
+        self.order_move = OrderMove(graph, relax_reductions)
+        self.owner_move = OwnerMove(self.ledger, balance_slack=balance_slack)
         self.order_moves = 0
         self.owner_moves = 0
         # Per-node LRU loads, checkpointed in lockstep with the makespan
         # ledger.
         self.lru = LruLedger(
             graph.trace, s, self.order, self.ledger.owner, p=p,
-            interval=self.interval,
+            interval=self.span.interval,
         )
         self._cost = self._combine(
             self.span.makespan, self.lru.loads, self.ledger.transfer_in
         )
-        #: the measured objective this state started from — the floor the
-        #: never-worse postcondition holds the walk to.
-        self.seed_cost = self._cost
 
     # -- objective ------------------------------------------------------- #
 
@@ -274,35 +247,14 @@ class CoSearchState:
         """Per-node LRU loads of the committed pair."""
         return list(self.lru.loads)
 
-    def profitable(self) -> bool:
-        """Cost-model gate: is the committed state better than the seed?
-
-        The walk's analogue of the exemplar scheduler's ``profitable()``
-        check — the driver only considers adopting a searched state that
-        passes it, and even then the measured objective has the last word.
-        """
-        return self._cost < self.seed_cost
-
     # -- move kinds ------------------------------------------------------ #
 
     def propose_order(self, rng: random.Random):
         """One segment move of the order; ``(candidate_cost, commit)`` or None."""
-        n = len(self.order)
-        if n < 3:
+        drawn = self.order_move.draw(self.order, rng)
+        if drawn is None:
             return None
-        i, j, segment = propose_segment_move(
-            self.order, self.class_of, rng, max_segment=self.max_segment
-        )
-        if segment == self.order[i:j]:
-            return None
-        # The committed order is legal, so only edges inside the window
-        # can break.
-        if not self.graph.is_valid_window(
-            segment, relax_reductions=self.relax_reductions
-        ):
-            self.illegal += 1
-            return None
-        candidate = self.order[:i] + segment + self.order[j:]
+        i, j, candidate = drawn
         cand_ms = self.span.score(order=candidate, from_pos=i)
         cand_loads = self.lru.score(
             candidate, self.ledger.owner, from_pos=i, settled=j
@@ -322,22 +274,11 @@ class CoSearchState:
 
     def propose_owner(self, rng: random.Random):
         """One unit ownership move; ``(candidate_cost, commit)`` or None."""
-        if self.p < 2 or not len(self.graph):
+        drawn = self.owner_move.draw(rng)
+        if drawn is None:
             return None
+        group, q = drawn
         ledger = self.ledger
-        if self.group_units and rng.random() < 0.3:
-            group = self.group_units[rng.randrange(len(self.group_units))]
-        else:
-            group = self.units[self.op_units[rng.randrange(len(self.graph))][0]]
-        q = rng.randrange(self.p)
-        if all(ledger.owner[v] == q for v in group):
-            return None
-        if self.cap is not None:
-            weight = sum(
-                ledger.weights[v] for v in group if ledger.owner[v] != q
-            )
-            if ledger.loads[q] + weight > self.cap:
-                return None
         positions = [self.pos[v] for v in group]
         i0, i1 = min(positions), max(positions) + 1
         # Evaluate applied (the makespan ledger copies the owner array at
@@ -359,11 +300,31 @@ class CoSearchState:
 
         return cand_cost, commit
 
+    # -- the walk protocol ----------------------------------------------- #
+
     def step(self, rng: random.Random):
-        """One mixed proposal for :func:`anneal_minimize`."""
-        if rng.random() < self.order_move_prob:
+        """One mixed proposal: an order move or an owner move, evenly."""
+        if rng.random() < 0.5:
             return self.propose_order(rng)
         return self.propose_owner(rng)
+
+    def snapshot(self) -> tuple[list[int], list[int]]:
+        return list(self.order), list(self.ledger.owner)
+
+    def measure(self, pair: tuple[list[int], list[int]]) -> float:
+        """The pair's objective from real per-shard replays."""
+        order, owner = pair
+        return cosearch_cost(
+            self.graph, owner, self.p, self.s, order=order, alpha=self.alpha,
+            beta=self.beta, relax_reductions=self.relax_reductions,
+        ).cost
+
+    def counters(self) -> dict:
+        return {
+            "illegal": self.order_move.illegal,
+            "order_moves": self.order_moves,
+            "owner_moves": self.owner_moves,
+        }
 
 
 @dataclass
@@ -403,96 +364,13 @@ class CoSearchResult:
         return self.measured.makespan if self.measured is not None else 0.0
 
 
-def _cosearch_chain(
-    graph: DependencyGraph,
-    label: str,
-    order: list[int],
-    owner: list[int],
-    p: int,
-    s: int,
-    iters: int,
-    seed: int,
-    alpha: float,
-    beta: float,
-    relax_reductions: bool,
-    keep_writers_together: bool,
-    balance_slack: float | None,
-    max_segment: int,
-    order_move_prob: float,
-    t_start: float,
-    t_end: float,
-    want_series: bool,
-):
-    """One Metropolis chain over ``(order, owner)`` pairs, from one seed.
-
-    Returns a plain tuple (no graph inside) so portfolio chains can run
-    in worker processes and pickle their results back cheaply.  The cold
-    re-measure cross-check of the winner runs in-chain, so a drifted
-    ledger fails loudly wherever the chain ran.
-    """
-    state = CoSearchState(
+def _state(graph, p, s, alpha, beta, relax_reductions, balance_slack, start):
+    """Module-level (picklable) walk builder: one state per portfolio seed."""
+    order, owner = start
+    return CoSearchState(
         graph, owner, p, s, order=order, alpha=alpha, beta=beta,
-        relax_reductions=relax_reductions,
-        keep_writers_together=keep_writers_together,
-        balance_slack=balance_slack, max_segment=max_segment,
-        order_move_prob=order_move_prob,
+        relax_reductions=relax_reductions, balance_slack=balance_slack,
     )
-    series = None
-    if want_series:
-        series = AnnealSeries(label=f"cosearch {label} seed={seed}")
-    rng = random.Random(seed)
-    best = {
-        "cost": state.cost(),
-        "order": list(state.order),
-        "owner": list(state.ledger.owner),
-    }
-
-    def step(step_rng: random.Random):
-        proposal = state.step(step_rng)
-        if proposal is None:
-            return None
-        cand_cost, inner_commit = proposal
-
-        def commit() -> None:
-            inner_commit()
-            if cand_cost < best["cost"]:
-                best["cost"] = cand_cost
-                best["order"] = list(state.order)
-                best["owner"] = list(state.ledger.owner)
-
-        return cand_cost, commit
-
-    _final, stats = anneal_minimize(
-        state.cost(), step, iters=iters, rng=rng,
-        t_start=t_start, t_end=t_end, series=series,
-    )
-    # Ground-truth re-measure of the chain's winner: the three incremental
-    # ledgers must agree with real per-shard replays to the last bit.
-    measured = cosearch_cost(
-        graph, best["owner"], p, s, order=best["order"], alpha=alpha,
-        beta=beta, relax_reductions=relax_reductions,
-    )
-    if measured.cost != best["cost"]:
-        raise ScheduleError(
-            f"co-search ledger drifted: model {best['cost']} != "
-            f"measured {measured.cost}"
-        )
-    chain_params = {
-        "accepted": stats.accepted,
-        "acceptance_rate": stats.acceptance_rate,
-        "illegal": state.illegal,
-        "order_moves": state.order_moves,
-        "owner_moves": state.owner_moves,
-    }
-    return (
-        best["cost"], best["order"], best["owner"], stats.evaluations,
-        chain_params, series,
-    )
-
-
-def _cosearch_task(task):
-    """Module-level (picklable) wrapper: one portfolio chain per worker."""
-    return _cosearch_chain(*task)
 
 
 def cosearch_portfolio(
@@ -556,23 +434,19 @@ def cosearch(
     heuristics: tuple[str, ...] = ("locality",),
     search_strategies: tuple[str, ...] = ("anneal",),
     search_kwargs: dict | None = None,
-    keep_writers_together: bool = False,
     balance_slack: float | None = 1.5,
-    max_segment: int = 12,
-    order_move_prob: float = 0.5,
-    t_start: float = 1.5,
-    t_end: float = 0.05,
     record_convergence: bool = False,
 ) -> CoSearchResult:
     """Jointly search orders and ownerships from a labeled seed portfolio.
 
     One Metropolis chain per seed (``seeds`` defaults to
-    :func:`cosearch_portfolio`): chain ``k`` draws its RNG stream from
-    :func:`repro.perf.pool.task_seed` (chain 0 is exactly the caller's
-    ``seed``) and scales ``t_start`` by the deterministic chain ladder.
-    ``jobs > 1`` fans chains over worker processes; the merged result is
-    bit-identical for any ``jobs`` (order-preserving map, min by
-    ``(measured cost, chain index)``).
+    :func:`cosearch_portfolio`), run by the shared chain portfolio
+    (:func:`repro.graph.search.run_chains`): chain ``k`` draws its own RNG
+    stream (chain 0 is exactly the caller's ``seed``) and scales the
+    starting temperature by the deterministic chain ladder.  ``jobs > 1``
+    fans chains over worker processes; the merged result is bit-identical
+    for any ``jobs`` (order-preserving map, min by ``(measured cost, chain
+    index)``).
 
     Hard postcondition: every seed and the winning pair are measured with
     real per-shard replays (:func:`cosearch_cost`), and the best measured
@@ -617,27 +491,15 @@ def cosearch(
         range(len(seeds)), key=lambda k: (seed_measured[k].cost, k)
     )
 
-    ladder = _CHAIN_TEMP_LADDER
-    tasks = [
-        (
-            graph, label, list(order), list(owner), p, s, iters,
-            task_seed(seed, k), alpha, beta, relax_reductions,
-            keep_writers_together, balance_slack, max_segment,
-            order_move_prob, t_start * ladder[k % len(ladder)], t_end,
-            want_series,
-        )
-        for k, (label, order, owner) in enumerate(seeds)
-    ]
-    n_jobs = min(int(jobs), len(tasks))
-    if n_jobs <= 1:
-        outcomes = [_cosearch_chain(*task) for task in tasks]
-    else:
-        outcomes = parallel_map(_cosearch_task, tasks, jobs=n_jobs)
-
-    winner = min(
-        range(len(outcomes)), key=lambda k: (outcomes[k][0], k)
+    runs, winner = run_chains(
+        partial(
+            _state, graph, p, s, alpha, beta, relax_reductions, balance_slack
+        ),
+        [(order, owner) for _label, order, owner in seeds],
+        [f"cosearch {label}" for label, _order, _owner in seeds],
+        iters=iters, seed=seed, jobs=jobs, record=want_series,
     )
-    w_cost, w_order, w_owner, _evals, chain_params, series = outcomes[winner]
+    w_order, w_owner = runs[winner].best
     measured = cosearch_cost(
         graph, w_owner, p, s, order=w_order, alpha=alpha, beta=beta,
         relax_reductions=relax_reductions,
@@ -648,32 +510,27 @@ def cosearch(
     if reverted:
         winner = best_seed
         _slabel, w_order, w_owner = seeds[best_seed]
-        w_order, w_owner = list(w_order), list(w_owner)
         measured = seed_measured[best_seed]
-        w_cost = measured.cost
-        series = outcomes[best_seed][5]
-        chain_params = outcomes[best_seed][4]
+    series = runs[winner].series
 
-    evaluations = sum(o[3] for o in outcomes)
+    evaluations = sum(run.stats.evaluations for run in runs)
     params = {
         "iters": iters, "seed": seed, "jobs": jobs, "chains": len(seeds),
         "alpha": alpha, "beta": beta,
         "relax_reductions": relax_reductions,
-        "order_move_prob": order_move_prob, "max_segment": max_segment,
         "balance_slack": balance_slack,
-        "keep_writers_together": keep_writers_together,
+        **runs[winner].params,
     }
-    params.update(chain_params)
     if probe.enabled:
         probe.count("cosearch.runs")
         probe.count("cosearch.evaluations", evaluations)
         probe.count(
             "cosearch.order_moves",
-            sum(o[4]["order_moves"] for o in outcomes),
+            sum(run.counters["order_moves"] for run in runs),
         )
         probe.count(
             "cosearch.owner_moves",
-            sum(o[4]["owner_moves"] for o in outcomes),
+            sum(run.counters["owner_moves"] for run in runs),
         )
         if reverted:
             probe.count("cosearch.reverted")
@@ -694,7 +551,7 @@ def cosearch(
             for k, (label, _o, _w) in enumerate(seeds)
         },
         winner_chain=winner,
-        chain_costs=[o[0] for o in outcomes],
+        chain_costs=[run.cost for run in runs],
         evaluations=evaluations,
         reverted=reverted,
         params=params,

@@ -31,11 +31,13 @@ of the objective (mirroring the ``IncrementalObjective`` design of
   arbitrary moves.
 
 Moving one op updates both in time proportional to its footprint and
-incident edges.  Two strategies drive the ledger: steepest-descent
-``greedy`` (move work off — or producers onto — the bottleneck node) and
-``anneal`` via the same Metropolis move/accept loop as the order search
-(:func:`repro.graph.search.anneal_minimize`); ``greedy+anneal`` chains
-them.
+incident edges.  One move, :class:`OwnerMove` (a unit of ops and a
+destination under the balance cap), serves both strategies and the joint
+co-search: steepest-descent ``greedy`` ranks the units that can move work
+off — or producers onto — the bottleneck node, and ``anneal`` draws them
+at random in :class:`OwnerWalk`, a walk of the shared annealing engine
+(:func:`repro.graph.search.run_chain`), which re-measures the walk's best
+assignment on a freshly built ledger.  ``greedy+anneal`` chains them.
 
 The model is a proxy, so the refiner never trusts it: the returned
 assignment is re-measured with real per-shard replays
@@ -58,8 +60,8 @@ from typing import Sequence
 
 from ..errors import ConfigurationError
 from ..graph.dependency import DependencyGraph
-from ..graph.search import anneal_minimize
-from ..obs.convergence import AnnealSeries, RoundSeries
+from ..graph.search import run_chain
+from ..obs.convergence import RoundSeries
 from ..obs.probe import get_probe
 from ..perf.pool import parallel_map, task_seed
 from ..trace.replay import belady_replay_trace, lru_replay_trace
@@ -295,6 +297,105 @@ class PartitionLedger:
         return max(range(self.p), key=lambda q: (self.node_cost(q), -q))
 
 
+class OwnerMove:
+    """The one ownership move, shared by the refiner and co-search.
+
+    Holds the movable units of :func:`movable_units` and the balance cap:
+    ``balance_slack`` caps every node's mults at ``slack * total / p``
+    (exact integer cap, :func:`~repro.parallel.partition.balance_cap`;
+    relaxed to the ledger's own maximum when the assignment already
+    exceeds it), and ``None`` disables it.  The greedy pass ranks these
+    units itself; :meth:`draw` is the random move of the refiner's walk
+    and of co-search.
+    """
+
+    def __init__(
+        self,
+        ledger: PartitionLedger,
+        *,
+        keep_writers_together: bool = False,
+        balance_slack: float | None = 1.5,
+    ):
+        self.ledger = ledger
+        self.units, self.op_units = movable_units(
+            ledger.graph, keep_writers_together=keep_writers_together
+        )
+        self.group_units = [g for g in self.units if len(g) > 1]
+        self.cap = None
+        if balance_slack is not None:
+            self.cap = max(
+                balance_cap(sum(ledger.weights), ledger.p, balance_slack),
+                max(ledger.loads, default=0),
+            )
+
+    def fits(self, q: int, weight: int) -> bool:
+        """Whether node ``q`` can take ``weight`` more mults under the cap."""
+        return self.cap is None or self.ledger.loads[q] + weight <= self.cap
+
+    def draw(self, rng: random.Random) -> tuple[list[int], int] | None:
+        """A random ``(unit, destination)`` that changes the assignment and
+        respects the cap, or ``None``.
+
+        Three in ten draws take a multi-op unit (a reduction class or a
+        write-group), the rest the unit of a random op.
+        """
+        ledger = self.ledger
+        n = len(ledger.owner)
+        if ledger.p < 2 or not n:
+            return None
+        if self.group_units and rng.random() < 0.3:
+            group = self.group_units[rng.randrange(len(self.group_units))]
+        else:
+            group = self.units[self.op_units[rng.randrange(n)][0]]
+        q = rng.randrange(ledger.p)
+        if all(ledger.owner[v] == q for v in group):
+            return None
+        weight = sum(ledger.weights[v] for v in group if ledger.owner[v] != q)
+        if not self.fits(q, weight):
+            return None
+        return group, q
+
+
+class OwnerWalk:
+    """Refinement's walk for :func:`~repro.graph.search.run_chain`.
+
+    One :class:`OwnerMove` per step, scored on the
+    :class:`PartitionLedger` (apply, read the cost, revert); the best
+    assignment is re-measured on a freshly built ledger.
+    """
+
+    def __init__(self, move: OwnerMove):
+        self.move = move
+        self.ledger = move.ledger
+
+    def cost(self) -> int:
+        return self.ledger.cost()
+
+    def step(self, rng: random.Random):
+        drawn = self.move.draw(rng)
+        if drawn is None:
+            return None
+        group, q = drawn
+        ledger = self.ledger
+        undo = ledger.move_group(group, q)
+        cost = ledger.cost()
+        ledger.undo(undo)
+
+        def commit() -> None:
+            ledger.move_group(group, q)
+
+        return cost, commit
+
+    def snapshot(self) -> list[int]:
+        return list(self.ledger.owner)
+
+    def measure(self, owner: list[int]) -> int:
+        return PartitionLedger(self.ledger.graph, owner, self.ledger.p).cost()
+
+    def counters(self) -> dict:
+        return {}
+
+
 @dataclass
 class RefineResult:
     """One refinement run: the chosen assignment plus its accounting."""
@@ -331,12 +432,7 @@ class RefineResult:
         return self.cost < self.seed_cost
 
 
-def _greedy_pass(
-    ledger: PartitionLedger,
-    units: list[list[int]],
-    op_units: list[list[int]],
-    cap: int | None,
-) -> tuple[int, list[tuple[int, int]]] | None:
+def _greedy_pass(move: OwnerMove) -> tuple[int, list[tuple[int, int]]] | None:
     """The best strictly-improving move off (or onto) the bottleneck node.
 
     Candidate units are the movable units with an op on the bottleneck
@@ -346,6 +442,7 @@ def _greedy_pass(
     count plus the applied best move's undo list, or ``None`` at a local
     optimum.
     """
+    ledger, units, op_units = move.ledger, move.units, move.op_units
     b = ledger.bottleneck()
     current = ledger.cost()
     # Rank the candidates by how much of the bottleneck's cost they could
@@ -388,7 +485,7 @@ def _greedy_pass(
                 if not movers:
                     continue
                 weight = sum(ledger.weights[v] for v in movers)
-                if cap is not None and ledger.loads[q] + weight > cap:
+                if not move.fits(q, weight):
                     continue
                 undo = ledger.move_group(group, q)
                 c = ledger.cost()
@@ -418,8 +515,6 @@ def refine_partition(
     balance_slack: float | None = 1.5,
     keep_writers_together: bool = False,
     eval_policy: str = "belady",
-    t_start: float = 1.5,
-    t_end: float = 0.05,
     record_convergence: bool = False,
 ) -> RefineResult:
     """Locally search the assignment space around a seed ``owner[]``.
@@ -460,17 +555,10 @@ def refine_partition(
         "keep_writers_together": keep_writers_together,
     }
 
-    units, op_units = movable_units(
-        graph, keep_writers_together=keep_writers_together
+    move = OwnerMove(
+        ledger, keep_writers_together=keep_writers_together,
+        balance_slack=balance_slack,
     )
-
-    cap = None
-    if balance_slack is not None:
-        cap = max(
-            balance_cap(sum(ledger.weights), p, balance_slack),
-            max(ledger.loads, default=0),
-        )
-
     best_owner = list(seed_owner)
     best_model = model_seed
     moves = 0
@@ -479,12 +567,6 @@ def refine_partition(
     record = record_convergence or probe.enabled
     convergence: dict = {}
 
-    def capture_if_best() -> None:
-        nonlocal best_owner, best_model
-        c = ledger.cost()
-        if c < best_model:
-            best_owner, best_model = list(ledger.owner), c
-
     if strategy in ("greedy", "greedy+anneal"):
         greedy_series = None
         if record:
@@ -492,58 +574,29 @@ def refine_partition(
             greedy_series.add(0, best_model)  # round 0: the seed's model cost
             convergence["greedy"] = greedy_series
         while moves < max_moves:
-            step = _greedy_pass(ledger, units, op_units, cap)
+            step = _greedy_pass(move)
             if step is None:
                 break
             n_evals, _undo = step
             evaluations += n_evals
             moves += 1
-            capture_if_best()
+            # every greedy move strictly lowers the model cost
+            best_owner, best_model = list(ledger.owner), ledger.cost()
             if greedy_series is not None:
                 greedy_series.add(moves, best_model)
 
     if strategy in ("anneal", "greedy+anneal") and len(graph) and p > 1:
-        anneal_series = None
-        if record:
-            anneal_series = AnnealSeries(label="refine.anneal")
-            convergence["anneal"] = anneal_series
-        rng = random.Random(seed)
-        group_units = [g for g in units if len(g) > 1]
-
-        def step(step_rng: random.Random):
-            if group_units and step_rng.random() < 0.3:
-                group = group_units[step_rng.randrange(len(group_units))]
-            else:
-                group = units[op_units[step_rng.randrange(len(graph))][0]]
-            q = step_rng.randrange(p)
-            if all(ledger.owner[v] == q for v in group):
-                return None
-            if cap is not None:
-                weight = sum(
-                    ledger.weights[v] for v in group if ledger.owner[v] != q
-                )
-                if ledger.loads[q] + weight > cap:
-                    return None
-            undo = ledger.move_group(group, q)
-            cand = ledger.cost()
-            ledger.undo(undo)
-
-            def commit() -> None:
-                nonlocal moves
-                ledger.move_group(group, q)
-                moves += 1
-                capture_if_best()
-
-            return cand, commit
-
-        _final, stats = anneal_minimize(
-            ledger.cost(), step, iters=iters, rng=rng,
-            t_start=t_start, t_end=t_end, series=anneal_series,
+        # The walk starts where greedy stopped, which is its best state.
+        chain = run_chain(
+            OwnerWalk(move), iters=iters, seed=seed,
+            label="refine.anneal" if record else None,
         )
-        evaluations += stats.evaluations
-        params["accepted"] = stats.accepted
-        params["skipped"] = stats.skipped
-        params["acceptance_rate"] = stats.acceptance_rate
+        best_owner, best_model = chain.best, chain.cost
+        moves += chain.stats.accepted
+        evaluations += chain.stats.evaluations
+        params.update(chain.params, skipped=chain.stats.skipped)
+        if record:
+            convergence["anneal"] = chain.series
 
     # The model ranked the candidates; the measured objective decides.
     # Re-measuring seed and winner costs two shard replays total — never

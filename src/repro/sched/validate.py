@@ -4,7 +4,8 @@
 (:func:`repro.check.certify.certify_schedule`), the repo's one legality
 engine.  It certifies the schedule — no numerics, no machine — and raises
 :class:`~repro.errors.ScheduleError` for the certificate's first error,
-in ``(op_index, code)`` order, against the model's rules:
+in ``(op_index, code)`` order with the end-state error after every step
+error, against the model's rules:
 
 * a load may not exceed capacity ``S`` (and, by default, may not target
   already-resident elements);
@@ -37,7 +38,10 @@ def validate_schedule(
 
     Returns summary counters (loads, stores, peak occupancy) on success,
     raises :class:`ScheduleError` — with a :class:`Finding` attached as
-    ``.finding`` — for the first violation.
+    ``.finding`` — for the first violation: the earliest step with an
+    error, and the lowest code among that step's errors.  The end-state
+    error (RPS105, filed at the last step) ranks after every step error,
+    because a replay fails at a bad step before it reaches the end.
     """
     # Imported at call time: ``repro.check.certify`` imports this package.
     from ..check.certify import certify_schedule
@@ -48,9 +52,11 @@ def validate_schedule(
         allow_redundant_loads=allow_redundant_loads,
         require_empty_end=require_empty_end,
     )
-    for f in cert.findings:
-        if f.severity == ERROR:
-            raise ScheduleError(f"step {f.op_index}: {f.message}", finding=f)
+    errors = [f for f in cert.findings if f.severity == ERROR]
+    if errors:
+        # Findings come sorted by (op_index, code).
+        f = min(errors, key=lambda f: f.code == "RPS105")
+        raise ScheduleError(f"step {f.op_index}: {f.message}", finding=f)
     return {key: cert.stats[key] for key in ("loads", "stores", "peak_occupancy")}
 
 

@@ -10,6 +10,8 @@ walker's ``(code, op_index)``.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from legality_oracle import walk_schedule
@@ -323,16 +325,54 @@ class TestElementsOutsideTheirMatrix:
         cert = certify_schedule(sched, 4)
         errors = [(f.code, f.op_index) for f in cert.findings if f.severity == "error"]
         assert errors == [("RPS105", 3), ("RPS108", 3)]  # C[2] is never evicted
-        with pytest.raises(ScheduleError):
-            validate_schedule(sched, 4)
-        # Without the end-state rule, RPS108 is the first error of both engines.
+        # The end-state error ranks after every step error, also one at the
+        # last step: RPS108 is the first error of both engines, with or
+        # without the end-state rule.
+        for require_empty_end in (True, False):
+            for check in (validate_schedule, walk_schedule):
+                with pytest.raises(ScheduleError) as err:
+                    check(sched, 4, require_empty_end=require_empty_end)
+                assert (err.value.finding.code, err.value.finding.op_index) == ("RPS108", 3)
+
+
+class TestTwoErrorsAtOneStep:
+    """When one step holds two errors, both engines name the lowest code,
+    and the end-state error ranks after every step error."""
+
+    SHAPES = {"A": (3, 3), "C": (3, 3)}
+
+    @staticmethod
+    def _both_raise(sched, capacity):
+        verdicts = set()
         for check in (validate_schedule, walk_schedule):
             with pytest.raises(ScheduleError) as err:
-                check(sched, 4, require_empty_end=False)
-            assert (err.value.finding.code, err.value.finding.op_index) == ("RPS108", 3)
-        with pytest.raises(ScheduleError) as err:
-            walk_schedule(sched, 4)
-        assert err.value.finding.code == "RPS108"
+                check(sched, capacity)
+            verdicts.add((err.value.finding.code, err.value.finding.op_index))
+        [verdict] = verdicts
+        return verdict
+
+    def test_end_state_ranks_after_an_error_at_the_last_step(self):
+        sched = _tiny(
+            [
+                LoadStep(_region("A", [0])),
+                EvictStep(_region("A", [0]), writeback=False),
+                LoadStep(_region("C", [2])),
+                EvictStep(_region("A", [12]), writeback=False),
+            ],
+            self.SHAPES,
+        )
+        assert self._both_raise(sched, 4) == ("RPS108", 3)
+
+    def test_lowest_code_at_one_step(self):
+        # The second load names a resident element and one outside A.
+        sched = _tiny(
+            [LoadStep(_region("A", [0])), LoadStep(_region("A", [0, 12]))],
+            self.SHAPES,
+        )
+        errors = [(f.code, f.op_index) for f in certify_schedule(sched, 4).findings
+                  if f.severity == "error"]
+        assert ("RPS102", 1) in errors and ("RPS108", 1) in errors
+        assert self._both_raise(sched, 4) == ("RPS102", 1)
 
 
 # --------------------------------------------------------------------- #
@@ -489,3 +529,70 @@ class TestCheckSurface:
         assert main(["check", "--store", store.root,
                      "--digest", key.digest()]) == 0
         capsys.readouterr()
+
+    @staticmethod
+    def _check_store_json(capsys, *argv):
+        import json
+
+        from repro.__main__ import main
+
+        code = main(["check", "--store", *argv, "--format", "json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_cli_store_names_missing_stale_and_unreadable(self, tmp_path, cases, capsys):
+        """Each object that cannot be certified says why, in its own words."""
+        from container_columns import write_columns
+
+        from repro.serve.store import ScheduleKey, ScheduleStore
+
+        store = ScheduleStore(str(tmp_path / "store"))
+        stale, broken = ScheduleKey("tbs", N, M, S), ScheduleKey("chol", N, M, S)
+        for key in (stale, broken):
+            store.put(key, cases[key.kernel].schedule)
+        # An object in the retired version-1 container format.
+        write_columns(
+            store.object_path(stale),
+            {"kind": "schedule", "version": 1, "shapes": {"A": [N, M]}, "steps": []},
+            {"index_data": np.arange(2, dtype=np.int64)},
+        )
+        with open(store.object_path(broken), "wb") as fh:
+            fh.write(b"not a container")
+        code, doc = self._check_store_json(capsys, store.root, "--all")
+        assert code == 1 and doc["stats"]["objects"] == 0
+        reasons = {f["context"]["digest"]: f["context"]["reason"] for f in doc["findings"]}
+        assert reasons == {stale.digest(): "stale", broken.digest(): "unreadable"}
+        messages = {f["context"]["reason"]: f["message"] for f in doc["findings"]}
+        assert "older container format" in messages["stale"]
+        assert "unreadable" in messages["unreadable"]
+
+        missing = "0" * 64
+        code, doc = self._check_store_json(
+            capsys, store.root, "--digest", missing, "--capacity", str(S)
+        )
+        assert code == 1
+        [finding] = doc["findings"]
+        assert (finding["code"], finding["context"]["reason"]) == ("RPS107", "missing")
+        assert "is missing" in finding["message"]
+
+    def test_cli_store_certifies_an_orphan_given_a_capacity(self, tmp_path, cases, capsys):
+        """An object with no manifest entry is read and certified, not
+        reported as unreadable."""
+        from repro.serve.store import ScheduleKey, ScheduleStore
+        from repro.trace.io import save_schedule
+
+        store = ScheduleStore(str(tmp_path / "store"))
+        key = ScheduleKey("tbs", N, M, S)
+        path = store.object_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        save_schedule(cases["tbs"].schedule, path)  # on disk, never put
+        assert key not in store.keys()
+        code, doc = self._check_store_json(
+            capsys, store.root, "--digest", key.digest(), "--capacity", str(S)
+        )
+        assert code == 0 and doc["ok"]
+        assert doc["stats"]["objects"] == 1 and doc["findings"] == []
+        code, doc = self._check_store_json(
+            capsys, store.root, "--digest", key.digest(), "--capacity", str(S - 1)
+        )
+        assert code == 1
+        assert [f["code"] for f in doc["findings"]] == ["RPS104"]

@@ -225,8 +225,6 @@ class TestCoSearchState:
             tbs_graph, owner, p, s, relax_reductions=True
         )
         assert state.cost() == measured.cost
-        assert state.seed_cost == state.cost()
-        assert not state.profitable()
 
     def test_cost_tracks_measured_across_moves(self, tbs_graph):
         """After every committed move, cost() == cosearch_cost, bit for bit."""
@@ -276,12 +274,13 @@ class TestCoSearchState:
             tbs_graph, partition_graph(tbs_graph, p, "locality"), p, s,
             balance_slack=1.2,
         )
-        assert state.cap is not None
+        cap = state.owner_move.cap
+        assert cap is not None
         for _ in range(150):
             proposal = state.step(rng)
             if proposal is not None:
                 proposal[1]()
-        assert max(state.ledger.loads) <= state.cap
+        assert max(state.ledger.loads) <= cap
 
     def test_keep_writers_together_units(self, tbs_graph):
         units, op_units = movable_units(tbs_graph, keep_writers_together=True)
@@ -296,8 +295,6 @@ class TestCoSearchState:
             CoSearchState(tbs_graph, owner, 0, 15)
         with pytest.raises(ConfigurationError):
             CoSearchState(tbs_graph, owner, 4, 0)
-        with pytest.raises(ConfigurationError):
-            CoSearchState(tbs_graph, owner, 4, 15, order_move_prob=1.5)
 
 
 class TestCosearchDriver:

@@ -14,7 +14,8 @@ import pytest
 from repro.__main__ import main
 from repro.graph.compare import record_case
 from repro.graph.dependency import DependencyGraph
-from repro.graph.search import AnnealStats, anneal_minimize, anneal_search
+from repro.errors import ConfigurationError, ScheduleError
+from repro.graph.search import AnnealStats, anneal_search, run_chain
 from repro.obs import (
     NULL_PROBE,
     REPORT_SCHEMA,
@@ -207,7 +208,7 @@ class TestSeries:
 
 
 # --------------------------------------------------------------------- #
-# AnnealStats + the anneal_minimize edge cases (satellite c)
+# AnnealStats + run_chain's edge cases
 # --------------------------------------------------------------------- #
 
 class TestAnnealStats:
@@ -219,61 +220,95 @@ class TestAnnealStats:
         stats = AnnealStats(iters=10, evaluations=8, accepted=2, skipped=2)
         assert stats.acceptance_rate == 0.25
 
-    def test_anneal_minimize_zero_iters(self):
-        import random
 
-        series = AnnealSeries()
-        cost, stats = anneal_minimize(
-            7.0, lambda rng: None, iters=0, rng=random.Random(0), series=series
+class ToyWalk:
+    """A walk over one number: ``propose(rng, value)`` is the candidate,
+    and ``measure`` adds ``drift`` to stand in for a broken ledger."""
+
+    def __init__(self, value, propose, drift=0.0):
+        self.value = value
+        self.propose = propose
+        self.drift = drift
+
+    def cost(self):
+        return self.value
+
+    def step(self, rng):
+        cand = self.propose(rng, self.value)
+        if cand is None:
+            return None
+
+        def commit():
+            self.value = cand
+
+        return cand, commit
+
+    def snapshot(self):
+        return self.value
+
+    def measure(self, value):
+        return value + self.drift
+
+    def counters(self):
+        return {"toy": 1}
+
+
+def _nudge(rng, value):
+    """No-op three times in ten (cools but is never costed), else +-5."""
+    if rng.random() < 0.3:
+        return None
+    return value + rng.uniform(-5.0, 5.0)
+
+
+class TestRunChain:
+    def test_zero_iters(self):
+        chain = run_chain(ToyWalk(7.0, _nudge), iters=0, seed=0, label="toy")
+        assert chain.best == chain.cost == 7.0
+        assert (chain.stats.iters, chain.stats.evaluations, chain.stats.accepted) == (0, 0, 0)
+        assert len(chain.series) == 0
+
+    def test_single_iter_runs_at_t_start(self):
+        # One iteration has no second temperature to cool toward: it runs
+        # entirely at t_start.
+        chain = run_chain(
+            ToyWalk(10.0, lambda rng, value: 9.0), iters=1, seed=0,
+            t_start=2.0, label="toy",
         )
-        assert cost == 7.0
-        assert (stats.iters, stats.evaluations, stats.accepted) == (0, 0, 0)
-        assert len(series) == 0
+        assert chain.cost == 9.0  # downhill always accepted
+        assert chain.stats.iters == 1 and chain.stats.accepted == 1
+        assert chain.series.temps == [2.0]
 
-    def test_anneal_minimize_single_iter_runs_at_t_start(self):
-        # iters=1 used to divide by zero in the geometric cooling schedule;
-        # the guard pins the single iteration to t_start.
-        import random
-
-        series = AnnealSeries()
-        cost, stats = anneal_minimize(
-            10.0,
-            lambda rng: (9.0, lambda: None),
-            iters=1,
-            rng=random.Random(0),
-            t_start=2.0,
-            t_end=0.1,
-            series=series,
-        )
-        assert cost == 9.0  # downhill always accepted
-        assert stats.iters == 1 and stats.accepted == 1
-        assert series.temps == [2.0]
-
-    def test_anneal_minimize_series_matches_stats(self):
-        import random
-
-        series = AnnealSeries()
-        state = {"cost": 100.0}
-
-        def step(rng):
-            if rng.random() < 0.3:
-                return None  # no-op proposal: cools but never costed
-            cand = state["cost"] + rng.uniform(-5.0, 5.0)
-
-            def commit():
-                state["cost"] = cand
-
-            return cand, commit
-
-        _, stats = anneal_minimize(
-            100.0, step, iters=50, rng=random.Random(3), series=series
-        )
+    def test_series_matches_stats(self):
+        chain = run_chain(ToyWalk(100.0, _nudge), iters=50, seed=3, label="toy")
+        series, stats = chain.series, chain.stats
         assert len(series) == stats.iters == 50
         assert sum(series.accepted) == stats.accepted
         assert stats.evaluations + stats.skipped == stats.iters
         # bests non-increasing, temps non-increasing
         assert all(b <= a for a, b in zip(series.bests, series.bests[1:]))
         assert all(b <= a for a, b in zip(series.temps, series.temps[1:]))
+        assert chain.cost == chain.best == series.bests[-1]
+        assert chain.params == {
+            "accepted": stats.accepted,
+            "acceptance_rate": stats.acceptance_rate,
+            "toy": 1,
+        }
+
+    def test_unlabeled_chain_records_nothing_and_walks_the_same(self):
+        plain = run_chain(ToyWalk(100.0, _nudge), iters=50, seed=3)
+        labeled = run_chain(ToyWalk(100.0, _nudge), iters=50, seed=3, label="toy")
+        assert plain.series is None
+        assert (plain.best, plain.stats) == (labeled.best, labeled.stats)
+
+    @pytest.mark.parametrize("t_start", [0.0, -1.0, float("nan")])
+    def test_non_positive_temperature_is_rejected(self, t_start):
+        with pytest.raises(ConfigurationError, match="temperature"):
+            run_chain(ToyWalk(1.0, _nudge), iters=5, seed=0, t_start=t_start)
+
+    def test_measure_disagreement_raises(self):
+        walk = ToyWalk(100.0, _nudge, drift=1.0)
+        with pytest.raises(ScheduleError, match="drifted"):
+            run_chain(walk, iters=20, seed=3)
 
 
 # --------------------------------------------------------------------- #

@@ -253,13 +253,14 @@ class TestMakespanModel:
 
 
 class TestCriticalPathCost:
-    def test_unit_weights_match_length(self, tbs_graph):
-        # No-argument form == explicit unit weights == the deprecated
-        # node-count span (which must still answer, with a warning).
-        unit = tbs_graph.critical_path_cost()
-        assert tbs_graph.critical_path_cost([1] * len(tbs_graph)) == unit
-        with pytest.warns(DeprecationWarning):
-            assert tbs_graph.critical_path_length() == unit
+    def test_unit_weights_match_length(self):
+        # No-argument form == explicit unit weights == the node-count
+        # span: the longest chain has one more op than its deepest depth.
+        for kernel, m in (("tbs", 3), ("chol", 0), ("syr2k", 3)):
+            graph = DependencyGraph.from_trace(record_case(kernel, 20, m, S).trace)
+            unit = graph.critical_path_cost()
+            assert graph.critical_path_cost([1] * len(graph)) == unit, kernel
+            assert unit == max(graph.depths()) + 1, kernel
 
     def test_weighted_span_in_summary(self, tbs_case, tbs_graph):
         summ = execute_graph(

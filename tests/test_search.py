@@ -20,7 +20,6 @@ from repro.graph import (
     rewrite_schedule,
     search_order,
 )
-from repro.parallel import cosearch, partition_graph, refine_partition
 from repro.trace.replay import LruCursor, lru_replay_trace
 
 N, MC, S = 26, 3, 15
@@ -248,25 +247,6 @@ class TestStrategies:
         bare = DependencyGraph(tbs_graph.nodes)  # no trace attached
         with pytest.raises(ConfigurationError):
             search_order(bare, S, "beam")
-
-
-@pytest.mark.parametrize(
-    "bad", [{"t_start": 0.0}, {"t_end": 0.0}, {"t_start": -1.0}],
-    ids=["t_start=0", "t_end=0", "t_start=-1"],
-)
-@pytest.mark.parametrize("entry", ["anneal_search", "refine_partition", "cosearch"])
-def test_non_positive_temperature_is_rejected(tbs_graph, entry, bad):
-    """The shared accept rule divides by the temperature: every annealer
-    rejects a zero or negative one up front."""
-    owner = partition_graph(tbs_graph, 2, "locality")
-    with pytest.raises(ConfigurationError, match="temperature"):
-        if entry == "anneal_search":
-            anneal_search(tbs_graph, S, iters=5, **bad)
-        elif entry == "refine_partition":
-            refine_partition(tbs_graph, owner, 2, S, strategy="anneal", iters=5, **bad)
-        else:
-            seeds = [("recorded", list(range(len(tbs_graph))), owner)]
-            cosearch(tbs_graph, 2, S, iters=5, seeds=seeds, **bad)
 
 
 class TestCompareIntegration:
