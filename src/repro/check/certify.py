@@ -6,8 +6,14 @@ per-step bitmap walk — and reports *every* finding.
 :func:`repro.sched.validate.validate_schedule` is its raising form: the
 certificate's first error becomes a :class:`~repro.errors.ScheduleError`.
 The whole schedule is flattened into one event table (element id, event
-code, step position), sorted once by element, and every rule becomes a
-vectorized predicate over *adjacent events of the same element*:
+code, step position), sorted once by element and step, and every rule
+becomes a vectorized predicate over *adjacent events of the same
+element*.  The table has two halves.  The load and evict events come
+from the schedule's container columns (:mod:`repro.sched.columns`) in a
+few vectorized passes, without a region or step object; a recorded or
+hand-built schedule first derives its columns from its steps.  The use
+and write events come from a walk over the compute ops alone, reading
+each op's regions.  The rules:
 
 * ``LOAD`` after a resident event        -> RPS102 (double load)
 * ``USE``/``WRITE`` after a non-resident -> RPS101 (use before load)
@@ -37,10 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ScheduleError
-from ..machine.regions import Region
 from ..obs.probe import get_probe, timed
-from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule
+from ..sched.columns import COMPUTE, ScheduleColumns
+from ..sched.schedule import Schedule
 from .findings import ERROR, Finding, sort_findings
 
 # Event codes.  Resident-making/keeping events are <= WRITE; the sentinel
@@ -99,81 +104,96 @@ def _certify(
     require_empty_end: bool,
 ) -> Certificate:
     shapes = schedule.shapes
+    columns = schedule.columns
+    if columns is None:
+        columns = ScheduleColumns.from_steps(schedule.steps, shapes)
+    n_steps = len(columns)
     stride = max((r * c for r, c in shapes.values()), default=0) + 1
-    mat_index: dict[str, int] = {}
-    matrices: list[str] = []
-    mat_size: list[int] = []
-    findings: list[Finding] = []
-    unknown_seen: set[str] = set()
+    known = {name: i for i, name in enumerate(shapes)}
 
-    parts: list[np.ndarray] = []
-    part_mi: list[int] = []
-    part_code: list[int] = []
-    part_pos: list[int] = []
+    # The event table has one row per element of each region: the load
+    # and evict regions come from the columns, and each compute op's
+    # regions from a walk over the ops.  ``seen`` records where each
+    # matrix first appears, as (step, region order).
+    mpos, mref, is_load, writeback, sizes, move_flats = columns.moves()
+    ids, first = np.unique(mref, return_index=True)
+    seen = {columns.names[i]: (at, -1) for i, at in zip(ids.tolist(), mpos[first].tolist())}
+    named = mref < len(shapes)
+    if not named.all():
+        move_flats = move_flats[np.repeat(named, sizes)]
+        mpos, mref, is_load, writeback, sizes = (
+            a[named] for a in (mpos, mref, is_load, writeback, sizes)
+        )
 
-    def add(region: Region, code: int, pos: int) -> bool:
-        mi = mat_index.get(region.matrix)
-        if mi is None:
-            if region.matrix not in shapes:
-                if region.matrix not in unknown_seen:
-                    unknown_seen.add(region.matrix)
-                    findings.append(
-                        Finding(
-                            code="RPS106",
-                            message=f"step references unknown matrix {region.matrix!r}",
-                            op_index=pos,
-                            context={"matrix": region.matrix},
-                        )
-                    )
-                return False
-            mi = len(matrices)
-            mat_index[region.matrix] = mi
-            matrices.append(region.matrix)
-            rows, cols = shapes[region.matrix]
-            mat_size.append(rows * cols)
-        parts.append(region.flat)
-        part_mi.append(mi)
-        part_code.append(code)
-        part_pos.append(pos)
-        return True
+    # An accumulator read is subsumed by its write event (same residency
+    # requirement, and WRITE also marks dirty).
+    regions: list = []
+    n_use: list[int] = []
+    n_write: list[int] = []
+    cpos = np.flatnonzero(columns.kind == COMPUTE)
+    for op in columns.compute_ops():
+        writes = list(op.writes())
+        written = [id(w) for w in writes]
+        reads = [r for r in op.reads() if id(r) not in written]
+        regions += reads
+        regions += writes
+        n_use.append(len(reads))
+        n_write.append(len(writes))
+    uses = np.asarray(n_use, dtype=np.int64)
+    per_op = uses + np.asarray(n_write, dtype=np.int64)
+    region_pos = np.repeat(cpos, per_op)
+    k = np.arange(region_pos.size) - np.repeat(np.cumsum(per_op) - per_op, per_op)
+    region_code = np.where(k < np.repeat(uses, per_op), _USE, _WRITE)
+    names = [r.matrix for r in regions]
+    # each name's first region: later duplicates overwrite, so walk backwards
+    for name, i in dict(zip(reversed(names), range(len(names) - 1, -1, -1))).items():
+        at = (int(region_pos[i]), i)
+        seen[name] = min(at, seen.get(name, at))
+    region_mi = np.array([known.get(name, -1) for name in names], dtype=np.int64)
+    if (region_mi < 0).any():
+        keep = region_mi >= 0
+        regions = [r for r, kept in zip(regions, keep.tolist()) if kept]
+        region_mi, region_code, region_pos = region_mi[keep], region_code[keep], region_pos[keep]
 
-    n_steps = len(schedule.steps)
-    for pos, step in enumerate(schedule.steps):
-        if isinstance(step, LoadStep):
-            add(step.region, _LOAD, pos)
-        elif isinstance(step, EvictStep):
-            add(step.region, _EVICT_WB if step.writeback else _EVICT, pos)
-        elif isinstance(step, ComputeStep):
-            writes = list(step.op.writes())
-            for region in step.op.reads():
-                # an accumulator read is subsumed by its write event
-                # (same residency requirement, and WRITE also marks dirty)
-                if not any(region is w for w in writes):
-                    add(region, _USE, pos)
-            for region in writes:
-                add(region, _WRITE, pos)
-        else:
-            raise ScheduleError(f"step {pos}: unknown step type {type(step).__name__}")
+    # Matrices are numbered in first-appearance order, and a name the
+    # shapes lack is RPS106 where it first appears.
+    order = sorted(seen, key=seen.__getitem__)
+    matrices = [name for name in order if name in known]
+    rank = np.zeros(len(shapes), dtype=np.int64)
+    rank[np.array([known[name] for name in matrices], dtype=np.int64)] = np.arange(len(matrices))
+    mat_size = [shapes[name][0] * shapes[name][1] for name in matrices]
+    findings = [
+        Finding(
+            code="RPS106",
+            message=f"step references unknown matrix {name!r}",
+            op_index=seen[name][0],
+            context={"matrix": name},
+        )
+        for name in order
+        if name not in known
+    ]
 
     stats = {"loads": 0, "stores": 0, "peak_occupancy": 0, "n_steps": n_steps}
-    if not parts:
+    flats = [r.flat for r in regions]
+    sizes = np.concatenate([sizes, np.fromiter(map(len, flats), np.int64, len(flats))])
+    flat = np.concatenate([move_flats, *flats])
+    if not flat.size:
         return Certificate(findings=sort_findings(findings), stats=stats)
 
-    sizes = np.fromiter((p.size for p in parts), dtype=np.int64, count=len(parts))
-    # global element id: flat + matrix index * stride, offset per part;
-    # the same pass finds every flat outside its matrix
-    flat = np.concatenate(parts)
-    mi = np.repeat(np.asarray(part_mi, dtype=np.int64), sizes)
+    # global element id: flat + matrix rank * stride; the same pass finds
+    # every flat outside its matrix
+    move_code = np.where(is_load, _LOAD, np.where(writeback, _EVICT_WB, _EVICT))
+    mi = np.repeat(rank[np.concatenate([mref, region_mi])], sizes)
     gid = flat + mi * stride
-    code = np.repeat(np.asarray(part_code, dtype=np.int8), sizes)
-    pos_ = np.repeat(np.asarray(part_pos, dtype=np.int32), sizes)
+    code = np.repeat(np.concatenate([move_code, region_code]).astype(np.int8), sizes)
+    pos_ = np.repeat(np.concatenate([mpos, region_pos]).astype(np.int32), sizes)
     outside = (flat < 0) | (flat >= np.asarray(mat_size, dtype=np.int64)[mi])
     if outside.any():
         # Such an element would alias another matrix's (or none): report
-        # it at the first step that names one (parts are in step order),
-        # and keep it out of the table.
+        # it at the first step that names one (rows of one step keep
+        # their region order), and keep it out of the table.
         hits = np.flatnonzero(outside)
-        first = hits[0]
+        first = hits[np.argmin(pos_[hits])]
         matrix = matrices[int(mi[first])]
         findings.append(
             Finding(
@@ -190,14 +210,14 @@ def _certify(
         gid, code, pos_ = gid[keep], code[keep], pos_[keep]
         if not gid.size:
             return Certificate(findings=sort_findings(findings), stats=stats)
-    if len(matrices) * stride <= np.iinfo(np.int32).max:
-        gid = gid.astype(np.int32, copy=False)  # halves sort/gather traffic
-
-    # Per-element event chains: stable sort by element id keeps step order
-    # inside each chain, so "previous event of the same element" is just
-    # the previous row (or the ABSENT sentinel at a chain head).
-    order = np.argsort(gid, kind="stable")
+    # Per-element event chains: a stable sort by (element id, step) puts
+    # each chain in step order, and a step's rows in region order, so
+    # "previous event of the same element" is just the previous row (or
+    # the ABSENT sentinel at a chain head).
+    order = np.argsort(gid * max(n_steps, 1) + pos_, kind="stable")
     gid, code, pos_ = gid[order], code[order], pos_[order]
+    if len(matrices) * stride <= np.iinfo(np.int32).max:
+        gid = gid.astype(np.int32, copy=False)  # halves gather traffic
     first = np.empty(gid.size, dtype=bool)
     first[0] = True
     first[1:] = gid[1:] != gid[:-1]

@@ -13,7 +13,9 @@ Three modes, one finding model:
 * ``--format json`` emits one machine-readable document instead of tables.
 
 Exit status: 0 when no error-severity finding was produced (lint mode is
-stricter: any finding at all fails), 1 otherwise, 2 on usage errors.
+stricter: any finding at all fails), 1 otherwise, 2 on usage errors —
+including a ``--store`` root with no ``objects/`` directory, which store
+mode reports without creating anything there.
 """
 
 from __future__ import annotations
@@ -135,6 +137,10 @@ def cmd_check(args) -> int:
     if args.store is not None:
         from ..serve.store import ScheduleStore
 
+        if not os.path.isdir(os.path.join(args.store, "objects")):
+            print(f"check --store: {args.store} is not a schedule store "
+                  f"(no objects/ directory)")
+            return 2
         store = ScheduleStore(args.store)
         by_digest = {key.digest(): key for key in store.keys()}
         if args.digest:

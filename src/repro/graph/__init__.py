@@ -45,7 +45,6 @@ from .policies import (
 from .rewriter import (
     RewriteResult,
     reschedule,
-    rewrite_ops,
     rewrite_schedule,
     rewrite_trace,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "replacement_gap",
     "RewriteResult",
     "reschedule",
-    "rewrite_ops",
     "rewrite_schedule",
     "rewrite_trace",
     "HEURISTICS",

@@ -5,7 +5,7 @@ The dependency layer deals in *compute* orders only; to run one on a
 model's rules) it must be dressed back up as a full
 :class:`~repro.sched.schedule.Schedule` with explicit
 :class:`~repro.sched.schedule.LoadStep` / :class:`~repro.sched.schedule.EvictStep`
-traffic.  :func:`rewrite_ops` does this for a fixed order:
+traffic.  :func:`rewrite_trace` does this for a fixed order:
 
 * **load on demand** — before each compute, load exactly the op's
   non-resident elements (grouped into one region per matrix);
@@ -21,13 +21,24 @@ traffic.  :func:`rewrite_ops` does this for a fixed order:
   is flushed, so the stream satisfies the validator's empty-end rule.
 
 The rewrite core runs on the compiled trace IR
-(:class:`~repro.trace.compiled.CompiledTrace`): per-op touched/write sets
-are slices of the trace's element-ID and write-flag lists, residency is
-one set and dirtiness one list indexed by element ID, and the
-op-granularity next-use oracle is a CSR walk over one argsort of the
-access stream — no per-element tuples.
-Reordering reuses the interning (:meth:`CompiledTrace.reorder`), so sweeps
-over many orders of one recorded trace stay cheap.
+(:class:`~repro.trace.compiled.CompiledTrace`) held as Python lists:
+per-op touched/write sets are slices of the trace's element-ID and
+write-flag lists, residency is one set and dirtiness one list indexed by
+element ID, and each element's next use is the first op after its
+latest touch, read from one list computed by a single argsort of the
+access stream.  The walk only decides which elements each op evicts and
+loads; it appends them to one list.  A few numpy passes then group each
+eviction and each load into its steps and write the schedule
+container's columns (:mod:`repro.sched.columns`): a kind, a
+matrix id, a writeback flag, a length and the sorted flats per load or
+evict, and an op-type id, a params row and the index arrays per compute.
+No step object is built.  The returned schedule answers ``len()``,
+``counts()`` and ``io_volume()`` from the columns, the certifier and the
+saver read them as they are, and its ``steps`` are built only when a
+caller reads them, with load and evict regions as read-only views and
+the trace's own op objects in the compute steps.  Reordering reuses the
+interning (:meth:`CompiledTrace.reorder`), so sweeps over many orders of
+one recorded trace stay cheap.
 
 :func:`reschedule` is the end-to-end pipeline: dependency graph → list
 scheduler → rewrite → :func:`~repro.sched.validate.validate_schedule`.
@@ -41,9 +52,16 @@ from itertools import compress
 import numpy as np
 
 from ..errors import ScheduleError
-from ..machine.regions import Region
-from ..sched.ops import ComputeOp
-from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule, Step
+from ..sched.columns import (
+    COLUMNS,
+    COMPUTE,
+    EVICT,
+    LOAD,
+    MatrixIds,
+    ScheduleColumns,
+    build_steps,
+)
+from ..sched.schedule import Schedule
 from ..sched.validate import validate_schedule
 from ..trace.compiled import CompiledTrace, compile_trace
 from .dependency import DependencyGraph, dependency_graph
@@ -67,63 +85,62 @@ class RewriteResult:
         return self.loads + self.stores
 
 
-class _OpNextUse:
-    """Op-granularity next-use oracle over a compiled trace (CSR + pointers).
+def _next_ops(trace: CompiledTrace) -> list[int]:
+    """Per access, the first later op touching the same element (``NEVER``
+    if none), as a Python list.
 
-    ``positions`` holds, for every element, the sorted op indices touching
-    it (one argsort of the access stream, duplicates kept — the pointer
-    walk skips them).  Pointers only ever advance, as in the original
-    dict-of-lists implementation, because queries come with monotonically
-    increasing op positions.
+    One stable argsort groups each element's accesses in op order; an
+    access's answer is the op of the next (element, op) run, when that run
+    is the same element's.
     """
-
-    def __init__(self, trace: CompiledTrace):
-        acc_ops = np.repeat(
-            np.arange(trace.n_ops, dtype=np.int64), np.diff(trace.op_starts)
-        )
-        order = np.argsort(trace.elem_ids, kind="stable")
-        self.ops_sorted = acc_ops[order]
-        counts = np.bincount(trace.elem_ids, minlength=trace.n_elements)
-        self.starts = np.zeros(trace.n_elements + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.starts[1:])
-        self.ptr = self.starts[:-1].copy()
-
-    def next_use(self, elem: int, p: int) -> int:
-        """First op position > ``p`` touching ``elem``, else ``NEVER``."""
-        i = int(self.ptr[elem])
-        end = int(self.starts[elem + 1])
-        ops_sorted = self.ops_sorted
-        while i < end and ops_sorted[i] <= p:
-            i += 1
-        self.ptr[elem] = i
-        return int(ops_sorted[i]) if i < end else NEVER
+    acc_ops = np.repeat(np.arange(trace.n_ops, dtype=np.int64), np.diff(trace.op_starts))
+    order = np.argsort(trace.elem_ids, kind="stable")
+    elems, ops = trace.elem_ids[order], acc_ops[order]
+    head = np.ones(order.size, dtype=bool)
+    head[1:] = (elems[1:] != elems[:-1]) | (ops[1:] != ops[:-1])
+    heads = np.flatnonzero(head)
+    later = np.full(heads.size, NEVER, dtype=np.int64)
+    same = elems[heads[1:]] == elems[heads[:-1]]
+    later[:-1][same] = ops[heads[1:]][same]
+    after = np.empty(order.size, dtype=np.int64)
+    after[order] = later[np.cumsum(head) - 1]
+    return after.tolist()
 
 
-def _emit_regions(
-    steps: list[Step],
-    elems: list[int],
-    decode: tuple[tuple[str, ...], list[int], list[int]],
-    dirty: list[bool] | None,
-) -> None:
-    """Append one Load/Evict step per (matrix[, dirty]) group of ``elems``.
+def _columns(
+    trace: CompiledTrace, moved: list[int], writeback: list[bool], sizes: list[int]
+) -> ScheduleColumns:
+    """The columns of a rewrite, from its emitted elements.
 
-    Groups go out in (matrix index, writeback) order, each as one region
-    of sorted flats; ``decode`` is the trace's ``(matrices, key_matrix,
-    key_flat)`` with both tables as lists.
+    ``moved`` holds the elements each event emits, back to back, with
+    ``writeback`` beside it; ``sizes`` holds the events' lengths: op
+    ``p``'s evictions, then its loads, and the final flush last.  An
+    event goes out as one step per (matrix, writeback) group, in (trace
+    matrix index, writeback) order, each with its flats sorted; op ``p``'s
+    compute step follows its two events.
     """
-    if not elems:
-        return
-    names, mats, flats = decode
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for elem in elems:
-        key = (mats[elem], dirty is not None and dirty[elem])
-        groups.setdefault(key, []).append(flats[elem])
-    for mi, wb in sorted(groups):
-        region = Region(names[mi], np.array(sorted(groups[mi, wb]), dtype=np.int64))
-        if dirty is None:
-            steps.append(LoadStep(region))
-        else:
-            steps.append(EvictStep(region, writeback=wb))
+    n_ops = len(trace.ops)
+    elems = np.array(moved, dtype=np.int64)
+    event = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    mi = trace.key_matrix[elems].astype(np.int64)
+    flats = trace.key_flat[elems]
+    # (event, matrix, writeback) is a group; flats are distinct in one.
+    group = (event * len(trace.matrices) + mi) * 2 + np.array(writeback, dtype=np.int64)
+    order = np.argsort(group * (int(flats.max(initial=0)) + 1) + flats)
+    group, flats = group[order], flats[order]
+    heads = np.flatnonzero(np.diff(group, prepend=-1))
+    lengths = np.diff(heads, append=group.size)
+    group_event, group_wb = group[heads] // (2 * len(trace.matrices)), group[heads] % 2
+    group_mi = group[heads] // 2 % len(trace.matrices)
+
+    matrix_ids = MatrixIds(trace.shapes)
+    mats = np.array([matrix_ids[name] for name in trace.matrices], dtype=np.int64)
+    kind = np.full(heads.size + n_ops, COMPUTE, dtype=COLUMNS["kind"])
+    # Op p's compute step follows events 2p and 2p + 1, so a group of
+    # event e has e // 2 compute steps before it.
+    kind[np.arange(heads.size) + group_event // 2] = np.where(group_event % 2, LOAD, EVICT)
+    moves = (mats[group_mi], group_wb.astype(bool), lengths, flats)
+    return ScheduleColumns.assemble(dict(trace.shapes), matrix_ids, kind, moves, list(trace.ops))
 
 
 def rewrite_trace(trace: CompiledTrace, capacity: int) -> Schedule:
@@ -136,53 +153,53 @@ def rewrite_trace(trace: CompiledTrace, capacity: int) -> Schedule:
     ops = trace.ops
     ids, flags = trace.elem_ids.tolist(), trace.is_write.tolist()
     starts = trace.op_starts.tolist()
-    decode = (trace.matrices, trace.key_matrix.tolist(), trace.key_flat.tolist())
-    oracle = _OpNextUse(trace)
+    after = _next_ops(trace)
 
     resident: set[int] = set()
     dirty = [False] * trace.n_elements
-    steps: list[Step] = []
+    #: each touched element's next use: the first op after its latest touch
+    next_use: dict[int, int] = {}
+    moved: list[int] = []  # every evicted or loaded element, in step order
+    writeback: list[bool] = []  # whether each is written back
+    sizes: list[int] = []  # per op, how many it evicts, then how many it loads
 
     for p, op in enumerate(ops):
         s, e = starts[p], starts[p + 1]
         sl = ids[s:e]
-        # Touched elements in first-occurrence (region) order, as the
-        # original tuple walker produced them.
-        touched = dict.fromkeys(sl)
+        touched = set(sl)
         if len(touched) > capacity:
             raise ScheduleError(
                 f"op {p} ({op.name!r}) touches {len(touched)} elements; "
                 f"cannot fit capacity {capacity}"
             )
-        missing = [elem for elem in touched if elem not in resident]
+        missing = touched - resident
         overflow = len(resident) + len(missing) - capacity
+        victims = []
         if overflow > 0:
-            candidates = [elem for elem in resident if elem not in touched]
-            candidates.sort(key=lambda elem: (-oracle.next_use(elem, p), elem))
+            # Furthest next use first, ties by lowest element ID.  No op
+            # since a candidate's latest touch has touched it, so its next
+            # use after that touch is its next use after op p.
+            candidates = sorted(resident.difference(touched))
+            candidates.sort(key=next_use.__getitem__, reverse=True)
             victims = candidates[:overflow]
-            _emit_regions(steps, victims, decode, dirty)
             for elem in victims:
+                writeback.append(dirty[elem])
                 dirty[elem] = False
             resident.difference_update(victims)
-        if missing:
-            _emit_regions(steps, missing, decode, None)
-            resident.update(missing)
-        steps.append(ComputeStep(op))
+        moved += victims
+        moved += missing
+        writeback += [False] * len(missing)
+        sizes += (len(victims), len(missing))
+        resident.update(missing)
         for elem in compress(sl, flags[s:e]):
             dirty[elem] = True
+        next_use.update(zip(sl, after[s:e]))
 
-    _emit_regions(steps, sorted(resident), decode, dirty)
-    return Schedule(steps=steps, shapes=dict(trace.shapes))
-
-
-def rewrite_ops(
-    ops: list[ComputeOp],
-    shapes: dict[str, tuple[int, int]],
-    capacity: int,
-) -> Schedule:
-    """Compatibility wrapper: compile ``ops`` and :func:`rewrite_trace`."""
-    trace = compile_trace(ops, shapes=dict(shapes))
-    return rewrite_trace(trace, capacity)
+    moved += resident
+    writeback += [dirty[elem] for elem in resident]
+    sizes.append(len(resident))
+    columns = _columns(trace, moved, writeback, sizes)
+    return Schedule.deferred(columns, lambda: build_steps(columns))
 
 
 def rewrite_schedule(

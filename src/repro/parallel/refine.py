@@ -390,7 +390,25 @@ class OwnerWalk:
         return list(self.ledger.owner)
 
     def measure(self, owner: list[int]) -> int:
-        return PartitionLedger(self.ledger.graph, owner, self.ledger.p).cost()
+        """``owner``'s model cost, counted from scratch.
+
+        The count reads only the ledger's static tables (each op's touched
+        elements and the data edges' flows), never its reference counts,
+        so it checks the incremental state rather than repeating it.
+        """
+        ledger = self.ledger
+        footprint: list[set[int]] = [set() for _ in range(ledger.p)]
+        for v, q in enumerate(owner):
+            footprint[q].update(ledger.touched[v])
+        transfers: set[tuple[int, int, int]] = set()
+        for u, v, elems in ledger.edges:
+            src, dst = owner[u], owner[v]
+            if src != dst:
+                transfers.update((src, dst, e) for e in elems)
+        transfer_in = [0] * ledger.p
+        for _src, dst, _e in transfers:
+            transfer_in[dst] += 1
+        return max(len(f) + t for f, t in zip(footprint, transfer_in))
 
     def counters(self) -> dict:
         return {}

@@ -6,7 +6,9 @@ stream (:class:`~repro.sched.schedule.Schedule`), replayed on another
 machine, and validated without any machine at all
 (:func:`~repro.sched.validate.validate_schedule`).  This is what lets the
 test suite prove schedule legality independently of the simulator that
-produced the counts.
+produced the counts.  A rewritten or stored schedule is held as integer
+columns (:mod:`repro.sched.columns`) and builds its step objects only
+when a caller reads them.
 """
 
 from .ops import (

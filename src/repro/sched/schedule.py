@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from ..machine.machine import TwoLevelMachine
 from ..machine.regions import Region
 from .ops import ComputeOp
+
+if TYPE_CHECKING:
+    from .columns import ScheduleColumns
 
 
 @dataclass(frozen=True)
@@ -44,10 +45,12 @@ Step = LoadStep | EvictStep | ComputeStep
 class Schedule:
     """A recorded op stream plus the matrix shapes it addresses.
 
-    ``steps`` is a plain list.  A schedule read from disk
-    (:func:`repro.trace.io.load_schedule`) builds that list once, on first
-    access, and until then answers ``len()``, ``counts()`` and
-    ``io_volume()`` from counts its loader seeded (:meth:`deferred`).
+    ``steps`` is a plain list.  A schedule the rewriter wrote
+    (:func:`repro.graph.rewriter.rewrite_trace`) or read from disk
+    (:func:`repro.trace.io.load_schedule`) carries its container
+    ``columns`` (:class:`~repro.sched.columns.ScheduleColumns`) instead: it
+    builds that list once, on first access, and answers ``len()``,
+    ``counts()`` and ``io_volume()`` from the columns (:meth:`deferred`).
     """
 
     def __init__(
@@ -59,6 +62,7 @@ class Schedule:
         self.shapes: dict[str, tuple[int, int]] = {} if shapes is None else shapes
         self._build: Callable[[], list[Step]] | None = None
         self._lock: threading.Lock | None = None
+        self._columns: ScheduleColumns | None = None
         # One-pass step statistics, keyed by len(steps).  Recording only
         # ever appends, so a length match means the cache is current; any
         # append (or truncation) invalidates it automatically.  In-place
@@ -69,25 +73,32 @@ class Schedule:
 
     @classmethod
     def deferred(
-        cls,
-        shapes: dict[str, tuple[int, int]],
-        build: Callable[[], list[Step]],
-        counts: dict[str, int],
-        io_volume: tuple[int, int],
+        cls, columns: "ScheduleColumns", build: Callable[[], list[Step]]
     ) -> "Schedule":
-        """A schedule whose steps ``build()`` makes on first access.
+        """A schedule that carries ``columns`` and whose steps ``build()``
+        makes from them on first access.
 
-        ``counts`` and ``io_volume`` are what :meth:`counts` and
-        :meth:`io_volume` would compute from the built steps; ``len()``
-        is their step total.  Concurrent first accesses build once and
-        all get the same list.
+        ``len()``, :meth:`counts` and :meth:`io_volume` come from the
+        columns.  Concurrent first accesses build once and all get the
+        same list.
         """
-        schedule = cls(shapes=shapes)
+        schedule = cls(shapes=columns.shapes)
         schedule._steps = None
         schedule._build = build
         schedule._lock = threading.Lock()
-        schedule._stats_cache = (sum(counts.values()), dict(counts), io_volume)
+        schedule._columns = columns
+        schedule._stats_cache = (len(columns), columns.counts(), columns.io_volume())
         return schedule
+
+    @property
+    def columns(self) -> "ScheduleColumns | None":
+        """The container columns this schedule carries, or ``None`` for a
+        recorded or hand-built one.  Like the statistics cache, they stay
+        current while the built steps keep their length."""
+        columns = self._columns
+        if columns is not None and self._steps is not None and len(self._steps) != len(columns):
+            return None
+        return columns
 
     @property
     def steps(self) -> list[Step]:

@@ -178,7 +178,9 @@ class ScheduleStore:
         Entries whose object vanished are dropped; objects the manifest
         never heard of (a concurrent writer lost the read-modify-write
         race) are re-adopted with ``key: null`` — the digest still serves,
-        only the listing loses the pretty key.  Returns the entries dict.
+        only the listing loses the pretty key.  The manifest is rewritten
+        only when the reconciled entries differ from what it held.
+        Returns the entries dict.
         """
         entries = self._read_manifest()
         on_disk = {}
@@ -197,7 +199,8 @@ class ScheduleStore:
             }
             for digest, size in on_disk.items()
         }
-        self._write_manifest(merged)
+        if merged != entries:
+            self._write_manifest(merged)
         return merged
 
     # -- serving --------------------------------------------------------- #

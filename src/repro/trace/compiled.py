@@ -16,13 +16,17 @@ exactly the same stream:
   written regions are subsets of read regions — kept for generality, like
   the reference traversal).
 
-The build is vectorized: each op contributes whole region ``.flat`` arrays
-(offset into a per-matrix global index space), membership tests are
-``searchsorted`` probes, and the final interning is one ``np.unique`` over
-the concatenated stream.  The access *order* is bit-compatible with
+The build is one Python pass and a fixed number of whole-stream numpy
+passes.  The Python pass collects every op's read and write region
+``.flat`` arrays (offset into a per-matrix global index space); one
+``np.unique`` over all of them interns the elements; and membership of
+each read in its own op's writes, and of each write in its own op's
+reads, is one ``searchsorted`` of ``(op, element)`` keys against the
+sorted write keys.  The access *order* is bit-compatible with
 :func:`~repro.sched.schedule.access_sequence_reference`: each op's read
 regions element by element (flagged as writes where the element is also
-written), then written elements not covered by any read region.
+written), then written elements not covered by any read region, in write
+order.
 
 ``next_use()`` / ``prev_access()`` give the vectorized position links that
 the array-based replays (:mod:`repro.trace.replay`) and the Belady/MIN
@@ -40,15 +44,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..sched.ops import ComputeOp
 from ..sched.schedule import ComputeStep, Schedule
-
-
-def _in_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Membership of ``values`` in the sorted duplicate-free ``table``."""
-    if table.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    idx = np.searchsorted(table, values)
-    idx[idx == table.size] = table.size - 1
-    return table[idx] == values
+from ..utils.intervals import span_indices
 
 
 # eq=False: the array fields make a field-wise __eq__ ill-defined (numpy ==
@@ -224,15 +220,13 @@ class CompiledTrace:
         if len(set(order)) != len(order):
             raise ConfigurationError("op indices must not repeat")
         starts = self.op_starts
-        sizes = np.diff(starts)
-        gather = np.concatenate(
-            [np.arange(starts[i], starts[i + 1], dtype=np.int64) for i in order]
-        ) if order else np.zeros(0, dtype=np.int64)
-        new_sizes = sizes[order] if order else sizes[:0]
+        picked = np.asarray(order, dtype=np.int64)
+        new_sizes = np.diff(starts)[picked]
         new_starts = np.zeros(len(order) + 1, dtype=np.int64)
         np.cumsum(new_sizes, out=new_starts[1:])
+        gather = span_indices(starts[:-1][picked], new_sizes)
         read_lens = self.op_read_ends - starts[:-1]
-        new_read_ends = new_starts[:-1] + read_lens[order]
+        new_read_ends = new_starts[:-1] + read_lens[picked]
         return CompiledTrace(
             matrices=self.matrices,
             shapes=self.shapes,
@@ -248,8 +242,15 @@ class CompiledTrace:
 
 def _ops_of(source: "Schedule | list[ComputeOp]") -> list[ComputeOp]:
     if isinstance(source, Schedule):
+        columns = source.columns
+        if columns is not None:
+            return list(columns.compute_ops())
         return [s.op for s in source.steps if isinstance(s, ComputeStep)]
     return list(source)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def compile_trace(
@@ -259,7 +260,8 @@ def compile_trace(
     """Compile a schedule or op list into a :class:`CompiledTrace`.
 
     Passing an already-compiled trace returns it unchanged, so consumers
-    can accept either representation without re-compiling.
+    can accept either representation without re-compiling.  A schedule
+    that carries columns gives its compute ops without building steps.
     """
     if isinstance(source, CompiledTrace):
         return source
@@ -269,63 +271,64 @@ def compile_trace(
     if shapes is None:
         shapes = {}
 
-    # Pass 1: intern matrix names, collect region arrays, find the flat span.
+    # The Python pass: intern matrix names (in first-use order, reads
+    # before writes) and collect every region's flats, op by op.
     mat_index: dict[str, int] = {}
-    per_op: list[tuple[list[tuple[int, np.ndarray]], list[tuple[int, np.ndarray]]]] = []
-    max_flat = -1
+    sides = ([], [], []), ([], [], [])  # (flats, matrix, regions per op)
     for op in ops:
-        reads: list[tuple[int, np.ndarray]] = []
-        writes: list[tuple[int, np.ndarray]] = []
-        for group, regions in ((reads, op.reads()), (writes, op.writes())):
+        for (flats, mats, counts), regions in zip(sides, (op.reads(), op.writes())):
             for region in regions:
-                mi = mat_index.setdefault(region.matrix, len(mat_index))
-                flat = region.flat
-                if flat.size:
-                    max_flat = max(max_flat, int(flat[-1]))
-                group.append((mi, flat))
-        per_op.append((reads, writes))
+                mats.append(mat_index.setdefault(region.matrix, len(mat_index)))
+                flats.append(region.flat)
+            counts.append(len(regions))
 
-    # Pass 2: per op, reproduce the canonical traversal on global IDs.
-    stride = np.int64(max_flat + 1 if max_flat >= 0 else 1)
-    gid_parts: list[np.ndarray] = []
-    write_parts: list[np.ndarray] = []
-    op_sizes = np.zeros(len(ops), dtype=np.int64)
-    read_lens = np.zeros(len(ops), dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
-    for i, (reads, writes) in enumerate(per_op):
-        wg = (
-            np.concatenate([mi * stride + flat for mi, flat in writes])
-            if writes
-            else empty
-        )
-        wu = np.unique(wg)
-        rg = (
-            np.concatenate([mi * stride + flat for mi, flat in reads])
-            if reads
-            else empty
-        )
-        read_writes = _in_sorted(rg, wu)
-        extras = wg[~_in_sorted(wg, np.unique(rg))] if wg.size else empty
-        gid_parts.append(rg)
-        gid_parts.append(extras)
-        write_parts.append(read_writes)
-        write_parts.append(np.ones(extras.size, dtype=bool))
-        read_lens[i] = rg.size
-        op_sizes[i] = rg.size + extras.size
+    # Per access of each side: its op, and its global id mi * stride + flat.
+    n_ops = len(ops)
+    flat_parts = [_concat(flats) for flats, _m, _c in sides]
+    top = max((int(f.max()) for f in flat_parts if f.size), default=-1)
+    stride = np.int64(top + 1 if top >= 0 else 1)
+    op_of, gid = [], []
+    for (flats, mats, counts), flat in zip(sides, flat_parts):
+        sizes = np.fromiter((f.size for f in flats), dtype=np.int64, count=len(flats))
+        region_op = np.repeat(np.arange(n_ops, dtype=np.int64), counts)
+        op_of.append(np.repeat(region_op, sizes))
+        gid.append(np.repeat(np.asarray(mats, dtype=np.int64), sizes) * stride + flat)
+    (read_op, write_op), n_reads = op_of, gid[0].size
 
-    all_gids = np.concatenate(gid_parts) if gid_parts else empty
-    is_write = (
-        np.concatenate(write_parts) if write_parts else np.zeros(0, dtype=bool)
-    )
-    uniq, elem_ids = np.unique(all_gids, return_inverse=True)
-    op_starts = np.zeros(len(ops) + 1, dtype=np.int64)
-    np.cumsum(op_sizes, out=op_starts[1:])
+    # Intern, then key every access on (op, element).
+    uniq, inverse = np.unique(np.concatenate(gid), return_inverse=True)
+    read_elem, write_elem = inverse[:n_reads], inverse[n_reads:]
+    n_elements = np.int64(uniq.size)
+    read_key = read_op * n_elements + read_elem
+    write_key = write_op * n_elements + write_elem
 
-    matrices = tuple(mat_index)
+    # A read is a write where its op also writes the element; a write is
+    # an extra where its op never reads the element.  Both probes land on
+    # the first copy of a key in the sorted table.
+    table = np.sort(write_key)
+    at = np.minimum(np.searchsorted(table, read_key), max(table.size - 1, 0))
+    read_written = table[at] == read_key if table.size else np.zeros(n_reads, dtype=bool)
+    covered = np.zeros(table.size, dtype=bool)
+    covered[at[read_written]] = True
+    extra = ~covered[np.searchsorted(table, write_key)]
+    extra_op, extra_elem = write_op[extra], write_elem[extra]
+
+    # Each op's reads, then its extras, back to back.
+    read_lens = np.bincount(read_op, minlength=n_ops)
+    extra_lens = np.bincount(extra_op, minlength=n_ops)
+    op_starts = np.zeros(n_ops + 1, dtype=np.int64)
+    np.cumsum(read_lens + extra_lens, out=op_starts[1:])
+    read_at = span_indices(op_starts[:-1], read_lens)
+    extra_at = span_indices(op_starts[:-1] + read_lens, extra_lens)
+    elem_ids = np.empty(int(op_starts[-1]), dtype=np.int64)
+    elem_ids[read_at], elem_ids[extra_at] = read_elem, extra_elem
+    is_write = np.ones(elem_ids.size, dtype=bool)
+    is_write[read_at] = read_written
+
     return CompiledTrace(
-        matrices=matrices,
+        matrices=tuple(mat_index),
         shapes=shapes,
-        elem_ids=elem_ids.astype(np.int64, copy=False),
+        elem_ids=elem_ids,
         is_write=is_write,
         op_starts=op_starts,
         op_read_ends=op_starts[:-1] + read_lens,

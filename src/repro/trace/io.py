@@ -16,18 +16,18 @@ Two kinds:
     to replay (LRU/Belady at any capacity) and to re-derive every count,
     but op objects are gone — ``ops`` is ``None`` after loading.
 ``schedule`` (version 2)
-    a full :class:`~repro.sched.schedule.Schedule` as integer columns.
-    Three hold one entry per step, in step order: ``kind`` (load, evict or
-    compute), ``ref`` (a matrix id for a load or evict, an op-type id for a
-    compute) and ``writeback``.  ``lengths`` holds one length per index
-    array, in step order: a load or evict has one array, its region's
-    flats, and a compute has one per index-array field of its op type.
-    The arrays themselves sit back to back in ``index_data``, so each
-    starts at the sum of the lengths before it.  One table ``params_<t>``
-    per op type present has a row per compute step of that type: its
-    matrix-name fields as matrix ids, then its scalar fields.  The header
-    adds only the matrix names and shapes and the op-type names that the
-    ids index.
+    a full :class:`~repro.sched.schedule.Schedule` as the integer columns
+    of :mod:`repro.sched.columns`, which owns the layout (the column
+    dtypes, the kind codes and :data:`~repro.sched.columns.OP_SPECS`):
+    ``kind``, ``ref`` and ``writeback`` per step, ``lengths`` per index
+    array, the arrays back to back in ``index_data``, and one table
+    ``params_<t>`` per op type present.  The header adds only the matrix
+    names and shapes and the op-type names that the ids index.
+
+Saving writes a schedule's columns as they are: the rewriter's and the
+loader's schedules carry them, and only a recorded or hand-built
+schedule derives them from its steps
+(:meth:`~repro.sched.columns.ScheduleColumns.from_steps`).
 
 Loading a schedule checks the columns in a fixed number of numpy passes
 per op type: every step kind, matrix and op type is known; the lengths
@@ -35,13 +35,14 @@ are non-negative and sum to the size of ``index_data``, which holds no
 negative index; every load or evict flat lies below its matrix's
 ``rows * cols``; and every op index array is duplicate-free and, like
 every integer scalar, lies below the rows or columns of each matrix it
-indexes, as :data:`_OP_SPECS` declares (a solve step's ``t`` lies below
-its array's length).  A container that fails raises
+indexes, as ``OP_SPECS`` declares (a solve step's ``t`` lies below its
+array's length).  A container that fails raises
 :class:`~repro.errors.ConfigurationError`, so the serve store reads it as
 a corrupt miss.  A container that loads builds every one of its steps.
 
-It builds them only when asked.  The loaded schedule answers ``len()``,
-``counts()`` and ``io_volume()`` from the columns, and builds its
+It builds them only when asked.  The loaded schedule carries its checked
+columns: it answers ``len()``, ``counts()`` and ``io_volume()`` from
+them, the certifier and a re-save read them, and it builds its
 ``steps``, and with them its compute ops, once, on first access; the
 serve path reads nothing else, so a disk hit builds no op.  Load and
 evict regions are read-only views of ``index_data``.  Ops are rebuilt
@@ -63,83 +64,22 @@ from typing import IO, Any
 import numpy as np
 
 from ..errors import ConfigurationError, StaleFormatError
-from ..machine.regions import MatrixShapes, Region
-from ..sched.ops import (
-    CholFactorResident,
-    ComputeOp,
-    GemmOuterUpdate,
-    LuFactorResident,
-    OuterColsUpdate,
-    TriangleCrossUpdate,
-    TriangleUpdate,
-    TrsmSolveStep,
-    UnitLowerSolveStep,
-    UpperSolveStep,
+from ..sched.columns import (
+    COLUMNS,
+    COMPUTE,
+    EVICT,
+    LOAD,
+    OP_BY_NAME,
+    OP_SPECS,
+    ScheduleColumns,
+    build_steps,
+    gather,
 )
-from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule, Step
+from ..sched.schedule import Schedule
 from .compiled import CompiledTrace
 
 #: The format version each container kind is written in and read at.
 FORMAT_VERSIONS = {"trace": 1, "schedule": 2}
-
-#: op class -> (matrix-name fields, index-array fields, scalar fields).
-#: Field names equal both the attribute and the constructor-keyword names.
-#: Each index array and integer scalar maps to the bounds it must stay
-#: below: ``"<field>.rows"`` or ``"<field>.cols"`` of the matrix that
-#: matrix-name field names, or ``"<field>.size"``, the length of that
-#: index array.  Index arrays must also be duplicate-free.  ``float`` and
-#: ``bool`` mark the other scalars.
-_OP_SPECS: dict[type, tuple[tuple[str, ...], dict[str, tuple[str, ...]], dict[str, Any]]] = {
-    OuterColsUpdate: (
-        ("c", "a", "b"),
-        {"I": ("c.rows", "a.rows"), "J": ("c.cols", "b.rows")},
-        {"ka": ("a.cols",), "kb": ("b.cols",), "sign": float},
-    ),
-    TriangleUpdate: (
-        ("c", "a"),
-        {"R": ("c.rows", "c.cols", "a.rows")},
-        {"k": ("a.cols",), "sign": float, "include_diagonal": bool},
-    ),
-    TriangleCrossUpdate: (
-        ("c", "a", "b"),
-        {"R": ("c.rows", "c.cols", "a.rows", "b.rows")},
-        {"k": ("a.cols", "b.cols"), "sign": float, "include_diagonal": bool},
-    ),
-    GemmOuterUpdate: (
-        ("c", "a", "b"),
-        {"I": ("c.rows", "a.rows"), "J": ("c.cols", "b.cols")},
-        {"k": ("a.cols", "b.rows"), "sign": float},
-    ),
-    TrsmSolveStep: (
-        ("x", "l"),
-        {"I": ("x.rows",), "Jcols": ("x.cols", "l.rows", "l.cols")},
-        {"t": ("Jcols.size",)},
-    ),
-    UpperSolveStep: (
-        ("x", "u"),
-        {"I": ("x.rows",), "Jcols": ("x.cols", "u.rows", "u.cols")},
-        {"t": ("Jcols.size",)},
-    ),
-    UnitLowerSolveStep: (
-        ("x", "l"),
-        {"Irows": ("x.rows", "l.rows", "l.cols"), "J": ("x.cols",)},
-        {"t": ("Irows.size",)},
-    ),
-    CholFactorResident: (("a",), {"R": ("a.rows", "a.cols")}, {}),
-    LuFactorResident: (("a",), {"R": ("a.rows", "a.cols")}, {}),
-}
-_OP_BY_NAME = {cls.name: cls for cls in _OP_SPECS}
-
-#: Values of the schedule container's ``kind`` column.
-_LOAD, _EVICT, _COMPUTE = 0, 1, 2
-#: The schedule container's step columns and their dtypes.
-_COLUMNS = {
-    "kind": np.int8,
-    "ref": np.int32,
-    "writeback": np.bool_,
-    "lengths": np.int64,
-    "index_data": np.int64,
-}
 
 
 def _write_npz(path: str | os.PathLike | IO[bytes], header: dict, arrays: dict) -> None:
@@ -248,70 +188,31 @@ def load_trace(path: str | os.PathLike | IO[bytes]) -> CompiledTrace:
 # ---------------------------------------------------------------------- #
 def save_schedule(schedule: Schedule, path: str | os.PathLike | IO[bytes]) -> None:
     """Write a full schedule (loads, evicts, reconstructible compute ops)
-    as the integer columns of schedule format version 2."""
-    names = list(schedule.shapes)
-    matrix_ids = {name: i for i, name in enumerate(names)}
-    op_ids: dict[type, int] = {}
-    params: list[list[list[float]]] = []
-    kind: list[int] = []
-    ref: list[int] = []
-    writeback: list[bool] = []
-    chunks: list[np.ndarray] = []
+    as the integer columns of schedule format version 2.
 
-    def matrix_id(name: str) -> int:
-        try:
-            return matrix_ids[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"a step names matrix {name!r}, absent from the schedule's shapes"
-            ) from None
-
-    for step in schedule.steps:
-        if isinstance(step, ComputeStep):
-            op = step.op
-            spec = _OP_SPECS.get(type(op))
-            if spec is None:
-                raise ConfigurationError(
-                    f"cannot serialize compute op of type {type(op).__name__}"
-                )
-            matrices, arrays, scalars = spec
-            t = op_ids.setdefault(type(op), len(op_ids))
-            if t == len(params):
-                params.append([])
-            params[t].append(
-                [matrix_id(getattr(op, f)) for f in matrices]
-                + [float(getattr(op, f)) for f in scalars]
-            )
-            chunks.extend(np.asarray(getattr(op, f), dtype=np.int64).ravel() for f in arrays)
-            kind.append(_COMPUTE)
-            ref.append(t)
-            writeback.append(False)
-        elif isinstance(step, (LoadStep, EvictStep)):
-            evict = isinstance(step, EvictStep)
-            kind.append(_EVICT if evict else _LOAD)
-            ref.append(matrix_id(step.region.matrix))
-            writeback.append(evict and bool(step.writeback))
-            chunks.append(step.region.flat)
-        else:
-            raise ConfigurationError(f"unknown step type {type(step).__name__}")
+    A schedule that carries columns (rewritten or loaded) is written as
+    it is; any other derives them from its steps
+    (:meth:`~repro.sched.columns.ScheduleColumns.from_steps`).
+    """
+    columns = schedule.columns
+    if columns is None:
+        columns = ScheduleColumns.from_steps(schedule.steps, schedule.shapes)
+    if len(columns.names) > len(schedule.shapes):
+        raise ConfigurationError(
+            f"a step names matrix {columns.names[len(schedule.shapes)]!r}, "
+            f"absent from the schedule's shapes"
+        )
+    for cls in columns.op_types:
+        if cls not in OP_SPECS:
+            raise ConfigurationError(f"cannot serialize compute op of type {cls.__name__}")
     header = {
         "kind": "schedule",
         "version": FORMAT_VERSIONS["schedule"],
-        "matrices": names,
+        "matrices": columns.names,
         "shapes": [[int(r), int(c)] for r, c in schedule.shapes.values()],
-        "ops": [cls.name for cls in op_ids],
+        "ops": [cls.name for cls in columns.op_types],
     }
-    columns = {
-        "kind": kind,
-        "ref": ref,
-        "writeback": writeback,
-        "lengths": [chunk.size for chunk in chunks],
-    }
-    arrays = {name: np.asarray(col, dtype=_COLUMNS[name]) for name, col in columns.items()}
-    arrays["index_data"] = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    for t, rows in enumerate(params):
-        arrays[f"params_{t}"] = np.asarray(rows, dtype=np.float64)
-    _write_npz(path, header, arrays)
+    _write_npz(path, header, columns.arrays())
 
 
 def _schedule_header(header: dict) -> tuple[list[str], np.ndarray, list[type]]:
@@ -338,18 +239,12 @@ def _schedule_header(header: dict) -> tuple[list[str], np.ndarray, list[type]]:
         )
     if not (
         isinstance(ops, list)
-        and all(isinstance(op, str) and op in _OP_BY_NAME for op in ops)
+        and all(isinstance(op, str) and op in OP_BY_NAME for op in ops)
         and len(set(ops)) == len(ops)
     ):
         raise ConfigurationError(f"header names unknown or repeated op types: {ops!r}")
     dims = np.array(shapes, dtype=np.int64).reshape(len(names), 2)
-    return names, dims, [_OP_BY_NAME[op] for op in ops]
-
-
-def _gather(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The spans ``data[start:start + length]``, back to back."""
-    offsets = np.cumsum(lengths) - lengths
-    return data[np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)]
+    return names, dims, [OP_BY_NAME[op] for op in ops]
 
 
 def _repeats(values: np.ndarray, lengths: np.ndarray) -> bool:
@@ -369,12 +264,12 @@ def _check_op_type(
     data: np.ndarray,
     dims: np.ndarray,
 ) -> None:
-    """Check every op of type ``cls`` against its :data:`_OP_SPECS` bounds.
+    """Check every op of type ``cls`` against its :data:`OP_SPECS` bounds.
 
     ``table`` is the type's params table and ``slots`` the index of each
     op's first array in ``starts``/``lengths``.
     """
-    matrices, fields, scalars = _OP_SPECS[cls]
+    matrices, fields, scalars = OP_SPECS[cls]
     if table.dtype != np.float64 or table.shape != (slots.size, len(matrices) + len(scalars)):
         raise ConfigurationError(
             f"{cls.name} params must be float64 of shape "
@@ -403,7 +298,7 @@ def _check_op_type(
         return np.minimum.reduce(values)
 
     for j, (f, bounds) in enumerate(fields.items()):
-        values = _gather(data, starts[slots + j], sizes[f])
+        values = gather(data, starts[slots + j], sizes[f])
         if (values >= np.repeat(limit(bounds), sizes[f])).any():
             raise ConfigurationError(
                 f"a {cls.name} {f} index lies outside a matrix it indexes"
@@ -439,28 +334,28 @@ def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
     header, arrays = _read_npz(path, "schedule")
     names, dims, op_classes = _schedule_header(header)
     tables = [f"params_{t}" for t in range(len(op_classes))]
-    if sorted(arrays) != sorted([*_COLUMNS, *tables]):
+    if sorted(arrays) != sorted([*COLUMNS, *tables]):
         raise ConfigurationError(
             f"container members {sorted(arrays)} are not the columns its header names"
         )
-    for name, dtype in _COLUMNS.items():
+    for name, dtype in COLUMNS.items():
         if arrays[name].dtype != dtype or arrays[name].ndim != 1:
             raise ConfigurationError(
                 f"{name} must be 1-D {np.dtype(dtype)}, found "
                 f"{arrays[name].dtype} {arrays[name].shape}"
             )
-    kind, ref, writeback, lengths, data = (arrays[name] for name in _COLUMNS)
+    kind, ref, writeback, lengths, data = (arrays[name] for name in COLUMNS)
     if not kind.size == ref.size == writeback.size:
         raise ConfigurationError("the kind, ref and writeback columns differ in length")
-    if ((kind < _LOAD) | (kind > _COMPUTE)).any():
+    if ((kind < LOAD) | (kind > COMPUTE)).any():
         raise ConfigurationError("a step has an unknown kind")
-    compute = kind == _COMPUTE
+    compute = kind == COMPUTE
     if ((ref < 0) | (ref >= np.where(compute, len(op_classes), len(names)))).any():
         raise ConfigurationError("a step names an unknown matrix or op type")
-    if (writeback & (kind != _EVICT)).any():
+    if (writeback & (kind != EVICT)).any():
         raise ConfigurationError("a step that is not an evict carries a writeback flag")
     arity = np.ones(kind.size, dtype=np.int64)
-    n_fields = np.array([len(_OP_SPECS[cls][1]) for cls in op_classes], dtype=np.int64)
+    n_fields = np.array([len(OP_SPECS[cls][1]) for cls in op_classes], dtype=np.int64)
     arity[compute] = n_fields[ref[compute]]
     slot = np.cumsum(arity) - arity  # each step's first index array
     if int(arity.sum()) != lengths.size:
@@ -478,7 +373,7 @@ def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
     starts = np.cumsum(lengths) - lengths
     move = np.flatnonzero(~compute)
     move_lengths = lengths[slot[move]]
-    flats = _gather(data, starts[slot[move]], move_lengths)
+    flats = gather(data, starts[slot[move]], move_lengths)
     limits = dims[ref[move], 0] * dims[ref[move], 1]
     if (flats >= np.repeat(limits, move_lengths)).any():
         raise ConfigurationError("a load/evict flat index lies outside its matrix")
@@ -487,62 +382,17 @@ def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
         _check_op_type(cls, arrays[table], slots, starts, lengths, data, dims)
 
     data.setflags(write=False)
-    shapes = {name: (r, c) for name, (r, c) in zip(names, dims.tolist())}
-    moved = kind[move]
-    counts = {
-        "load": int((moved == _LOAD).sum()),
-        "evict": int((moved == _EVICT).sum()),
-        "compute": int(compute.sum()),
-    }
-    volume = (int(move_lengths[moved == _LOAD].sum()), int(move_lengths[writeback[move]].sum()))
-    spans = (starts, starts + lengths)
-    return Schedule.deferred(
-        shapes,
-        lambda: _build_steps(
-            names, shapes, op_classes, op_slots, [arrays[name] for name in tables],
-            kind, ref, writeback, slot, spans, data,
-        ),
-        counts,
-        volume,
+    columns = ScheduleColumns(
+        shapes={name: (r, c) for name, (r, c) in zip(names, dims.tolist())},
+        names=names,
+        op_types=op_classes,
+        kind=kind,
+        ref=ref,
+        writeback=writeback,
+        lengths=lengths,
+        index_data=data,
+        params=[arrays[name] for name in tables],
+        slots=slot,
+        starts=starts,
     )
-
-
-def _build_steps(
-    names: list[str],
-    shapes: dict[str, tuple[int, int]],
-    op_classes: list[type],
-    op_slots: list[np.ndarray],
-    tables: list[np.ndarray],
-    kind: np.ndarray,
-    ref: np.ndarray,
-    writeback: np.ndarray,
-    slot: np.ndarray,
-    spans: tuple[np.ndarray, np.ndarray],
-    data: np.ndarray,
-) -> list[Step]:
-    """The steps of columns :func:`load_schedule` checked; none raises.
-
-    ``op_slots[t]`` holds the first index-array slot of each op of type
-    ``t``, in step order, beside that type's params ``tables[t]``.
-    """
-    m = MatrixShapes(shapes)
-    starts, ends = spans[0].tolist(), spans[1].tolist()
-    ops = []
-    for cls, slots, table in zip(op_classes, op_slots, tables):
-        matrices, fields, scalars = _OP_SPECS[cls]
-        casts = [c if c in (float, bool) else int for c in scalars.values()]
-        built = []
-        for s, row in zip(slots.tolist(), table.tolist()):
-            params: dict[str, Any] = {f: names[int(v)] for f, v in zip(matrices, row)}
-            params.update(zip(scalars, (cast(v) for cast, v in zip(casts, row[len(matrices):]))))
-            params.update((f, data[starts[s + j]:ends[s + j]]) for j, f in enumerate(fields))
-            built.append(cls(m, **params))
-        ops.append(iter(built))
-    steps: list[Step] = []
-    for k, r, wb, s in zip(kind.tolist(), ref.tolist(), writeback.tolist(), slot.tolist()):
-        if k == _COMPUTE:
-            steps.append(ComputeStep(next(ops[r])))
-        else:
-            region = Region(names[r], data[starts[s]:ends[s]])
-            steps.append(LoadStep(region) if k == _LOAD else EvictStep(region, writeback=wb))
-    return steps
+    return Schedule.deferred(columns, lambda: build_steps(columns))

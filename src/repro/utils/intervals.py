@@ -77,6 +77,18 @@ def contiguous_runs(indices: np.ndarray) -> list[tuple[int, int]]:
     return [(int(indices[a]), int(indices[b]) + 1) for a, b in zip(starts, stops)]
 
 
+def span_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices ``start, ..., start + length - 1`` of every span, back
+    to back: gathering with them concatenates the spans, scattering to them
+    fills the spans.
+
+    >>> span_indices(np.array([5, 0]), np.array([2, 3])).tolist()
+    [5, 6, 0, 1, 2]
+    """
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(np.sum(lengths))) + np.repeat(starts - offsets, lengths)
+
+
 def as_index_array(x) -> np.ndarray:
     """Coerce ``x`` (range, list, slice-free array) to an int64 index array."""
     if isinstance(x, range):

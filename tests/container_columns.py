@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-from repro.trace.io import _OP_BY_NAME, _OP_SPECS
+from repro.sched.columns import OP_BY_NAME, OP_SPECS
 
 
 def read_columns(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -26,7 +26,7 @@ def write_columns(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
 def step_spans(header: dict, arrays: dict[str, np.ndarray]) -> list[list[tuple[int, int]]]:
     """Per step, the ``(start, end)`` in ``index_data`` of each of its index
     arrays: one for a load or evict, one per index field for a compute."""
-    n_fields = [len(_OP_SPECS[_OP_BY_NAME[op]][1]) for op in header["ops"]]
+    n_fields = [len(OP_SPECS[OP_BY_NAME[op]][1]) for op in header["ops"]]
     lengths = arrays["lengths"].tolist()
     ends = np.cumsum(arrays["lengths"]).tolist()
     out, slot = [], 0

@@ -10,7 +10,8 @@ to its oracle, output for output:
 * :func:`numpy_dependency_graph` — DAG extraction with per-op access
   sets from ``np.unique`` / ``np.setdiff1d`` slices of the compiled trace;
 * :func:`numpy_rewrite_trace` — the load/evict rewrite with residency and
-  dirtiness as flat bool arrays and numpy grouping of emitted regions.
+  dirtiness as flat bool arrays, a pointer-walk next-use oracle and numpy
+  grouping of emitted regions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro.errors import ScheduleError
 from repro.graph.dependency import DependencyGraph, OpNode, is_commuting_accumulation
-from repro.graph.rewriter import _OpNextUse
+from repro.graph.policies import NEVER
 from repro.graph.scheduler import Worklist
 from repro.machine.regions import Region
 from repro.sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule, Step
@@ -120,6 +121,33 @@ def numpy_dependency_graph(trace: CompiledTrace) -> DependencyGraph:
     graph = DependencyGraph(nodes, trace=trace)
     graph._build_edges()
     return graph
+
+
+class _OpNextUse:
+    """Op-granularity next use by pointer walk: per element, the sorted op
+    indices touching it (duplicates kept), and a pointer that only ever
+    advances, because queries come with increasing op positions."""
+
+    def __init__(self, trace: CompiledTrace):
+        acc_ops = np.repeat(
+            np.arange(trace.n_ops, dtype=np.int64), np.diff(trace.op_starts)
+        )
+        order = np.argsort(trace.elem_ids, kind="stable")
+        self.ops_sorted = acc_ops[order].tolist()
+        counts = np.bincount(trace.elem_ids, minlength=trace.n_elements)
+        ends = np.cumsum(counts)
+        self.ends = ends.tolist()
+        self.ptr = (ends - counts).tolist()
+
+    def next_use(self, elem: int, p: int) -> int:
+        """First op position > ``p`` touching ``elem``, else ``NEVER``."""
+        i = self.ptr[elem]
+        end = self.ends[elem]
+        ops_sorted = self.ops_sorted
+        while i < end and ops_sorted[i] <= p:
+            i += 1
+        self.ptr[elem] = i
+        return ops_sorted[i] if i < end else NEVER
 
 
 def _numpy_emit_regions(

@@ -530,6 +530,29 @@ class TestCheckSurface:
                      "--digest", key.digest()]) == 0
         capsys.readouterr()
 
+    def test_cli_store_mode_refuses_a_root_that_is_not_a_store(self, tmp_path, capsys):
+        """A mistyped root fails as a usage error and creates nothing."""
+        from repro.__main__ import main
+
+        root = tmp_path / "no-such-store"
+        assert main(["check", "--store", str(root), "--all"]) == 2
+        assert "not a schedule store" in capsys.readouterr().out
+        assert not root.exists()
+
+    def test_cli_store_check_leaves_the_manifest_alone(self, tmp_path, cases, capsys):
+        from repro.__main__ import main
+        from repro.serve.store import ScheduleKey, ScheduleStore
+
+        store = ScheduleStore(str(tmp_path / "store"))
+        for kernel in ("tbs", "chol"):
+            store.put(ScheduleKey(kernel, N, M, S), cases[kernel].schedule)
+        manifest = tmp_path / "store" / "manifest.json"
+        before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+        for _ in range(2):
+            assert main(["check", "--store", store.root, "--all"]) == 0
+        assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
+        capsys.readouterr()
+
     @staticmethod
     def _check_store_json(capsys, *argv):
         import json

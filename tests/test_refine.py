@@ -42,6 +42,34 @@ def model_cost_from_scratch(graph, owner, p):
     return max(len(f) + t for f, t in zip(footprint, transfer_in))
 
 
+class TestOwnerWalkMeasure:
+    """The refine walk's drift check counts the model cost from scratch."""
+
+    def test_measure_counts_from_scratch(self, tbs_graph):
+        import random
+
+        from repro.parallel.refine import OwnerMove, OwnerWalk
+
+        rng = random.Random(5)
+        owner = partition_graph(tbs_graph, 4, "level-greedy")
+        walk = OwnerWalk(OwnerMove(PartitionLedger(tbs_graph, owner, 4)))
+        for _ in range(8):
+            owner = [rng.randrange(4) for _ in range(len(tbs_graph))]
+            assert walk.measure(owner) == model_cost_from_scratch(tbs_graph, owner, 4)
+
+    def test_a_drifted_ledger_fails_the_walk(self, tbs_graph):
+        from repro.graph.search import run_chain
+        from repro.parallel.refine import OwnerMove, OwnerWalk
+
+        owner = partition_graph(tbs_graph, 4, "level-greedy")
+        ledger = PartitionLedger(tbs_graph, owner, 4)
+        ledger.footprint = [f + 7 for f in ledger.footprint]
+        walk = OwnerWalk(OwnerMove(ledger))
+        assert walk.measure(ledger.owner) == ledger.cost() - 7
+        with pytest.raises(ScheduleError, match="drifted"):
+            run_chain(walk, iters=20, seed=0)
+
+
 class TestPartitionLedger:
     def test_initial_state_matches_scratch(self, tbs_graph):
         for part in PARTITIONERS:

@@ -25,8 +25,9 @@ from repro.sched.schedule import (
     replay_schedule,
 )
 from repro.trace.compiled import CompiledTrace, compile_trace
+from repro.sched.columns import OP_SPECS
+from repro.sched.ops import ComputeOp
 from repro.trace.io import (
-    _OP_SPECS,
     file_kind,
     load_schedule,
     load_trace,
@@ -138,6 +139,74 @@ def synthetic_trace(ids, writes, op_sizes=None):
         key_flat=np.arange(n_elem, dtype=np.int64),
         ops=None,
     )
+
+
+class _StubOp(ComputeOp):
+    """An op that only declares its regions (the compile never applies it)."""
+
+    name = "stub"
+
+    def __init__(self, reads, writes):
+        self._reads, self._writes = reads, writes
+
+    def reads(self):
+        return self._reads
+
+    def writes(self):
+        return self._writes
+
+
+def _r(matrix, flats):
+    return Region(matrix, np.asarray(flats, dtype=np.int64))
+
+
+class TestCompileGeneralOps:
+    """The branches no library op reaches: every op here writes something
+    its reads do not cover, or has a region shape the kernels never use."""
+
+    OPS = {
+        "write-only extras": [
+            _StubOp([_r("A", [0, 1]), _r("C", [4])], [_r("C", [3, 4, 5]), _r("A", [1])]),
+        ],
+        "write repeated across two regions": [
+            _StubOp([_r("A", [2])], [_r("C", [1, 2]), _r("C", [2, 3])]),
+            _StubOp([_r("C", [2, 3])], [_r("C", [2]), _r("C", [2, 7])]),
+        ],
+        "no reads": [
+            _StubOp([], [_r("B", [8, 9])]),
+            _StubOp([_r("B", [9])], [_r("B", [9])]),
+        ],
+        "empty regions": [
+            _StubOp([_r("A", []), _r("A", [5])], [_r("C", [])]),
+            _StubOp([_r("C", [])], []),
+            _StubOp([], []),
+        ],
+        "read repeated across two regions": [
+            _StubOp([_r("A", [0, 1]), _r("A", [1, 2])], [_r("A", [1])]),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(OPS))
+    def test_matches_reference_sequence(self, case):
+        ops = self.OPS[case]
+        trace = compile_trace(ops)
+        assert trace.to_access_sequence() == access_sequence_reference(ops)
+        n_reads = [sum(r.size for r in op.reads()) for op in ops]
+        assert (trace.op_read_ends - trace.op_starts[:-1]).tolist() == n_reads
+        assert len(set(trace.keys())) == trace.n_elements
+
+    def test_all_cases_in_one_stream(self):
+        ops = [op for case in sorted(self.OPS) for op in self.OPS[case]]
+        trace = compile_trace(ops)
+        assert trace.to_access_sequence() == access_sequence_reference(ops)
+        assert trace.matrices == ("A", "C", "B")
+
+    def test_extras_follow_the_reads_in_write_order(self):
+        [op] = self.OPS["write-only extras"]
+        assert compile_trace([op]).to_access_sequence() == [
+            (("A", 0), False), (("A", 1), True), (("C", 4), True),
+            (("C", 3), True), (("C", 5), True),
+        ]
 
 
 class TestCompiledTrace:
@@ -503,14 +572,14 @@ class TestTraceIO:
                         assert np.array_equal(value.flat, other.flat)
                     else:
                         assert value == other, (name, attr)
-        assert seen == set(_OP_SPECS)
+        assert seen == set(OP_SPECS)
 
     def test_loaded_schedule_builds_steps_only_when_read(self, sched, tmp_path, monkeypatch):
         import repro.trace.io as tio
 
         builds = []
-        real = tio._build_steps
-        monkeypatch.setattr(tio, "_build_steps", lambda *a: builds.append(1) or real(*a))
+        real = tio.build_steps
+        monkeypatch.setattr(tio, "build_steps", lambda *a: builds.append(1) or real(*a))
         path = tmp_path / "s.npz"
         save_schedule(sched, path)
         loaded = load_schedule(path)
@@ -533,14 +602,14 @@ class TestTraceIO:
         import repro.trace.io as tio
 
         builds = []
-        real = tio._build_steps
+        real = tio.build_steps
 
         def slow_build(*args):
             builds.append(threading.get_ident())
             time.sleep(0.05)  # hold the build open while the others arrive
             return real(*args)
 
-        monkeypatch.setattr(tio, "_build_steps", slow_build)
+        monkeypatch.setattr(tio, "build_steps", slow_build)
         path = tmp_path / "s.npz"
         save_schedule(sched, path)
         loaded = load_schedule(path)
