@@ -31,7 +31,9 @@ Shape claims:
 
 BENCH JSON (``benchmarks/out/bench_e18_cosearch.json`` or
 ``$BENCH_E18_JSON``) records J, makespan, bottleneck I/O and the
-joint/baseline ratios per row.
+joint/baseline ratios per row, plus the co-search's work counters: LRU
+cursor ops replayed, makespan ops re-timed and owner proposals rejected
+on their bound, summed over its chains.
 """
 
 import pytest
@@ -127,7 +129,7 @@ def test_e18_cosearch(once, smoke):
 
     t = Table(
         ["P", "schedule", "makespan", "max io", "J", "vs refine-only",
-         "J/bound"],
+         "J/bound", "lru ops", "span ops", "bound rejects"],
         title=(
             f"E18: joint order x partition co-search, TBS N={n}, "
             f"M={M_COLS}, node memory S={S} (measured unified objective)"
@@ -144,15 +146,17 @@ def test_e18_cosearch(once, smoke):
                 [p, label, format_int(int(c.makespan)),
                  format_int(c.bottleneck_io), format_int(int(c.cost)),
                  f"{1 - c.cost / refine_only.cost:.1%}",
-                 f"{c.cost / bound:.2f}" if bound > 0 else "-"]
+                 f"{c.cost / bound:.2f}" if bound > 0 else "-", "", "", ""]
             )
         jc = joint.measured
+        work = {k: joint.params[k] for k in ("lru_ops", "span_ops", "bound_rejects")}
         t.add_row(
             [p, "joint co-search" + (" (reverted)" if joint.reverted else ""),
              format_int(int(jc.makespan)), format_int(jc.bottleneck_io),
              format_int(int(jc.cost)),
              f"{1 - jc.cost / refine_only.cost:.1%}",
-             f"{jc.cost / bound:.2f}" if bound > 0 else "-"]
+             f"{jc.cost / bound:.2f}" if bound > 0 else "-",
+             *(format_int(v) for v in work.values())]
         )
         payload_rows.append({
             "p": p,
@@ -167,6 +171,7 @@ def test_e18_cosearch(once, smoke):
             "seed_label": joint.seed_label,
             "reverted": joint.reverted,
             "evaluations": joint.evaluations,
+            **work,
         })
 
         # acceptance: joint <= both decoupled pipelines, at every P —

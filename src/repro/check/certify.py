@@ -10,8 +10,9 @@ code, step position), sorted once by element and step, and every rule
 becomes a vectorized predicate over *adjacent events of the same
 element*.  The table has two halves.  The load and evict events come
 from the schedule's container columns (:mod:`repro.sched.columns`) in a
-few vectorized passes, without a region or step object; a recorded or
-hand-built schedule first derives its columns from its steps.  The use
+few vectorized passes, without a region or step object; for a recorded
+or hand-built schedule, one pass over its steps yields the same moves
+(:func:`~repro.sched.columns.split_steps`).  The use
 and write events come from a walk over the compute ops alone, reading
 each op's regions.  The rules:
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.probe import get_probe, timed
-from ..sched.columns import COMPUTE, ScheduleColumns
+from ..sched.columns import COMPUTE, LOAD, split_steps
 from ..sched.schedule import Schedule
 from .findings import ERROR, Finding, sort_findings
 
@@ -106,18 +107,27 @@ def _certify(
     shapes = schedule.shapes
     columns = schedule.columns
     if columns is None:
-        columns = ScheduleColumns.from_steps(schedule.steps, shapes)
-    n_steps = len(columns)
+        # A step list: one pass gives the moves and the ops, which is all
+        # the certifier reads (no params tables, no index arrays).
+        matrix_ids, kind, (mref, writeback, sizes, move_flats), ops = split_steps(
+            schedule.steps, shapes
+        )
+        names = list(matrix_ids)
+        mpos = np.flatnonzero(kind != COMPUTE)
+        is_load = kind[mpos] == LOAD
+    else:
+        mpos, mref, is_load, writeback, sizes, move_flats = columns.moves()
+        names, kind, ops = columns.names, columns.kind, columns.compute_ops()
+    n_steps = int(kind.size)
     stride = max((r * c for r, c in shapes.values()), default=0) + 1
     known = {name: i for i, name in enumerate(shapes)}
 
     # The event table has one row per element of each region: the load
-    # and evict regions come from the columns, and each compute op's
+    # and evict regions come from the moves, and each compute op's
     # regions from a walk over the ops.  ``seen`` records where each
     # matrix first appears, as (step, region order).
-    mpos, mref, is_load, writeback, sizes, move_flats = columns.moves()
     ids, first = np.unique(mref, return_index=True)
-    seen = {columns.names[i]: (at, -1) for i, at in zip(ids.tolist(), mpos[first].tolist())}
+    seen = {names[i]: (at, -1) for i, at in zip(ids.tolist(), mpos[first].tolist())}
     named = mref < len(shapes)
     if not named.all():
         move_flats = move_flats[np.repeat(named, sizes)]
@@ -130,8 +140,8 @@ def _certify(
     regions: list = []
     n_use: list[int] = []
     n_write: list[int] = []
-    cpos = np.flatnonzero(columns.kind == COMPUTE)
-    for op in columns.compute_ops():
+    cpos = np.flatnonzero(kind == COMPUTE)
+    for op in ops:
         writes = list(op.writes())
         written = [id(w) for w in writes]
         reads = [r for r in op.reads() if id(r) not in written]

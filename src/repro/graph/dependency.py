@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError
 from ..sched.ops import (
@@ -109,9 +109,9 @@ class DependencyGraph:
         # succs[u] / preds[v]: neighbor -> set of edge kinds.
         self.succs: list[dict[int, set[str]]] = [dict() for _ in nodes]
         self.preds: list[dict[int, set[str]]] = [dict() for _ in nodes]
-        # relax_reductions -> per-node effective predecessor tuples, built
-        # on first use by the legality checks (edges are fixed by then).
-        self._pred_tables: dict[bool, list[tuple[int, ...]]] = {}
+        # Static tables derived from the edges alone, built on first use
+        # (see :meth:`table`).
+        self._tables: dict = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -218,13 +218,45 @@ class DependencyGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def edges(self) -> list[tuple[int, int, frozenset[str]]]:
-        """All edges as ``(u, v, kinds)`` triples, u emitted before v."""
-        return [
+    def table(self, key, build: "Callable[[], Any]"):
+        """The static table ``key``, built by ``build()`` on first use.
+
+        Edges are fixed once the graph is built, so a table derived from
+        the nodes and edges alone (predecessor tuples, edge flows,
+        reduction classes, edge latencies) is computed once per graph and
+        shared read-only by every ledger, walk and measure over it.
+        Anything that depends on an ``(order, owner)`` pair is not a
+        table: measures recompute it from scratch.
+        """
+        found = self._tables.get(key)
+        if found is None:
+            found = self._tables[key] = build()
+        return found
+
+    def _edge_list(self) -> list[tuple[int, int, frozenset[str]]]:
+        return self.table("edges", lambda: [
             (u, v, frozenset(kinds))
             for u in range(len(self.nodes))
             for v, kinds in sorted(self.succs[u].items())
-        ]
+        ])
+
+    def edges(self) -> list[tuple[int, int, frozenset[str]]]:
+        """All edges as ``(u, v, kinds)`` triples, u emitted before v."""
+        return list(self._edge_list())
+
+    def data_edges(self) -> list[tuple[int, int, frozenset[int]]]:
+        """The edges that carry data, as ``(u, v, flow)`` triples.
+
+        ``flow`` is :meth:`edge_flow`'s non-empty element set; edges are in
+        :meth:`edges` order.  A shared read-only table.
+        """
+        def build():
+            flows = (
+                (u, v, self.edge_flow(u, v, kinds)) for u, v, kinds in self._edge_list()
+            )
+            return [edge for edge in flows if edge[2]]
+
+        return self.table("data_edges", build)
 
     def edge_counts(self) -> dict[str, int]:
         """Number of edges carrying each dependence kind."""
@@ -287,14 +319,10 @@ class DependencyGraph:
         return best
 
     def _pred_table(self, relax_reductions: bool) -> list[tuple[int, ...]]:
-        table = self._pred_tables.get(relax_reductions)
-        if table is None:
-            table = [
-                tuple(self.effective_preds(v, relax_reductions=relax_reductions))
-                for v in range(len(self.nodes))
-            ]
-            self._pred_tables[relax_reductions] = table
-        return table
+        return self.table(("preds", relax_reductions), lambda: [
+            tuple(self.effective_preds(v, relax_reductions=relax_reductions))
+            for v in range(len(self.nodes))
+        ])
 
     def is_valid_order(self, order: list[int], *, relax_reductions: bool = False) -> bool:
         """Does ``order`` (a permutation of node indices) respect the DAG?"""
@@ -353,10 +381,7 @@ class DependencyGraph:
         return out
 
     def cut_transfers(
-        self,
-        owner: "Sequence[int]",
-        *,
-        cut: list[tuple[int, int, frozenset[str]]] | None = None,
+        self, owner: "Sequence[int]"
     ) -> dict[tuple[int, int], set[int]]:
         """Element IDs that must move between shards under ``owner``.
 
@@ -373,17 +398,16 @@ class DependencyGraph:
         WAR/WAW-only edges move no data (they are ordering constraints).
         Returns ``(src_shard, dst_shard) -> element IDs``; an element is
         counted once per (producer shard, consumer shard) pair, matching a
-        model where each shard forwards its latest version once.
-
-        Pass an already-computed :meth:`cut_edges` list as ``cut`` to avoid
-        a second walk over the full edge set.
+        model where each shard forwards its latest version once.  One walk
+        over the shared :meth:`data_edges` table.
         """
-        if cut is None:
-            cut = self.cut_edges(owner, kinds=frozenset({"raw", "reduction"}))
+        if len(owner) != len(self.nodes):
+            raise ConfigurationError(
+                f"owner has {len(owner)} entries for {len(self.nodes)} ops"
+            )
         flows: dict[tuple[int, int], set[int]] = {}
-        for u, v, ks in cut:
-            shared = self.edge_flow(u, v, ks)
-            if shared:
+        for u, v, shared in self.data_edges():
+            if owner[u] != owner[v]:
                 flows.setdefault((owner[u], owner[v]), set()).update(shared)
         return flows
 
@@ -412,8 +436,11 @@ class DependencyGraph:
         kinds are exactly ``{"reduction"}`` connects them — i.e. the group of
         ops that commute with each other once reductions are relaxed.
         """
+        return [list(group) for group in self.table("reduction_classes", self._classes)]
+
+    def _classes(self) -> list[list[int]]:
         sets = DisjointSets(len(self.nodes))
-        for u, v, kinds in self.edges():
+        for u, v, kinds in self._edge_list():
             if kinds == {"reduction"}:
                 sets.union(u, v)
         groups = sets.groups()

@@ -149,6 +149,12 @@ class Chain:
         }
 
 
+#: Relative slack of the bound test: a proposal is rejected on its bound
+#: only when the uniform clears ``exp(-dc_bound / temp)`` by this factor,
+#: so the verdict never rests on ``exp`` being monotone to the last ulp.
+_BOUND_SLACK = 1.0 + 1e-9
+
+
 def run_chain(
     walk, *, iters: int, seed: int, t_start: float = T_START,
     label: str | None = None,
@@ -158,9 +164,12 @@ def run_chain(
     A walk is any state object with five methods:
 
     * ``cost()`` — the committed state's cost, read once at the start;
-    * ``step(rng)`` — one proposal: ``(candidate_cost, commit)``, where
-      calling ``commit()`` applies the move, or ``None`` for a no-op or
-      illegal proposal (the temperature still cools, as for a rejection);
+    * ``step(rng)`` — one proposal, or ``None`` for a no-op or illegal
+      proposal (the temperature still cools, as for a rejection).  A
+      proposal is ``(candidate_cost, commit)``, where calling ``commit()``
+      applies the move, or ``(bound, commit, exact)``: a lower bound on the
+      candidate cost plus ``exact()``, which computes the cost itself (at
+      least ``bound``) and is called at most once, before ``commit``;
     * ``snapshot()`` — a picklable copy of the committed state;
     * ``measure(snapshot)`` — that state's cost recomputed from scratch;
     * ``counters()`` — the walk's own tallies, merged into ``params``.
@@ -173,6 +182,15 @@ def run_chain(
     re-measured at the end and a disagreement with the incremental cost
     raises :class:`~repro.errors.ScheduleError`, so a drifted ledger fails
     loudly in whichever process ran the chain.
+
+    Bound-first rule: when a bound is already uphill, so is the exact
+    cost, and the rule draws its one uniform either way.  ``run_chain``
+    draws it first and rejects at once if it fails the bound's own
+    acceptance probability (with :data:`_BOUND_SLACK`); only otherwise does
+    it call ``exact()`` and apply the usual rule to the same uniform.  The
+    RNG draws, the accept sequence and so the whole walk are exactly those
+    of the exact-cost walk; the rejected proposals just never pay for
+    their expensive term.
 
     ``label`` opts into per-iteration telemetry: an
     :class:`~repro.obs.convergence.AnnealSeries` with one ``(iter, temp,
@@ -198,10 +216,18 @@ def run_chain(
         if proposal is None:
             stats.skipped += 1
         else:
-            cand, commit = proposal
+            cand, commit, *exact = proposal
             stats.evaluations += 1
-            dc = cand - cost
-            took = dc <= 0 or rng.random() < math.exp(-dc / temp)
+            if exact and cand - cost > 0:
+                u = rng.random()
+                if u < math.exp(-(cand - cost) / temp) * _BOUND_SLACK:
+                    cand = exact[0]()
+                    took = u < math.exp(-(cand - cost) / temp)
+            else:
+                if exact:
+                    cand = exact[0]()
+                dc = cand - cost
+                took = dc <= 0 or rng.random() < math.exp(-dc / temp)
             if took:
                 commit()
                 cost = cand
@@ -469,13 +495,18 @@ def _start_order(graph: DependencyGraph, start, relax: bool) -> list[int]:
 def reduction_class_of(graph: DependencyGraph) -> list[int]:
     """Per-op reduction-class index (``-1`` for ops in no class).
 
-    The dense lookup :class:`OrderMove`'s segment moves key on.
+    The dense lookup :class:`OrderMove`'s segment moves key on; a shared
+    read-only table of the graph.
     """
-    class_of = [-1] * len(graph)
-    for ci, members in enumerate(graph.reduction_classes()):
-        for v in members:
-            class_of[v] = ci
-    return class_of
+
+    def build():
+        class_of = [-1] * len(graph)
+        for ci, members in enumerate(graph.reduction_classes()):
+            for v in members:
+                class_of[v] = ci
+        return class_of
+
+    return graph.table("class_of", build)
 
 
 def propose_segment_move(

@@ -11,14 +11,10 @@ before applying the op's numeric update to the *workspace* array — the
 NaN-poisoned shadow in strict mode, the slow array otherwise — and credits
 the op's flops to the tracker.
 
-Two performance switches exist for large counting-only sweeps (the paper's
+One performance switch exists for large counting-only sweeps (the paper's
 volumes grow like ``N^3/sqrt(S)``, so benches run many machine ops):
-
-* ``numerics=False`` skips the numeric ``apply`` (I/O counts, capacity and
-  residency checking are unaffected);
-* ``check_residency=False`` additionally skips the per-compute residency
-  assertion (loads/evicts still enforce capacity and legality).  The test
-  suite always runs with both checks on.
+``numerics=False`` skips the numeric ``apply`` (I/O counts, capacity and
+residency checking are unaffected).
 
 A *counting machine* — ``TwoLevelMachine(S, strict=False, numerics=False)``
 — keeps residency and capacity checks but allocates no shadow and does no
@@ -63,7 +59,6 @@ class TwoLevelMachine(ShapeAwareRegions):
         allow_redundant_loads: bool | None = None,
         record_events: bool | None = None,
         numerics: bool = True,
-        check_residency: bool = True,
     ) -> None:
         if isinstance(capacity, MachineConfig):
             cfg = capacity
@@ -78,7 +73,6 @@ class TwoLevelMachine(ShapeAwareRegions):
         self.config = cfg
         self.capacity = cfg.capacity
         self.numerics = bool(numerics)
-        self.check_residency = bool(check_residency)
         self.slow = SlowMemory()
         self.fast = FastMemory(cfg.capacity, strict=cfg.strict, allow_redundant_loads=cfg.allow_redundant_loads)
         self.stats = IOStats(events=[] if cfg.record_events else None)
@@ -131,11 +125,10 @@ class TwoLevelMachine(ShapeAwareRegions):
 
     def compute(self, op: "ComputeOp") -> None:
         """Apply a compute op after checking all its operands are resident."""
-        if self.check_residency:
-            for region in op.reads():
-                self.fast.assert_resident(region)
-            for region in op.writes():
-                self.fast.assert_resident(region)
+        for region in op.reads():
+            self.fast.assert_resident(region)
+        for region in op.writes():
+            self.fast.assert_resident(region)
         if self.numerics:
             op.apply(self)
         self.stats.record_compute(op.name, op.mults, op.flops, self.fast.occupancy)

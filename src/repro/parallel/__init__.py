@@ -37,9 +37,10 @@ mults-weighted critical-path/latency model — experiment E16 measures both.
 op *order* (``repro.graph.search``) and the op *ownership* (``refine``)
 in separate silos, one annealing walk interleaves both move kinds through
 a single :class:`~repro.parallel.cosearch.CoSearchState` — an exact-cover
-partition ledger plus a checkpointed :class:`~repro.parallel.makespan.
-MakespanLedger` that re-scores only the schedule suffix a move can touch
-— under one latency objective, and never returns a schedule measured
+partition ledger, a checkpointed :class:`~repro.parallel.makespan.
+MakespanLedger` that re-times only the ops a move can touch, and per-node
+LRU checkpoints that replay only the nodes whose program changed — under
+one latency objective, and never returns a schedule measured
 worse than the best seed of its {partitioner} x {order} portfolio.
 Experiment E18 measures the joint walk against the decoupled pipelines.
 """

@@ -28,16 +28,24 @@ makespan in op-weight units (mults) with cross-edge latencies
 ``alpha + beta * flow``, plus the bottleneck node's I/O time: its LRU
 replay loads of the order-induced shard sub-sequence at capacity ``S``
 and its incoming transfer volume, both converted to time by ``beta``.
-Every term is delta-evaluable from the leftmost changed position, so the
-anneal inner loop stays hot: the makespan re-scores through
-:class:`~repro.parallel.makespan.MakespanLedger` checkpoints, the
-per-node LRU loads through the :class:`~repro.trace.replay.LruLedger` the
-order search also uses, and the transfers through the refiner's exact
-ledger.  The LRU ledger stops replaying at the first checkpoint after
-the moved positions where every node's cache equals the committed one
-(LRU state depends only on recent history), and order moves check
-legality only inside the moved window
-(:meth:`~repro.graph.dependency.DependencyGraph.is_valid_window`).
+Every term depends only on the owner map and each node's *program* (the
+ops it owns, in order), so a proposal pays only for what it changes.
+The makespan re-times through
+:class:`~repro.parallel.makespan.MakespanLedger` checkpoints and stops
+once every later finish is provably the committed one; the loads come
+from the per-node :class:`~repro.trace.replay.LruLedger` the order search
+also uses, which replays only the nodes whose program changed and stops
+each once its cache re-converges; the transfers come from the refiner's
+exact ledger.  An order move that changes no program
+(:func:`changed_programs`) costs nothing beyond its window check.  An
+owner move hands the annealer a lower bound first — the exact
+makespan and transfers with the moved nodes' footprints standing in for
+their loads — and replays LRU only when that bound cannot already reject
+it (:func:`repro.graph.search.run_chain`'s bound-first rule keeps the
+walk bit-identical).  Order moves check legality only inside the moved
+window (:meth:`~repro.graph.dependency.DependencyGraph.is_valid_window`),
+and every per-graph table is built once and shared by the portfolio's
+states and measures (:meth:`~repro.graph.dependency.DependencyGraph.table`).
 
 The state is one of the three walks of the shared annealing engine:
 :func:`cosearch` runs one chain per seed of a portfolio of
@@ -149,21 +157,54 @@ def cosearch_cost(
     )
 
 
+def changed_programs(
+    old: "Sequence[int]", new: "Sequence[int]", owner: "Sequence[int]"
+) -> set[int]:
+    """The nodes whose program an order move changes.
+
+    ``old`` and ``new`` are one window before and after the move (the
+    same ops, re-permuted); a node's program changes exactly when its ops
+    in the window appear in a different relative order.
+    """
+    before: dict[int, list[int]] = {}
+    after: dict[int, list[int]] = {}
+    for v in old:
+        before.setdefault(owner[v], []).append(v)
+    for v in new:
+        after.setdefault(owner[v], []).append(v)
+    return {q for q, ops in before.items() if after[q] != ops}
+
+
 class CoSearchState:
     """One scheduler state threaded through both move kinds.
 
     Holds the committed ``(order, owner)`` pair and three incremental
     models of the unified objective — the
     :class:`~repro.parallel.makespan.MakespanLedger` (latency), an
-    :class:`~repro.trace.replay.LruLedger` over the pair (shard loads),
+    :class:`~repro.trace.replay.LruLedger` over the pair (per-node loads),
     and the refiner's :class:`~repro.parallel.refine.PartitionLedger`
-    (exact transfers).  The LRU checkpoints share the makespan ledger's
-    interval; the LRU replay stops once every node's cache re-converges
-    after the moved positions.  Half the proposals are the order walk's
-    :class:`~repro.graph.search.OrderMove`, the other half the refiner's
-    :class:`~repro.parallel.refine.OwnerMove` (which holds the balance
-    cap).  The state is a walk of the annealing engine
+    (exact transfers, plus each node's footprint).  The LRU checkpoints
+    share the makespan ledger's interval.  Half the proposals are the
+    order walk's :class:`~repro.graph.search.OrderMove`, the other half
+    the refiner's :class:`~repro.parallel.refine.OwnerMove` (which holds
+    the balance cap).  The state is a walk of the annealing engine
     (:func:`repro.graph.search.run_chain`).
+
+    Every term of ``J`` depends only on the owner map and each node's
+    program (the ops it owns, in order), so a proposal pays only for what
+    it changes:
+
+    * an order move that changes no node's program has the committed
+      cost exactly; it skips both replays, and its commit only rebuilds
+      the checkpoints inside the window;
+    * any other order move replays LRU only on the nodes whose program
+      changed (:func:`changed_programs`);
+    * an owner move re-times the makespan and offers the annealer a lower
+      bound before any LRU replay: the exact makespan plus ``beta`` times
+      the bottleneck of transfers plus loads, taking the moved nodes'
+      footprints (a cold replay misses each distinct element at least
+      once) in place of their loads.  Only a proposal the bound cannot
+      reject replays its source and destination nodes.
 
     Invariants (the property suite pins them): the owner map is an exact
     cover of the op set at every step, the order stays a legal order of
@@ -193,31 +234,26 @@ class CoSearchState:
             raise ConfigurationError(f"p must be >= 1, got {p}")
         if s < 1:
             raise ConfigurationError(f"S must be >= 1, got {s}")
-        n = len(graph)
         self.graph = graph
         self.p = p
         self.s = s
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.relax_reductions = relax_reductions
-        order = list(range(n)) if order is None else [int(v) for v in order]
         self.ledger = PartitionLedger(graph, owner, p)
         # The makespan ledger validates the order once; every order move
-        # is then checked on its window before it is costed.
+        # is then checked on its window before it is costed.  It holds the
+        # committed order and each op's position in it.
         self.span = MakespanLedger(
             graph, self.ledger.owner, p=p, order=order, alpha=alpha,
             beta=beta, relax_reductions=relax_reductions,
         )
-        self.order = list(order)
-        self.pos = [0] * n
-        for i, v in enumerate(self.order):
-            self.pos[v] = i
         self.order_move = OrderMove(graph, relax_reductions)
         self.owner_move = OwnerMove(self.ledger, balance_slack=balance_slack)
         self.order_moves = 0
         self.owner_moves = 0
-        # Per-node LRU loads, checkpointed in lockstep with the makespan
-        # ledger.
+        #: owner proposals the annealer rejected on their bound.
+        self.bound_rejects = 0
         self.lru = LruLedger(
             graph.trace, s, self.order, self.ledger.owner, p=p,
             interval=self.span.interval,
@@ -243,6 +279,11 @@ class CoSearchState:
         return self._cost
 
     @property
+    def order(self) -> list[int]:
+        """The committed order."""
+        return self.span.order
+
+    @property
     def loads(self) -> list[int]:
         """Per-node LRU loads of the committed pair."""
         return list(self.lru.loads)
@@ -255,17 +296,23 @@ class CoSearchState:
         if drawn is None:
             return None
         i, j, candidate = drawn
-        cand_ms = self.span.score(order=candidate, from_pos=i)
-        cand_loads = self.lru.score(
-            candidate, self.ledger.owner, from_pos=i, settled=j
-        )
-        cand_cost = self._combine(cand_ms, cand_loads, self.ledger.transfer_in)
+        owner = self.ledger.owner
+        nodes = changed_programs(self.order[i:j], candidate[i:j], owner)
+        if nodes:
+            cand_ms = self.span.score(order=candidate, from_pos=i, settled=j)
+            cand_loads = self.lru.score(
+                candidate, owner, from_pos=i, settled=j, nodes=nodes
+            )
+            cand_cost = self._combine(cand_ms, cand_loads, self.ledger.transfer_in)
+        else:
+            cand_cost = self._cost
 
         def commit() -> None:
-            self.order = candidate
-            for idx in range(i, j):
-                self.pos[candidate[idx]] = idx
-            self.span.commit()
+            if nodes:
+                self.span.commit()
+            else:
+                self.span.reorder(candidate, i, j)
+                self.lru.score(candidate, owner, from_pos=i, settled=j, nodes=())
             self.lru.commit()
             self._cost = cand_cost
             self.order_moves += 1
@@ -273,32 +320,52 @@ class CoSearchState:
         return cand_cost, commit
 
     def propose_owner(self, rng: random.Random):
-        """One unit ownership move; ``(candidate_cost, commit)`` or None."""
+        """One unit ownership move: ``(bound, commit, exact)`` or None."""
         drawn = self.owner_move.draw(rng)
         if drawn is None:
             return None
         group, q = drawn
         ledger = self.ledger
-        positions = [self.pos[v] for v in group]
+        positions = [self.span.pos[v] for v in group]
         i0, i1 = min(positions), max(positions) + 1
-        # Evaluate applied (the makespan ledger copies the owner array at
-        # score time), then revert; commit re-applies the same move.
+        nodes = {ledger.owner[v] for v in group}
+        nodes.add(q)
+        # Evaluate applied, then revert; commit re-applies the same move.
         undo = ledger.move_group(group, q)
-        cand_ms = self.span.score(owner=ledger.owner, from_pos=i0)
-        cand_loads = self.lru.score(
-            self.order, ledger.owner, from_pos=i0, settled=i1
-        )
-        cand_cost = self._combine(cand_ms, cand_loads, ledger.transfer_in)
+        cand_ms = self.span.score(owner=ledger.owner, from_pos=i0, settled=i1)
+        transfer_in = list(ledger.transfer_in)
+        floor = [
+            ledger.footprint[r] if r in nodes else loads
+            for r, loads in enumerate(self.lru.loads)
+        ]
         ledger.undo(undo)
+        bound = self._combine(cand_ms, floor, transfer_in)
+        cand_cost = None
+
+        def exact() -> float:
+            nonlocal cand_cost
+            if cand_cost is None:
+                owner = list(ledger.owner)
+                for v in group:
+                    owner[v] = q
+                cand_loads = self.lru.score(
+                    self.order, owner, from_pos=i0, settled=i1, nodes=nodes
+                )
+                cand_cost = self._combine(cand_ms, cand_loads, transfer_in)
+                self.bound_rejects -= 1
+            return cand_cost
 
         def commit() -> None:
+            exact()
             ledger.move_group(group, q)
             self.span.commit()
             self.lru.commit()
             self._cost = cand_cost
             self.owner_moves += 1
 
-        return cand_cost, commit
+        # counted as a bound reject until the annealer asks for the exact cost
+        self.bound_rejects += 1
+        return bound, commit, exact
 
     # -- the walk protocol ----------------------------------------------- #
 
@@ -324,6 +391,9 @@ class CoSearchState:
             "illegal": self.order_move.illegal,
             "order_moves": self.order_moves,
             "owner_moves": self.owner_moves,
+            "lru_ops": self.lru.work,
+            "span_ops": self.span.work,
+            "bound_rejects": self.bound_rejects,
         }
 
 
@@ -514,24 +584,28 @@ def cosearch(
     series = runs[winner].series
 
     evaluations = sum(run.stats.evaluations for run in runs)
+    # The work counters describe the whole run, like ``evaluations``.
+    work = {
+        name: sum(run.counters[name] for run in runs)
+        for name in ("lru_ops", "span_ops", "bound_rejects")
+    }
     params = {
         "iters": iters, "seed": seed, "jobs": jobs, "chains": len(seeds),
         "alpha": alpha, "beta": beta,
         "relax_reductions": relax_reductions,
         "balance_slack": balance_slack,
         **runs[winner].params,
+        **work,
     }
     if probe.enabled:
         probe.count("cosearch.runs")
         probe.count("cosearch.evaluations", evaluations)
-        probe.count(
-            "cosearch.order_moves",
-            sum(run.counters["order_moves"] for run in runs),
-        )
-        probe.count(
-            "cosearch.owner_moves",
-            sum(run.counters["owner_moves"] for run in runs),
-        )
+        for name in ("order_moves", "owner_moves"):
+            probe.count(
+                f"cosearch.{name}", sum(run.counters[name] for run in runs)
+            )
+        for name, total in work.items():
+            probe.count(f"cosearch.{name}", total)
         if reverted:
             probe.count("cosearch.reverted")
         if series is not None:

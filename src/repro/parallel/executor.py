@@ -563,7 +563,7 @@ def execute_graph(
         shard_ops[q].append(v)  # original order == topological per shard
 
     cut = graph.cut_edges(owner)
-    flows = graph.cut_transfers(owner, cut=cut)
+    flows = graph.cut_transfers(owner)
     transfer_in = [0] * p
     transfer_out = [0] * p
     for (src, dst), elems in flows.items():

@@ -27,13 +27,19 @@ that re-scores thousands of candidate ``(order, owner)`` pairs.
 (:mod:`repro.parallel.cosearch`) drives: edge latencies are precomputed
 once, the forward pass is checkpointed every ``interval`` positions, and
 a candidate differing from the committed state only from position ``i``
-on re-runs the pass from the nearest checkpoint at or before ``i`` —
-bit-identical to the cold model by construction (same float operations
-in the same association order; pinned by a randomized regression test).  The per-op ``start``/``finish``/``node`` arrays are part of
-the result (not just their max): they are the full simulated timeline,
+on re-runs the pass from the nearest checkpoint at or before ``i`` and
+stops as soon as every later finish is provably unchanged — bit-identical
+to the cold model by construction (same float operations in the same
+association order; pinned by randomized regression tests).  A finish
+time depends only on the owner map and each node's program, so a move
+that keeps every program re-times nothing at all
+(:meth:`MakespanLedger.reorder`).  The latency table is a shared per-graph
+table (:func:`latency_preds`), read by the cold model and the ledger
+alike.  The per-op ``start``/``finish``/``node`` arrays are part of the
+result (not just their max): they are the full simulated timeline,
 exportable as a Perfetto-openable Chrome trace via
-:func:`repro.obs.timeline.export_timeline`.  Two classical floors come for free and are reported next to
-it: the weighted critical path
+:func:`repro.obs.timeline.export_timeline`.  Two classical floors come
+for free and are reported next to it: the weighted critical path
 (:meth:`~repro.graph.dependency.DependencyGraph.critical_path_cost` — the
 runtime on unboundedly many nodes with free communication) and the
 busiest node's total work (the runtime with free dependences).  The
@@ -128,8 +134,9 @@ def makespan_model(
         raise ConfigurationError("owner indices must be >= 0")
     if alpha < 0 or beta < 0:
         raise ConfigurationError("alpha and beta must be >= 0")
-    if weights is None:
-        weights = [float(node.op.mults) for node in graph.nodes]
+    default_weights = weights is None
+    if default_weights:
+        weights = op_weights(graph)
     elif len(weights) != n:
         raise ConfigurationError(f"weights has {len(weights)} entries for {n} ops")
     if order is None:
@@ -137,6 +144,7 @@ def makespan_model(
     elif not graph.is_valid_order(list(order), relax_reductions=relax_reductions):
         raise ScheduleError("makespan order is not a legal order of the graph")
 
+    preds = latency_preds(graph, relax_reductions, alpha, beta)
     start = [0.0] * n
     finish = [0.0] * n
     node_avail = [0.0] * p
@@ -150,12 +158,10 @@ def makespan_model(
         t = node_avail[q]
         # Relaxed orders may reorder within a reduction class; the dropped
         # reduction-only edges then carry no timing constraint either.
-        for u in graph.effective_preds(v, relax_reductions=relax_reductions):
-            kinds = graph.preds[v][u]
+        for u, latency in preds[v]:
             if owner[u] == q:
                 arrival = finish[u]
             else:
-                latency = alpha + beta * len(graph.edge_flow(u, v, frozenset(kinds)))
                 arrival = finish[u] + latency
                 comm_latency += latency
                 n_cross += 1
@@ -172,7 +178,10 @@ def makespan_model(
         alpha=alpha,
         beta=beta,
         makespan=makespan,
-        critical_path=graph.critical_path_cost(list(weights)),
+        critical_path=(
+            graph.table("critical_path_mults", lambda: graph.critical_path_cost(weights))
+            if default_weights else graph.critical_path_cost(list(weights))
+        ),
         node_busy=tuple(node_busy),
         comm_latency=comm_latency,
         n_cross_edges=n_cross,
@@ -183,6 +192,41 @@ def makespan_model(
     )
 
 
+def op_weights(graph: DependencyGraph) -> list[float]:
+    """Per-op mults as floats: the default op weights (a shared table)."""
+    return graph.table(
+        "mults", lambda: [float(node.op.mults) for node in graph.nodes]
+    )
+
+
+def latency_preds(
+    graph: DependencyGraph, relax_reductions: bool, alpha: float, beta: float
+) -> list[tuple[tuple[int, float], ...]]:
+    """Per op, its effective predecessors paired with the cross-node latency.
+
+    ``preds[v]`` lists ``(u, alpha + beta * |flow(u, v)|)`` for every
+    effective predecessor ``u`` of ``v``, in
+    :meth:`~repro.graph.dependency.DependencyGraph.effective_preds` order:
+    one precomputed double per edge, so the cold model and the ledger
+    charge bit-identical latencies.  A shared table per ``(relax, alpha,
+    beta)``.
+    """
+    alpha, beta = float(alpha), float(beta)
+
+    def build():
+        return [
+            tuple(
+                (u, alpha + beta * len(
+                    graph.edge_flow(u, v, frozenset(graph.preds[v][u]))
+                ))
+                for u in graph.effective_preds(v, relax_reductions=relax_reductions)
+            )
+            for v in range(len(graph))
+        ]
+
+    return graph.table(("latency_preds", relax_reductions, alpha, beta), build)
+
+
 class MakespanLedger:
     """Checkpointed delta evaluation of :func:`makespan_model`.
 
@@ -190,9 +234,14 @@ class MakespanLedger:
     ``(order, owner)`` pair plus its full forward pass, score a candidate
     that differs only from position ``from_pos`` onward by re-running the
     pass from the nearest checkpoint, and :meth:`commit` the candidate in
-    the accepted case.  Per-edge latencies (``alpha + beta * flow``) are
-    computed once at construction, so a proposal costs time proportional
-    to the re-scored suffix, not to the edge set.
+    the accepted case.  Per-edge latencies come from the graph's shared
+    :func:`latency_preds` table, so a proposal costs time proportional to
+    the re-timed ops, not to the edge set, and nothing on the way is
+    O(n): :meth:`score` copies no order or owner, and writes candidate
+    finish times into a trial list that equals the committed one
+    outside the re-timed ops.  A commit adopts the candidate order list
+    (the caller must not edit it afterwards), updates op positions only
+    over the moved window, and keeps a private copy of a new owner map.
 
     Bit-identity contract: :meth:`score` performs exactly the float
     operations of :func:`makespan_model` in the same association order
@@ -202,11 +251,12 @@ class MakespanLedger:
     cross-check its winner against the measured model.
 
     Caller contract for :meth:`score`: the candidate pair must agree with
-    the committed state on every position below ``from_pos`` — both the
-    op placed there and that op's owner.  (Both move kinds of the
-    co-search satisfy this by construction: an order move changes a
-    window ``[i, j)`` and passes ``from_pos=i``; an ownership move passes
-    the smallest committed position of a moved op.)  The candidate order
+    the committed state on every position below ``from_pos`` and at or
+    after ``settled`` — both the op placed there and that op's owner.
+    (Both move kinds of the co-search satisfy this by construction: an
+    order move changes a window ``[i, j)`` and passes ``from_pos=i,
+    settled=j``; an ownership move passes the smallest committed position
+    of a moved op and the largest plus one.)  The candidate order
     must be a legal order of the graph; legality is the caller's
     responsibility — this class never re-validates inside the hot loop.
     """
@@ -237,7 +287,7 @@ class MakespanLedger:
         if alpha < 0 or beta < 0:
             raise ConfigurationError("alpha and beta must be >= 0")
         if weights is None:
-            weights = [float(node.op.mults) for node in graph.nodes]
+            weights = op_weights(graph)
         elif len(weights) != n:
             raise ConfigurationError(f"weights has {len(weights)} entries for {n} ops")
         if order is None:
@@ -254,103 +304,170 @@ class MakespanLedger:
         self.relax_reductions = relax_reductions
         self.weights = [float(w) for w in weights]
         self.interval = int(interval) if interval is not None else max(8, n // 64)
-        # One precomputed double per effective edge: the cross-node latency
-        # it would charge.  Same-node edges read finish[u] directly.
-        self._preds: list[tuple[tuple[int, float], ...]] = [
-            tuple(
-                (
-                    u,
-                    self.alpha
-                    + self.beta
-                    * len(graph.edge_flow(u, v, frozenset(graph.preds[v][u]))),
-                )
-                for u in graph.effective_preds(v, relax_reductions=relax_reductions)
-            )
-            for v in range(n)
-        ]
+        self._preds = latency_preds(graph, relax_reductions, alpha, beta)
+        self._succs = graph.table(("succs", relax_reductions), lambda: [
+            tuple(graph.effective_succs(u, relax_reductions=relax_reductions))
+            for u in range(n)
+        ])
         self.order = [int(v) for v in order]
         self.owner = [int(q) for q in owner]
         self.pos = [0] * n
         for i, v in enumerate(self.order):
             self.pos[v] = i
         self.finish = [0.0] * n
+        # _trial == finish except at the ops the pending score re-timed.
+        self._trial = [0.0] * n
         self.makespan = 0.0
-        self._snaps: list[tuple[tuple[float, ...], float]] = [
-            (tuple([0.0] * p), 0.0)
-        ]
+        self.work = 0
+        # _snaps[j]: node availability before position j * interval;
+        # _peaks[j]: the latest finish among positions [j, j + 1) * interval.
+        self._snaps: list[tuple[float, ...]] = [tuple([0.0] * p)]
+        self._peaks: list[float] = [0.0]
         self._pending: tuple | None = None
         self.score()
         self.commit()
+        #: ops re-timed by scores, not counting the build.
+        self.work = 0
+
+    @property
+    def checkpoints(self) -> tuple:
+        """Committed ``(node availability, latest finish)`` pairs: the
+        availability before each ``interval`` positions of the order and
+        the latest finish among those positions."""
+        return tuple(zip(self._snaps, self._peaks))
 
     def score(
         self,
         order: "Sequence[int] | None" = None,
         owner: "Sequence[int] | None" = None,
         from_pos: int = 0,
+        settled: int | None = None,
     ) -> float:
         """Makespan of a candidate pair (``None`` = the committed value).
 
         Re-runs the forward pass from the checkpoint at or before
         ``from_pos`` and stashes the result; :meth:`commit` adopts it,
-        a subsequent :meth:`score` discards it.
+        a subsequent :meth:`score` discards it.  The pass stops at the
+        first checkpoint at or after ``settled`` (``None``: the end of the
+        order) where every node's availability equals the committed one
+        and no re-timed op whose finish or owner changed has a successor
+        at or past it: every later finish is then the committed one.
         """
+        self._discard()
         n = len(self.graph)
+        if settled is None:
+            settled = n
         cand_order = self.order if order is None else order
         cand_owner = self.owner if owner is None else owner
-        j0 = min(from_pos // self.interval, len(self._snaps) - 1)
-        start = j0 * self.interval
-        avail_t, ms = self._snaps[j0]
-        avail = list(avail_t)
-        finish = self.finish
-        preds = self._preds
-        weights = self.weights
         interval = self.interval
-        new_finish: dict[int, float] = {}
-        new_snaps: list[tuple[tuple[float, ...], float]] = []
+        snaps = self._snaps
+        j0 = min(from_pos // interval, len(snaps) - 1)
+        start = j0 * interval
+        avail = list(snaps[j0])
+        trial, finish, pos, own = self._trial, self.finish, self.pos, self.owner
+        preds, succs, weights = self._preds, self._succs, self.weights
+        new_snaps: list[tuple[float, ...]] = []
+        peaks: list[float] = []
+        peak = 0.0
+        far = -1  # the last committed position a changed op reaches
+        stop = None
+        end = n
         for idx in range(start, n):
-            if idx % interval == 0:
-                new_snaps.append((tuple(avail), ms))
+            if idx % interval == 0 and idx > start:
+                peaks.append(peak)
+                peak = 0.0
+                snap = tuple(avail)
+                if idx >= settled and far < idx and snap == snaps[idx // interval]:
+                    stop, end = idx // interval, idx
+                    break
+                new_snaps.append(snap)
             v = cand_order[idx]
             q = cand_owner[v]
             t = avail[q]
             for u, lat in preds[v]:
-                fu = new_finish.get(u)
-                if fu is None:
-                    fu = finish[u]
-                arrival = fu if cand_owner[u] == q else fu + lat
+                arrival = trial[u] if cand_owner[u] == q else trial[u] + lat
                 if arrival > t:
                     t = arrival
             f = t + weights[v]
-            new_finish[v] = f
+            trial[v] = f
             avail[q] = f
-            if f > ms:
-                ms = f
+            if f > peak:
+                peak = f
+            if f != finish[v] or q != own[v]:
+                for w in succs[v]:
+                    if pos[w] > far:
+                        far = pos[w]
+        else:
+            peaks.append(peak)
+        self.work += end - start
+        ms = max(peaks)
+        if j0:
+            ms = max(ms, max(self._peaks[:j0]))
+        if stop is not None:
+            ms = max(ms, max(self._peaks[stop:]))
         self._pending = (
-            j0,
-            start,
-            None if order is None else [int(v) for v in order],
-            None if owner is None else [int(q) for q in owner],
-            new_finish,
-            new_snaps,
-            ms,
+            j0, start, end, stop, cand_order, order, owner, from_pos, settled,
+            new_snaps, peaks, ms,
         )
         return ms
+
+    def _discard(self) -> None:
+        """Drop a pending candidate: restore its re-timed trial entries."""
+        if self._pending is not None:
+            _j0, start, end, _stop, cand_order, *_rest = self._pending
+            trial, finish = self._trial, self.finish
+            for idx in range(start, end):
+                v = cand_order[idx]
+                trial[v] = finish[v]
+            self._pending = None
+
+    def reorder(self, order: "Sequence[int]", from_pos: int, settled: int) -> None:
+        """Adopt a new order of window ``[from_pos, settled)`` that leaves
+        every node's program (its ops, in order) unchanged.
+
+        A finish time depends only on the owner map and the programs, so
+        every finish time and the makespan stand; only the checkpoints of
+        the intervals the window overlaps move, and they are rebuilt from
+        the committed finish times without re-timing any op.
+        """
+        self._discard()
+        interval = self.interval
+        j0 = min(from_pos // interval, len(self._snaps) - 1)
+        avail = list(self._snaps[j0])
+        owner, finish = self.owner, self.finish
+        for j in range(j0, min(-(-settled // interval), len(self._snaps))):
+            if j > j0:
+                self._snaps[j] = tuple(avail)
+            peak = 0.0
+            for v in order[j * interval : (j + 1) * interval]:
+                f = finish[v]
+                avail[owner[v]] = f
+                if f > peak:
+                    peak = f
+            self._peaks[j] = peak
+        for idx in range(from_pos, settled):
+            self.pos[order[idx]] = idx
+        self.order = order
 
     def commit(self) -> float:
         """Adopt the last scored candidate as the committed state."""
         if self._pending is None:
             return self.makespan
-        j0, start, order, owner, new_finish, new_snaps, ms = self._pending
+        (j0, start, end, stop, cand_order, order, owner, from_pos, settled,
+         new_snaps, peaks, ms) = self._pending
         if order is not None:
             self.order = order
-            for idx in range(start, len(order)):
+            for idx in range(from_pos, settled):
                 self.pos[order[idx]] = idx
         if owner is not None:
-            self.owner = owner
-        for v, f in new_finish.items():
-            self.finish[v] = f
-        if new_snaps:  # empty only for an empty graph: keep the cold snap
-            self._snaps[j0:] = new_snaps
+            # a private copy: the stop compares the next candidate with it
+            self.owner = list(owner)
+        trial, finish = self._trial, self.finish
+        for idx in range(start, end):
+            v = cand_order[idx]
+            finish[v] = trial[v]
+        self._snaps[j0 + 1 : stop] = new_snaps
+        self._peaks[j0 : stop] = peaks
         self.makespan = ms
         self._pending = None
         return ms

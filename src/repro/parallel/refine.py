@@ -161,18 +161,37 @@ def movable_units(
     indices of the units containing it.  Write-groups when the exclusive-
     writer invariant must survive; otherwise single ops plus whole
     reduction classes (the group moves that relocate a ``+=`` chain
-    without ever splitting it).
+    without ever splitting it).  A shared read-only table of the graph.
     """
-    if keep_writers_together:
-        units = write_groups(graph)
-    else:
-        units = [[v] for v in range(len(graph))]
-        units.extend(graph.reduction_classes())
-    op_units: list[list[int]] = [[] for _ in range(len(graph))]
-    for ui, group in enumerate(units):
-        for v in group:
-            op_units[v].append(ui)
-    return units, op_units
+
+    def build():
+        if keep_writers_together:
+            units = write_groups(graph)
+        else:
+            units = [[v] for v in range(len(graph))]
+            units.extend(graph.reduction_classes())
+        op_units: list[list[int]] = [[] for _ in range(len(graph))]
+        for ui, group in enumerate(units):
+            for v in group:
+                op_units[v].append(ui)
+        return units, op_units
+
+    return graph.table(("movable_units", keep_writers_together), build)
+
+
+def _partition_tables(graph: DependencyGraph):
+    """The static half of :class:`PartitionLedger`: per-op touched elements
+    and weights, the data-carrying edges with their sorted flows, and each
+    op's incident edge indices (which drive the per-move updates)."""
+    touched = [tuple(node.touched_keys()) for node in graph.nodes]
+    weights = [max(int(node.op.mults), 1) for node in graph.nodes]
+    edges: list[tuple[int, int, tuple[int, ...]]] = []
+    incident: list[list[int]] = [[] for _ in range(len(graph))]
+    for u, v, flow in graph.data_edges():
+        incident[u].append(len(edges))
+        incident[v].append(len(edges))
+        edges.append((u, v, tuple(sorted(flow))))
+    return touched, weights, edges, incident
 
 
 class PartitionLedger:
@@ -198,18 +217,10 @@ class PartitionLedger:
         self.graph = graph
         self.p = p
         self.owner = [int(q) for q in owner]
-        self.touched = [tuple(node.touched_keys()) for node in graph.nodes]
-        self.weights = [max(int(node.op.mults), 1) for node in graph.nodes]
-        # Data-carrying edges once; incidence lists drive per-move updates.
-        self.edges: list[tuple[int, int, tuple[int, ...]]] = []
-        self.incident: list[list[int]] = [[] for _ in range(len(graph))]
-        for u, v, kinds in graph.edges():
-            elems = graph.edge_flow(u, v, kinds)
-            if elems:
-                idx = len(self.edges)
-                self.edges.append((u, v, tuple(sorted(elems))))
-                self.incident[u].append(idx)
-                self.incident[v].append(idx)
+        # The static tables are the graph's, shared read-only.
+        self.touched, self.weights, self.edges, self.incident = graph.table(
+            "partition_tables", lambda: _partition_tables(graph)
+        )
         # Footprint state.
         self.elem_count: list[dict[int, int]] = [dict() for _ in range(p)]
         self.footprint = [0] * p

@@ -22,8 +22,9 @@ writes the columns as it decides each load and evict,
 hand-built step list.  Three consumers read them:
 :func:`repro.trace.io.save_schedule` writes them as they are,
 :func:`repro.check.certify.certify_schedule` builds its load/evict events
-from them, and :func:`build_steps` makes step objects from them when a
-caller reads a schedule's ``steps``.
+from them (from :func:`split_steps`'s moves alone for a step list), and
+:func:`build_steps` makes step objects from them when a caller reads a
+schedule's ``steps``.
 """
 
 from __future__ import annotations
@@ -122,6 +123,44 @@ class MatrixIds(dict):
     def __missing__(self, name: str) -> int:
         self[name] = len(self)
         return self[name]
+
+
+def split_steps(steps: Sequence[Step], shapes: dict[str, tuple[int, int]]) -> tuple:
+    """One pass over a step list: ``(matrix_ids, kind, moves, ops)``.
+
+    ``kind`` has one entry per step; ``moves`` holds the load and evict
+    steps' matrix ids, writeback flags and lengths, and their flats back
+    to back; ``ops`` the compute ops, all in step order.  These are the
+    inputs of :meth:`ScheduleColumns.assemble`, and all the certifier
+    reads of a schedule that carries no columns.  Raises
+    :class:`~repro.errors.ScheduleError` on a step that is not a load,
+    evict or compute.
+    """
+    matrix_ids = MatrixIds(shapes)
+    kind: list[int] = []
+    ref: list[int] = []
+    writeback: list[bool] = []
+    flats: list[np.ndarray] = []
+    ops: list[ComputeOp] = []
+    for pos, step in enumerate(steps):
+        if isinstance(step, ComputeStep):
+            kind.append(COMPUTE)
+            ops.append(step.op)
+        elif isinstance(step, (LoadStep, EvictStep)):
+            evict = isinstance(step, EvictStep)
+            kind.append(EVICT if evict else LOAD)
+            ref.append(matrix_ids[step.region.matrix])
+            writeback.append(evict and bool(step.writeback))
+            flats.append(step.region.flat)
+        else:
+            raise ScheduleError(f"step {pos}: unknown step type {type(step).__name__}")
+    moves = (
+        np.asarray(ref, dtype=COLUMNS["ref"]),
+        np.asarray(writeback, dtype=COLUMNS["writeback"]),
+        np.fromiter(map(len, flats), np.int64, len(flats)),
+        np.concatenate(flats) if flats else np.zeros(0, dtype=np.int64),
+    )
+    return matrix_ids, np.asarray(kind, dtype=COLUMNS["kind"]), moves, ops
 
 
 def gather(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -246,31 +285,7 @@ class ScheduleColumns:
         Raises :class:`~repro.errors.ScheduleError` on a step that is not
         a load, evict or compute.
         """
-        matrix_ids = MatrixIds(shapes)
-        kind: list[int] = []
-        ref: list[int] = []
-        writeback: list[bool] = []
-        flats: list[np.ndarray] = []
-        ops: list[ComputeOp] = []
-        for pos, step in enumerate(steps):
-            if isinstance(step, ComputeStep):
-                kind.append(COMPUTE)
-                ops.append(step.op)
-            elif isinstance(step, (LoadStep, EvictStep)):
-                evict = isinstance(step, EvictStep)
-                kind.append(EVICT if evict else LOAD)
-                ref.append(matrix_ids[step.region.matrix])
-                writeback.append(evict and bool(step.writeback))
-                flats.append(step.region.flat)
-            else:
-                raise ScheduleError(f"step {pos}: unknown step type {type(step).__name__}")
-        moves = (
-            np.asarray(ref, dtype=COLUMNS["ref"]),
-            np.asarray(writeback, dtype=COLUMNS["writeback"]),
-            np.fromiter(map(len, flats), np.int64, len(flats)),
-            np.concatenate(flats) if flats else np.zeros(0, dtype=np.int64),
-        )
-        return cls.assemble(shapes, matrix_ids, np.asarray(kind, dtype=COLUMNS["kind"]), moves, ops)
+        return cls.assemble(shapes, *split_steps(steps, shapes))
 
     # -- what the columns answer without a step object ------------------- #
     def counts(self) -> dict[str, int]:

@@ -24,7 +24,9 @@ has exactly one engine:
   it; the chunked engine wins at large single capacities, where hit runs
   are long.
 * **Incremental LRU** — :class:`LruCursor` and :class:`LruLedger` replay an
-  order op by op from any cache snapshot, for the order searches.
+  order op by op from any cache snapshot, for the order searches; the
+  ledger keeps one cursor per node and replays only the nodes a move
+  changed.
 
 Every entry point takes its capacity through :func:`as_capacity`.  Store
 accounting matches the references: dirty evictions count as stores
@@ -37,7 +39,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -984,34 +986,44 @@ class LruLedger:
     """Checkpointed delta evaluation of per-node LRU loads of a pair.
 
     The search-loop form of replaying an ``(order, owner)`` pair through
-    one :class:`LruCursor` per node — node ``owner[v]`` applies op ``v``
-    when the order reaches it; ``owner=None`` means one node applying the
-    whole order.  It mirrors
-    :class:`~repro.parallel.makespan.MakespanLedger`: keep every node's
-    cache state before positions ``0, interval, 2*interval, ...`` of the
-    committed pair, :meth:`score` a candidate by replaying from the
-    checkpoint at or before ``from_pos``, and :meth:`commit` it in the
-    accepted case (a later :meth:`score` discards it).  The caller owns
-    the pair and passes the whole candidate to :meth:`score`.
+    one :class:`LruCursor` per node: node ``owner[v]`` applies op ``v``
+    when the order reaches it, and ``owner=None`` is the one-node case.
+    A node's loads depend only on its *program*, the ops it owns in the
+    order they run.  The ledger keeps each node's own cache state before
+    positions ``0, interval, 2*interval, ...`` of the committed order.
+    :meth:`score` costs a candidate by replaying only the nodes whose
+    program changed (``nodes``; ``None`` means every node), each from its
+    own checkpoint at or before ``from_pos``; :meth:`commit` adopts the
+    candidate (a later :meth:`score` discards it).  The caller owns the
+    pair and passes the whole candidate to :meth:`score`.
 
     Re-convergence cut-off: an LRU cache holds the ``capacity`` most
     recently used distinct elements in recency order, so it depends only
-    on recent history, and a candidate's replay usually rejoins the
-    committed one a few ops after the moved window.  From the first
-    checkpoint at or after ``settled`` on, :meth:`score` stops at the
-    first checkpoint where every node's recency list equals the committed
-    one (:meth:`LruCursor.matches`).  Every later load then equals the
-    committed load, so the candidate's loads are the committed loads plus
-    the per-node deltas so far, and :meth:`commit` shifts the load counts
-    of the later checkpoints by those deltas.  The cut-off is exact:
+    on recent history, and a node's replay usually rejoins its committed
+    one a few ops after the moved positions.  From the first checkpoint
+    at or after ``settled`` on, each replayed node stops at the first
+    checkpoint where its recency list equals its committed one
+    (:meth:`LruCursor.matches`).  Every later load of that node then
+    equals its committed load, so its candidate loads are its committed
+    loads plus the delta so far, and :meth:`commit` shifts the load
+    counts of its later checkpoints by that delta.  The cut-off is exact:
     convergence is an equality of recency lists, never an estimate.
+
+    A node left out of ``nodes`` keeps its loads, but an order move can
+    carry one of its ops across a checkpoint inside the window: its
+    program is the same, its state at that checkpoint is not.
+    :meth:`commit` re-snapshots exactly those nodes at those checkpoints,
+    so every checkpoint always equals a fresh ledger's.
 
     Caller contract for :meth:`score`: the candidate agrees with the
     committed pair — the op at each position and that op's owner — below
-    ``from_pos`` and at or after ``settled``.  An order move of window
+    ``from_pos`` and at or after ``settled``, and every node whose program
+    the candidate changes is in ``nodes``.  An order move of window
     ``[i, j)`` passes ``from_pos=i, settled=j``; an ownership move passes
     the smallest committed position of a moved op and the largest plus
-    one.
+    one, with the moved ops' old owners and their destination as
+    ``nodes``.  ``nodes=()`` costs a candidate that changes no program:
+    no replay at all.
     """
 
     def __init__(
@@ -1038,20 +1050,27 @@ class LruLedger:
         if interval is not None and interval < 1:
             raise ConfigurationError(f"interval must be >= 1, got {interval}")
         n = len(order)
+        self.p = p
         self.interval = int(interval) if interval is not None else max(8, n // 64)
         #: committed per-node loads.
         self.loads = [0] * p
         self._cursors = [LruCursor(trace, capacity) for _ in range(p)]
-        # _snaps[j]: every node's snapshot before position j * interval.
-        self._snaps = [tuple(c.snapshot() for c in self._cursors)]
+        # _snaps[q][j]: node q's snapshot before position j * interval.
+        cold = self._cursors[0].snapshot()
+        self._snaps = [[cold] for _ in range(p)]
+        self._order = order
         self._pending: tuple | None = None
+        self.work = 0
         self.score(order, owner)
         self.commit()
+        #: cursor ops applied by scores and checkpoint refreshes, not
+        #: counting the build.
+        self.work = 0
 
     @property
     def checkpoints(self) -> tuple:
         """Committed per-node snapshots, one tuple per checkpoint."""
-        return tuple(self._snaps)
+        return tuple(zip(*self._snaps))
 
     def score(
         self,
@@ -1059,6 +1078,7 @@ class LruLedger:
         owner: "Sequence[int] | None" = None,
         from_pos: int = 0,
         settled: int | None = None,
+        nodes: "Iterable[int] | None" = None,
     ) -> list[int]:
         """Per-node loads of the candidate pair ``(order, owner)``.
 
@@ -1070,49 +1090,111 @@ class LruLedger:
         interval = self.interval
         cursors = self._cursors
         snaps = self._snaps
-        j0 = min(from_pos // interval, len(snaps) - 1)
-        for cursor, snap in zip(cursors, snaps[j0]):
-            cursor.restore(snap)
-        new_snaps: list[tuple] = []
-        stop = None
+        j0 = min(from_pos // interval, len(snaps[0]) - 1)
+        replayed = range(self.p) if nodes is None else sorted(nodes)
+        live = [False] * self.p
+        fresh: dict[int, list] = {}
+        for q in replayed:
+            live[q] = True
+            cursors[q].restore(snaps[q][j0])
+            fresh[q] = []
+        n_live = len(fresh)
+        stops: dict[int, int] = {}
+        applied = 0
         for j in range(j0, max(1, -(-n // interval))):
             pos = j * interval
             if j > j0:
-                if pos >= settled and all(
-                    c.matches(snap) for c, snap in zip(cursors, snaps[j])
-                ):
-                    stop = j
-                    break
-                new_snaps.append(tuple(c.snapshot() for c in cursors))
+                converging = pos >= settled
+                for q in replayed:
+                    if live[q]:
+                        cursor = cursors[q]
+                        if converging and cursor.matches(snaps[q][j]):
+                            live[q] = False
+                            stops[q] = j
+                            n_live -= 1
+                        else:
+                            fresh[q].append(cursor.snapshot())
+            if not n_live:
+                break
+            chunk = order[pos : pos + interval]
             if owner is None:
-                cursors[0].apply(order[pos : pos + interval])
+                cursors[0].apply(chunk)
+                applied += len(chunk)
             else:
-                for v in order[pos : pos + interval]:
-                    cursors[owner[v]].apply_op(v)
-        if stop is None:
-            delta = None
-            loads = [c.loads for c in cursors]
-        else:
-            delta = [c.loads - snap[0] for c, snap in zip(cursors, snaps[stop])]
-            loads = [l + d for l, d in zip(self.loads, delta)]
-        self._pending = (j0, stop, new_snaps, delta, loads)
+                for v in chunk:
+                    q = owner[v]
+                    if live[q]:
+                        cursors[q].apply_op(v)
+                        applied += 1
+        loads = list(self.loads)
+        for q in replayed:
+            stop = stops.get(q)
+            if stop is None:
+                loads[q] = cursors[q].loads
+            else:
+                loads[q] += cursors[q].loads - snaps[q][stop][0]
+        self.work += applied
+        self._pending = (order, owner, from_pos, settled, j0, fresh, stops, loads)
         return list(loads)
 
     def commit(self) -> list[int]:
         """Adopt the last scored candidate as the committed state."""
         if self._pending is not None:
-            j0, stop, new_snaps, delta, loads = self._pending
-            snaps = self._snaps
-            if stop is None:
-                snaps[j0 + 1 :] = new_snaps
-            else:
-                snaps[j0 + 1 : stop] = new_snaps
-                if any(delta):
-                    for j in range(stop, len(snaps)):
-                        snaps[j] = tuple(
-                            (snap[0] + d, snap[1]) for snap, d in zip(snaps[j], delta)
-                        )
+            order, owner, from_pos, settled, j0, fresh, stops, loads = self._pending
+            for q, new_snaps in fresh.items():
+                mine = self._snaps[q]
+                stop = stops.get(q)
+                if stop is None:
+                    mine[j0 + 1 :] = new_snaps
+                    continue
+                mine[j0 + 1 : stop] = new_snaps
+                delta = loads[q] - self.loads[q]
+                if delta:
+                    mine[stop:] = [(snap[0] + delta, snap[1]) for snap in mine[stop:]]
+            if order is not self._order and len(fresh) < self.p:
+                self._refresh(order, owner, from_pos, settled, j0, fresh)
+            self._order = order
             self.loads = loads
             self._pending = None
         return list(self.loads)
 
+    def _refresh(self, order, owner, from_pos, settled, j0, replayed) -> None:
+        """Re-snapshot the unreplayed nodes an order move carried across a
+        checkpoint inside ``[from_pos, settled)``.
+
+        Such a node's program is unchanged, so its snapshot at a checkpoint
+        ``c`` is stale exactly when the window holds a different number of
+        its ops before ``c`` in the old and the new order.
+        """
+        interval = self.interval
+        inner = range(
+            from_pos // interval + 1,
+            min(-(-settled // interval), len(self._snaps[0])),
+        )
+        if not inner:
+            return
+        old = self._order
+        # gap[q]: q's ops in old[from_pos:pos] minus those in order[from_pos:pos]
+        gap = [0] * self.p
+        stale: set[int] = set()
+        pos = from_pos
+        for j in inner:
+            for k in range(pos, j * interval):
+                gap[0 if owner is None else owner[old[k]]] += 1
+                gap[0 if owner is None else owner[order[k]]] -= 1
+            pos = j * interval
+            stale.update(q for q, d in enumerate(gap) if d and q not in replayed)
+        applied = 0
+        for q in sorted(stale):
+            cursor = self._cursors[q]
+            mine = self._snaps[q]
+            cursor.restore(mine[j0])
+            for j in range(j0, inner[-1]):
+                if j >= inner[0]:
+                    mine[j] = cursor.snapshot()
+                for v in order[j * interval : (j + 1) * interval]:
+                    if owner is None or owner[v] == q:
+                        cursor.apply_op(v)
+                        applied += 1
+            mine[inner[-1]] = cursor.snapshot()
+        self.work += applied

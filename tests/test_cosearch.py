@@ -150,6 +150,165 @@ class TestMakespanLedger:
             assert ledger.makespan == cold.makespan  # bit-identical
         assert eff_order_moves > 10  # the order dimension was exercised
 
+    def test_rejected_scores_leave_no_trace(self, tbs_graph):
+        """Half the candidates are dropped: every commit still equals a
+        cold model, finish time by finish time, and a fresh ledger,
+        checkpoint by checkpoint.  Reductions stay ordered, so each op
+        waits on its chain predecessor."""
+        rng = random.Random(5)
+        n, p = len(tbs_graph), 4
+        owner = list(partition_graph(tbs_graph, p, "locality"))
+        ledger = MakespanLedger(tbs_graph, owner, p=p, interval=8)
+        # A dropped candidate that re-times every op (all on one node),
+        # then one that re-times from a late op whose predecessor sits
+        # before its checkpoint: the committed finish must be read.
+        ledger.score(owner=[0] * n, from_pos=0)
+        v = max(
+            v for v in range(n)
+            if any(u < v // 8 * 8 for u in tbs_graph.effective_preds(v))
+        )
+        late = list(owner)
+        late[v] = (late[v] + 1) % p
+        got = ledger.score(owner=late, from_pos=v, settled=v + 1)
+        assert got == makespan_model(tbs_graph, late, p=p).makespan
+        for _ in range(120):
+            cand_owner = list(owner)
+            v = rng.randrange(n)
+            cand_owner[v] = rng.randrange(p)
+            ledger.score(owner=cand_owner, from_pos=v, settled=v + 1)
+            if rng.random() < 0.5:
+                continue
+            ledger.commit()
+            owner = cand_owner
+            cold = makespan_model(tbs_graph, owner, p=p)
+            assert ledger.makespan == cold.makespan
+            assert ledger.finish == list(cold.finish)
+        fresh = MakespanLedger(tbs_graph, owner, p=p, interval=8)
+        assert ledger.checkpoints == fresh.checkpoints
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stopped_passes_match_cold_model(self, seed):
+        """The early stop is exact: random moves on a Cholesky DAG (long
+        dependence chains, so a changed op often feeds an op far past
+        the moved window), with and without commits, at any interval and
+        latency."""
+        from repro.graph.compare import record_case
+        from repro.graph.search import propose_segment_move, reduction_class_of
+
+        graph = DependencyGraph.from_trace(record_case("chol", 12, 3, 15).trace)
+        n, class_of = len(graph), reduction_class_of(graph)
+        rng = random.Random(seed)
+        p, interval = rng.choice([2, 3, 4]), rng.choice([1, 2, 3, 5, 8])
+        alpha, beta = rng.choice([(1.0, 1.0), (0.0, 1.0), (5.0, 0.5), (1.0, 0.0)])
+        owner = [rng.randrange(p) for _ in range(n)]
+        order = list(range(n))
+        ledger = MakespanLedger(
+            graph, owner, p=p, order=order, alpha=alpha, beta=beta,
+            relax_reductions=True, interval=interval,
+        )
+        stopped = 0
+        for _ in range(250):
+            if rng.random() < 0.5:
+                i, j, segment = propose_segment_move(order, class_of, rng)
+                if segment == order[i:j] or not graph.is_valid_window(
+                    segment, relax_reductions=True
+                ):
+                    continue
+                cand_order, cand_owner = order[:i] + segment + order[j:], owner
+                candidate = {"order": cand_order}
+            else:
+                moved = rng.sample(range(n), rng.randrange(1, 4))
+                cand_owner, cand_order = list(owner), order
+                q = rng.randrange(p)
+                for v in moved:
+                    cand_owner[v] = q
+                at = [order.index(v) for v in moved]
+                i, j = min(at), max(at) + 1
+                candidate = {"owner": cand_owner}
+            work = ledger.work
+            got = ledger.score(**candidate, from_pos=i, settled=j)
+            # a full pass re-times every op from the checkpoint before i
+            stopped += ledger.work - work < n - i // interval * interval
+            cold = makespan_model(
+                graph, cand_owner, p=p, order=cand_order, alpha=alpha,
+                beta=beta, relax_reductions=True,
+            )
+            assert got == cold.makespan
+            if rng.random() < 0.6:
+                ledger.commit()
+                order, owner = cand_order, cand_owner
+                assert ledger.finish == list(cold.finish)
+        fresh = MakespanLedger(
+            graph, owner, p=p, order=order, alpha=alpha, beta=beta,
+            relax_reductions=True, interval=interval,
+        )
+        assert ledger.checkpoints == fresh.checkpoints
+        assert stopped > 0
+
+    def test_commit_keeps_a_private_owner(self, tbs_graph):
+        """The stop compares candidates with the committed owner, so a
+        caller editing its candidate list in place after the commit (as
+        co-search's partition ledger does) must not reach it."""
+        owner = list(partition_graph(tbs_graph, 4, "locality"))
+        ledger = MakespanLedger(tbs_graph, owner, p=4)
+        cand = list(owner)
+        cand[3] = (cand[3] + 1) % 4
+        ledger.score(owner=cand, from_pos=3, settled=4)
+        ledger.commit()
+        committed = list(cand)
+        cand[3] = (cand[3] + 1) % 4
+        assert ledger.owner == committed
+
+    def test_stop_sees_an_owner_change_that_keeps_the_finish(self):
+        """Op v moves from node 0 to node 1 and still finishes at the same
+        time, and every node's availability at the checkpoint is the
+        committed one; but v's successor w past the checkpoint now pays
+        the cross-node latency, so the pass must not stop there."""
+        from repro.graph.dependency import OpNode
+
+        graph = DependencyGraph([OpNode(index=i, op=None) for i in range(6)])
+        u0, u1, v, x, y, w = range(6)
+        for a, b in ((u0, v), (u1, x), (u1, y), (v, w)):
+            graph._add_edge(a, b, "raw")
+        weights = [1.0, 10.0, 1.0, 1.0, 1.0, 1.0]
+        owner = [2, 2, 0, 0, 1, 0]
+        ledger = MakespanLedger(
+            graph, owner, p=3, alpha=20.0, beta=0.0, weights=weights,
+            interval=5,
+        )
+        moved = list(owner)
+        moved[v] = 1
+        got = ledger.score(owner=moved, from_pos=v, settled=v + 1)
+        cold = makespan_model(
+            graph, moved, p=3, alpha=20.0, beta=0.0, weights=weights
+        )
+        assert cold.finish[v] == ledger.finish[v]  # v's finish is unchanged
+        assert got == cold.makespan > ledger.makespan
+
+    def test_reorder_rebuilds_checkpoints_without_retiming(self, tbs_graph):
+        """A swap of adjacent ops on different nodes across a checkpoint
+        changes no program: finish times stand, checkpoints move."""
+        n, p, interval = len(tbs_graph), 4, 8
+        owner = [v % p for v in range(n)]
+        order = list(range(n))
+        ledger = MakespanLedger(
+            tbs_graph, owner, p=p, order=order, relax_reductions=True,
+            interval=interval,
+        )
+        c = 2 * interval
+        cand = order[: c - 1] + [order[c], order[c - 1]] + order[c + 1 :]
+        assert tbs_graph.is_valid_order(cand, relax_reductions=True)
+        finish, work = list(ledger.finish), ledger.work
+        ledger.reorder(cand, c - 1, c + 1)
+        assert ledger.work == work and ledger.finish == finish
+        fresh = MakespanLedger(
+            tbs_graph, owner, p=p, order=cand, relax_reductions=True,
+            interval=interval,
+        )
+        assert ledger.makespan == fresh.makespan
+        assert ledger.finish == fresh.finish
+        assert ledger.checkpoints == fresh.checkpoints
+
     def test_from_pos_midstream_matches_cold(self, tbs_graph):
         rng = random.Random(3)
         n = len(tbs_graph)
@@ -237,19 +396,68 @@ class TestCoSearchState:
             proposal = state.step(rng)
             if proposal is None:
                 continue
-            cand_cost, commit = proposal
+            # an owner move offers (bound, commit, exact)
+            cand_cost, commit, *exact = proposal
             if rng.random() < 0.5:
                 continue  # reject: state must be unchanged
+            if exact:
+                bound, cand_cost = cand_cost, exact[0]()
+                assert bound <= cand_cost
             commit()
             committed += 1
             measured = cosearch_cost(
                 tbs_graph, state.ledger.owner, p, s, order=state.order,
                 relax_reductions=True,
             )
-            assert state.cost() == measured.cost
+            assert state.cost() == measured.cost == cand_cost
             assert state.loads == list(measured.loads)
         assert committed > 20
         assert state.order_moves > 0 and state.owner_moves > 0
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_owner_bound_never_exceeds_the_exact_cost(self, tbs_graph, p):
+        rng = random.Random(p)
+        state = CoSearchState(
+            tbs_graph, partition_graph(tbs_graph, p, "level-greedy"), p, 15,
+        )
+        bounded = 0
+        for _ in range(400):
+            proposal = state.step(rng)
+            if proposal is None:
+                continue
+            cand, commit, *exact = proposal
+            if exact:
+                bounded += 1
+                assert cand <= exact[0]()
+            if rng.random() < 0.4:
+                commit()
+        assert bounded > 50
+
+    def test_neutral_order_moves_replay_nothing(self, tbs_graph):
+        """An order move that changes no node's program costs the
+        committed cost, re-times and replays nothing, and its commit
+        keeps the state equal to the measured pair."""
+        p, s = 4, 15
+        rng = random.Random(2)
+        state = CoSearchState(
+            tbs_graph, partition_graph(tbs_graph, p, "level-greedy"), p, s,
+        )
+        neutral = 0
+        for _ in range(300):
+            work = (state.span.work, state.lru.work)
+            proposal = state.step(rng)
+            if proposal is None:
+                continue
+            if len(proposal) == 2 and (state.span.work, state.lru.work) == work:
+                neutral += 1
+                assert proposal[0] == state.cost()
+            proposal[1]()
+            measured = cosearch_cost(
+                tbs_graph, state.ledger.owner, p, s, order=state.order,
+                relax_reductions=True,
+            )
+            assert state.cost() == measured.cost
+        assert neutral > 5
 
     def test_exact_cover_after_moves(self, tbs_graph):
         p, s = 4, 15

@@ -81,9 +81,8 @@ def check_state_invariants(kernel: str, n: int, mc: int, p: int, seed: int):
         proposal = state.step(rng)
         if proposal is None:
             continue
-        _cand, commit = proposal
         if rng.random() < 0.7:
-            commit()
+            proposal[1]()  # commit
     got = state.ledger.owner
     assert len(got) == len(graph)
     assert all(0 <= q < p for q in got)  # exact cover: one owner per op

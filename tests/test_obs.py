@@ -8,6 +8,7 @@ on), every engine returns results bit-identical to an uninstrumented run.
 import dataclasses
 import io
 import json
+import random
 
 import pytest
 
@@ -309,6 +310,67 @@ class TestRunChain:
         walk = ToyWalk(100.0, _nudge, drift=1.0)
         with pytest.raises(ScheduleError, match="drifted"):
             run_chain(walk, iters=20, seed=3)
+
+
+class BoundedWalk(ToyWalk):
+    """A :class:`ToyWalk` whose proposals offer a lower bound first.
+
+    ``slack(value)`` says how far below the candidate the bound sits; it
+    must not draw from the chain's RNG.  The walk keeps that RNG, so a
+    test can read its final state, and counts the exact costs it computed.
+    """
+
+    def __init__(self, value, propose, slack):
+        super().__init__(value, propose)
+        self.slack = slack
+        self.resolved = 0
+        self.rng = None
+
+    def step(self, rng):
+        self.rng = rng
+        proposal = super().step(rng)
+        if proposal is None:
+            return None
+        cand, commit = proposal
+
+        def exact():
+            self.resolved += 1
+            return cand
+
+        return cand - self.slack(cand), commit, exact
+
+
+class TestBoundFirst:
+    """Loose bounds decide rejections early and change nothing else."""
+
+    @pytest.mark.parametrize("t_start", [0.5, 5.0, 50.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loose_bounds_walk_exactly_like_exact_costs(self, seed, t_start):
+        looseness = random.Random(1000 + seed)  # never the chain's RNG
+        runs = {
+            "exact": BoundedWalk(100.0, _nudge, lambda cand: 0.0),
+            "loose": BoundedWalk(
+                100.0, _nudge, lambda cand: looseness.uniform(0.0, 8.0)
+            ),
+            "none": BoundedWalk(100.0, _nudge, lambda cand: float("inf")),
+        }
+        chains = {
+            name: run_chain(walk, iters=300, seed=seed, t_start=t_start, label="toy")
+            for name, walk in runs.items()
+        }
+        plain = ToyWalk(100.0, _nudge)
+        plain_chain = run_chain(plain, iters=300, seed=seed, t_start=t_start, label="toy")
+        for name, chain in chains.items():
+            assert chain.series == plain_chain.series, name
+            assert (chain.best, chain.stats) == (plain_chain.best, plain_chain.stats)
+            assert runs[name].value == plain.value
+        states = {name: walk.rng.getstate() for name, walk in runs.items()}
+        assert states["exact"] == states["loose"] == states["none"]
+        # a useless bound resolves every proposal; tighter ones fewer
+        assert runs["none"].resolved == plain_chain.stats.evaluations
+        assert runs["exact"].resolved <= runs["loose"].resolved <= runs["none"].resolved
+        if t_start < 50.0:
+            assert runs["exact"].resolved < runs["none"].resolved
 
 
 # --------------------------------------------------------------------- #
