@@ -8,7 +8,7 @@ rank-2k update and measure the same sqrt(2) story:
 * triangle-block SYR2K beats the square-tile baseline by (k-1)/t -> sqrt(2);
 * measured == exact model; volumes respect the extended lower bound
   sqrt(2) N^2 M / sqrt(S);
-* numerics verified by the strict machine (in the test suite).
+* numerics verified by the numeric machine (in the test suite).
 """
 
 import math

@@ -57,7 +57,7 @@ JOBS_GRID = (1, 2, 4)
 
 
 def record_trace(n: int, s: int):
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     m.add_matrix("A", np.zeros((n, M_COLS)))
     m.add_matrix("C", np.zeros((n, n)))
     sched = record_schedule(m, lambda: tbs_syrk(m, "A", "C", range(n), range(M_COLS)))

@@ -48,7 +48,7 @@ ASSERT_N = 512
 
 def record_case(n: int):
     s = 8 * n
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     m.add_matrix("A", np.zeros((n, M_COLS)))
     m.add_matrix("C", np.zeros((n, n)))
     sched = record_schedule(

@@ -25,7 +25,7 @@ def main() -> None:
     a = random_spd_matrix(N)
     rhs = np.arange(1, N + 1, dtype=float)
 
-    # --- factor with LBC on the strict machine --------------------------
+    # --- factor with LBC on the numeric machine -------------------------
     machine = TwoLevelMachine(S)
     machine.add_matrix("A", a)
     stats = lbc_cholesky(machine, "A", range(N), b=B)
@@ -44,7 +44,7 @@ def main() -> None:
     print(f"solve  check: max |A x - b|    = {res:.2e}")
 
     # --- I/O accounting --------------------------------------------------
-    baseline = TwoLevelMachine(S, strict=False, numerics=False)
+    baseline = TwoLevelMachine(S, numerics=False)
     baseline.add_matrix("A", np.zeros((N, N)))
     occ = ooc_chol(baseline, "A", range(N))
     lb = cholesky_lower_bound(N, S, form="exact")
@@ -62,7 +62,7 @@ def main() -> None:
     )
 
     # --- Section 5.2.2 term decomposition -------------------------------
-    decomp_machine = TwoLevelMachine(S, strict=False, numerics=False)
+    decomp_machine = TwoLevelMachine(S, numerics=False)
     decomp_machine.add_matrix("A", np.zeros((N, N)))
     parts = lbc_term_breakdown(decomp_machine, "A", range(N), b=B)
     t2 = Table(["LBC phase", "loads", "share"])

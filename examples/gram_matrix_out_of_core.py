@@ -13,7 +13,7 @@ This example sweeps dataset heights on a small simulated machine and shows:
 * both schedules pay the same one-pass C-traffic (N(N+1)/2);
 * measured volumes sit between the Corollary 4.7 lower bound and the
   Theorem 5.6 upper bound;
-* the numeric Gram matrix is exact (strict machine verification at the
+* the numeric Gram matrix is exact (numeric machine verification at the
   smallest size).
 
 Run:  python examples/gram_matrix_out_of_core.py
@@ -40,7 +40,7 @@ def verify_smallest() -> None:
     tbs_syrk(machine, "X", "G", range(n), range(M))
     machine.assert_empty()
     err = np.max(np.abs(np.tril(machine.result("G")) - np.tril(x @ x.T)))
-    print(f"numeric check at N={n}: max |G - X X^T| = {err:.2e}  (strict machine)")
+    print(f"numeric check at N={n}: max |G - X X^T| = {err:.2e}  (numeric machine)")
     assert err < 1e-10
 
 

@@ -25,7 +25,7 @@ N, M, S = 60, 8, 15
 
 
 def run(schedule_fn, name: str, a: np.ndarray):
-    machine = TwoLevelMachine(S)  # strict mode: NaN-poisoned verification
+    machine = TwoLevelMachine(S)  # numeric: NaN-poisoned verification
     machine.add_matrix("A", a)
     machine.add_matrix("C", np.zeros((N, N)))
     stats = schedule_fn(machine, "A", "C", range(N), range(M))

@@ -6,7 +6,7 @@ kernels which use the same input several times".  This example runs the
 extension implemented in :mod:`repro.core.syr2k`: the same partition
 geometry as TBS, two streamed column segments per iteration, and the same
 sqrt(2) advantage over square tiles — here demonstrated on a symmetric
-cross-covariance update, verified numerically on the strict machine.
+cross-covariance update, verified on the numeric machine.
 
 Run:  python examples/syr2k_extension.py
 """

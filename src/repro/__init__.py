@@ -4,8 +4,8 @@ Algebra Kernels" (Beaumont, Eyraud-Dubois, Vérité, Langou; SPAA 2022).
 The package provides:
 
 * :mod:`repro.machine` — an instrumented two-level memory machine (fast
-  memory of ``S`` elements, explicit load/evict, exact I/O accounting,
-  NaN-poisoned strict mode);
+  memory of ``S`` elements, explicit load/evict, exact I/O accounting),
+  numeric with a NaN-poisoned shadow or counting-only;
 * :mod:`repro.core` — the paper's contribution: triangle blocks, indexing
   families, the TBS and LBC schedules, lower bounds, and the Section 4
   proof machinery (balanced solutions, P''-optimum);
@@ -40,7 +40,6 @@ Quickstart::
 
 from .config import (
     DEFAULT_SEED,
-    MachineConfig,
     lbc_block_size,
     square_tile_side_for_memory,
     tiled_tbs_shape_for_memory,
@@ -115,7 +114,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DEFAULT_SEED",
-    "MachineConfig",
     "lbc_block_size",
     "square_tile_side_for_memory",
     "tiled_tbs_shape_for_memory",

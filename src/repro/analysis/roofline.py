@@ -40,7 +40,7 @@ class RooflineRow:
 
 
 def _machine(s: int, shapes: dict[str, tuple[int, int]]) -> TwoLevelMachine:
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     for name, shape in shapes.items():
         m.add_matrix(name, np.zeros(shape))
     return m

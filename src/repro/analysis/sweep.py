@@ -8,9 +8,8 @@ model prediction, the paper lower bound, and the derived leading constant
     c_hat = Q * sqrt(S) / N^3                      (Cholesky)
 
 which is the number the paper's theorems pin down (1/sqrt(2), 1, 1/(3 sqrt 2),
-1/3, ...).  Counting-only machines (``strict=False, numerics=False``) make
-large-N sweeps cheap; numeric verification happens in the test suite on
-smaller shapes.
+1/3, ...).  Counting machines (``numerics=False``) make large-N sweeps
+cheap; numeric verification happens in the test suite on smaller shapes.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class SweepRow:
 
 
 def _counting_machine(s: int, shapes: dict[str, tuple[int, int]]) -> TwoLevelMachine:
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     for name, shape in shapes.items():
         m.add_matrix(name, np.zeros(shape))
     return m

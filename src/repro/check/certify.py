@@ -67,13 +67,7 @@ class Certificate:
         return not any(f.severity == ERROR for f in self.findings)
 
 
-def certify_schedule(
-    schedule: Schedule,
-    capacity: int,
-    *,
-    allow_redundant_loads: bool = False,
-    require_empty_end: bool = True,
-) -> Certificate:
+def certify_schedule(schedule: Schedule, capacity: int) -> Certificate:
     """Statically certify ``schedule`` against capacity ``capacity``.
 
     Returns a :class:`Certificate` whose ``findings`` list every violation
@@ -83,12 +77,7 @@ def certify_schedule(
     that is not a load, evict or compute.
     """
     with timed("check.certify"):
-        cert = _certify(
-            schedule,
-            capacity,
-            allow_redundant_loads=allow_redundant_loads,
-            require_empty_end=require_empty_end,
-        )
+        cert = _certify(schedule, capacity)
     probe = get_probe()
     if probe.enabled:
         probe.count("check.certify.runs")
@@ -97,13 +86,7 @@ def certify_schedule(
     return cert
 
 
-def _certify(
-    schedule: Schedule,
-    capacity: int,
-    *,
-    allow_redundant_loads: bool,
-    require_empty_end: bool,
-) -> Certificate:
+def _certify(schedule: Schedule, capacity: int) -> Certificate:
     shapes = schedule.shapes
     columns = schedule.columns
     if columns is None:
@@ -266,12 +249,11 @@ def _certify(
                 )
             )
 
-    if not allow_redundant_loads:
-        report(
-            is_load & prev_in,
-            "RPS102",
-            lambda n, m: f"redundant load of {n} resident element(s) of {m!r}",
-        )
+    report(
+        is_load & prev_in,
+        "RPS102",
+        lambda n, m: f"redundant load of {n} resident element(s) of {m!r}",
+    )
     report(
         is_touch & ~prev_in,
         "RPS101",
@@ -331,26 +313,26 @@ def _certify(
             )
         )
 
-    if require_empty_end:
-        last = np.empty(gid.size, dtype=bool)
-        last[-1] = True
-        last[:-1] = first[1:]
-        residual = int((last & (code <= _WRITE)).sum())
-        if residual:
-            g = int(gid[np.flatnonzero(last & (code <= _WRITE))[0]])
-            findings.append(
-                Finding(
-                    code="RPS105",
-                    message=(
-                        f"fast memory not empty at end of schedule "
-                        f"({residual} resident)"
-                    ),
-                    op_index=n_steps - 1,
-                    context={
-                        "resident": residual,
-                        "example": [matrices[g // stride], int(g % stride)],
-                    },
-                )
+    last = np.empty(gid.size, dtype=bool)
+    last[-1] = True
+    last[:-1] = first[1:]
+    resident_at_end = last & (code <= _WRITE)
+    residual = int(resident_at_end.sum())
+    if residual:
+        g = int(gid[np.argmax(resident_at_end)])
+        findings.append(
+            Finding(
+                code="RPS105",
+                message=(
+                    f"fast memory not empty at end of schedule "
+                    f"({residual} resident)"
+                ),
+                op_index=n_steps - 1,
+                context={
+                    "resident": residual,
+                    "example": [matrices[g // stride], int(g % stride)],
+                },
             )
+        )
 
     return Certificate(findings=sort_findings(findings), stats=stats)

@@ -13,9 +13,12 @@ Three modes, one finding model:
 * ``--format json`` emits one machine-readable document instead of tables.
 
 Exit status: 0 when no error-severity finding was produced (lint mode is
-stricter: any finding at all fails), 1 otherwise, 2 on usage errors —
-including a ``--store`` root with no ``objects/`` directory, which store
-mode reports without creating anything there.
+stricter: any finding at all fails), 1 otherwise, and 2 on usage errors:
+an unknown ``--kernel``, a ``--store`` root with no ``objects/``
+directory (reported without creating anything there), or an orphan
+object (one with no manifest entry) named without ``--capacity``.  A
+``--digest`` that names no object is RPS107 (exit 1), with or without
+``--capacity``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .races import check_races
 
 def add_check_parser(sub) -> None:
     """Register the ``check`` subparser on the CLI's subparsers object."""
+    from ..graph.compare import CASES
+    from ..parallel.executor import PARTITIONERS
+
     p = sub.add_parser(
         "check",
         help="static analysis: schedule certifier, race detector, repo lints",
@@ -49,8 +55,8 @@ def add_check_parser(sub) -> None:
                    help="one store object (with --store)")
     p.add_argument("--all", action="store_true",
                    help="every keyed store object (with --store)")
-    p.add_argument("--kernel", default=None,
-                   help="record + certify a kernel case (tbs/ocs/syr2k/chol)")
+    p.add_argument("--kernel", default=None, choices=sorted(CASES),
+                   help="record + certify a kernel case")
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--m", type=int, default=6)
     p.add_argument("--s", type=int, default=15)
@@ -58,7 +64,7 @@ def add_check_parser(sub) -> None:
                    help="with --kernel: also partition across p shards and "
                         "run the race detector + conservation checks")
     p.add_argument("--partitioner", default="owner-computes",
-                   choices=["level-greedy", "locality", "owner-computes"])
+                   choices=PARTITIONERS)
     p.add_argument("--relax", action="store_true",
                    help="treat commuting reductions as reorderable "
                         "(race-checks the relaxed happens-before)")
@@ -152,12 +158,6 @@ def cmd_check(args) -> int:
             return 2
         certified = 0
         for digest in targets:
-            key = by_digest.get(digest)
-            capacity = args.capacity if args.capacity else (key.s if key else None)
-            if capacity is None:
-                print(f"skipping {digest[:12]}: no key in the manifest and "
-                      f"no --capacity")
-                continue
             schedule, problem = _read_object(store.object_path(digest))
             if schedule is None:
                 reason, detail = problem
@@ -166,6 +166,13 @@ def cmd_check(args) -> int:
                     context={"digest": digest, "reason": reason},
                 ))
                 continue
+            key = by_digest.get(digest)
+            capacity = args.capacity if args.capacity else (key.s if key else None)
+            if capacity is None:
+                # Only --digest names an object with no manifest entry.
+                print(f"check --store: {digest[:12]} has no key in the "
+                      f"manifest; give its --capacity")
+                return 2
             cert = certify_schedule(schedule, capacity)
             findings.extend(
                 Finding(code=f.code, message=f"[{digest[:12]}] {f.message}",

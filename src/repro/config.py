@@ -1,4 +1,4 @@
-"""Run-configuration objects and library-wide defaults.
+"""Derived shape parameters and library-wide defaults.
 
 The paper's machine model has a single parameter: the fast-memory capacity
 ``S`` (in matrix *elements*).  Algorithms derive their internal shapes from
@@ -12,15 +12,13 @@ The paper's machine model has a single parameter: the fast-memory capacity
 * the Bereux one-tile baselines use square tiles of side ``s`` with
   ``s^2 + 2s <= S`` (one tile plus two streamed length-``s`` vectors).
 
-:class:`MachineConfig` bundles the capacity with simulator options;
-helper functions compute the derived shape parameters (and are unit-tested
-against the inequalities above).
+The helper functions below compute these derived shape parameters (and
+are unit-tested against the inequalities above).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
@@ -30,38 +28,6 @@ DEFAULT_SEED = 20220711  # SPAA'22 began July 11, 2022.
 #: Comparison tolerance for numeric verification against NumPy references.
 VERIFY_RTOL = 1e-10
 VERIFY_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MachineConfig:
-    """Configuration of the simulated two-level machine.
-
-    Parameters
-    ----------
-    capacity:
-        Fast memory size ``S`` in elements.  Must be positive.
-    strict:
-        If True (default), the machine keeps a NaN-poisoned shadow copy of
-        resident data and computations operate on the shadow; omitted loads
-        or writebacks then corrupt results detectably.  If False, compute
-        ops operate directly on slow-memory arrays (faster; residency and
-        capacity are still enforced and I/O still counted).
-    allow_redundant_loads:
-        If False (default), loading an already-resident element raises
-        :class:`repro.errors.RedundantLoadError`.
-    record_events:
-        If True, the tracker keeps a full per-operation event log (memory
-        heavy; meant for small debugging runs and the figure renderers).
-    """
-
-    capacity: int
-    strict: bool = True
-    allow_redundant_loads: bool = False
-    record_events: bool = False
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ConfigurationError(f"capacity S must be positive, got {self.capacity}")
 
 
 def triangle_side_for_memory(S: int) -> int:

@@ -63,11 +63,9 @@ class ResidencyError(MachineError):
 class RedundantLoadError(MachineError):
     """A load targeted elements that are already resident.
 
-    Reloading resident data is *legal* in the model (it just wastes I/O) but
-    none of the schedules in this library should ever do it, so the machine
-    treats it as a bug by default.  Pass ``allow_redundant_loads=True`` to
-    :class:`repro.machine.machine.TwoLevelMachine` to tolerate it (the wasted
-    traffic is then counted normally).
+    Reloading resident data would only waste I/O, and none of the schedules
+    in this library ever does it, so both machine configurations reject it,
+    and the certifier reports it as RPS102.
     """
 
 

@@ -130,7 +130,7 @@ class RecordedCase:
 
     @property
     def reference(self) -> dict[str, np.ndarray]:
-        """The kernel's own results on a numeric strict machine (run once, lazily).
+        """The kernel's own results on a numeric machine (run once, lazily).
 
         The kernel runs again rather than the recorded schedule being
         replayed, so a step the recording lost would show up as a mismatch.
@@ -156,18 +156,18 @@ class RecordedCase:
 def record_case(name: str, n: int, mcols: int, s: int, seed: int = 0) -> RecordedCase:
     """Record one kernel's schedule on a counting machine.
 
-    The recording machine is ``TwoLevelMachine(s, strict=False,
-    numerics=False)``: residency and capacity are checked on every step
-    and I/O is counted, but no input is generated and no arithmetic runs.
-    Numerics wait until a caller asks: ``make_machine`` builds strict
-    machines holding the seeded inputs, and ``reference`` runs the kernel
+    The recording machine is ``TwoLevelMachine(s, numerics=False)``:
+    residency and capacity are checked on every step and I/O is counted,
+    but no input is generated and no arithmetic runs.  Numerics wait
+    until a caller asks: ``make_machine`` builds numeric machines holding
+    the seeded inputs, and ``reference`` runs the kernel
     on one the first time it is read.  The serve path's misses record
     here and never ask.
     """
     kernel = _KERNELS.get(name)
     if kernel is None:
         raise ConfigurationError(f"unknown case {name!r}; choose from {', '.join(CASES)}")
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     for matrix, shape in kernel.shapes(n, mcols).items():
         m.add_matrix(matrix, np.zeros(shape))
     schedule = record_schedule(m, lambda: kernel.run(m, n, mcols))

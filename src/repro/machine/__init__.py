@@ -19,7 +19,7 @@ from .regions import (
 )
 from .slow_memory import SlowMemory
 from .fast_memory import FastMemory
-from .tracker import IOStats, IOEvent
+from .tracker import IOStats
 from .machine import TwoLevelMachine
 from .pebble import LRUPebbleMachine, ExplicitPebbleMachine
 
@@ -34,7 +34,6 @@ __all__ = [
     "SlowMemory",
     "FastMemory",
     "IOStats",
-    "IOEvent",
     "TwoLevelMachine",
     "LRUPebbleMachine",
     "ExplicitPebbleMachine",

@@ -2,8 +2,8 @@
 
 The fast memory never stores "the data" as a separate buffer pool; instead it
 tracks, per matrix, a boolean residency mask over the flat element space,
-plus (in strict mode) a full-shape *shadow* array that holds the fast-memory
-copy of resident elements and ``NaN`` everywhere else.
+plus (on a numeric machine) a full-shape *shadow* array that holds the
+fast-memory copy of resident elements and ``NaN`` everywhere else.
 
 The NaN poison is the library's strongest correctness weapon: a compute op
 that reads an element the schedule forgot to load pulls NaN into the result,
@@ -14,6 +14,8 @@ leaves the slow array stale and fails verification.
 Capacity is enforced on every load: occupancy is the total number of
 resident elements across all matrices, and a load pushing it beyond ``S``
 raises :class:`~repro.errors.CapacityError` *before* mutating any state.
+A load of an element that is already resident raises
+:class:`~repro.errors.RedundantLoadError`.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ from .slow_memory import SlowMemory
 
 
 class FastMemory:
-    """Residency masks + optional strict shadow for a set of named matrices."""
+    """Residency masks, plus the shadow arrays of a numeric machine."""
 
-    def __init__(self, capacity: int, strict: bool = True, allow_redundant_loads: bool = False):
+    def __init__(self, capacity: int, numerics: bool = True):
         self.capacity = int(capacity)
-        self.strict = bool(strict)
-        self.allow_redundant_loads = bool(allow_redundant_loads)
+        self.numerics = bool(numerics)
         self.occupancy = 0
-        self.peak_occupancy = 0
         self._masks: dict[str, np.ndarray] = {}
         self._shadows: dict[str, np.ndarray] = {}
 
@@ -41,15 +41,11 @@ class FastMemory:
         """Create residency state for a newly registered matrix."""
         n = int(shape[0]) * int(shape[1])
         self._masks[name] = np.zeros(n, dtype=bool)
-        if self.strict:
-            shadow = np.full(shape, np.nan, dtype=np.float64)
-            self._shadows[name] = shadow
-
-    def mask(self, name: str) -> np.ndarray:
-        return self._masks[name]
+        if self.numerics:
+            self._shadows[name] = np.full(shape, np.nan, dtype=np.float64)
 
     def shadow(self, name: str) -> np.ndarray:
-        """The strict-mode shadow array (full shape, NaN-poisoned)."""
+        """The shadow array (full shape, NaN-poisoned) of a numeric machine."""
         return self._shadows[name]
 
     # ------------------------------------------------------------------ #
@@ -58,9 +54,9 @@ class FastMemory:
     def load(self, region: Region, slow: SlowMemory) -> int:
         """Bring ``region`` into fast memory; returns the element count loaded.
 
-        Raises :class:`CapacityError` if occupancy would exceed capacity and
-        :class:`RedundantLoadError` if any element is already resident (and
-        redundant loads are disallowed).
+        Raises :class:`RedundantLoadError` if any element is already
+        resident and :class:`CapacityError` if occupancy would exceed
+        capacity.
         """
         mask = self._masks[region.matrix]
         idx = region.flat
@@ -69,32 +65,24 @@ class FastMemory:
             return 0
         already = mask[idx]
         if already.any():
-            if not self.allow_redundant_loads:
-                raise RedundantLoadError(
-                    f"load of {region!r}: {int(already.sum())} element(s) already resident"
-                )
-            idx = idx[~already]
-            n = idx.size
-            if n == 0:
-                return int(region.flat.size)  # all redundant: traffic still counted by caller
+            raise RedundantLoadError(
+                f"load of {region!r}: {int(already.sum())} element(s) already resident"
+            )
         if self.occupancy + n > self.capacity:
             raise CapacityError(n, self.occupancy, self.capacity)
         mask[idx] = True
         self.occupancy += n
-        if self.occupancy > self.peak_occupancy:
-            self.peak_occupancy = self.occupancy
-        if self.strict:
+        if self.numerics:
             shadow = self._shadows[region.matrix].ravel()
             shadow[idx] = slow.array(region.matrix).ravel()[idx]
-        # Redundant loads (when allowed) still move region.size elements.
-        return int(region.flat.size)
+        return int(n)
 
     def evict(self, region: Region, slow: SlowMemory, writeback: bool) -> int:
         """Drop ``region`` from fast memory; returns elements written back.
 
         Raises :class:`ResidencyError` if any element is not resident.
-        With ``writeback=True`` (and strict mode) the shadow values are
-        copied to slow memory before the poison is restored.
+        With ``writeback=True`` a numeric machine copies the shadow values
+        to slow memory before the poison is restored.
         """
         mask = self._masks[region.matrix]
         idx = region.flat
@@ -105,13 +93,11 @@ class FastMemory:
             raise ResidencyError(
                 f"evict of {region!r}: {int((~resident).sum())} element(s) not resident"
             )
-        if self.strict:
+        if self.numerics:
             shadow = self._shadows[region.matrix].ravel()
             if writeback:
                 slow.array(region.matrix).ravel()[idx] = shadow[idx]
             shadow[idx] = np.nan
-        elif writeback:
-            pass  # non-strict mode computes in place in slow memory already
         mask[idx] = False
         self.occupancy -= int(idx.size)
         return int(idx.size) if writeback else 0
@@ -125,22 +111,3 @@ class FastMemory:
             raise ResidencyError(
                 f"compute touches {missing} non-resident element(s) of {region.matrix!r}"
             )
-
-    def is_resident(self, region: Region) -> bool:
-        mask = self._masks[region.matrix]
-        return bool(mask[region.flat].all()) if region.flat.size else True
-
-    def resident_count(self, name: str | None = None) -> int:
-        """Resident elements of one matrix (or total occupancy if ``name is None``)."""
-        if name is None:
-            return self.occupancy
-        return int(self._masks[name].sum())
-
-    def flush_all(self, slow: SlowMemory, writeback: bool = False) -> int:
-        """Evict everything (used at teardown / between independent phases)."""
-        written = 0
-        for name, mask in self._masks.items():
-            idx = np.nonzero(mask)[0]
-            if idx.size:
-                written += self.evict(Region(name, idx), slow, writeback)
-        return written

@@ -7,22 +7,24 @@ ubiquitous *load, work, evict* pattern of the one-tile algorithms.
 
 Compute ops (:mod:`repro.sched.ops`) declare the regions they read and
 write; :meth:`TwoLevelMachine.compute` asserts all of them are resident
-before applying the op's numeric update to the *workspace* array — the
-NaN-poisoned shadow in strict mode, the slow array otherwise — and credits
-the op's flops to the tracker.
+and credits the op's flops to the tracker.
 
-One performance switch exists for large counting-only sweeps (the paper's
-volumes grow like ``N^3/sqrt(S)``, so benches run many machine ops):
-``numerics=False`` skips the numeric ``apply`` (I/O counts, capacity and
-residency checking are unaffected).
+The machine has two configurations, and both run the same checks
+(capacity, residency, no redundant load) and count the same I/O:
 
-A *counting machine* — ``TwoLevelMachine(S, strict=False, numerics=False)``
-— keeps residency and capacity checks but allocates no shadow and does no
-arithmetic.  It is what :func:`~repro.graph.compare.record_case` records
-on, so a served miss runs no numerics at all.  Every region the machine
-hands out comes from the process-wide region table of
-:mod:`repro.machine.regions`: a kernel's load and the op that reads it
-share one read-only region, checked and built once per distinct input.
+* ``TwoLevelMachine(S)`` is *numeric*: it keeps a NaN-poisoned shadow of
+  fast memory, applies each compute op to the shadow, and copies
+  writebacks to slow memory, so a forgotten load or writeback shows up in
+  the results;
+* ``TwoLevelMachine(S, numerics=False)`` is *counting*: it keeps only the
+  residency masks, allocates no shadow and does no arithmetic.  It is
+  what :func:`~repro.graph.compare.record_case` records on, so a served
+  miss runs no numerics at all.
+
+Every region the machine hands out comes from the process-wide region
+table of :mod:`repro.machine.regions`: a kernel's load and the op that
+reads it share one read-only region, checked and built once per distinct
+input.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ..config import MachineConfig
 from ..errors import ConfigurationError
 from .fast_memory import FastMemory
 from .regions import Region, ShapeAwareRegions
@@ -51,31 +52,15 @@ class TwoLevelMachine(ShapeAwareRegions):
     :class:`~repro.machine.regions.ShapeAwareRegions`.
     """
 
-    def __init__(
-        self,
-        capacity: int | MachineConfig,
-        *,
-        strict: bool | None = None,
-        allow_redundant_loads: bool | None = None,
-        record_events: bool | None = None,
-        numerics: bool = True,
-    ) -> None:
-        if isinstance(capacity, MachineConfig):
-            cfg = capacity
-        else:
-            cfg = MachineConfig(capacity=int(capacity))
-        if strict is not None:
-            cfg = MachineConfig(cfg.capacity, strict, cfg.allow_redundant_loads, cfg.record_events)
-        if allow_redundant_loads is not None:
-            cfg = MachineConfig(cfg.capacity, cfg.strict, allow_redundant_loads, cfg.record_events)
-        if record_events is not None:
-            cfg = MachineConfig(cfg.capacity, cfg.strict, cfg.allow_redundant_loads, record_events)
-        self.config = cfg
-        self.capacity = cfg.capacity
+    def __init__(self, capacity: int, *, numerics: bool = True) -> None:
+        capacity = int(capacity)
+        if capacity <= 0:
+            raise ConfigurationError(f"capacity S must be positive, got {capacity}")
+        self.capacity = capacity
         self.numerics = bool(numerics)
         self.slow = SlowMemory()
-        self.fast = FastMemory(cfg.capacity, strict=cfg.strict, allow_redundant_loads=cfg.allow_redundant_loads)
-        self.stats = IOStats(events=[] if cfg.record_events else None)
+        self.fast = FastMemory(capacity, numerics=self.numerics)
+        self.stats = IOStats()
         self._recorders: list = []  # sched.record attaches here
 
     # ------------------------------------------------------------------ #
@@ -97,10 +82,8 @@ class TwoLevelMachine(ShapeAwareRegions):
         return self.slow.array(name)
 
     def workspace(self, name: str) -> np.ndarray:
-        """The array compute ops operate on (shadow in strict mode)."""
-        if self.config.strict:
-            return self.fast.shadow(name)
-        return self.slow.array(name)
+        """The array compute ops operate on: a numeric machine's shadow."""
+        return self.fast.shadow(name)
 
     # ------------------------------------------------------------------ #
     # the three verbs
@@ -115,11 +98,7 @@ class TwoLevelMachine(ShapeAwareRegions):
     def evict(self, region: Region, writeback: bool = False) -> None:
         """Drop ``region`` from fast memory, writing back iff requested."""
         written = self.fast.evict(region, self.slow, writeback)
-        # In non-strict mode computation happens in place in slow memory, so
-        # a writeback still represents traffic the model must count.
-        if not self.config.strict and writeback:
-            written = region.size
-        self.stats.record_evict(region.matrix, written, self.fast.occupancy)
+        self.stats.record_evict(region.matrix, written)
         for rec in self._recorders:
             rec.on_evict(region, writeback)
 
@@ -131,7 +110,7 @@ class TwoLevelMachine(ShapeAwareRegions):
             self.fast.assert_resident(region)
         if self.numerics:
             op.apply(self)
-        self.stats.record_compute(op.name, op.mults, op.flops, self.fast.occupancy)
+        self.stats.record_compute(op.mults, op.flops)
         for rec in self._recorders:
             rec.on_compute(op)
 

@@ -48,7 +48,3 @@ class SlowMemory:
     def ncols(self, name: str) -> int:
         """Column count, i.e. the row stride used for flat region indices."""
         return int(self.array(name).shape[1])
-
-    def total_elements(self) -> int:
-        """Total element count across all matrices (sanity/reporting)."""
-        return int(sum(a.size for a in self._arrays.values()))

@@ -10,26 +10,12 @@
   are stated both per-multiply, max ``sqrt(S/2)``, and per-flop, max
   ``sqrt(2S)``).
 * op counters and peak fast-memory occupancy.
-
-With ``record_events=True`` a full event log is kept (one
-:class:`IOEvent` per machine operation) for debugging and for the figure
-renderers; it is memory-hungry and off by default.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class IOEvent:
-    """One machine operation, for the optional event log."""
-
-    kind: str          # "load" | "evict" | "compute"
-    matrix: str        # matrix name, or op name for computes
-    size: int          # elements moved, or flops for computes
-    occupancy: int     # occupancy after the operation
 
 
 @dataclass
@@ -46,14 +32,8 @@ class IOStats:
     peak_occupancy: int = 0
     loads_by_matrix: Counter = field(default_factory=Counter)
     stores_by_matrix: Counter = field(default_factory=Counter)
-    events: list[IOEvent] | None = None
 
     # ------------------------------------------------------------------ #
-    @property
-    def total_io(self) -> int:
-        """Loads + stores (both directions)."""
-        return self.loads + self.stores
-
     @property
     def q(self) -> int:
         """The paper-convention I/O volume: loads only (see DESIGN.md §4)."""
@@ -78,23 +58,17 @@ class IOStats:
         self.loads_by_matrix[matrix] += size
         if occupancy > self.peak_occupancy:
             self.peak_occupancy = occupancy
-        if self.events is not None:
-            self.events.append(IOEvent("load", matrix, size, occupancy))
 
-    def record_evict(self, matrix: str, written: int, occupancy: int) -> None:
+    def record_evict(self, matrix: str, written: int) -> None:
         self.stores += written
         self.n_evicts += 1
         if written:
             self.stores_by_matrix[matrix] += written
-        if self.events is not None:
-            self.events.append(IOEvent("evict", matrix, written, occupancy))
 
-    def record_compute(self, op_name: str, mults: int, flops: int, occupancy: int) -> None:
+    def record_compute(self, mults: int, flops: int) -> None:
         self.mults += mults
         self.flops += flops
         self.n_computes += 1
-        if self.events is not None:
-            self.events.append(IOEvent("compute", op_name, flops, occupancy))
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> "IOStats":
@@ -110,7 +84,6 @@ class IOStats:
             peak_occupancy=self.peak_occupancy,
             loads_by_matrix=Counter(self.loads_by_matrix),
             stores_by_matrix=Counter(self.stores_by_matrix),
-            events=None,
         )
 
     def diff(self, earlier: "IOStats") -> "IOStats":
@@ -126,7 +99,6 @@ class IOStats:
             peak_occupancy=self.peak_occupancy,
             loads_by_matrix=self.loads_by_matrix - earlier.loads_by_matrix,
             stores_by_matrix=self.stores_by_matrix - earlier.stores_by_matrix,
-            events=None,
         )
 
     def summary(self) -> str:

@@ -600,7 +600,7 @@ def execute_graph(
             ops = shard_ops[q]
             mults = sum(int(graph.nodes[v].op.mults) for v in ops)
             if explicit_shards is not None:
-                m = TwoLevelMachine(s, strict=False, numerics=False)
+                m = TwoLevelMachine(s, numerics=False)
                 for name, shape in trace.shapes.items():
                     m.add_matrix(name, np.zeros(shape))
                 for step in explicit_shards[q].steps:

@@ -166,7 +166,7 @@ def simulate_syrk(assignment: NodeAssignment, mcols: int) -> ParallelSummary:
     n = assignment.n
     reports = []
     for node_id, blocks in enumerate(assignment.blocks):
-        m = TwoLevelMachine(assignment.s, strict=False, numerics=False)
+        m = TwoLevelMachine(assignment.s, numerics=False)
         m.add_matrix("A", np.zeros((n, mcols)))
         m.add_matrix("C", np.zeros((n, n)))
         for block in blocks:
@@ -210,7 +210,7 @@ def record_block_schedule(
     if mcols < 1:
         raise ConfigurationError(f"mcols must be >= 1, got {mcols}")
     n = assignment.n
-    m = TwoLevelMachine(assignment.s, strict=False, numerics=False)
+    m = TwoLevelMachine(assignment.s, numerics=False)
     m.add_matrix("A", np.zeros((n, mcols)))
     m.add_matrix("C", np.zeros((n, n)))
     owner: list[int] = []

@@ -4,8 +4,8 @@ Every op declares the regions it reads and writes (the machine asserts these
 are resident — Section 3 of the paper: "an operation can only be performed
 if the corresponding input data is in fast memory") and knows how to apply
 itself numerically to the machine's workspace arrays.  Ops never touch
-elements outside their declared regions: in strict mode everything else is
-NaN-poisoned, so a sloppy ``apply`` would corrupt verification.
+elements outside their declared regions: on a numeric machine everything
+else is NaN-poisoned, so a sloppy ``apply`` would corrupt verification.
 
 The op granularities match the paper's algorithms:
 

@@ -7,10 +7,11 @@ engine.  It certifies the schedule — no numerics, no machine — and raises
 in ``(op_index, code)`` order with the end-state error after every step
 error, against the model's rules:
 
-* a load may not exceed capacity ``S`` (and, by default, may not target
-  already-resident elements);
+* a load may not exceed capacity ``S``, nor target already-resident
+  elements;
 * an evict must target resident elements;
-* a compute may only touch resident elements.
+* a compute may only touch resident elements;
+* fast memory is empty at the end.
 
 This is what lets the test suite prove legality independently of the
 simulator that produced the I/O counts.  The raised error carries the
@@ -27,13 +28,7 @@ from ..machine.regions import Region, merge_regions
 from .schedule import LoadStep, Schedule
 
 
-def validate_schedule(
-    schedule: Schedule,
-    capacity: int,
-    *,
-    allow_redundant_loads: bool = False,
-    require_empty_end: bool = True,
-) -> dict[str, int]:
+def validate_schedule(schedule: Schedule, capacity: int) -> dict[str, int]:
     """Check every step of ``schedule`` against the model's rules.
 
     Returns summary counters (loads, stores, peak occupancy) on success,
@@ -46,12 +41,7 @@ def validate_schedule(
     # Imported at call time: ``repro.check.certify`` imports this package.
     from ..check.certify import certify_schedule
 
-    cert = certify_schedule(
-        schedule,
-        capacity,
-        allow_redundant_loads=allow_redundant_loads,
-        require_empty_end=require_empty_end,
-    )
+    cert = certify_schedule(schedule, capacity)
     errors = [f for f in cert.findings if f.severity == ERROR]
     if errors:
         # Findings come sorted by (op_index, code).

@@ -9,9 +9,10 @@ pinned by the regression suite: a cache driven by any access log produces
 the same miss count at every capacity as the array LRU engine replaying
 that log as a one-element-per-op trace (:func:`log_to_trace`).
 
-Every access is appended to :attr:`ScheduleCache.log`, so any live
-cache's history can be re-fed to the trace engines after the fact.  The
-Belady/MIN yardstick for the same log is
+The cache keeps counters, not a history: a caller that wants to replay
+its requests keeps the log itself and feeds it to
+:meth:`ScheduleCache.replay` and to the trace engines.  The Belady/MIN
+yardstick for the same log is
 :func:`~repro.trace.replay.belady_replay_trace` over that trace: its loads
 are the fewest misses any cache of the capacity could take, so replaying
 one log under both measures how much hit rate LRU leaves on the table
@@ -67,7 +68,6 @@ class ScheduleCache:
         if capacity < 1:
             raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.log: list[str] = []
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -88,12 +88,11 @@ class ScheduleCache:
     def get(self, digest: str) -> Any | None:
         """The cached payload, refreshing recency; ``None`` on a miss.
 
-        Every ``get`` is one access and lands in :attr:`log`.  A miss does
-        *not* insert — pair it with :meth:`put` (which, after a ``get``
-        miss, completes the classic miss-then-load shape the trace
-        engines count as a single load).
+        Every ``get`` is one access.  A miss does *not* insert — pair it
+        with :meth:`put` (which, after a ``get`` miss, completes the
+        classic miss-then-load shape the trace engines count as a single
+        load).
         """
-        self.log.append(digest)
         entry = self._entries.get(digest)
         if entry is None:
             self.misses += 1
@@ -105,10 +104,9 @@ class ScheduleCache:
     def put(self, digest: str, payload: Any) -> None:
         """Insert (or refresh) ``digest``, evicting down to the bound.
 
-        ``put`` is the load completing a miss, not a second access: it
-        does not touch :attr:`log`, so a ``get``/``put``-on-miss caller
-        generates exactly one logged access per request — the contract
-        the replay cross-checks assume.
+        ``put`` is the load completing a miss, not a second access, so a
+        ``get``/``put``-on-miss caller makes exactly one access per
+        request — the contract the replay cross-checks assume.
         """
         if digest in self._entries:
             self._entries[digest] = payload

@@ -5,8 +5,8 @@ matrix, Cholesky any symmetric positive definite matrix.  We generate both
 from a seeded :class:`numpy.random.Generator` so every test, example and
 bench is exactly reproducible.  SPD matrices are built as ``G Gᵀ + delta*I``
 with ``delta`` scaled to guarantee a comfortably positive spectrum (the
-schedules must not be numerically fragile, because strict-mode verification
-compares against NumPy to 1e-10).
+schedules must not be numerically fragile, because the numeric machine's
+verification compares against NumPy to 1e-10).
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 Conventions used across the suite:
 
 * ``S = 15`` is the canonical small memory (triangle side k=5, square tile
-  s=3) — large enough for every schedule, small enough that strict-mode
+  s=3) — large enough for every schedule, small enough that numeric
   verification runs are fast;
-* strict machines verify numerics, counting machines
-  (``strict=False, numerics=False``) are for I/O-only assertions;
+* the machine has two configurations: numeric machines
+  (``TwoLevelMachine(s)``) verify numerics, counting machines
+  (``numerics=False``) are for I/O-only assertions;
 * all inputs come from the seeded generators in :mod:`repro.utils.rng`.
 """
 
@@ -29,7 +30,7 @@ def small_s() -> int:
 
 
 def make_machine(s: int, mats: dict[str, np.ndarray], **kw) -> TwoLevelMachine:
-    """A strict machine pre-loaded with matrices (copied)."""
+    """A numeric machine pre-loaded with matrices (copied)."""
     m = TwoLevelMachine(s, **kw)
     for name, arr in mats.items():
         m.add_matrix(name, arr)
@@ -38,7 +39,7 @@ def make_machine(s: int, mats: dict[str, np.ndarray], **kw) -> TwoLevelMachine:
 
 def make_counting_machine(s: int, shapes: dict[str, tuple[int, int]]) -> TwoLevelMachine:
     """A fast counting-only machine with zero matrices of given shapes."""
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     for name, shape in shapes.items():
         m.add_matrix(name, np.zeros(shape))
     return m

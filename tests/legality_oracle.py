@@ -27,13 +27,7 @@ def _fail(code: str, message: str, op_index: int | None = None, **context) -> Sc
     return ScheduleError(message, finding=finding)
 
 
-def walk_schedule(
-    schedule: Schedule,
-    capacity: int,
-    *,
-    allow_redundant_loads: bool = False,
-    require_empty_end: bool = True,
-) -> dict[str, int]:
+def walk_schedule(schedule: Schedule, capacity: int) -> dict[str, int]:
     """Check every step of ``schedule`` against the model's rules.
 
     Returns summary counters (loads, stores, peak occupancy) on success,
@@ -79,7 +73,7 @@ def walk_schedule(
             mask, idx = in_bounds(step.region, pos, errors)
             if mask is not None:
                 already = mask[idx]
-                if already.any() and not allow_redundant_loads:
+                if already.any():
                     errors.append(_fail(
                         "RPS102",
                         f"step {pos}: redundant load of {int(already.sum())} resident "
@@ -143,7 +137,7 @@ def walk_schedule(
         if errors:
             raise min(errors, key=lambda e: e.finding.code)
 
-    if require_empty_end and occupancy != 0:
+    if occupancy != 0:
         raise _fail(
             "RPS105",
             f"fast memory not empty at end of schedule ({occupancy} resident)",

@@ -253,8 +253,7 @@ class TestStreamRules:
         ]
         cert = certify_schedule(_tiny(steps), 4)
         codes = [f.code for f in cert.findings]
-        assert "RPS102" in codes
-        assert certify_schedule(_tiny(steps), 4, allow_redundant_loads=True).ok
+        assert "RPS102" in codes and not cert.ok
 
     def test_dead_evict_is_a_warning(self):
         steps = [
@@ -278,8 +277,9 @@ class TestStreamRules:
         steps = [LoadStep(_region("A", [0, 1, 2]))]
         cert = certify_schedule(_tiny(steps), 2)
         assert {"RPS104", "RPS105"} == {f.code for f in cert.findings}
-        ok = certify_schedule(_tiny(steps), 3, require_empty_end=False)
-        assert ok.ok and ok.stats["peak_occupancy"] == 3
+        fits = certify_schedule(_tiny(steps), 3)
+        assert [f.code for f in fits.findings] == ["RPS105"]
+        assert fits.stats["peak_occupancy"] == 3
 
     def test_unknown_matrix(self):
         cert = certify_schedule(_tiny([LoadStep(_region("Z", [0]))]), 4)
@@ -326,13 +326,11 @@ class TestElementsOutsideTheirMatrix:
         errors = [(f.code, f.op_index) for f in cert.findings if f.severity == "error"]
         assert errors == [("RPS105", 3), ("RPS108", 3)]  # C[2] is never evicted
         # The end-state error ranks after every step error, also one at the
-        # last step: RPS108 is the first error of both engines, with or
-        # without the end-state rule.
-        for require_empty_end in (True, False):
-            for check in (validate_schedule, walk_schedule):
-                with pytest.raises(ScheduleError) as err:
-                    check(sched, 4, require_empty_end=require_empty_end)
-                assert (err.value.finding.code, err.value.finding.op_index) == ("RPS108", 3)
+        # last step: RPS108 is the first error of both engines.
+        for check in (validate_schedule, walk_schedule):
+            with pytest.raises(ScheduleError) as err:
+                check(sched, 4)
+            assert (err.value.finding.code, err.value.finding.op_index) == ("RPS108", 3)
 
 
 class TestTwoErrorsAtOneStep:
@@ -506,6 +504,14 @@ class TestCheckSurface:
         assert rc == 0
         assert "OK: 0 finding(s)" in out
 
+    def test_cli_unknown_kernel_is_a_usage_error(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--kernel", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_cli_artifact_mode(self, tmp_path, cases, capsys):
         from repro.__main__ import main
         from repro.trace.io import save_schedule
@@ -588,18 +594,21 @@ class TestCheckSurface:
         assert "older container format" in messages["stale"]
         assert "unreadable" in messages["unreadable"]
 
+        # A mistyped digest is missing whether or not --capacity is given.
         missing = "0" * 64
-        code, doc = self._check_store_json(
-            capsys, store.root, "--digest", missing, "--capacity", str(S)
-        )
-        assert code == 1
-        [finding] = doc["findings"]
-        assert (finding["code"], finding["context"]["reason"]) == ("RPS107", "missing")
-        assert "is missing" in finding["message"]
+        for capacity in (("--capacity", str(S)), ()):
+            code, doc = self._check_store_json(
+                capsys, store.root, "--digest", missing, *capacity
+            )
+            assert code == 1
+            [finding] = doc["findings"]
+            assert (finding["code"], finding["context"]["reason"]) == ("RPS107", "missing")
+            assert "is missing" in finding["message"]
 
     def test_cli_store_certifies_an_orphan_given_a_capacity(self, tmp_path, cases, capsys):
         """An object with no manifest entry is read and certified, not
         reported as unreadable."""
+        from repro.__main__ import main
         from repro.serve.store import ScheduleKey, ScheduleStore
         from repro.trace.io import save_schedule
 
@@ -619,3 +628,6 @@ class TestCheckSurface:
         )
         assert code == 1
         assert [f["code"] for f in doc["findings"]] == ["RPS104"]
+        # With no manifest entry, the capacity must come from the caller.
+        assert main(["check", "--store", store.root, "--digest", key.digest()]) == 2
+        assert "give its --capacity" in capsys.readouterr().out

@@ -1,11 +1,12 @@
-"""Tests for repro.config: derived shape parameters and their inequalities."""
+"""Tests for repro.config (derived shape parameters and their inequalities)
+and for the machine configuration those parameters size."""
 
 import math
 
 import pytest
 
+from repro import TwoLevelMachine
 from repro.config import (
-    MachineConfig,
     lbc_block_size,
     square_tile_side_for_memory,
     tiled_tbs_shape_for_memory,
@@ -15,16 +16,19 @@ from repro.errors import ConfigurationError
 
 
 class TestMachineConfig:
+    """The machine has two configurations: numeric (the default) and counting."""
+
     def test_valid(self):
-        cfg = MachineConfig(capacity=10)
-        assert cfg.capacity == 10
-        assert cfg.strict is True
-        assert cfg.allow_redundant_loads is False
+        m = TwoLevelMachine(10)
+        assert m.capacity == 10
+        assert m.numerics is True
+        assert TwoLevelMachine(10, numerics=False).numerics is False
 
     @pytest.mark.parametrize("bad", [0, -1, -100])
     def test_nonpositive_capacity_rejected(self, bad):
-        with pytest.raises(ConfigurationError):
-            MachineConfig(capacity=bad)
+        for numerics in (True, False):
+            with pytest.raises(ConfigurationError):
+                TwoLevelMachine(bad, numerics=numerics)
 
 
 class TestTriangleSide:

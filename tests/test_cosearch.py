@@ -45,7 +45,7 @@ from repro.trace.compiled import compile_trace
 
 
 def build_graph(n: int = 24, mc: int = 3, s: int = 15) -> DependencyGraph:
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     m.add_matrix("A", np.zeros((n, mc)))
     m.add_matrix("C", np.zeros((n, n)))
     schedule = record_schedule(m, lambda: tbs_syrk(m, "A", "C", range(n), range(mc)))

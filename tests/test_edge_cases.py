@@ -6,11 +6,10 @@ import pytest
 from repro import TwoLevelMachine
 from repro.analysis.model import lbc_model, ooc_syrk_model, tbs_model
 from repro.baselines.ooc_syrk import ooc_syrk
-from repro.config import MachineConfig
 from repro.core.lbc import lbc_cholesky
 from repro.core.syr2k import syr2k_reference
 from repro.core.tbs import tbs_syrk
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ResidencyError
 from repro.kernels.reference import cholesky_reference, trsm_right_lower_transpose
 from repro.machine.fast_memory import FastMemory
 from repro.machine.regions import Region
@@ -84,39 +83,28 @@ class TestModelsDegenerate:
 
 
 class TestMachineConfigPaths:
-    def test_config_object_constructor(self):
-        cfg = MachineConfig(capacity=10, strict=False, allow_redundant_loads=True)
-        m = TwoLevelMachine(cfg)
-        assert m.capacity == 10
-        assert m.config.strict is False
-        assert m.config.allow_redundant_loads is True
-
-    def test_flag_overrides_on_config(self):
-        cfg = MachineConfig(capacity=10)
-        m = TwoLevelMachine(cfg, strict=False, record_events=True)
-        assert m.config.strict is False
-        assert m.stats.events is not None
-
     def test_fast_memory_helpers(self):
-        fm = FastMemory(5, strict=False)
-        fm.attach("X", (2, 3))
+        """A counting fast memory keeps no shadow, and ``evict`` alone
+        reports the writeback count the machine records as stores."""
         from repro.machine.slow_memory import SlowMemory
 
+        fm = FastMemory(5, numerics=False)
+        fm.attach("X", (2, 3))
         slow = SlowMemory()
         slow.add("X", np.ones((2, 3)))
-        fm.load(Region("X", np.array([0, 1, 4])), slow)
-        assert fm.resident_count("X") == 3
-        assert fm.resident_count() == 3
-        assert fm.is_resident(Region("X", np.array([0, 4])))
-        assert not fm.is_resident(Region("X", np.array([2])))
-        written = fm.flush_all(slow, writeback=True)
-        assert written == 3
+        region = Region("X", np.array([0, 1, 4]))
+        assert fm.load(region, slow) == 3
+        fm.assert_resident(Region("X", np.array([0, 4])))
+        with pytest.raises(ResidencyError):
+            fm.assert_resident(Region("X", np.array([2])))
+        assert fm.evict(region, slow, writeback=True) == 3
         assert fm.occupancy == 0
+        np.testing.assert_array_equal(slow.array("X"), np.ones((2, 3)))
 
     def test_empty_region_residency_is_vacuous(self):
         fm = FastMemory(5)
         fm.attach("X", (2, 2))
-        assert fm.is_resident(Region("X", np.array([], dtype=np.int64)))
+        fm.assert_resident(Region("X", np.array([], dtype=np.int64)))
 
 
 class TestSyr2kReferenceAgainstLoops:
@@ -169,7 +157,7 @@ class TestLargeMemorySingleBlock:
     def test_tbs_with_huge_memory_falls_back(self):
         # k so large that c < k-1 always: TBS == OCS for any practical n.
         n, mc, s = 30, 3, 10_000
-        m = TwoLevelMachine(s, strict=False, numerics=False)
+        m = TwoLevelMachine(s, numerics=False)
         m.add_matrix("A", np.zeros((n, mc)))
         m.add_matrix("C", np.zeros((n, n)))
         stats = tbs_syrk(m, "A", "C", range(n), range(mc))

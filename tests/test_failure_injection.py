@@ -92,13 +92,13 @@ class TestRedundantLoadInjection:
             m.load(m.tile("A", [0], [1, 2]))  # overlaps in (0,1)
 
     def test_validator_catches_it_too(self):
-        m = machine(allow_redundant_loads=True)
-        sched = record_schedule(
-            m,
-            lambda: (m.load(m.tile("A", [0], [0])), m.load(m.tile("A", [0], [0]))),
-        )
-        with pytest.raises(ScheduleError, match="redundant"):
-            validate_schedule(sched, capacity=10, require_empty_end=False)
+        # The machine refuses to record a double load, so build the steps.
+        reg = machine().tile("A", [0], [0])
+        steps = [LoadStep(reg), LoadStep(reg), EvictStep(reg, False)]
+        sched = Schedule(steps=steps, shapes={"A": (5, 4), "C": (5, 5)})
+        with pytest.raises(ScheduleError, match="redundant") as err:
+            validate_schedule(sched, capacity=10)
+        assert (err.value.finding.code, err.value.finding.op_index) == ("RPS102", 1)
 
 
 class TestWritebackOmission:
@@ -132,11 +132,9 @@ class TestValidatorEndState:
     def test_leak_detection(self):
         m = machine()
         sched = record_schedule(m, lambda: m.load(m.tile("A", [0], [0])))
-        with pytest.raises(ScheduleError, match="not empty"):
+        with pytest.raises(ScheduleError, match="not empty") as err:
             validate_schedule(sched, capacity=10)
-        # but tolerated when explicitly allowed
-        summary = validate_schedule(sched, capacity=10, require_empty_end=False)
-        assert summary["loads"] == 1
+        assert err.value.finding.code == "RPS105"
 
     def test_evict_never_loaded(self):
         m = machine()

@@ -1,7 +1,7 @@
 """End-to-end integration tests across modules.
 
 These are the cross-cutting guarantees: record -> validate -> replay
-round-trips; strict vs counting machines agree on I/O; the block-level
+round-trips; numeric vs counting machines agree on I/O; the block-level
 machine and the element-level pebble machine agree on results; the paper's
 headline inequalities hold end-to-end on real runs.
 """
@@ -74,31 +74,19 @@ class TestStrictVsCounting:
     def test_identical_io_accounting(self, make):
         a = random_tall_matrix(29, 3, seed=3)
 
-        def build(strict, numerics):
-            m = TwoLevelMachine(15, strict=strict, numerics=numerics)
+        def build(numerics):
+            m = TwoLevelMachine(15, numerics=numerics)
             m.add_matrix("A", a)
             m.add_matrix("C", np.zeros((29, 29)))
             st = make(m)
             return st
 
-        st_strict = build(True, True)
-        st_count = build(False, False)
-        assert st_strict.loads == st_count.loads
-        assert st_strict.stores == st_count.stores
-        assert st_strict.mults == st_count.mults
-        assert st_strict.peak_occupancy == st_count.peak_occupancy
-
-    def test_nonstrict_numerics_also_correct(self):
-        # Non-strict mode computes in place in slow memory; results must
-        # still be exactly right for legal schedules.
-        a = random_tall_matrix(26, 4, seed=4)
-        m = TwoLevelMachine(15, strict=False)
-        m.add_matrix("A", a)
-        m.add_matrix("C", np.zeros((26, 26)))
-        tbs_syrk(m, "A", "C", range(26), range(4))
-        np.testing.assert_allclose(
-            np.tril(m.result("C")), np.tril(syrk_reference(a)), rtol=1e-10, atol=1e-12
-        )
+        st_numeric = build(True)
+        st_count = build(False)
+        assert st_numeric.loads == st_count.loads
+        assert st_numeric.stores == st_count.stores
+        assert st_numeric.mults == st_count.mults
+        assert st_numeric.peak_occupancy == st_count.peak_occupancy
 
 
 class TestBlockVsPebbleEquivalence:
@@ -160,11 +148,11 @@ class TestHeadlineInequalities:
     def test_syrk_sandwich(self):
         # lower bound <= TBS <= OCS on every tested shape.
         for n, mc, s in [(40, 6, 15), (54, 3, 15), (66, 8, 21)]:
-            mt = TwoLevelMachine(s, strict=False, numerics=False)
+            mt = TwoLevelMachine(s, numerics=False)
             mt.add_matrix("A", np.zeros((n, mc)))
             mt.add_matrix("C", np.zeros((n, n)))
             t = tbs_syrk(mt, "A", "C", range(n), range(mc))
-            mo = TwoLevelMachine(s, strict=False, numerics=False)
+            mo = TwoLevelMachine(s, numerics=False)
             mo.add_matrix("A", np.zeros((n, mc)))
             mo.add_matrix("C", np.zeros((n, n)))
             o = ooc_syrk(mo, "A", "C", range(n), range(mc))
@@ -175,10 +163,10 @@ class TestHeadlineInequalities:
         # N must be past the LBC/OCC crossover (~130 at S=15): below it the
         # right-looking C-reload term still outweighs the sqrt(2) saving.
         n, s, b = 144, 15, 12
-        ml = TwoLevelMachine(s, strict=False, numerics=False)
+        ml = TwoLevelMachine(s, numerics=False)
         ml.add_matrix("A", np.zeros((n, n)))
         l = lbc_cholesky(ml, "A", range(n), b=b)
-        mo = TwoLevelMachine(s, strict=False, numerics=False)
+        mo = TwoLevelMachine(s, numerics=False)
         mo.add_matrix("A", np.zeros((n, n)))
         o = ooc_chol(mo, "A", range(n))
         lb = cholesky_lower_bound(n, s, form="exact")

@@ -12,7 +12,7 @@ from repro.sched.schedule import record_schedule
 
 
 def recorded(fn, n=40, mc=6, s=15):
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     m.add_matrix("A", np.zeros((n, mc)))
     m.add_matrix("C", np.zeros((n, n)))
     sched = record_schedule(m, lambda: fn(m, "A", "C", range(n), range(mc)))

@@ -48,7 +48,7 @@ PS = (2, 4, 16)
 
 def build_graph(kernel_name: str, n: int, mc: int, s: int) -> DependencyGraph:
     kernel = tbs_syrk if kernel_name == "tbs" else ooc_syrk
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     m.add_matrix("A", np.zeros((n, mc)))
     m.add_matrix("C", np.zeros((n, n)))
     schedule = record_schedule(m, lambda: kernel(m, "A", "C", range(n), range(mc)))

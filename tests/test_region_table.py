@@ -202,7 +202,7 @@ class TestSharing:
     def test_counting_run_keeps_no_entries(self, monkeypatch):
         builds = count_builds(monkeypatch, "_build_column_segments")
         n, mcols = 300, 6
-        m = TwoLevelMachine(15, strict=False, numerics=False)
+        m = TwoLevelMachine(15, numerics=False)
         m.add_matrix("A_life", np.zeros((n, mcols)))
         m.add_matrix("C_life", np.zeros((n, n)))
         assert not m._recorders
@@ -212,7 +212,7 @@ class TestSharing:
         assert table_keys("A_life", "C_life") == []
 
     def test_recorded_schedule_holds_its_entries(self):
-        m = TwoLevelMachine(15, strict=False, numerics=False)
+        m = TwoLevelMachine(15, numerics=False)
         m.add_matrix("A_held", np.zeros((20, 3)))
         m.add_matrix("C_held", np.zeros((20, 20)))
         schedule = record_schedule(

@@ -56,7 +56,7 @@ SEARCH_KWARGS = {"anneal": {"iters": 40}}
 
 def record_kernel(kernel_name: str, n: int, mc: int, s: int, *, numerics: bool):
     kernel = tbs_syrk if kernel_name == "tbs" else ooc_syrk
-    m = TwoLevelMachine(s, strict=False, numerics=numerics)
+    m = TwoLevelMachine(s, numerics=numerics)
     rng = np.random.default_rng(n * 100 + mc)
     a = rng.standard_normal((n, mc)) if numerics else np.zeros((n, mc))
     m.add_matrix("A", a)

@@ -389,10 +389,11 @@ class TestScheduleCache:
             ScheduleCache(2, "fifo")  # LRU is the only policy
 
     def test_log_records_gets(self):
-        cache = ScheduleCache(2)
-        cache.get("a"); cache.put("a", 1); cache.get("a")
-        assert cache.log == ["a", "a"]
+        log = ["a", "a"]
+        cache = ScheduleCache.replay(log, 2)
+        assert cache.hits + cache.misses == len(log)  # one access per get
         assert cache.hit_rate == 0.5
+        assert not hasattr(cache, "log")  # counters only, no history
 
     def test_evictions_counted_on_probe(self):
         with probe_scope() as probe:

@@ -74,7 +74,7 @@ def assert_cache_matches_engines(log, capacity):
     trace = log_to_trace(log)
     lru = ScheduleCache.replay(log, capacity)
     assert len(lru) <= capacity
-    assert lru.log == list(log)
+    assert lru.hits + lru.misses == len(log)
     assert lru.misses == lru_replay_trace(trace, capacity).loads
     assert lru.misses >= belady_replay_trace(trace, capacity).loads
 

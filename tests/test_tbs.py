@@ -122,11 +122,11 @@ class TestOptimalityShape:
         # With S = 15: k-1 = 4, s = 3 -> ratio -> 4/3.
         n, mc, s = 600, 16, 15
         rows = range(n)
-        m = TwoLevelMachine(s, strict=False, numerics=False)
+        m = TwoLevelMachine(s, numerics=False)
         m.add_matrix("A", np.zeros((n, mc)))
         m.add_matrix("C", np.zeros((n, n)))
         t = tbs_syrk(m, "A", "C", rows, range(mc))
-        m2 = TwoLevelMachine(s, strict=False, numerics=False)
+        m2 = TwoLevelMachine(s, numerics=False)
         m2.add_matrix("A", np.zeros((n, mc)))
         m2.add_matrix("C", np.zeros((n, n)))
         o = ooc_syrk(m2, "A", "C", rows, range(mc))

@@ -176,10 +176,10 @@ class TestLbcAccounting:
     def test_beats_occ_at_scale(self):
         # LBC's asymptotic advantage over the left-looking baseline.
         n, s = 144, 15
-        m = TwoLevelMachine(s, strict=False, numerics=False)
+        m = TwoLevelMachine(s, numerics=False)
         m.add_matrix("A", np.zeros((n, n)))
         lbc = lbc_cholesky(m, "A", range(n), b=12)
-        m2 = TwoLevelMachine(s, strict=False, numerics=False)
+        m2 = TwoLevelMachine(s, numerics=False)
         m2.add_matrix("A", np.zeros((n, n)))
         occ = ooc_chol(m2, "A", range(n))
         assert lbc.loads < occ.loads

@@ -48,7 +48,7 @@ from repro.utils.rng import (
 
 
 def recorded(kernel, n, mc, s):
-    m = TwoLevelMachine(s, strict=False, numerics=False)
+    m = TwoLevelMachine(s, numerics=False)
     if kernel is ooc_chol:
         m.add_matrix("A", np.zeros((n, n)))
         return record_schedule(m, lambda: kernel(m, "A", range(n)))

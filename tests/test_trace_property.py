@@ -131,7 +131,7 @@ def test_recorded_streams_random_shapes():
         mc = int(rng.integers(1, 5))
         s = int(rng.integers(7, 40))
         kernel = tbs_syrk if rng.random() < 0.5 else ooc_syrk
-        m = TwoLevelMachine(s, strict=False, numerics=False)
+        m = TwoLevelMachine(s, numerics=False)
         m.add_matrix("A", np.zeros((n, mc)))
         m.add_matrix("C", np.zeros((n, n)))
         sched = record_schedule(m, lambda: kernel(m, "A", "C", range(n), range(mc)))
@@ -159,7 +159,7 @@ def test_zero_op_schedule_roundtrip(tmp_path):
 
 
 def test_single_op_schedule_roundtrip(tmp_path):
-    m = TwoLevelMachine(8, strict=False, numerics=False)
+    m = TwoLevelMachine(8, numerics=False)
     m.add_matrix("A", np.zeros((6, 2)))
     m.add_matrix("C", np.zeros((6, 6)))
     full = record_schedule(m, lambda: tbs_syrk(m, "A", "C", range(6), range(2)))

@@ -1,10 +1,10 @@
 """Edge-case coverage for sched/validate.py (machine-independent referee).
 
-Complements tests/test_schedule.py: redundant loads under
-``allow_redundant_loads``, unknown matrices from every step type,
-``require_empty_end=False``, and the guarantee that every violation message
-names the offending step index.  Every case runs against both the oracle
-walker (``tests/legality_oracle.py``) and ``validate_schedule``.
+Complements tests/test_schedule.py: redundant loads (always RPS102),
+unknown matrices from every step type, a non-empty end (always RPS105),
+and the guarantee that every violation message names the offending step
+index.  Every case runs against both the oracle walker
+(``tests/legality_oracle.py``) and ``validate_schedule``.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from legality_oracle import walk_schedule
 
 from repro import TwoLevelMachine
+from repro.check.certify import certify_schedule
 from repro.errors import ScheduleError
 from repro.machine.regions import Region
 from repro.sched.ops import OuterColsUpdate
@@ -39,13 +40,6 @@ class TestRedundantLoads:
             with pytest.raises(ScheduleError, match="redundant"):
                 validate(self.schedule(), capacity=4)
 
-    def test_allowed_when_opted_in(self):
-        for validate in VALIDATORS:
-            summary = validate(self.schedule(), capacity=4, allow_redundant_loads=True)
-            # the wasted traffic is still counted: both loads contribute
-            assert summary["loads"] == 4
-            assert summary["peak_occupancy"] == 2
-
     def test_partial_overlap_counts_full_region(self):
         sched = simple_schedule(
             [
@@ -55,9 +49,14 @@ class TestRedundantLoads:
             ]
         )
         for validate in VALIDATORS:
-            summary = validate(sched, capacity=4, allow_redundant_loads=True)
-            assert summary["loads"] == 4
-            assert summary["peak_occupancy"] == 3
+            with pytest.raises(ScheduleError) as err:
+                validate(sched, capacity=4)
+            assert (err.value.finding.code, err.value.finding.op_index) == ("RPS102", 1)
+        # the certificate charges the whole region's traffic, and only
+        # the fresh element's residency
+        cert = certify_schedule(sched, 4)
+        assert cert.stats["loads"] == 4
+        assert cert.stats["peak_occupancy"] == 3
 
     def test_redundant_load_still_capacity_checked(self):
         # only the *fresh* elements count against capacity
@@ -69,8 +68,16 @@ class TestRedundantLoads:
             ]
         )
         for validate in VALIDATORS:
-            summary = validate(sched, capacity=3, allow_redundant_loads=True)
-            assert summary["peak_occupancy"] == 3
+            with pytest.raises(ScheduleError) as err:
+                validate(sched, capacity=3)
+            assert err.value.finding.code == "RPS102"
+
+        def errors(capacity):
+            cert = certify_schedule(sched, capacity)
+            return [f.code for f in cert.findings if f.severity == "error"]
+
+        assert errors(3) == ["RPS102"]
+        assert errors(2) == ["RPS102", "RPS104"]
 
 
 class TestUnknownMatrix:
@@ -104,11 +111,6 @@ class TestEmptyEnd:
         for validate in VALIDATORS:
             with pytest.raises(ScheduleError, match="not empty"):
                 validate(self.schedule(), capacity=4)
-
-    def test_nonempty_end_allowed_when_opted_out(self):
-        for validate in VALIDATORS:
-            summary = validate(self.schedule(), capacity=4, require_empty_end=False)
-            assert summary == {"loads": 2, "stores": 0, "peak_occupancy": 2}
 
 
 class TestMessagesNameTheStep:
