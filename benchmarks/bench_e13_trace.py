@@ -4,8 +4,9 @@ Records a TBS SYRK schedule per N (capacity scaled with the problem,
 ``S = 8N``, the regime the paper's blocking targets), compiles it once to
 the trace IR, and replays the op order under LRU and Belady/MIN at a
 capacity sweep — once through the seed element-loop paths
-(``access_sequence`` tuples + OrderedDict / tuple-heap walkers, re-run per
-capacity exactly as the seed shipped them) and once through the array
+(access-sequence tuples + OrderedDict / tuple-heap walkers, re-run per
+capacity exactly as the seed shipped them; they live on as the test
+suite's oracles in ``tests/replay_oracles.py``) and once through the array
 engines (:mod:`repro.trace.replay`: cached reuse-distance counts for LRU,
 the adaptive chunked simulation for Belady).
 
@@ -32,13 +33,12 @@ import numpy as np
 import pytest
 
 from repro import TwoLevelMachine
-from repro.analysis.lru_replay import lru_replay_reference
 from repro.core.tbs import tbs_syrk
-from repro.graph.policies import belady_replay_reference
 from repro.sched.schedule import record_schedule
 from repro.trace.compiled import compile_trace
 from repro.trace.replay import belady_replay_trace, lru_replay_trace
 from repro.utils.fmt import Table, format_int
+from replay_oracles import belady_replay_reference, lru_replay_reference
 
 M_COLS = 6
 CAP_FACTORS = (1, 1.5, 2, 3, 4, 6, 8, 12, 16)

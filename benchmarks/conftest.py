@@ -9,14 +9,23 @@ pytest-benchmark timing wraps the headline computation of each experiment
 wall-clock samples; the timing is informative only).
 
 Run:  pytest benchmarks/ --benchmark-only -s
+
+The test suite's oracles (``tests/replay_oracles.py`` and its siblings)
+are importable from every bench: E13 times the array replays against the
+tuple-walking walkers kept there.
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import TwoLevelMachine
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def counting_machine(s: int, shapes: dict[str, tuple[int, int]]) -> TwoLevelMachine:

@@ -54,7 +54,6 @@ from .errors import (
     ResidencyError,
     ScheduleError,
     VerificationError,
-    WritebackError,
 )
 from .machine import (
     ExplicitPebbleMachine,
@@ -126,7 +125,6 @@ __all__ = [
     "ResidencyError",
     "ScheduleError",
     "VerificationError",
-    "WritebackError",
     "ExplicitPebbleMachine",
     "FastMemory",
     "IOStats",

@@ -332,9 +332,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .analysis.lru_replay import lru_replay_reference
     from .graph.compare import record_case
-    from .graph.policies import belady_replay_reference
     from .trace import (
         compile_trace,
         file_kind,
@@ -406,22 +404,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 [capacity, policy, format_int(r.loads), format_int(r.stores),
                  f"{r.miss_rate:.4f}", f"{tm.elapsed:.3f}" if i == 0 else '"']
             )
-            if args.check:
-                ref_fn = (
-                    lru_replay_reference if policy == "lru" else belady_replay_reference
-                )
-                ref = ref_fn(trace, capacity)
-                ok = (ref.loads, ref.stores) == (r.loads, r.stores)
-                if not ok:
-                    print(
-                        f"MISMATCH at capacity {capacity} ({policy}): "
-                        f"vectorized {r.loads}/{r.stores} vs reference "
-                        f"{ref.loads}/{ref.stores}"
-                    )
-                    return 1
     print(t.render())
-    if args.check:
-        print("reference cross-check: all counts identical")
     return 0
 
 
@@ -774,20 +757,40 @@ def main(argv: list[str] | None = None) -> int:
     p_replay.add_argument("--n", type=int, default=40)
     p_replay.add_argument("--m", type=int, default=6)
 
-    p_graph = sub.add_parser("graph", help="dependency-DAG rescheduling report")
-    p_graph.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_graph.add_argument("--n", type=int, default=40)
-    p_graph.add_argument("--m", type=int, default=6)
-    p_graph.add_argument("--s", type=int, default=15)
+    # Flag groups that several commands share, each spelled once.
+    case_args = argparse.ArgumentParser(add_help=False)
+    case_args.add_argument("--kernel", choices=sorted(CASES), default="tbs")
+    case_args.add_argument("--n", type=int, default=40)
+    case_args.add_argument("--m", type=int, default=6)
+    case_args.add_argument("--s", type=int, default=15)
+
+    latency_args = argparse.ArgumentParser(add_help=False)
+    latency_args.add_argument("--alpha", type=float, default=1.0,
+                              help="per-cross-edge latency constant of the makespan model")
+    latency_args.add_argument("--beta", type=float, default=1.0,
+                              help="per-transferred-element latency of the makespan model")
+
+    def report_args(timeline_help: str) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--report", default=None, metavar="PATH",
+                            help="write the run report (provenance, timers, "
+                                 "counters, convergence series) as JSON")
+        parent.add_argument("--timeline", default=None, metavar="PATH",
+                            help=timeline_help)
+        return parent
+
+    p_graph = sub.add_parser("graph", parents=[case_args],
+                             help="dependency-DAG rescheduling report")
     p_graph.add_argument("--heuristics", nargs="+", default=None, choices=list(HEURISTICS))
     p_graph.add_argument("--no-numerics", action="store_true",
                          help="skip the bit-exact replay check (faster)")
 
-    p_search = sub.add_parser("search", help="order-search engine report")
-    p_search.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_search.add_argument("--n", type=int, default=40)
-    p_search.add_argument("--m", type=int, default=6)
-    p_search.add_argument("--s", type=int, default=15)
+    p_search = sub.add_parser(
+        "search", help="order-search engine report",
+        parents=[case_args, report_args(
+            "export the best searched order as a Chrome "
+            "trace-event JSON (single-node timeline)")],
+    )
     p_search.add_argument("--strategy", nargs="+", default=None,
                           choices=list(STRATEGIES),
                           help="strategies to run (default: all three)")
@@ -806,20 +809,11 @@ def main(argv: list[str] | None = None) -> int:
                                "chain 0 reproduces --chains 1 bit for bit)")
     p_search.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the chain fan-out")
-    p_search.add_argument("--report", default=None, metavar="PATH",
-                          help="write the run report (provenance, timers, "
-                               "counters, convergence series) as JSON")
-    p_search.add_argument("--timeline", default=None, metavar="PATH",
-                          help="export the best searched order as a Chrome "
-                               "trace-event JSON (single-node timeline)")
 
     p_trace = sub.add_parser("trace", help="compiled trace IR: compile/replay/info")
     tsub = p_trace.add_subparsers(dest="trace_command", required=True)
-    p_tc = tsub.add_parser("compile", help="record a kernel and save its trace")
-    p_tc.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_tc.add_argument("--n", type=int, default=40)
-    p_tc.add_argument("--m", type=int, default=6)
-    p_tc.add_argument("--s", type=int, default=15)
+    p_tc = tsub.add_parser("compile", parents=[case_args],
+                           help="record a kernel and save its trace")
     p_tc.add_argument("-o", "--out", required=True, help="output .npz path")
     p_tc.add_argument("--schedule-out", default=None,
                       help="also save the full schedule (reconstructible ops)")
@@ -827,23 +821,22 @@ def main(argv: list[str] | None = None) -> int:
     p_tr.add_argument("path", help="trace or schedule .npz")
     p_tr.add_argument("--capacity", type=int, nargs="+", required=True)
     p_tr.add_argument("--policy", choices=["lru", "belady", "both"], default="both")
-    p_tr.add_argument("--check", action="store_true",
-                      help="cross-check against the reference walkers")
     p_tr.add_argument("--jobs", type=int, default=1,
                       help="worker processes sharding the capacity sweep")
     p_ti = tsub.add_parser("info", help="summarize a saved trace/schedule")
     p_ti.add_argument("path")
 
-    p_par = sub.add_parser("parallel", help="sharded task-DAG executor report")
-    p_par.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_par.add_argument("--n", type=int, default=40)
-    p_par.add_argument("--m", type=int, default=6)
-    p_par.add_argument("--s", type=int, default=15)
+    p_par = sub.add_parser(
+        "parallel", help="sharded task-DAG executor report",
+        parents=[case_args, latency_args, report_args(
+            "export the lowest-makespan row as a Chrome "
+            "trace-event JSON (one track per node, transfers "
+            "as flow arrows)")],
+    )
     p_par.add_argument("--p", type=int, nargs="+", default=[1, 4, 16])
     p_par.add_argument("--partitioners", nargs="+", default=None,
                        choices=list(PARTITIONERS))
-    p_par.add_argument("--policy", choices=[p for p in POLICIES if p != "explicit"],
-                       default="rewrite")
+    p_par.add_argument("--policy", choices=POLICIES, default="rewrite")
     p_par.add_argument("--refine", nargs="?", const="greedy", default=None,
                        choices=list(REFINE_STRATEGIES),
                        help="also refine each partitioner's assignment "
@@ -852,25 +845,13 @@ def main(argv: list[str] | None = None) -> int:
                        help="seed for the refinement annealer")
     p_par.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the multi-seed refine fan-out")
-    p_par.add_argument("--alpha", type=float, default=1.0,
-                       help="per-cross-edge latency constant of the makespan model")
-    p_par.add_argument("--beta", type=float, default=1.0,
-                       help="per-transferred-element latency of the makespan model")
-    p_par.add_argument("--report", default=None, metavar="PATH",
-                       help="write the run report (provenance, timers, "
-                            "counters, convergence series) as JSON")
-    p_par.add_argument("--timeline", default=None, metavar="PATH",
-                       help="export the lowest-makespan row as a Chrome "
-                            "trace-event JSON (one track per node, transfers "
-                            "as flow arrows)")
 
     p_cos = sub.add_parser(
-        "cosearch", help="joint order x partition co-search report"
+        "cosearch", help="joint order x partition co-search report",
+        parents=[case_args, latency_args, report_args(
+            "export the winning schedule of the lowest-"
+            "makespan P as a Chrome trace-event JSON")],
     )
-    p_cos.add_argument("--kernel", choices=sorted(CASES), default="tbs")
-    p_cos.add_argument("--n", type=int, default=40)
-    p_cos.add_argument("--m", type=int, default=6)
-    p_cos.add_argument("--s", type=int, default=15)
     p_cos.add_argument("--p", type=int, nargs="+", default=[4])
     p_cos.add_argument("--iters", type=int, default=600,
                        help="annealing steps per co-search chain")
@@ -880,19 +861,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="base RNG seed (chain k gets a derived stream)")
     p_cos.add_argument("--jobs", type=int, default=1,
                        help="worker processes fanning the portfolio chains")
-    p_cos.add_argument("--alpha", type=float, default=1.0,
-                       help="per-cross-edge latency constant of the makespan model")
-    p_cos.add_argument("--beta", type=float, default=1.0,
-                       help="per-transferred-element latency of the makespan model")
     p_cos.add_argument("--no-relax", action="store_true",
                        help="keep reduction chains in recorded order "
                             "(bit-exact numerics, smaller move space)")
-    p_cos.add_argument("--report", default=None, metavar="PATH",
-                       help="write the run report (provenance, timers, "
-                            "counters, convergence series) as JSON")
-    p_cos.add_argument("--timeline", default=None, metavar="PATH",
-                       help="export the winning schedule of the lowest-"
-                            "makespan P as a Chrome trace-event JSON")
 
     p_srv = sub.add_parser("serve", help="schedule-serving layer: warm/query/stats")
     ssub = p_srv.add_subparsers(dest="serve_command", required=True)

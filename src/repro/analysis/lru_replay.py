@@ -13,8 +13,8 @@ The default :func:`lru_replay` compiles the schedule to the array IR
 distances (:func:`repro.trace.replay.lru_replay_trace`) — one to two
 orders of magnitude faster than walking Python tuples, which is what opens
 up N in the thousands (benchmark E13).  The original tuple/OrderedDict
-walker survives as :func:`lru_replay_reference`; the test suite asserts
-both return bit-identical counts.
+walker is the test suite's oracle (``tests/replay_oracles.py``), and the
+tests and E13 pin every count to it.
 
 Findings this enables (asserted in tests):
 
@@ -28,17 +28,14 @@ Findings this enables (asserted in tests):
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from ..errors import ConfigurationError
-from ..sched.schedule import Schedule, access_sequence_reference
+from ..sched.schedule import Schedule
 from ..trace.compiled import CompiledTrace, compile_trace
 from ..trace.replay import LruReplayResult, as_capacity, lru_replay_trace
 
 __all__ = [
     "LruReplayResult",
     "lru_replay",
-    "lru_replay_reference",
     "lru_competitiveness",
 ]
 
@@ -55,48 +52,6 @@ def lru_replay(schedule: Schedule | CompiledTrace, capacity: int) -> LruReplayRe
     end.
     """
     return lru_replay_trace(compile_trace(schedule), as_capacity(capacity))
-
-
-def lru_replay_reference(
-    schedule: Schedule | CompiledTrace, capacity: int
-) -> LruReplayResult:
-    """The original tuple-per-touch LRU walker (cross-check path).
-
-    Kept verbatim as the independent oracle for :func:`lru_replay`: it
-    shares no code with the array engine, so agreement between the two is
-    a meaningful check.
-    """
-    capacity = as_capacity(capacity)
-    if isinstance(schedule, CompiledTrace):
-        seq = schedule.to_access_sequence()
-    else:
-        seq = access_sequence_reference(schedule)
-    cache: OrderedDict[tuple[str, int], bool] = OrderedDict()
-    loads = evict_stores = 0
-    seen: set[tuple[str, int]] = set()
-
-    for key, write in seq:
-        seen.add(key)
-        if key in cache:
-            dirty = cache.pop(key)
-            cache[key] = dirty or write
-        else:
-            while len(cache) >= capacity:
-                _victim, dirty = cache.popitem(last=False)
-                if dirty:
-                    evict_stores += 1
-            cache[key] = write
-            loads += 1
-
-    flush = sum(1 for dirty in cache.values() if dirty)
-    return LruReplayResult(
-        capacity=capacity,
-        loads=loads,
-        stores=evict_stores + flush,
-        n_accesses=len(seq),
-        distinct=len(seen),
-        evict_stores=evict_stores,
-    )
 
 
 def lru_competitiveness(schedule: Schedule, explicit_loads: int, capacity: int) -> float:

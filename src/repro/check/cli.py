@@ -15,10 +15,13 @@ Three modes, one finding model:
 Exit status: 0 when no error-severity finding was produced (lint mode is
 stricter: any finding at all fails), 1 otherwise, and 2 on usage errors:
 an unknown ``--kernel``, a ``--store`` root with no ``objects/``
-directory (reported without creating anything there), or an orphan
-object (one with no manifest entry) named without ``--capacity``.  A
-``--digest`` that names no object is RPS107 (exit 1), with or without
-``--capacity``.
+directory (reported without creating anything there), an artifact path
+without ``--capacity``, or an orphan object (one with no manifest entry)
+named without ``--capacity``.  A file that cannot be certified is RPS107
+(exit 1), with or without ``--capacity``, naming its reason: a missing
+artifact path or ``--digest``, a stale (older container format) object,
+or an unreadable file, which includes a trace container given as an
+artifact.
 """
 
 from __future__ import annotations
@@ -102,12 +105,14 @@ def _cert_rows(label: str, cert: Certificate) -> dict[str, Any]:
 
 
 def _read_object(path: str):
-    """``(schedule, None)`` for a store object that loads, else ``(None,
-    (reason, detail))`` with reason ``missing``, ``stale`` or ``unreadable``.
+    """``(schedule, None)`` for a schedule file that loads, else ``(None,
+    (reason, detail))`` with reason ``missing``, ``stale`` or ``unreadable``
+    (a trace container, or no container at all, is unreadable).
 
-    Reads the file directly rather than through ``ScheduleStore.get``,
-    which answers ``None`` for every failure alike and needs the object's
-    key, so an orphan (an object with no manifest entry) is certified too.
+    Store mode reads each object through it directly rather than through
+    ``ScheduleStore.get``, which answers ``None`` for every failure alike
+    and needs the object's key, so an orphan (an object with no manifest
+    entry) is certified too; artifact mode reads its path the same way.
     """
     from ..errors import StaleFormatError
     from ..trace.io import load_schedule
@@ -117,9 +122,7 @@ def _read_object(path: str):
     try:
         return load_schedule(path), None
     except StaleFormatError:
-        return None, (
-            "stale", "is in an older container format; the next put rewrites it"
-        )
+        return None, ("stale", "is in an older container format")
     except Exception as exc:
         return None, ("unreadable", f"is unreadable: {exc}")
 
@@ -161,6 +164,8 @@ def cmd_check(args) -> int:
             schedule, problem = _read_object(store.object_path(digest))
             if schedule is None:
                 reason, detail = problem
+                if reason == "stale":
+                    detail += "; the next put rewrites it"
                 findings.append(Finding(
                     code="RPS107", message=f"store object {digest[:12]} {detail}",
                     context={"digest": digest, "reason": reason},
@@ -190,16 +195,18 @@ def cmd_check(args) -> int:
 
     # ---- artifact mode ------------------------------------------------
     if args.artifact is not None:
-        from ..trace.io import file_kind, load_schedule
-
-        if file_kind(args.artifact) != "schedule":
-            print(f"{args.artifact}: the certifier needs a schedule file "
-                  f"(with explicit loads/evicts), not a trace")
-            return 2
+        schedule, problem = _read_object(args.artifact)
+        if schedule is None:
+            reason, detail = problem
+            finding = Finding(
+                code="RPS107", message=f"{args.artifact} {detail}",
+                context={"path": args.artifact, "reason": reason},
+            )
+            _emit("artifact", [finding], {"target": args.artifact}, fmt, ok=False)
+            return 1
         if args.capacity is None:
             print("check ARTIFACT needs --capacity S")
             return 2
-        schedule = load_schedule(args.artifact)
         cert = certify_schedule(schedule, args.capacity)
         if fmt == "table":
             print(banner(f"check schedule: {args.artifact} (S={args.capacity})"))

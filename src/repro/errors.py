@@ -69,11 +69,6 @@ class RedundantLoadError(MachineError):
     """
 
 
-class WritebackError(MachineError):
-    """An evict dropped dirty data without writeback, or wrote back clean data
-    in a context where the schedule declared it would not."""
-
-
 class ScheduleError(ReproError):
     """An op stream is structurally invalid (machine-independent check).
 

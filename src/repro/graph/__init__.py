@@ -37,9 +37,7 @@ from .dependency import (
 )
 from .policies import (
     BeladyReplayResult,
-    access_sequence,
     belady_replay,
-    belady_replay_reference,
     replacement_gap,
 )
 from .rewriter import (
@@ -81,9 +79,7 @@ __all__ = [
     "dependency_graph",
     "is_commuting_accumulation",
     "BeladyReplayResult",
-    "access_sequence",
     "belady_replay",
-    "belady_replay_reference",
     "replacement_gap",
     "RewriteResult",
     "reschedule",

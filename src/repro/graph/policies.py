@@ -11,18 +11,10 @@ per-order floor that separates "this order is intrinsically expensive" from
 
 The default :func:`belady_replay` runs on the compiled trace IR
 (:mod:`repro.trace`): next-use positions come from one vectorized pass and
-the replay is the chunked array engine.  The original tuple/heap walker
-survives as :func:`belady_replay_reference` — with one repair.  The seed
-version pushed heap entries carrying a *dirty hint captured at push time*
-and never checked it again, so the documented tie-break ("clean victims
-preferred among equally-distant ones") silently depended on every
-dirty-bit change coinciding with a fresh push.  The reference now treats a
-stale hint like a stale next-use: an entry is valid only if *both* its
-next-use and its dirty bit match the live cache state, and every state
-change pushes a fresh entry.  The regression scenario (an equally-distant
-clean/dirty pair at eviction time) is pinned in the test suite via the
-``evict_stores`` counter: preferring the dirty victim turns a deferrable
-final-flush store into an eviction-time writeback.
+the replay is the chunked array engine.  The original tuple/heap walker is
+the test suite's oracle (``tests/replay_oracles.py``), and the tests and
+benchmark E13 pin every count to it, including the eviction-time share of
+the stores (``evict_stores``) that the clean-victim tie-break decides.
 
 Both replays walk the *same* element access sequence as the LRU replay,
 so their load counts are directly comparable: for every schedule and
@@ -31,19 +23,15 @@ capacity, ``belady_replay(s, c).loads <= lru_replay(s, c).loads``.
 
 from __future__ import annotations
 
-import heapq
-
 from ..sched.ops import ComputeOp
-from ..sched.schedule import Schedule, access_sequence, access_sequence_reference
+from ..sched.schedule import Schedule
 from ..trace.compiled import CompiledTrace, compile_trace
 from ..trace.replay import BeladyReplayResult, as_capacity, belady_replay_trace
 
 __all__ = [
     "NEVER",
     "BeladyReplayResult",
-    "access_sequence",
     "belady_replay",
-    "belady_replay_reference",
     "replacement_gap",
 ]
 
@@ -64,69 +52,6 @@ def belady_replay(
     stores, exactly as in the LRU replay.
     """
     return belady_replay_trace(compile_trace(schedule), as_capacity(capacity))
-
-
-def belady_replay_reference(
-    schedule: Schedule | list[ComputeOp] | CompiledTrace, capacity: int
-) -> BeladyReplayResult:
-    """The original tuple/heap MIN walker (cross-check path), tie-break fixed.
-
-    Heap entries are ``(-next_use, dirty, key)`` with lazy invalidation: an
-    entry is alive only while both its next-use position *and* its dirty
-    bit match the live cache state, and every access (the only place either
-    can change) pushes a fresh entry.  Next-use positions are unique, so
-    ties are only possible among never-used-again residents, where the
-    dirty bit makes the heap prefer clean victims with live information
-    instead of a push-time snapshot.
-    """
-    capacity = as_capacity(capacity)
-    if isinstance(schedule, CompiledTrace):
-        seq = schedule.to_access_sequence()
-    else:
-        seq = access_sequence_reference(schedule)
-
-    # next_use[i]: position of the next access to seq[i]'s key, else NEVER.
-    next_use = [NEVER] * len(seq)
-    last_pos: dict[tuple[str, int], int] = {}
-    for i in range(len(seq) - 1, -1, -1):
-        key = seq[i][0]
-        next_use[i] = last_pos.get(key, NEVER)
-        last_pos[key] = i
-
-    cache: dict[tuple[str, int], bool] = {}          # key -> dirty
-    cur_next: dict[tuple[str, int], int] = {}        # key -> its next use
-    heap: list[tuple[int, int, tuple[str, int]]] = []  # (-next_use, dirty, key), lazy
-    loads = evict_stores = 0
-
-    for pos, (key, write) in enumerate(seq):
-        if key in cache:
-            cache[key] = cache[key] or write
-        else:
-            while len(cache) >= capacity:
-                nu, dirty_hint, victim = heapq.heappop(heap)
-                if (
-                    victim in cache
-                    and cur_next.get(victim) == -nu
-                    and cache[victim] == bool(dirty_hint)
-                ):
-                    dirty = cache.pop(victim)
-                    del cur_next[victim]
-                    if dirty:
-                        evict_stores += 1
-            cache[key] = write
-            loads += 1
-        cur_next[key] = next_use[pos]
-        heapq.heappush(heap, (-next_use[pos], 1 if cache[key] else 0, key))
-
-    flush = sum(1 for dirty in cache.values() if dirty)
-    return BeladyReplayResult(
-        capacity=capacity,
-        loads=loads,
-        stores=evict_stores + flush,
-        n_accesses=len(seq),
-        distinct=len(last_pos),
-        evict_stores=evict_stores,
-    )
 
 
 def replacement_gap(schedule: Schedule | CompiledTrace, capacity: int) -> float:

@@ -100,12 +100,3 @@ class IOStats:
             loads_by_matrix=self.loads_by_matrix - earlier.loads_by_matrix,
             stores_by_matrix=self.stores_by_matrix - earlier.stores_by_matrix,
         )
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
-            f"Q(loads)={self.loads:,} stores={self.stores:,} "
-            f"mults={self.mults:,} peak={self.peak_occupancy:,} "
-            f"(ops: {self.n_loads:,} loads / {self.n_evicts:,} evicts / "
-            f"{self.n_computes:,} computes)"
-        )

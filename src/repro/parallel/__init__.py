@@ -10,8 +10,10 @@ viewed as a single 'slow' memory".  This subpackage takes that literally:
   triangle blocks (the paper's device, distributed);
 * each node then executes its share on its own two-level counting machine
   with fast memory ``S``, where every load is a network *receive*;
-* the simulator reports per-node receive volumes (max = the quantity
-  parallel lower bounds govern, mean, imbalance).
+* the simulator (:func:`~repro.parallel.simulate.simulate_syrk`, the one
+  engine for these fixed strategies) reports per-node receive volumes
+  (max = the quantity parallel lower bounds govern, mean, imbalance), with
+  the A/C split of every receive.
 
 The conclusion's conjecture — that triangle blocks yield communication-
 efficient *parallel* symmetric kernels — is reproduced as experiment E11:
@@ -51,9 +53,7 @@ from .executor import (
     ExecutorSummary,
     ShardReport,
     execute_graph,
-    owner_from_assignment,
     partition_graph,
-    shard_schedule,
 )
 from .cosearch import (
     CoSearchCost,
@@ -85,7 +85,6 @@ from .refine import (
 from .simulate import (
     NodeReport,
     ParallelSummary,
-    record_block_schedule,
     simulate_syrk,
 )
 
@@ -115,14 +114,11 @@ __all__ = [
     "write_groups",
     "NodeReport",
     "ParallelSummary",
-    "record_block_schedule",
     "simulate_syrk",
     "PARTITIONERS",
     "POLICIES",
     "ExecutorSummary",
     "ShardReport",
     "execute_graph",
-    "owner_from_assignment",
     "partition_graph",
-    "shard_schedule",
 ]

@@ -1,7 +1,7 @@
 """Sharded execution of a recorded schedule's task DAG across P nodes.
 
-The fixed-strategy simulator (:mod:`repro.parallel.simulate`) can only
-distribute SYRK under its two built-in block layouts.  This module runs
+The fixed-strategy simulator (:mod:`repro.parallel.simulate`) is the one
+engine for SYRK under its two built-in block layouts.  This module runs
 *any* recorded schedule on ``p`` simulated nodes: extract the schedule's
 :class:`~repro.graph.dependency.DependencyGraph` (whose antichain levels
 are exactly the op sets a multi-node schedule may run concurrently),
@@ -40,12 +40,7 @@ Replay policies (:data:`POLICIES`):
                 and validate it against the model's rules, proving peak
                 occupancy <= S;
 ``"lru"`` / ``"belady"``  count the shard's receive volume under the
-                array-based cache replays of :mod:`repro.trace.replay`;
-``"explicit"``  shard the *recorded* schedule's own load/evict steps
-                (:func:`shard_schedule`) and replay each node's slice on a
-                real counting machine — the mode that reproduces
-                :func:`repro.parallel.simulate.simulate_syrk` bit for bit
-                when fed the recorded block strategy.
+                array-based cache replays of :mod:`repro.trace.replay`.
 
 Sub-traces are sliced from one compiled trace without recompilation
 (:meth:`~repro.trace.compiled.CompiledTrace.select_ops`), so element IDs
@@ -63,20 +58,18 @@ import numpy as np
 from ..errors import ConfigurationError, ScheduleError
 from ..graph.dependency import DependencyGraph
 from ..graph.rewriter import rewrite_trace
-from ..machine.machine import TwoLevelMachine
-from ..machine.regions import Region
 from ..obs.probe import get_probe, timed
-from ..sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule, Step
+from ..sched.schedule import ComputeStep, Schedule
 from ..sched.validate import validate_schedule
 from ..trace.compiled import CompiledTrace, compile_trace
 from ..trace.replay import belady_replay_trace, lru_replay_trace
 from .makespan import MakespanResult, makespan_model
-from .partition import NodeAssignment, balance_cap, deal_least_loaded
+from .partition import balance_cap, deal_least_loaded
 from .refine import write_groups
 from .simulate import fleet_imbalance, fleet_mean
 
 PARTITIONERS = ("level-greedy", "locality", "owner-computes")
-POLICIES = ("rewrite", "lru", "belady", "explicit")
+POLICIES = ("rewrite", "lru", "belady")
 
 
 # ---------------------------------------------------------------------- #
@@ -164,183 +157,6 @@ def partition_graph(
     if heuristic == "locality":
         return _partition_locality(graph, p, balance_slack)
     return _partition_owner_computes(graph, p)
-
-
-def owner_from_assignment(
-    graph: DependencyGraph, assignment: NodeAssignment
-) -> list[int]:
-    """Map each op to the node owning its written C elements.
-
-    The bridge between the fixed block strategies and the DAG executor: the
-    :class:`~repro.parallel.partition.NodeAssignment` fixes which node owns
-    each ``(i, j)`` pair of the result's lower triangle; every compute op of
-    a recorded SYRK schedule writes pairs of exactly one node's share, and
-    that node becomes the op's owner.  Raises if an op writes pairs of two
-    different nodes (the assignment does not shard that schedule) or writes
-    elements outside the assignment's matrix ``C``.
-    """
-    trace = graph.trace
-    if trace is None:
-        raise ConfigurationError("graph carries no trace; build it from one")
-    try:
-        ci = trace.matrices.index("C")
-    except ValueError:
-        raise ConfigurationError("trace addresses no matrix named 'C'") from None
-    pair_node: dict[int, int] = {}
-    n = assignment.n
-    for node_id, blocks in enumerate(assignment.blocks):
-        for block in blocks:
-            for i, j in block.pairs():
-                pair_node[i * n + j] = node_id
-    owner = [0] * len(graph)
-    for v, node in enumerate(graph.nodes):
-        nodes_seen = set()
-        for key in node.write_keys:
-            if int(trace.key_matrix[key]) != ci:
-                continue
-            q = pair_node.get(int(trace.key_flat[key]))
-            if q is None:
-                raise ConfigurationError(
-                    f"op {v} writes C element {int(trace.key_flat[key])} "
-                    "not covered by the assignment"
-                )
-            nodes_seen.add(q)
-        if len(nodes_seen) != 1:
-            raise ConfigurationError(
-                f"op {v} writes C elements of {len(nodes_seen)} nodes; "
-                "the assignment does not shard this schedule"
-            )
-        owner[v] = nodes_seen.pop()
-    return owner
-
-
-# ---------------------------------------------------------------------- #
-# explicit sharding: slice a recorded schedule's load/evict steps per node
-# ---------------------------------------------------------------------- #
-def shard_schedule(
-    schedule: Schedule, owner: Sequence[int], p: int | None = None
-) -> list[Schedule]:
-    """Split a recorded schedule into one legal per-node schedule per shard.
-
-    Each node receives exactly the traffic it uses: for every residency
-    epoch of an element (original load .. matching evict), the nodes whose
-    compute ops touch the element during the epoch each load it at the
-    original load's position and evict it at the original evict's position
-    — writing back iff the original evicted with writeback and the node
-    itself wrote the element.  Steps keep their original relative order, so
-    every per-node schedule is legal (loads precede uses, evicts follow
-    them) and its resident set is a subset of the original's at every step:
-    per-node peak occupancy can only shrink.
-
-    Elements loaded but touched by no compute before eviction are charged
-    to no node (no node needed that receive).  For schedules whose loads
-    each serve a single node — e.g. the recorded block strategy of
-    :func:`~repro.parallel.simulate.record_block_schedule` — the per-node
-    counts partition the original counts exactly.
-    """
-    n_computes = sum(1 for s in schedule.steps if isinstance(s, ComputeStep))
-    if len(owner) != n_computes:
-        raise ConfigurationError(
-            f"owner has {len(owner)} entries for {n_computes} compute steps"
-        )
-    if len(owner) and min(owner) < 0:
-        raise ConfigurationError("owner indices must be >= 0")
-    top = (max(owner) + 1) if len(owner) else 1
-    if p is None:
-        p = top
-    elif p < top:
-        raise ConfigurationError(f"owner references node {top - 1} but p = {p}")
-
-    # live[key] = (epoch load position, users, writers); epoch_use[(pos, q)]
-    # accumulates the flats node q uses from the load at original position
-    # ``pos`` (one matrix per load step, recorded in epoch_matrix).
-    live: dict[tuple[str, int], tuple[int, set[int], set[int]]] = {}
-    epoch_use: dict[tuple[int, int], set[int]] = {}
-    epoch_matrix: dict[int, str] = {}
-    placed: list[list[tuple[int, int, Step]]] = [[] for _ in range(p)]
-    seq = 0
-
-    def place_evicts(
-        pos: int, matrix: str, per_node: dict[int, tuple[list[int], list[int]]]
-    ) -> None:
-        nonlocal seq
-        for q, (clean, dirty) in sorted(per_node.items()):
-            for flats, wb in ((clean, False), (dirty, True)):
-                if flats:
-                    region = Region(matrix, np.sort(np.asarray(flats, dtype=np.int64)))
-                    placed[q].append((pos, seq, EvictStep(region, wb)))
-                    seq += 1
-
-    op_index = 0
-    for pos, step in enumerate(schedule.steps):
-        if isinstance(step, LoadStep):
-            epoch_matrix[pos] = step.region.matrix
-            for flat in step.region.flat.tolist():
-                key = (step.region.matrix, flat)
-                if key in live:
-                    raise ScheduleError(
-                        f"step {pos}: redundant load of resident element {key}"
-                    )
-                live[key] = (pos, set(), set())
-        elif isinstance(step, ComputeStep):
-            q = int(owner[op_index])
-            op_index += 1
-            placed[q].append((pos, seq, step))
-            seq += 1
-            op = step.op
-            for regions, writes in ((op.reads(), False), (op.writes(), True)):
-                for region in regions:
-                    for flat in region.flat.tolist():
-                        key = (region.matrix, flat)
-                        try:
-                            epoch, users, writers = live[key]
-                        except KeyError:
-                            raise ScheduleError(
-                                f"step {pos}: compute touches non-resident element {key}"
-                            ) from None
-                        users.add(q)
-                        if writes:
-                            writers.add(q)
-                        epoch_use.setdefault((epoch, q), set()).add(flat)
-        elif isinstance(step, EvictStep):
-            per_node: dict[int, tuple[list[int], list[int]]] = {}
-            for flat in step.region.flat.tolist():
-                key = (step.region.matrix, flat)
-                try:
-                    _epoch, users, writers = live.pop(key)
-                except KeyError:
-                    raise ScheduleError(
-                        f"step {pos}: evict of non-resident element {key}"
-                    ) from None
-                for q in users:
-                    clean, dirty = per_node.setdefault(q, ([], []))
-                    (dirty if step.writeback and q in writers else clean).append(flat)
-            place_evicts(pos, step.region.matrix, per_node)
-        else:  # pragma: no cover - defensive
-            raise ScheduleError(f"step {pos}: unknown step type {type(step).__name__}")
-
-    # Flush anything still live (recorded schedules end empty, but stay total).
-    leftovers: dict[str, dict[int, tuple[list[int], list[int]]]] = {}
-    for (matrix, flat), (_epoch, users, writers) in live.items():
-        for q in users:
-            clean, dirty = leftovers.setdefault(matrix, {}).setdefault(q, ([], []))
-            (dirty if q in writers else clean).append(flat)
-    for matrix, per_node in leftovers.items():
-        place_evicts(len(schedule.steps), matrix, per_node)
-
-    # Materialize each node's loads at the original load positions.
-    for (epoch, q), flats in epoch_use.items():
-        region = Region(
-            epoch_matrix[epoch],
-            np.sort(np.fromiter(flats, dtype=np.int64, count=len(flats))),
-        )
-        placed[q].append((epoch, -1, LoadStep(region)))
-
-    shards = []
-    for steps in placed:
-        steps.sort(key=lambda t: (t[0], t[1]))
-        shards.append(Schedule(steps=[s for _, _, s in steps], shapes=dict(schedule.shapes)))
-    return shards
 
 
 # ---------------------------------------------------------------------- #
@@ -495,24 +311,16 @@ def execute_graph(
     ``source`` is a recorded schedule or its compiled trace; the DAG is
     extracted once (or passed in via ``graph``, which must carry the same
     trace).  ``owner`` overrides the partitioner with an explicit op-to-node
-    map — e.g. :func:`owner_from_assignment` for the SYRK cross-check, or a
-    :func:`~repro.parallel.refine.refine_partition` result — reported as
-    ``partitioner_label`` (default ``"explicit-owner"``).  The
-    ``"explicit"`` policy shards the recorded load/evict stream itself and
-    therefore requires ``source`` to be a :class:`Schedule`.  ``alpha`` /
-    ``beta`` parameterize the per-edge latency of the weighted makespan
-    reported alongside the volume counts.
+    map — e.g. a :func:`~repro.parallel.refine.refine_partition` result —
+    reported as ``partitioner_label`` (default ``"explicit-owner"``).
+    ``alpha`` / ``beta`` parameterize the per-edge latency of the weighted
+    makespan reported alongside the volume counts.
     """
     if s < 1:
         raise ConfigurationError(f"S must be >= 1, got {s}")
     if policy not in POLICIES:
         raise ConfigurationError(
             f"unknown policy {policy!r}; choose from {', '.join(POLICIES)}"
-        )
-    if policy == "explicit" and not isinstance(source, Schedule):
-        raise ConfigurationError(
-            "policy='explicit' shards the recorded load/evict steps and "
-            "needs a Schedule, not a bare trace"
         )
     if graph is not None and graph.trace is not None:
         trace = graph.trace  # reuse the compiled trace across sweep calls
@@ -592,27 +400,12 @@ def execute_graph(
             ),
         )
 
-    explicit_shards = shard_schedule(source, owner, p) if policy == "explicit" else None
-
     reports = []
     with timed("executor.replay"):
         for q in range(p):
             ops = shard_ops[q]
             mults = sum(int(graph.nodes[v].op.mults) for v in ops)
-            if explicit_shards is not None:
-                m = TwoLevelMachine(s, numerics=False)
-                for name, shape in trace.shapes.items():
-                    m.add_matrix(name, np.zeros(shape))
-                for step in explicit_shards[q].steps:
-                    if isinstance(step, LoadStep):
-                        m.load(step.region)
-                    elif isinstance(step, EvictStep):
-                        m.evict(step.region, writeback=step.writeback)
-                    else:
-                        m.compute(step.op)
-                m.assert_empty()
-                recv, send, peak = m.stats.loads, m.stats.stores, m.stats.peak_occupancy
-            elif not ops:
+            if not ops:
                 recv = send = peak = 0
             else:
                 recv, send, peak = _shard_counts_trace(trace.select_ops(ops), s, policy)

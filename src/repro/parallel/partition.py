@@ -14,8 +14,11 @@ strategies:
   falls back to square tiles.
 
 Both keep every block small enough for a fast memory of ``S`` on the node
-(square: ``s^2 + 2s <= S``; triangle: ``k(k+1)/2 <= S``), so the per-node
-simulation in :mod:`repro.parallel.simulate` is a legal two-level schedule.
+(square: ``s^2 + 2s <= S``; triangle: ``k(k+1)/2 <= S``), so each node's
+share runs as a legal two-level schedule in
+:func:`~repro.parallel.simulate.simulate_syrk`, the one engine for these
+fixed strategies (the DAG executor of :mod:`repro.parallel.executor`
+partitions recorded schedules instead).
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ given.  Legality is structural: every op keeps exactly one owner in
 ``0..p-1`` (an exact cover of the op set), and ``keep_writers_together``
 restricts moves to whole write-groups so an owner-computes-style seed
 keeps its every-element-written-by-one-node invariant — the same
-write-set constraint :func:`~repro.parallel.executor.owner_from_assignment`
-enforces when deriving owners from a block assignment.
+write-groups (:func:`write_groups`) that the executor's owner-computes
+partitioner deals whole.
 """
 
 from __future__ import annotations

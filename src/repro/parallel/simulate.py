@@ -23,7 +23,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..machine.machine import TwoLevelMachine
 from ..sched.ops import OuterColsUpdate, TriangleUpdate
-from ..sched.schedule import Schedule, record_schedule
 from .partition import BlockSpec, NodeAssignment
 
 
@@ -191,37 +190,3 @@ def simulate_syrk(assignment: NodeAssignment, mcols: int) -> ParallelSummary:
         s=assignment.s,
         nodes=tuple(reports),
     )
-
-
-def record_block_schedule(
-    assignment: NodeAssignment, mcols: int
-) -> tuple[Schedule, list[int]]:
-    """Record the fixed block strategy as one flat schedule, plus op owners.
-
-    Runs every node's blocks (in node order) on a single recording machine —
-    each block cleans up after itself, so the concatenation is a legal
-    two-level schedule — and returns the recorded
-    :class:`~repro.sched.schedule.Schedule` together with ``owner``: the node
-    index of every *compute* op, in stream order.  This is the bridge to the
-    task-DAG executor (:mod:`repro.parallel.executor`): sharding the recorded
-    stream by ``owner`` must reproduce :func:`simulate_syrk`'s per-node
-    counts bit for bit, which the test suite asserts.
-    """
-    if mcols < 1:
-        raise ConfigurationError(f"mcols must be >= 1, got {mcols}")
-    n = assignment.n
-    m = TwoLevelMachine(assignment.s, numerics=False)
-    m.add_matrix("A", np.zeros((n, mcols)))
-    m.add_matrix("C", np.zeros((n, n)))
-    owner: list[int] = []
-
-    def body() -> None:
-        for node_id, blocks in enumerate(assignment.blocks):
-            before = m.stats.n_computes
-            for block in blocks:
-                _run_block(m, block, mcols)
-            owner.extend([node_id] * (m.stats.n_computes - before))
-
-    schedule = record_schedule(m, body)
-    m.assert_empty()
-    return schedule, owner

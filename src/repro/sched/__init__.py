@@ -31,8 +31,6 @@ from .schedule import (
     LoadStep,
     EvictStep,
     ComputeStep,
-    access_sequence,
-    access_sequence_reference,
     record_schedule,
     replay_schedule,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "LoadStep",
     "EvictStep",
     "ComputeStep",
-    "access_sequence",
-    "access_sequence_reference",
     "record_schedule",
     "replay_schedule",
     "validate_schedule",

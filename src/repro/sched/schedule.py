@@ -182,53 +182,6 @@ def record_schedule(machine: TwoLevelMachine, body: Callable[[], None]) -> Sched
     return schedule
 
 
-def access_sequence(ops: "list[ComputeOp] | Schedule") -> list[tuple[tuple[str, int], bool]]:
-    """Element-granular ``((matrix, flat), is_write)`` touches of an op stream.
-
-    The canonical traversal all cache replayers walk, so their load counts
-    are directly comparable.  Each op touches its read regions element by
-    element (flagged as writes where the element is also written), then any
-    written elements not covered by a read region.  In this library written
-    regions are subsets of reads, so the second group is empty — kept for
-    generality.
-
-    This is now a thin compatibility shim over the compiled trace IR
-    (:func:`repro.trace.compiled.compile_trace`): new consumers should
-    compile once and keep the arrays instead of materializing tuples.  The
-    original tuple-per-touch loop survives as
-    :func:`access_sequence_reference`, and the test suite asserts the two
-    are bit-identical.
-    """
-    from ..trace.compiled import compile_trace  # local import: avoid cycle
-
-    return compile_trace(ops).to_access_sequence()
-
-
-def access_sequence_reference(
-    ops: "list[ComputeOp] | Schedule",
-) -> list[tuple[tuple[str, int], bool]]:
-    """The original pure-Python traversal (cross-check path for the IR)."""
-    if isinstance(ops, Schedule):
-        ops = [s.op for s in ops.steps if isinstance(s, ComputeStep)]
-    seq: list[tuple[tuple[str, int], bool]] = []
-    for op in ops:
-        write_keys = {
-            (region.matrix, int(i)) for region in op.writes() for i in region.flat
-        }
-        read_keys: set[tuple[str, int]] = set()
-        for region in op.reads():
-            for i in region.flat:
-                key = (region.matrix, int(i))
-                read_keys.add(key)
-                seq.append((key, key in write_keys))
-        for region in op.writes():
-            for i in region.flat:
-                key = (region.matrix, int(i))
-                if key not in read_keys:
-                    seq.append((key, True))
-    return seq
-
-
 def replay_schedule(schedule: Schedule, machine: TwoLevelMachine) -> None:
     """Feed a recorded schedule to another machine (shapes must match).
 

@@ -16,12 +16,9 @@ This package is the performance substrate of the analysis layers:
   compute ops are rebuilt on first access), behind ``python -m repro
   trace``.
 
-The legacy tuple-per-touch walkers survive as ``*_reference``
-implementations next to their vectorized replacements
-(:func:`repro.analysis.lru_replay.lru_replay_reference`,
-:func:`repro.graph.policies.belady_replay_reference`,
-:func:`repro.sched.schedule.access_sequence_reference`) and are
-cross-checked bit for bit in the test suite.
+The tuple-per-touch walkers these engines replaced live in the test
+suite as oracles (``tests/replay_oracles.py``: the access stream, LRU and
+Belady/MIN), and every engine count is pinned to them bit for bit.
 """
 
 from .compiled import CompiledTrace, compile_trace

@@ -1,11 +1,10 @@
 """The compiled trace IR: element access streams as dense numpy arrays.
 
 Every replay and graph analysis in this library walks the same
-element-granular access stream of a compute-op sequence.  The original
-representation (:func:`repro.sched.schedule.access_sequence`) materializes
-one Python ``((matrix, flat), is_write)`` tuple per element touch, which
-caps experiments at toy sizes.  :class:`CompiledTrace` is the array form of
-exactly the same stream:
+element-granular access stream of a compute-op sequence.  Materializing
+one Python ``((matrix, flat), is_write)`` tuple per element touch caps
+experiments at toy sizes; :class:`CompiledTrace` is the array form of
+exactly that stream:
 
 * ``(matrix, flat_index)`` keys are interned into dense int64 *element IDs*
   (``0 .. n_elements-1``), with decode tables ``key_matrix`` / ``key_flat``;
@@ -13,8 +12,7 @@ exactly the same stream:
   boundary offsets ``op_starts`` (CSR style, ``n_ops + 1`` entries);
 * ``op_read_ends[i]`` marks where op ``i``'s read-derived accesses end and
   its write-only extras begin (empty for every op in this library, where
-  written regions are subsets of read regions — kept for generality, like
-  the reference traversal).
+  written regions are subsets of read regions — kept for generality).
 
 The build is one Python pass and a fixed number of whole-stream numpy
 passes.  The Python pass collects every op's read and write region
@@ -22,11 +20,10 @@ passes.  The Python pass collects every op's read and write region
 ``np.unique`` over all of them interns the elements; and membership of
 each read in its own op's writes, and of each write in its own op's
 reads, is one ``searchsorted`` of ``(op, element)`` keys against the
-sorted write keys.  The access *order* is bit-compatible with
-:func:`~repro.sched.schedule.access_sequence_reference`: each op's read
-regions element by element (flagged as writes where the element is also
-written), then written elements not covered by any read region, in write
-order.
+sorted write keys.  The access *order* is each op's read regions element
+by element (flagged as writes where the element is also written), then
+written elements not covered by any read region, in write order; the test
+suite pins it to a tuple-per-touch traversal (``tests/replay_oracles.py``).
 
 ``next_use()`` / ``prev_access()`` give the vectorized position links that
 the array-based replays (:mod:`repro.trace.replay`) and the Belady/MIN
@@ -48,7 +45,7 @@ from ..utils.intervals import span_indices
 
 
 # eq=False: the array fields make a field-wise __eq__ ill-defined (numpy ==
-# is elementwise); compare streams via the arrays or to_access_sequence().
+# is elementwise); compare streams via the arrays.
 @dataclass(eq=False)
 class CompiledTrace:
     """An element-granular access stream compiled to dense numpy arrays.
@@ -127,19 +124,6 @@ class CompiledTrace:
         return [
             (names[m], f)
             for m, f in zip(self.key_matrix.tolist(), self.key_flat.tolist())
-        ]
-
-    def to_access_sequence(self) -> list[tuple[tuple[str, int], bool]]:
-        """The stream as ``((matrix, flat), is_write)`` tuples.
-
-        Bit-compatible with the reference traversal
-        (:func:`~repro.sched.schedule.access_sequence_reference`); kept so
-        legacy consumers and cross-checks can round-trip through the IR.
-        """
-        keys = self.keys()
-        return [
-            (keys[e], w)
-            for e, w in zip(self.elem_ids.tolist(), self.is_write.tolist())
         ]
 
     def op_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,7 @@
 """Array-based cache replays over a :class:`~repro.trace.compiled.CompiledTrace`.
 
-Every count equals the reference walkers'
-(:func:`repro.analysis.lru_replay.lru_replay_reference` and
-:func:`repro.graph.policies.belady_replay_reference`), and each call shape
+Every count equals the tuple-walking LRU and MIN caches that the test
+suite keeps as oracles (``tests/replay_oracles.py``), and each call shape
 has exactly one engine:
 
 * **LRU, any capacity or sweep** — reuse distances
@@ -29,7 +28,7 @@ has exactly one engine:
   changed.
 
 Every entry point takes its capacity through :func:`as_capacity`.  Store
-accounting matches the references: dirty evictions count as stores
+accounting matches the oracles: dirty evictions count as stores
 (``evict_stores``) and dirty elements still resident at the end are
 flushed; ``stores`` is the sum of both.
 """

@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 import pytest
+from container_columns import write_columns
 from legality_oracle import walk_schedule
 
 from repro.check import (
@@ -478,6 +479,15 @@ class TestValidatorFindings:
 # --------------------------------------------------------------------- #
 # observability + CLI
 # --------------------------------------------------------------------- #
+def write_v1_container(path) -> None:
+    """A schedule container in the retired version-1 format."""
+    write_columns(
+        path,
+        {"kind": "schedule", "version": 1, "shapes": {"A": [N, M]}, "steps": []},
+        {"index_data": np.arange(2, dtype=np.int64)},
+    )
+
+
 class TestCheckSurface:
     def test_probe_counters(self, cases):
         case = cases["tbs"]
@@ -523,6 +533,38 @@ class TestCheckSurface:
                      "--format", "json"]) == 1
         out = capsys.readouterr().out
         assert '"RPS104"' in out
+
+    @pytest.mark.parametrize("kind, reason, says", [
+        ("missing", "missing", "is missing"),
+        ("not-a-container", "unreadable", "is unreadable"),
+        ("stale", "stale", "older container format"),
+        ("trace", "unreadable", "found 'trace'"),
+    ], ids=["missing", "not-a-container", "stale", "trace"])
+    def test_cli_artifact_that_cannot_be_read_is_rps107(
+        self, tmp_path, cases, capsys, kind, reason, says
+    ):
+        """A bad artifact is one RPS107 finding naming its reason (exit 1),
+        with or without --capacity, and never a traceback."""
+        import json
+
+        from repro.__main__ import main
+        from repro.trace.io import save_trace
+
+        path = str(tmp_path / "artifact.npz")
+        if kind == "not-a-container":
+            with open(path, "wb") as fh:
+                fh.write(b"not a container")
+        elif kind == "stale":
+            write_v1_container(path)
+        elif kind == "trace":
+            save_trace(cases["tbs"].trace, path)
+        for capacity in (("--capacity", str(S)), ()):
+            assert main(["check", path, *capacity, "--format", "json"]) == 1
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["mode"] == "artifact" and not doc["ok"]
+            [finding] = doc["findings"]
+            assert (finding["code"], finding["context"]["reason"]) == ("RPS107", reason)
+            assert says in finding["message"]
 
     def test_cli_store_mode(self, tmp_path, cases, capsys):
         from repro.__main__ import main
@@ -570,20 +612,13 @@ class TestCheckSurface:
 
     def test_cli_store_names_missing_stale_and_unreadable(self, tmp_path, cases, capsys):
         """Each object that cannot be certified says why, in its own words."""
-        from container_columns import write_columns
-
         from repro.serve.store import ScheduleKey, ScheduleStore
 
         store = ScheduleStore(str(tmp_path / "store"))
         stale, broken = ScheduleKey("tbs", N, M, S), ScheduleKey("chol", N, M, S)
         for key in (stale, broken):
             store.put(key, cases[key.kernel].schedule)
-        # An object in the retired version-1 container format.
-        write_columns(
-            store.object_path(stale),
-            {"kind": "schedule", "version": 1, "shapes": {"A": [N, M]}, "steps": []},
-            {"index_data": np.arange(2, dtype=np.int64)},
-        )
+        write_v1_container(store.object_path(stale))
         with open(store.object_path(broken), "wb") as fh:
             fh.write(b"not a container")
         code, doc = self._check_store_json(capsys, store.root, "--all")

@@ -176,7 +176,6 @@ class TestErrorsHierarchy:
             ResidencyError,
             ScheduleError,
             VerificationError,
-            WritebackError,
         )
 
         for exc in (
@@ -184,7 +183,6 @@ class TestErrorsHierarchy:
             CapacityError(1, 2, 3),
             ResidencyError("x"),
             RedundantLoadError("x"),
-            WritebackError("x"),
             ScheduleError("x"),
             VerificationError("x"),
         ):

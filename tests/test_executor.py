@@ -1,25 +1,12 @@
 """Tests for the sharded task-DAG executor (repro.parallel.executor)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph.compare import record_case
 from repro.graph.dependency import DependencyGraph, OpNode
 from repro.graph.rewriter import rewrite_schedule
-from repro.parallel import (
-    PARTITIONERS,
-    execute_graph,
-    owner_from_assignment,
-    partition_graph,
-    record_block_schedule,
-    shard_schedule,
-    simulate_syrk,
-    square_tile_assignment,
-    triangle_block_assignment,
-)
-from repro.sched.schedule import ComputeStep
-from repro.sched.validate import validate_schedule
+from repro.parallel import POLICIES, PARTITIONERS, execute_graph, partition_graph
 from repro.trace.replay import belady_replay_trace, lru_replay_trace
 
 N, M, S = 33, 4, 15
@@ -231,85 +218,11 @@ class TestExecutorSharded:
             execute_graph(tbs_case.schedule, 2, 0)
         with pytest.raises(ConfigurationError):
             execute_graph(tbs_case.schedule, 2, S, policy="magic")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="unknown policy"):
             execute_graph(tbs_case.trace, 2, S, policy="explicit")
+        assert POLICIES == ("rewrite", "lru", "belady")
         with pytest.raises(ConfigurationError):
             execute_graph(tbs_case.schedule, 2, S, owner=[0])
         with pytest.raises(ConfigurationError):
             execute_graph(tbs_case.schedule, 2, S,
                           owner=[5] * len(tbs_case.trace.ops))
-
-
-class TestExplicitSharding:
-    @pytest.mark.parametrize("mk", [square_tile_assignment, triangle_block_assignment])
-    def test_bit_identical_to_simulate_syrk(self, mk):
-        n, p, m = 40, 4, 3
-        asg = mk(n, p, S)
-        sched, owner = record_block_schedule(asg, m)
-        fixed = simulate_syrk(asg, m)
-        summ = execute_graph(sched, p, S, owner=owner, policy="explicit")
-        for sr, nr in zip(summ.shards, fixed.nodes):
-            assert sr.recv == nr.total_recv
-            assert sr.send == nr.c_send
-            assert sr.mults == nr.mults
-            assert sr.peak_memory == nr.peak_memory
-
-    def test_owner_from_assignment_matches_recorded_owner(self):
-        asg = triangle_block_assignment(30, 3, S)
-        sched, owner = record_block_schedule(asg, 3)
-        graph = DependencyGraph.from_schedule(sched)
-        derived = owner_from_assignment(graph, asg)
-        assert derived == owner
-
-    def test_shards_are_valid_schedules(self):
-        asg = square_tile_assignment(24, 3, S)
-        sched, owner = record_block_schedule(asg, 3)
-        shards = shard_schedule(sched, owner)
-        assert len(shards) == 3
-        for shard in shards:
-            validate_schedule(shard, S)
-        # per-node computes partition the original stream
-        total = sum(
-            sum(1 for s in shard.steps if isinstance(s, ComputeStep))
-            for shard in shards
-        )
-        assert total == len(owner)
-
-    def test_shard_volume_partitions_original(self):
-        # every load of the recorded block strategy serves exactly one node,
-        # so the per-node volumes sum to the original's
-        asg = triangle_block_assignment(30, 4, S)
-        sched, owner = record_block_schedule(asg, 3)
-        shards = shard_schedule(sched, owner)
-        loads, stores = sched.io_volume()
-        shard_io = [shard.io_volume() for shard in shards]
-        assert sum(l for l, _ in shard_io) == loads
-        assert sum(st for _, st in shard_io) == stores
-
-    def test_owner_length_mismatch(self):
-        asg = square_tile_assignment(12, 2, S)
-        sched, owner = record_block_schedule(asg, 2)
-        with pytest.raises(ConfigurationError):
-            shard_schedule(sched, owner[:-1])
-
-    def test_idle_top_nodes_report_zero(self):
-        # Regression: p larger than the highest owner index used to crash
-        # the explicit policy with IndexError instead of reporting idle
-        # shards.
-        asg = square_tile_assignment(12, 2, S)
-        sched, owner = record_block_schedule(asg, 2)
-        summ = execute_graph(sched, 5, S, owner=owner, policy="explicit")
-        assert len(summ.shards) == 5
-        idle = [r for r in summ.shards if r.n_ops == 0]
-        assert len(idle) == 3
-        assert all(r.recv == r.send == r.peak_memory == 0 for r in idle)
-        assert shard_schedule(sched, [0] * len(owner), 3)[2].steps == []
-        with pytest.raises(ConfigurationError):
-            shard_schedule(sched, owner, 1)
-
-    def test_owner_from_assignment_rejects_foreign_schedule(self, tbs_case):
-        # a TBS recording's ops write C pairs spanning several nodes' shares
-        graph = DependencyGraph.from_trace(tbs_case.trace)
-        asg = square_tile_assignment(N, 4, S)
-        with pytest.raises(ConfigurationError):
-            owner_from_assignment(graph, asg)

@@ -10,7 +10,6 @@ from repro.core.tbs import tbs_syrk
 from repro.errors import ConfigurationError, ScheduleError
 from repro.graph import (
     DependencyGraph,
-    access_sequence,
     belady_replay,
     compare_case,
     dependency_graph,
@@ -163,9 +162,9 @@ class TestBeladyReplay:
         assert replacement_gap(tbs_case.schedule, S) >= 1.0
 
     def test_access_sequence_marks_writes(self, tbs_case):
-        seq = access_sequence(tbs_case.schedule)
-        assert any(write for _key, write in seq)       # C elements are written
-        assert any(not write for _key, write in seq)   # A elements are not
+        writes = tbs_case.trace.is_write
+        assert writes.any()           # C elements are written
+        assert not writes.all()       # A elements are not
 
 
 class TestRewriter:

@@ -225,9 +225,3 @@ class TestTracker:
         assert m.stats.operational_intensity("mults") == pytest.approx(1 / 3)
         assert m.stats.operational_intensity("flops") == pytest.approx(2 / 3)
         assert m.stats.q == m.stats.loads
-
-    def test_summary_string(self):
-        m = machine()
-        m.load(m.tile("A", [0], [0]))
-        s = m.stats.summary()
-        assert "Q(loads)=1" in s

@@ -12,12 +12,7 @@ from repro.parallel.partition import (
     square_tile_assignment,
     triangle_block_assignment,
 )
-from repro.parallel.simulate import (
-    NodeReport,
-    ParallelSummary,
-    record_block_schedule,
-    simulate_syrk,
-)
+from repro.parallel.simulate import NodeReport, ParallelSummary, simulate_syrk
 
 
 class TestBlockSpec:
@@ -172,13 +167,16 @@ class TestSimulation:
         assert tb.max_recv < sq.max_recv
 
     def test_single_node_equals_sequential_volume_shape(self):
-        # P = 1: per-node receive volume == a sequential schedule's loads.
-        from repro.analysis.model import ooc_syrk_model
+        # P = 1: per-node receive volume == a sequential schedule's loads,
+        # exactly: square tiles are OOC_SYRK's, triangle blocks are TBS's.
+        from repro.analysis.model import ooc_syrk_model, tbs_model
 
-        n, s, m = 33, 15, 4
-        summ = simulate_syrk(square_tile_assignment(n, 1, s), m)
-        pred = ooc_syrk_model(n, m, s)
-        assert summ.nodes[0].total_recv == pred.loads
+        s = 15
+        for mk, model in ((square_tile_assignment, ooc_syrk_model),
+                          (triangle_block_assignment, tbs_model)):
+            for n, m in ((33, 4), (40, 3), (60, 8), (27, 5)):
+                summ = simulate_syrk(mk(n, 1, s), m)
+                assert summ.nodes[0].total_recv == model(n, m, s).loads, (mk.__name__, n, m)
 
     def test_summary_statistics(self):
         summ = simulate_syrk(square_tile_assignment(40, 4, 15), 3)
@@ -238,23 +236,3 @@ class TestSummaryGuards:
     def test_node_report_defaults_send_to_zero(self):
         r = NodeReport(node=0, n_blocks=1, a_recv=3, c_recv=2, mults=5, peak_memory=4)
         assert r.c_send == 0 and r.total_comm == r.total_recv == 5
-
-
-class TestRecordBlockSchedule:
-    def test_owner_covers_all_computes_and_replays(self):
-        from repro.sched.schedule import ComputeStep
-
-        asg = triangle_block_assignment(30, 3, 15)
-        sched, owner = record_block_schedule(asg, 4)
-        n_computes = sum(1 for s in sched.steps if isinstance(s, ComputeStep))
-        assert len(owner) == n_computes
-        assert set(owner) <= set(range(3))
-        # the recorded stream's total volume equals the fleet's summed volume
-        fixed = simulate_syrk(asg, 4)
-        loads, stores = sched.io_volume()
-        assert loads == sum(r.total_recv for r in fixed.nodes)
-        assert stores == fixed.total_c_send
-
-    def test_bad_mcols(self):
-        with pytest.raises(ConfigurationError):
-            record_block_schedule(square_tile_assignment(10, 2, 15), 0)

@@ -28,7 +28,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.graph.compare import record_case, sweep_case
 from repro.graph.dependency import DependencyGraph
-from repro.graph.policies import belady_replay_reference
 from repro.graph.search import anneal_search
 from repro.obs.probe import probe_scope
 from repro.parallel.executor import partition_graph
@@ -42,6 +41,7 @@ from repro.trace.replay import (
     lru_replay_trace,
     sweep_replay_trace,
 )
+from replay_oracles import belady_replay_reference
 
 try:
     from hypothesis import given, settings

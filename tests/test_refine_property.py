@@ -15,8 +15,8 @@ package):
   independent re-measurements, and a reverted run hands the seed back
   verbatim;
 * with ``keep_writers_together`` every written element still has exactly
-  one owning node (the ``owner_from_assignment``-style write-set
-  constraint).
+  one owning node (the write-group constraint of the owner-computes
+  partitioner).
 """
 
 import numpy as np

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import TwoLevelMachine
-from repro.analysis.lru_replay import lru_replay, lru_replay_reference
+from repro.analysis.lru_replay import lru_replay
 from repro.baselines.lu import ooc_lu
 from repro.baselines.ooc_chol import ooc_chol
 from repro.baselines.ooc_syrk import ooc_syrk
@@ -14,16 +14,10 @@ from repro.core.tbs import tbs_syrk
 from repro.errors import ConfigurationError, ScheduleError
 from repro.graph.compare import record_case
 from repro.graph.dependency import DependencyGraph, dependency_graph
-from repro.graph.policies import belady_replay, belady_replay_reference
+from repro.graph.policies import belady_replay
 from repro.graph.rewriter import rewrite_trace
 from repro.machine.regions import Region
-from repro.sched.schedule import (
-    ComputeStep,
-    access_sequence,
-    access_sequence_reference,
-    record_schedule,
-    replay_schedule,
-)
+from repro.sched.schedule import ComputeStep, record_schedule, replay_schedule
 from repro.trace.compiled import CompiledTrace, compile_trace
 from repro.sched.columns import OP_SPECS
 from repro.sched.ops import ComputeOp
@@ -44,6 +38,12 @@ from repro.utils.rng import (
     random_diag_dominant_matrix,
     random_lower_triangular,
     random_tall_matrix,
+)
+from replay_oracles import (
+    access_sequence_reference,
+    belady_replay_reference,
+    lru_replay_reference,
+    to_access_sequence,
 )
 
 
@@ -190,7 +190,7 @@ class TestCompileGeneralOps:
     def test_matches_reference_sequence(self, case):
         ops = self.OPS[case]
         trace = compile_trace(ops)
-        assert trace.to_access_sequence() == access_sequence_reference(ops)
+        assert to_access_sequence(trace) == access_sequence_reference(ops)
         n_reads = [sum(r.size for r in op.reads()) for op in ops]
         assert (trace.op_read_ends - trace.op_starts[:-1]).tolist() == n_reads
         assert len(set(trace.keys())) == trace.n_elements
@@ -198,12 +198,12 @@ class TestCompileGeneralOps:
     def test_all_cases_in_one_stream(self):
         ops = [op for case in sorted(self.OPS) for op in self.OPS[case]]
         trace = compile_trace(ops)
-        assert trace.to_access_sequence() == access_sequence_reference(ops)
+        assert to_access_sequence(trace) == access_sequence_reference(ops)
         assert trace.matrices == ("A", "C", "B")
 
     def test_extras_follow_the_reads_in_write_order(self):
         [op] = self.OPS["write-only extras"]
-        assert compile_trace([op]).to_access_sequence() == [
+        assert to_access_sequence(compile_trace([op])) == [
             (("A", 0), False), (("A", 1), True), (("C", 4), True),
             (("C", 3), True), (("C", 5), True),
         ]
@@ -212,10 +212,7 @@ class TestCompileGeneralOps:
 class TestCompiledTrace:
     def test_matches_reference_sequence(self, sched):
         trace = compile_trace(sched)
-        assert trace.to_access_sequence() == access_sequence_reference(sched)
-
-    def test_shim_is_bit_identical(self, sched):
-        assert access_sequence(sched) == access_sequence_reference(sched)
+        assert to_access_sequence(trace) == access_sequence_reference(sched)
 
     def test_next_use_matches_python_loop(self, sched):
         trace = compile_trace(sched)
@@ -263,7 +260,7 @@ class TestCompiledTrace:
         order = rng.permutation(trace.n_ops).tolist()
         reordered = trace.reorder(order)
         direct = compile_trace([trace.ops[i] for i in order])
-        assert reordered.to_access_sequence() == direct.to_access_sequence()
+        assert to_access_sequence(reordered) == to_access_sequence(direct)
         assert reordered.ops == [trace.ops[i] for i in order]
 
     def test_reorder_rejects_non_permutation(self, sched):
@@ -276,7 +273,7 @@ class TestCompiledTrace:
         subset = list(range(0, trace.n_ops, 3))
         sub = trace.select_ops(subset)
         direct = compile_trace([trace.ops[i] for i in subset])
-        assert sub.to_access_sequence() == direct.to_access_sequence()
+        assert to_access_sequence(sub) == to_access_sequence(direct)
         assert sub.ops == [trace.ops[i] for i in subset]
         # interning is shared with the parent, not recompiled
         assert sub.n_elements == trace.n_elements
@@ -323,7 +320,7 @@ class TestCompiledTrace:
     def test_empty_ops(self):
         trace = compile_trace([])
         assert trace.n_accesses == trace.n_ops == trace.n_elements == 0
-        assert trace.to_access_sequence() == []
+        assert to_access_sequence(trace) == []
         assert lru_replay_trace(trace, 4).loads == 0
         assert belady_replay_trace(trace, 4).loads == 0
 
@@ -523,8 +520,8 @@ class TestTraceIO:
                 assert np.array_equal(m.result(rname), want), name
             # the compiled streams are identical too
             assert (
-                compile_trace(loaded).to_access_sequence()
-                == compile_trace(schedule).to_access_sequence()
+                to_access_sequence(compile_trace(loaded))
+                == to_access_sequence(compile_trace(schedule))
             )
             # and a second save writes the same container
             again = tmp_path / f"{name}-again.npz"

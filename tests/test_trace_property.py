@@ -11,7 +11,7 @@ reference paths at every capacity:
   and the Belady sweep's OPT stack at tiny capacities;
 * *recorded op streams*: genuine kernel schedules at random shapes, which
   additionally exercise the vectorized compilation itself against
-  :func:`~repro.sched.schedule.access_sequence_reference`.
+  the tuple-per-touch traversal of ``replay_oracles``.
 
 Hypothesis drives the synthetic generator when available; a seeded random
 sweep covers the same space otherwise, so the suite does not depend on the
@@ -22,21 +22,18 @@ import numpy as np
 import pytest
 
 from repro import TwoLevelMachine
-from repro.analysis.lru_replay import lru_replay_reference
 from repro.baselines.ooc_syrk import ooc_syrk
 from repro.core.tbs import tbs_syrk
-from repro.graph.policies import belady_replay_reference
-from repro.sched.schedule import (
-    ComputeStep,
-    Schedule,
-    access_sequence,
-    access_sequence_reference,
-    record_schedule,
-    replay_schedule,
-)
+from repro.sched.schedule import ComputeStep, Schedule, record_schedule, replay_schedule
 from repro.trace.compiled import CompiledTrace, compile_trace
 from repro.trace.io import load_schedule, load_trace, save_schedule, save_trace
 from repro.trace.replay import belady_replay_trace, lru_replay_trace, sweep_replay_trace
+from replay_oracles import (
+    access_sequence_reference,
+    belady_replay_reference,
+    lru_replay_reference,
+    to_access_sequence,
+)
 
 try:
     from hypothesis import given, settings
@@ -136,7 +133,7 @@ def test_recorded_streams_random_shapes():
         m.add_matrix("C", np.zeros((n, n)))
         sched = record_schedule(m, lambda: kernel(m, "A", "C", range(n), range(mc)))
         trace = compile_trace(sched)
-        assert trace.to_access_sequence() == access_sequence_reference(sched)
+        assert to_access_sequence(trace) == access_sequence_reference(sched)
         for capacity in (1, s, 4 * s):
             assert_replays_match(trace, capacity)
 
@@ -148,7 +145,7 @@ def assert_schedule_roundtrip(sched, path):
     assert loaded.shapes == sched.shapes
     assert loaded.counts() == sched.counts()
     assert loaded.io_volume() == sched.io_volume()
-    assert access_sequence(loaded) == access_sequence(sched)
+    assert to_access_sequence(compile_trace(loaded)) == to_access_sequence(compile_trace(sched))
     return loaded
 
 
