@@ -39,7 +39,7 @@ Commands
               in-flight keys coalesced to one search) and prints the
               hit/miss/coalesce counters plus warm-vs-cold latencies,
               ``serve stats`` prints (or ``--json``-exports, provenance-
-              stamped) the reconciled store statistics
+              stamped) the store statistics
 ``report``    pretty-print a saved run report (provenance, phase
               wall-times, engine counters, convergence curves)
 ``check``     static analysis (:mod:`repro.check`): certify a saved or
@@ -332,12 +332,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .errors import ConfigurationError
     from .graph.compare import record_case
     from .trace import (
         compile_trace,
-        file_kind,
         load_schedule,
         load_trace,
+        read_header,
         save_schedule,
         save_trace,
     )
@@ -366,10 +367,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
         return 0
 
+    try:
+        if read_header(args.path).get("kind") == "schedule":
+            schedule, trace = load_schedule(args.path), None
+        else:
+            schedule, trace = None, load_trace(args.path)
+    except ConfigurationError as exc:
+        print(f"trace {args.trace_command}: {exc}")
+        return 1
+
     if args.trace_command == "info":
-        kind = file_kind(args.path)
-        if kind == "schedule":
-            schedule = load_schedule(args.path)
+        if schedule is not None:
             counts = schedule.counts()
             loads, stores = schedule.io_volume()
             print(
@@ -379,15 +387,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
             describe(compile_trace(schedule), "compiled")
         else:
-            describe(load_trace(args.path), "trace container")
+            describe(trace, "trace container")
         return 0
 
     # replay
-    kind = file_kind(args.path)
-    if kind == "schedule":
-        trace = compile_trace(load_schedule(args.path))
-    else:
-        trace = load_trace(args.path)
+    if schedule is not None:
+        trace = compile_trace(schedule)
     describe(trace, args.path)
     policies = ("lru", "belady") if args.policy == "both" else (args.policy,)
     t = Table(["capacity", "policy", "Q (loads)", "stores", "miss rate", "sweep sec"])
@@ -899,7 +904,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sq.add_argument("--seed", type=int, default=0)
     p_sq.add_argument("--workers", type=int, default=0,
                       help="search-worker processes (0: search on a thread)")
-    p_ss = ssub.add_parser("stats", help="reconciled store statistics")
+    p_ss = ssub.add_parser("stats", help="store statistics, read from the object headers")
     p_ss.add_argument("--store", required=True, help="store root directory")
     p_ss.add_argument("--json", default=None, metavar="PATH",
                       help="also write the stats as a provenance-stamped JSON")

@@ -15,13 +15,13 @@ Three modes, one finding model:
 Exit status: 0 when no error-severity finding was produced (lint mode is
 stricter: any finding at all fails), 1 otherwise, and 2 on usage errors:
 an unknown ``--kernel``, a ``--store`` root with no ``objects/``
-directory (reported without creating anything there), an artifact path
-without ``--capacity``, or an orphan object (one with no manifest entry)
-named without ``--capacity``.  A file that cannot be certified is RPS107
+directory (reported without creating anything there), or an artifact
+path without ``--capacity``.  A file that cannot be certified is RPS107
 (exit 1), with or without ``--capacity``, naming its reason: a missing
 artifact path or ``--digest``, a stale (older container format) object,
-or an unreadable file, which includes a trace container given as an
-artifact.
+an unreadable file, which includes a trace container given as an
+artifact, or a keyless store object (its header holds no key of its
+own digest, so only ``--capacity`` can name its S).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def add_check_parser(sub) -> None:
     p.add_argument("--digest", default=None, metavar="HEX",
                    help="one store object (with --store)")
     p.add_argument("--all", action="store_true",
-                   help="every keyed store object (with --store)")
+                   help="every store object (with --store)")
     p.add_argument("--kernel", default=None, choices=sorted(CASES),
                    help="record + certify a kernel case")
     p.add_argument("--n", type=int, default=40)
@@ -111,8 +111,9 @@ def _read_object(path: str):
 
     Store mode reads each object through it directly rather than through
     ``ScheduleStore.get``, which answers ``None`` for every failure alike
-    and needs the object's key, so an orphan (an object with no manifest
-    entry) is certified too; artifact mode reads its path the same way.
+    and needs the object's key, so a keyless object is certified too
+    when ``--capacity`` is given; artifact mode reads its path the same
+    way.
     """
     from ..errors import StaleFormatError
     from ..trace.io import load_schedule
@@ -151,17 +152,25 @@ def cmd_check(args) -> int:
                   f"(no objects/ directory)")
             return 2
         store = ScheduleStore(args.store)
-        by_digest = {key.digest(): key for key in store.keys()}
         if args.digest:
             targets = [args.digest]
         elif args.all:
-            targets = sorted(by_digest)
+            targets = list(store.digests())
         else:
             print("check --store needs --digest or --all")
             return 2
         certified = 0
         for digest in targets:
             schedule, problem = _read_object(store.object_path(digest))
+            capacity = args.capacity
+            if schedule is not None and not capacity:
+                key = store.key_at(digest)
+                if key is None:
+                    schedule, problem = None, (
+                        "keyless", "holds no key of its digest; give its --capacity"
+                    )
+                else:
+                    capacity = key.s
             if schedule is None:
                 reason, detail = problem
                 if reason == "stale":
@@ -171,13 +180,6 @@ def cmd_check(args) -> int:
                     context={"digest": digest, "reason": reason},
                 ))
                 continue
-            key = by_digest.get(digest)
-            capacity = args.capacity if args.capacity else (key.s if key else None)
-            if capacity is None:
-                # Only --digest names an object with no manifest entry.
-                print(f"check --store: {digest[:12]} has no key in the "
-                      f"manifest; give its --capacity")
-                return 2
             cert = certify_schedule(schedule, capacity)
             findings.extend(
                 Finding(code=f.code, message=f"[{digest[:12]}] {f.message}",

@@ -192,30 +192,6 @@ def record_case(name: str, n: int, mcols: int, s: int, seed: int = 0) -> Recorde
     )
 
 
-def sweep_case(
-    case: RecordedCase,
-    capacities,
-    *,
-    policies: tuple[str, ...] = ("lru", "belady"),
-    jobs: int = 1,
-):
-    """Replay one recorded case at many capacities under each policy.
-
-    Returns ``{policy: [replay results, in capacity order]}`` via
-    :func:`repro.trace.replay.sweep_replay_trace` — the one-pass engines
-    (cached reuse distances for LRU, one grouped OPT stack pass for
-    Belady), with ``jobs`` sharding the capacity list over worker
-    processes.  The resource-augmentation harness behind
-    ``python -m repro trace replay --capacity a,b,c`` and benchmark E17.
-    """
-    from ..trace.replay import sweep_replay_trace
-
-    return {
-        policy: sweep_replay_trace(case.trace, capacities, policy=policy, jobs=jobs)
-        for policy in policies
-    }
-
-
 def searched_orders(
     graph: DependencyGraph,
     capacity: int,

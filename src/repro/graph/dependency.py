@@ -75,9 +75,8 @@ class OpNode:
 
     Element sets are *interned element IDs* of the compiled trace the graph
     was built from (:attr:`DependencyGraph.trace`) — dense ints, not
-    ``(matrix, flat)`` tuples.  Decode one with
-    :meth:`~repro.trace.compiled.CompiledTrace.key_of` when a human-readable
-    key is needed.
+    ``(matrix, flat)`` tuples.  Element ``e`` is element
+    ``trace.key_flat[e]`` of matrix ``trace.matrices[trace.key_matrix[e]]``.
     """
 
     index: int

@@ -81,9 +81,10 @@ _GREEDY_TARGETS = 4
 #: cheaper than evaluating every (unit, target) pair.
 _GREEDY_POOL = 48
 
-#: Replay policies :func:`partition_cost` accepts.  ``"belady"`` equals the
-#: executor's ``"rewrite"`` load volume by construction (furthest-next-use
-#: eviction is MIN for a fixed order); ``"lru"`` is the hardware-style count.
+#: Replay policies :func:`partition_cost` accepts.  ``"belady"`` is a floor
+#: on the executor's ``"rewrite"`` load volume: element-level MIN may evict
+#: an op's own operand in the middle of the op, which the rewriter's
+#: op-granular evictions never do.  ``"lru"`` is the hardware-style count.
 EVAL_POLICIES = ("belady", "lru")
 
 
@@ -102,8 +103,8 @@ def partition_cost(
     for ``policy`` at capacity ``s``; incoming transfers come from
     :meth:`~repro.graph.dependency.DependencyGraph.cut_transfers`.  This
     is exactly what :func:`~repro.parallel.executor.execute_graph` reports
-    as ``max_recv_incl_transfers`` (``"belady"`` here matches its
-    ``"rewrite"`` and ``"belady"`` policies' loads).
+    as ``max_recv_incl_transfers`` under the same policy; ``"belady"`` is
+    a floor on its ``"rewrite"`` policy's loads.
     """
     if graph.trace is None:
         raise ConfigurationError(

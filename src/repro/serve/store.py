@@ -9,45 +9,41 @@ hash, layered over the existing ``.npz`` containers of
 :mod:`repro.trace.io`:
 
 * ``root/objects/<hh>/<digest>.npz`` — one schedule container per key,
-  sharded by the first two hex digits.  Writes are atomic end to end:
-  :func:`repro.trace.io.save_schedule` itself goes through a sibling
-  temp file + ``os.replace``, so an interrupted ``put`` can never leave
-  a torn object at a digest path.
-* ``root/manifest.json`` — a versioned index (digest → key dict + size)
-  for listing and stats.  The manifest is *advisory*: ``get`` computes
-  the digest straight from the key and never consults it, so a stale,
-  torn or deleted manifest degrades listing only, never serving.
-  :meth:`ScheduleStore.rescan` rebuilds it from the objects on disk
-  (orphans — objects a concurrent writer filed after losing the
-  manifest race — reappear with their key recovered from the object's
-  own sidecar record inside the manifest entry when known, else as
-  key-less digests).
+  sharded by the first two hex digits, and nothing else: each object's
+  header holds the key it was filed under, so the objects are the
+  store's only record.  A ``put`` writes one file, and writes are atomic
+  end to end: :func:`repro.trace.io.save_schedule` itself goes through a
+  sibling temp file + ``os.replace``, so an interrupted or concurrent
+  ``put`` can never leave a torn object at a digest path, nor lose
+  another writer's key.
+* Listing (:meth:`ScheduleStore.keys`, :meth:`ScheduleStore.stats`)
+  reads one header per object on disk; serving never lists.
 
 Reads are corruption-tolerant by contract: a truncated, overwritten or
 otherwise unreadable object is *a miss*, never an exception —
 :meth:`ScheduleStore.get` quarantines nothing and raises nothing, it
 reports ``serve.store.corrupt`` (or ``serve.store.stale`` for an object
 in an older container format) and returns ``None`` so the front end
-falls through to a fresh search that overwrites the bad object.
+falls through to a fresh search that overwrites the bad object.  An
+object whose header names another key (one copied or renamed to the
+wrong digest path) is corrupt too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import ConfigurationError, StaleFormatError
 from ..obs.probe import get_probe, timed
 from ..sched.schedule import Schedule
-from ..trace.io import load_schedule, save_schedule
-from ..utils.atomic import atomic_write_json
-
-MANIFEST_VERSION = 1
-MANIFEST_KIND = "repro.serve.manifest"
+from ..trace.io import load_schedule, read_header, save_schedule
 
 
 def _whole_number(name: str, value) -> int:
@@ -78,12 +74,12 @@ class ScheduleKey:
     ``numpy.int64(15)`` address the same object; a value that is not a
     whole number (``15.5``, ``True``, ``"15"``) is rejected rather than
     truncated into another key.  ``alpha``/``beta`` are the latency-model
-    constants the ``cosearch`` policy optimizes under; they are normalized
-    to floats so ``1`` and ``1.0`` address the same object.  The
-    ``heuristic`` and ``search`` policies read none of ``p``, ``alpha``
-    and ``beta``, so their keys reset the three to ``1``, ``1.0`` and
-    ``1.0``: a request that spells them otherwise addresses the same
-    object.
+    constants the ``cosearch`` policy optimizes under; they must be finite,
+    and are normalized to floats so ``1`` and ``1.0`` address the same
+    object.  The ``heuristic`` and ``search`` policies read none of ``p``,
+    ``alpha`` and ``beta``, so their keys reset the three to ``1``,
+    ``1.0`` and ``1.0``: a request that spells them otherwise addresses
+    the same object.
     """
 
     kernel: str
@@ -104,6 +100,9 @@ class ScheduleKey:
             raise ConfigurationError(f"key dimensions must be >= 1: {self}")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            # A NaN is unequal to itself: no object's header could match it.
+            raise ConfigurationError(f"key constants alpha and beta must be finite: {self}")
         if self.policy in _SINGLE_NODE_POLICIES:
             # One schedule, one digest: a field the policy never reads
             # does not split its key.
@@ -137,7 +136,6 @@ class ScheduleStore:
     def __init__(self, root: str | os.PathLike):
         self.root = os.fspath(root)
         self._objects = os.path.join(self.root, "objects")
-        self._manifest_path = os.path.join(self.root, "manifest.json")
         os.makedirs(self._objects, exist_ok=True)
 
     # -- paths ----------------------------------------------------------- #
@@ -145,85 +143,18 @@ class ScheduleStore:
         digest = key if isinstance(key, str) else key.digest()
         return os.path.join(self._objects, digest[:2], f"{digest}.npz")
 
-    # -- manifest -------------------------------------------------------- #
-    def _read_manifest(self) -> dict:
-        """The manifest's entries dict; tolerant of absence and corruption."""
-        try:
-            with open(self._manifest_path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return {}
-        if not isinstance(doc, dict) or doc.get("kind") != MANIFEST_KIND:
-            return {}
-        if doc.get("version") != MANIFEST_VERSION:
-            return {}
-        entries = doc.get("entries")
-        return entries if isinstance(entries, dict) else {}
-
-    def _write_manifest(self, entries: dict) -> None:
-        """Replace the manifest atomically, entries sorted by digest."""
-        atomic_write_json(
-            self._manifest_path,
-            {
-                "kind": MANIFEST_KIND,
-                "version": MANIFEST_VERSION,
-                "entries": dict(sorted(entries.items())),
-            },
-            indent=1,
-        )
-
-    def rescan(self) -> dict:
-        """Reconcile the manifest with the objects actually on disk.
-
-        Entries whose object vanished are dropped; objects the manifest
-        never heard of (a concurrent writer lost the read-modify-write
-        race) are re-adopted with ``key: null`` — the digest still serves,
-        only the listing loses the pretty key.  The manifest is rewritten
-        only when the reconciled entries differ from what it held.
-        Returns the entries dict.
-        """
-        entries = self._read_manifest()
-        on_disk = {}
-        for shard in sorted(os.listdir(self._objects)):
-            shard_dir = os.path.join(self._objects, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".npz") and ".tmp" not in name:
-                    digest = name[: -len(".npz")]
-                    on_disk[digest] = os.path.getsize(os.path.join(shard_dir, name))
-        merged = {
-            digest: {
-                "key": entries.get(digest, {}).get("key"),
-                "bytes": size,
-            }
-            for digest, size in on_disk.items()
-        }
-        if merged != entries:
-            self._write_manifest(merged)
-        return merged
-
     # -- serving --------------------------------------------------------- #
     def put(self, key: ScheduleKey, schedule: Schedule) -> str:
         """File ``schedule`` under ``key``'s digest; returns the digest.
 
-        The object write is atomic (temp + ``os.replace`` inside
-        :func:`~repro.trace.io.save_schedule`); the manifest update is a
-        read-modify-write and may lose a race against a concurrent
-        writer — by design recoverable via :meth:`rescan`, and invisible
-        to ``get``.
+        Writes one object, atomically (temp + ``os.replace`` inside
+        :func:`~repro.trace.io.save_schedule`), with ``key`` in its header.
         """
         digest = key.digest()
         path = self.object_path(digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with timed("serve.store.put"):
-            save_schedule(schedule, path)
-            entries = self._read_manifest()
-            entries[digest] = {
-                "key": key.as_dict(),
-                "bytes": os.path.getsize(path),
-            }
-            self._write_manifest(entries)
+            save_schedule(schedule, path, key.as_dict())
         probe = get_probe()
         if probe.enabled:
             probe.count("serve.store.puts")
@@ -236,10 +167,11 @@ class ScheduleStore:
         the container counts as ``serve.store.corrupt`` and reads as a
         miss, so the caller's fall-through search repairs the entry with
         its next ``put``.  That includes a parseable container whose
-        columns fail :func:`~repro.trace.io.load_schedule`'s checks.  An
-        object written in an older container format counts as
-        ``serve.store.stale`` instead, and is repaired the same way.  The
-        returned schedule builds its steps only when a caller reads them.
+        columns fail :func:`~repro.trace.io.load_schedule`'s checks, and
+        one whose header names another key.  An object written in an
+        older container format counts as ``serve.store.stale`` instead,
+        and is repaired the same way.  The returned schedule builds its
+        steps only when a caller reads them.
 
         With ``verify=True`` the loaded schedule is additionally *certified*
         statically (:func:`repro.check.certify.certify_schedule` at the
@@ -252,7 +184,7 @@ class ScheduleStore:
             return None
         with timed("serve.store.get"):
             try:
-                schedule = load_schedule(path)
+                schedule = load_schedule(path, key.as_dict())
             except StaleFormatError:
                 probe = get_probe()
                 if probe.enabled:
@@ -282,36 +214,43 @@ class ScheduleStore:
         return sum(1 for _ in self.digests())
 
     def digests(self) -> Iterator[str]:
-        """Digests of every object currently on disk (manifest-free)."""
+        """Digests of every object currently on disk, at its object path."""
         for shard in sorted(os.listdir(self._objects)):
             shard_dir = os.path.join(self._objects, shard)
             if not os.path.isdir(shard_dir):
                 continue
             for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".npz") and ".tmp" not in name:
+                if name.startswith(shard) and name.endswith(".npz") and ".tmp" not in name:
                     yield name[: -len(".npz")]
 
+    def key_at(self, digest: str) -> ScheduleKey | None:
+        """The key the object at ``digest`` holds in its header, or ``None``
+        when it holds none, holds another digest's key or cannot be read."""
+        try:
+            key = ScheduleKey.from_dict(read_header(self.object_path(digest)).get("key"))
+        except (TypeError, ValueError):  # includes ConfigurationError
+            return None
+        return key if key.digest() == digest else None
+
     def keys(self) -> list[ScheduleKey]:
-        """Every key the (reconciled) manifest knows; orphans are skipped."""
-        out = []
-        for entry in self.rescan().values():
-            if entry.get("key") is not None:
-                out.append(ScheduleKey.from_dict(entry["key"]))
-        return sorted(out)
+        """The key of every object on disk that holds its own."""
+        return sorted(key for key in map(self.key_at, self.digests()) if key is not None)
 
     def stats(self) -> dict:
-        """Reconciled store statistics (entries, bytes, per-kernel counts)."""
-        entries = self.rescan()
-        per_kernel: dict[str, int] = {}
-        per_policy: dict[str, int] = {}
-        for entry in entries.values():
-            k = entry.get("key") or {}
-            per_kernel[k.get("kernel", "?")] = per_kernel.get(k.get("kernel", "?"), 0) + 1
-            per_policy[k.get("policy", "?")] = per_policy.get(k.get("policy", "?"), 0) + 1
+        """Every object on disk: count, bytes, and counts per kernel and per
+        policy, with an object that holds no key of its own under ``"?"``."""
+        per_kernel: Counter[str] = Counter()
+        per_policy: Counter[str] = Counter()
+        size = 0
+        for digest in self.digests():
+            key = self.key_at(digest)
+            per_kernel[key.kernel if key else "?"] += 1
+            per_policy[key.policy if key else "?"] += 1
+            size += os.path.getsize(self.object_path(digest))
         return {
             "root": self.root,
-            "entries": len(entries),
-            "bytes": sum(e["bytes"] for e in entries.values()),
+            "entries": sum(per_kernel.values()),
+            "bytes": size,
             "per_kernel": dict(sorted(per_kernel.items())),
             "per_policy": dict(sorted(per_policy.items())),
         }

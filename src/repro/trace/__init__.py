@@ -24,9 +24,9 @@ Belady/MIN), and every engine count is pinned to them bit for bit.
 from .compiled import CompiledTrace, compile_trace
 from .io import (
     FORMAT_VERSIONS,
-    file_kind,
     load_schedule,
     load_trace,
+    read_header,
     save_schedule,
     save_trace,
 )
@@ -44,9 +44,9 @@ __all__ = [
     "CompiledTrace",
     "compile_trace",
     "FORMAT_VERSIONS",
-    "file_kind",
     "load_schedule",
     "load_trace",
+    "read_header",
     "save_schedule",
     "save_trace",
     "BeladyReplayResult",

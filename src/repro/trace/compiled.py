@@ -114,18 +114,6 @@ class CompiledTrace:
     # ------------------------------------------------------------------ #
     # decoding
     # ------------------------------------------------------------------ #
-    def key_of(self, elem_id: int) -> tuple[str, int]:
-        """Decode one element ID back to its ``(matrix, flat)`` key."""
-        return (self.matrices[int(self.key_matrix[elem_id])], int(self.key_flat[elem_id]))
-
-    def keys(self) -> list[tuple[str, int]]:
-        """All interned keys, indexed by element ID."""
-        names = self.matrices
-        return [
-            (names[m], f)
-            for m, f in zip(self.key_matrix.tolist(), self.key_flat.tolist())
-        ]
-
     def op_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(element IDs, write flags) of op ``i``'s accesses."""
         s, e = int(self.op_starts[i]), int(self.op_starts[i + 1])

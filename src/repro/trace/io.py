@@ -4,8 +4,9 @@ Both containers are a single ``.npz`` file (numpy's zip format, compressed)
 holding the payload arrays plus one ``header`` entry — a JSON string with
 the kind tag, the format version and the matrix names and shapes.  The
 split keeps the bulk data binary and compact while the metadata stays
-greppable (``python -m repro trace info``).  Each kind has its own format
-version (:data:`FORMAT_VERSIONS`); a container in another version raises
+greppable: :func:`read_header` reads it without the arrays (``python -m
+repro trace info``).  Each kind has its own format version
+(:data:`FORMAT_VERSIONS`); a container in another version raises
 :class:`~repro.errors.StaleFormatError`, and no reader for an older
 version is kept.
 
@@ -15,14 +16,18 @@ Two kinds:
     the arrays of a :class:`~repro.trace.compiled.CompiledTrace`.  Enough
     to replay (LRU/Belady at any capacity) and to re-derive every count,
     but op objects are gone — ``ops`` is ``None`` after loading.
-``schedule`` (version 2)
+``schedule`` (version 3)
     a full :class:`~repro.sched.schedule.Schedule` as the integer columns
     of :mod:`repro.sched.columns`, which owns the layout (the column
     dtypes, the kind codes and :data:`~repro.sched.columns.OP_SPECS`):
     ``kind``, ``ref`` and ``writeback`` per step, ``lengths`` per index
     array, the arrays back to back in ``index_data``, and one table
-    ``params_<t>`` per op type present.  The header adds only the matrix
-    names and shapes and the op-type names that the ids index.
+    ``params_<t>`` per op type present.  The header adds the matrix names
+    and shapes, the op-type names that the ids index, and ``key``: the
+    serve store's key the schedule was filed under
+    (:meth:`~repro.serve.store.ScheduleKey.as_dict`), or ``null`` for a
+    file saved outside a store.  ``load_schedule(path, key)`` refuses a
+    container whose header names another key.
 
 Saving writes a schedule's columns as they are: the rewriter's and the
 loader's schedules carry them, and only a recorded or hand-built
@@ -59,6 +64,8 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zipfile
+import zlib
 from typing import IO, Any
 
 import numpy as np
@@ -79,7 +86,7 @@ from ..sched.schedule import Schedule
 from .compiled import CompiledTrace
 
 #: The format version each container kind is written in and read at.
-FORMAT_VERSIONS = {"trace": 1, "schedule": 2}
+FORMAT_VERSIONS = {"trace": 1, "schedule": 3}
 
 
 def _write_npz(path: str | os.PathLike | IO[bytes], header: dict, arrays: dict) -> None:
@@ -104,19 +111,25 @@ def _write_npz(path: str | os.PathLike | IO[bytes], header: dict, arrays: dict) 
             os.unlink(tmp)
 
 
+def _header(npz, path) -> dict:
+    try:
+        header = json.loads(str(npz["header"][()]))
+    except KeyError:
+        raise ConfigurationError(f"{path}: not a repro container (no header)") from None
+    if not isinstance(header, dict):
+        raise ConfigurationError(f"{path}: not a repro container (header {header!r})")
+    return header
+
+
 def _read_npz(
     path: str | os.PathLike | IO[bytes], kind: str
 ) -> tuple[dict, dict[str, Any]]:
     with np.load(path, allow_pickle=False) as npz:
-        try:
-            header = json.loads(str(npz["header"][()]))
-        except KeyError:
+        header = _header(npz, path)
+        if header.get("kind") != kind:
             raise ConfigurationError(
-                f"{path}: not a repro {kind} file (no header)"
-            ) from None
-        if not isinstance(header, dict) or header.get("kind") != kind:
-            found = header.get("kind") if isinstance(header, dict) else header
-            raise ConfigurationError(f"{path}: expected a {kind!r} file, found {found!r}")
+                f"{path}: expected a {kind!r} file, found {header.get('kind')!r}"
+            )
         if header.get("version") != FORMAT_VERSIONS[kind]:
             raise StaleFormatError(
                 f"{path}: {kind} format version {header.get('version')!r}; "
@@ -127,15 +140,21 @@ def _read_npz(
     return header, arrays
 
 
-def file_kind(path: str | os.PathLike) -> str:
-    """The kind tag (``"trace"`` or ``"schedule"``) of an ``.npz`` container."""
-    with np.load(path, allow_pickle=False) as npz:
-        try:
-            return json.loads(str(npz["header"][()])).get("kind", "?")
-        except KeyError:
-            raise ConfigurationError(
-                f"{path}: not a repro trace/schedule file"
-            ) from None
+def read_header(path: str | os.PathLike) -> dict:
+    """The JSON header of the container at ``path`` as written (kind and
+    version unchecked), read without its arrays.  Raises
+    :class:`~repro.errors.ConfigurationError` naming ``path`` and the
+    reason when ``path`` cannot be opened or holds no repro container."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            return _header(npz, path)
+    except ConfigurationError:
+        raise
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror or exc}") from None
+    # numpy's, zipfile's and zlib's errors for an empty, text, .npy or torn file
+    except (EOFError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ConfigurationError(f"{path}: not a repro container") from exc
 
 
 # ---------------------------------------------------------------------- #
@@ -186,9 +205,12 @@ def load_trace(path: str | os.PathLike | IO[bytes]) -> CompiledTrace:
 # ---------------------------------------------------------------------- #
 # full schedules
 # ---------------------------------------------------------------------- #
-def save_schedule(schedule: Schedule, path: str | os.PathLike | IO[bytes]) -> None:
+def save_schedule(
+    schedule: Schedule, path: str | os.PathLike | IO[bytes], key: dict | None = None
+) -> None:
     """Write a full schedule (loads, evicts, reconstructible compute ops)
-    as the integer columns of schedule format version 2.
+    as the integer columns of schedule format version 3, with ``key`` (a
+    serve store key's ``as_dict()``, or ``None``) in the header.
 
     A schedule that carries columns (rewritten or loaded) is written as
     it is; any other derives them from its steps
@@ -208,6 +230,7 @@ def save_schedule(schedule: Schedule, path: str | os.PathLike | IO[bytes]) -> No
     header = {
         "kind": "schedule",
         "version": FORMAT_VERSIONS["schedule"],
+        "key": key,
         "matrices": columns.names,
         "shapes": [[int(r), int(c)] for r, c in schedule.shapes.values()],
         "ops": [cls.name for cls in columns.op_types],
@@ -317,7 +340,7 @@ def _check_op_type(
             raise ConfigurationError(f"a {cls.name} {f} lies outside its range")
 
 
-def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
+def load_schedule(path: str | os.PathLike | IO[bytes], key: dict | None = None) -> Schedule:
     """Load a schedule written by :func:`save_schedule`.
 
     Checks the container's columns (see the module docstring) and returns
@@ -329,9 +352,13 @@ def load_schedule(path: str | os.PathLike | IO[bytes]) -> Schedule:
     with matching shapes and reproduces the original numerics bit for bit.
     A container that fails a check raises
     :class:`~repro.errors.ConfigurationError`, and one written in another
-    format version raises :class:`~repro.errors.StaleFormatError`.
+    format version raises :class:`~repro.errors.StaleFormatError`.  Given
+    a ``key``, a container whose header names another key raises
+    :class:`~repro.errors.ConfigurationError` too, after the version check.
     """
     header, arrays = _read_npz(path, "schedule")
+    if key is not None and header.get("key") != key:
+        raise ConfigurationError(f"{path}: holds key {header.get('key')!r}, not {key!r}")
     names, dims, op_classes = _schedule_header(header)
     tables = [f"params_{t}" for t in range(len(op_classes))]
     if sorted(arrays) != sorted([*COLUMNS, *tables]):

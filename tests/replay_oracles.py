@@ -7,6 +7,8 @@ is pinned to these walkers, which share no code with the engines:
 
 * :func:`access_sequence_reference` — the element access stream of an op
   list, one ``((matrix, flat), is_write)`` tuple per touch;
+* :func:`trace_keys` and :func:`key_of` — a compiled trace's interned
+  element IDs decoded back to ``(matrix, flat)`` keys;
 * :func:`to_access_sequence` — a compiled trace decoded back into that
   tuple form, so a stream compiled by the engine compares with it;
 * :func:`lru_replay_reference` — an ``OrderedDict`` LRU cache;
@@ -29,13 +31,27 @@ from repro.trace.compiled import CompiledTrace
 from repro.trace.replay import BeladyReplayResult, LruReplayResult, as_capacity
 
 
+def key_of(trace: CompiledTrace, elem_id: int) -> tuple[str, int]:
+    """Decode one element ID back to its ``(matrix, flat)`` key."""
+    return (trace.matrices[int(trace.key_matrix[elem_id])], int(trace.key_flat[elem_id]))
+
+
+def trace_keys(trace: CompiledTrace) -> list[tuple[str, int]]:
+    """All interned keys, indexed by element ID."""
+    names = trace.matrices
+    return [
+        (names[m], f)
+        for m, f in zip(trace.key_matrix.tolist(), trace.key_flat.tolist())
+    ]
+
+
 def to_access_sequence(trace: CompiledTrace) -> list[tuple[tuple[str, int], bool]]:
     """The stream as ``((matrix, flat), is_write)`` tuples.
 
     Bit-compatible with the reference traversal
     (:func:`access_sequence_reference`).
     """
-    keys = trace.keys()
+    keys = trace_keys(trace)
     return [
         (keys[e], w)
         for e, w in zip(trace.elem_ids.tolist(), trace.is_write.tolist())

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 import pytest
-from container_columns import write_columns
+from container_columns import read_columns, write_columns
 from legality_oracle import walk_schedule
 
 from repro.check import (
@@ -588,17 +588,26 @@ class TestCheckSurface:
         assert not root.exists()
 
     def test_cli_store_check_leaves_the_manifest_alone(self, tmp_path, cases, capsys):
+        """``check --store --all`` reads the store and writes nothing: every
+        file under the root keeps its bytes and its mtime."""
         from repro.__main__ import main
         from repro.serve.store import ScheduleKey, ScheduleStore
 
         store = ScheduleStore(str(tmp_path / "store"))
         for kernel in ("tbs", "chol"):
             store.put(ScheduleKey(kernel, N, M, S), cases[kernel].schedule)
-        manifest = tmp_path / "store" / "manifest.json"
-        before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+
+        def snapshot():
+            return {
+                path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in sorted((tmp_path / "store").rglob("*")) if path.is_file()
+            }
+
+        before = snapshot()
+        assert len(before) == 2
         for _ in range(2):
             assert main(["check", "--store", store.root, "--all"]) == 0
-        assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
+        assert snapshot() == before
         capsys.readouterr()
 
     @staticmethod
@@ -615,16 +624,23 @@ class TestCheckSurface:
         from repro.serve.store import ScheduleKey, ScheduleStore
 
         store = ScheduleStore(str(tmp_path / "store"))
-        stale, broken = ScheduleKey("tbs", N, M, S), ScheduleKey("chol", N, M, S)
-        for key in (stale, broken):
+        stale, stale2, broken = (
+            ScheduleKey(kernel, N, M, S) for kernel in ("tbs", "syr2k", "chol")
+        )
+        for key in (stale, stale2, broken):
             store.put(key, cases[key.kernel].schedule)
         write_v1_container(store.object_path(stale))
+        header, arrays = read_columns(store.object_path(stale2))
+        del header["key"]  # version 2 is version 3 with no key in the header
+        write_columns(store.object_path(stale2), dict(header, version=2), arrays)
         with open(store.object_path(broken), "wb") as fh:
             fh.write(b"not a container")
         code, doc = self._check_store_json(capsys, store.root, "--all")
         assert code == 1 and doc["stats"]["objects"] == 0
         reasons = {f["context"]["digest"]: f["context"]["reason"] for f in doc["findings"]}
-        assert reasons == {stale.digest(): "stale", broken.digest(): "unreadable"}
+        assert reasons == {
+            stale.digest(): "stale", stale2.digest(): "stale", broken.digest(): "unreadable"
+        }
         messages = {f["context"]["reason"]: f["message"] for f in doc["findings"]}
         assert "older container format" in messages["stale"]
         assert "unreadable" in messages["unreadable"]
@@ -641,9 +657,9 @@ class TestCheckSurface:
             assert "is missing" in finding["message"]
 
     def test_cli_store_certifies_an_orphan_given_a_capacity(self, tmp_path, cases, capsys):
-        """An object with no manifest entry is read and certified, not
-        reported as unreadable."""
-        from repro.__main__ import main
+        """A keyless object (saved with no key in its header) is certified
+        when ``--capacity`` names its S, and is RPS107 ``keyless`` without
+        it, under ``--all`` and ``--digest`` alike."""
         from repro.serve.store import ScheduleKey, ScheduleStore
         from repro.trace.io import save_schedule
 
@@ -651,18 +667,22 @@ class TestCheckSurface:
         key = ScheduleKey("tbs", N, M, S)
         path = store.object_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        save_schedule(cases["tbs"].schedule, path)  # on disk, never put
-        assert key not in store.keys()
-        code, doc = self._check_store_json(
-            capsys, store.root, "--digest", key.digest(), "--capacity", str(S)
-        )
-        assert code == 0 and doc["ok"]
-        assert doc["stats"]["objects"] == 1 and doc["findings"] == []
-        code, doc = self._check_store_json(
-            capsys, store.root, "--digest", key.digest(), "--capacity", str(S - 1)
-        )
-        assert code == 1
-        assert [f["code"] for f in doc["findings"]] == ["RPS104"]
-        # With no manifest entry, the capacity must come from the caller.
-        assert main(["check", "--store", store.root, "--digest", key.digest()]) == 2
-        assert "give its --capacity" in capsys.readouterr().out
+        save_schedule(cases["tbs"].schedule, path, key=None)  # on disk, never put
+        assert store.keys() == []
+        for target in (("--digest", key.digest()), ("--all",)):
+            code, doc = self._check_store_json(
+                capsys, store.root, *target, "--capacity", str(S)
+            )
+            assert code == 0 and doc["ok"]
+            assert doc["stats"]["objects"] == 1 and doc["findings"] == []
+            code, doc = self._check_store_json(
+                capsys, store.root, *target, "--capacity", str(S - 1)
+            )
+            assert code == 1
+            assert [f["code"] for f in doc["findings"]] == ["RPS104"]
+            # With no key in the header, the capacity must come from the caller.
+            code, doc = self._check_store_json(capsys, store.root, *target)
+            assert code == 1 and doc["stats"]["objects"] == 0
+            [finding] = doc["findings"]
+            assert (finding["code"], finding["context"]["reason"]) == ("RPS107", "keyless")
+            assert "give its --capacity" in finding["message"]

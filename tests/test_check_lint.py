@@ -223,7 +223,7 @@ class TestStoreVerify:
             steps=[s for j, s in enumerate(case.schedule.steps) if j != i],
             shapes=case.schedule.shapes,
         )
-        save_schedule(bad, store.object_path(key))
+        save_schedule(bad, store.object_path(key), key.as_dict())
         assert store.get(key) is not None  # unverified read still serves it
         with probe_scope() as probe:
             assert store.get(key, verify=True) is None
@@ -244,7 +244,7 @@ class TestStoreVerify:
             steps=[s for j, s in enumerate(case.schedule.steps) if j != i],
             shapes=case.schedule.shapes,
         )
-        save_schedule(bad, store.object_path(key))
+        save_schedule(bad, store.object_path(key), key.as_dict())
         service = ScheduleService(
             store, searcher=lambda k: case.schedule, verify_store=True
         )

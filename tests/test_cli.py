@@ -182,6 +182,21 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert "lru" in out
 
+    @pytest.mark.parametrize("command", ["info", "replay"])
+    @pytest.mark.parametrize("bad", ["missing", "text"])
+    def test_bad_path_is_one_line(self, capsys, tmp_path, command, bad):
+        """A path that holds no container fails with one line naming the
+        path and the reason, exit 1, and no traceback."""
+        path = str(tmp_path / "t.npz")
+        if bad == "text":
+            with open(path, "w") as fh:
+                fh.write("not a container\n")
+        argv = ["trace", command, path] + (["--capacity", "15"] if command == "replay" else [])
+        assert main(argv) == 1
+        [line] = capsys.readouterr().out.splitlines()
+        reason = "No such file" if bad == "missing" else "not a repro container"
+        assert line.startswith(f"trace {command}: {path}: ") and reason in line
+
     def test_trace_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["trace"])

@@ -143,6 +143,15 @@ class TestExecutorSharded:
         assert sum(r.n_ops for r in summ.shards) == len(tbs_graph)
         assert summ.total_mults == sum(int(n.op.mults) for n in tbs_graph.nodes)
         assert summ.compute_imbalance >= 1.0
+        # Element-level MIN may evict an op's own operand mid-op, which the
+        # rewriter never does, so its loads are only a floor on the
+        # rewrite's, shard by shard.
+        opt = execute_graph(
+            tbs_case.schedule, p, S, partitioner=partitioner, policy="belady",
+            graph=tbs_graph,
+        )
+        assert opt.owner == summ.owner
+        assert all(b.recv <= r.recv for b, r in zip(opt.shards, summ.shards))
 
     def test_transfer_totals_match_flows(self, tbs_case, tbs_graph):
         summ = execute_graph(tbs_case.schedule, 4, S, partitioner="level-greedy",

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.graph.compare import record_case, sweep_case
+from repro.graph.compare import record_case
 from repro.graph.dependency import DependencyGraph
 from repro.graph.search import anneal_search
 from repro.obs.probe import probe_scope
@@ -222,14 +222,6 @@ def test_sweep_preserves_input_order_and_duplicates():
     assert rows[0].loads == rows[4].loads
     assert rows[1].loads == rows[3].loads
     assert rows[1].loads >= rows[2].loads >= rows[0].loads
-
-
-def test_sweep_case_shape():
-    case = record_case("tbs", 20, 3, 15)
-    out = sweep_case(case, [15, 30], jobs=2)
-    assert set(out) == {"lru", "belady"}
-    assert all(len(rows) == 2 for rows in out.values())
-    assert out["belady"][0].loads <= out["lru"][0].loads
 
 
 def test_unknown_policy_rejected():

@@ -1,8 +1,9 @@
 """Tests for the schedule-serving layer (:mod:`repro.serve`).
 
 Covers the three tiers and their contracts: content-addressed store
-round-trips (bit-identical replays), corruption/stale-manifest recovery
-(bad objects read as misses, never exceptions), the bounded cache's LRU
+round-trips (bit-identical replays), corruption recovery (bad, stale and
+misfiled objects read as misses, never exceptions), listing from the
+object headers alone under concurrent puts, the bounded cache's LRU
 semantics pinned against the array replay engines on the same access
 log, with Belady's count as its floor, and the async front end's
 single-flight guarantee (N concurrent duplicates → exactly one search).
@@ -10,7 +11,9 @@ single-flight guarantee (N concurrent duplicates → exactly one search).
 
 import asyncio
 import json
+import multiprocessing
 import os
+import shutil
 import threading
 import time
 
@@ -32,6 +35,7 @@ from repro.serve import (
     log_to_trace,
     warm_store,
 )
+from repro.trace.io import load_schedule, read_header, save_schedule
 from repro.trace.replay import belady_replay_trace, lru_replay_trace
 
 CASE_ARGS = ("tbs", 20, 3, 10)
@@ -116,6 +120,13 @@ class TestScheduleKey:
         with pytest.raises(ConfigurationError, match="key field p"):
             ScheduleKey("tbs", 20, 3, 10, p=2.5)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_non_finite_constant_rejected(self, field):
+        """A NaN never equals itself, so no stored object could match its key."""
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="finite"):
+                ScheduleKey("tbs", 20, 3, 10, policy="cosearch", **{field: value})
+
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigurationError):
             ScheduleKey("tbs", 0, 3, 10)
@@ -124,6 +135,20 @@ class TestScheduleKey:
 
     def test_sortable(self, key):
         assert sorted([ScheduleKey("tbs", 30, 3, 10), key])[0] == key
+
+
+def _race_key(worker: int, i: int) -> ScheduleKey:
+    """Key ``i`` of concurrent writer ``worker``: forty distinct digests,
+    every one certifiable at the shared case's capacity."""
+    return ScheduleKey("tbs", 20, 3, 10, p=1 + worker, policy="cosearch", alpha=1.0 + i)
+
+
+def _put_ten(root: str, source: str, worker: int, barrier) -> None:
+    schedule = load_schedule(source)
+    store = ScheduleStore(root)
+    barrier.wait()
+    for i in range(10):
+        store.put(_race_key(worker, i), schedule)
 
 
 class TestScheduleStore:
@@ -235,11 +260,14 @@ class TestScheduleStore:
             assert probe.counters["serve.store.corrupt"] == 1
 
     def test_older_format_reads_as_stale(self, store, case, key):
-        """An object in the retired version-1 format (JSON step records) is
-        a counted stale miss, and the next put rewrites it."""
+        """An object in a retired format is a counted stale miss, and the
+        next put rewrites it: version 1 (JSON step records) and version 2
+        (the columns of today, with no key in the header)."""
         store.put(key, case.schedule)
         path = store.object_path(key)
-        header = {
+        header, arrays = read_columns(path)
+        del header["key"]
+        v1 = {
             "kind": "schedule",
             "version": 1,
             "shapes": {"A": [20, 3], "C": [20, 20]},
@@ -248,62 +276,85 @@ class TestScheduleStore:
                 {"t": "E", "m": "A", "i": [0, 2], "wb": False},
             ],
         }
-        write_columns(path, header, {"index_data": np.arange(2, dtype=np.int64)})
-        with probe_scope() as probe:
-            assert store.get(key) is None
-        assert probe.counters["serve.store.stale"] == 1
-        assert "serve.store.corrupt" not in probe.counters
+        for old in [
+            (v1, {"index_data": np.arange(2, dtype=np.int64)}),
+            (dict(header, version=2), arrays),
+        ]:
+            write_columns(path, *old)
+            with probe_scope() as probe:
+                assert store.get(key) is None
+            assert probe.counters["serve.store.stale"] == 1
+            assert "serve.store.corrupt" not in probe.counters
+            store.put(key, case.schedule)
+            with probe_scope() as probe:
+                assert case.check_exact(store.get(key))
+            assert "serve.store.stale" not in probe.counters
+
+    def test_misfiled_object_reads_as_corrupt(self, store, case, key):
+        """An object copied to another key's digest path holds the wrong key
+        in its header: a counted corrupt miss, which the next put repairs."""
+        other = ScheduleKey("tbs", 20, 3, 10, policy="search")
         store.put(key, case.schedule)
+        os.makedirs(os.path.dirname(store.object_path(other)), exist_ok=True)
+        shutil.copyfile(store.object_path(key), store.object_path(other))
         with probe_scope() as probe:
-            assert case.check_exact(store.get(key))
-        assert "serve.store.stale" not in probe.counters
+            assert store.get(other) is None
+        assert probe.counters["serve.store.corrupt"] == 1
+        assert store.keys() == [key]
+        assert store.stats()["per_kernel"] == {"?": 1, "tbs": 1}
+        store.put(other, case.schedule)
+        assert case.check_exact(store.get(other))
+        assert store.keys() == sorted([key, other])
 
     def test_manifest_is_sorted_and_deterministic(self, store, case, key):
+        """No manifest: after any sequence of puts, repeats included, the
+        root holds only ``objects/``, and each object's header its key."""
         others = [ScheduleKey("tbs", 20, 3, 10, policy=p) for p in ("search", "cosearch")]
-        for k in [key, *others]:
+        for k in [key, *others, key]:
             store.put(k, case.schedule)
-        path = os.path.join(store.root, "manifest.json")
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
-        assert list(doc["entries"]) == sorted(k.digest() for k in [key, *others])
-        store.rescan()
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == text
-        assert sorted(os.listdir(store.root)) == ["manifest.json", "objects"]
-
-    def test_deleted_manifest_recovers(self, store, case, key):
-        store.put(key, case.schedule)
-        os.unlink(os.path.join(store.root, "manifest.json"))
-        assert store.get(key) is not None     # get never needs the manifest
-        stats = store.stats()                  # stats rescans the objects
-        assert stats["entries"] == 1 and stats["bytes"] > 0
-
-    def test_garbage_manifest_recovers(self, store, case, key):
-        store.put(key, case.schedule)
-        with open(os.path.join(store.root, "manifest.json"), "w") as fh:
-            fh.write("{ not json")
-        assert store.get(key) is not None
-        assert store.stats()["entries"] == 1
+        assert os.listdir(store.root) == ["objects"]
+        for k in [key, *others]:
+            assert read_header(store.object_path(k))["key"] == k.as_dict()
 
     def test_stale_manifest_entry_dropped(self, store, case, key):
+        """A deleted object leaves the listing and the stats."""
         store.put(key, case.schedule)
         os.unlink(store.object_path(key))
         assert store.get(key) is None
-        assert store.stats()["entries"] == 0   # rescan drops the ghost
+        assert store.keys() == []
+        assert store.stats()["entries"] == 0
 
     def test_keys_listing(self, store, case, key):
         store.put(key, case.schedule)
         other = ScheduleKey("tbs", 20, 3, 10, policy="search")
         store.put(other, case.schedule)
+        # A stray file at no digest's object path is not an object.
+        open(os.path.join(os.path.dirname(store.object_path(key)), "stray.npz"), "wb").close()
         assert store.keys() == sorted([key, other])
         assert sorted(store.digests()) == sorted([key.digest(), other.digest()])
+        assert store.stats()["entries"] == 2
 
-    def test_orphan_object_adopted_keyless(self, store, case, key):
-        store.put(key, case.schedule)
-        os.unlink(os.path.join(store.root, "manifest.json"))
-        assert store.keys() == []              # orphan: digest serves, key lost
-        assert store.stats()["entries"] == 1
+    def test_concurrent_puts_keep_every_key(self, store, case, tmp_path, capsys):
+        """Four processes put ten distinct keys each at once: every key is
+        listed and every object certifies at its own key's capacity."""
+        source = str(tmp_path / "schedule.npz")
+        save_schedule(case.schedule, source)
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(4)
+        workers = [
+            ctx.Process(target=_put_ten, args=(store.root, source, w, barrier))
+            for w in range(4)
+        ]
+        for proc in workers:
+            proc.start()
+        for proc in workers:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in workers] == [0] * 4
+        assert store.keys() == sorted(_race_key(w, i) for w in range(4) for i in range(10))
+        assert store.stats()["per_kernel"] == {"tbs": 40}
+        capsys.readouterr()
+        assert main(["check", "--store", store.root, "--all", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["objects"] == 40
 
     def test_interrupted_put_keeps_old_entry(self, store, case, key, monkeypatch):
         import repro.trace.io as tio

@@ -22,9 +22,9 @@ from repro.trace.compiled import CompiledTrace, compile_trace
 from repro.sched.columns import OP_SPECS
 from repro.sched.ops import ComputeOp
 from repro.trace.io import (
-    file_kind,
     load_schedule,
     load_trace,
+    read_header,
     save_schedule,
     save_trace,
 )
@@ -42,8 +42,10 @@ from repro.utils.rng import (
 from replay_oracles import (
     access_sequence_reference,
     belady_replay_reference,
+    key_of,
     lru_replay_reference,
     to_access_sequence,
+    trace_keys,
 )
 
 
@@ -193,7 +195,7 @@ class TestCompileGeneralOps:
         assert to_access_sequence(trace) == access_sequence_reference(ops)
         n_reads = [sum(r.size for r in op.reads()) for op in ops]
         assert (trace.op_read_ends - trace.op_starts[:-1]).tolist() == n_reads
-        assert len(set(trace.keys())) == trace.n_elements
+        assert len(set(trace_keys(trace))) == trace.n_elements
 
     def test_all_cases_in_one_stream(self):
         ops = [op for case in sorted(self.OPS) for op in self.OPS[case]]
@@ -245,9 +247,9 @@ class TestCompiledTrace:
 
     def test_keys_decode(self, sched):
         trace = compile_trace(sched)
-        keys = trace.keys()
+        keys = trace_keys(trace)
         assert len(keys) == trace.n_elements == len(set(keys))
-        assert trace.key_of(0) == keys[0]
+        assert key_of(trace, 0) == keys[0]
         assert set(k for k, _w in access_sequence_reference(sched)) == set(keys)
 
     def test_compile_is_idempotent(self, sched):
@@ -649,8 +651,8 @@ class TestTraceIO:
         tpath, spath = tmp_path / "t.npz", tmp_path / "s.npz"
         save_trace(trace, tpath)
         save_schedule(sched, spath)
-        assert file_kind(tpath) == "trace"
-        assert file_kind(spath) == "schedule"
+        assert read_header(tpath)["kind"] == "trace"
+        assert read_header(spath)["kind"] == "schedule"
         with pytest.raises(ConfigurationError, match="expected"):
             load_trace(spath)
         with pytest.raises(ConfigurationError, match="expected"):
@@ -699,7 +701,7 @@ class TestGraphOverTrace:
         assert all(isinstance(k, int) for k in node.touched_keys())
         # decoded keys equal the op's region keys
         op = node.op
-        decoded = {graph.trace.key_of(k) for k in node.touched_keys()}
+        decoded = {key_of(graph.trace, k) for k in node.touched_keys()}
         expected = {
             (r.matrix, int(i))
             for r in list(op.reads()) + list(op.writes())
