@@ -8,7 +8,8 @@ capacity sweep — once through the seed element-loop paths
 capacity exactly as the seed shipped them; they live on as the test
 suite's oracles in ``tests/replay_oracles.py``) and once through the array
 engines (:mod:`repro.trace.replay`: cached reuse-distance counts for LRU,
-the adaptive chunked simulation for Belady).
+the grouped OPT stack for Belady — one stack pass per capacity below the
+trace's live peak, cold misses only at or above it).
 
 Claims asserted:
 

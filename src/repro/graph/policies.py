@@ -11,7 +11,8 @@ per-order floor that separates "this order is intrinsically expensive" from
 
 The default :func:`belady_replay` runs on the compiled trace IR
 (:mod:`repro.trace`): next-use positions come from one vectorized pass and
-the replay is the chunked array engine.  The original tuple/heap walker is
+the replay is the grouped OPT-stack engine, which needs no pass at all at
+or above the trace's live peak.  The original tuple/heap walker is
 the test suite's oracle (``tests/replay_oracles.py``), and the tests and
 benchmark E13 pin every count to it, including the eviction-time share of
 the stores (``evict_stores``) that the clean-victim tie-break decides.

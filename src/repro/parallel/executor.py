@@ -53,8 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import ConfigurationError, ScheduleError
 from ..graph.dependency import DependencyGraph
 from ..graph.rewriter import rewrite_trace
@@ -287,10 +285,7 @@ def _shard_counts_trace(
         return summary["loads"], summary["stores"], summary["peak_occupancy"]
     replay = lru_replay_trace if policy == "lru" else belady_replay_trace
     r = replay(sub, s)
-    # r.distinct is the *parent* interning's element count (sub-traces share
-    # it), so the shard's own working set must be counted here.
-    distinct = int(np.unique(sub.elem_ids).size)
-    return r.loads, r.stores, min(s, distinct)
+    return r.loads, r.stores, min(s, r.distinct)
 
 
 def execute_graph(

@@ -157,10 +157,15 @@ def warm_store(
     The offline batch path (``python -m repro serve warm``): misses fan
     out over :func:`repro.perf.pool.parallel_map` — one searcher run per
     worker task, results landing in the store via atomic puts, so a
-    crashed warm run leaves only whole entries.  ``force=True`` re-searches
-    keys already present (e.g. after a searcher budget change).
+    crashed warm run leaves only whole entries.  A key is present only
+    when the object at its path holds it in its header (one header read,
+    :meth:`ScheduleStore.key_at`): an object in an older format holds no
+    key, and one copied over another key's path holds that key, so both
+    are searched and rewritten like missing ones.  ``force=True``
+    re-searches keys already present (e.g. after a searcher budget
+    change).
     """
-    todo = [k for k in keys if force or k not in store]
+    todo = [k for k in keys if force or store.key_at(k.digest()) != k]
     parallel_map(_search_to_store, [(store.root, k.as_dict()) for k in todo], jobs=jobs)
     probe = get_probe()
     if probe.enabled and todo:

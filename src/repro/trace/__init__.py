@@ -7,10 +7,10 @@ This package is the performance substrate of the analysis layers:
   IDs, write flags, op boundaries) plus vectorized next-use/previous-
   access links;
 * :mod:`repro.trace.replay` — array-based LRU and Belady/MIN cache
-  replays over the IR, one engine per call shape (reuse distances for
-  every LRU count, the chunked simulation for one Belady capacity, one
-  grouped OPT-stack pass for a Belady sweep) plus the incremental LRU
-  cursor the order searches use;
+  replays over the IR, one engine per question (reuse distances for
+  every LRU count, one grouped OPT-stack pass for every Belady capacity
+  or sweep, skipped at or above the trace's live peak) plus the
+  incremental LRU cursor the order searches use;
 * :mod:`repro.trace.io` — compact ``.npz`` + JSON-header on-disk formats
   for compiled traces and for full schedules (integer step columns whose
   compute ops are rebuilt on first access), behind ``python -m repro

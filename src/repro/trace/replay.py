@@ -10,18 +10,14 @@ has exactly one engine:
   fewer than ``C`` distinct other elements were touched since its previous
   access, so loads and the eviction/flush split of stores are O(n) array
   passes per capacity.
-* **Belady/MIN, one capacity** (:func:`belady_replay_trace`) — the adaptive
-  chunked simulation (:func:`_belady_simulate`).  Hits never change the
-  cache contents, so it scans ahead for the next miss with one vectorized
-  residency gather per window, bulk-applies whole hit runs and drops to
-  per-access Python only at the misses (a tight int loop once misses are
-  dense).
-* **Belady/MIN, a capacity sweep** (:func:`sweep_replay_trace`) — one
-  grouped OPT-stack pass over the canonical grid of the requested
-  capacities (:func:`_belady_buckets`), then an O(n) count per capacity.
-  The stack pass wins at small capacities and whenever a grid amortizes
-  it; the chunked engine wins at large single capacities, where hit runs
-  are long.
+* **Belady/MIN, one capacity or a sweep** (:func:`belady_replay_trace`,
+  :func:`sweep_replay_trace`) — one grouped OPT-stack pass over the
+  requested capacities below the trace's live peak
+  (:func:`_belady_buckets`), then an O(n) count per capacity.  At or
+  above the live peak only cold accesses miss, so those capacities need
+  no pass: one O(n) pass per trace leaves O(1) per capacity
+  (:func:`_belady_counts_above_peak`).  One capacity is the one-point
+  sweep.
 * **Incremental LRU** — :class:`LruCursor` and :class:`LruLedger` replay an
   order op by op from any cache snapshot, for the order searches; the
   ledger keeps one cursor per node and replays only the nodes a move
@@ -45,11 +41,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..obs.probe import get_probe
 from .compiled import CompiledTrace
-
-#: Initial / maximum width of the miss-scan window (adaptively resized).
-_MIN_WINDOW = 64
-_MAX_WINDOW = 8192
-
 
 @dataclass(frozen=True)
 class LruReplayResult:
@@ -96,266 +87,6 @@ def as_capacity(capacity) -> int:
     if value < 1:
         raise ConfigurationError(f"capacity must be >= 1, got {value}")
     return value
-
-
-#: Hit-run length below which vectorized bulk handling is not worth the
-#: numpy call overhead, and above which the scalar mode hands back to the
-#: vectorized scanner.  Read at call time; the two modes maintain
-#: identical state, so every threshold yields identical counts.
-_SCALAR_RUN = 32
-
-
-def _belady_simulate(trace: CompiledTrace, capacity: int) -> tuple[int, int, int]:
-    """Chunked Belady/MIN simulation; returns (loads, evict_stores, flush_stores).
-
-    Two modes, switched by observed hit-run length:
-
-    * **vector**: gather residency for a doubling window, bulk-apply the
-      whole hit run (dirty marking, one next-use stamp per element via
-      reverse ``np.unique``), drop to per-access work only at the miss;
-    * **scalar**: a tight Python-int loop over pre-extracted lists — the
-      regime where misses are dense and per-window numpy overhead would
-      dominate (thrashing capacities).
-
-    Both modes maintain identical state, so switching is free: residency
-    and dirtiness live in ``bytearray``s wrapped zero-copy by numpy views
-    (scalar reads are plain-Python fast, gathers are vectorized), each
-    element's current next use in an int64 stamp array, and eviction
-    candidates are packed ints ``(n - next_use) << (id_bits + 1) | dirty
-    << id_bits | elem`` (smallest = furthest next use), lazily invalidated
-    against the stamp array.  Next-use positions are unique, so distances
-    can only tie at "never used again"; among those the packed dirty bit
-    prefers clean victims — and because a never-reused element's dirty
-    status is final by its last access (dirty only changes when an
-    element is accessed), the bit packed at push time provably equals the
-    live status whenever the tie-break can fire.
-    """
-    scalar_run = _SCALAR_RUN
-    n = trace.n_accesses
-    ids = trace.elem_ids
-    n_elem = trace.n_elements
-
-    id_bits = max(1, n_elem - 1).bit_length()
-    id_mask = (1 << id_bits) - 1
-    shift = id_bits + 1
-    cached_b = bytearray(n_elem)
-    dirty_b = bytearray(n_elem)
-    cached = np.frombuffer(cached_b, dtype=np.uint8)  # zero-copy views
-    dirty = np.frombuffer(dirty_b, dtype=np.uint8)
-    stamp = np.full(n_elem, -1, dtype=np.int64)
-    heap: list[int] = []
-    # Resident elements that are *never used again* are always the
-    # furthest-next-use victims, mutually tied, and their dirty status is
-    # final by their last access — so they live in two plain stacks
-    # instead of the heap, clean ones preferred, no invalidation needed.
-    never_clean: list[int] = []
-    never_dirty: list[int] = []
-    # Bulk-mode entries avoid per-entry heap pushes entirely: each hit run
-    # contributes one *sorted* array (log-structured levels, geometrically
-    # merged), and the rare eviction pops scan the level heads.  Scalar-
-    # mode entries still go through the Python heap.
-    levels: list[np.ndarray] = []
-    level_ptrs: list[int] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
-    loads = evict_stores = resident = 0
-    evictions = windows = 0  # engine telemetry; emitted to the probe once
-
-    def push_level(entries: np.ndarray) -> None:
-        levels.append(np.sort(entries))
-        level_ptrs.append(0)
-        while (
-            len(levels) >= 2
-            and levels[-1].size - level_ptrs[-1]
-            >= levels[-2].size - level_ptrs[-2]
-        ):
-            b, bp = levels.pop(), level_ptrs.pop()
-            a, ap = levels.pop(), level_ptrs.pop()
-            levels.append(np.sort(np.concatenate([a[ap:], b[bp:]])))
-            level_ptrs.append(0)
-
-    def pop_entry() -> int:
-        """Smallest pending entry across the heap and the sorted levels."""
-        i = 0
-        while i < len(levels):  # drop exhausted levels
-            if level_ptrs[i] >= levels[i].size:
-                del levels[i], level_ptrs[i]
-            else:
-                i += 1
-        best_level = -1
-        best = heap[0] if heap else None
-        for i in range(len(levels)):
-            value = int(levels[i][level_ptrs[i]])
-            if best is None or value < best:
-                best, best_level = value, i
-        if best_level < 0:
-            return heappop(heap)
-        level_ptrs[best_level] += 1
-        return best
-
-    # Scalar-mode working copies: plain Python lists beat numpy scalar
-    # indexing by ~5x in tight loops.
-    ids_l = ids.tolist()
-    writes_l = trace.is_write.tolist()
-    nxt = trace.next_use()
-    nxt_l = trace._replay_cache.get("next_use_list")
-    if nxt_l is None:
-        nxt_l = nxt.tolist()
-        trace._replay_cache["next_use_list"] = nxt_l
-
-    def handle_miss(p: int, e: int) -> None:
-        nonlocal loads, evict_stores, resident, evictions
-        while resident >= capacity:
-            if never_clean:
-                victim = never_clean.pop()
-                cached_b[victim] = 0
-                resident -= 1
-                evictions += 1
-                continue
-            if never_dirty:
-                victim = never_dirty.pop()
-                cached_b[victim] = 0
-                dirty_b[victim] = 0
-                resident -= 1
-                evict_stores += 1
-                evictions += 1
-                continue
-            entry = pop_entry() if levels else heappop(heap)
-            victim = entry & id_mask
-            if not cached_b[victim]:
-                continue
-            if stamp[victim] != n - (entry >> shift):
-                continue  # superseded by a later access of the same element
-            cached_b[victim] = 0
-            resident -= 1
-            evictions += 1
-            if dirty_b[victim]:
-                evict_stores += 1
-                dirty_b[victim] = 0
-        write = writes_l[p]
-        cached_b[e] = 1
-        dirty_b[e] = 1 if write else 0
-        loads += 1
-        resident += 1
-        nu = nxt_l[p]
-        stamp[e] = nu
-        if nu == n:
-            (never_dirty if write else never_clean).append(e)
-        else:
-            heappush(heap, ((n - nu) << shift) | (write << id_bits) | e)
-
-    pos = 0
-    window = _MIN_WINDOW
-    scalar_mode = capacity < scalar_run  # tiny caches thrash by definition
-    scalar_switches = 1 if scalar_mode else 0
-    while pos < n:
-        if scalar_mode:
-            run = 0
-            while pos < n:
-                e = ids_l[pos]
-                if cached_b[e]:
-                    if writes_l[pos]:
-                        dirty_b[e] = 1
-                    nu = nxt_l[pos]
-                    stamp[e] = nu
-                    if nu == n:
-                        (never_dirty if dirty_b[e] else never_clean).append(e)
-                    else:
-                        heappush(
-                            heap,
-                            ((n - nu) << shift) | (dirty_b[e] << id_bits) | e,
-                        )
-                    run += 1
-                    if run >= 2 * scalar_run and capacity >= scalar_run:
-                        pos += 1
-                        scalar_mode = False
-                        break
-                else:
-                    handle_miss(pos, e)
-                    run = 0
-                pos += 1
-            continue
-
-        stop = min(n, pos + window)
-        windows += 1
-        miss_rel = np.flatnonzero(cached[ids[pos:stop]] == 0)
-        hits = int(miss_rel[0]) if miss_rel.size else stop - pos
-        if hits:
-            # Bulk-apply the hit run: dirty marking, then one stamp / heap
-            # entry per distinct element (its last access in the run wins).
-            sub = ids[pos : pos + hits]
-            written = sub[trace.is_write[pos : pos + hits]]
-            if written.size:
-                dirty[written] = 1
-            u, first_rev = np.unique(sub[::-1], return_index=True)
-            stamps = nxt[pos + (hits - 1 - first_rev)]
-            stamp[u] = stamps
-            finite = stamps < n
-            if not finite.all():
-                gone = u[~finite]
-                gone_dirty = dirty[gone] != 0
-                never_dirty.extend(gone[gone_dirty].tolist())
-                never_clean.extend(gone[~gone_dirty].tolist())
-                u, stamps = u[finite], stamps[finite]
-            entries = ((n - stamps) << shift) | (
-                dirty[u].astype(np.int64) << id_bits
-            ) | u
-            if entries.size:
-                push_level(entries)
-        if not miss_rel.size:
-            pos = stop
-            window = min(_MAX_WINDOW, window * 2)
-            continue
-        if hits < scalar_run:
-            scalar_mode = True  # misses are dense: numpy overhead loses
-            scalar_switches += 1
-            window = _MIN_WINDOW
-        p = pos + hits
-        # Batch a run of consecutive misses when the cache can absorb it
-        # without evicting: no victim choices are made, so the bulk insert
-        # is trivially equivalent to the per-access walk.  (This is the
-        # dominant miss pattern once capacity covers the working set:
-        # whole tiles/blocks cold-load together.)
-        gaps = np.flatnonzero(np.diff(miss_rel) != 1)
-        run = int(gaps[0]) + 1 if gaps.size else int(miss_rel.size)
-        run = min(run, capacity - resident)
-        if run >= 2:
-            run_ids = ids[p : p + run]
-            order_r = np.argsort(run_ids, kind="stable")
-            sorted_r = run_ids[order_r]
-            dup = np.flatnonzero(sorted_r[1:] == sorted_r[:-1])
-            if dup.size:  # batch must stop before an element repeats
-                run = int(order_r[dup + 1].min())
-        if run >= 2:
-            run_ids = ids[p : p + run]
-            run_writes = trace.is_write[p : p + run]
-            cached[run_ids] = 1
-            dirty[run_ids] = run_writes
-            loads += run
-            resident += run
-            run_next = nxt[p : p + run]
-            stamp[run_ids] = run_next
-            finite = run_next < n
-            if not finite.all():
-                gone = run_ids[~finite]
-                gone_dirty = run_writes[~finite]
-                never_dirty.extend(gone[gone_dirty].tolist())
-                never_clean.extend(gone[~gone_dirty].tolist())
-            entries = ((n - run_next[finite]) << shift) | (
-                run_writes[finite].astype(np.int64) << id_bits
-            ) | run_ids[finite]
-            if entries.size:
-                push_level(entries)
-            pos = p + run
-            continue
-        handle_miss(p, ids_l[p])
-        pos = p + 1
-
-    probe = get_probe()
-    if probe.enabled:
-        probe.count("replay.belady.evictions", evictions)
-        probe.count("replay.belady.windows", windows)
-        probe.count("replay.belady.scalar_switches", scalar_switches)
-    return loads, evict_stores, int(dirty.sum())
 
 
 #: Base level of the reuse-distance merge tree: prefixes shorter than
@@ -468,7 +199,7 @@ def _lru_counts_from_distances(trace: CompiledTrace, capacity: int) -> tuple[int
 
 
 # --------------------------------------------------------------------- #
-# one-pass Belady sweeps: the grouped OPT stack
+# Belady/MIN: the grouped OPT stack
 # --------------------------------------------------------------------- #
 #
 # Belady/MIN obeys the same inclusion property as LRU: the cache of
@@ -480,8 +211,8 @@ def _lru_counts_from_distances(trace: CompiledTrace, capacity: int) -> tuple[int
 # between.  So the stack is kept *partitioned at the sweep capacities*:
 # group i holds the elements at depths [caps[i-1], caps[i]) as a bag with
 # max-by-next-use extraction (a lazy-deletion heap of packed
-# ``(n - next_use) << id_bits | elem`` ints, exactly the engine's
-# encoding).  One access then touches at most ``len(caps)`` groups:
+# ``(n - next_use) << id_bits | elem`` ints).  One access then touches at
+# most ``len(caps)`` groups:
 #
 # * the accessed element jumps to depth 0 (insert into group 0);
 # * every full group above its old group overflows by one, and the
@@ -497,37 +228,62 @@ def _lru_counts_from_distances(trace: CompiledTrace, capacity: int) -> tuple[int
 # those ties are *inert*: evicting one never-reused element versus
 # another cannot change any later hit/miss (Belady's optimality is
 # tie-break independent), so any deterministic pop order yields the
-# engine's exact counts — pinned by the cross-checks in the test suite.
+# oracle's exact counts — pinned by the cross-checks in the test suite.
+#
+# Only capacities below the trace's *live peak* (:func:`_live_peak`) need
+# the stack at all: at or above it only cold accesses miss
+# (:func:`_belady_counts_above_peak`).
+
+
+def _live_peak(trace: CompiledTrace) -> int:
+    """The most elements that must be resident at once for every reuse to hit.
+
+    Right after access ``p`` the cache must hold each element accessed at
+    or before ``p`` and used again after it — ``cumsum(nxt < n) -
+    cumsum(prev >= 0)``, since each access with a later use opens a reuse
+    interval and each reuse closes one — plus the element just accessed
+    when no interval holds it (``nxt == n``).  At any capacity at or above
+    the maximum, a miss always finds a resident element with no later use,
+    which Belady evicts first, so only cold accesses miss; at one less,
+    some reuse misses.  Cached per trace; 0 for an empty trace.
+    """
+    peak = trace._replay_cache.get("live_peak")
+    if peak is None:
+        n = trace.n_accesses
+        nxt = trace.next_use()
+        live = np.cumsum(nxt < n) - np.cumsum(trace.prev_access() >= 0) + (nxt == n)
+        peak = int(live.max()) if n else 0
+        trace._replay_cache["live_peak"] = peak
+    return peak
 
 
 def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
-    """Per-access OPT hit buckets against the (canonical) capacity grid.
+    """Per-access OPT hit buckets against sorted, distinct capacities.
 
     ``bucket[p]`` is the index of the smallest capacity in ``caps`` at
     which access ``p`` is a Belady hit, or ``len(caps)`` if it misses at
-    every sweep capacity (cold, or deeper than ``max(caps)``).  One pass,
-    cached per grid — the Belady analogue of :func:`_reuse_distances`.
+    every one (cold, or deeper than ``max(caps)``).  One OPT-stack pass,
+    counted as ``replay.belady.sweep_one_pass`` — the Belady analogue of
+    :func:`_reuse_distances`.  Callers pass only the capacities below the
+    live peak.  Not cached: the array costs 8 bytes per access.
     """
-    key = ("belady_buckets", caps)
-    cached = trace._replay_cache.get(key)
-    if cached is not None:
-        return cached
+    probe = get_probe()
+    if probe.enabled:
+        probe.count("replay.belady.sweep_one_pass")
     n = trace.n_accesses
     n_elem = trace.n_elements
     m = len(caps)
-    ids_l = trace.elem_ids.tolist()
-    nxt_l = trace._replay_cache.get("next_use_list")
-    if nxt_l is None:
-        nxt_l = trace.next_use().tolist()
-        trace._replay_cache["next_use_list"] = nxt_l
     id_bits = max(1, n_elem - 1).bit_length()
     id_mask = (1 << id_bits) - 1
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    heappushpop = heapq.heappushpop
+    # every access's packed heap entry, cached per trace
+    entries_l = trace._replay_cache.get("opt_entries")
+    if entries_l is None:
+        entries_l = (((n - trace.next_use()) << id_bits) | trace.elem_ids).tolist()
+        trace._replay_cache["opt_entries"] = entries_l
+    heappush, heappop, heappushpop = heapq.heappush, heapq.heappop, heapq.heappushpop
 
     group_of = [-1] * n_elem     # current group per element (-1: untracked)
-    nu_cur = [0] * n_elem        # next-use stamp the element entered with
+    cur = [0] * n_elem           # the entry the element entered its group with
     heaps: list[list[int]] = [[] for _ in range(m)]
     sizes = [0] * m
     caps_sz = [caps[0]] + [caps[i] - caps[i - 1] for i in range(1, m)]
@@ -546,7 +302,7 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
         while True:
             entry = heappop(h)
             e = entry & id_mask
-            if group_of[e] == j and nu_cur[e] == n - (entry >> id_bits):
+            if group_of[e] == j and cur[e] == entry:
                 return entry, e
 
     # Two fast paths keep the cascade off the heaps almost always:
@@ -574,31 +330,28 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
     def peek_valid_top(j: int) -> int:
         h = heaps[j]
         top = h[0]
-        while (
-            group_of[top & id_mask] != j
-            or nu_cur[top & id_mask] != n - (top >> id_bits)
-        ):
+        while group_of[top & id_mask] != j or cur[top & id_mask] != top:
             heappop(h)
             top = h[0]
         return top
 
     for p in range(n):
-        e = ids_l[p]
-        nu = nxt_l[p]
+        x = entries_l[p]
+        e = x & id_mask
         g = group_of[e]
         if g == 0:
             # Hit in the top group: membership unchanged, refresh the
-            # stamp (the old heap entry goes stale via ``nu_cur``).
-            nu_cur[e] = nu
-            heappush(heaps[0], ((n - nu) << id_bits) | e)
+            # entry (the old heap entry goes stale via ``cur``).
+            cur[e] = x
+            heappush(heaps[0], x)
             continue  # bucket[p] stays 0
         if g < 0:
             bucket[p] = m
-            nu_cur[e] = nu
+            cur[e] = x
             group_of[e] = 0
             if fill == 0:  # stack still growing: nothing overflows
                 sizes[0] += 1
-                heappush(heaps[0], ((n - nu) << id_bits) | e)
+                heappush(heaps[0], x)
                 if sizes[0] == caps_sz[0]:
                     fill = 1
                 continue
@@ -606,7 +359,7 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
             # the accessed element enters — it never carries at its own
             # access), so group 0's size is back to full immediately
             carry_entry, carry_e = extract_max(0)
-            heappush(heaps[0], ((n - nu) << id_bits) | e)
+            heappush(heaps[0], x)
             if carry_entry <= id_mask:
                 sink_never_again(carry_entry, carry_e)
                 continue
@@ -638,9 +391,9 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
             # furthest-next-use member down, and group g absorbs the last
             # carry in exchange for the accessed element.
             carry_entry, carry_e = extract_max(0)
-            nu_cur[e] = nu
+            cur[e] = x
             group_of[e] = 0
-            heappush(heaps[0], ((n - nu) << id_bits) | e)
+            heappush(heaps[0], x)
             j = 1
             while j < g and carry_entry > id_mask:
                 if carry_entry < peek_valid_top(j):
@@ -656,9 +409,7 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
             group_of[carry_e] = g
             heappush(heaps[g], carry_entry)
 
-    out = np.asarray(bucket, dtype=np.int64)
-    trace._replay_cache[key] = out
-    return out
+    return np.asarray(bucket, dtype=np.int64)
 
 
 def _belady_counts_from_buckets(
@@ -668,18 +419,19 @@ def _belady_counts_from_buckets(
 
     The miss mask is ``bucket > index``; stores reuse the LRU machinery
     (write-containing residency segments are policy-independent).  The
-    flush/evict split needs one more fact: the engine prefers never-
-    used-again victims, clean before dirty, over the heap.  Each
-    eviction therefore pops the clean pool, then the dirty pool, then
-    the heap — and because only *counts* matter (pool members are
-    interchangeable: evicting one never-reused element vs another never
-    changes later behavior, and every dirty-pool pop costs exactly one
-    writeback), the pools reduce to two clipped counter walks.  A pool
-    pop fails exactly where the walk ``(pushes - evictions)`` reaches a
-    new running minimum below zero (one clip per unit of descent, and
-    only evictions descend); clean-pool clips cascade into the dirty
-    walk, dirty-pool clips continue to the heap.  Dirty elements still
-    pooled at the end are the final flush.
+    flush/evict split needs one more fact: MIN evicts never-used-again
+    elements first, clean before dirty (the tie-break that keeps
+    eviction-time stores down).  Each eviction therefore pops the clean
+    pool, then the dirty pool, then the elements with a later use — and
+    because only *counts* matter (pool members are interchangeable:
+    evicting one never-reused element vs another never changes later
+    behavior, and every dirty-pool pop costs exactly one writeback), the
+    pools reduce to two clipped counter walks.  A pool pop fails exactly
+    where the walk ``(pushes - evictions)`` reaches a new running minimum
+    below zero (one clip per unit of descent, and only evictions
+    descend); clean-pool clips cascade into the dirty walk, dirty-pool
+    clips continue to the elements with a later use.  Dirty elements
+    still pooled at the end are the final flush.
     """
     n = trace.n_accesses
     capacity = caps[index]
@@ -727,20 +479,56 @@ def _belady_counts_from_buckets(
     return loads, stores - flush, flush
 
 
+def _belady_counts_above_peak(trace: CompiledTrace, capacity: int) -> tuple[int, int, int]:
+    """(loads, evict_stores, flush_stores) at a capacity at or above the live peak.
+
+    There only cold accesses miss, so each element has one residency
+    segment: the loads are the distinct elements and the stores the
+    written ones, each evicted dirty or flushed.  Every eviction finds a
+    resident element with no later use (see :func:`_live_peak`), and MIN
+    takes a clean one while there is one.  With ``R(p)`` the cold accesses
+    up to ``p`` and ``F(p)`` the final accesses of never-written elements
+    before ``p``, the evictions up to ``p`` number ``max(0, R(p) -
+    capacity)``, so the clean candidates run out — and an eviction writes
+    back — ``max(0, D - capacity)`` times, where ``D = max_p R(p) - F(p)``.
+    One O(n) pass per trace (cached), then O(1) per capacity.
+    """
+    stats = trace._replay_cache.get("above_peak")
+    if stats is None:
+        ids = trace.elem_ids
+        written = np.zeros(trace.n_elements, dtype=bool)
+        written[ids[trace.is_write]] = True
+        cold = trace.prev_access() < 0
+        clean_final = (trace.next_use() == trace.n_accesses) & ~written[ids]
+        demand = np.cumsum(cold) - np.cumsum(clean_final) + clean_final
+        stats = (
+            int(np.count_nonzero(cold)),
+            int(np.count_nonzero(written)),
+            int(demand.max()) if ids.size else 0,
+        )
+        trace._replay_cache["above_peak"] = stats
+    distinct, n_written, demand = stats
+    dirty = max(0, demand - capacity)
+    return distinct, dirty, n_written - dirty
+
+
 def _results(policy: str, trace: CompiledTrace, caps, counts) -> list[LruReplayResult]:
     """Result records for ``(loads, evict_stores, flush)`` per capacity.
 
-    Also emits the ``replay.<policy>.*`` probe counters, summed over the
-    capacities.
+    ``distinct`` counts the cold accesses: the elements this stream
+    touches, which for a :meth:`~CompiledTrace.select_ops` sub-trace can
+    be fewer than the interning's ``n_elements``.  Also emits the
+    ``replay.<policy>.*`` probe counters, summed over the capacities.
     """
     cls = BeladyReplayResult if policy == "belady" else LruReplayResult
+    distinct = int(np.count_nonzero(trace.prev_access() < 0))
     results = [
         cls(
             capacity=c,
             loads=loads,
             stores=evict_stores + flush,
             n_accesses=trace.n_accesses,
-            distinct=trace.n_elements,
+            distinct=distinct,
             evict_stores=evict_stores,
         )
         for c, (loads, evict_stores, flush) in zip(caps, counts)
@@ -770,28 +558,27 @@ def lru_replay_trace(trace: CompiledTrace, capacity: int) -> LruReplayResult:
 
 
 def belady_replay_trace(trace: CompiledTrace, capacity: int) -> BeladyReplayResult:
-    """Belady/MIN replay of a compiled trace at one capacity.
-
-    Runs the adaptive chunked simulation (:func:`_belady_simulate`); a
-    capacity sweep goes through :func:`sweep_replay_trace` instead.
-    """
-    capacity = as_capacity(capacity)
-    counts = _belady_simulate(trace, capacity)
-    return _results("belady", trace, [capacity], [counts])[0]
+    """Belady/MIN replay of a compiled trace at one capacity: the one-point
+    :func:`sweep_replay_trace`.  Below the trace's live peak it costs one
+    OPT-stack pass; at or above it only cold accesses miss, and the counts
+    cost one O(n) pass per trace."""
+    return sweep_replay_trace(trace, [capacity], policy="belady")[0]
 
 
 def _sweep_task(task) -> list[tuple[int, int, int]]:
     """Counts for one chunk of a sweep's capacities (also a pool worker).
 
-    ``grid`` is the Belady sweep's canonical capacity grid, or ``None`` for
-    LRU; the one-pass artifacts come from the trace's cache.
+    For Belady, ``grid`` holds the sweep's distinct capacities below the
+    live peak and ``bucket`` their :func:`_belady_buckets` (``None`` when
+    there are none); for LRU ``grid`` is ``None`` and the reuse distances
+    come from the trace's cache.
     """
-    trace, grid, caps = task
+    trace, grid, bucket, caps = task
     if grid is None:
         return [_lru_counts_from_distances(trace, c) for c in caps]
-    bucket = _belady_buckets(trace, grid)
     return [
         _belady_counts_from_buckets(trace, bucket, grid, grid.index(c))
+        if c in grid else _belady_counts_above_peak(trace, c)
         for c in caps
     ]
 
@@ -805,17 +592,20 @@ def sweep_replay_trace(
 ) -> list[LruReplayResult]:
     """Replay one trace at many capacities; results in input order.
 
-    The whole sweep is one pass: LRU classifies every capacity against the
-    cached reuse distances, Belady against one grouped OPT stack pass over
-    the *canonical grid* of all requested capacities
-    (:func:`_belady_buckets`, counted as ``replay.belady.sweep_one_pass``),
-    leaving only an O(n) counting step per capacity.  ``jobs > 1`` shards
-    the capacity list over a worker pool
+    The whole sweep is at most one pass: LRU classifies every capacity
+    against the cached reuse distances, Belady against one grouped OPT
+    stack pass over the distinct requested capacities below the live peak
+    (:func:`_belady_buckets`, counted as ``replay.belady.sweep_one_pass``;
+    none when every capacity is at or above the peak), leaving only an
+    O(n) counting step per capacity, and O(1) at or above the peak.
+    ``jobs > 1`` shards the capacity list over a worker pool
     (:func:`repro.perf.pool.parallel_map`); the parent computes the shared
-    artifacts first so workers inherit them via the pickled trace, and the
-    merge is in capacity order — results never depend on ``jobs``.  Probe
-    counters are emitted from the parent (worker probes are process-local
-    and deliberately lost).
+    artifacts first and hands them to the workers (the Belady buckets in
+    each task, the reuse distances and element runs via the pickled
+    trace's cache), so no worker walks the stack, and the merge is in
+    capacity order — results never depend on ``jobs``.  Probe counters
+    are emitted from the parent (worker probes are process-local and
+    deliberately lost).
     """
     if policy not in ("lru", "belady"):
         raise ConfigurationError(
@@ -824,25 +614,24 @@ def sweep_replay_trace(
     caps = [as_capacity(c) for c in capacities]
     if not caps:
         return []
-    grid = None
+    grid = bucket = None
     if policy == "belady":
-        grid = tuple(sorted(set(caps)))
-        _belady_buckets(trace, grid)
-        probe = get_probe()
-        if probe.enabled:
-            probe.count("replay.belady.sweep_one_pass")
+        peak = _live_peak(trace)
+        grid = tuple(sorted({c for c in caps if c < peak}))
+        if grid:
+            bucket = _belady_buckets(trace, grid)
     else:
         _reuse_distances(trace)
     _element_runs(trace)
     jobs = min(int(jobs), len(caps))
     if jobs <= 1:
-        counts = _sweep_task((trace, grid, caps))
+        counts = _sweep_task((trace, grid, bucket, caps))
     else:
         from ..perf.pool import parallel_map
 
         bounds = [len(caps) * k // jobs for k in range(jobs + 1)]
         tasks = [
-            (trace, grid, caps[bounds[k] : bounds[k + 1]])
+            (trace, grid, bucket, caps[bounds[k] : bounds[k + 1]])
             for k in range(jobs)
             if bounds[k] < bounds[k + 1]
         ]

@@ -1,7 +1,7 @@
 """The tuple-walking cache replays: the oracles for the array engines.
 
 Every LRU and Belady/MIN count in :mod:`repro.trace.replay` (reuse
-distances, the chunked MIN simulation, the OPT-stack sweep, the cursors)
+distances, the grouped OPT stack, the cursors)
 and every compiled access stream (:func:`repro.trace.compiled.compile_trace`)
 is pinned to these walkers, which share no code with the engines:
 

@@ -7,19 +7,15 @@ Three layers, one invariant — *results never depend on ``jobs``*:
   ``parallel_map`` order preservation, pool probe counters;
 * one-pass Belady sweeps — the grouped OPT-stack pass behind
   ``sweep_replay_trace`` must be bit-identical in loads / stores /
-  evict-vs-flush split to the single-capacity chunked engine
-  (``belady_replay_trace``) on the same trace at every capacity, on
-  synthetic adversarial streams (hypothesis + seeded sweeps) and on
-  recorded kernels; ``sweep_replay_trace`` must give the same rows serial
-  and sharded;
+  evict-vs-flush split to the tuple-walking oracle
+  (``replay_oracles.belady_replay_reference``) on the same trace at every
+  capacity, on synthetic adversarial streams (hypothesis + seeded sweeps)
+  and on recorded kernels; ``sweep_replay_trace`` must give the same rows
+  serial and sharded, and as per-capacity ``belady_replay_trace`` calls;
 * multi-chain annealing and multi-seed refinement — ``jobs=4`` bit-equal
   to the documented serial reduction (chain portfolio: min by
   ``(cost, chain_index)``; refine: seed-list order), with chain/seed 0
   reproducing the single-run API.
-
-Also pins the ``scalar_run`` crossover bugfix: the scalar and vectorized
-modes of the chunked engine agree at the boundary capacity where the old
-hard-wired threshold flipped behavior, and with the reference walker.
 """
 
 import numpy as np
@@ -33,15 +29,9 @@ from repro.obs.probe import probe_scope
 from repro.parallel.executor import partition_graph
 from repro.parallel.refine import refine_partition, refine_partitions
 from repro.perf.pool import SearchPool, parallel_map, task_seed
-from repro.trace import replay
 from repro.trace.compiled import CompiledTrace
-from repro.trace.replay import (
-    _SCALAR_RUN,
-    belady_replay_trace,
-    lru_replay_trace,
-    sweep_replay_trace,
-)
-from replay_oracles import belady_replay_reference
+from repro.trace.replay import _live_peak, belady_replay_trace, sweep_replay_trace
+from replay_oracles import belady_replay_reference, lru_replay_reference
 
 try:
     from hypothesis import given, settings
@@ -88,13 +78,13 @@ def random_stream(rng):
 
 
 def assert_one_pass_matches(trace, capacity):
-    """The grouped OPT-stack counts == the chunked engine's on the same trace."""
+    """The grouped OPT-stack counts == the oracle's on the same trace."""
     (one,) = sweep_replay_trace(trace, [capacity], policy="belady")
-    sim = belady_replay_trace(trace, capacity)
+    ref = belady_replay_reference(trace, capacity)
     assert (one.loads, one.stores, one.evict_stores, one.distinct) == (
-        sim.loads, sim.stores, sim.evict_stores, sim.distinct), capacity
+        ref.loads, ref.stores, ref.evict_stores, ref.distinct), capacity
     # flush split is derived (stores - evict_stores) but assert it anyway
-    assert one.stores - one.evict_stores == sim.stores - sim.evict_stores
+    assert one.stores - one.evict_stores == ref.stores - ref.evict_stores
 
 
 def square(x):  # module-level: picklable for ProcessPoolExecutor workers
@@ -199,15 +189,42 @@ def test_one_pass_on_recorded_kernels(kernel, n, mc):
         assert_one_pass_matches(trace, capacity)
 
 
-def test_sweep_rows_independent_of_jobs_and_method():
-    """Sweep rows equal per-capacity single calls, serial and sharded.
+def test_live_peak_is_the_exact_boundary():
+    """At the live peak only cold accesses miss; one below it a reuse misses.
 
-    For Belady the single calls run the chunked engine, so the rows are
-    also pinned across the two Belady engines.
+    Capacities at or above the peak skip the OPT-stack pass on the
+    strength of this and take their counts from a closed form, so both
+    are pinned against the oracle, and a sweep whose grid straddles the
+    peak walks the stack once and equals per-capacity calls.
     """
+    key = lambda r: (r.loads, r.stores, r.evict_stores)
+    rng = np.random.default_rng(2024)
+    traces = [build_trace(*random_stream(rng)) for _ in range(60)]
+    traces += [
+        record_case(kernel, n, mc, 15).trace
+        for kernel, n, mc in (("tbs", 24, 4), ("ocs", 24, 4), ("syr2k", 18, 3), ("chol", 16, 0))
+    ]
+    for trace in traces:
+        peak = _live_peak(trace)
+        at = belady_replay_trace(trace, peak)
+        assert at.loads == at.distinct == np.unique(trace.elem_ids).size
+        assert key(at) == key(belady_replay_reference(trace, peak))
+        if peak > 1:
+            assert belady_replay_trace(trace, peak - 1).loads > at.distinct
+        caps = sorted({max(1, c) for c in (peak // 2, peak - 1, peak, peak + 1, 2 * peak)})
+        with probe_scope() as probe:
+            rows = sweep_replay_trace(trace, caps)
+        below = sum(c < peak for c in caps)
+        assert probe.counters.get("replay.belady.sweep_one_pass", 0) == min(below, 1)
+        assert [key(r) for r in rows] == [key(belady_replay_trace(trace, c)) for c in caps]
+        assert [key(r) for r in rows] == [key(belady_replay_reference(trace, c)) for c in caps]
+
+
+def test_sweep_rows_independent_of_jobs_and_method():
+    """Sweep rows equal the oracles' per-capacity counts, serial and sharded."""
     trace = record_case("tbs", 24, 4, 15).trace
     caps = [1, 7, 15, 16, 30, 60, 240, 10**6]
-    for policy, single in (("lru", lru_replay_trace), ("belady", belady_replay_trace)):
+    for policy, single in (("lru", lru_replay_reference), ("belady", belady_replay_reference)):
         base = [single(trace, c) for c in caps]
         for jobs in (1, 3, 4):
             got = sweep_replay_trace(trace, caps, policy=policy, jobs=jobs)
@@ -228,26 +245,6 @@ def test_unknown_policy_rejected():
     trace = record_case("tbs", 20, 3, 15).trace
     with pytest.raises(ConfigurationError):
         sweep_replay_trace(trace, [15], policy="fifo")
-
-
-def test_scalar_run_threshold_override_regression(monkeypatch):
-    """Scalar and vectorized chunked modes agree at the crossover capacity.
-
-    The old code hard-wired the run threshold; a capacity equal to it chose
-    engine modes inconsistently between entry and the mid-replay switch.
-    Forcing each mode through ``_SCALAR_RUN`` (read at call time) must give
-    the reference walker's counts.
-    """
-    rng = np.random.default_rng(31337)
-    key = lambda r: (r.loads, r.stores, r.evict_stores)
-    for _ in range(8):
-        ids, writes, op_sizes = random_stream(rng)
-        trace = build_trace(ids, writes, op_sizes)
-        for capacity in (_SCALAR_RUN - 1, _SCALAR_RUN, _SCALAR_RUN + 1):
-            ref = key(belady_replay_reference(trace, capacity))
-            for threshold in (0, 10**9, _SCALAR_RUN):
-                monkeypatch.setattr(replay, "_SCALAR_RUN", threshold)
-                assert key(belady_replay_trace(trace, capacity)) == ref, threshold
 
 
 # ---------------------------------------------------------------------------

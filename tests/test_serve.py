@@ -596,6 +596,25 @@ class TestWarmStore:
         assert warm_store(store, [key], force=True) == [key]
         assert len(store) == 2
 
+    def test_warm_repairs_stale_and_misfiled_objects(self, store, case, key):
+        """An object in format v2 holds no key, and a copy filed under
+        another key's path holds the wrong one: both are misses for
+        ``get``, so warm searches exactly those two keys, and ``get``
+        then hits both."""
+        misfiled, good = ScheduleKey("tbs", 22, 3, 10), ScheduleKey("tbs", 24, 3, 10)
+        for k in (key, good):
+            store.put(k, case.schedule)
+        header, arrays = read_columns(store.object_path(key))
+        del header["key"]
+        write_columns(store.object_path(key), dict(header, version=2), arrays)
+        os.makedirs(os.path.dirname(store.object_path(misfiled)), exist_ok=True)
+        shutil.copyfile(store.object_path(good), store.object_path(misfiled))
+        assert warm_store(store, [key, misfiled, good]) == [key, misfiled]
+        with probe_scope() as probe:
+            assert all(store.get(k) is not None for k in (key, misfiled, good))
+        assert not {"serve.store.stale", "serve.store.corrupt"} & set(probe.counters)
+        assert store.keys() == sorted([key, misfiled, good])
+
     def test_warm_parallel_matches_serial(self, tmp_path):
         keys = [ScheduleKey("tbs", 20, 3, 10), ScheduleKey("tbs", 22, 3, 10)]
         serial = ScheduleStore(tmp_path / "serial")

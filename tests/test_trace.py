@@ -30,6 +30,7 @@ from repro.trace.io import (
 )
 from repro.trace.replay import (
     LruCursor,
+    _live_peak,
     belady_replay_trace,
     lru_replay_trace,
     sweep_replay_trace,
@@ -309,6 +310,24 @@ class TestCompiledTrace:
             a = belady_replay_trace(sub, capacity)
             b = belady_replay_trace(direct, capacity)
             assert (a.loads, a.stores) == (b.loads, b.stores)
+
+    def test_shard_results_count_their_own_elements(self, sched):
+        # A sub-trace shares the parent's interning, but a replay's
+        # ``distinct`` is its own stream's element count, so the cold-miss
+        # floor ``loads >= distinct`` holds shard by shard, and MIN meets
+        # it at the shard's live peak.
+        trace = compile_trace(sched)
+        shards = [trace.select_ops(list(range(q, trace.n_ops, 4))) for q in range(4)]
+        assert min(np.unique(sub.elem_ids).size for sub in shards) < trace.n_elements
+        for q, sub in enumerate(shards):
+            touched = int(np.unique(sub.elem_ids).size)
+            peak = _live_peak(sub)
+            for capacity in (1, 7, 15, peak, peak + 5):
+                for replay in (lru_replay_trace, belady_replay_trace):
+                    r = replay(sub, capacity)
+                    assert r.distinct == touched, (replay.__name__, q, capacity)
+                    assert r.loads >= r.distinct
+            assert belady_replay_trace(sub, peak).loads == touched
 
     def test_select_ops_rejects_bad_indices(self, sched):
         trace = compile_trace(sched)

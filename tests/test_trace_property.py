@@ -7,8 +7,8 @@ reference paths at every capacity:
 * *synthetic streams*: adversarial raw access sequences (arbitrary element
   IDs, write flags, op boundaries) built directly as
   :class:`~repro.trace.compiled.CompiledTrace` arrays, hammering the
-  chunked Belady engine's miss handling, the reuse-distance LRU counts
-  and the Belady sweep's OPT stack at tiny capacities;
+  reuse-distance LRU counts and the Belady OPT stack (one capacity and
+  sweeps) at tiny capacities;
 * *recorded op streams*: genuine kernel schedules at random shapes, which
   additionally exercise the vectorized compilation itself against
   the tuple-per-touch traversal of ``replay_oracles``.
