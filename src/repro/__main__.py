@@ -17,7 +17,7 @@ Commands
               interleavings) and compare the found orders' I/O against the
               one-shot heuristics and the Belady floor
 ``trace``     compile a recorded schedule to the array trace IR, save/load
-              it as ``.npz``, and run the vectorized LRU/Belady replays
+              it as a container, and run the vectorized LRU/Belady replays
               (``trace compile`` / ``trace replay`` / ``trace info``)
 ``parallel``  shard a recorded schedule's task DAG across P simulated nodes
               (partitioners: level-greedy / locality / owner-computes) and
@@ -32,7 +32,7 @@ Commands
               the best measured seed
 ``serve``     the schedule-serving layer (:mod:`repro.serve`): ``serve
               warm`` batch-searches a key grid into a content-addressed
-              on-disk store (atomic ``.npz`` objects, ``--jobs`` fans
+              on-disk store (atomic container objects, ``--jobs`` fans
               the searches over worker processes), ``serve query`` runs
               a zipf-ish synthetic request stream through the asyncio
               front end (in-process LRU over the store, duplicate

@@ -6,9 +6,10 @@ a whole PR) for:
 * **RPL101** — no raw artifact writes (``open(..., "w"/"wb"/...)``,
   ``np.savez*``) outside the atomic io layer.  PR 9's consistency story
   is temp-sibling + ``os.replace`` everywhere; a raw write reintroduces
-  the torn-file class.  A write is exempt inside ``trace/io.py`` or when
-  its enclosing function also calls ``os.replace`` (i.e. it *is* an
-  atomic writer).
+  the torn-file class.  A write is exempt only when its enclosing
+  function also calls ``os.replace`` (i.e. it *is* an atomic writer, as
+  ``repro.utils.atomic.atomic_write_bytes`` is); the containers of
+  ``trace/io.py`` go through that writer too.
 * **RPL102** — literal probe counter names must appear in the
   OBSERVABILITY.md taxonomy.  Undocumented counters silently rot the
   report format.  Dynamically built names (f-strings, variables) are
@@ -110,7 +111,6 @@ class _FileLint(ast.NodeVisitor):
         self._atomic_cache: dict[int, bool] = {}
         self._perf_aliases: set[str] = set()
         self._rng_aliases: set[str] = set()
-        self.in_io_layer = filename.replace(os.sep, "/").endswith("trace/io.py")
         self.in_rng_module = filename.replace(os.sep, "/").endswith("utils/rng.py")
         self.timing_exempt = bool({"obs", "benchmarks"} & set(parts))
 
@@ -189,8 +189,6 @@ class _FileLint(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _check_raw_write(self, node: ast.Call) -> None:
-        if self.in_io_layer:
-            return
         fn = node.func
         is_savez = (
             isinstance(fn, ast.Attribute)
@@ -221,8 +219,8 @@ class _FileLint(ast.NodeVisitor):
         what = "np.savez" if is_savez else "open(..., write mode)"
         self._flag(
             "RPL101", node.lineno,
-            f"raw artifact write via {what} outside trace/io.py — "
-            f"use the atomic temp+os.replace writers",
+            f"raw artifact write via {what} — "
+            f"use the atomic temp+os.replace writers of repro.utils.atomic",
         )
 
     def _check_counter_name(self, node: ast.Call) -> None:

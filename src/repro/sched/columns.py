@@ -2,7 +2,7 @@
 consumer of the schedule container imports.
 
 A schedule as columns, in the layout of the ``schedule`` container of
-:mod:`repro.trace.io` (format version 2).  Three columns hold one entry
+:mod:`repro.trace.io` (format version 4).  Three columns hold one entry
 per step, in step order: ``kind`` (:data:`LOAD`, :data:`EVICT` or
 :data:`COMPUTE`), ``ref`` (a matrix id for a load or evict, an op-type id
 for a compute) and ``writeback``.  ``lengths`` holds one length per index

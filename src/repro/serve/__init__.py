@@ -5,9 +5,9 @@ cost a search to produce but are keyed by a tiny request tuple, so serving
 is three tiers of memoization —
 
 * :mod:`repro.serve.store` — :class:`ScheduleKey` (the canonical tuple +
-  SHA-256 content address) and :class:`ScheduleStore` (atomic ``.npz``
-  objects, each holding its key in its header, and corruption-tolerant
-  reads);
+  SHA-256 content address) and :class:`ScheduleStore` (atomic,
+  checksummed schedule containers, each holding its key in its header,
+  and corruption-tolerant reads);
 * :mod:`repro.serve.cache` — :class:`ScheduleCache`, a bounded in-process
   LRU map whose access log replays through our *own* LRU and Belady
   engines — dogfooding the paper's LRU-vs-OPT analysis on our serving

@@ -95,7 +95,7 @@ def _search_cosearch(key: ScheduleKey) -> Schedule:
     """Joint order × partition co-search; the winning *order* is stored.
 
     The persisted artifact is the explicit single-node stream of the
-    winning order (the ``.npz`` schedule container has no owner column);
+    winning order (the schedule container has no owner column);
     re-partitioning a served order across ``key.p`` nodes is a cheap
     one-shot — the expensive joint walk is what the store amortizes.
     """
@@ -158,14 +158,14 @@ def warm_store(
     out over :func:`repro.perf.pool.parallel_map` — one searcher run per
     worker task, results landing in the store via atomic puts, so a
     crashed warm run leaves only whole entries.  A key is present only
-    when the object at its path holds it in its header (one header read,
-    :meth:`ScheduleStore.key_at`): an object in an older format holds no
-    key, and one copied over another key's path holds that key, so both
-    are searched and rewritten like missing ones.  ``force=True``
-    re-searches keys already present (e.g. after a searcher budget
-    change).
+    when the object at its path holds it in its header (``key in store``,
+    one header read): an object in an older format or a torn one yields
+    no key, and one copied over another key's path holds that key, so
+    all three are searched and rewritten like missing ones.
+    ``force=True`` re-searches keys already present (e.g. after a
+    searcher budget change).
     """
-    todo = [k for k in keys if force or store.key_at(k.digest()) != k]
+    todo = [k for k in keys if force or k not in store]
     parallel_map(_search_to_store, [(store.root, k.as_dict()) for k in todo], jobs=jobs)
     probe = get_probe()
     if probe.enabled and todo:

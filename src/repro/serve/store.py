@@ -5,17 +5,19 @@ Schedules are expensive to produce (a single E16-sized refinement runs
 ``(kernel, n, m, s, p, policy, alpha, beta)``.  :class:`ScheduleKey`
 canonicalizes that tuple into a stable JSON form and hashes it
 (SHA-256); :class:`ScheduleStore` files the searched schedule under the
-hash, layered over the existing ``.npz`` containers of
-:mod:`repro.trace.io`:
+hash, as a schedule container of :mod:`repro.trace.io` (one checksummed
+gzip stream: a JSON header, then the columns):
 
 * ``root/objects/<hh>/<digest>.npz`` — one schedule container per key,
   sharded by the first two hex digits, and nothing else: each object's
   header holds the key it was filed under, so the objects are the
-  store's only record.  A ``put`` writes one file, and writes are atomic
-  end to end: :func:`repro.trace.io.save_schedule` itself goes through a
-  sibling temp file + ``os.replace``, so an interrupted or concurrent
-  ``put`` can never leave a torn object at a digest path, nor lose
-  another writer's key.
+  store's only record.  The suffix is only a name.  A ``put`` writes one
+  file, and writes are atomic end to end:
+  :func:`repro.trace.io.save_schedule` itself goes through a sibling
+  temp file + ``os.replace``
+  (:func:`~repro.utils.atomic.atomic_write_bytes`), so an interrupted or
+  concurrent ``put`` can never leave a torn object at a digest path, nor
+  lose another writer's key.
 * Listing (:meth:`ScheduleStore.keys`, :meth:`ScheduleStore.stats`)
   reads one header per object on disk; serving never lists.
 
@@ -24,9 +26,13 @@ otherwise unreadable object is *a miss*, never an exception —
 :meth:`ScheduleStore.get` quarantines nothing and raises nothing, it
 reports ``serve.store.corrupt`` (or ``serve.store.stale`` for an object
 in an older container format) and returns ``None`` so the front end
-falls through to a fresh search that overwrites the bad object.  An
+falls through to a fresh search that overwrites the bad object.  Every
+read checks the object's checksum and length first, so a flipped byte,
+a truncation or bytes appended to an object are corrupt, and so is an
 object whose header names another key (one copied or renamed to the
-wrong digest path) is corrupt too.
+wrong digest path).  ``key in store`` reads the object's header
+(:meth:`ScheduleStore.key_at`), so it agrees with ``get`` on every object
+that is stale, torn or misfiled.
 """
 
 from __future__ import annotations
@@ -208,7 +214,10 @@ class ScheduleStore:
         return schedule
 
     def __contains__(self, key: ScheduleKey) -> bool:
-        return os.path.exists(self.object_path(key))
+        """Whether the object at ``key``'s path holds ``key``: one header
+        read, which checks the whole object, so a missing, stale, torn or
+        misfiled object is not in the store."""
+        return self.key_at(key.digest()) == key
 
     def __len__(self) -> int:
         return sum(1 for _ in self.digests())
@@ -225,7 +234,8 @@ class ScheduleStore:
 
     def key_at(self, digest: str) -> ScheduleKey | None:
         """The key the object at ``digest`` holds in its header, or ``None``
-        when it holds none, holds another digest's key or cannot be read."""
+        when it holds none, holds another digest's key, or is missing,
+        stale, torn or otherwise unreadable."""
         try:
             key = ScheduleKey.from_dict(read_header(self.object_path(digest)).get("key"))
         except (TypeError, ValueError):  # includes ConfigurationError

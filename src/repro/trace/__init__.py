@@ -11,10 +11,10 @@ This package is the performance substrate of the analysis layers:
   every LRU count, one grouped OPT-stack pass for every Belady capacity
   or sweep, skipped at or above the trace's live peak) plus the
   incremental LRU cursor the order searches use;
-* :mod:`repro.trace.io` — compact ``.npz`` + JSON-header on-disk formats
-  for compiled traces and for full schedules (integer step columns whose
-  compute ops are rebuilt on first access), behind ``python -m repro
-  trace``.
+* :mod:`repro.trace.io` — the on-disk containers for compiled traces and
+  for full schedules (integer step columns whose compute ops are rebuilt
+  on first access): one checksummed gzip stream each, a JSON header line
+  then the raw arrays, behind ``python -m repro trace``.
 
 The tuple-per-touch walkers these engines replaced live in the test
 suite as oracles (``tests/replay_oracles.py``: the access stream, LRU and

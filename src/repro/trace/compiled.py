@@ -28,7 +28,7 @@ suite pins it to a tuple-per-touch traversal (``tests/replay_oracles.py``).
 ``next_use()`` / ``prev_access()`` give the vectorized position links that
 the array-based replays (:mod:`repro.trace.replay`) and the Belady/MIN
 floor are built on; :mod:`repro.trace.io` serializes the arrays to a
-compact ``.npz`` container.
+trace container.
 """
 
 from __future__ import annotations

@@ -1,37 +1,59 @@
 """On-disk formats for compiled traces and recorded schedules.
 
-Both containers are a single ``.npz`` file (numpy's zip format, compressed)
-holding the payload arrays plus one ``header`` entry — a JSON string with
-the kind tag, the format version and the matrix names and shapes.  The
-split keeps the bulk data binary and compact while the metadata stays
-greppable: :func:`read_header` reads it without the arrays (``python -m
-repro trace info``).  Each kind has its own format version
-(:data:`FORMAT_VERSIONS`); a container in another version raises
-:class:`~repro.errors.StaleFormatError`, and no reader for an older
-version is kept.
+Both container kinds share one encoding: a single gzip stream whose
+content is one line of JSON, the *header*, then the raw bytes of the
+container's arrays, back to back.  The header holds the kind tag, the
+format version, the kind's metadata and ``sizes``: each array's length
+(its row count, for a params table).  Nothing typed comes from the file.
+Each kind fixes its arrays' dtypes (little-endian) and row widths, and a
+reader checks that the sizes tile the body exactly, so no dtype, shape
+or pickle is read from disk.  The arrays sit largest item size first,
+after a header line padded to a multiple of eight bytes, so each one is
+read in place, aligned and read-only.  ``zcat FILE | head -1`` prints
+the header.
+
+Every read inflates and checks the whole stream: the fixed ten-byte gzip
+header (no flags, no timestamp), the CRC-32 and length trailer, and that
+the stream reaches its end with nothing after it.  A file that fails
+raises :class:`~repro.errors.ConfigurationError`, so the serve store
+reads a flipped byte, a truncation or appended bytes as a corrupt
+object.  :func:`read_header` checks no less, so a torn object yields no
+header and no key.  The stream carries no timestamp, so two saves of
+one schedule write the same bytes.
+
+Each kind has its own format version (:data:`FORMAT_VERSIONS`); a
+container in another version raises :class:`~repro.errors.StaleFormatError`,
+and so does a file that starts with the zip signature: every container
+of the retired formats (trace v1, schedule v1–v3) is a numpy ``.npz``
+zip.  No reader for an older version is kept.
 
 Two kinds:
 
-``trace`` (version 1)
-    the arrays of a :class:`~repro.trace.compiled.CompiledTrace`.  Enough
-    to replay (LRU/Belady at any capacity) and to re-derive every count,
-    but op objects are gone — ``ops`` is ``None`` after loading.
-``schedule`` (version 3)
+``trace`` (version 2)
+    the arrays of a :class:`~repro.trace.compiled.CompiledTrace`, with
+    the write flags packed to bits.  Enough to replay (LRU/Belady at any
+    capacity) and to re-derive every count, but op objects are gone —
+    ``ops`` is ``None`` after loading.
+``schedule`` (version 4)
     a full :class:`~repro.sched.schedule.Schedule` as the integer columns
     of :mod:`repro.sched.columns`, which owns the layout (the column
     dtypes, the kind codes and :data:`~repro.sched.columns.OP_SPECS`):
     ``kind``, ``ref`` and ``writeback`` per step, ``lengths`` per index
-    array, the arrays back to back in ``index_data``, and one table
-    ``params_<t>`` per op type present.  The header adds the matrix names
-    and shapes, the op-type names that the ids index, and ``key``: the
-    serve store's key the schedule was filed under
+    array, the arrays back to back in ``index_data``, and one float64
+    table ``params_<t>`` per op type present, one row per op, as wide as
+    the type's matrix and scalar fields.  The header adds the matrix
+    names and shapes, the op-type names that the ids index, and ``key``:
+    the serve store's key the schedule was filed under
     (:meth:`~repro.serve.store.ScheduleKey.as_dict`), or ``null`` for a
     file saved outside a store.  ``load_schedule(path, key)`` refuses a
     container whose header names another key.
 
-Saving writes a schedule's columns as they are: the rewriter's and the
-loader's schedules carry them, and only a recorded or hand-built
-schedule derives them from its steps
+Saving to a path is atomic (:func:`~repro.utils.atomic.atomic_write_bytes`),
+so an interrupted save leaves the destination as it was; a path without
+the ``.npz`` suffix gets it, as numpy's savers named files.  A file
+object is written in place.  Saving writes a schedule's columns as they
+are: the rewriter's and the loader's schedules carry them, and only a
+recorded or hand-built schedule derives them from its steps
 (:meth:`~repro.sched.columns.ScheduleColumns.from_steps`).
 
 Loading a schedule checks the columns in a fixed number of numpy passes
@@ -62,11 +84,11 @@ sweeps.
 from __future__ import annotations
 
 import json
+import math
 import os
-import threading
-import zipfile
+import struct
 import zlib
-from typing import IO, Any
+from typing import IO
 
 import numpy as np
 
@@ -83,85 +105,162 @@ from ..sched.columns import (
     gather,
 )
 from ..sched.schedule import Schedule
+from ..utils.atomic import atomic_write_bytes
 from .compiled import CompiledTrace
 
 #: The format version each container kind is written in and read at.
-FORMAT_VERSIONS = {"trace": 1, "schedule": 3}
+FORMAT_VERSIONS = {"trace": 2, "schedule": 4}
+
+#: A container's first ten bytes: a gzip member with no flags, no
+#: timestamp and an unknown OS, so equal contents give equal bytes.
+_GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff"
+#: The first bytes of every container of a retired format (a numpy zip).
+_ZIP_SIGNATURE = b"PK\x03\x04"
+
+#: name -> (dtype, row shape): ``()`` for a column, ``(width,)`` for a table.
+Layout = dict[str, tuple[type, tuple[int, ...]]]
+
+#: The trace container's arrays (``is_write`` packed to bits).
+_TRACE_LAYOUT: Layout = {
+    "elem_ids": (np.int64, ()),
+    "is_write": (np.uint8, ()),
+    "op_starts": (np.int64, ()),
+    "op_read_ends": (np.int64, ()),
+    "key_matrix": (np.int32, ()),
+    "key_flat": (np.int64, ()),
+}
 
 
-def _write_npz(path: str | os.PathLike | IO[bytes], header: dict, arrays: dict) -> None:
-    payload = dict(header=np.asarray(json.dumps(header)), **arrays)
+def _body_order(layout: Layout) -> list[str]:
+    """The order the arrays sit in the body: largest item size first."""
+    return sorted(layout, key=lambda name: -np.dtype(layout[name][0]).itemsize)
+
+
+def _encode(header: dict, arrays: dict[str, np.ndarray], layout: Layout) -> bytes:
+    """One container: ``header`` plus the arrays' ``sizes``, then the arrays."""
+    raw = {
+        name: np.ascontiguousarray(arrays[name], np.dtype(layout[name][0]).newbyteorder("<"))
+        for name in _body_order(layout)
+    }
+    line = json.dumps(dict(header, sizes={name: len(a) for name, a in raw.items()}))
+    line += " " * (-(len(line) + 1) % 8) + "\n"  # the arrays start aligned
+    body = b"".join([line.encode(), *(a.tobytes() for a in raw.values())])
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)  # raw deflate
+    trailer = struct.pack("<II", zlib.crc32(body), len(body) & 0xFFFFFFFF)
+    return b"".join([_GZIP_HEADER, deflate.compress(body), deflate.flush(), trailer])
+
+
+def _write(
+    path: str | os.PathLike | IO[bytes], header: dict, arrays: dict, layout: Layout
+) -> None:
+    data = _encode(header, arrays, layout)
     if not isinstance(path, (str, os.PathLike)):
-        np.savez_compressed(path, **payload)
+        path.write(data)
         return
-    # Atomic for real paths: write a sibling temp file, then os.replace —
-    # an interrupted save can never leave a torn container at the
-    # destination (the serve store's whole consistency story rests on it).
-    # numpy appends ".npz" to extension-less names; normalize the
-    # destination the same way so the rename lands where savez would have.
     dest = os.fspath(path)
     if not dest.endswith(".npz"):
-        dest += ".npz"
-    tmp = f"{dest}.{os.getpid()}.{threading.get_ident()}.tmp.npz"
-    try:
-        np.savez_compressed(tmp, **payload)
-        os.replace(tmp, dest)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        dest += ".npz"  # the name numpy's savers gave, kept for every path
+    atomic_write_bytes(dest, data)
 
 
-def _header(npz, path) -> dict:
+def _decode(path: str | os.PathLike | IO[bytes]) -> tuple[dict, memoryview]:
+    """The header and the array bytes of the container at ``path``, after
+    the whole stream is checked."""
+    if isinstance(path, (str, os.PathLike)):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    else:
+        raw = path.read()
+    if raw.startswith(_ZIP_SIGNATURE):
+        raise StaleFormatError(f"{path}: a zip container, written in a retired format")
+    if not raw.startswith(_GZIP_HEADER):
+        raise ConfigurationError(f"{path}: not a repro container")
+    inflate = zlib.decompressobj(16 + zlib.MAX_WBITS)  # gzip: checks CRC and length
     try:
-        header = json.loads(str(npz["header"][()]))
-    except KeyError:
-        raise ConfigurationError(f"{path}: not a repro container (no header)") from None
+        body = inflate.decompress(raw)
+    except zlib.error as exc:
+        raise ConfigurationError(f"{path}: corrupt container ({exc})") from None
+    if not inflate.eof:
+        raise ConfigurationError(f"{path}: corrupt container (truncated)")
+    if inflate.unused_data:
+        raise ConfigurationError(
+            f"{path}: corrupt container ({len(inflate.unused_data)} bytes after its end)"
+        )
+    end = body.find(b"\n")
+    try:
+        header = json.loads(body[:end]) if end >= 0 else None
+    except ValueError:
+        header = None
     if not isinstance(header, dict):
-        raise ConfigurationError(f"{path}: not a repro container (header {header!r})")
-    return header
+        raise ConfigurationError(f"{path}: not a repro container (no header)")
+    return header, memoryview(body)[end + 1 :]
 
 
-def _read_npz(
-    path: str | os.PathLike | IO[bytes], kind: str
-) -> tuple[dict, dict[str, Any]]:
-    with np.load(path, allow_pickle=False) as npz:
-        header = _header(npz, path)
-        if header.get("kind") != kind:
-            raise ConfigurationError(
-                f"{path}: expected a {kind!r} file, found {header.get('kind')!r}"
-            )
-        if header.get("version") != FORMAT_VERSIONS[kind]:
-            raise StaleFormatError(
-                f"{path}: {kind} format version {header.get('version')!r}; "
-                f"this build reads version {FORMAT_VERSIONS[kind]}"
-            )
-        # Materialize before the file closes (NpzFile reads lazily).
-        arrays = {name: npz[name] for name in npz.files if name != "header"}
-    return header, arrays
+def _read(path: str | os.PathLike | IO[bytes], kind: str) -> tuple[dict, memoryview]:
+    header, body = _decode(path)
+    if header.get("kind") != kind:
+        raise ConfigurationError(
+            f"{path}: expected a {kind!r} file, found {header.get('kind')!r}"
+        )
+    if header.get("version") != FORMAT_VERSIONS[kind]:
+        raise StaleFormatError(
+            f"{path}: {kind} format version {header.get('version')!r}; "
+            f"this build reads version {FORMAT_VERSIONS[kind]}"
+        )
+    return header, body
+
+
+def _arrays(header: dict, body: memoryview, layout: Layout) -> dict[str, np.ndarray]:
+    """The arrays ``layout`` names, read in place from ``body`` at the
+    header's ``sizes``, which must name exactly them and tile the body."""
+    sizes = header.get("sizes")
+    if not (isinstance(sizes, dict) and sorted(sizes) == sorted(layout)):
+        names = sorted(sizes) if isinstance(sizes, dict) else sizes
+        raise ConfigurationError(
+            f"container members {names!r} are not the arrays its header names "
+            f"{sorted(layout)}"
+        )
+    arrays, offset = {}, 0
+    for name in _body_order(layout):
+        dtype, row = np.dtype(layout[name][0]).newbyteorder("<"), layout[name][1]
+        size = sizes[name]
+        if type(size) is not int or size < 0:
+            raise ConfigurationError(f"{name} has size {size!r}")
+        count = size * math.prod(row)
+        if count * dtype.itemsize > len(body) - offset:
+            raise ConfigurationError(f"{name} runs past the container's end")
+        array = np.frombuffer(body, dtype, count, offset).reshape(size, *row)
+        if dtype == np.bool_ and (array.view(np.uint8) > 1).any():
+            raise ConfigurationError(f"{name} holds a byte other than 0 or 1")
+        arrays[name] = array
+        offset += count * dtype.itemsize
+    if offset != len(body):
+        raise ConfigurationError(
+            f"the arrays fill {offset} of the container's {len(body)} bytes"
+        )
+    return arrays
 
 
 def read_header(path: str | os.PathLike) -> dict:
     """The JSON header of the container at ``path`` as written (kind and
-    version unchecked), read without its arrays.  Raises
+    version unchecked).  The whole stream is checked first, so a torn or
+    tampered container has none: raises
     :class:`~repro.errors.ConfigurationError` naming ``path`` and the
-    reason when ``path`` cannot be opened or holds no repro container."""
+    reason when ``path`` cannot be opened or holds no sound container,
+    and :class:`~repro.errors.StaleFormatError` for a zip of a retired
+    format."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            return _header(npz, path)
-    except ConfigurationError:
-        raise
+        return _decode(path)[0]
     except OSError as exc:
         raise ConfigurationError(f"{path}: {exc.strerror or exc}") from None
-    # numpy's, zipfile's and zlib's errors for an empty, text, .npy or torn file
-    except (EOFError, TypeError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
-        raise ConfigurationError(f"{path}: not a repro container") from exc
 
 
 # ---------------------------------------------------------------------- #
 # compiled traces
 # ---------------------------------------------------------------------- #
+
 def save_trace(trace: CompiledTrace, path: str | os.PathLike | IO[bytes]) -> None:
-    """Write a compiled trace as a compact ``.npz`` + JSON-header container."""
+    """Write a compiled trace as a trace container (format version 2)."""
     header = {
         "kind": "trace",
         "version": FORMAT_VERSIONS["trace"],
@@ -171,33 +270,25 @@ def save_trace(trace: CompiledTrace, path: str | os.PathLike | IO[bytes]) -> Non
         "n_ops": trace.n_ops,
         "n_elements": trace.n_elements,
     }
-    _write_npz(
-        path,
-        header,
-        dict(
-            elem_ids=trace.elem_ids,
-            is_write=np.packbits(trace.is_write),
-            op_starts=trace.op_starts,
-            op_read_ends=trace.op_read_ends,
-            key_matrix=trace.key_matrix,
-            key_flat=trace.key_flat,
-        ),
-    )
+    arrays = {name: getattr(trace, name) for name in _TRACE_LAYOUT}
+    arrays["is_write"] = np.packbits(trace.is_write)
+    _write(path, header, arrays, _TRACE_LAYOUT)
 
 
 def load_trace(path: str | os.PathLike | IO[bytes]) -> CompiledTrace:
     """Load a trace written by :func:`save_trace` (``ops`` is ``None``)."""
-    header, npz = _read_npz(path, "trace")
+    header, body = _read(path, "trace")
+    arrays = _arrays(header, body, _TRACE_LAYOUT)
     n = int(header["n_accesses"])
     return CompiledTrace(
         matrices=tuple(header["matrices"]),
         shapes={name: (int(r), int(c)) for name, (r, c) in header["shapes"].items()},
-        elem_ids=npz["elem_ids"],
-        is_write=np.unpackbits(npz["is_write"], count=n).astype(bool),
-        op_starts=npz["op_starts"],
-        op_read_ends=npz["op_read_ends"],
-        key_matrix=npz["key_matrix"],
-        key_flat=npz["key_flat"],
+        elem_ids=arrays["elem_ids"],
+        is_write=np.unpackbits(arrays["is_write"], count=n).astype(bool),
+        op_starts=arrays["op_starts"],
+        op_read_ends=arrays["op_read_ends"],
+        key_matrix=arrays["key_matrix"],
+        key_flat=arrays["key_flat"],
         ops=None,
     )
 
@@ -209,7 +300,7 @@ def save_schedule(
     schedule: Schedule, path: str | os.PathLike | IO[bytes], key: dict | None = None
 ) -> None:
     """Write a full schedule (loads, evicts, reconstructible compute ops)
-    as the integer columns of schedule format version 3, with ``key`` (a
+    as the integer columns of schedule format version 4, with ``key`` (a
     serve store key's ``as_dict()``, or ``None``) in the header.
 
     A schedule that carries columns (rewritten or loaded) is written as
@@ -235,7 +326,17 @@ def save_schedule(
         "shapes": [[int(r), int(c)] for r, c in schedule.shapes.values()],
         "ops": [cls.name for cls in columns.op_types],
     }
-    _write_npz(path, header, columns.arrays())
+    _write(path, header, columns.arrays(), _schedule_layout(columns.op_types))
+
+
+def _schedule_layout(op_classes: list[type]) -> Layout:
+    """The schedule container's arrays: the step columns, then one params
+    table per op type, as wide as the type's matrix and scalar fields."""
+    layout: Layout = {name: (dtype, ()) for name, dtype in COLUMNS.items()}
+    for t, cls in enumerate(op_classes):
+        matrices, _, scalars = OP_SPECS[cls]
+        layout[f"params_{t}"] = (np.float64, (len(matrices) + len(scalars),))
+    return layout
 
 
 def _schedule_header(header: dict) -> tuple[list[str], np.ndarray, list[type]]:
@@ -289,14 +390,13 @@ def _check_op_type(
 ) -> None:
     """Check every op of type ``cls`` against its :data:`OP_SPECS` bounds.
 
-    ``table`` is the type's params table and ``slots`` the index of each
-    op's first array in ``starts``/``lengths``.
+    ``table`` is the type's params table, as wide as its fields, and
+    ``slots`` the index of each op's first array in ``starts``/``lengths``.
     """
     matrices, fields, scalars = OP_SPECS[cls]
-    if table.dtype != np.float64 or table.shape != (slots.size, len(matrices) + len(scalars)):
+    if table.shape[0] != slots.size:
         raise ConfigurationError(
-            f"{cls.name} params must be float64 of shape "
-            f"{(slots.size, len(matrices) + len(scalars))}, found {table.dtype} {table.shape}"
+            f"{cls.name} params hold {table.shape[0]} rows for {slots.size} ops"
         )
     kinds = [None] * len(matrices) + list(scalars.values())
     whole = [j for j, kind in enumerate(kinds) if kind is not float]
@@ -356,21 +456,12 @@ def load_schedule(path: str | os.PathLike | IO[bytes], key: dict | None = None) 
     a ``key``, a container whose header names another key raises
     :class:`~repro.errors.ConfigurationError` too, after the version check.
     """
-    header, arrays = _read_npz(path, "schedule")
+    header, body = _read(path, "schedule")
     if key is not None and header.get("key") != key:
         raise ConfigurationError(f"{path}: holds key {header.get('key')!r}, not {key!r}")
     names, dims, op_classes = _schedule_header(header)
     tables = [f"params_{t}" for t in range(len(op_classes))]
-    if sorted(arrays) != sorted([*COLUMNS, *tables]):
-        raise ConfigurationError(
-            f"container members {sorted(arrays)} are not the columns its header names"
-        )
-    for name, dtype in COLUMNS.items():
-        if arrays[name].dtype != dtype or arrays[name].ndim != 1:
-            raise ConfigurationError(
-                f"{name} must be 1-D {np.dtype(dtype)}, found "
-                f"{arrays[name].dtype} {arrays[name].shape}"
-            )
+    arrays = _arrays(header, body, _schedule_layout(op_classes))
     kind, ref, writeback, lengths, data = (arrays[name] for name in COLUMNS)
     if not kind.size == ref.size == writeback.size:
         raise ConfigurationError("the kind, ref and writeback columns differ in length")
@@ -408,7 +499,6 @@ def load_schedule(path: str | os.PathLike | IO[bytes], key: dict | None = None) 
     for cls, table, slots in zip(op_classes, tables, op_slots):
         _check_op_type(cls, arrays[table], slots, starts, lengths, data, dims)
 
-    data.setflags(write=False)
     columns = ScheduleColumns(
         shapes={name: (r, c) for name, (r, c) in zip(names, dims.tolist())},
         names=names,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -493,6 +493,13 @@ def _belady_counts_above_peak(trace: CompiledTrace, capacity: int) -> tuple[int,
     back — ``max(0, D - capacity)`` times, where ``D = max_p R(p) - F(p)``.
     One O(n) pass per trace (cached), then O(1) per capacity.
     """
+    distinct, n_written, demand = _above_peak_stats(trace)
+    dirty = max(0, demand - capacity)
+    return distinct, dirty, n_written - dirty
+
+
+def _above_peak_stats(trace: CompiledTrace) -> tuple[int, int, int]:
+    """(distinct, written, D) of :func:`_belady_counts_above_peak`, cached."""
     stats = trace._replay_cache.get("above_peak")
     if stats is None:
         ids = trace.elem_ids
@@ -507,9 +514,7 @@ def _belady_counts_above_peak(trace: CompiledTrace, capacity: int) -> tuple[int,
             int(demand.max()) if ids.size else 0,
         )
         trace._replay_cache["above_peak"] = stats
-    distinct, n_written, demand = stats
-    dirty = max(0, demand - capacity)
-    return distinct, dirty, n_written - dirty
+    return stats
 
 
 def _results(policy: str, trace: CompiledTrace, caps, counts) -> list[LruReplayResult]:
@@ -583,6 +588,20 @@ def _sweep_task(task) -> list[tuple[int, int, int]]:
     ]
 
 
+def _task_trace(trace: CompiledTrace, artifacts: list[str]) -> CompiledTrace:
+    """``trace`` as a pool task carries it: its arrays, its next-use links
+    and the cached ``artifacts``, without op objects, previous-access
+    links or any other cached artifact (the OPT walk's packed entries
+    alone pickle larger than the trace)."""
+    return replace(
+        trace,
+        ops=None,
+        _next_use=trace.next_use(),
+        _prev_access=None,
+        _replay_cache={name: trace._replay_cache[name] for name in artifacts},
+    )
+
+
 def sweep_replay_trace(
     trace: CompiledTrace,
     capacities,
@@ -600,12 +619,11 @@ def sweep_replay_trace(
     O(n) counting step per capacity, and O(1) at or above the peak.
     ``jobs > 1`` shards the capacity list over a worker pool
     (:func:`repro.perf.pool.parallel_map`); the parent computes the shared
-    artifacts first and hands them to the workers (the Belady buckets in
-    each task, the reuse distances and element runs via the pickled
-    trace's cache), so no worker walks the stack, and the merge is in
-    capacity order — results never depend on ``jobs``.  Probe counters
-    are emitted from the parent (worker probes are process-local and
-    deliberately lost).
+    artifacts first and hands each task only what :func:`_sweep_task`
+    reads (:func:`_task_trace`, plus the Belady buckets), so no worker
+    walks the stack, and the merge is in capacity order — results never
+    depend on ``jobs``.  Probe counters are emitted from the parent
+    (worker probes are process-local and deliberately lost).
     """
     if policy not in ("lru", "belady"):
         raise ConfigurationError(
@@ -620,8 +638,13 @@ def sweep_replay_trace(
         grid = tuple(sorted({c for c in caps if c < peak}))
         if grid:
             bucket = _belady_buckets(trace, grid)
+        artifacts = ["elem_runs"]
+        if max(caps) >= peak:
+            _above_peak_stats(trace)
+            artifacts.append("above_peak")
     else:
         _reuse_distances(trace)
+        artifacts = ["lru_dist", "elem_runs"]
     _element_runs(trace)
     jobs = min(int(jobs), len(caps))
     if jobs <= 1:
@@ -629,9 +652,10 @@ def sweep_replay_trace(
     else:
         from ..perf.pool import parallel_map
 
+        shipped = _task_trace(trace, artifacts)
         bounds = [len(caps) * k // jobs for k in range(jobs + 1)]
         tasks = [
-            (trace, grid, bucket, caps[bounds[k] : bounds[k + 1]])
+            (shipped, grid, bucket, caps[bounds[k] : bounds[k + 1]])
             for k in range(jobs)
             if bounds[k] < bounds[k + 1]
         ]

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 import pytest
-from container_columns import read_columns, write_columns
+from container_columns import read_columns, write_zip
 from legality_oracle import walk_schedule
 
 from repro.check import (
@@ -480,8 +480,8 @@ class TestValidatorFindings:
 # observability + CLI
 # --------------------------------------------------------------------- #
 def write_v1_container(path) -> None:
-    """A schedule container in the retired version-1 format."""
-    write_columns(
+    """A schedule container in the retired version-1 format (a numpy zip)."""
+    write_zip(
         path,
         {"kind": "schedule", "version": 1, "shapes": {"A": [N, M]}, "steps": []},
         {"index_data": np.arange(2, dtype=np.int64)},
@@ -631,8 +631,8 @@ class TestCheckSurface:
             store.put(key, cases[key.kernel].schedule)
         write_v1_container(store.object_path(stale))
         header, arrays = read_columns(store.object_path(stale2))
-        del header["key"]  # version 2 is version 3 with no key in the header
-        write_columns(store.object_path(stale2), dict(header, version=2), arrays)
+        del header["key"]  # version 2 held today's columns, with no key in the header
+        write_zip(store.object_path(stale2), dict(header, version=2), arrays)
         with open(store.object_path(broken), "wb") as fh:
             fh.write(b"not a container")
         code, doc = self._check_store_json(capsys, store.root, "--all")

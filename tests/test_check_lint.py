@@ -49,8 +49,10 @@ class TestRawWriteLint:
         assert _codes("np.savez(p, a=a)\n") == ["RPL101"]
         assert _codes("numpy.savez_compressed(p, a=a)\n") == ["RPL101"]
 
-    def test_io_layer_exempt(self):
-        assert _codes('open(p, "wb")\n', "src/repro/trace/io.py") == []
+    def test_io_layer_not_exempt(self):
+        """The containers go through ``atomic_write_bytes`` like every
+        other artifact, so no file is exempt by name."""
+        assert _codes('open(p, "wb")\n', "src/repro/trace/io.py") == ["RPL101"]
 
     def test_atomic_function_exempt(self):
         src = (

@@ -14,6 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from container_columns import read_columns
+
 from repro.check.certify import certify_schedule
 from repro.graph.compare import record_case
 from repro.graph.rewriter import reschedule, rewrite_trace
@@ -33,8 +35,9 @@ def cases():
 
 
 def members(path) -> dict:
-    with np.load(path, allow_pickle=False) as npz:
-        return {name: (npz[name].dtype.str, npz[name].shape, npz[name].tobytes()) for name in npz.files}
+    header, arrays = read_columns(path)
+    members = {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}
+    return dict(members, header=header)
 
 
 def certificate(schedule, s):

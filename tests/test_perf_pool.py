@@ -232,6 +232,38 @@ def test_sweep_rows_independent_of_jobs_and_method():
                 (r.loads, r.stores, r.evict_stores) for r in base], (policy, jobs)
 
 
+def test_sweep_tasks_ship_only_what_workers_read(monkeypatch):
+    """However much the parent has cached, a pool task pickles to no more
+    than the trace before any sweep plus the artifacts its worker reads,
+    and its rows equal the serial sweep's."""
+    import pickle
+
+    import repro.perf.pool as pool
+
+    trace = record_case("tbs", 40, 6, 15).trace
+    before = len(pickle.dumps(trace))
+    caps = [16, 64, 256, 10**6]
+    serial = {p: sweep_replay_trace(trace, caps, policy=p) for p in ("lru", "belady")}
+    assert "opt_entries" in trace._replay_cache
+    tasks = []
+    real = pool.parallel_map
+    monkeypatch.setattr(
+        pool, "parallel_map",
+        lambda fn, items, jobs: tasks.extend(items) or real(fn, items, jobs=jobs),
+    )
+    for policy, artifacts in (("lru", {"lru_dist", "elem_runs"}),
+                              ("belady", {"elem_runs", "above_peak"})):
+        tasks.clear()
+        assert sweep_replay_trace(trace, caps, policy=policy, jobs=2) == serial[policy]
+        assert len(tasks) == 2
+        for task in tasks:
+            shipped = task[0]
+            assert shipped.ops is None and set(shipped._replay_cache) == artifacts
+            read = pickle.dumps((shipped._next_use, shipped._replay_cache, *task[1:]))
+            assert len(pickle.dumps(task)) <= before + len(read)
+    assert len(pickle.dumps(trace)) > before + len(read)  # what the parent holds
+
+
 def test_sweep_preserves_input_order_and_duplicates():
     trace = record_case("tbs", 20, 3, 15).trace
     caps = [60, 1, 15, 1, 60]

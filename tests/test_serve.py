@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from container_columns import read_columns, step_spans, write_columns
+from container_columns import read_columns, step_spans, write_columns, write_zip
 
 from repro.__main__ import main
 from repro.errors import ConfigurationError
@@ -261,11 +261,13 @@ class TestScheduleStore:
 
     def test_older_format_reads_as_stale(self, store, case, key):
         """An object in a retired format is a counted stale miss, and the
-        next put rewrites it: version 1 (JSON step records) and version 2
-        (the columns of today, with no key in the header)."""
+        next put rewrites it.  Each was a numpy zip: version 1 (JSON step
+        records), version 2 (the columns of today, with no key in the
+        header) and version 3 (the columns and the key)."""
         store.put(key, case.schedule)
         path = store.object_path(key)
         header, arrays = read_columns(path)
+        v3 = dict(header, version=3)
         del header["key"]
         v1 = {
             "kind": "schedule",
@@ -279,16 +281,77 @@ class TestScheduleStore:
         for old in [
             (v1, {"index_data": np.arange(2, dtype=np.int64)}),
             (dict(header, version=2), arrays),
+            (v3, arrays),
         ]:
-            write_columns(path, *old)
+            write_zip(path, *old)
             with probe_scope() as probe:
                 assert store.get(key) is None
             assert probe.counters["serve.store.stale"] == 1
             assert "serve.store.corrupt" not in probe.counters
+            assert key not in store
             store.put(key, case.schedule)
             with probe_scope() as probe:
                 assert case.check_exact(store.get(key))
             assert "serve.store.stale" not in probe.counters
+
+    def test_damaged_bytes_read_as_corrupt(self, store, case, key):
+        """The checksum and length are checked on every read: a flipped
+        byte anywhere (spread over the file, and every byte of the gzip
+        header and trailer), a truncation and appended bytes are each a
+        counted corrupt miss, with and without verify."""
+        store.put(key, case.schedule)
+        path = store.object_path(key)
+        whole = open(path, "rb").read()
+        size = len(whole)
+        offsets = {*np.linspace(0, size - 1, 24).astype(int).tolist(),
+                   *range(10), *range(size - 8, size)}
+        damaged = []
+        for offset in sorted(offsets):
+            flipped = bytearray(whole)
+            flipped[offset] ^= 0xFF
+            damaged.append(bytes(flipped))
+        damaged += [whole[:10], whole[: size // 2], whole[:-1], whole + b"\0", whole + whole]
+        for data in damaged:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            for verify in (False, True):
+                with probe_scope() as probe:
+                    assert store.get(key, verify=verify) is None
+                assert probe.counters["serve.store.corrupt"] == 1
+            with pytest.raises(ConfigurationError):
+                read_header(path)
+            assert key not in store and store.key_at(key.digest()) is None
+        with open(path, "wb") as fh:
+            fh.write(whole)
+        assert case.check_exact(store.get(key, verify=True))
+
+    def test_in_agrees_with_get(self, store, case, key):
+        """``key in store`` holds exactly when the object at its path holds
+        ``key``: not for a zip of a retired format, a copy of another
+        key's object, or a truncated object."""
+        stale, misfiled, torn = (ScheduleKey("tbs", 20, 3, 10 + i) for i in (1, 2, 3))
+        for k in (key, stale, torn):
+            store.put(k, case.schedule)
+        header, arrays = read_columns(store.object_path(stale))
+        write_zip(store.object_path(stale), dict(header, version=3), arrays)
+        os.makedirs(os.path.dirname(store.object_path(misfiled)), exist_ok=True)
+        shutil.copyfile(store.object_path(key), store.object_path(misfiled))
+        with open(store.object_path(torn), "rb+") as fh:
+            fh.truncate(os.path.getsize(store.object_path(torn)) // 2)
+        for k in (key, stale, misfiled, torn):
+            assert (k in store) == (store.get(k) is not None) == (k == key)
+
+    @pytest.mark.parametrize("kernel", ["tbs", "syr2k", "chol", "ocs"])
+    def test_column_rewrite_of_an_untouched_object_is_byte_identical(self, store, kernel):
+        """``write_columns`` of an untouched container writes the saver's
+        bytes, so every tamper test's container reaches the column checks."""
+        key = ScheduleKey(kernel, 12, 3, 10)
+        store.put(key, record_case(kernel, 12, 3, 10).schedule)
+        path = store.object_path(key)
+        saved = open(path, "rb").read()
+        write_columns(path, *read_columns(path))
+        assert open(path, "rb").read() == saved
+        assert store.get(key) is not None
 
     def test_misfiled_object_reads_as_corrupt(self, store, case, key):
         """An object copied to another key's digest path holds the wrong key
@@ -357,22 +420,15 @@ class TestScheduleStore:
         assert json.loads(capsys.readouterr().out)["stats"]["objects"] == 40
 
     def test_interrupted_put_keeps_old_entry(self, store, case, key, monkeypatch):
-        import repro.trace.io as tio
+        import repro.utils.atomic as atomic
+        from container_columns import torn_open
 
         store.put(key, case.schedule)
         before = open(store.object_path(key), "rb").read()
-
-        real = tio.np.savez_compressed
-
-        def torn(path, **arrays):
-            with open(path, "wb") as fh:
-                fh.write(b"PK\x03\x04 torn mid-write")
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(tio.np, "savez_compressed", torn)
+        monkeypatch.setattr(atomic, "open", torn_open, raising=False)
         with pytest.raises(KeyboardInterrupt):
             store.put(key, case.schedule)
-        monkeypatch.setattr(tio.np, "savez_compressed", real)
+        monkeypatch.undo()
         assert open(store.object_path(key), "rb").read() == before
         assert store.get(key) is not None
 
@@ -606,7 +662,7 @@ class TestWarmStore:
             store.put(k, case.schedule)
         header, arrays = read_columns(store.object_path(key))
         del header["key"]
-        write_columns(store.object_path(key), dict(header, version=2), arrays)
+        write_zip(store.object_path(key), dict(header, version=2), arrays)
         os.makedirs(os.path.dirname(store.object_path(misfiled)), exist_ok=True)
         shutil.copyfile(store.object_path(good), store.object_path(misfiled))
         assert warm_store(store, [key, misfiled, good]) == [key, misfiled]

@@ -685,18 +685,13 @@ class TestTraceIO:
 
     def test_save_is_atomic_under_interrupt(self, sched, tmp_path, monkeypatch):
         """A save killed mid-write never tears the destination container."""
-        import repro.trace.io as tio
+        import repro.utils.atomic as atomic
+        from container_columns import torn_open
 
         path = tmp_path / "s.npz"
         save_schedule(sched, path)
         before = path.read_bytes()
-
-        def torn_write(file, **payload):
-            with open(file, "wb") as fh:
-                fh.write(b"PK\x03\x04 half a container")
-            raise KeyboardInterrupt  # the canonical mid-write kill
-
-        monkeypatch.setattr(tio.np, "savez_compressed", torn_write)
+        monkeypatch.setattr(atomic, "open", torn_open, raising=False)
         with pytest.raises(KeyboardInterrupt):
             save_schedule(sched, path)
         monkeypatch.undo()
@@ -704,6 +699,49 @@ class TestTraceIO:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["s.npz"]
         assert load_schedule(path).counts() == sched.counts()
+
+    def test_two_saves_write_identical_bytes(self, sched, tmp_path, monkeypatch):
+        """The container holds no timestamp: saves at two clock readings,
+        to a path and to a file object, write the same bytes."""
+        import io
+        import time
+
+        a, b = tmp_path / "a.npz", io.BytesIO()
+        save_schedule(sched, a, {"n": 1})
+        monkeypatch.setattr(time, "time", lambda: 2e9)
+        save_schedule(sched, b, {"n": 1})
+        assert b.getvalue() == a.read_bytes()
+
+    def test_trace_roundtrip_empty_and_file_object(self, sched):
+        import io
+
+        empty = CompiledTrace(
+            matrices=(), shapes={}, elem_ids=np.zeros(0, np.int64),
+            is_write=np.zeros(0, bool), op_starts=np.zeros(1, np.int64),
+            op_read_ends=np.zeros(0, np.int64), key_matrix=np.zeros(0, np.int32),
+            key_flat=np.zeros(0, np.int64),
+        )
+        for trace in (empty, compile_trace(sched)):
+            buffer = io.BytesIO()
+            save_trace(trace, buffer)
+            buffer.seek(0)
+            loaded = load_trace(buffer)
+            assert (loaded.matrices, loaded.shapes) == (trace.matrices, trace.shapes)
+            for name in ("elem_ids", "is_write", "op_starts", "op_read_ends",
+                         "key_matrix", "key_flat"):
+                got, want = getattr(loaded, name), getattr(trace, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert loaded.n_ops == trace.n_ops and loaded.n_elements == trace.n_elements
+
+    def test_torn_container_has_no_header(self, sched, tmp_path):
+        """The header is read only after the whole stream checks out."""
+        path = tmp_path / "s.npz"
+        save_schedule(sched, path, {"n": 1})
+        whole = path.read_bytes()
+        for torn in (whole[: len(whole) // 2], whole[:-1], whole + b"\0"):
+            path.write_bytes(torn)
+            with pytest.raises(ConfigurationError, match="corrupt container"):
+                read_header(path)
 
     def test_save_extensionless_path_lands_like_numpy(self, sched, tmp_path):
         """numpy appends .npz to bare names; the atomic path must match."""
