@@ -13,6 +13,9 @@ most X elements":
 Theorem 4.1 then caps everything with ``sqrt(2)/(3 sqrt 3) X^{3/2}``;
 :func:`verify_theorem41_chain` asserts the whole chain
 ``enumerate <= H'' <= bound`` and returns the values for reporting.
+
+SciPy is imported inside :func:`numeric_p_doubleprime`, when it is called,
+so ``import repro`` never loads it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.balanced import (
     enumerate_balanced_optimum,
@@ -47,6 +49,8 @@ def numeric_p_doubleprime(x: float, i0: float | None = None, k0: float | None = 
     Started near (but not at) the closed-form optimum by default; used to
     confirm the KKT algebra of Lemma 4.6 independently.
     """
+    from scipy.optimize import minimize
+
     closed = solve_p_doubleprime(x)
     start = np.array(
         [i0 if i0 is not None else max(closed.i_star * 0.7, 1.1),

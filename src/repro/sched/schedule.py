@@ -50,7 +50,8 @@ class Schedule:
     (:func:`repro.trace.io.load_schedule`) carries its container
     ``columns`` (:class:`~repro.sched.columns.ScheduleColumns`) instead: it
     builds that list once, on first access, and answers ``len()``,
-    ``counts()`` and ``io_volume()`` from the columns (:meth:`deferred`).
+    ``counts()`` and ``io_volume()`` from the columns, the last two on
+    first call (:meth:`deferred`).
     """
 
     def __init__(
@@ -79,15 +80,15 @@ class Schedule:
         makes from them on first access.
 
         ``len()``, :meth:`counts` and :meth:`io_volume` come from the
-        columns.  Concurrent first accesses build once and all get the
-        same list.
+        columns, the last two computed on first call, so a disk hit that
+        nobody asks for statistics pays nothing for them.  Concurrent
+        first accesses build once and all get the same list.
         """
         schedule = cls(shapes=columns.shapes)
         schedule._steps = None
         schedule._build = build
         schedule._lock = threading.Lock()
         schedule._columns = columns
-        schedule._stats_cache = (len(columns), columns.counts(), columns.io_volume())
         return schedule
 
     @property
@@ -123,29 +124,35 @@ class Schedule:
 
     def __len__(self) -> int:
         steps = self._steps
-        return self._stats_cache[0] if steps is None else len(steps)
+        return len(self._columns) if steps is None else len(steps)
 
     def __iter__(self):
         return iter(self.steps)
 
     def _stats(self) -> tuple[dict[str, int], tuple[int, int]]:
         cache = self._stats_cache
-        if cache is not None and cache[0] == len(self):
+        n = len(self)
+        if cache is not None and cache[0] == n:
             return cache[1], cache[2]
-        counts = {"load": 0, "evict": 0, "compute": 0}
-        loads = stores = 0
-        for s in self.steps:
-            if isinstance(s, LoadStep):
-                counts["load"] += 1
-                loads += s.region.size
-            elif isinstance(s, EvictStep):
-                counts["evict"] += 1
-                if s.writeback:
-                    stores += s.region.size
-            else:
-                counts["compute"] += 1
-        self._stats_cache = (len(self.steps), counts, (loads, stores))
-        return counts, (loads, stores)
+        columns = self.columns
+        if columns is not None:
+            counts, volume = columns.counts(), columns.io_volume()
+        else:
+            counts = {"load": 0, "evict": 0, "compute": 0}
+            loads = stores = 0
+            for s in self.steps:
+                if isinstance(s, LoadStep):
+                    counts["load"] += 1
+                    loads += s.region.size
+                elif isinstance(s, EvictStep):
+                    counts["evict"] += 1
+                    if s.writeback:
+                        stores += s.region.size
+                else:
+                    counts["compute"] += 1
+            volume = (loads, stores)
+        self._stats_cache = (n, counts, volume)
+        return counts, volume
 
     def counts(self) -> dict[str, int]:
         """Step-type histogram (loads / evicts / computes); cached."""

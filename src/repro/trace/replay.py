@@ -265,7 +265,9 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
     every one (cold, or deeper than ``max(caps)``).  One OPT-stack pass,
     counted as ``replay.belady.sweep_one_pass`` — the Belady analogue of
     :func:`_reuse_distances`.  Callers pass only the capacities below the
-    live peak.  Not cached: the array costs 8 bytes per access.
+    live peak.  Stored in the smallest unsigned dtype that holds
+    ``len(caps)`` (one byte per access up to 255 capacities), so a pool
+    task ships it cheaply.  Not cached.
     """
     probe = get_probe()
     if probe.enabled:
@@ -409,7 +411,7 @@ def _belady_buckets(trace: CompiledTrace, caps: tuple[int, ...]) -> np.ndarray:
             group_of[carry_e] = g
             heappush(heaps[g], carry_entry)
 
-    return np.asarray(bucket, dtype=np.int64)
+    return np.asarray(bucket, dtype=np.min_scalar_type(m))
 
 
 def _belady_counts_from_buckets(

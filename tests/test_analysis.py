@@ -1,6 +1,11 @@
 """Tests for the analysis layer: models-vs-measured grid, OI, optimum, sweeps."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +153,48 @@ class TestOptimum:
         assert chk.enumerated <= chk.continuous + 1e-9
         assert chk.continuous <= chk.bound + 1e-9
         assert 0 < chk.tightness <= 1.0
+
+
+#: What a serving process and the CLI import.  Spelled out here so the
+#: guard does not depend on any caller's import list.
+SERVE_PATH_MODULES = (
+    "repro",
+    "repro.serve",
+    "repro.graph.compare",
+    "repro.graph.dependency",
+    "repro.graph.rewriter",
+    "repro.graph.search",
+    "repro.parallel.cosearch",
+    "repro.check.certify",
+    "repro.__main__",
+)
+
+
+def test_serve_path_imports_no_scipy():
+    """A fresh interpreter that imports the serve path and the CLI loads no
+    scipy module; the Section 4 cross-check loads ``scipy.optimize`` only
+    when it is called, and still matches the closed form."""
+    script = textwrap.dedent("""
+        import importlib, sys
+        for name in sys.argv[1:]:
+            importlib.import_module(name)
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:5]}"
+
+        from repro.analysis.optimum import numeric_p_doubleprime
+        from repro.core.balanced import solve_p_doubleprime
+        value = numeric_p_doubleprime(45.0).value
+        assert "scipy.optimize" in sys.modules
+        closed = solve_p_doubleprime(45.0).value
+        assert abs(value - closed) <= 1e-4 * closed, (value, closed)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *SERVE_PATH_MODULES],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestSweep:

@@ -91,6 +91,38 @@ def test_columns_go_stale_when_the_built_steps_change_length(cases):
     assert cert.stats["n_steps"] == n + 1
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_loaded_statistics_come_from_the_columns_on_first_call(
+    cases, tmp_path, monkeypatch, kernel
+):
+    """A load computes no statistics; ``len()``, ``counts()`` and
+    ``io_volume()`` then equal a plain step-built schedule's, and answering
+    them builds no step (the two column passes run once)."""
+    import repro.trace.io as tio
+    from repro.sched.columns import ScheduleColumns
+
+    builds, passes = [], []
+    real = tio.build_steps
+    monkeypatch.setattr(tio, "build_steps", lambda columns: builds.append(1) or real(columns))
+    for name in ("counts", "io_volume"):
+        method = getattr(ScheduleColumns, name)
+        monkeypatch.setattr(
+            ScheduleColumns, name,
+            lambda self, method=method, name=name: passes.append(name) or method(self),
+        )
+    path = tmp_path / "s.npz"
+    save_schedule(reschedule(cases[kernel].trace, 15).schedule, path)
+    passes.clear()
+    loaded = load_schedule(path)
+    assert passes == []
+    answers = (len(loaded), loaded.counts(), loaded.io_volume())
+    assert (len(loaded), loaded.counts(), loaded.io_volume()) == answers
+    assert builds == [] and sorted(passes) == ["counts", "io_volume"]
+    plain = Schedule(list(loaded.steps), loaded.shapes)
+    assert plain.columns is None
+    assert answers == (len(plain), plain.counts(), plain.io_volume())
+
+
 def test_heuristic_miss_builds_no_step(tmp_path, monkeypatch):
     """record -> compile -> DAG -> list schedule -> rewrite -> certify ->
     save: the rewritten schedule's steps are never built."""

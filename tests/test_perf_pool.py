@@ -235,7 +235,8 @@ def test_sweep_rows_independent_of_jobs_and_method():
 def test_sweep_tasks_ship_only_what_workers_read(monkeypatch):
     """However much the parent has cached, a pool task pickles to no more
     than the trace before any sweep plus the artifacts its worker reads,
-    and its rows equal the serial sweep's."""
+    its Belady buckets take one byte per access, and its rows equal the
+    serial sweep's."""
     import pickle
 
     import repro.perf.pool as pool
@@ -261,6 +262,8 @@ def test_sweep_tasks_ship_only_what_workers_read(monkeypatch):
             assert shipped.ops is None and set(shipped._replay_cache) == artifacts
             read = pickle.dumps((shipped._next_use, shipped._replay_cache, *task[1:]))
             assert len(pickle.dumps(task)) <= before + len(read)
+            if policy == "belady":
+                assert task[2].itemsize == 1  # one byte per access
     assert len(pickle.dumps(trace)) > before + len(read)  # what the parent holds
 
 
