@@ -18,12 +18,25 @@ Shape claims asserted:
 * the DAGs expose real structure: pure accumulation kernels (SYRK/SYR2K)
   collapse to reduction classes with a tiny critical path, while Cholesky's
   factor/solve chain forces a long critical path.
+
+A second row times DAG extraction itself at tbs N=120 and chol N=60:
+:meth:`~repro.graph.dependency.DependencyGraph.from_trace` (segmented
+array passes into CSR) against the per-element walk kept as the test
+oracle (``tests/graph_oracles.py``).  It asserts identical edges and
+prints both times and their ratio; the ratio is evidence, not a gate.
 """
+
+import time
 
 import pytest
 
+from graph_oracles import walk_dependency_graph
 from repro.graph.compare import CASES, compare_case, record_case
+from repro.graph.dependency import DependencyGraph
 from repro.graph.scheduler import HEURISTICS
+
+#: (kernel, n) of the DAG-extraction row, at M=6, S=15.
+EXTRACTION_SIZES = (("tbs", 120), ("chol", 60))
 
 SIZES = {
     "tbs": (40, 6, 15),
@@ -100,3 +113,40 @@ def test_e12_graph_rescheduling(once):
     assert int(results["chol"][1].graph.critical_path_cost()) > 3 * (
         int(results["tbs"][1].graph.critical_path_cost())
     )
+
+
+def best_of(fn, repeats: int = 3) -> tuple[float, object]:
+    """The fastest of ``repeats`` wall-clock runs, and the last result."""
+    best, out = float("inf"), None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+@pytest.mark.benchmark(group="e12")
+def test_e12_dag_extraction(once):
+    from repro.utils.fmt import Table, format_int
+
+    def run():
+        rows = []
+        for kernel, n in EXTRACTION_SIZES:
+            trace = record_case(kernel, n, 6, 15).trace
+            t_csr, graph = best_of(lambda: DependencyGraph.from_trace(trace))
+            t_walk, walk = best_of(lambda: walk_dependency_graph(trace))
+            rows.append((kernel, n, trace.n_ops, graph, walk, t_csr, t_walk))
+        return rows
+
+    rows = once(run)
+    t = Table(
+        ["kernel", "n", "ops", "edges", "from_trace ms", "walk ms", "ratio"],
+        title="E12 DAG extraction: segmented array passes vs the per-element walk (best of 3)",
+    )
+    for kernel, n, n_ops, graph, walk, t_csr, t_walk in rows:
+        # The same edges with the same kinds, in the same order.
+        assert graph.edges() == walk.edges(), (kernel, n)
+        t.add_row([kernel, n, format_int(n_ops), format_int(len(graph.edges())),
+                   f"{t_csr * 1e3:.1f}", f"{t_walk * 1e3:.1f}", f"{t_csr / t_walk:.2f}x"])
+    print()
+    print(t.render())

@@ -38,7 +38,7 @@ def main() -> None:
     print(banner(f"transfer-aware partition refinement: TBS SYRK on {P} nodes"))
     case = record_case("tbs", N, M, S)
     graph = DependencyGraph.from_trace(case.trace)
-    mults = [float(node.op.mults) for node in graph.nodes]
+    mults = [float(op.mults) for op in graph.ops]
     bound = parallel_syrk_lower_bound_per_node(N, M, P, S)
     print(
         f"recorded {len(graph)} compute ops; critical path "

@@ -434,7 +434,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     with timed("parallel.record"):
         case = record_case(args.kernel, args.n, args.m, args.s)
         graph = DependencyGraph.from_trace(case.trace)
-    mults = [float(node.op.mults) for node in graph.nodes]
+    mults = [float(op.mults) for op in graph.ops]
     print(banner(
         f"sharded DAG executor: {args.kernel} n={args.n} m={args.m} "
         f"S={args.s} policy={args.policy}"
@@ -531,7 +531,7 @@ def _cmd_cosearch(args: argparse.Namespace) -> int:
     with timed("cosearch.record"):
         case = record_case(args.kernel, args.n, args.m, args.s)
         graph = DependencyGraph.from_trace(case.trace)
-    mults = [float(node.op.mults) for node in graph.nodes]
+    mults = [float(op.mults) for op in graph.ops]
     total_mults = sum(mults)
     print(banner(
         f"joint order x partition co-search: {args.kernel} "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..graph.dependency import DependencyGraph
+from ..graph.dependency import WRITE, DependencyGraph
 from ..obs.probe import get_probe, timed
 from .findings import Finding, sort_findings
 
@@ -115,8 +115,8 @@ def _check(
     if recv is not None:
         p = len(recv)
         touched: list[set[int]] = [set() for _ in range(p)]
-        for v, node in enumerate(graph.nodes):
-            touched[owner[v]].update(node.touched_keys())
+        for v, elems in enumerate(graph.op_elements.rows()):
+            touched[owner[v]].update(elems)
         for q in range(p):
             floor = len(touched[q])
             if int(recv[q]) < floor:
@@ -134,9 +134,10 @@ def _check(
     if exclusive_writer:
         writers: dict[int, int] = {}
         shared: dict[int, set[int]] = {}
-        for v, node in enumerate(graph.nodes):
+        records = graph.op_elements
+        for v, elems in enumerate(records.rows((records.bits & WRITE) != 0)):
             q = owner[v]
-            for key in node.write_keys:
+            for key in elems:
                 prev = writers.setdefault(key, q)
                 if prev != q:
                     shared.setdefault(key, {prev}).add(q)

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..graph.dependency import DependencyGraph
+from ..graph.dependency import KIND_NAMES, RAW, REDUCTION, DependencyGraph
 from ..obs.probe import get_probe, timed
 from .findings import Finding, sort_findings
 
@@ -89,55 +89,52 @@ def _check_races(
 
     # 1. Execution order must respect every kept dependence edge (reduction
     #    edges are exempt only when relaxed).
-    for u, v, kinds in graph.edges():
-        if relax_reductions and kinds == {"reduction"}:
-            continue
-        if pos[u] > pos[v]:
-            findings.append(
-                Finding(
-                    code="RPR101",
-                    message=(
-                        f"op {v} ({graph.nodes[v].op.name}) runs at position "
-                        f"{int(pos[v])} before its {'/'.join(sorted(kinds))} "
-                        f"predecessor op {u} at position {int(pos[u])}"
-                    ),
-                    op_index=v,
-                    context={
-                        "pred": u,
-                        "kinds": sorted(kinds),
-                        "positions": [int(pos[u]), int(pos[v])],
-                    },
-                )
+    u, v, bits = graph.edge_arrays(relax_reductions=relax_reductions)
+    inverted = pos[u] > pos[v]
+    for a, b, k in zip(u[inverted].tolist(), v[inverted].tolist(), bits[inverted].tolist()):
+        kinds = KIND_NAMES[k]
+        findings.append(
+            Finding(
+                code="RPR101",
+                message=(
+                    f"op {b} ({graph.ops[b].name}) runs at position "
+                    f"{int(pos[b])} before its {'/'.join(sorted(kinds))} "
+                    f"predecessor op {a} at position {int(pos[a])}"
+                ),
+                op_index=b,
+                context={
+                    "pred": a,
+                    "kinds": sorted(kinds),
+                    "positions": [int(pos[a]), int(pos[b])],
+                },
             )
+        )
 
     # 2. Synchronization set: which predecessor edges carry data (and hence
     #    a transfer when cut).  An explicit transfer plan overrides the
     #    derived all-data-edges-shipped default for *cross-shard* pairs.
-    def is_sync_kind(kinds: frozenset[str]) -> bool:
-        if "raw" in kinds:
-            return True
-        return "reduction" in kinds and not relax_reductions
-
+    sync_bits = RAW if relax_reductions else RAW | REDUCTION
     explicit = None if transfers is None else {(u, v) for u, v in transfers}
-
-    def synchronizes(u: int, v: int, kinds: frozenset[str]) -> bool:
-        if not is_sync_kind(kinds):
-            return False
-        if owner[u] == owner[v]:
-            return True  # program order carries it; no transfer needed
-        return explicit is None or (u, v) in explicit
 
     # 3. Vector clocks, one sweep in execution order.
     clock = np.zeros((n, p), dtype=np.int64)
     tick_of = np.zeros(n, dtype=np.int64)
     shard_tick = [0] * p
     last_on_shard = [-1] * p
+    pred_ptr, pred_idx, pred_bits = (a.tolist() for a in graph.pred)
     for v in np.argsort(pos, kind="stable").tolist():
         q = owner[v]
         prev = last_on_shard[q]
         vc = clock[prev].copy() if prev >= 0 else np.zeros(p, dtype=np.int64)
-        for u, kinds in graph.preds[v].items():
-            if pos[u] < pos[v] and owner[u] != q and synchronizes(u, v, kinds):
+        for k in range(pred_ptr[v], pred_ptr[v + 1]):
+            u = pred_idx[k]
+            # A cross-shard data edge synchronizes when it is shipped.
+            if (
+                pos[u] < pos[v]
+                and owner[u] != q
+                and pred_bits[k] & sync_bits
+                and (explicit is None or (u, v) in explicit)
+            ):
                 np.maximum(vc, clock[u], out=vc)
         shard_tick[q] += 1
         vc[q] = shard_tick[q]
@@ -149,29 +146,31 @@ def _check_races(
         """u happened-before v (assumes pos[u] < pos[v] was checked)."""
         return bool(clock[v, owner[u]] >= tick_of[u])
 
-    # 4. Cross-shard dependence pairs must be covered by happens-before.
+    # 4. Cross-shard dependence pairs must be covered by happens-before
+    #    (same shard: program order; inverted: already RPR101; relaxed
+    #    reduction-only pairs: per reduction class below).
+    u, v, bits = graph.edge_arrays()
+    n_edges = int(u.size)
+    own = np.asarray(owner, dtype=np.int64)
+    check = (own[u] != own[v]) & (pos[u] < pos[v])
+    if relax_reductions:
+        check &= bits != REDUCTION
+    u, v, bits = u[check], v[check], bits[check]
+    racy = clock[v, own[u]] < tick_of[u]
     race_code = {"raw": "RPR102", "war": "RPR103", "waw": "RPR104"}
-    n_edges = 0
-    for u, v, kinds in graph.edges():
-        n_edges += 1
-        if owner[u] == owner[v] or pos[u] > pos[v]:
-            continue  # same shard: program order; inverted: already RPR101
-        if relax_reductions and kinds == {"reduction"}:
-            continue  # handled per reduction class below
-        if ordered(u, v):
-            continue
+    for a, b, k in zip(u[racy].tolist(), v[racy].tolist(), bits[racy].tolist()):
         for kind in ("raw", "war", "waw"):
-            if kind in kinds:
+            if kind in KIND_NAMES[k]:
                 findings.append(
                     Finding(
                         code=race_code[kind],
                         message=(
-                            f"cross-shard {kind.upper()} pair op {u} (shard "
-                            f"{owner[u]}) -> op {v} (shard {owner[v]}) has no "
+                            f"cross-shard {kind.upper()} pair op {a} (shard "
+                            f"{owner[a]}) -> op {b} (shard {owner[b]}) has no "
                             f"happens-before path"
                         ),
-                        op_index=v,
-                        context={"pred": u, "shards": [owner[u], owner[v]]},
+                        op_index=b,
+                        context={"pred": a, "shards": [owner[a], owner[b]]},
                     )
                 )
 

@@ -31,7 +31,6 @@ concurrently.
 from .dependency import (
     COMMUTING_ACCUMULATIONS,
     DependencyGraph,
-    OpNode,
     dependency_graph,
     is_commuting_accumulation,
 )
@@ -75,7 +74,6 @@ from .compare import (
 __all__ = [
     "COMMUTING_ACCUMULATIONS",
     "DependencyGraph",
-    "OpNode",
     "dependency_graph",
     "is_commuting_accumulation",
     "BeladyReplayResult",

@@ -62,13 +62,14 @@ class Worklist:
     is what makes beam expansion and lookahead rollouts affordable.
     """
 
-    __slots__ = ("graph", "relax_reductions", "indeg", "ready")
+    __slots__ = ("graph", "relax_reductions", "indeg", "ready", "succs")
 
     def __init__(self, graph: DependencyGraph, *, relax_reductions: bool = False):
         self.graph = graph
         self.relax_reductions = relax_reductions
         self.indeg = graph.indegrees(relax_reductions=relax_reductions)
-        self.ready = {v for v in range(len(graph)) if self.indeg[v] == 0}
+        self.ready = {v for v, d in enumerate(self.indeg) if d == 0}
+        self.succs = graph.succ_lists(relax_reductions=relax_reductions)
 
     def __len__(self) -> int:
         return len(self.ready)
@@ -80,7 +81,7 @@ class Worklist:
         self.ready.discard(v)
         released = []
         indeg = self.indeg
-        for w in self.graph.effective_succs(v, relax_reductions=self.relax_reductions):
+        for w in self.succs[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 released.append(w)
@@ -93,6 +94,7 @@ class Worklist:
         other.relax_reductions = self.relax_reductions
         other.indeg = self.indeg.copy()
         other.ready = self.ready.copy()
+        other.succs = self.succs
         return other
 
 
@@ -107,7 +109,7 @@ class ListScheduleResult:
 
     def ops(self) -> list[ComputeOp]:
         """The compute ops in emitted order."""
-        return [self.graph.nodes[i].op for i in self.order]
+        return [self.graph.ops[i] for i in self.order]
 
     @property
     def is_identity(self) -> bool:
@@ -115,40 +117,37 @@ class ListScheduleResult:
 
 
 def _schedule_by_priority(
-    graph: DependencyGraph,
-    indeg: list[int],
-    priority,
-    relax: bool,
+    succs: list[tuple[int, ...]], indeg: list[int], priority
 ) -> list[int]:
     """Generic heap-driven worklist: smallest ``priority(node)`` first."""
-    heap = [(priority(v), v) for v in range(len(graph)) if indeg[v] == 0]
+    heap = [(priority(v), v) for v, d in enumerate(indeg) if d == 0]
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
         _, v = heapq.heappop(heap)
         order.append(v)
-        for w in graph.effective_succs(v, relax_reductions=relax):
+        for w in succs[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(heap, (priority(w), w))
     return order
 
 
-def _schedule_depth_first(graph: DependencyGraph, indeg: list[int], relax: bool) -> list[int]:
+def _schedule_depth_first(succs: list[tuple[int, ...]], indeg: list[int]) -> list[int]:
     # LIFO worklist: successors released by the last emitted node are
     # scheduled next (pushed in reverse index order so the lowest-index
     # chain is chased first).
-    stack = sorted((v for v in range(len(graph)) if indeg[v] == 0), reverse=True)
+    stack = [v for v in range(len(indeg) - 1, -1, -1) if indeg[v] == 0]
     order: list[int] = []
     while stack:
         v = stack.pop()
         order.append(v)
         released = []
-        for w in graph.effective_succs(v, relax_reductions=relax):
+        for w in succs[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 released.append(w)
-        stack.extend(sorted(released, reverse=True))
+        stack.extend(reversed(released))  # successors come ascending
     return order
 
 
@@ -159,14 +158,13 @@ def _schedule_locality(
 ) -> list[int]:
     # Scores are kept incrementally and the pick comes off a lazy heap (see
     # the module docstring): an emission costs the ops on the elements whose
-    # hot status it changes, not a rescan of the ready set.
-    elems = [tuple(node.touched_keys()) for node in graph.nodes]
-    ops_on: dict = {}
-    for v, keys in enumerate(elems):
-        for key in keys:
-            ops_on.setdefault(key, []).append(v)
+    # hot status it changes, not a rescan of the ready set.  Both incidence
+    # directions come from the graph's (op, element) records.
+    elems = graph.op_elements.rows()
+    ops_on = [list(ops) for ops in graph.element_ops.rows()]
     score = [0] * len(elems)
-    last_touch: dict = {}
+    # Untouched elements sit below every window floor, t - window >= -window.
+    last_touch = [-window - 1] * len(ops_on)
     ready = worklist.ready
     heap = [(0, v) for v in sorted(ready)]
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -183,7 +181,7 @@ def _schedule_locality(
         if window:  # at window 0 nothing is ever hot: every score stays 0
             floor = t - window
             for key in elems[v]:
-                if last_touch.get(key, floor - 1) < floor:  # enters the window
+                if last_touch[key] < floor:  # enters the window
                     for w in ops_on[key]:
                         score[w] += 1
                         if w in ready:
@@ -232,14 +230,14 @@ def list_schedule(
         worklist = Worklist(graph, relax_reductions=relax_reductions)
         order = _schedule_locality(graph, worklist, locality_window)
     else:
+        succs = graph.succ_lists(relax_reductions=relax_reductions)
         indeg = graph.indegrees(relax_reductions=relax_reductions)
         if heuristic == "original":
-            order = _schedule_by_priority(graph, indeg, lambda v: v, relax_reductions)
+            order = _schedule_by_priority(succs, indeg, lambda v: v)
         elif heuristic == "depth-first":
-            order = _schedule_depth_first(graph, indeg, relax_reductions)
+            order = _schedule_depth_first(succs, indeg)
         else:  # fan-out
-            fanout = [len(graph.effective_succs(v, relax_reductions=relax_reductions)) for v in range(len(graph))]
-            order = _schedule_by_priority(graph, indeg, lambda v: (-fanout[v], v), relax_reductions)
+            order = _schedule_by_priority(succs, indeg, lambda v: (-len(succs[v]), v))
     if len(order) != len(graph):
         raise ScheduleError(
             f"list scheduler emitted {len(order)} of {len(graph)} nodes — dependence cycle"

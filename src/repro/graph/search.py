@@ -313,7 +313,7 @@ class SearchResult:
 
     def ops(self) -> list[ComputeOp]:
         """The compute ops in searched order."""
-        return [self.graph.nodes[i].op for i in self.order]
+        return [self.graph.ops[i] for i in self.order]
 
     @property
     def is_identity(self) -> bool:

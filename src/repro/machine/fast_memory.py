@@ -63,10 +63,10 @@ class FastMemory:
         n = idx.size
         if n == 0:
             return 0
-        already = mask[idx]
-        if already.any():
+        already = np.count_nonzero(mask[idx])
+        if already:
             raise RedundantLoadError(
-                f"load of {region!r}: {int(already.sum())} element(s) already resident"
+                f"load of {region!r}: {already} element(s) already resident"
             )
         if self.occupancy + n > self.capacity:
             raise CapacityError(n, self.occupancy, self.capacity)
@@ -88,10 +88,10 @@ class FastMemory:
         idx = region.flat
         if idx.size == 0:
             return 0
-        resident = mask[idx]
-        if not resident.all():
+        missing = idx.size - np.count_nonzero(mask[idx])
+        if missing:
             raise ResidencyError(
-                f"evict of {region!r}: {int((~resident).sum())} element(s) not resident"
+                f"evict of {region!r}: {missing} element(s) not resident"
             )
         if self.numerics:
             shadow = self._shadows[region.matrix].ravel()
@@ -104,10 +104,9 @@ class FastMemory:
 
     def assert_resident(self, region: Region) -> None:
         """Raise :class:`ResidencyError` unless every element of ``region`` is resident."""
-        mask = self._masks[region.matrix]
-        resident = mask[region.flat]
-        if not resident.all():
-            missing = int((~resident).sum())
+        idx = region.flat
+        missing = idx.size - np.count_nonzero(self._masks[region.matrix][idx])
+        if missing:
             raise ResidencyError(
                 f"compute touches {missing} non-resident element(s) of {region.matrix!r}"
             )

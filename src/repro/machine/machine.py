@@ -103,11 +103,17 @@ class TwoLevelMachine(ShapeAwareRegions):
             rec.on_evict(region, writeback)
 
     def compute(self, op: "ComputeOp") -> None:
-        """Apply a compute op after checking all its operands are resident."""
-        for region in op.reads():
+        """Apply a compute op after checking all its operands are resident.
+
+        Most ops list their write region among their reads; each distinct
+        region object is checked once.
+        """
+        reads = op.reads()
+        for region in reads:
             self.fast.assert_resident(region)
         for region in op.writes():
-            self.fast.assert_resident(region)
+            if all(region is not read for read in reads):
+                self.fast.assert_resident(region)
         if self.numerics:
             op.apply(self)
         self.stats.record_compute(op.mults, op.flops)

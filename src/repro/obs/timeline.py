@@ -86,7 +86,7 @@ def timeline_events(
             }
         )
     for v in range(n):
-        op = graph.nodes[v].op
+        op = graph.ops[v]
         events.append(
             {
                 "name": f"{op.name}#{v}",
@@ -104,7 +104,7 @@ def timeline_events(
         for u in graph.effective_preds(v, relax_reductions=relax_reductions):
             if span.node[u] == span.node[v]:
                 continue
-            elems = graph.edge_flow(u, v, frozenset(graph.preds[v][u]))
+            elems = graph.edge_flow(u, v)
             if not elems:
                 continue  # WAR/WAW-only cross edges move no data
             flow_id += 1

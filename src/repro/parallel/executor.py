@@ -75,7 +75,7 @@ POLICIES = ("rewrite", "lru", "belady")
 # ---------------------------------------------------------------------- #
 def _op_weights(graph: DependencyGraph) -> list[int]:
     """Work per op (mults, floored at 1 so zero-mult ops still count)."""
-    return [max(int(node.op.mults), 1) for node in graph.nodes]
+    return [max(int(op.mults), 1) for op in graph.ops]
 
 
 def _partition_levels(graph: DependencyGraph, p: int) -> list[int]:
@@ -103,9 +103,9 @@ def _partition_locality(graph: DependencyGraph, p: int, slack: float) -> list[in
     owner = [0] * len(graph)
     loads = [0] * p
     elem_owner: dict[int, int] = {}
-    for v, node in enumerate(graph.nodes):  # original order is topological
+    for v, elems in enumerate(graph.op_elements.rows()):  # index order is topological
         score = [0] * p
-        for key in node.touched_keys():
+        for key in elems:
             q = elem_owner.get(key)
             if q is not None:
                 score[q] += 1
@@ -115,7 +115,7 @@ def _partition_locality(graph: DependencyGraph, p: int, slack: float) -> list[in
         best = max(candidates, key=lambda q: (score[q], -loads[q], -q))
         owner[v] = best
         loads[best] += weights[v]
-        for key in node.touched_keys():
+        for key in elems:
             elem_owner[key] = best
     return owner
 
@@ -399,7 +399,7 @@ def execute_graph(
     with timed("executor.replay"):
         for q in range(p):
             ops = shard_ops[q]
-            mults = sum(int(graph.nodes[v].op.mults) for v in ops)
+            mults = sum(int(graph.ops[v].mults) for v in ops)
             if not ops:
                 recv = send = peak = 0
             else:
@@ -416,7 +416,7 @@ def execute_graph(
                     peak_memory=int(peak),
                 )
             )
-    mult_weights = [float(node.op.mults) for node in graph.nodes]
+    mult_weights = [float(op.mults) for op in graph.ops]
     with timed("executor.makespan"):
         span = makespan_model(
             graph, owner, p=p, alpha=alpha, beta=beta, weights=mult_weights

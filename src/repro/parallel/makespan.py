@@ -195,7 +195,7 @@ def makespan_model(
 def op_weights(graph: DependencyGraph) -> list[float]:
     """Per-op mults as floats: the default op weights (a shared table)."""
     return graph.table(
-        "mults", lambda: [float(node.op.mults) for node in graph.nodes]
+        "mults", lambda: [float(op.mults) for op in graph.ops]
     )
 
 
@@ -205,23 +205,21 @@ def latency_preds(
     """Per op, its effective predecessors paired with the cross-node latency.
 
     ``preds[v]`` lists ``(u, alpha + beta * |flow(u, v)|)`` for every
-    effective predecessor ``u`` of ``v``, in
-    :meth:`~repro.graph.dependency.DependencyGraph.effective_preds` order:
-    one precomputed double per edge, so the cold model and the ledger
-    charge bit-identical latencies.  A shared table per ``(relax, alpha,
-    beta)``.
+    effective predecessor ``u`` of ``v``, ascending
+    (:meth:`~repro.graph.dependency.DependencyGraph.pred_lists`): one
+    precomputed double per edge, so the cold model and the ledger charge
+    bit-identical latencies.  Flows come from the graph's
+    :meth:`~repro.graph.dependency.DependencyGraph.data_edges` table; an
+    edge that carries no data costs ``alpha``.  A shared table per
+    ``(relax, alpha, beta)``.
     """
     alpha, beta = float(alpha), float(beta)
 
     def build():
+        flow = {(u, v): len(elems) for u, v, elems in graph.data_edges()}
         return [
-            tuple(
-                (u, alpha + beta * len(
-                    graph.edge_flow(u, v, frozenset(graph.preds[v][u]))
-                ))
-                for u in graph.effective_preds(v, relax_reductions=relax_reductions)
-            )
-            for v in range(len(graph))
+            tuple((u, alpha + beta * flow.get((u, v), 0)) for u in preds)
+            for v, preds in enumerate(graph.pred_lists(relax_reductions=relax_reductions))
         ]
 
     return graph.table(("latency_preds", relax_reductions, alpha, beta), build)
@@ -305,10 +303,7 @@ class MakespanLedger:
         self.weights = [float(w) for w in weights]
         self.interval = int(interval) if interval is not None else max(8, n // 64)
         self._preds = latency_preds(graph, relax_reductions, alpha, beta)
-        self._succs = graph.table(("succs", relax_reductions), lambda: [
-            tuple(graph.effective_succs(u, relax_reductions=relax_reductions))
-            for u in range(n)
-        ])
+        self._succs = graph.succ_lists(relax_reductions=relax_reductions)
         self.order = [int(v) for v in order]
         self.owner = [int(q) for q in owner]
         self.pos = [0] * n

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..graph.dependency import DependencyGraph
+from ..graph.dependency import WRITE, DependencyGraph
 from ..graph.search import run_chain
 from ..obs.convergence import RoundSeries
 from ..obs.probe import get_probe
@@ -144,12 +144,10 @@ def write_groups(graph: DependencyGraph) -> list[list[int]]:
     op set.
     """
     sets = DisjointSets(len(graph))
-    writer_of: dict[int, int] = {}
-    for v, node in enumerate(graph.nodes):
-        for key in node.write_keys:
-            u = writer_of.setdefault(key, v)
-            if u != v:
-                sets.union(v, u)
+    records = graph.element_ops
+    for writers in records.rows((records.bits & WRITE) != 0):
+        for v in writers[1:]:
+            sets.union(v, writers[0])
     return sorted(sets.groups().values(), key=lambda g: g[0])
 
 
@@ -184,8 +182,8 @@ def _partition_tables(graph: DependencyGraph):
     """The static half of :class:`PartitionLedger`: per-op touched elements
     and weights, the data-carrying edges with their sorted flows, and each
     op's incident edge indices (which drive the per-move updates)."""
-    touched = [tuple(node.touched_keys()) for node in graph.nodes]
-    weights = [max(int(node.op.mults), 1) for node in graph.nodes]
+    touched = graph.op_elements.rows()
+    weights = [max(int(op.mults), 1) for op in graph.ops]
     edges: list[tuple[int, int, tuple[int, ...]]] = []
     incident: list[list[int]] = [[] for _ in range(len(graph))]
     for u, v, flow in graph.data_edges():

@@ -1,14 +1,16 @@
 """Reference implementations of the graph layer's three per-op passes.
 
 Each oracle is the straightforward form of a production pass that now
-runs incrementally or on plain lists; the tests pin each production pass
+runs incrementally, on plain lists or in whole-array passes; the tests pin each production pass
 to its oracle, output for output:
 
 * :func:`rescan_locality_order` — the locality list scheduler as a full
   rescan: every emission scores every ready op from scratch
   (:class:`LocalityScore`) and picks with :func:`argbest`;
-* :func:`numpy_dependency_graph` — DAG extraction with per-op access
-  sets from ``np.unique`` / ``np.setdiff1d`` slices of the compiled trace;
+* :func:`walk_dependency_graph` — DAG extraction as a walk over the ops
+  with per-element last-writer / reader / accumulator maps, and per-op
+  access sets from ``np.unique`` / ``np.setdiff1d`` slices of the
+  compiled trace;
 * :func:`numpy_rewrite_trace` — the load/evict rewrite with residency and
   dirtiness as flat bool arrays, a pointer-walk next-use oracle and numpy
   grouping of emitted regions.
@@ -16,12 +18,13 @@ to its oracle, output for output:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.errors import ScheduleError
-from repro.graph.dependency import DependencyGraph, OpNode, is_commuting_accumulation
+from repro.graph.dependency import DependencyGraph, is_commuting_accumulation
 from repro.graph.policies import NEVER
 from repro.graph.scheduler import Worklist
 from repro.machine.regions import Region
@@ -62,14 +65,14 @@ class LocalityScore:
         floor = self.step - self.window
         last_touch = self.last_touch
         score = 0
-        for key in self.graph.nodes[v].touched_keys():
+        for key in self.graph.touched(v):
             if last_touch.get(key, -(10 ** 9)) >= floor:
                 score += 1
         return score
 
     def emit(self, v: int) -> None:
         step = self.step
-        for key in self.graph.nodes[v].touched_keys():
+        for key in self.graph.touched(v):
             self.last_touch[key] = step
         self.step = step + 1
 
@@ -97,29 +100,87 @@ def rescan_locality_order(
     return order
 
 
-def numpy_dependency_graph(trace: CompiledTrace) -> DependencyGraph:
-    """:meth:`DependencyGraph.from_trace` with per-op numpy access sets."""
-    nodes = []
+@dataclass
+class WalkGraph:
+    """The dependence DAG as the per-element walk builds it.
+
+    Per op, its input and written element IDs; per node, its neighbours
+    mapped to their kind-name sets, in the order the walk inserted them.
+    """
+
+    inputs: list[frozenset[int]]
+    writes: list[frozenset[int]]
+    succs: list[dict[int, set[str]]]
+    preds: list[dict[int, set[str]]]
+
+    def edges(self) -> list[tuple[int, int, frozenset[str]]]:
+        return [
+            (u, v, frozenset(kinds))
+            for u, succs in enumerate(self.succs)
+            for v, kinds in sorted(succs.items())
+        ]
+
+
+def walk_dependency_graph(trace: CompiledTrace) -> WalkGraph:
+    """The dependence DAG by a walk over the ops with last-writer/reader
+    maps, per-op access sets taken from ``np.unique`` / ``np.setdiff1d``
+    slices of the compiled trace."""
+    inputs, writes = [], []
     ids, flags = trace.elem_ids, trace.is_write
     starts, read_ends = trace.op_starts, trace.op_read_ends
     for i, op in enumerate(trace.ops):
         s, e = int(starts[i]), int(starts[i + 1])
-        writes = np.unique(ids[s:e][flags[s:e]])
+        written = np.unique(ids[s:e][flags[s:e]])
         reads = np.unique(ids[s : int(read_ends[i])])
         if is_commuting_accumulation(op):
-            inputs = np.setdiff1d(reads, writes, assume_unique=True)
+            reads = np.setdiff1d(reads, written, assume_unique=True)
+        inputs.append(frozenset(reads.tolist()))
+        writes.append(frozenset(written.tolist()))
+    n = trace.n_ops
+    graph = WalkGraph(inputs, writes, [{} for _ in range(n)], [{} for _ in range(n)])
+
+    def add_edge(u: int, v: int, kind: str) -> None:
+        if u != v:
+            graph.succs[u].setdefault(v, set()).add(kind)
+            graph.preds[v].setdefault(u, set()).add(kind)
+
+    # Per-element dependence state, cleared by sequential (non-commuting)
+    # writes: the last sequential writer, the commuting accumulators
+    # since, and the input-readers since.
+    last_seq: dict[int, int] = {}
+    accs: dict[int, list[int]] = {}
+    readers: dict[int, list[int]] = {}
+    for v, op in enumerate(trace.ops):
+        for key in sorted(inputs[v]):
+            if key in last_seq:
+                add_edge(last_seq[key], v, "raw")
+            # A true read needs *every* accumulation so far: partial sums
+            # are meaningless, so each contributes a RAW edge.
+            for u in accs.get(key, ()):
+                add_edge(u, v, "raw")
+            readers.setdefault(key, []).append(v)
+        if is_commuting_accumulation(op):
+            for key in sorted(writes[v]):
+                if key in last_seq:
+                    add_edge(last_seq[key], v, "raw")
+                for u in readers.get(key, ()):
+                    add_edge(u, v, "war")
+                chain = accs.setdefault(key, [])
+                if chain:
+                    add_edge(chain[-1], v, "reduction")
+                chain.append(v)
         else:
-            inputs = reads
-        nodes.append(
-            OpNode(
-                index=i,
-                op=op,
-                input_keys=frozenset(inputs.tolist()),
-                write_keys=frozenset(writes.tolist()),
-            )
-        )
-    graph = DependencyGraph(nodes, trace=trace)
-    graph._build_edges()
+            for key in sorted(writes[v]):
+                for u in readers.get(key, ()):
+                    add_edge(u, v, "war")
+                if key in last_seq:
+                    add_edge(last_seq[key], v, "waw")
+                for u in accs.get(key, ()):
+                    # Accumulations must finish before an overwrite.
+                    add_edge(u, v, "waw")
+                last_seq[key] = v
+                accs.pop(key, None)
+                readers.pop(key, None)
     return graph
 
 

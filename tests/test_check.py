@@ -424,7 +424,7 @@ class TestConservation:
     def test_multi_writer_violation(self, cases):
         graph = DependencyGraph.from_trace(cases["tbs"].trace)
         owner = list(partition_graph(graph, 4, "owner-computes"))
-        writer = next(i for i, n in enumerate(graph.nodes) if n.write_keys)
+        writer = next(v for v in range(len(graph)) if graph.writes(v))
         owner[writer] = (owner[writer] + 1) % 4
         findings = check_conservation(graph, owner, exclusive_writer=True)
         assert any(f.code == "RPC103" for f in findings)

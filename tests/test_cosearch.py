@@ -264,12 +264,10 @@ class TestMakespanLedger:
         time, and every node's availability at the checkpoint is the
         committed one; but v's successor w past the checkpoint now pays
         the cross-node latency, so the pass must not stop there."""
-        from repro.graph.dependency import OpNode
-
-        graph = DependencyGraph([OpNode(index=i, op=None) for i in range(6)])
         u0, u1, v, x, y, w = range(6)
-        for a, b in ((u0, v), (u1, x), (u1, y), (v, w)):
-            graph._add_edge(a, b, "raw")
+        graph = DependencyGraph.from_edges(
+            6, [(a, b, "raw") for a, b in ((u0, v), (u1, x), (u1, y), (v, w))]
+        )
         weights = [1.0, 10.0, 1.0, 1.0, 1.0, 1.0]
         owner = [2, 2, 0, 0, 1, 0]
         ledger = MakespanLedger(

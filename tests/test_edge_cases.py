@@ -101,6 +101,38 @@ class TestMachineConfigPaths:
         assert fm.occupancy == 0
         np.testing.assert_array_equal(slow.array("X"), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("numerics", [True, False])
+    def test_write_region_outside_reads_is_checked(self, numerics):
+        """An op whose write region is not among its reads (like the solve
+        steps) has that region checked too, before anything runs."""
+        from repro.sched.ops import ComputeOp
+
+        read, write = Region("X", np.array([0, 1])), Region("X", np.array([4]))
+
+        class WriteOutsideReads(ComputeOp):
+            mults = 1
+
+            def reads(self):
+                return [read]
+
+            def writes(self):
+                return [write]
+
+            def apply(self, m):
+                m.workspace("X").ravel()[4] = m.workspace("X").ravel()[0] + 1.0
+
+        m = TwoLevelMachine(8, numerics=numerics)
+        m.add_matrix("X", np.ones((2, 3)))
+        m.load(read)
+        with pytest.raises(ResidencyError, match="1 non-resident element"):
+            m.compute(WriteOutsideReads())
+        assert m.stats.n_computes == 0
+        m.load(write)
+        m.compute(WriteOutsideReads())
+        assert m.stats.n_computes == 1
+        if numerics:
+            assert m.workspace("X").ravel()[4] == 2.0
+
     def test_empty_region_residency_is_vacuous(self):
         fm = FastMemory(5)
         fm.attach("X", (2, 2))

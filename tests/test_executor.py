@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph, OpNode
+from repro.graph.dependency import DependencyGraph
 from repro.graph.rewriter import rewrite_schedule
 from repro.parallel import POLICIES, PARTITIONERS, execute_graph, partition_graph
 from repro.trace.replay import belady_replay_trace, lru_replay_trace
@@ -46,8 +46,8 @@ class TestPartitioners:
     def test_owner_computes_never_splits_writers(self, tbs_graph):
         owner = partition_graph(tbs_graph, 4, "owner-computes")
         elem_writer: dict[int, int] = {}
-        for v, node in enumerate(tbs_graph.nodes):
-            for key in node.write_keys:
+        for v in range(len(tbs_graph)):
+            for key in tbs_graph.writes(v):
                 assert elem_writer.setdefault(key, owner[v]) == owner[v]
 
     def test_owner_computes_zero_cut_for_syrk(self, tbs_graph):
@@ -58,10 +58,10 @@ class TestPartitioners:
     def test_locality_respects_balance_slack(self, tbs_graph):
         owner = partition_graph(tbs_graph, 4, "locality")
         mults = [0] * 4
-        for v, node in enumerate(tbs_graph.nodes):
-            mults[owner[v]] += max(int(node.op.mults), 1)
+        for v, op in enumerate(tbs_graph.ops):
+            mults[owner[v]] += max(int(op.mults), 1)
         assert max(mults) <= 1.2 * sum(mults) / 4 + max(
-            max(int(n.op.mults), 1) for n in tbs_graph.nodes
+            max(int(op.mults), 1) for op in tbs_graph.ops
         )
 
     def test_locality_slack_one_accepts_exact_balance(self):
@@ -74,14 +74,10 @@ class TestPartitioners:
         class _HugeOp:
             mults = 3002399751580331  # 3 * mults == 2**53 + 1 (inexact)
 
-        nodes = [
-            OpNode(
-                index=i, op=_HugeOp(),
-                input_keys=frozenset({99}), write_keys=frozenset({100 + i}),
-            )
-            for i in range(3)
-        ]
-        graph = DependencyGraph(nodes)
+        graph = DependencyGraph.from_edges(
+            3, [], ops=[_HugeOp()] * 3,
+            inputs=[{99}] * 3, writes=[{100 + i} for i in range(3)],
+        )
         owner = partition_graph(graph, 3, "locality", balance_slack=1.0)
         assert sorted(owner) == [0, 1, 2]
 
@@ -105,9 +101,9 @@ class TestCutAccounting:
         for (src, dst), elems in flows.items():
             assert src != dst
             produced = set()
-            for v, node in enumerate(tbs_graph.nodes):
+            for v in range(len(tbs_graph)):
                 if owner[v] == src:
-                    produced |= node.write_keys
+                    produced |= tbs_graph.writes(v)
             assert elems <= produced
 
     def test_owner_length_checked(self, tbs_graph):
@@ -141,7 +137,7 @@ class TestExecutorSharded:
         )
         assert summ.peak_ok
         assert sum(r.n_ops for r in summ.shards) == len(tbs_graph)
-        assert summ.total_mults == sum(int(n.op.mults) for n in tbs_graph.nodes)
+        assert summ.total_mults == sum(int(op.mults) for op in tbs_graph.ops)
         assert summ.compute_imbalance >= 1.0
         # Element-level MIN may evict an op's own operand mid-op, which the
         # rewriter never does, so its loads are only a floor on the
@@ -169,7 +165,7 @@ class TestExecutorSharded:
     def test_summary_carries_weighted_span_and_makespan(self, tbs_case, tbs_graph):
         summ = execute_graph(tbs_case.schedule, 4, S, partitioner="level-greedy",
                              policy="lru", graph=tbs_graph, alpha=2.0, beta=0.5)
-        mults = [float(n.op.mults) for n in tbs_graph.nodes]
+        mults = [float(op.mults) for op in tbs_graph.ops]
         # units: critical_path counts ops, critical_path_mults counts work
         assert summ.critical_path == int(tbs_graph.critical_path_cost())
         assert summ.critical_path_mults == int(tbs_graph.critical_path_cost(mults))

@@ -93,13 +93,37 @@ class TestDependencyGraph:
             assert classes
             for group in classes:
                 assert len(group) > 1
-                assert all(g.nodes[i].is_accumulation for i in group)
+                assert all(g.accumulates[i] for i in group)
 
     def test_depths_consistent(self, chol_graph):
         depths = chol_graph.depths()
         for u, v, _k in chol_graph.edges():
             assert depths[v] >= depths[u] + 1
         assert chol_graph.critical_path_cost() == max(depths) + 1
+
+    def test_from_edges(self, chol_graph):
+        # An edge list round-trips, and a repeated pair ORs its kinds.
+        again = DependencyGraph.from_edges(len(chol_graph), chol_graph.edges())
+        assert again.edges() == chol_graph.edges()
+        assert again.reduction_classes() == chol_graph.reduction_classes()
+        graph = DependencyGraph.from_edges(
+            3, [(0, 2, "raw"), (0, 2, {"war", "waw"}), (1, 2, "reduction")],
+            inputs=[[5], [], [7]], writes=[[7], [7], []],
+        )
+        assert graph.edges() == [
+            (0, 2, frozenset({"raw", "war", "waw"})), (1, 2, frozenset({"reduction"}))
+        ]
+        assert graph.effective_preds(2, relax_reductions=True) == [0]
+        assert graph.touched(0) == {5, 7} and graph.writes(1) == {7}
+        assert graph.edge_flow(0, 2) == {7}
+        for bad in (
+            dict(edges=[(2, 1, "raw")]),                 # backward
+            dict(edges=[(0, 1, "rar")]),                 # unknown kind
+            dict(edges=[], ops=[None]),                  # one op for three
+            dict(edges=[], writes=[[-1], [], []]),       # negative element
+        ):
+            with pytest.raises(ConfigurationError):
+                DependencyGraph.from_edges(3, **bad)
 
     def test_rejects_non_schedule(self):
         with pytest.raises(ConfigurationError):
@@ -127,7 +151,7 @@ class TestListScheduler:
         res = list_schedule(tbs_graph, "depth-first")
         ops = res.ops()
         assert len(ops) == len(tbs_graph)
-        assert ops[0] is tbs_graph.nodes[res.order[0]].op
+        assert ops[0] is tbs_graph.ops[res.order[0]]
 
 
 class TestBeladyReplay:

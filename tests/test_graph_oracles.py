@@ -1,10 +1,11 @@
 """The graph layer's per-op passes against their reference forms.
 
-The locality scheduler keeps scores incrementally, and DAG extraction and
-the load/evict rewrite build their per-op element sets from plain lists.
-Each must reproduce its straightforward form (``graph_oracles``) exactly:
-the same order, the same node sets iterating in the same order, the same
-edges, and the same step sequence.
+The locality scheduler keeps scores incrementally, DAG extraction runs
+segmented array passes, and the load/evict rewrite builds its per-op
+element sets from plain lists.  Each must reproduce its straightforward
+form (``graph_oracles``) exactly: the same order, the same per-op element
+sets, the same neighbours with the same kinds, and the same step
+sequence.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 
 from graph_oracles import (
-    numpy_dependency_graph,
     numpy_rewrite_trace,
     rescan_locality_order,
+    walk_dependency_graph,
 )
 from repro import TwoLevelMachine
 from repro.core.tbs import tbs_syrk
@@ -70,17 +71,29 @@ def test_locality_order_matches_rescan(kernel, relax):
         assert got == want, f"window {window}"
 
 
+def neighbours(graph, v: int, preds: bool) -> list[tuple[int, frozenset[str]]]:
+    """Node ``v``'s predecessors (or successors) with their kinds, in the
+    graph's own order."""
+    if preds:
+        return [(u, graph.edge_kinds(u, v)) for u in graph.effective_preds(v)]
+    return [(w, graph.edge_kinds(v, w)) for w in graph.effective_succs(v)]
+
+
 @pytest.mark.parametrize("s", [15, 40])
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_dag_matches_numpy_extraction(kernel, s):
     case, graph = case_of(kernel, 20, 6, s)
-    ref = numpy_dependency_graph(case.trace)
-    for node, want in zip(graph.nodes, ref.nodes, strict=True):
-        # Same contents and the same iteration order: consumers walk them.
-        assert list(node.input_keys) == list(want.input_keys)
-        assert list(node.write_keys) == list(want.write_keys)
-    assert [list(d.items()) for d in graph.preds] == [list(d.items()) for d in ref.preds]
-    assert [list(d.items()) for d in graph.succs] == [list(d.items()) for d in ref.succs]
+    ref = walk_dependency_graph(case.trace)
+    assert len(graph) == len(ref.preds)
+    for v in range(len(graph)):
+        assert graph.inputs(v) == ref.inputs[v]
+        assert graph.writes(v) == ref.writes[v]
+        # The walk's neighbours and kinds, listed in ascending order.
+        for preds, want in ((True, ref.preds[v]), (False, ref.succs[v])):
+            assert neighbours(graph, v, preds) == [
+                (u, frozenset(kinds)) for u, kinds in sorted(want.items())
+            ], (v, preds)
+    assert graph.edges() == ref.edges()
 
 
 @pytest.mark.parametrize("s", [15, 40])

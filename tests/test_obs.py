@@ -470,8 +470,8 @@ class TestMakespanPerOpArrays:
     def test_start_is_finish_minus_weight(self, tbs_graph):
         owner = partition_graph(tbs_graph, 2, "owner-computes")
         span = makespan_model(tbs_graph, owner)
-        for v, node in enumerate(tbs_graph.nodes):
-            assert span.finish[v] - span.start[v] == float(node.op.mults)
+        for v, op in enumerate(tbs_graph.ops):
+            assert span.finish[v] - span.start[v] == float(op.mults)
             assert span.start[v] >= 0.0
 
     def test_node_array_echoes_owner(self, tbs_graph):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ScheduleError
 from repro.graph.compare import record_case
-from repro.graph.dependency import DependencyGraph, OpNode
+from repro.graph.dependency import DependencyGraph
 from repro.parallel import (
     PARTITIONERS,
     REFINE_STRATEGIES,
@@ -34,8 +34,8 @@ def tbs_graph(tbs_case):
 def model_cost_from_scratch(graph, owner, p):
     """Brute-force recomputation of the ledger's objective."""
     footprint = [set() for _ in range(p)]
-    for v, node in enumerate(graph.nodes):
-        footprint[owner[v]] |= node.touched_keys()
+    for v in range(len(graph)):
+        footprint[owner[v]] |= graph.touched(v)
     transfer_in = [0] * p
     for (_src, dst), elems in graph.cut_transfers(list(owner)).items():
         transfer_in[dst] += len(elems)
@@ -164,8 +164,8 @@ class TestRefinePartition:
             tbs_graph, seed, 4, S, strategy="greedy", keep_writers_together=True
         )
         writer: dict[int, int] = {}
-        for v, node in enumerate(tbs_graph.nodes):
-            for key in node.write_keys:
+        for v in range(len(tbs_graph)):
+            for key in tbs_graph.writes(v):
                 assert writer.setdefault(key, result.owner[v]) == result.owner[v]
 
     def test_balance_slack_respected(self, tbs_graph):
@@ -174,7 +174,7 @@ class TestRefinePartition:
         result = refine_partition(
             tbs_graph, seed, 4, S, strategy="greedy", balance_slack=slack
         )
-        weights = [max(int(n.op.mults), 1) for n in tbs_graph.nodes]
+        weights = [max(int(op.mults), 1) for op in tbs_graph.ops]
         cap = max(
             balance_cap(sum(weights), 4, slack),
             max(
@@ -217,15 +217,15 @@ class TestWriteGroups:
             for v in g:
                 group_of[v] = gi
         writer: dict[int, int] = {}
-        for v, node in enumerate(tbs_graph.nodes):
-            for key in node.write_keys:
+        for v in range(len(tbs_graph)):
+            for key in tbs_graph.writes(v):
                 assert writer.setdefault(key, group_of[v]) == group_of[v]
 
 
 class TestMakespanModel:
     def test_p1_serializes_all_work(self, tbs_graph):
         ms = makespan_model(tbs_graph, [0] * len(tbs_graph))
-        total = sum(float(n.op.mults) for n in tbs_graph.nodes)
+        total = sum(float(op.mults) for op in tbs_graph.ops)
         assert ms.makespan == total
         assert ms.comm_latency == 0 and ms.n_cross_edges == 0
         assert ms.parallel_efficiency == pytest.approx(1.0)
@@ -274,7 +274,7 @@ class TestMakespanModel:
             makespan_model(tbs_graph, [0] * n, order=list(range(n))[::-1])
 
     def test_empty_graph(self):
-        empty = DependencyGraph([])
+        empty = DependencyGraph.from_edges(0, [], ops=[])
         ms = makespan_model(empty, [], p=2)
         assert ms.makespan == 0.0 and ms.bottleneck == -1
         assert ms.parallel_efficiency == 1.0
@@ -295,7 +295,7 @@ class TestCriticalPathCost:
             tbs_case.schedule, 4, S, partitioner="owner-computes",
             policy="lru", graph=tbs_graph,
         )
-        mults = [float(n.op.mults) for n in tbs_graph.nodes]
+        mults = [float(op.mults) for op in tbs_graph.ops]
         assert summ.critical_path == int(tbs_graph.critical_path_cost())
         assert summ.critical_path_mults == int(tbs_graph.critical_path_cost(mults))
         assert summ.makespan >= summ.critical_path_mults

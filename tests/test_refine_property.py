@@ -75,8 +75,8 @@ def check_refinement(graph, p, s, partitioner, strategy, seed, keep_writers):
         assert result.owner == tuple(seed_owner), label
     if keep_writers:
         writer: dict[int, int] = {}
-        for v, node in enumerate(graph.nodes):
-            for key in node.write_keys:
+        for v in range(len(graph)):
+            for key in graph.writes(v):
                 assert writer.setdefault(key, result.owner[v]) == result.owner[v]
 
 

@@ -229,7 +229,7 @@ class TestStrategies:
     def test_result_ops_follow_order(self, tbs_graph):
         result = search_order(tbs_graph, S, "beam")
         ops = result.ops()
-        assert ops == [tbs_graph.nodes[i].op for i in result.order]
+        assert ops == [tbs_graph.ops[i] for i in result.order]
 
     def test_unknown_strategy(self, tbs_graph):
         with pytest.raises(ConfigurationError):
@@ -244,7 +244,7 @@ class TestStrategies:
             anneal_search(tbs_graph, S, iters=-1)
 
     def test_graph_without_trace_is_rejected(self, tbs_graph):
-        bare = DependencyGraph(tbs_graph.nodes)  # no trace attached
+        bare = DependencyGraph.from_edges(len(tbs_graph), tbs_graph.edges())  # no trace
         with pytest.raises(ConfigurationError):
             search_order(bare, S, "beam")
 

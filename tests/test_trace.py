@@ -754,11 +754,10 @@ class TestGraphOverTrace:
     def test_graph_carries_trace_and_int_keys(self, sched):
         graph = dependency_graph(sched)
         assert graph.trace is not None
-        node = graph.nodes[0]
-        assert all(isinstance(k, int) for k in node.touched_keys())
+        assert all(isinstance(k, int) for k in graph.touched(0))
         # decoded keys equal the op's region keys
-        op = node.op
-        decoded = {key_of(graph.trace, k) for k in node.touched_keys()}
+        op = graph.ops[0]
+        decoded = {key_of(graph.trace, k) for k in graph.touched(0)}
         expected = {
             (r.matrix, int(i))
             for r in list(op.reads()) + list(op.writes())
