@@ -34,7 +34,17 @@ BENCH JSON (``benchmarks/out/bench_e18_cosearch.json`` or
 joint/baseline ratios per row, plus the co-search's work counters: LRU
 cursor ops replayed, makespan ops re-timed and owner proposals rejected
 on their bound, summed over its chains.
+
+A second row times what the serve path pays for one cold ``cosearch``
+key at p=4 (:func:`repro.serve.frontend.run_searcher`: record, DAG,
+portfolio, chains, rewrite), tbs N=60 (N=24 at smoke size), as the
+median of 5 misses, printed with the run's ``cosearch.measures`` (cold
+:func:`~repro.parallel.cosearch.cosearch_cost` calls).  It is a report:
+wall time on a shared host asserts nothing.
 """
+
+import statistics
+import time
 
 import pytest
 
@@ -202,3 +212,40 @@ def test_e18_cosearch(once, smoke):
             f"{int(joint.cost):,} (joint, seed {joint.seed_label!r}"
             f"{', reverted' if joint.reverted else ''})"
         )
+
+
+def time_cold_miss(n: int, runs: int = 5):
+    """Time ``runs`` cold serve-path misses of the tbs ``cosearch`` key at
+    p=4; returns the key, the times and one probed run's counters."""
+    from repro.obs.probe import probe_scope
+    from repro.serve import ScheduleKey
+    from repro.serve.frontend import run_searcher
+
+    key = ScheduleKey("tbs", n, M_COLS, S, p=4, policy="cosearch")
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        run_searcher(key)
+        times.append(time.perf_counter() - start)
+    with probe_scope() as probe:
+        run_searcher(key)
+    return key, times, probe.counters
+
+
+@pytest.mark.benchmark(group="e18")
+def test_e18_cold_miss(once, smoke):
+    key, times, counters = once(time_cold_miss, 24 if smoke else 60)
+    t = Table(
+        ["key", "misses", "median s", "min s", "max s", "measures", "chains"],
+        title="E18: one cold serve-path co-search miss, record to rewrite",
+    )
+    t.add_row([
+        f"{key.kernel} N={key.n} p={key.p} S={key.s}", len(times),
+        f"{statistics.median(times):.3f}", f"{min(times):.3f}",
+        f"{max(times):.3f}", counters["cosearch.measures"],
+        counters["cosearch.chains"],
+    ])
+    print()
+    print(t.render())
+    # one closing measure per chain, plus at most one check of the best seed
+    assert counters["cosearch.measures"] <= counters["cosearch.chains"] + 1

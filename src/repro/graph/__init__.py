@@ -51,7 +51,7 @@ from .scheduler import (
     Worklist,
     list_schedule,
 )
-from .objective import IncrementalObjective, element_op_lists, order_cost
+from .objective import IncrementalObjective, order_cost
 from .search import (
     STRATEGIES,
     AnnealStats,
@@ -88,7 +88,6 @@ __all__ = [
     "Worklist",
     "list_schedule",
     "IncrementalObjective",
-    "element_op_lists",
     "order_cost",
     "STRATEGIES",
     "AnnealStats",

@@ -10,8 +10,10 @@ top of the trace layer's incremental hooks:
   capacity) plus a :class:`~repro.graph.scheduler.Worklist`, so a search
   state is one cheap-to-clone object whose accumulated ``cost`` is exactly
   the LRU load count of the partial order emitted so far;
-* :func:`element_op_lists` inverts the trace (element ID → ops touching
-  it), and :meth:`IncrementalObjective.candidates` uses it to propose only
+* the graph's element-by-op records
+  (:attr:`~repro.graph.dependency.DependencyGraph.element_ops`) map each
+  element to the ops touching it, and
+  :meth:`IncrementalObjective.candidates` uses them to propose only
   the ready ops *coupled to the current cache contents* — each proposal
   comes with its miss count for free (footprint size minus resident
   overlap; an optimistic lower bound, see
@@ -36,40 +38,24 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..obs.probe import get_probe
 from ..trace.compiled import CompiledTrace
-from ..trace.replay import (
-    LruCursor,
-    belady_replay_trace,
-    lru_replay_trace,
-    op_element_sets,
-)
+from ..trace.replay import LruCursor, belady_replay_trace, lru_replay_trace
 from .dependency import DependencyGraph
 from .scheduler import Worklist
 
 
-def element_op_lists(trace: CompiledTrace) -> list[list[int]]:
-    """Element ID → sorted op indices touching it (deduplicated, cached).
+def _coupling(graph: DependencyGraph) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Per element, the ops touching it (ascending, each once); per op, the
+    number of distinct elements it touches.  A shared table of the graph,
+    read from its access records.
 
     The coupling index behind candidate proposal: the ops worth
     considering next are exactly the ops sharing an element with the
     current cache contents, and this is the map from residents to them.
     """
-    cached = trace._replay_cache.get("element_op_lists")
-    if cached is None:
-        acc_ops = np.repeat(
-            np.arange(trace.n_ops, dtype=np.int64), np.diff(trace.op_starts)
-        )
-        # Dedup (element, op) pairs so each op appears once per element it
-        # touches — resident-overlap counters stay exact counts.
-        pairs = np.unique(trace.elem_ids * np.int64(trace.n_ops) + acc_ops)
-        elems = pairs // trace.n_ops
-        ops = pairs % trace.n_ops
-        bounds = np.searchsorted(elems, np.arange(trace.n_elements + 1))
-        ops_l = ops.tolist()
-        cached = [
-            ops_l[bounds[e] : bounds[e + 1]] for e in range(trace.n_elements)
-        ]
-        trace._replay_cache["element_op_lists"] = cached
-    return cached
+    return graph.table(
+        "coupling",
+        lambda: (graph.element_ops.rows(), np.diff(graph.op_elements.ptr).tolist()),
+    )
 
 
 class IncrementalObjective:
@@ -98,8 +84,7 @@ class IncrementalObjective:
         self.trace = graph.trace
         self.worklist = Worklist(graph, relax_reductions=relax_reductions)
         self.cursor = LruCursor(self.trace, capacity)
-        self.sizes = [len(s) for s in op_element_sets(self.trace)]
-        self.elem_ops = element_op_lists(self.trace)
+        self.elem_ops, self.sizes = _coupling(graph)
 
     @property
     def cost(self) -> int:

@@ -136,6 +136,11 @@ class Chain:
     stats: AnnealStats
     #: the walk's own ``counters()`` (illegal proposals, moves by kind).
     counters: dict
+    #: the walk's ``cost()`` before its first proposal.
+    start_cost: float
+    #: what the closing ``measure`` returned: ``cost`` itself, or a record
+    #: holding it as its ``cost`` attribute.
+    measured: Any
     #: the per-iteration series when the chain was given a label.
     series: "AnnealSeries | None" = None
 
@@ -171,7 +176,9 @@ def run_chain(
       candidate cost plus ``exact()``, which computes the cost itself (at
       least ``bound``) and is called at most once, before ``commit``;
     * ``snapshot()`` — a picklable copy of the committed state;
-    * ``measure(snapshot)`` — that state's cost recomputed from scratch;
+    * ``measure(snapshot)`` — that state's cost recomputed from scratch,
+      or a picklable record holding it as its ``cost`` attribute (the
+      chain keeps the record as :attr:`Chain.measured`);
     * ``counters()`` — the walk's own tallies, merged into ``params``.
 
     ``run_chain`` owns everything else: the RNG (seeded with ``seed``, and the
@@ -181,7 +188,10 @@ def run_chain(
     ``exp(-dc / temp)``) and the best state seen.  The best state is
     re-measured at the end and a disagreement with the incremental cost
     raises :class:`~repro.errors.ScheduleError`, so a drifted ledger fails
-    loudly in whichever process ran the chain.
+    loudly in whichever process ran the chain.  The best state only
+    changes on a strict improvement, so a chain whose best cost equals its
+    :attr:`~Chain.start_cost` never left its start, and its closing
+    measure is the start's.
 
     Bound-first rule: when a bound is already uphill, so is the exact
     cost, and the rule draws its one uniform either way.  ``run_chain``
@@ -206,7 +216,7 @@ def run_chain(
     rng = random.Random(seed)
     series = None if label is None else AnnealSeries(label=label)
     stats = AnnealStats(iters=iters)
-    cost = best = walk.cost()
+    start = cost = best = walk.cost()
     best_state = walk.snapshot()
     cooling = 1.0 if iters <= 1 else (T_END / t_start) ** (1.0 / (iters - 1))
     temp = t_start
@@ -238,12 +248,16 @@ def run_chain(
             series.add(i, temp, cost, best, took)
         temp *= cooling
     measured = walk.measure(best_state)
-    if measured != best:
+    measured_cost = getattr(measured, "cost", measured)
+    if measured_cost != best:
         raise ScheduleError(
             f"{type(walk).__name__} ledger drifted: model {best} != "
-            f"measured {measured}"
+            f"measured {measured_cost}"
         )
-    return Chain(best_state, measured, stats, walk.counters(), series)
+    return Chain(
+        best_state, measured_cost, stats, walk.counters(), start, measured,
+        series,
+    )
 
 
 def _chain_task(task) -> Chain:

@@ -36,9 +36,10 @@ once every later finish is provably the committed one; the loads come
 from the per-node :class:`~repro.trace.replay.LruLedger` the order search
 also uses, which replays only the nodes whose program changed and stops
 each once its cache re-converges; the transfers come from the refiner's
-exact ledger.  An order move that changes no program
-(:func:`changed_programs`) costs nothing beyond its window check.  An
-owner move hands the annealer a lower bound first — the exact
+exact ledger, which prices an owner move off its reference counts and
+applies it only when the walk commits it.  An order move that changes no
+program (:func:`changed_programs`) costs nothing beyond its window check.
+An owner move hands the annealer a lower bound first — the exact
 makespan and transfers with the moved nodes' footprints standing in for
 their loads — and replays LRU only when that bound cannot already reject
 it (:func:`repro.graph.search.run_chain`'s bound-first rule keeps the
@@ -52,29 +53,32 @@ The state is one of the three walks of the shared annealing engine:
 {all partitioners} × {recorded + heuristic + searched orders} through
 :func:`repro.graph.search.run_chains`, which fans the chains over the
 process pool (:mod:`repro.perf.pool` — chain 0 is the classic serial run
-and the merged result is bit-identical at any ``jobs``) and re-measures
-each chain's best pair with real per-shard replays
-(:func:`cosearch_cost`).  The model only *ranks*: the best measured seed
-is returned whenever the search did not genuinely improve on it —
-co-search can never hand back a worse schedule than the best thing it
-was seeded with.
+and the merged result is bit-identical at any ``jobs``), and each chain
+re-measures its best pair with real per-shard replays
+(:func:`cosearch_cost`).  The model only *ranks*: the best seed, checked
+by one cold measure, is returned whenever the search did not genuinely
+improve on it — co-search can never hand back a worse schedule than the
+best thing it was seeded with.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Sequence
 
-from ..errors import ConfigurationError
+import numpy as np
+
+from ..errors import ConfigurationError, ScheduleError
 from ..graph.compare import searched_orders
 from ..graph.dependency import DependencyGraph
 from ..graph.scheduler import list_schedule
 from ..graph.search import OrderMove, run_chains
 from ..obs.convergence import AnnealSeries
 from ..obs.probe import get_probe
-from ..trace.replay import LruLedger, lru_replay_trace
+from ..trace.compiled import CompiledTrace
+from ..trace.replay import LruLedger, _reuse_distances
 from .executor import PARTITIONERS, partition_graph
 from .makespan import MakespanLedger, makespan_model
 from .refine import OwnerMove, PartitionLedger
@@ -123,9 +127,10 @@ def cosearch_cost(
 
     The ground truth the incremental ledgers are checked against: the
     makespan comes from a cold :func:`~repro.parallel.makespan.makespan_model`
-    pass, each node's loads from the array LRU engine replaying its
-    order-induced sub-trace (shared interning, no recompilation), and the
-    transfers from :meth:`~repro.graph.dependency.DependencyGraph.cut_transfers`.
+    pass, each node's loads from an LRU replay of its order-induced
+    sub-trace (all nodes in one reuse-distance pass, :func:`_node_loads`),
+    and the transfers from
+    :meth:`~repro.graph.dependency.DependencyGraph.cut_transfers`.
     """
     if graph.trace is None:
         raise ConfigurationError(
@@ -144,17 +149,44 @@ def cosearch_cost(
     transfer_in = [0] * p
     for (_src, dst), elems in graph.cut_transfers(list(owner)).items():
         transfer_in[dst] += len(elems)
-    shard_seq: list[list[int]] = [[] for _ in range(p)]
-    for v in (order if order is not None else range(n)):
-        shard_seq[owner[v]].append(v)
-    loads = tuple(
-        lru_replay_trace(graph.trace.select_ops(seq), s).loads if seq else 0
-        for seq in shard_seq
-    )
     return CoSearchCost(
         p=p, s=s, alpha=float(alpha), beta=float(beta),
-        makespan=span.makespan, loads=loads, transfer_in=tuple(transfer_in),
+        makespan=span.makespan,
+        loads=_node_loads(graph.trace, owner, p, s, order),
+        transfer_in=tuple(transfer_in),
     )
+
+
+def _node_loads(
+    trace: CompiledTrace,
+    owner: Sequence[int],
+    p: int,
+    s: int,
+    order: Sequence[int] | None,
+) -> tuple[int, ...]:
+    """Per-node LRU loads at capacity ``s`` of each node's program.
+
+    The programs (each node's ops, in ``order``) are laid end to end, and
+    node ``q``'s copy of element ``e`` becomes element
+    ``e + q * n_elements``.  No access then reaches back into another
+    node's program, so its reuse distance is the one its own node's replay
+    would see: one reuse-distance pass serves every node, and a node's
+    loads are its accesses that miss.
+    """
+    node_of = np.asarray(owner, dtype=np.int64)
+    seq = np.arange(trace.n_ops) if order is None else np.asarray(order, dtype=np.int64)
+    programs = seq[np.argsort(node_of[seq], kind="stable")]
+    laid = trace.select_ops(programs.tolist())
+    node = np.repeat(node_of[programs], np.diff(laid.op_starts))
+    laid = replace(
+        laid,
+        elem_ids=laid.elem_ids + node * trace.n_elements,
+        key_matrix=np.tile(trace.key_matrix, p),
+        key_flat=np.tile(trace.key_flat, p),
+    )
+    dist = _reuse_distances(laid)
+    miss = (dist < 0) | (dist >= s)
+    return tuple(int(c) for c in np.bincount(node[miss], minlength=p))
 
 
 def changed_programs(
@@ -199,12 +231,15 @@ class CoSearchState:
       the checkpoints inside the window;
     * any other order move replays LRU only on the nodes whose program
       changed (:func:`changed_programs`);
-    * an owner move re-times the makespan and offers the annealer a lower
-      bound before any LRU replay: the exact makespan plus ``beta`` times
-      the bottleneck of transfers plus loads, taking the moved nodes'
-      footprints (a cold replay misses each distinct element at least
-      once) in place of their loads.  Only a proposal the bound cannot
-      reject replays its source and destination nodes.
+    * an owner move re-times the makespan on the candidate owner list and
+      offers the annealer a lower bound before any LRU replay: the exact
+      makespan plus ``beta`` times the bottleneck of transfers plus loads,
+      taking the moved nodes' footprints (a cold replay misses each
+      distinct element at least once) in place of their loads.  The
+      transfers and footprints are priced off the partition ledger
+      (:meth:`~repro.parallel.refine.PartitionLedger.price`), which only
+      a commit changes.  Only a proposal the bound cannot reject replays
+      its source and destination nodes.
 
     Invariants (the property suite pins them): the owner map is an exact
     cover of the op set at every step, the order stays a legal order of
@@ -330,24 +365,22 @@ class CoSearchState:
         i0, i1 = min(positions), max(positions) + 1
         nodes = {ledger.owner[v] for v in group}
         nodes.add(q)
-        # Evaluate applied, then revert; commit re-applies the same move.
-        undo = ledger.move_group(group, q)
-        cand_ms = self.span.score(owner=ledger.owner, from_pos=i0, settled=i1)
-        transfer_in = list(ledger.transfer_in)
+        # Priced, not applied: only a commit moves the group on the ledger.
+        owner = list(ledger.owner)
+        for v in group:
+            owner[v] = q
+        cand_ms = self.span.score(owner=owner, from_pos=i0, settled=i1)
+        transfer_in, footprint = ledger.price(group, q)
         floor = [
-            ledger.footprint[r] if r in nodes else loads
+            footprint[r] if r in nodes else loads
             for r, loads in enumerate(self.lru.loads)
         ]
-        ledger.undo(undo)
         bound = self._combine(cand_ms, floor, transfer_in)
         cand_cost = None
 
         def exact() -> float:
             nonlocal cand_cost
             if cand_cost is None:
-                owner = list(ledger.owner)
-                for v in group:
-                    owner[v] = q
                 cand_loads = self.lru.score(
                     self.order, owner, from_pos=i0, settled=i1, nodes=nodes
                 )
@@ -378,13 +411,13 @@ class CoSearchState:
     def snapshot(self) -> tuple[list[int], list[int]]:
         return list(self.order), list(self.ledger.owner)
 
-    def measure(self, pair: tuple[list[int], list[int]]) -> float:
-        """The pair's objective from real per-shard replays."""
+    def measure(self, pair: tuple[list[int], list[int]]) -> CoSearchCost:
+        """The pair's full accounting from real per-shard replays."""
         order, owner = pair
         return cosearch_cost(
             self.graph, owner, self.p, self.s, order=order, alpha=self.alpha,
             beta=self.beta, relax_reductions=self.relax_reductions,
-        ).cost
+        )
 
     def counters(self) -> dict:
         return {
@@ -413,7 +446,8 @@ class CoSearchResult:
     measured: CoSearchCost | None = None
     #: portfolio label of the winning chain's seed.
     seed_label: str = ""
-    #: measured objective per portfolio seed, keyed by label.
+    #: objective per portfolio seed, keyed by label: its chain's starting
+    #: ledger cost, which equals its measured objective bit for bit.
     seed_costs: dict = field(default_factory=dict)
     winner_chain: int = 0
     chain_costs: list = field(default_factory=list)
@@ -518,12 +552,19 @@ def cosearch(
     for any ``jobs`` (order-preserving map, min by ``(measured cost, chain
     index)``).
 
-    Hard postcondition: every seed and the winning pair are measured with
-    real per-shard replays (:func:`cosearch_cost`), and the best measured
-    seed is returned — ``reverted=True`` — whenever no chain beat it.
-    The returned pair is therefore never worse than the best decoupled
-    baseline present in the portfolio (e.g. a searched order with a
-    refined owner, when the caller seeds one in).
+    Hard postcondition: the returned pair is measured with real per-shard
+    replays (:func:`cosearch_cost`), and the best seed is returned —
+    ``reverted=True`` — whenever no chain beat it.  The returned pair is
+    therefore never worse than the best decoupled baseline present in the
+    portfolio (e.g. a searched order with a refined owner, when the caller
+    seeds one in).  Each pair is measured once: the seed costs are the
+    chains' starting ledger costs (equal to :func:`cosearch_cost` bit for
+    bit), the winner's accounting is its chain's closing measure, and the
+    best seed gets one cold measure — none when its chain never left it,
+    since that chain's closing measure already was that pair — which must
+    equal its ledger cost or :class:`~repro.errors.ScheduleError` is
+    raised.  A run makes at most one measure more than it has chains,
+    counted as ``cosearch.measures``.
 
     ``relax_reductions`` defaults to True: the order dimension only opens
     up when commuting ``+=`` chains may re-interleave; results are then
@@ -548,19 +589,6 @@ def cosearch(
     probe = get_probe()
     want_series = record_convergence or probe.enabled
 
-    # Measure every seed: the baselines of the run and the floor of the
-    # never-worse postcondition.
-    seed_measured = [
-        cosearch_cost(
-            graph, owner, p, s, order=order, alpha=alpha, beta=beta,
-            relax_reductions=relax_reductions,
-        )
-        for _label, order, owner in seeds
-    ]
-    best_seed = min(
-        range(len(seeds)), key=lambda k: (seed_measured[k].cost, k)
-    )
-
     runs, winner = run_chains(
         partial(
             _state, graph, p, s, alpha, beta, relax_reductions, balance_slack
@@ -569,18 +597,36 @@ def cosearch(
         [f"cosearch {label}" for label, _order, _owner in seeds],
         iters=iters, seed=seed, jobs=jobs, record=want_series,
     )
+    # The seeds' costs are their chains' starting ledger costs; the best
+    # one is the floor of the never-worse postcondition, so it rests on a
+    # cold measure: its chain's closing one if the chain never left it.
+    seed_costs = [run.start_cost for run in runs]
+    best_seed = min(range(len(seeds)), key=lambda k: (seed_costs[k], k))
+    measures = len(runs)
+    seed_run = runs[best_seed]
+    if seed_run.cost == seed_run.start_cost:
+        seed_measured = seed_run.measured
+    else:
+        _label, order, owner = seeds[best_seed]
+        seed_measured = cosearch_cost(
+            graph, owner, p, s, order=order, alpha=alpha, beta=beta,
+            relax_reductions=relax_reductions,
+        )
+        measures += 1
+    if seed_measured.cost != seed_costs[best_seed]:
+        raise ScheduleError(
+            f"co-search seed {seeds[best_seed][0]!r} ledger drifted: model "
+            f"{seed_costs[best_seed]} != measured {seed_measured.cost}"
+        )
     w_order, w_owner = runs[winner].best
-    measured = cosearch_cost(
-        graph, w_owner, p, s, order=w_order, alpha=alpha, beta=beta,
-        relax_reductions=relax_reductions,
-    )
+    measured = runs[winner].measured
     # The hard postcondition: the measured objective decides, and the best
-    # measured seed wins any tie-or-worse outcome.
-    reverted = measured.cost > seed_measured[best_seed].cost
+    # seed wins any tie-or-worse outcome.
+    reverted = measured.cost > seed_measured.cost
     if reverted:
         winner = best_seed
         _slabel, w_order, w_owner = seeds[best_seed]
-        measured = seed_measured[best_seed]
+        measured = seed_measured
     series = runs[winner].series
 
     evaluations = sum(run.stats.evaluations for run in runs)
@@ -596,9 +642,12 @@ def cosearch(
         "balance_slack": balance_slack,
         **runs[winner].params,
         **work,
+        "measures": measures,
     }
     if probe.enabled:
         probe.count("cosearch.runs")
+        probe.count("cosearch.chains", len(runs))
+        probe.count("cosearch.measures", measures)
         probe.count("cosearch.evaluations", evaluations)
         for name in ("order_moves", "owner_moves"):
             probe.count(
@@ -617,12 +666,11 @@ def cosearch(
         order=list(w_order),
         owner=tuple(int(q) for q in w_owner),
         cost=measured.cost,
-        seed_cost=seed_measured[best_seed].cost,
+        seed_cost=seed_costs[best_seed],
         measured=measured,
         seed_label=seeds[winner][0],
         seed_costs={
-            label: seed_measured[k].cost
-            for k, (label, _o, _w) in enumerate(seeds)
+            label: seed_costs[k] for k, (label, _o, _w) in enumerate(seeds)
         },
         winner_chain=winner,
         chain_costs=[run.cost for run in runs],

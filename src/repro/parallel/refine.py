@@ -30,14 +30,17 @@ of the objective (mirroring the ``IncrementalObjective`` design of
   counts keep the deduplicated per-pair transfer volumes correct under
   arbitrary moves.
 
-Moving one op updates both in time proportional to its footprint and
-incident edges.  One move, :class:`OwnerMove` (a unit of ops and a
-destination under the balance cap), serves both strategies and the joint
-co-search: steepest-descent ``greedy`` ranks the units that can move work
-off — or producers onto — the bottleneck node, and ``anneal`` draws them
-at random in :class:`OwnerWalk`, a walk of the shared annealing engine
-(:func:`repro.graph.search.run_chain`), which re-measures the walk's best
-assignment on a freshly built ledger.  ``greedy+anneal`` chains them.
+Pricing a candidate move (:meth:`PartitionLedger.price`) reads both off
+the reference counts, and applying an accepted one updates them, each in
+time proportional to the moved ops' footprints and incident edges.  One
+move, :class:`OwnerMove` (a unit of ops and a destination under the
+balance cap), serves both strategies and the joint co-search:
+steepest-descent ``greedy`` prices the units that can move work off — or
+producers onto — the bottleneck node and applies the best, and ``anneal``
+draws them at random in :class:`OwnerWalk`, a walk of the shared
+annealing engine (:func:`repro.graph.search.run_chain`), which recounts
+the walk's best assignment from the static tables.  ``greedy+anneal``
+chains them.
 
 The model is a proxy, so the refiner never trusts it: the returned
 assignment is re-measured with real per-shard replays
@@ -199,11 +202,12 @@ class PartitionLedger:
     The refiner's search state: per-node element reference counts model
     the receives, per-``(src, dst, element)`` reference counts keep the
     deduplicated transfer volumes exact, and per-node mults track the
-    balance constraint.  :meth:`move` / :meth:`move_group` apply an
-    assignment change in time proportional to the moved ops' footprints
-    and incident data edges; moving back restores the state exactly, which
-    is what makes candidate evaluation (apply, read :meth:`cost`, revert)
-    cheap enough to run thousands of proposals.
+    balance constraint.  :meth:`price` reads a candidate group move's
+    per-node transfers and footprints off the reference counts without
+    changing them, and :meth:`move` / :meth:`move_group` apply an accepted
+    move; both take time proportional to the moved ops' footprints and
+    incident data edges, so a walk prices thousands of proposals and
+    applies each accepted one once.
     """
 
     def __init__(self, graph: DependencyGraph, owner: Sequence[int], p: int):
@@ -281,26 +285,77 @@ class PartitionLedger:
                 self.footprint[q] += 1
             in_counts[e] = c + 1
 
-    def move_group(self, group: Sequence[int], q: int) -> list[tuple[int, int]]:
-        """Move every op of ``group`` to ``q``; returns the undo list."""
-        undo = [(v, self.owner[v]) for v in group]
+    def move_group(self, group: Sequence[int], q: int) -> None:
+        """Move every op of ``group`` to ``q``."""
         for v in group:
             self.move(v, q)
-        return undo
 
-    def undo(self, undo: list[tuple[int, int]]) -> None:
-        """Revert a :meth:`move_group` (restore in reverse order)."""
-        for v, q in reversed(undo):
-            self.move(v, q)
+    def price(self, group: Sequence[int], q: int) -> tuple[list[int], list[int]]:
+        """``(transfer_in, footprint)`` per node after moving ``group`` to
+        ``q``, read off the reference counts; nothing changes.
+
+        The values equal what :meth:`move_group` would leave.  An edge
+        with both ends in the group is counted once, from its new owners.
+        """
+        owner = self.owner
+        movers = [v for v in group if owner[v] != q]
+        transfer_in = list(self.transfer_in)
+        footprint = list(self.footprint)
+        if not movers:
+            return transfer_in, footprint
+        # Footprints: a source node loses an element when every op of it
+        # touching the element moves; q gains those it does not hold yet.
+        elem_count, touched = self.elem_count, self.touched
+        taken: dict[tuple[int, int], int] = {}
+        gained: set[int] = set()
+        for v in movers:
+            o = owner[v]
+            for e in touched[v]:
+                taken[o, e] = taken.get((o, e), 0) + 1
+            gained.update(touched[v])
+        for (o, e), c in taken.items():
+            if elem_count[o][e] == c:
+                footprint[o] -= 1
+        held = elem_count[q]
+        footprint[q] += sum(1 for e in gained if e not in held)
+        # Transfers: re-charge every edge with a moving end at its new
+        # owners, then count the (src, dst, element) triples that appear
+        # or vanish.
+        moving = set(movers)
+        edges = self.edges
+        delta: dict[tuple[int, int, int], int] = {}
+        get = delta.get
+        for idx in {idx for v in movers for idx in self.incident[v]}:
+            u, w, elems = edges[idx]
+            src, dst = owner[u], owner[w]
+            if src != dst:
+                for e in elems:
+                    key = (src, dst, e)
+                    delta[key] = get(key, 0) - 1
+            src = q if u in moving else src
+            dst = q if w in moving else dst
+            if src != dst:
+                for e in elems:
+                    key = (src, dst, e)
+                    delta[key] = get(key, 0) + 1
+        pair_count = self.pair_count
+        for key, d in delta.items():
+            if d:
+                c = pair_count.get(key, 0)
+                if c == 0:
+                    transfer_in[key[1]] += 1
+                elif c + d == 0:
+                    transfer_in[key[1]] -= 1
+        return transfer_in, footprint
 
     def node_cost(self, q: int) -> int:
         return self.footprint[q] + self.transfer_in[q]
 
-    def cost(self) -> int:
-        """The model objective: ``max_q(footprint_q + transfer_in_q)``."""
-        return max(
-            (f + t for f, t in zip(self.footprint, self.transfer_in)), default=0
-        )
+    def cost(self, priced: "tuple[list[int], list[int]] | None" = None) -> int:
+        """The model objective ``max_q(footprint_q + transfer_in_q)`` of the
+        committed assignment, or of a move :meth:`price` returned."""
+        transfer_in, footprint = priced or (self.transfer_in, self.footprint)
+        return max((f + t for f, t in zip(footprint, transfer_in)), default=0)
 
     def bottleneck(self) -> int:
         """The node attaining :meth:`cost` (lowest index on ties)."""
@@ -369,9 +424,9 @@ class OwnerMove:
 class OwnerWalk:
     """Refinement's walk for :func:`~repro.graph.search.run_chain`.
 
-    One :class:`OwnerMove` per step, scored on the
-    :class:`PartitionLedger` (apply, read the cost, revert); the best
-    assignment is re-measured on a freshly built ledger.
+    One :class:`OwnerMove` per step, priced on the
+    :class:`PartitionLedger` and applied only when accepted; the best
+    assignment's model cost is recounted from scratch.
     """
 
     def __init__(self, move: OwnerMove):
@@ -387,9 +442,7 @@ class OwnerWalk:
             return None
         group, q = drawn
         ledger = self.ledger
-        undo = ledger.move_group(group, q)
-        cost = ledger.cost()
-        ledger.undo(undo)
+        cost = ledger.cost(ledger.price(group, q))
 
         def commit() -> None:
             ledger.move_group(group, q)
@@ -460,14 +513,15 @@ class RefineResult:
         return self.cost < self.seed_cost
 
 
-def _greedy_pass(move: OwnerMove) -> tuple[int, list[tuple[int, int]]] | None:
-    """The best strictly-improving move off (or onto) the bottleneck node.
+def _greedy_pass(move: OwnerMove) -> int | None:
+    """Apply the best strictly-improving move off (or onto) the bottleneck
+    node.
 
     Candidate units are the movable units with an op on the bottleneck
     node, plus units producing transfers into it (pulling a producer onto
     the bottleneck removes cross flow without shrinking its work).  Every
-    candidate is applied, measured, and reverted; returns the evaluation
-    count plus the applied best move's undo list, or ``None`` at a local
+    candidate is priced (:meth:`PartitionLedger.price`) and only the best
+    is applied; returns the evaluation count, or ``None`` at a local
     optimum.
     """
     ledger, units, op_units = move.ledger, move.units, move.op_units
@@ -515,10 +569,8 @@ def _greedy_pass(move: OwnerMove) -> tuple[int, list[tuple[int, int]]] | None:
                 weight = sum(ledger.weights[v] for v in movers)
                 if not move.fits(q, weight):
                     continue
-                undo = ledger.move_group(group, q)
-                c = ledger.cost()
+                c = ledger.cost(ledger.price(group, q))
                 evaluations += 1
-                ledger.undo(undo)
                 if c < current and (best is None or (c, weight) < best[:2]):
                     best = (c, weight, ui, q)
         if best is not None:
@@ -527,7 +579,8 @@ def _greedy_pass(move: OwnerMove) -> tuple[int, list[tuple[int, int]]] | None:
     if best is None:
         return None
     _cost, _w, ui, q = best
-    return evaluations, ledger.move_group(units[ui], q)
+    ledger.move_group(units[ui], q)
+    return evaluations
 
 
 def refine_partition(
@@ -602,10 +655,9 @@ def refine_partition(
             greedy_series.add(0, best_model)  # round 0: the seed's model cost
             convergence["greedy"] = greedy_series
         while moves < max_moves:
-            step = _greedy_pass(move)
-            if step is None:
+            n_evals = _greedy_pass(move)
+            if n_evals is None:
                 break
-            n_evals, _undo = step
             evaluations += n_evals
             moves += 1
             # every greedy move strictly lowers the model cost

@@ -80,12 +80,12 @@ class ScheduleKey:
     ``numpy.int64(15)`` address the same object; a value that is not a
     whole number (``15.5``, ``True``, ``"15"``) is rejected rather than
     truncated into another key.  ``alpha``/``beta`` are the latency-model
-    constants the ``cosearch`` policy optimizes under; they must be finite,
-    and are normalized to floats so ``1`` and ``1.0`` address the same
-    object.  The ``heuristic`` and ``search`` policies read none of ``p``,
-    ``alpha`` and ``beta``, so their keys reset the three to ``1``,
-    ``1.0`` and ``1.0``: a request that spells them otherwise addresses
-    the same object.
+    constants the ``cosearch`` policy optimizes under; they must be finite
+    and at least 0, and are normalized to floats so ``1`` and ``1.0``
+    address the same object.  The ``heuristic`` and ``search`` policies
+    read none of ``p``, ``alpha`` and ``beta``, so their keys reset the
+    three to ``1``, ``1.0`` and ``1.0`` (a negative constant included): a
+    request that spells them otherwise addresses the same object.
     """
 
     kernel: str
@@ -115,6 +115,10 @@ class ScheduleKey:
             object.__setattr__(self, "p", 1)
             object.__setattr__(self, "alpha", 1.0)
             object.__setattr__(self, "beta", 1.0)
+        if self.alpha < 0 or self.beta < 0:
+            # The latency model prices no negative time; refuse the key
+            # before a miss records and searches it.
+            raise ConfigurationError(f"key constants alpha and beta must be >= 0: {self}")
 
     def as_dict(self) -> dict:
         return {

@@ -18,6 +18,8 @@ Three groups:
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import random
 
 import numpy as np
@@ -25,7 +27,8 @@ import pytest
 
 from repro import TwoLevelMachine
 from repro.core.tbs import tbs_syrk
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ScheduleError
+from repro.graph.compare import record_case
 from repro.graph.dependency import DependencyGraph
 from repro.graph.rewriter import rewrite_schedule
 from repro.obs.probe import probe_scope
@@ -42,6 +45,7 @@ from repro.parallel import (
 from repro.parallel.cosearch import CoSearchCost
 from repro.sched.schedule import record_schedule
 from repro.trace.compiled import compile_trace
+from repro.trace.replay import lru_replay_trace
 
 
 def build_graph(n: int = 24, mc: int = 3, s: int = 15) -> DependencyGraph:
@@ -350,7 +354,38 @@ class TestMakespanLedger:
             MakespanLedger(tbs_graph, owner, p=4, order=bad)
 
 
+def per_node_loads(graph, owner, p, s, order=None) -> tuple[int, ...]:
+    """Each node's program replayed on its own: the one-pass loads' oracle."""
+    programs: list[list[int]] = [[] for _ in range(p)]
+    for v in range(len(graph)) if order is None else order:
+        programs[owner[v]].append(v)
+    return tuple(
+        lru_replay_trace(graph.trace.select_ops(seq), s).loads if seq else 0
+        for seq in programs
+    )
+
+
 class TestCoSearchCost:
+    @pytest.mark.parametrize("kernel", ["tbs", "chol"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_one_pass_loads_equal_per_node_replays(self, kernel, p):
+        graph = (
+            build_graph() if kernel == "tbs"
+            else DependencyGraph.from_trace(record_case("chol", 16, 0, 15).trace)
+        )
+        rng = random.Random(p)
+        n = len(graph)
+        for trial in range(4):
+            order = random_legal_order(graph, rng) if trial else None
+            # odd trials leave node p - 1 empty (at p = 1 that node is all)
+            used = p - 1 if trial % 2 and p > 1 else p
+            owner = [rng.randrange(used) for _ in range(n)]
+            for s in (2, 15, 40):
+                measured = cosearch_cost(
+                    graph, owner, p, s, order=order, relax_reductions=True
+                )
+                assert measured.loads == per_node_loads(graph, owner, p, s, order)
+
     def test_matches_components(self, tbs_graph):
         p, s = 4, 15
         owner = list(partition_graph(tbs_graph, p, "locality"))
@@ -558,12 +593,80 @@ class TestCosearchDriver:
 
     def test_probe_counters(self, tbs_graph):
         with probe_scope() as probe:
-            cosearch(tbs_graph, 2, 15, iters=60,
-                     search_kwargs={"anneal": {"iters": 20, "seed": 0}})
+            res = cosearch(tbs_graph, 2, 15, iters=60,
+                           search_kwargs={"anneal": {"iters": 20, "seed": 0}})
         counts = probe.counters
         assert counts["cosearch.runs"] == 1
         assert counts["cosearch.evaluations"] > 0
+        assert counts["cosearch.chains"] == res.params["chains"]
+        assert counts["cosearch.measures"] == res.params["measures"]
         assert "convergence.cosearch" in probe.attachments
+
+    def test_each_pair_is_measured_once(self, tbs_graph, monkeypatch):
+        """One measure per chain plus at most one cold check of the best
+        seed, counted in the parent: the same count and result at any
+        ``jobs``."""
+        module = importlib.import_module("repro.parallel.cosearch")
+        calls = []
+        real = module.cosearch_cost
+        monkeypatch.setattr(
+            module, "cosearch_cost", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        kw = dict(iters=80, seed=0,
+                  search_kwargs={"anneal": {"iters": 30, "seed": 0}})
+        runs = []
+        for jobs in (1, 2):
+            calls.clear()
+            with probe_scope() as probe:
+                res = cosearch(tbs_graph, 4, 15, jobs=jobs, **kw)
+            runs.append((res, probe.counters["cosearch.measures"], len(calls)))
+        (serial, count, serial_calls), (fanned, fanned_count, _) = runs
+        chains = serial.params["chains"]
+        assert chains == 9
+        assert chains <= count <= chains + 1 <= 10
+        assert count == fanned_count == serial.params["measures"]
+        assert serial_calls == count  # every measure of the in-process run
+        assert (serial.order, serial.owner, serial.cost, serial.seed_costs) == (
+            fanned.order, fanned.owner, fanned.cost, fanned.seed_costs
+        )
+        assert serial.measured == fanned.measured
+
+    def test_seed_costs_equal_cold_measures(self, tbs_graph):
+        seeds = cosearch_portfolio(
+            tbs_graph, 2, 15, search_kwargs={"anneal": {"iters": 20, "seed": 0}}
+        )
+        res = cosearch(tbs_graph, 2, 15, iters=40, seeds=seeds)
+        for label, order, owner in seeds:
+            cold = cosearch_cost(
+                tbs_graph, owner, 2, 15, order=order, relax_reductions=True
+            )
+            assert res.seed_costs[label] == cold.cost
+
+    def test_a_drifted_best_seed_fails_the_run(self, tbs_graph, monkeypatch):
+        """The never-worse floor rests on a cold measure of the best seed:
+        when it disagrees with the seed's ledger cost, the run fails."""
+        module = importlib.import_module("repro.parallel.cosearch")
+        owner = list(partition_graph(tbs_graph, 4, "level-greedy"))
+        seeds = [("only", list(range(len(tbs_graph))), owner)]
+        res = cosearch(tbs_graph, 4, 15, iters=150, seeds=seeds)
+        assert res.chain_costs[0] < res.seed_cost  # the chain left its seed
+        assert res.params["measures"] == 2
+        real = module.cosearch_cost
+
+        def chain_measure(self, pair):
+            order, owner = pair
+            return real(self.graph, owner, self.p, self.s, order=order,
+                        relax_reductions=True)
+
+        monkeypatch.setattr(module.CoSearchState, "measure", chain_measure)
+        monkeypatch.setattr(
+            module, "cosearch_cost",
+            lambda *a, **k: dataclasses.replace(
+                real(*a, **k), makespan=real(*a, **k).makespan + 1.0
+            ),
+        )
+        with pytest.raises(ScheduleError, match="seed 'only' ledger drifted"):
+            cosearch(tbs_graph, 4, 15, iters=150, seeds=seeds)
 
     def test_rejects_bad_args(self, tbs_graph):
         with pytest.raises(ConfigurationError):

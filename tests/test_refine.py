@@ -1,5 +1,7 @@
 """Tests for transfer-aware partition refinement and the makespan model."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError, ScheduleError
@@ -18,6 +20,14 @@ from repro.parallel import (
     write_groups,
 )
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised only without hypothesis
+    HAVE_HYPOTHESIS = False
+
 N, M, S = 33, 4, 15
 
 
@@ -29,6 +39,53 @@ def tbs_case():
 @pytest.fixture(scope="module")
 def tbs_graph(tbs_case):
     return DependencyGraph.from_trace(tbs_case.trace)
+
+
+def ledger_state(ledger):
+    """Everything a :class:`PartitionLedger` counts, as plain values."""
+    return (
+        list(ledger.owner), list(ledger.loads), list(ledger.footprint),
+        [dict(c) for c in ledger.elem_count], dict(ledger.pair_count),
+        list(ledger.transfer_in), list(ledger.transfer_out),
+    )
+
+
+def check_pricing(graph, p, seed, proposals=40):
+    """``price`` equals apply-then-read on random groups and destinations,
+    and leaves every reference count as it was.
+
+    Groups are single ops, whole reduction classes and random op sets
+    (which may hold edges with both ends inside, and ops already on the
+    destination); about a third of the moves are then applied, so later
+    proposals price against a moved state.
+    """
+    rng = random.Random(seed)
+    n = len(graph)
+    owner = [rng.randrange(p) for _ in range(n)]
+    ledger = PartitionLedger(graph, owner, p)
+    classes = graph.reduction_classes()
+    for _ in range(proposals):
+        kind = rng.random()
+        if kind < 0.4:
+            group = [rng.randrange(n)]
+        elif kind < 0.7 and classes:
+            group = list(classes[rng.randrange(len(classes))])
+        else:
+            v = rng.randrange(n)
+            near = range(max(0, v - 8), min(n, v + 9))
+            group = sorted({v, *rng.sample(near, min(len(near), rng.randrange(1, 6)))})
+        q = rng.randrange(p)
+        before = ledger_state(ledger)
+        priced = ledger.price(group, q)
+        assert ledger_state(ledger) == before
+        applied = PartitionLedger(graph, ledger.owner, p)
+        applied.move_group(group, q)
+        assert priced == (applied.transfer_in, applied.footprint)
+        assert ledger.cost(priced) == applied.cost()
+        assert applied.cost() == model_cost_from_scratch(graph, applied.owner, p)
+        if rng.random() < 0.35:
+            ledger.move_group(group, q)
+            assert ledger_state(ledger) == ledger_state(applied)
 
 
 def model_cost_from_scratch(graph, owner, p):
@@ -46,8 +103,6 @@ class TestOwnerWalkMeasure:
     """The refine walk's drift check counts the model cost from scratch."""
 
     def test_measure_counts_from_scratch(self, tbs_graph):
-        import random
-
         from repro.parallel.refine import OwnerMove, OwnerWalk
 
         rng = random.Random(5)
@@ -81,8 +136,6 @@ class TestPartitionLedger:
             assert sum(ledger.transfer_in) == sum(ledger.transfer_out)
 
     def test_incremental_moves_match_scratch(self, tbs_graph):
-        import random
-
         rng = random.Random(11)
         owner = partition_graph(tbs_graph, 4, "level-greedy")
         ledger = PartitionLedger(tbs_graph, owner, 4)
@@ -93,29 +146,52 @@ class TestPartitionLedger:
         assert ledger.cost() == model_cost_from_scratch(tbs_graph, ledger.owner, 4)
         assert sum(ledger.transfer_in) == sum(ledger.transfer_out)
 
-    def test_move_then_undo_restores_exactly(self, tbs_graph):
-        owner = partition_graph(tbs_graph, 3, "locality")
-        ledger = PartitionLedger(tbs_graph, owner, 3)
-        before = (
-            list(ledger.owner), list(ledger.footprint),
-            list(ledger.transfer_in), list(ledger.transfer_out),
-            list(ledger.loads), dict(ledger.pair_count),
-        )
-        group = [0, 1, len(tbs_graph) // 2]
-        undo = ledger.move_group(group, 2)
-        ledger.undo(undo)
-        after = (
-            list(ledger.owner), list(ledger.footprint),
-            list(ledger.transfer_in), list(ledger.transfer_out),
-            list(ledger.loads), dict(ledger.pair_count),
-        )
-        assert before == after
+    def test_price_equals_apply_then_read(self, tbs_graph):
+        check_pricing(tbs_graph, 3, seed=0, proposals=20)
 
     def test_bad_args(self, tbs_graph):
         with pytest.raises(ConfigurationError):
             PartitionLedger(tbs_graph, [0], 2)
         with pytest.raises(ConfigurationError):
             PartitionLedger(tbs_graph, [5] * len(tbs_graph), 2)
+
+
+_PRICE_GRAPHS: dict = {}
+
+
+def price_graph(kernel: str) -> DependencyGraph:
+    """A small tbs or Cholesky graph for the pricing sweeps."""
+    if kernel not in _PRICE_GRAPHS:
+        case = record_case(kernel, 20, 0 if kernel == "chol" else 3, S)
+        _PRICE_GRAPHS[kernel] = DependencyGraph.from_trace(case.trace)
+    return _PRICE_GRAPHS[kernel]
+
+
+class TestPartitionLedgerPrice:
+    """:meth:`PartitionLedger.price` against its oracle, apply-then-read."""
+
+    @pytest.mark.parametrize("kernel", ["tbs", "chol"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_seeded_sweep(self, kernel, p):
+        check_pricing(price_graph(kernel), p, seed=p)
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=12, deadline=None)
+        @given(
+            kernel=st.sampled_from(["tbs", "chol"]),
+            p=st.sampled_from([2, 3, 4]),
+            seed=st.integers(min_value=0, max_value=2**16),
+        )
+        def test_hypothesis(self, kernel, p, seed):
+            check_pricing(price_graph(kernel), p, seed, proposals=15)
+
+    def test_a_move_to_its_own_node_prices_the_committed_state(self, tbs_graph):
+        ledger = PartitionLedger(tbs_graph, partition_graph(tbs_graph, 2, "locality"), 2)
+        group = [v for v in range(8) if ledger.owner[v] == ledger.owner[0]]
+        priced = ledger.price(group, ledger.owner[0])
+        assert priced == (ledger.transfer_in, ledger.footprint)
+        assert ledger.cost(priced) == ledger.cost()
 
 
 class TestPartitionCost:

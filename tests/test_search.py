@@ -12,7 +12,6 @@ from repro.graph import (
     anneal_search,
     beam_search,
     dependency_graph,
-    element_op_lists,
     list_schedule,
     lookahead_search,
     order_cost,
@@ -151,9 +150,9 @@ class TestObjective:
         # the accumulated objective is the exact LRU Q of the emitted order
         assert obj.cost == order_cost(tbs_graph.trace, emitted, S)
 
-    def test_element_op_lists_cover_all_ops(self, tbs_case):
+    def test_element_op_rows_cover_all_ops(self, tbs_case, tbs_graph):
         trace = tbs_case.trace
-        lists = element_op_lists(trace)
+        lists = tbs_graph.element_ops.rows()
         assert len(lists) == trace.n_elements
         covered = set()
         for ops in lists:

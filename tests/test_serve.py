@@ -10,6 +10,7 @@ single-flight guarantee (N concurrent duplicates → exactly one search).
 """
 
 import asyncio
+import hashlib
 import json
 import multiprocessing
 import os
@@ -126,6 +127,36 @@ class TestScheduleKey:
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="finite"):
                 ScheduleKey("tbs", 20, 3, 10, policy="cosearch", **{field: value})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_negative_constant_rejected(self, field):
+        """The latency model prices no negative time: the key is refused
+        before a miss would record and search it."""
+        fields = {**ScheduleKey("tbs", 24, 6, 15, p=4, policy="cosearch").as_dict(),
+                  field: -1.0}
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            ScheduleKey.from_dict(fields)
+        kernel = fields.pop("kernel")
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            ScheduleKey(kernel, **fields)
+        assert ScheduleKey("tbs", 24, 6, 15, policy="cosearch", **{field: 0.0})
+
+    @pytest.mark.parametrize("policy", ["heuristic", "search"])
+    def test_negative_constant_of_a_single_node_key_normalizes(self, policy):
+        key = ScheduleKey("tbs", 20, 3, 10, policy=policy, alpha=-1.0, beta=-2.0)
+        assert key == ScheduleKey("tbs", 20, 3, 10, policy=policy)
+
+    def test_key_at_reads_a_negative_constant_as_no_key(self, store, case):
+        fields = {**ScheduleKey("tbs", 20, 3, 10, p=2, policy="cosearch").as_dict(),
+                  "alpha": -1.0}
+        canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        path = store.object_path(digest)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        save_schedule(case.schedule, path, fields)
+        assert read_header(path)["key"] == fields
+        assert store.key_at(digest) is None
+        assert store.keys() == []
 
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigurationError):
