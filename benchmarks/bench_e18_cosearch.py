@@ -39,8 +39,11 @@ A second row times what the serve path pays for one cold ``cosearch``
 key at p=4 (:func:`repro.serve.frontend.run_searcher`: record, DAG,
 portfolio, chains, rewrite), tbs N=60 (N=24 at smoke size), as the
 median of 5 misses, printed with the run's ``cosearch.measures`` (cold
-:func:`~repro.parallel.cosearch.cosearch_cost` calls).  It is a report:
-wall time on a shared host asserts nothing.
+:func:`~repro.parallel.cosearch.cosearch_cost` calls) and its LRU cursor
+ops per evaluated proposal (``cosearch.lru_ops / cosearch.evaluations``),
+the replay work each proposal costs the LRU ledger.  It is a report:
+wall time on a shared host asserts nothing, and the ops per proposal
+have no floor.
 """
 
 import statistics
@@ -235,15 +238,18 @@ def time_cold_miss(n: int, runs: int = 5):
 @pytest.mark.benchmark(group="e18")
 def test_e18_cold_miss(once, smoke):
     key, times, counters = once(time_cold_miss, 24 if smoke else 60)
+    lru_ops, evaluations = counters["cosearch.lru_ops"], counters["cosearch.evaluations"]
     t = Table(
-        ["key", "misses", "median s", "min s", "max s", "measures", "chains"],
+        ["key", "misses", "median s", "min s", "max s", "measures", "chains",
+         "lru ops", "evaluations", "lru ops/eval"],
         title="E18: one cold serve-path co-search miss, record to rewrite",
     )
     t.add_row([
         f"{key.kernel} N={key.n} p={key.p} S={key.s}", len(times),
         f"{statistics.median(times):.3f}", f"{min(times):.3f}",
         f"{max(times):.3f}", counters["cosearch.measures"],
-        counters["cosearch.chains"],
+        counters["cosearch.chains"], f"{lru_ops:,}", f"{evaluations:,}",
+        f"{lru_ops / max(evaluations, 1):.1f}",
     ])
     print()
     print(t.render())

@@ -16,10 +16,11 @@ top of the trace layer's incremental hooks:
   :meth:`IncrementalObjective.candidates` uses them to propose only
   the ready ops *coupled to the current cache contents* — each proposal
   comes with its miss count for free (footprint size minus resident
-  overlap; an optimistic lower bound, see
-  :meth:`~repro.trace.replay.LruCursor.peek_op`), so ranking candidates
-  costs one counter sweep instead of a cache probe per
-  (candidate, element) pair;
+  overlap), so ranking candidates costs one counter sweep instead of a
+  cache probe per (candidate, element) pair.  The count is an optimistic
+  lower bound on what emitting the op costs: it is exact unless the op's
+  own misses evict a footprint element before the op touches it, which
+  then loads again;
 * :func:`order_cost` evaluates a complete candidate order by replaying the
   reordered trace (:meth:`~repro.trace.compiled.CompiledTrace.reorder`
   shares the element interning, so no recompilation happens per
@@ -95,10 +96,6 @@ class IncrementalObjective:
     def done(self) -> bool:
         return not self.worklist.ready
 
-    def peek(self, v: int) -> int:
-        """Loads emitting ``v`` would cost from the current cache state."""
-        return self.cursor.peek_op(v)
-
     def emit(self, v: int) -> int:
         """Emit ready node ``v``; returns the loads it actually cost."""
         self.worklist.emit(v)
@@ -121,10 +118,10 @@ class IncrementalObjective:
         cache contents (their miss count falls out of the overlap counter:
         footprint size minus resident hits), plus the ``cold`` lowest-index
         ready nodes so a search can always open a fresh dependence chain.
-        Sorted by (miss count, index).  Counts match :meth:`peek` — an
-        optimistic lower bound on what :meth:`emit` will charge (exact
-        unless the op evicts part of its own footprint mid-op); they rank
-        candidates, while accumulated ``cost`` stays exact.
+        Sorted by (miss count, index).  A count is an optimistic lower
+        bound on what :meth:`emit` will charge (exact unless the op evicts
+        part of its own footprint mid-op); counts rank candidates, while
+        accumulated ``cost`` stays exact.
         """
         ready = self.worklist.ready
         if not ready:

@@ -32,11 +32,13 @@ load count that scored it:
     legality is checked on the window's own edges
     (:meth:`~repro.graph.dependency.DependencyGraph.is_valid_window`).
     The candidate's LRU loads come from a
-    :class:`~repro.trace.replay.LruLedger`: it replays from the cache
-    checkpoint before the window and stops at the first checkpoint after
-    it where the cache equals the committed replay's, since LRU state
-    depends only on recent history.  Both shortcuts are exact, and the
-    trace is never recompiled.
+    :class:`~repro.trace.replay.LruLedger`, which keeps each op's
+    committed load and no cache state: an LRU cache holds the
+    ``capacity`` most recently used distinct elements, so the replay
+    starts from the last ``capacity`` distinct elements before the window
+    and stops once the ops after it have covered ``capacity`` distinct
+    elements, where it has rejoined the committed replay.  Both shortcuts
+    are exact, and the trace is never recompiled.
 
 This module also holds the one annealing engine.  :func:`run_chain` runs
 one Metropolis walk over any state that offers ``cost``, ``step``,
@@ -610,11 +612,13 @@ class OrderWalk:
     """The order search's walk for :func:`run_chain`: an order and its loads.
 
     The committed order's LRU loads live in an
-    :class:`~repro.trace.replay.LruLedger`: a move of window ``[i, j)``
-    re-costs from the checkpoint at or before ``i`` and stops once the
-    cache re-converges with the committed replay after ``j``.  A commit
-    replaces the order list rather than editing it, so a snapshot is the
-    list itself.
+    :class:`~repro.trace.replay.LruLedger` as per-op loads: a move of
+    window ``[i, j)`` starts its replay from the cache state read off the
+    ops before ``i`` and stops once the ops from ``j`` on have covered
+    ``capacity`` distinct elements, where the replay has rejoined the
+    committed one.  A commit replaces the order list rather than editing
+    it, so a snapshot is the list itself, and the ledger holds it by
+    reference as the committed order.
     """
 
     def __init__(
@@ -685,9 +689,13 @@ def anneal_search(
     the moved window, which is exact because the walk starts from a legal
     order (an illegal or incomplete ``start`` raises ``ScheduleError``
     before the walk).  Each legal proposal is costed by the
-    :class:`OrderWalk`'s LRU ledger.  The chain (:func:`run_chain`) cools
-    geometrically from :data:`T_START` to :data:`T_END` and returns
-    the best order ever seen, re-costed from cold as a cross-check.
+    :class:`OrderWalk`'s LRU ledger, which keeps per-op loads: it reads
+    the cache state before the window off the last ``capacity`` distinct
+    elements there and replays until the ops after the window have
+    covered ``capacity`` distinct elements.  The chain
+    (:func:`run_chain`) cools geometrically from :data:`T_START` to
+    :data:`T_END` and returns the best order ever seen, re-costed from
+    cold as a cross-check.
 
     ``chains > 1`` runs a portfolio of independent chains from the same
     start order (:func:`run_chains`): chain 0 is exactly the classic

@@ -40,8 +40,8 @@ op *order* (``repro.graph.search``) and the op *ownership* (``refine``)
 in separate silos, one annealing walk interleaves both move kinds through
 a single :class:`~repro.parallel.cosearch.CoSearchState` — an exact-cover
 partition ledger, a checkpointed :class:`~repro.parallel.makespan.
-MakespanLedger` that re-times only the ops a move can touch, and per-node
-LRU checkpoints that replay only the nodes whose program changed — under
+MakespanLedger` that re-times only the ops a move can touch, and per-op
+LRU loads whose ledger replays only the nodes whose program changed — under
 one latency objective, and never returns a schedule measured
 worse than the best seed of its {partitioner} x {order} portfolio.
 Experiment E18 measures the joint walk against the decoupled pipelines.

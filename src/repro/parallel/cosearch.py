@@ -34,8 +34,11 @@ The makespan re-times through
 :class:`~repro.parallel.makespan.MakespanLedger` checkpoints and stops
 once every later finish is provably the committed one; the loads come
 from the per-node :class:`~repro.trace.replay.LruLedger` the order search
-also uses, which replays only the nodes whose program changed and stops
-each once its cache re-converges; the transfers come from the refiner's
+also uses, which keeps each op's committed load and no cache state: it
+replays only the nodes whose program changed, each from the recency list
+read off its last ``S`` distinct elements before the move, and stops each
+once its accesses after the move cover ``S`` distinct elements, where its
+cache equals the committed replay's; the transfers come from the refiner's
 exact ledger, which prices an owner move off its reference counts and
 applies it only when the walk commits it.  An order move that changes no
 program (:func:`changed_programs`) costs nothing beyond its window check.
@@ -215,9 +218,11 @@ class CoSearchState:
     :class:`~repro.parallel.makespan.MakespanLedger` (latency), an
     :class:`~repro.trace.replay.LruLedger` over the pair (per-node loads),
     and the refiner's :class:`~repro.parallel.refine.PartitionLedger`
-    (exact transfers, plus each node's footprint).  The LRU checkpoints
-    share the makespan ledger's interval.  Half the proposals are the
-    order walk's :class:`~repro.graph.search.OrderMove`, the other half
+    (exact transfers, plus each node's footprint).  The LRU ledger keeps
+    per-op loads and holds the partition ledger's owner list by reference,
+    which :meth:`~repro.parallel.refine.PartitionLedger.move_group` edits
+    only between a score and that score's commit.  Half the proposals are
+    the order walk's :class:`~repro.graph.search.OrderMove`, the other half
     the refiner's :class:`~repro.parallel.refine.OwnerMove` (which holds
     the balance cap).  The state is a walk of the annealing engine
     (:func:`repro.graph.search.run_chain`).
@@ -228,7 +233,8 @@ class CoSearchState:
 
     * an order move that changes no node's program has the committed
       cost exactly; it skips both replays, and its commit only rebuilds
-      the checkpoints inside the window;
+      the makespan checkpoints inside the window and hands the new order
+      to the LRU ledger, whose per-op loads stand;
     * any other order move replays LRU only on the nodes whose program
       changed (:func:`changed_programs`);
     * an owner move re-times the makespan on the candidate owner list and
@@ -289,10 +295,7 @@ class CoSearchState:
         self.owner_moves = 0
         #: owner proposals the annealer rejected on their bound.
         self.bound_rejects = 0
-        self.lru = LruLedger(
-            graph.trace, s, self.order, self.ledger.owner, p=p,
-            interval=self.span.interval,
-        )
+        self.lru = LruLedger(graph.trace, s, self.order, self.ledger.owner, p=p)
         self._cost = self._combine(
             self.span.makespan, self.lru.loads, self.ledger.transfer_in
         )

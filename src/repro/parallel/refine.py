@@ -238,7 +238,6 @@ class PartitionLedger:
         # Transfer state.
         self.pair_count: dict[tuple[int, int, int], int] = {}
         self.transfer_in = [0] * p
-        self.transfer_out = [0] * p
         for idx in range(len(self.edges)):
             self._edge_charge(idx, +1)
 
@@ -257,7 +256,6 @@ class PartitionLedger:
                 del pair_count[key]
             if (sign > 0 and c == 1) or (sign < 0 and c == 0):
                 self.transfer_in[dst] += sign
-                self.transfer_out[src] += sign
 
     def move(self, v: int, q: int) -> None:
         """Reassign op ``v`` to node ``q`` (no-op when already there)."""

@@ -18,10 +18,13 @@ has exactly one engine:
   no pass: one O(n) pass per trace leaves O(1) per capacity
   (:func:`_belady_counts_above_peak`).  One capacity is the one-point
   sweep.
-* **Incremental LRU** — :class:`LruCursor` and :class:`LruLedger` replay an
-  order op by op from any cache snapshot, for the order searches; the
-  ledger keeps one cursor per node and replays only the nodes a move
-  changed.
+* **Incremental LRU** — :class:`LruCursor` replays an order op by op, for
+  the order searches.  :class:`LruLedger` re-costs a changed
+  ``(order, owner)`` pair from per-op loads and keeps no cache state: by
+  the same inclusion property, a replayed node reads its start state off
+  its last ``capacity`` distinct elements before the change and stops
+  once its accesses after the change cover ``capacity`` distinct
+  elements, where it has rejoined the committed replay.
 
 Every entry point takes its capacity through :func:`as_capacity`.  Store
 accounting matches the oracles: dirty evictions count as stores
@@ -667,7 +670,7 @@ def sweep_replay_trace(
 
 
 # --------------------------------------------------------------------- #
-# incremental replay: op-at-a-time LRU from any cache snapshot
+# incremental replay: op-at-a-time LRU from any cache state
 # --------------------------------------------------------------------- #
 
 def op_access_lists(trace: CompiledTrace) -> list[list[int]]:
@@ -686,26 +689,19 @@ def op_access_lists(trace: CompiledTrace) -> list[list[int]]:
     return cached
 
 
-def op_element_sets(trace: CompiledTrace) -> list[frozenset[int]]:
-    """Per-op *distinct* element IDs (the op footprints), cached."""
-    cached = trace._replay_cache.get("op_element_sets")
-    if cached is None:
-        cached = [frozenset(acc) for acc in op_access_lists(trace)]
-        trace._replay_cache["op_element_sets"] = cached
-    return cached
-
-
 class LruCursor:
-    """Op-at-a-time LRU replay with snapshot / restore / suffix replay.
+    """Op-at-a-time LRU replay from a cold cache or a given one.
 
     The order-search engine (:mod:`repro.graph.search`) needs two things
     the batch replays above cannot give it: the *incremental* load cost of
     emitting one more op from a given cache state (beam / lookahead
-    expansion), and the cost of an order suffix replayed from a mid-stream
-    snapshot (annealing re-costs only the part of the order a move
-    changed).  The cursor keeps exact element-level LRU state — an
-    insertion-ordered dict as the recency list — and applies ops access by
-    access, so applying a full order reproduces
+    expansion), and the loads of an order's ops from the middle of the
+    order on (annealing re-costs only the part of the order a move
+    changed; :meth:`start` sets the cache state there, which
+    :class:`LruLedger` reads off the ops before it).  The cursor keeps
+    exact element-level LRU state — an insertion-ordered dict as the
+    recency list — and applies ops access by access, so applying a full
+    order reproduces
     ``lru_replay_trace(trace.reorder(order), capacity).loads`` bit for bit
     (asserted by the test suite).  Stores are not tracked: the cursor is a
     search objective, and the load count alone orders candidate schedules.
@@ -721,27 +717,11 @@ class LruCursor:
         self._cache: dict[int, None] = {}
         self._accesses = op_access_lists(trace)
 
-    # -- state ---------------------------------------------------------- #
-    @property
-    def resident(self) -> list[int]:
-        """Resident element IDs, least recently used first."""
-        return list(self._cache)
-
-    def snapshot(self) -> tuple[int, tuple[int, ...]]:
-        """An immutable (loads, recency-ordered residents) checkpoint."""
-        return (self.loads, tuple(self._cache))
-
-    def restore(self, snap: tuple[int, tuple[int, ...]]) -> None:
-        self.loads = snap[0]
-        self._cache = dict.fromkeys(snap[1])
-
-    def matches(self, snap: tuple[int, tuple[int, ...]]) -> bool:
-        """Is the cache exactly ``snap``'s recency list (loads ignored)?
-
-        Under LRU the future depends on the cache only through this list,
-        so two replays that match here incur equal loads from here on.
-        """
-        return tuple(self._cache) == snap[1]
+    def start(self, resident: "Iterable[int]") -> None:
+        """Start over from a cache holding ``resident``, least recently
+        used first, with no loads counted."""
+        self._cache = dict.fromkeys(resident)
+        self.loads = 0
 
     def clone(self) -> "LruCursor":
         other = object.__new__(LruCursor)
@@ -751,26 +731,6 @@ class LruCursor:
         other._cache = dict(self._cache)
         other._accesses = self._accesses
         return other
-
-    # -- costing -------------------------------------------------------- #
-    def peek_op(self, i: int) -> int:
-        """Loads op ``i`` would incur right now (no state change).
-
-        An *optimistic lower bound*: the count of footprint elements not
-        resident at op entry.  It is exact unless the op's own misses
-        evict a resident footprint element before the op touches it
-        (cache full, the element older than every non-footprint
-        resident), in which case the element is re-loaded and
-        :meth:`apply_op` charges more.  Searches use peeks to *rank*
-        candidates; accumulated costs always come from ``apply_op``,
-        which is exact.
-        """
-        cache = self._cache
-        missing = 0
-        for e in op_element_sets(self.trace)[i]:
-            if e not in cache:
-                missing += 1
-        return missing
 
     def apply_op(self, i: int) -> int:
         """Emit op ``i``: update cache state, return the loads it cost."""
@@ -788,46 +748,42 @@ class LruCursor:
         self.loads += loads
         return loads
 
-    def apply(self, ops: "Sequence[int]") -> int:
-        """Emit a run of ops; returns the total loads of the run."""
-        before = self.loads
-        for i in ops:
-            self.apply_op(i)
-        return self.loads - before
-
 
 class LruLedger:
-    """Checkpointed delta evaluation of per-node LRU loads of a pair.
+    """Delta evaluation of the per-node LRU loads of an ``(order, owner)``
+    pair, with no cache state kept.
 
-    The search-loop form of replaying an ``(order, owner)`` pair through
-    one :class:`LruCursor` per node: node ``owner[v]`` applies op ``v``
-    when the order reaches it, and ``owner=None`` is the one-node case.
-    A node's loads depend only on its *program*, the ops it owns in the
-    order they run.  The ledger keeps each node's own cache state before
-    positions ``0, interval, 2*interval, ...`` of the committed order.
-    :meth:`score` costs a candidate by replaying only the nodes whose
-    program changed (``nodes``; ``None`` means every node), each from its
-    own checkpoint at or before ``from_pos``; :meth:`commit` adopts the
-    candidate (a later :meth:`score` discards it).  The caller owns the
-    pair and passes the whole candidate to :meth:`score`.
+    The search-loop form of replaying a pair through one
+    :class:`LruCursor` per node: node ``owner[v]`` applies op ``v`` when
+    the order reaches it, and ``owner=None`` is the one-node case.  A
+    node's loads depend only on its *program*, the ops it owns in the
+    order they run.  The ledger keeps the committed load of every op,
+    keyed by op id, and each node's total.  :meth:`score` costs a
+    candidate by replaying only the nodes whose program changed
+    (``nodes``; ``None`` means every node); :meth:`commit` adopts the
+    candidate (a later :meth:`score` discards it).
 
-    Re-convergence cut-off: an LRU cache holds the ``capacity`` most
-    recently used distinct elements in recency order, so it depends only
-    on recent history, and a node's replay usually rejoins its committed
-    one a few ops after the moved positions.  From the first checkpoint
-    at or after ``settled`` on, each replayed node stops at the first
-    checkpoint where its recency list equals its committed one
-    (:meth:`LruCursor.matches`).  Every later load of that node then
-    equals its committed load, so its candidate loads are its committed
-    loads plus the delta so far, and :meth:`commit` shifts the load
-    counts of its later checkpoints by that delta.  The cut-off is exact:
-    convergence is an equality of recency lists, never an estimate.
+    Both ends of a node's replay come from the inclusion property: after
+    any access an LRU cache holds exactly the ``capacity`` most recently
+    used distinct elements, in recency order.
 
-    A node left out of ``nodes`` keeps its loads, but an order move can
-    carry one of its ops across a checkpoint inside the window: its
-    program is the same, its state at that checkpoint is not.
-    :meth:`commit` re-snapshots exactly those nodes at those checkpoints,
-    so every checkpoint always equals a fresh ledger's.
+    * *Start state.*  A replayed node scans its own ops backwards from
+      ``from_pos`` until it has met ``capacity`` distinct elements; below
+      ``from_pos`` the candidate equals the committed pair.  The scan
+      gives the node's recency list, and its cursor starts from it
+      (:meth:`LruCursor.start`).
+    * *Stop rule.*  The node stops after the first op at or past
+      ``settled`` at which its accesses since ``settled`` cover
+      ``capacity`` distinct elements: its cache then equals the committed
+      replay's, and so does every later load.  The stop is exact, never
+      an estimate; a node that never meets it replays to the end.
+
+    A replayed node's candidate loads are its committed loads, minus the
+    committed loads of its ops over the replayed positions under the
+    committed pair, plus the replayed loads.  A commit writes the
+    replayed ops' loads.  An op's load depends on its node's program, not
+    on its position, so a move that changes no program (``nodes=()``)
+    replays nothing and its commit only adopts the pair.
 
     Caller contract for :meth:`score`: the candidate agrees with the
     committed pair — the op at each position and that op's owner — below
@@ -836,8 +792,10 @@ class LruLedger:
     ``[i, j)`` passes ``from_pos=i, settled=j``; an ownership move passes
     the smallest committed position of a moved op and the largest plus
     one, with the moved ops' old owners and their destination as
-    ``nodes``.  ``nodes=()`` costs a candidate that changes no program:
-    no replay at all.
+    ``nodes``.  The ledger holds the committed order and owner list by
+    reference and reads them only inside :meth:`score`, so a caller may
+    edit its committed list in place into the candidate between a score
+    and that score's commit.
     """
 
     def __init__(
@@ -848,7 +806,6 @@ class LruLedger:
         owner: "Sequence[int] | None" = None,
         *,
         p: int | None = None,
-        interval: int | None = None,
     ):
         if owner is not None and len(owner) != trace.n_ops:
             raise ConfigurationError(
@@ -861,30 +818,22 @@ class LruLedger:
             raise ConfigurationError(f"owner references node {top - 1} but p = {p}")
         if owner is not None and min(owner, default=0) < 0:
             raise ConfigurationError("owner indices must be >= 0")
-        if interval is not None and interval < 1:
-            raise ConfigurationError(f"interval must be >= 1, got {interval}")
-        n = len(order)
+        if owner is None and p != 1:
+            raise ConfigurationError(f"owner=None is the one-node case, but p = {p}")
         self.p = p
-        self.interval = int(interval) if interval is not None else max(8, n // 64)
+        self._cursor = LruCursor(trace, capacity)
         #: committed per-node loads.
         self.loads = [0] * p
-        self._cursors = [LruCursor(trace, capacity) for _ in range(p)]
-        # _snaps[q][j]: node q's snapshot before position j * interval.
-        cold = self._cursors[0].snapshot()
-        self._snaps = [[cold] for _ in range(p)]
+        #: committed loads of each op on its node, by op id.
+        self.op_loads = [0] * trace.n_ops
         self._order = order
+        self._owner = owner
         self._pending: tuple | None = None
         self.work = 0
         self.score(order, owner)
         self.commit()
-        #: cursor ops applied by scores and checkpoint refreshes, not
-        #: counting the build.
+        #: cursor ops applied by scores, not counting the build.
         self.work = 0
-
-    @property
-    def checkpoints(self) -> tuple:
-        """Committed per-node snapshots, one tuple per checkpoint."""
-        return tuple(zip(*self._snaps))
 
     def score(
         self,
@@ -901,114 +850,62 @@ class LruLedger:
         n = len(order)
         if settled is None:
             settled = n
-        interval = self.interval
-        cursors = self._cursors
-        snaps = self._snaps
-        j0 = min(from_pos // interval, len(snaps[0]) - 1)
-        replayed = range(self.p) if nodes is None else sorted(nodes)
-        live = [False] * self.p
-        fresh: dict[int, list] = {}
-        for q in replayed:
-            live[q] = True
-            cursors[q].restore(snaps[q][j0])
-            fresh[q] = []
-        n_live = len(fresh)
-        stops: dict[int, int] = {}
-        applied = 0
-        for j in range(j0, max(1, -(-n // interval))):
-            pos = j * interval
-            if j > j0:
-                converging = pos >= settled
-                for q in replayed:
-                    if live[q]:
-                        cursor = cursors[q]
-                        if converging and cursor.matches(snaps[q][j]):
-                            live[q] = False
-                            stops[q] = j
-                            n_live -= 1
-                        else:
-                            fresh[q].append(cursor.snapshot())
-            if not n_live:
-                break
-            chunk = order[pos : pos + interval]
-            if owner is None:
-                cursors[0].apply(chunk)
-                applied += len(chunk)
-            else:
-                for v in chunk:
-                    q = owner[v]
-                    if live[q]:
-                        cursors[q].apply_op(v)
-                        applied += 1
+        cursor = self._cursor
+        apply_op = cursor.apply_op
+        accesses = cursor._accesses
+        capacity = cursor.capacity
+        old_order, old_owner = self._order, self._owner
+        op_loads = self.op_loads
         loads = list(self.loads)
-        for q in replayed:
-            stop = stops.get(q)
-            if stop is None:
-                loads[q] = cursors[q].loads
+        replayed: dict[int, int] = {}
+        for q in range(self.p) if nodes is None else nodes:
+            cursor.start(self._resident(order, owner, q, from_pos))
+            stop = n
+            recent: set[int] = set()  # elements accessed since ``settled``
+            for pos in range(from_pos, n):
+                v = order[pos]
+                if owner is not None and owner[v] != q:
+                    continue
+                replayed[v] = apply_op(v)
+                if pos >= settled:
+                    recent.update(accesses[v])
+                    if len(recent) >= capacity:
+                        stop = pos + 1
+                        break
+            if old_owner is None:
+                old = sum(map(op_loads.__getitem__, old_order[from_pos:stop]))
             else:
-                loads[q] += cursors[q].loads - snaps[q][stop][0]
-        self.work += applied
-        self._pending = (order, owner, from_pos, settled, j0, fresh, stops, loads)
+                old = sum(
+                    op_loads[v] for v in old_order[from_pos:stop] if old_owner[v] == q
+                )
+            loads[q] += cursor.loads - old
+        self.work += len(replayed)
+        self._pending = (order, owner, replayed, loads)
         return list(loads)
+
+    def _resident(self, order, owner, q: int, end: int):
+        """Node ``q``'s cache after ``order[:end]``, least recently used
+        first: its last ``capacity`` distinct elements, read backwards."""
+        accesses = self._cursor._accesses
+        capacity = self._cursor.capacity
+        seen: dict[int, None] = {}  # most recent access first
+        for k in range(end - 1, -1, -1):
+            v = order[k]
+            if owner is not None and owner[v] != q:
+                continue
+            for e in reversed(accesses[v]):
+                if e not in seen:
+                    seen[e] = None
+                    if len(seen) == capacity:
+                        return reversed(seen)
+        return reversed(seen)
 
     def commit(self) -> list[int]:
         """Adopt the last scored candidate as the committed state."""
         if self._pending is not None:
-            order, owner, from_pos, settled, j0, fresh, stops, loads = self._pending
-            for q, new_snaps in fresh.items():
-                mine = self._snaps[q]
-                stop = stops.get(q)
-                if stop is None:
-                    mine[j0 + 1 :] = new_snaps
-                    continue
-                mine[j0 + 1 : stop] = new_snaps
-                delta = loads[q] - self.loads[q]
-                if delta:
-                    mine[stop:] = [(snap[0] + delta, snap[1]) for snap in mine[stop:]]
-            if order is not self._order and len(fresh) < self.p:
-                self._refresh(order, owner, from_pos, settled, j0, fresh)
-            self._order = order
-            self.loads = loads
+            self._order, self._owner, replayed, self.loads = self._pending
+            op_loads = self.op_loads
+            for v, load in replayed.items():
+                op_loads[v] = load
             self._pending = None
         return list(self.loads)
-
-    def _refresh(self, order, owner, from_pos, settled, j0, replayed) -> None:
-        """Re-snapshot the unreplayed nodes an order move carried across a
-        checkpoint inside ``[from_pos, settled)``.
-
-        Such a node's program is unchanged, so its snapshot at a checkpoint
-        ``c`` is stale exactly when the window holds a different number of
-        its ops before ``c`` in the old and the new order.
-        """
-        interval = self.interval
-        inner = range(
-            from_pos // interval + 1,
-            min(-(-settled // interval), len(self._snaps[0])),
-        )
-        if not inner:
-            return
-        old = self._order
-        # gap[q]: q's ops in old[from_pos:pos] minus those in order[from_pos:pos]
-        gap = [0] * self.p
-        stale: set[int] = set()
-        pos = from_pos
-        for j in inner:
-            for k in range(pos, j * interval):
-                gap[0 if owner is None else owner[old[k]]] += 1
-                gap[0 if owner is None else owner[order[k]]] -= 1
-            pos = j * interval
-            stale.update(q for q, d in enumerate(gap) if d and q not in replayed)
-        applied = 0
-        for q in sorted(stale):
-            cursor = self._cursors[q]
-            mine = self._snaps[q]
-            cursor.restore(mine[j0])
-            for j in range(j0, inner[-1]):
-                if j >= inner[0]:
-                    mine[j] = cursor.snapshot()
-                for v in order[j * interval : (j + 1) * interval]:
-                    if owner is None or owner[v] == q:
-                        cursor.apply_op(v)
-                        applied += 1
-            mine[inner[-1]] = cursor.snapshot()
-        self.work += applied

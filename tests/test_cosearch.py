@@ -45,7 +45,7 @@ from repro.parallel import (
 from repro.parallel.cosearch import CoSearchCost
 from repro.sched.schedule import record_schedule
 from repro.trace.compiled import compile_trace
-from repro.trace.replay import lru_replay_trace
+from repro.trace.replay import LruLedger, lru_replay_trace
 
 
 def build_graph(n: int = 24, mc: int = 3, s: int = 15) -> DependencyGraph:
@@ -491,6 +491,33 @@ class TestCoSearchState:
             )
             assert state.cost() == measured.cost
         assert neutral > 5
+
+    def test_lru_ledger_equals_a_fresh_one_after_every_commit(self, tbs_graph):
+        """The LRU ledger holds the partition ledger's owner list, which an
+        owner move's commit edits in place after the move's LRU score:
+        its per-op and per-node loads still equal a fresh ledger's on the
+        committed pair after every commit, of either move kind."""
+        p, s = 4, 15
+        rng = random.Random(6)
+        state = CoSearchState(
+            tbs_graph, partition_graph(tbs_graph, p, "locality"), p, s,
+        )
+        assert state.lru._owner is state.ledger.owner
+        commits = {"order": 0, "owner": 0}
+        for _ in range(200):
+            before = (state.order_moves, state.owner_moves)
+            proposal = state.step(rng)
+            if proposal is None or rng.random() < 0.3:
+                continue
+            proposal[1]()
+            commits["order"] += state.order_moves - before[0]
+            commits["owner"] += state.owner_moves - before[1]
+            fresh = LruLedger(
+                tbs_graph.trace, s, state.order, state.ledger.owner, p=p
+            )
+            assert state.lru.op_loads == fresh.op_loads
+            assert state.lru.loads == fresh.loads
+        assert min(commits.values()) > 10
 
     def test_exact_cover_after_moves(self, tbs_graph):
         p, s = 4, 15

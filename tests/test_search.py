@@ -19,9 +19,16 @@ from repro.graph import (
     rewrite_schedule,
     search_order,
 )
-from repro.trace.replay import LruCursor, lru_replay_trace
+from repro.trace.replay import LruCursor, lru_replay_trace, op_access_lists
 
 N, MC, S = 26, 3, 15
+
+
+def peek(cursor, i):
+    """Loads op ``i`` would cost if none of its misses evicted part of its
+    own footprint: the footprint minus the resident elements.  The count
+    :meth:`IncrementalObjective.candidates` ranks by."""
+    return len(set(op_access_lists(cursor.trace)[i]).difference(cursor._cache))
 
 
 @pytest.fixture(scope="module")
@@ -87,37 +94,41 @@ class TestObjective:
     def test_cursor_matches_batch_lru(self, tbs_case, tbs_graph):
         trace = tbs_case.trace
         cursor = LruCursor(trace, S)
-        cursor.apply(range(trace.n_ops))
+        for i in range(trace.n_ops):
+            cursor.apply_op(i)
         assert cursor.loads == lru_replay_trace(trace, S).loads
 
-    def test_cursor_snapshot_restore_roundtrip(self, tbs_case):
+    def test_cursor_started_from_a_recency_list_replays_the_suffix(self, tbs_case):
         trace = tbs_case.trace
         cursor = LruCursor(trace, S)
-        cursor.apply(range(10))
-        snap = cursor.snapshot()
-        mid = cursor.loads
-        cursor.apply(range(10, trace.n_ops))
+        for i in range(10):
+            cursor.apply_op(i)
+        resident, mid = list(cursor._cache), cursor.loads
+        for i in range(10, trace.n_ops):
+            cursor.apply_op(i)
         total = cursor.loads
-        cursor.restore(snap)
-        assert cursor.loads == mid
-        cursor.apply(range(10, trace.n_ops))
-        assert cursor.loads == total            # same suffix, same cost
+        cursor.start(resident)
+        assert cursor.loads == 0 and list(cursor._cache) == resident
+        for i in range(10, trace.n_ops):
+            cursor.apply_op(i)
+        assert mid + cursor.loads == total      # same suffix, same cost
 
     def test_peek_is_a_lower_bound_on_apply(self, tbs_case):
         trace = tbs_case.trace
         cursor = LruCursor(trace, S)
         exact = 0
         for i in range(min(40, trace.n_ops)):
-            peeked = cursor.peek_op(i)
+            peeked = peek(cursor, i)
             applied = cursor.apply_op(i)
             assert applied >= peeked            # peek is optimistic
             exact += applied == peeked
         assert exact > 0                        # and usually exact
 
     def test_peek_underestimates_on_self_evicting_op(self):
-        # The documented peek caveat: with capacity 2 and cache [a, b]
-        # (a oldest), an op accessing [c, a] peeks 1 miss (only c), but
-        # applying it evicts a to admit c and must re-load a — 2 loads.
+        # The documented caveat of the candidates' miss count: with
+        # capacity 2 and cache [a, b] (a oldest), an op accessing [c, a]
+        # counts 1 miss (only c), but applying it evicts a to admit c and
+        # must re-load a — 2 loads.
         import numpy as np
 
         from repro.trace.compiled import CompiledTrace
@@ -133,7 +144,7 @@ class TestObjective:
         )
         cursor = LruCursor(trace, 2)
         cursor.apply_op(0)                      # cache: [a, b]
-        assert cursor.peek_op(1) == 1
+        assert peek(cursor, 1) == 1
         assert cursor.apply_op(1) == 2          # c loads, a re-loads
         # the exact count still matches the batch engine
         assert cursor.loads == lru_replay_trace(trace, 2).loads
@@ -144,7 +155,7 @@ class TestObjective:
         while not obj.done:
             cands = obj.candidates(4)
             for miss, v in cands:
-                assert obj.peek(v) == miss
+                assert peek(obj.cursor, v) == miss
             obj.emit(cands[0][1])
             emitted.append(cands[0][1])
         # the accumulated objective is the exact LRU Q of the emitted order

@@ -11,8 +11,10 @@ package):
 * with reductions kept (``relax_reductions=False``), every searched
   order rewrites into an explicit schedule that replays **bit-identical**
   numerics to the recorded run;
-* the trace cursor's snapshot/suffix replay (the annealing engine's cost
-  hook) agrees with a cold full replay at every split point;
+* the LRU ledger's start state (the annealing engine's cost hook), read
+  backwards off the ops before a split point, equals a cold replay's
+  cache there, and the suffix replayed from it agrees with a cold full
+  replay at every split point;
 * the annealers' window-local legality check agrees with the full check
   on every segment move proposed from a legal order, and an illegal start
   order is rejected before the walk begins.
@@ -41,7 +43,7 @@ from repro.graph.search import (
 )
 from repro.sched.schedule import record_schedule
 from repro.trace.compiled import compile_trace
-from repro.trace.replay import LruCursor, lru_replay_trace
+from repro.trace.replay import LruCursor, LruLedger, lru_replay_trace
 
 try:
     from hypothesis import given, settings
@@ -141,15 +143,24 @@ def check_window_legality(kernel, relax, heuristic, seed, moves=150):
 
 def check_suffix_replay(schedule, s, split_fraction):
     trace = compile_trace(schedule)
-    cursor = LruCursor(trace, s)
+    order = list(range(trace.n_ops))
     split = int(trace.n_ops * split_fraction)
-    cursor.apply(range(split))
-    resumed = LruCursor(trace, s)
-    resumed.restore(cursor.snapshot())
-    resumed.apply(range(split, trace.n_ops))
     cold = LruCursor(trace, s)
-    cold.apply(range(trace.n_ops))
-    assert resumed.loads == cold.loads == lru_replay_trace(trace, s).loads
+    for i in order[:split]:
+        cold.apply_op(i)
+    ledger = LruLedger(trace, s, order)
+    resident = list(ledger._resident(order, None, 0, split))
+    assert resident == list(cold._cache)
+    resumed = LruCursor(trace, s)
+    resumed.start(resident)
+    prefix = cold.loads
+    for i in order[split:]:
+        resumed.apply_op(i)
+        cold.apply_op(i)
+    assert prefix + resumed.loads == cold.loads == lru_replay_trace(trace, s).loads
+    # a score from the split with no settled position replays the suffix
+    assert ledger.score(order, from_pos=split) == [cold.loads]
+    assert ledger.work == trace.n_ops - split
 
 
 if HAVE_HYPOTHESIS:

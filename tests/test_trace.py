@@ -398,7 +398,7 @@ def test_numpy_integer_capacity_accepted():
         assert (result.capacity, result.loads) == (3, 3), name
     cursor = LruCursor(trace, np.int64(3))
     assert type(cursor.capacity) is int
-    assert cursor.apply(range(trace.n_ops)) == 3
+    assert sum(cursor.apply_op(i) for i in range(trace.n_ops)) == 3
 
 
 class TestVectorizedReplays:
