@@ -2,27 +2,32 @@
 
 :class:`ScheduleService` is the "millions of users" tier of the
 pipeline: many concurrent ``get_schedule(key)`` requests resolve against
-three layers, fastest first —
+four tiers, fastest first —
 
 1. **memory** — a :class:`~repro.serve.cache.ScheduleCache` of hot
-   schedules (LRU by default; hits return without touching the loop);
-2. **in flight** — duplicate keys already being resolved attach to the
-   existing fill future (*single-flight*): N concurrent requests for one
-   cold key run **exactly one** search, all N get the same object, and
-   the N−1 attachments count as ``serve.coalesced``;
+   schedules (``serve.hits``);
+2. **in flight** — a request for a key whose search is running joins it
+   (*single flight*): N concurrent requests for one cold key run
+   **exactly one** search, all N get the same object, and the N−1 joins
+   count as ``serve.coalesced``;
 3. **disk** — the content-addressed :class:`~repro.serve.store.ScheduleStore`
-   (``serve.store_hits``); finally
-4. **search** — a true miss (``serve.misses``) queues the key's searcher
-   pipeline (:data:`SEARCHERS`, chosen by ``key.policy``) on a background
-   worker: the :class:`repro.perf.pool.SearchPool` process pool when the
-   service was built with ``workers > 0``, a thread otherwise.  The
-   worker files the result in the store (atomic put), the front end
-   promotes it to memory, and every coalesced waiter wakes with it.
+   (``serve.store_hits``), read on the event loop and returned with no
+   ``await`` after the lookup, so no request sees a hit half done or
+   joins it; finally
+4. **search** — a true miss (``serve.misses``) starts the key's one fill
+   task, which queues its searcher pipeline (:data:`SEARCHERS`, chosen
+   by ``key.policy``) on the :class:`repro.perf.pool.SearchPool` process
+   pool when the service was built with ``workers > 0``, a thread
+   otherwise.  The worker files the result in the store (atomic put),
+   the front end reads it back and promotes it to memory, and every
+   coalesced waiter wakes with it.
 
-Store and search work always runs in executors, so the event loop stays
-free to accept (and coalesce) requests while a search is in flight —
-that is what turns a thundering herd of identical cold requests into one
-search plus N−1 futures.
+Only a miss leaves the loop (its search, and under a ``searcher=``
+override its put), so the loop stays free to coalesce requests while a
+search is in flight.  A disk read holds the loop for as long as it runs,
+a ``verify_store`` read included.  On a thread the loop would still run
+only at the interpreter's switch interval (5 ms by default), because the
+read holds the interpreter lock for nearly all of its time.
 
 Counters (``serve.{requests,hits,misses,coalesced,searches,store_hits,
 evictions}`` plus ``serve.store.{puts,corrupt,stale}``) report into the
@@ -176,11 +181,13 @@ def warm_store(
 class ScheduleService:
     """The async front end over one store + one in-process cache.
 
-    ``searcher`` overrides the per-key :data:`SEARCHERS` dispatch with
-    one callable (test seam; runs on a thread).  ``workers > 0`` sends
-    named-policy searches to a :class:`~repro.perf.pool.SearchPool`
-    process pool instead of a thread — the pool is created lazily and
-    must be released with :meth:`close` (or ``async with``).
+    A request resolves memory → in-flight search → disk → search (module
+    docstring), and only a miss's fill leaves the event loop: its search
+    runs on a thread, or with ``workers > 0`` on a
+    :class:`~repro.perf.pool.SearchPool` process pool, which is created
+    lazily and must be released with :meth:`close` (or ``async with``).
+    ``searcher`` overrides the per-key :data:`SEARCHERS` dispatch with one
+    callable (test seam; it and the put of its result run on a thread).
     """
 
     def __init__(
@@ -226,7 +233,7 @@ class ScheduleService:
 
     # -- the serving path ------------------------------------------------ #
     async def get_schedule(self, key: ScheduleKey) -> Schedule:
-        """Resolve ``key``: memory → in-flight → disk → searched."""
+        """Resolve ``key``: memory → in-flight search → disk → search."""
         digest = key.digest()
         self._count("requests", "serve.requests")
         if self.cache is not None:
@@ -238,49 +245,46 @@ class ScheduleService:
         if existing is not None and not existing.done():
             self._count("coalesced", "serve.coalesced")
             return await asyncio.shield(existing)
+        # A disk hit is read here, on the loop, with no await between the
+        # lookup and the return, so no other request sees it half done.
+        schedule = self.store.get(key, verify=self.verify_store)
+        if schedule is not None:
+            self._count("store_hits", "serve.store_hits")
+            if self.cache is not None:
+                self.cache.put(digest, schedule)
+            return schedule
         # Single flight: the fill runs as its own task so a cancelled
         # requester never kills the search its coalesced peers wait on.
         task = asyncio.get_running_loop().create_task(self._fill(key, digest))
         self._inflight[digest] = task
         return await asyncio.shield(task)
 
-    def _store_get(self, key: ScheduleKey) -> Schedule | None:
-        return self.store.get(key, verify=self.verify_store)
-
     async def _fill(self, key: ScheduleKey, digest: str) -> Schedule:
-        loop = asyncio.get_running_loop()
         try:
-            schedule = await loop.run_in_executor(None, self._store_get, key)
-            if schedule is not None:
-                self._count("store_hits", "serve.store_hits")
-            else:
-                self._count("misses", "serve.misses")
-                with timed("serve.search"):
-                    schedule = await self._search(key, loop)
-                self._count("searches", "serve.searches")
+            self._count("misses", "serve.misses")
+            with timed("serve.search"):
+                schedule = await self._search(key)
+            self._count("searches", "serve.searches")
             if self.cache is not None:
                 self.cache.put(digest, schedule)
             return schedule
         finally:
             self._inflight.pop(digest, None)
 
-    async def _search(self, key: ScheduleKey, loop) -> Schedule:
+    async def _search(self, key: ScheduleKey) -> Schedule:
+        loop = asyncio.get_running_loop()
         if self.searcher is not None:
             schedule = await loop.run_in_executor(None, self.searcher, key)
             await loop.run_in_executor(None, self.store.put, key, schedule)
             return schedule
+        task = (self.store.root, key.as_dict())
         if self._pool is not None:
             # The worker files the schedule itself (atomic put); only the
             # digest crosses the process boundary, never the object graph.
-            future = self._pool.submit(
-                _search_to_store, (self.store.root, key.as_dict())
-            )
-            await asyncio.wrap_future(future)
+            await asyncio.wrap_future(self._pool.submit(_search_to_store, task))
         else:
-            await loop.run_in_executor(
-                None, _search_to_store, (self.store.root, key.as_dict())
-            )
-        schedule = await loop.run_in_executor(None, self._store_get, key)
+            await loop.run_in_executor(None, _search_to_store, task)
+        schedule = self.store.get(key, verify=self.verify_store)
         if schedule is None:  # pragma: no cover - defensive
             raise ConfigurationError(
                 f"search for {key} completed but left no readable store entry"

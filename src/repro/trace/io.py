@@ -56,16 +56,20 @@ are: the rewriter's and the loader's schedules carry them, and only a
 recorded or hand-built schedule derives them from its steps
 (:meth:`~repro.sched.columns.ScheduleColumns.from_steps`).
 
-Loading a schedule checks the columns in a fixed number of numpy passes
-per op type: every step kind, matrix and op type is known; the lengths
-are non-negative and sum to the size of ``index_data``, which holds no
+Loading a schedule checks the columns in whole-container numpy passes:
+every step kind, matrix and op type is known; the lengths are
+non-negative and sum to the size of ``index_data``, which holds no
 negative index; every load or evict flat lies below its matrix's
 ``rows * cols``; and every op index array is duplicate-free and, like
 every integer scalar, lies below the rows or columns of each matrix it
 indexes, as ``OP_SPECS`` declares (a solve step's ``t`` lies below its
-array's length).  A container that fails raises
-:class:`~repro.errors.ConfigurationError`, so the serve store reads it as
-a corrupt miss.  A container that loads builds every one of its steps.
+array's length).  Each op type's params checks write its index arrays'
+bounds into one limit per array, so one comparison bounds all of
+``index_data`` and one sort of (array, index) keys finds any repeat.  A
+container that fails raises :class:`~repro.errors.ConfigurationError`
+(naming the op type and field of an index out of bounds or repeated),
+so the serve store reads it as a corrupt miss.  A container that loads
+builds every one of its steps.
 
 It builds them only when asked.  The loaded schedule carries its checked
 columns: it answers ``len()``, ``counts()`` and ``io_volume()`` from
@@ -83,6 +87,7 @@ sweeps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -102,7 +107,6 @@ from ..sched.columns import (
     OP_SPECS,
     ScheduleColumns,
     build_steps,
-    gather,
 )
 from ..sched.schedule import Schedule
 from ..utils.atomic import atomic_write_bytes
@@ -371,27 +375,21 @@ def _schedule_header(header: dict) -> tuple[list[str], np.ndarray, list[type]]:
     return names, dims, [OP_BY_NAME[op] for op in ops]
 
 
-def _repeats(values: np.ndarray, lengths: np.ndarray) -> bool:
-    """Whether a span of ``values`` (back-to-back spans of ``lengths``)
-    holds some index twice: one sort of (span, index) keys."""
-    span = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    keyed = np.sort(span * (int(values.max(initial=0)) + 1) + values)
-    return bool((keyed[1:] == keyed[:-1]).any())
-
-
 def _check_op_type(
     cls: type,
     table: np.ndarray,
     slots: np.ndarray,
-    starts: np.ndarray,
     lengths: np.ndarray,
-    data: np.ndarray,
     dims: np.ndarray,
+    limit: np.ndarray,
 ) -> None:
-    """Check every op of type ``cls`` against its :data:`OP_SPECS` bounds.
+    """Check the params of every op of type ``cls`` against its
+    :data:`OP_SPECS` bounds, and write the bound of each of its index
+    arrays, the least of its field's bounds, into ``limit``.
 
     ``table`` is the type's params table, as wide as its fields, and
-    ``slots`` the index of each op's first array in ``starts``/``lengths``.
+    ``slots`` the index of each op's first array in ``lengths`` and
+    ``limit``.
     """
     matrices, fields, scalars = OP_SPECS[cls]
     if table.shape[0] != slots.size:
@@ -399,35 +397,29 @@ def _check_op_type(
             f"{cls.name} params hold {table.shape[0]} rows for {slots.size} ops"
         )
     kinds = [None] * len(matrices) + list(scalars.values())
-    whole = [j for j, kind in enumerate(kinds) if kind is not float]
-    if (table[:, whole] != np.floor(table[:, whole])).any():
+    whole = table[:, [j for j, kind in enumerate(kinds) if kind is not float]]
+    if (whole != np.floor(whole)).any():
         raise ConfigurationError(f"a {cls.name} matrix id or integer scalar is not whole")
     ids = table[:, : len(matrices)]
     if ((ids < 0) | (ids >= dims.shape[0])).any():
         raise ConfigurationError(f"a {cls.name} op names an unknown matrix")
     ids = ids.astype(np.int64)
-    sizes = {f: lengths[slots + j] for j, f in enumerate(fields)}
+    names = list(fields)
 
-    def limit(bounds: tuple[str, ...]) -> np.ndarray:
+    def least(bounds: tuple[str, ...]) -> np.ndarray:
         """Per op, the least of ``bounds``."""
         values = []
         for bound in bounds:
             field, what = bound.split(".")
             if what == "size":
-                values.append(sizes[field])
+                values.append(lengths[slots + names.index(field)])
             else:
                 axis = ("rows", "cols").index(what)
                 values.append(dims[ids[:, matrices.index(field)], axis])
-        return np.minimum.reduce(values)
+        return functools.reduce(np.minimum, values)
 
-    for j, (f, bounds) in enumerate(fields.items()):
-        values = gather(data, starts[slots + j], sizes[f])
-        if (values >= np.repeat(limit(bounds), sizes[f])).any():
-            raise ConfigurationError(
-                f"a {cls.name} {f} index lies outside a matrix it indexes"
-            )
-        if _repeats(values, sizes[f]):
-            raise ConfigurationError(f"a {cls.name} {f} index set repeats an index")
+    for j, bounds in enumerate(fields.values()):
+        limit[slots + j] = least(bounds)
     for j, (f, kind) in enumerate(scalars.items(), start=len(matrices)):
         if kind is float:
             continue
@@ -435,18 +427,30 @@ def _check_op_type(
         if kind is bool:
             bad = (column != 0) & (column != 1)
         else:
-            bad = (column < 0) | (column >= limit(kind))
+            bad = (column < 0) | (column >= least(kind))
         if bad.any():
             raise ConfigurationError(f"a {cls.name} {f} lies outside its range")
+
+
+def _op_field(
+    span: int, slot: np.ndarray, kind: np.ndarray, ref: np.ndarray, op_classes: list[type]
+) -> str | None:
+    """``"<op type> <field>"`` of the index array at ``span`` in
+    ``lengths``, or ``None`` when it holds a load's or an evict's flats."""
+    step = int(np.searchsorted(slot, span, side="right")) - 1
+    if kind[step] != COMPUTE:
+        return None
+    cls = op_classes[ref[step]]
+    return f"{cls.name} {list(OP_SPECS[cls][1])[span - slot[step]]}"
 
 
 def load_schedule(path: str | os.PathLike | IO[bytes], key: dict | None = None) -> Schedule:
     """Load a schedule written by :func:`save_schedule`.
 
-    Checks the container's columns (see the module docstring) and returns
-    a schedule whose ``len()``, ``counts()`` and ``io_volume()`` come from
-    them.  Its ``steps`` are built once, on first access, as real op
-    objects against the recorded shapes
+    Checks the container's columns in whole-container passes (see the
+    module docstring) and returns a schedule whose ``len()``, ``counts()``
+    and ``io_volume()`` come from them.  Its ``steps`` are built once, on
+    first access, as real op objects against the recorded shapes
     (:class:`~repro.machine.regions.MatrixShapes`), so the schedule can be
     replayed (:func:`~repro.sched.schedule.replay_schedule`) on any machine
     with matching shapes and reproduces the original numerics bit for bit.
@@ -489,15 +493,27 @@ def load_schedule(path: str | os.PathLike | IO[bytes], key: dict | None = None) 
     if data.size and data.min() < 0:
         raise ConfigurationError("index_data holds a negative index")
     starts = np.cumsum(lengths) - lengths
-    move = np.flatnonzero(~compute)
-    move_lengths = lengths[slot[move]]
-    flats = gather(data, starts[slot[move]], move_lengths)
-    limits = dims[ref[move], 0] * dims[ref[move], 1]
-    if (flats >= np.repeat(limits, move_lengths)).any():
-        raise ConfigurationError("a load/evict flat index lies outside its matrix")
-    op_slots = [slot[compute & (ref == t)] for t in range(len(op_classes))]
-    for cls, table, slots in zip(op_classes, tables, op_slots):
-        _check_op_type(cls, arrays[table], slots, starts, lengths, data, dims)
+    # Each index array's bound: its matrix's size for a load's or an
+    # evict's flats, the least of its field's bounds for an op's.
+    limit = np.empty(lengths.size, dtype=np.int64)
+    limit[slot[~compute]] = (dims[:, 0] * dims[:, 1])[ref[~compute]]
+    for t, cls in enumerate(op_classes):
+        _check_op_type(cls, arrays[tables[t]], slot[compute & (ref == t)], lengths, dims, limit)
+    span = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    outside = np.flatnonzero(data >= limit[span])
+    if outside.size:
+        field = _op_field(int(span[outside[0]]), slot, kind, ref, op_classes)
+        if field is None:
+            raise ConfigurationError("a load/evict flat index lies outside its matrix")
+        raise ConfigurationError(f"a {field} index lies outside a matrix it indexes")
+    op_entry = np.repeat(compute, arity)[span]  # the op index arrays' entries
+    values = data[op_entry]
+    width = int(values.max(initial=0)) + 1
+    keyed = np.sort(span[op_entry] * width + values)
+    repeated = np.flatnonzero(keyed[1:] == keyed[:-1])
+    if repeated.size:
+        field = _op_field(int(keyed[repeated[0]] // width), slot, kind, ref, op_classes)
+        raise ConfigurationError(f"a {field} index set repeats an index")
 
     columns = ScheduleColumns(
         shapes={name: (r, c) for name, (r, c) in zip(names, dims.tolist())},

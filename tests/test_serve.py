@@ -2,14 +2,17 @@
 
 Covers the three tiers and their contracts: content-addressed store
 round-trips (bit-identical replays), corruption recovery (bad, stale and
-misfiled objects read as misses, never exceptions), listing from the
-object headers alone under concurrent puts, the bounded cache's LRU
-semantics pinned against the array replay engines on the same access
-log, with Belady's count as its floor, and the async front end's
+misfiled objects, and a tampered index or scalar of every op type, read
+as misses, never exceptions), listing from the object headers alone
+under concurrent puts, the bounded cache's LRU semantics pinned against
+the array replay engines on the same access log, with Belady's count as
+its floor, and the async front end's tiers: a disk hit is read on the
+event loop, so only a miss submits work to an executor, and the
 single-flight guarantee (N concurrent duplicates → exactly one search).
 """
 
 import asyncio
+import concurrent.futures
 import hashlib
 import json
 import multiprocessing
@@ -24,10 +27,13 @@ import pytest
 from container_columns import read_columns, step_spans, write_columns, write_zip
 
 from repro.__main__ import main
+from repro.baselines.lu import ooc_lu
 from repro.errors import ConfigurationError
 from repro.graph.compare import record_case
+from repro.machine.machine import TwoLevelMachine
 from repro.obs.probe import probe_scope
-from repro.sched.schedule import Schedule, replay_schedule
+from repro.sched.columns import OP_SPECS
+from repro.sched.schedule import Schedule, record_schedule, replay_schedule
 from repro.serve import (
     ScheduleCache,
     ScheduleKey,
@@ -55,6 +61,39 @@ def key():
 @pytest.fixture
 def store(tmp_path):
     return ScheduleStore(tmp_path / "store")
+
+
+@pytest.fixture(scope="module")
+def op_sources() -> dict[type, Schedule]:
+    """Per op type, a recorded schedule that holds it: the Cholesky and
+    SYR2K cases hold the five that ``record_case`` kernels emit, and an
+    LU factorization the four of :func:`repro.baselines.lu.ooc_lu`."""
+    lu = TwoLevelMachine(20, numerics=False)
+    lu.add_matrix("A", np.zeros((14, 14)))
+    sources = [
+        record_case("chol", 12, 3, 10).schedule,
+        record_case("syr2k", 12, 3, 10).schedule,
+        record_schedule(lu, lambda: ooc_lu(lu, "A", range(14))),
+    ]
+    by_type = {}
+    for schedule in sources:
+        for step in schedule.steps:
+            if hasattr(step, "op"):
+                by_type.setdefault(type(step.op), schedule)
+    return by_type
+
+
+def _op_tampers():
+    """``(op type, field, tamper)`` for every index field of every op type
+    (set to its bound, or repeat an index) and every integer or bool
+    scalar (set outside its range)."""
+    for cls, (_, fields, scalars) in OP_SPECS.items():
+        for f in fields:
+            yield cls, f, "bound"
+            yield cls, f, "repeat"
+        for f, kind in scalars.items():
+            if kind is not float:
+                yield cls, f, "range"
 
 
 class TestScheduleKey:
@@ -289,6 +328,53 @@ class TestScheduleStore:
             with probe_scope() as probe:
                 assert store.get(key, verify=verify) is None
             assert probe.counters["serve.store.corrupt"] == 1
+
+    @pytest.mark.parametrize(
+        "cls, field, tamper", list(_op_tampers()), ids=lambda v: getattr(v, "name", v)
+    )
+    def test_op_field_tamper_reads_as_miss(self, store, key, op_sources, cls, field, tamper):
+        """Every op type's index fields and integer or bool scalars are
+        bounded: an index set to its field's bound or repeated inside its
+        set, and a scalar set outside its range, make the loader name the
+        op type and the field, and ``get`` counts a corrupt miss."""
+        store.put(key, op_sources[cls])
+        path = store.object_path(key)
+        header, arrays = read_columns(path)
+        matrices, fields, scalars = OP_SPECS[cls]
+        t = header["ops"].index(cls.name)
+        table = arrays[f"params_{t}"]
+        typed = (arrays["kind"] == 2) & (arrays["ref"] == t)
+        spans = [op for op, hit in zip(step_spans(header, arrays), typed) if hit]
+
+        def least(row: int, bounds: tuple[str, ...]) -> int:
+            values = []
+            for bound in bounds:
+                name, what = bound.split(".")
+                if what == "size":
+                    start, end = spans[row][list(fields).index(name)]
+                    values.append(end - start)
+                else:
+                    matrix = int(table[row, matrices.index(name)])
+                    values.append(header["shapes"][matrix][("rows", "cols").index(what)])
+            return min(values)
+
+        if tamper == "range":
+            kind = scalars[field]
+            table[0, len(matrices) + list(scalars).index(field)] = (
+                2 if kind is bool else least(0, kind)
+            )
+        else:
+            j = list(fields).index(field)
+            row = next(r for r, op in enumerate(spans) if op[j][1] - op[j][0] >= 2)
+            start, _ = spans[row][j]
+            data = arrays["index_data"]
+            data[start] = least(row, fields[field]) if tamper == "bound" else data[start + 1]
+        write_columns(path, header, arrays)
+        with pytest.raises(ConfigurationError, match=f"a {cls.name} {field} "):
+            load_schedule(path)
+        with probe_scope() as probe:
+            assert store.get(key) is None
+        assert probe.counters["serve.store.corrupt"] == 1
 
     def test_older_format_reads_as_stale(self, store, case, key):
         """An object in a retired format is a counted stale miss, and the
@@ -563,6 +649,30 @@ class SlowSearcher:
         return self.schedule
 
 
+class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool that records every callable submitted to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=2)
+        self.submitted = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted.append(fn)
+        return super().submit(fn, *args, **kwargs)
+
+
+def run_counting(coro):
+    """Run ``coro`` on a loop whose default executor is a
+    :class:`CountingExecutor`: its result, and the callables submitted."""
+    executor = CountingExecutor()
+
+    async def main():
+        asyncio.get_running_loop().set_default_executor(executor)
+        return await coro
+
+    return asyncio.run(main()), executor.submitted
+
+
 class TestScheduleService:
     def test_single_flight(self, store, case, key):
         searcher = SlowSearcher(case.schedule)
@@ -581,6 +691,48 @@ class TestScheduleService:
         assert service.coalesced == 15
         assert probe.counters["serve.coalesced"] == 15
         assert probe.counters["serve.searches"] == 1
+
+    def test_hits_submit_nothing(self, store, case, key):
+        """A disk hit is read on the loop and a memory hit never leaves it."""
+        store.put(key, case.schedule)
+        service = ScheduleService(store, ScheduleCache(4))
+
+        async def twice():
+            return [await service.get_schedule(key) for _ in range(2)]
+
+        (disk, memory), submitted = run_counting(twice())
+        assert disk is memory and submitted == []
+        assert (service.store_hits, service.hits, service.misses) == (1, 1, 0)
+
+    def test_miss_submits_only_its_search(self, store, key):
+        service = ScheduleService(store, ScheduleCache(4))
+        _, submitted = run_counting(service.get_schedule(key))
+        assert [fn.__name__ for fn in submitted] == ["_search_to_store"]
+        assert (service.misses, service.searches, service.store_hits) == (1, 1, 0)
+
+    def test_searcher_miss_submits_its_search_and_put(self, store, case, key):
+        searcher = SlowSearcher(case.schedule, delay=0.0)
+        service = ScheduleService(store, ScheduleCache(4), searcher=searcher)
+        _, submitted = run_counting(service.get_schedule(key))
+        assert submitted == [searcher, store.put]
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_concurrent_requests_for_a_stored_key(self, store, case, key, cached):
+        """A disk hit has no await between lookup and return, so concurrent
+        requests for a stored key never coalesce: with a cache the first is
+        a store hit and the rest memory hits, without one each is a store
+        hit."""
+        store.put(key, case.schedule)
+        service = ScheduleService(store, ScheduleCache(4) if cached else None)
+
+        async def fan_out():
+            return await asyncio.gather(*[service.get_schedule(key) for _ in range(8)])
+
+        results, submitted = run_counting(fan_out())
+        tiers = (service.store_hits, service.hits, service.coalesced, service.misses)
+        assert tiers == ((1, 7, 0, 0) if cached else (8, 0, 0, 0))
+        assert submitted == []
+        assert (len({id(r) for r in results}) == 1) == cached
 
     def test_memory_then_store_tiers(self, store, case, key):
         searcher = SlowSearcher(case.schedule, delay=0.0)
