@@ -24,19 +24,28 @@ A second row times DAG extraction itself at tbs N=120 and chol N=60:
 array passes into CSR) against the per-element walk kept as the test
 oracle (``tests/graph_oracles.py``).  It asserts identical edges and
 prints both times and their ratio; the ratio is evidence, not a gate.
+
+A third row times the locality list scheduler at tbs N=120, strict and
+relaxed: the production pass (ready ops' scores on score levels) against
+the lazy-heap pass kept as the test reference ``heap_locality_order``.
+It asserts identical orders, prints both times and their ratio (again
+evidence, not a gate), and writes its rows to
+``benchmarks/out/bench_e12_graph.json`` (or ``$BENCH_E12_JSON``).
 """
 
 import time
 
 import pytest
 
-from graph_oracles import walk_dependency_graph
+from graph_oracles import heap_locality_order, walk_dependency_graph
 from repro.graph.compare import CASES, compare_case, record_case
 from repro.graph.dependency import DependencyGraph
-from repro.graph.scheduler import HEURISTICS
+from repro.graph.scheduler import HEURISTICS, list_schedule
 
 #: (kernel, n) of the DAG-extraction row, at M=6, S=15.
 EXTRACTION_SIZES = (("tbs", 120), ("chol", 60))
+#: (kernel, n) of the locality-pass row, at M=6, S=15.
+LOCALITY_SIZE = ("tbs", 120)
 
 SIZES = {
     "tbs": (40, 6, 15),
@@ -150,3 +159,45 @@ def test_e12_dag_extraction(once):
                    f"{t_csr * 1e3:.1f}", f"{t_walk * 1e3:.1f}", f"{t_csr / t_walk:.2f}x"])
     print()
     print(t.render())
+
+
+@pytest.mark.benchmark(group="e12")
+def test_e12_locality_pass(once):
+    from common import write_bench_json
+    from repro.utils.fmt import Table, format_int
+
+    kernel, n = LOCALITY_SIZE
+
+    def run():
+        graph = DependencyGraph.from_trace(record_case(kernel, n, 6, 15).trace)
+        rows = []
+        for relax in (False, True):
+            t_levels, order = best_of(
+                lambda: list_schedule(graph, "locality", relax_reductions=relax).order
+            )
+            t_heap, heap = best_of(lambda: heap_locality_order(graph, relax_reductions=relax))
+            # The same order, op for op.
+            assert order == heap, (kernel, n, relax)
+            rows.append({
+                "kernel": kernel, "n": n, "ops": len(graph), "relax": relax,
+                "levels_ms": t_levels * 1e3, "heap_ms": t_heap * 1e3,
+                "ratio": t_levels / t_heap,
+            })
+        return rows
+
+    rows = once(run)
+    t = Table(
+        ["kernel", "n", "ops", "relax", "levels ms", "heap ms", "ratio"],
+        title="E12 locality pass: ready-only score levels vs the lazy heap (best of 3)",
+    )
+    for row in rows:
+        t.add_row([row["kernel"], row["n"], format_int(row["ops"]), str(row["relax"]),
+                   f"{row['levels_ms']:.1f}", f"{row['heap_ms']:.1f}",
+                   f"{row['ratio']:.2f}x"])
+    print()
+    print(t.render())
+    path = write_bench_json(
+        "e12_locality_pass", rows,
+        env_var="BENCH_E12_JSON", default_name="bench_e12_graph.json",
+    )
+    print(f"\nBENCH JSON written to {path}")

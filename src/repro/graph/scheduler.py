@@ -25,14 +25,15 @@ Heuristics (``HEURISTICS``):
 Every heuristic breaks ties by original index, so schedules are
 deterministic and replayable.
 
-The locality pass keeps every op's score incrementally.  Emitting an op
-changes the hot status of two groups of elements only: its own (hot for
-the next ``window`` steps) and those of the op emitted ``window`` steps
-earlier that nothing has touched since (they leave the window).  Each
-change moves the score of every unemitted op on that element by one, and
-a lazy max-heap of ``(-score, index)`` entries, pushed on release and on
-every score change and skipped on pop when stale, yields the best ready
-op — highest score, ties to the lowest index.
+The locality pass scores only ready ops, on score levels: a set of ready
+ops per score, and a running bound on the highest non-empty level, whose
+lowest index is the pick.  Emitting an op changes the hot status of two
+groups of elements only: its own (hot for the next ``window`` steps) and
+those of the op emitted ``window`` steps earlier that nothing has touched
+since (they leave the window).  Each change moves every ready op on that
+element one level.  A released op is scored afresh from its elements, so
+an op that is not ready has no score to keep.  At window 0 nothing is
+ever hot, and the order is ``"original"``'s.
 
 :class:`Worklist`, the copyable ready-frontier state of a scheduling pass,
 is exposed so the order-search engine (:mod:`repro.graph.search`) can
@@ -45,7 +46,6 @@ import heapq
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError, ScheduleError
-from ..sched.ops import ComputeOp
 from .dependency import DependencyGraph
 
 HEURISTICS = ("original", "depth-first", "locality", "fan-out")
@@ -107,14 +107,6 @@ class ListScheduleResult:
     relax_reductions: bool
     order: list[int] = field(default_factory=list)
 
-    def ops(self) -> list[ComputeOp]:
-        """The compute ops in emitted order."""
-        return [self.graph.ops[i] for i in self.order]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.order == list(range(len(self.graph)))
-
 
 def _schedule_by_priority(
     succs: list[tuple[int, ...]], indeg: list[int], priority
@@ -151,52 +143,59 @@ def _schedule_depth_first(succs: list[tuple[int, ...]], indeg: list[int]) -> lis
     return order
 
 
-def _schedule_locality(
-    graph: DependencyGraph,
-    worklist: Worklist,
-    window: int,
-) -> list[int]:
-    # Scores are kept incrementally and the pick comes off a lazy heap (see
-    # the module docstring): an emission costs the ops on the elements whose
-    # hot status it changes, not a rescan of the ready set.  Both incidence
-    # directions come from the graph's (op, element) records.
-    elems = graph.op_elements.rows()
-    ops_on = [list(ops) for ops in graph.element_ops.rows()]
-    score = [0] * len(elems)
+def _schedule_locality(worklist: Worklist, window: int) -> list[int]:
+    # Ready ops only, on score levels (see the module docstring).
+    elems = worklist.graph.op_elements.rows()
     # Untouched elements sit below every window floor, t - window >= -window.
-    last_touch = [-window - 1] * len(ops_on)
-    ready = worklist.ready
-    heap = [(0, v) for v in sorted(ready)]
-    heappop, heappush = heapq.heappop, heapq.heappush
+    last_touch = [-window - 1] * (worklist.graph.element_ops.ptr.size - 1)
+    ready_on: list[set[int]] = [set() for _ in last_touch]
+    score = [0] * len(elems)
+    levels: list[set[int]] = [set() for _ in range(max(map(len, elems), default=0) + 1)]
+    top = 0  # no level above it holds an op
     order: list[int] = []
-    while heap:
-        neg, v = heappop(heap)
-        if v not in ready or -neg != score[v]:
-            continue  # stale: emitted, or re-pushed since with a new score
+    released, hot = worklist.ready, -window
+    while True:
+        for w in released:
+            s = 0
+            for key in elems[w]:
+                if last_touch[key] >= hot:
+                    s += 1
+                ready_on[key].add(w)
+            score[w] = s
+            levels[s].add(w)
+            if s > top:
+                top = s
+        while top and not levels[top]:
+            top -= 1
+        if not levels[top]:
+            return order
+        v = min(levels[top])
+        levels[top].remove(v)
         t = len(order)
-        changed = set(worklist.emit(v))
         order.append(v)
+        floor = t - window
         for key in elems[v]:
-            ops_on[key].remove(v)  # lists hold unemitted ops only
-        if window:  # at window 0 nothing is ever hot: every score stays 0
-            floor = t - window
-            for key in elems[v]:
-                if last_touch[key] < floor:  # enters the window
-                    for w in ops_on[key]:
-                        score[w] += 1
-                        if w in ready:
-                            changed.add(w)
-                last_touch[key] = t
-            if floor >= 0:
-                for key in elems[order[floor]]:
-                    if last_touch[key] == floor:  # leaves the window
-                        for w in ops_on[key]:
-                            score[w] -= 1
-                            if w in ready:
-                                changed.add(w)
-        for w in changed:
-            heappush(heap, (-score[w], w))
-    return order
+            on = ready_on[key]
+            on.remove(v)
+            if last_touch[key] < floor:  # enters the window
+                for w in on:
+                    s = score[w]
+                    levels[s].remove(w)
+                    levels[s + 1].add(w)
+                    score[w] = s + 1
+                    if s + 1 > top:
+                        top = s + 1
+            last_touch[key] = t
+        if floor >= 0:
+            for key in elems[order[floor]]:
+                if last_touch[key] == floor:  # leaves the window
+                    for w in ready_on[key]:
+                        s = score[w]
+                        levels[s].remove(w)
+                        levels[s - 1].add(w)
+                        score[w] = s - 1
+        # Hot after step t means touched at step t + 1 - window or later.
+        released, hot = worklist.emit(v), t + 1 - window
 
 
 def list_schedule(
@@ -226,18 +225,18 @@ def list_schedule(
         raise ConfigurationError(
             f"locality_window must be an int >= 0, got {locality_window!r}"
         )
-    if heuristic == "locality":
+    if heuristic == "locality" and locality_window:
         worklist = Worklist(graph, relax_reductions=relax_reductions)
-        order = _schedule_locality(graph, worklist, locality_window)
+        order = _schedule_locality(worklist, locality_window)
     else:
         succs = graph.succ_lists(relax_reductions=relax_reductions)
         indeg = graph.indegrees(relax_reductions=relax_reductions)
-        if heuristic == "original":
-            order = _schedule_by_priority(succs, indeg, lambda v: v)
-        elif heuristic == "depth-first":
+        if heuristic == "depth-first":
             order = _schedule_depth_first(succs, indeg)
-        else:  # fan-out
+        elif heuristic == "fan-out":
             order = _schedule_by_priority(succs, indeg, lambda v: (-len(succs[v]), v))
+        else:  # original, or locality at window 0, where nothing is ever hot
+            order = _schedule_by_priority(succs, indeg, lambda v: v)
     if len(order) != len(graph):
         raise ScheduleError(
             f"list scheduler emitted {len(order)} of {len(graph)} nodes — dependence cycle"

@@ -1,11 +1,12 @@
 """The graph layer's per-op passes against their reference forms.
 
-The locality scheduler keeps scores incrementally, DAG extraction runs
-segmented array passes, and the load/evict rewrite builds its per-op
-element sets from plain lists.  Each must reproduce its straightforward
-form (``graph_oracles``) exactly: the same order, the same per-op element
-sets, the same neighbours with the same kinds, and the same step
-sequence.
+The locality scheduler keeps ready ops' scores on score levels, DAG
+extraction runs segmented array passes, and the load/evict rewrite builds
+its per-op element sets from plain lists.  Each must reproduce its
+straightforward form (``graph_oracles``) exactly: the same order, the same
+per-op element sets, the same neighbours with the same kinds, and the same
+step sequence.  The locality order is also pinned to the lazy-heap pass at
+sizes the rescan cannot reach quickly.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from graph_oracles import (
+    heap_locality_order,
     numpy_rewrite_trace,
     rescan_locality_order,
     walk_dependency_graph,
@@ -68,6 +70,18 @@ def test_locality_order_matches_rescan(kernel, relax):
             graph, "locality", relax_reductions=relax, locality_window=window
         ).order
         want = rescan_locality_order(graph, relax_reductions=relax, window=window)
+        assert got == want, f"window {window}"
+
+
+@pytest.mark.parametrize("relax", [False, True])
+@pytest.mark.parametrize("kernel", ("tbs", "syr2k", "chol"))
+def test_locality_order_matches_heap(kernel, relax):
+    _case, graph = case_of(kernel, 60, 6, 15)
+    for window in (0, 1, 4):
+        got = list_schedule(
+            graph, "locality", relax_reductions=relax, locality_window=window
+        ).order
+        want = heap_locality_order(graph, relax_reductions=relax, window=window)
         assert got == want, f"window {window}"
 
 

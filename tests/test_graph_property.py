@@ -10,15 +10,19 @@ inputs are overwritten.  For every stream, the production CSR build
 (:meth:`DependencyGraph.from_trace`) must equal the per-element walk of
 ``graph_oracles`` edge for edge and kind for kind, and the derived views
 (effective neighbours, in-degrees, reduction classes) must agree under
-both ``relax_reductions`` settings.  Hypothesis drives the stream when
-available, a seeded random sweep otherwise.
+both ``relax_reductions`` settings.  The locality list scheduler must
+equal the rescan oracle at several windows under both settings: many ops
+share the 5×5 ``C``, so a ready op's score rises and falls while it waits
+and ties are common.  Hypothesis drives the stream when available, a
+seeded random sweep otherwise.
 """
 
 import random
 
-from graph_oracles import walk_dependency_graph
+from graph_oracles import rescan_locality_order, walk_dependency_graph
 from repro import TwoLevelMachine
 from repro.graph.dependency import DependencyGraph
+from repro.graph.scheduler import list_schedule
 from repro.sched.ops import (
     CholFactorResident,
     GemmOuterUpdate,
@@ -120,6 +124,10 @@ def check_against_walk(ops) -> None:
         ]
         assert graph.indegrees(relax_reductions=relax) == [len(p) for p in preds]
         assert graph.is_valid_order(list(range(n)), relax_reductions=relax)
+        for window in (0, 1, 2, 4):
+            assert list_schedule(
+                graph, "locality", relax_reductions=relax, locality_window=window
+            ).order == rescan_locality_order(graph, relax_reductions=relax, window=window)
     assert graph.reduction_classes() == reduction_components(ref.preds)
 
 
