@@ -31,21 +31,40 @@ the lazy-heap pass kept as the test reference ``heap_locality_order``.
 It asserts identical orders, prints both times and their ratio (again
 evidence, not a gate), and writes its rows to
 ``benchmarks/out/bench_e12_graph.json`` (or ``$BENCH_E12_JSON``).
+
+A fourth row times recording, the first step of a cold miss, over the
+seven servebench ``cold-heuristic`` keys: on counting machines with the
+production fast memory (held regions skip the element gather) and with
+the mask-only fast memory kept as the test reference
+``legality_oracle.MaskFastMemory``.  It asserts identical step counts,
+I/O volumes, :class:`~repro.machine.tracker.IOStats` and compiled access
+streams, prints both totals and their ratio (evidence, not a gate), and
+writes its row to ``benchmarks/out/bench_e12_record.json`` (or
+``$BENCH_E12_RECORD_JSON``).
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from graph_oracles import heap_locality_order, walk_dependency_graph
 from repro.graph.compare import CASES, compare_case, record_case
 from repro.graph.dependency import DependencyGraph
 from repro.graph.scheduler import HEURISTICS, list_schedule
+from repro.machine import FastMemory, TwoLevelMachine
+from repro.sched.schedule import record_schedule
+from repro.trace.compiled import compile_trace
 
 #: (kernel, n) of the DAG-extraction row, at M=6, S=15.
 EXTRACTION_SIZES = (("tbs", 120), ("chol", 60))
 #: (kernel, n) of the locality-pass row, at M=6, S=15.
 LOCALITY_SIZE = ("tbs", 120)
+#: (kernel, n) of the record row, at M=6, S=15: servebench's seven
+#: ``cold-heuristic`` keys.
+RECORD_KEYS = tuple((k, n) for n in (32, 40) for k in ("tbs", "syr2k", "chol")) + (("tbs", 56),)
+#: The compiled access stream's arrays the record row compares.
+STREAM_FIELDS = ("elem_ids", "is_write", "op_starts", "op_read_ends", "key_matrix", "key_flat")
 
 SIZES = {
     "tbs": (40, 6, 15),
@@ -201,3 +220,56 @@ def test_e12_locality_pass(once):
         env_var="BENCH_E12_JSON", default_name="bench_e12_graph.json",
     )
     print(f"\nBENCH JSON written to {path}")
+
+
+def record_all(cases, fast_memory) -> list:
+    """``(schedule, stats)`` of each case, recorded as :func:`record_case`
+    records it, on a counting machine whose fast memory is ``fast_memory``."""
+    out = []
+    for case in cases:
+        m = TwoLevelMachine(case.capacity, numerics=False)
+        m.fast = fast_memory(case.capacity, numerics=False)
+        for name, shape in case.schedule.shapes.items():
+            m.add_matrix(name, np.zeros(shape))
+        schedule = record_schedule(m, lambda: case.run(m))
+        m.assert_empty()
+        out.append((schedule, m.stats))
+    return out
+
+
+@pytest.mark.benchmark(group="e12")
+def test_e12_record_pass(once):
+    from common import write_bench_json
+    from legality_oracle import MaskFastMemory
+
+    def run():
+        cases = [record_case(kernel, n, 6, 15) for kernel, n in RECORD_KEYS]
+        t_held, held = best_of(lambda: record_all(cases, FastMemory))
+        t_mask, mask = best_of(lambda: record_all(cases, MaskFastMemory))
+        for key, (schedule, stats), (ref, ref_stats) in zip(RECORD_KEYS, held, mask):
+            # The same stream, step for step, and the same counts.
+            assert schedule.counts() == ref.counts(), key
+            assert schedule.io_volume() == ref.io_volume(), key
+            assert stats == ref_stats, key
+            got, want = compile_trace(schedule), compile_trace(ref)
+            assert got.matrices == want.matrices, key
+            for name in STREAM_FIELDS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (key, name)
+        return {
+            "keys": [f"{kernel} N={n}" for kernel, n in RECORD_KEYS],
+            "steps": sum(len(schedule) for schedule, _ in held),
+            "production_ms": t_held * 1e3, "reference_ms": t_mask * 1e3,
+            "ratio": t_held / t_mask,
+        }
+
+    row = once(run)
+    print(
+        f"\nE12 record pass, {len(RECORD_KEYS)} cold-heuristic keys, "
+        f"{row['steps']:,} steps (best of 3): held regions {row['production_ms']:.1f} ms, "
+        f"masks only {row['reference_ms']:.1f} ms, ratio {row['ratio']:.2f}x"
+    )
+    path = write_bench_json(
+        "e12_record_pass", [row],
+        env_var="BENCH_E12_RECORD_JSON", default_name="bench_e12_record.json",
+    )
+    print(f"BENCH JSON written to {path}")

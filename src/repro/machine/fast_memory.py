@@ -16,6 +16,27 @@ resident elements across all matrices, and a load pushing it beyond ``S``
 raises :class:`~repro.errors.CapacityError` *before* mutating any state.
 A load of an element that is already resident raises
 :class:`~repro.errors.RedundantLoadError`.
+
+**Held regions.**  The masks are the one residency truth, and every load
+checks them.  Beside them each matrix keeps a ledger of *held* regions:
+region objects that were loaded whole, have a read-only flat, and have
+lost no element since.  A residency check or an evict that names a held
+region (by identity) needs no element gather, since the ledger already
+proves every element resident.  This is exact:
+
+* a held region's elements are all resident from its load onward;
+* two held regions of one matrix never overlap, since the second load
+  would fail its redundant-load check;
+* so evicting a held region removes only its own elements, and any other
+  evict that passes its check empties the matrix's ledger, because it may
+  take part of a held region with it.
+
+Only a region whose flat is read-only is held, since the ledger trusts
+such a flat not to change: the region table's regions and the loader's
+views are read-only, and a hand-built :class:`Region` with a writable
+flat always takes the element checks.  The ledger holds its regions, so
+an ``id`` cannot be reused while it is in the ledger.  Every check,
+error and count is the one the masks alone give.
 """
 
 from __future__ import annotations
@@ -28,7 +49,8 @@ from .slow_memory import SlowMemory
 
 
 class FastMemory:
-    """Residency masks, plus the shadow arrays of a numeric machine."""
+    """Residency masks and held-region ledgers, plus the shadow arrays of a
+    numeric machine."""
 
     def __init__(self, capacity: int, numerics: bool = True):
         self.capacity = int(capacity)
@@ -36,11 +58,14 @@ class FastMemory:
         self.occupancy = 0
         self._masks: dict[str, np.ndarray] = {}
         self._shadows: dict[str, np.ndarray] = {}
+        # matrix -> {id(region): region} of the held regions.
+        self._held: dict[str, dict[int, Region]] = {}
 
     def attach(self, name: str, shape: tuple[int, int]) -> None:
         """Create residency state for a newly registered matrix."""
         n = int(shape[0]) * int(shape[1])
         self._masks[name] = np.zeros(n, dtype=bool)
+        self._held[name] = {}
         if self.numerics:
             self._shadows[name] = np.full(shape, np.nan, dtype=np.float64)
 
@@ -56,7 +81,7 @@ class FastMemory:
 
         Raises :class:`RedundantLoadError` if any element is already
         resident and :class:`CapacityError` if occupancy would exceed
-        capacity.
+        capacity.  A loaded region with a read-only flat is held.
         """
         mask = self._masks[region.matrix]
         idx = region.flat
@@ -75,6 +100,8 @@ class FastMemory:
         if self.numerics:
             shadow = self._shadows[region.matrix].ravel()
             shadow[idx] = slow.array(region.matrix).ravel()[idx]
+        if not idx.flags.writeable:
+            self._held[region.matrix][id(region)] = region
         return int(n)
 
     def evict(self, region: Region, slow: SlowMemory, writeback: bool) -> int:
@@ -88,11 +115,14 @@ class FastMemory:
         idx = region.flat
         if idx.size == 0:
             return 0
-        missing = idx.size - np.count_nonzero(mask[idx])
-        if missing:
-            raise ResidencyError(
-                f"evict of {region!r}: {missing} element(s) not resident"
-            )
+        held = self._held[region.matrix]
+        if held.pop(id(region), None) is None:
+            missing = idx.size - np.count_nonzero(mask[idx])
+            if missing:
+                raise ResidencyError(
+                    f"evict of {region!r}: {missing} element(s) not resident"
+                )
+            held.clear()
         if self.numerics:
             shadow = self._shadows[region.matrix].ravel()
             if writeback:
@@ -104,6 +134,8 @@ class FastMemory:
 
     def assert_resident(self, region: Region) -> None:
         """Raise :class:`ResidencyError` unless every element of ``region`` is resident."""
+        if id(region) in self._held[region.matrix]:
+            return
         idx = region.flat
         missing = idx.size - np.count_nonzero(self._masks[region.matrix][idx])
         if missing:

@@ -24,7 +24,14 @@ The machine has two configurations, and both run the same checks
 Every region the machine hands out comes from the process-wide region
 table of :mod:`repro.machine.regions`: a kernel's load and the op that
 reads it share one read-only region, checked and built once per distinct
-input.
+input.  That sharing makes the per-step checks cheap.  Fast memory
+*holds* each region it loaded whole with a read-only flat, by identity,
+until the region is evicted or any other evict runs on its matrix; a
+compute or evict that names a held region needs no element gather.
+Every other check gathers from the residency masks, which stay the one
+residency truth, so the checks, errors and counts are those of the masks
+alone (:mod:`repro.machine.fast_memory` says why).  A hand-built region
+with a writable flat is never held.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ class TwoLevelMachine(ShapeAwareRegions):
         self.fast = FastMemory(capacity, numerics=self.numerics)
         self.stats = IOStats()
         self._recorders: list = []  # sched.record attaches here
+        self._ncols: dict[str, int] = {}  # add_matrix fills it; record asks often
 
     # ------------------------------------------------------------------ #
     # matrix management
@@ -70,12 +78,16 @@ class TwoLevelMachine(ShapeAwareRegions):
         """Register a matrix in slow memory (copied) and attach residency state."""
         self.slow.add(name, array)
         self.fast.attach(name, self.slow.shape(name))
+        self._ncols[name] = self.slow.ncols(name)
 
     def shape(self, name: str) -> tuple[int, int]:
         return self.slow.shape(name)
 
     def ncols(self, name: str) -> int:
-        return self.slow.ncols(name)
+        try:
+            return self._ncols[name]
+        except KeyError:
+            return self.slow.ncols(name)  # raises for an unknown name
 
     def result(self, name: str) -> np.ndarray:
         """The slow-memory array (where results live after writebacks)."""
@@ -112,7 +124,10 @@ class TwoLevelMachine(ShapeAwareRegions):
         for region in reads:
             self.fast.assert_resident(region)
         for region in op.writes():
-            if all(region is not read for read in reads):
+            for read in reads:
+                if region is read:
+                    break
+            else:
                 self.fast.assert_resident(region)
         if self.numerics:
             op.apply(self)

@@ -165,16 +165,16 @@ class Schedule:
 
 class _Recorder:
     def __init__(self, schedule: Schedule):
-        self.schedule = schedule
+        self.append = schedule.steps.append
 
     def on_load(self, region: Region) -> None:
-        self.schedule.steps.append(LoadStep(region))
+        self.append(LoadStep(region))
 
     def on_evict(self, region: Region, writeback: bool) -> None:
-        self.schedule.steps.append(EvictStep(region, writeback))
+        self.append(EvictStep(region, writeback))
 
     def on_compute(self, op: ComputeOp) -> None:
-        self.schedule.steps.append(ComputeStep(op))
+        self.append(ComputeStep(op))
 
 
 def record_schedule(machine: TwoLevelMachine, body: Callable[[], None]) -> Schedule:

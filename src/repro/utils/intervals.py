@@ -90,7 +90,12 @@ def span_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def as_index_array(x) -> np.ndarray:
-    """Coerce ``x`` (range, list, slice-free array) to an int64 index array."""
+    """Coerce ``x`` (range, list, slice-free array) to an int64 index array.
+
+    An int64 1-D ``ndarray`` is returned as it is, as ``np.asarray`` would.
+    """
+    if type(x) is np.ndarray and x.dtype == np.int64 and x.ndim == 1:
+        return x
     if isinstance(x, range):
         return np.arange(x.start, x.stop, x.step, dtype=np.int64)
     arr = np.asarray(x, dtype=np.int64)

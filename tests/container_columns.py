@@ -58,7 +58,7 @@ def write_columns(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
     line = json.dumps(dict(header, sizes={name: len(arrays[name]) for name in order}))
     line += " " * (-(len(line) + 1) % 8) + "\n"
     body = line.encode() + b"".join(np.ascontiguousarray(arrays[name]).tobytes() for name in order)
-    deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
+    deflate = zlib.compressobj(3, zlib.DEFLATED, -15)  # the saver's level
     with open(path, "wb") as fh:
         fh.write(GZIP_HEADER + deflate.compress(body) + deflate.flush()
                  + struct.pack("<II", zlib.crc32(body), len(body)))

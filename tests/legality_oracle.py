@@ -10,6 +10,13 @@ it raises.  The end-state check runs after the last step, so it ranks
 after every step error.  Production validation runs the event-table
 certifier instead (:mod:`repro.check.certify`); the tests pin its first
 error and its clean counters to this walker's.
+
+:class:`MaskFastMemory` is the machine's fast memory as it was before the
+held-region ledger: every residency check and evict gathers its elements
+from the masks.  ``tests/test_fast_memory_property.py`` runs random step
+streams on a machine with it swapped in and on a production machine, and
+requires the same errors, occupancy, counts and slow memory; E12's record
+row times recording on the two.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.check.findings import Finding
-from repro.errors import ScheduleError
+from repro.errors import CapacityError, RedundantLoadError, ResidencyError, ScheduleError
 from repro.machine.regions import Region
+from repro.machine.slow_memory import SlowMemory
 from repro.sched.schedule import ComputeStep, EvictStep, LoadStep, Schedule
 
 
@@ -145,3 +153,88 @@ def walk_schedule(schedule: Schedule, capacity: int) -> dict[str, int]:
             resident=occupancy,
         )
     return {"loads": loads, "stores": stores, "peak_occupancy": peak}
+
+
+class MaskFastMemory:
+    """Residency masks, plus the shadow arrays of a numeric machine."""
+
+    def __init__(self, capacity: int, numerics: bool = True):
+        self.capacity = int(capacity)
+        self.numerics = bool(numerics)
+        self.occupancy = 0
+        self._masks: dict[str, np.ndarray] = {}
+        self._shadows: dict[str, np.ndarray] = {}
+
+    def attach(self, name: str, shape: tuple[int, int]) -> None:
+        """Create residency state for a newly registered matrix."""
+        n = int(shape[0]) * int(shape[1])
+        self._masks[name] = np.zeros(n, dtype=bool)
+        if self.numerics:
+            self._shadows[name] = np.full(shape, np.nan, dtype=np.float64)
+
+    def shadow(self, name: str) -> np.ndarray:
+        """The shadow array (full shape, NaN-poisoned) of a numeric machine."""
+        return self._shadows[name]
+
+    # ------------------------------------------------------------------ #
+    # core operations
+    # ------------------------------------------------------------------ #
+    def load(self, region: Region, slow: SlowMemory) -> int:
+        """Bring ``region`` into fast memory; returns the element count loaded.
+
+        Raises :class:`RedundantLoadError` if any element is already
+        resident and :class:`CapacityError` if occupancy would exceed
+        capacity.
+        """
+        mask = self._masks[region.matrix]
+        idx = region.flat
+        n = idx.size
+        if n == 0:
+            return 0
+        already = np.count_nonzero(mask[idx])
+        if already:
+            raise RedundantLoadError(
+                f"load of {region!r}: {already} element(s) already resident"
+            )
+        if self.occupancy + n > self.capacity:
+            raise CapacityError(n, self.occupancy, self.capacity)
+        mask[idx] = True
+        self.occupancy += n
+        if self.numerics:
+            shadow = self._shadows[region.matrix].ravel()
+            shadow[idx] = slow.array(region.matrix).ravel()[idx]
+        return int(n)
+
+    def evict(self, region: Region, slow: SlowMemory, writeback: bool) -> int:
+        """Drop ``region`` from fast memory; returns elements written back.
+
+        Raises :class:`ResidencyError` if any element is not resident.
+        With ``writeback=True`` a numeric machine copies the shadow values
+        to slow memory before the poison is restored.
+        """
+        mask = self._masks[region.matrix]
+        idx = region.flat
+        if idx.size == 0:
+            return 0
+        missing = idx.size - np.count_nonzero(mask[idx])
+        if missing:
+            raise ResidencyError(
+                f"evict of {region!r}: {missing} element(s) not resident"
+            )
+        if self.numerics:
+            shadow = self._shadows[region.matrix].ravel()
+            if writeback:
+                slow.array(region.matrix).ravel()[idx] = shadow[idx]
+            shadow[idx] = np.nan
+        mask[idx] = False
+        self.occupancy -= int(idx.size)
+        return int(idx.size) if writeback else 0
+
+    def assert_resident(self, region: Region) -> None:
+        """Raise :class:`ResidencyError` unless every element of ``region`` is resident."""
+        idx = region.flat
+        missing = idx.size - np.count_nonzero(self._masks[region.matrix][idx])
+        if missing:
+            raise ResidencyError(
+                f"compute touches {missing} non-resident element(s) of {region.matrix!r}"
+            )
