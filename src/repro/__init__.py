@@ -38,133 +38,64 @@ Quickstart::
     np.testing.assert_allclose(np.tril(m.result("C")), np.tril(a @ a.T))
 """
 
-from .config import (
-    DEFAULT_SEED,
-    lbc_block_size,
-    square_tile_side_for_memory,
-    tiled_tbs_shape_for_memory,
-    triangle_side_for_memory,
-)
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    MachineError,
-    RedundantLoadError,
-    ReproError,
-    ResidencyError,
-    ScheduleError,
-    VerificationError,
-)
-from .machine import (
-    ExplicitPebbleMachine,
-    FastMemory,
-    IOStats,
-    LRUPebbleMachine,
-    Region,
-    SlowMemory,
-    TwoLevelMachine,
-)
-from .core import (
-    CyclicIndexingFamily,
-    TBSPartition,
-    cholesky_lower_bound,
-    choose_c,
-    lbc_cholesky,
-    max_operational_intensity,
-    plan_partition,
-    syrk_lower_bound,
-    tbs_syrk,
-    tbs_tiled_syrk,
-)
-from .baselines import (
-    naive_cholesky_lru,
-    naive_syrk_lru,
-    ooc_chol,
-    ooc_gemm,
-    ooc_lu,
-    ooc_syrk,
-    ooc_trsm,
-)
-from .kernels import (
-    cholesky_reference,
-    gemm_reference,
-    lu_nopivot_reference,
-    syrk_reference,
-    trsm_right_lower_transpose,
-)
-from .graph import (
-    DependencyGraph,
-    belady_replay,
-    dependency_graph,
-    list_schedule,
-    reschedule,
-    rewrite_schedule,
-)
-from .trace import (
-    CompiledTrace,
-    compile_trace,
-    load_schedule,
-    load_trace,
-    save_schedule,
-    save_trace,
-)
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_SEED",
-    "lbc_block_size",
-    "square_tile_side_for_memory",
-    "tiled_tbs_shape_for_memory",
-    "triangle_side_for_memory",
-    "CapacityError",
-    "ConfigurationError",
-    "MachineError",
-    "RedundantLoadError",
-    "ReproError",
-    "ResidencyError",
-    "ScheduleError",
-    "VerificationError",
-    "ExplicitPebbleMachine",
-    "FastMemory",
-    "IOStats",
-    "LRUPebbleMachine",
-    "Region",
-    "SlowMemory",
-    "TwoLevelMachine",
-    "CyclicIndexingFamily",
-    "TBSPartition",
-    "cholesky_lower_bound",
-    "choose_c",
-    "lbc_cholesky",
-    "max_operational_intensity",
-    "plan_partition",
-    "syrk_lower_bound",
-    "tbs_syrk",
-    "tbs_tiled_syrk",
-    "naive_cholesky_lru",
-    "naive_syrk_lru",
-    "ooc_chol",
-    "ooc_gemm",
-    "ooc_lu",
-    "ooc_syrk",
-    "ooc_trsm",
-    "cholesky_reference",
-    "gemm_reference",
-    "lu_nopivot_reference",
-    "syrk_reference",
-    "trsm_right_lower_transpose",
-    "DependencyGraph",
-    "belady_replay",
-    "dependency_graph",
-    "list_schedule",
-    "reschedule",
-    "rewrite_schedule",
-    "CompiledTrace",
-    "compile_trace",
-    "load_schedule",
-    "load_trace",
-    "save_schedule",
-    "save_trace",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_SEED": "config",
+    "lbc_block_size": "config",
+    "square_tile_side_for_memory": "config",
+    "tiled_tbs_shape_for_memory": "config",
+    "triangle_side_for_memory": "config",
+    "CapacityError": "errors",
+    "ConfigurationError": "errors",
+    "MachineError": "errors",
+    "RedundantLoadError": "errors",
+    "ReproError": "errors",
+    "ResidencyError": "errors",
+    "ScheduleError": "errors",
+    "VerificationError": "errors",
+    "ExplicitPebbleMachine": "machine",
+    "FastMemory": "machine",
+    "IOStats": "machine",
+    "LRUPebbleMachine": "machine",
+    "Region": "machine",
+    "SlowMemory": "machine",
+    "TwoLevelMachine": "machine",
+    "CyclicIndexingFamily": "core",
+    "TBSPartition": "core",
+    "cholesky_lower_bound": "core",
+    "choose_c": "core",
+    "lbc_cholesky": "core",
+    "max_operational_intensity": "core",
+    "plan_partition": "core",
+    "syrk_lower_bound": "core",
+    "tbs_syrk": "core",
+    "tbs_tiled_syrk": "core",
+    "naive_cholesky_lru": "baselines",
+    "naive_syrk_lru": "baselines",
+    "ooc_chol": "baselines",
+    "ooc_gemm": "baselines",
+    "ooc_lu": "baselines",
+    "ooc_syrk": "baselines",
+    "ooc_trsm": "baselines",
+    "cholesky_reference": "kernels",
+    "gemm_reference": "kernels",
+    "lu_nopivot_reference": "kernels",
+    "syrk_reference": "kernels",
+    "trsm_right_lower_transpose": "kernels",
+    "DependencyGraph": "graph",
+    "belady_replay": "graph",
+    "dependency_graph": "graph",
+    "list_schedule": "graph",
+    "reschedule": "graph",
+    "rewrite_schedule": "graph",
+    "CompiledTrace": "trace",
+    "compile_trace": "trace",
+    "load_schedule": "trace",
+    "load_trace": "trace",
+    "save_schedule": "trace",
+    "save_trace": "trace",
+})
+__all__.append("__version__")

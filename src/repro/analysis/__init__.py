@@ -1,55 +1,35 @@
 """Analysis layer: exact I/O predictors, OI rooflines, the Section 4 optimum
 cross-checks, and the sweep harness that regenerates every experiment."""
 
-from .model import (
-    ooc_syrk_model,
-    ooc_syrk_rect_model,
-    ooc_syrk_strip_model,
-    tbs_model,
-    tbs_tiled_model,
-    ooc_trsm_model,
-    ooc_chol_model,
-    ooc_lu_model,
-    ooc_gemm_model,
-    lbc_model,
-    lbc_term_model,
-    ooc_syr2k_model,
-    tbs_syr2k_model,
-    IOPrediction,
-)
-from .oi import measured_oi, oi_ceiling, oi_gap
-from .lru_replay import LruReplayResult, lru_competitiveness, lru_replay
-from .optimum import numeric_p_doubleprime, verify_theorem41_chain
-from .sweep import SweepRow, run_syrk_once, run_cholesky_once, sweep_syrk, sweep_cholesky
-from .roofline import roofline_rows
+from .._exports import lazy_exports
 
-__all__ = [
-    "ooc_syrk_model",
-    "ooc_syrk_rect_model",
-    "ooc_syrk_strip_model",
-    "tbs_model",
-    "tbs_tiled_model",
-    "ooc_trsm_model",
-    "ooc_chol_model",
-    "ooc_lu_model",
-    "ooc_gemm_model",
-    "lbc_model",
-    "lbc_term_model",
-    "ooc_syr2k_model",
-    "tbs_syr2k_model",
-    "IOPrediction",
-    "measured_oi",
-    "oi_ceiling",
-    "oi_gap",
-    "LruReplayResult",
-    "lru_competitiveness",
-    "lru_replay",
-    "numeric_p_doubleprime",
-    "verify_theorem41_chain",
-    "SweepRow",
-    "run_syrk_once",
-    "run_cholesky_once",
-    "sweep_syrk",
-    "sweep_cholesky",
-    "roofline_rows",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ooc_syrk_model": "model",
+    "ooc_syrk_rect_model": "model",
+    "ooc_syrk_strip_model": "model",
+    "tbs_model": "model",
+    "tbs_tiled_model": "model",
+    "ooc_trsm_model": "model",
+    "ooc_chol_model": "model",
+    "ooc_lu_model": "model",
+    "ooc_gemm_model": "model",
+    "lbc_model": "model",
+    "lbc_term_model": "model",
+    "ooc_syr2k_model": "model",
+    "tbs_syr2k_model": "model",
+    "IOPrediction": "model",
+    "measured_oi": "oi",
+    "oi_ceiling": "oi",
+    "oi_gap": "oi",
+    "LruReplayResult": "lru_replay",
+    "lru_competitiveness": "lru_replay",
+    "lru_replay": "lru_replay",
+    "numeric_p_doubleprime": "optimum",
+    "verify_theorem41_chain": "optimum",
+    "SweepRow": "sweep",
+    "run_syrk_once": "sweep",
+    "run_cholesky_once": "sweep",
+    "sweep_syrk": "sweep",
+    "sweep_cholesky": "sweep",
+    "roofline_rows": "roofline",
+})

@@ -2,21 +2,16 @@
 (OOC_SYRK / OOC_TRSM / OOC_CHOL), a blocked GEMM and LU for the
 operational-intensity comparison, and naive LRU loop nests for motivation."""
 
-from .ooc_syrk import ooc_syrk, ooc_syrk_rect, ooc_syrk_strip
-from .ooc_trsm import ooc_trsm
-from .ooc_chol import ooc_chol
-from .gemm import ooc_gemm
-from .lu import ooc_lu
-from .naive import naive_syrk_lru, naive_cholesky_lru
+from .._exports import lazy_exports
 
-__all__ = [
-    "ooc_syrk",
-    "ooc_syrk_rect",
-    "ooc_syrk_strip",
-    "ooc_trsm",
-    "ooc_chol",
-    "ooc_gemm",
-    "ooc_lu",
-    "naive_syrk_lru",
-    "naive_cholesky_lru",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ooc_syrk": "ooc_syrk",
+    "ooc_syrk_rect": "ooc_syrk",
+    "ooc_syrk_strip": "ooc_syrk",
+    "ooc_trsm": "ooc_trsm",
+    "ooc_chol": "ooc_chol",
+    "ooc_gemm": "gemm",
+    "ooc_lu": "lu",
+    "naive_syrk_lru": "naive",
+    "naive_cholesky_lru": "naive",
+})

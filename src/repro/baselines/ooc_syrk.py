@@ -30,7 +30,7 @@ from ..utils.intervals import as_distinct_index_array, as_index_array, split_ind
 
 
 def _check_disjoint(a: np.ndarray, b: np.ndarray) -> None:
-    if np.intersect1d(a, b).size:
+    if np.isin(a, b).any():
         raise ConfigurationError("row sets must be disjoint")
 
 

@@ -20,11 +20,9 @@ dynamically — in one linear pass, without replaying anything:
 CLI: ``python -m repro check`` (see :mod:`repro.check.cli`).
 """
 
-# Exports resolve lazily (PEP 562): ``sched.validate`` and the executor
-# import ``repro.check.findings`` at module load, and the analyzers here
-# import ``sched``/``graph`` right back — eager re-exports would close
-# that cycle during package init.
-_EXPORTS = {
+from .._exports import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Certificate": "certify",
     "certify_schedule": "certify",
     "check_conservation": "conservation",
@@ -41,37 +39,4 @@ _EXPORTS = {
     "lint_source": "lint",
     "parse_taxonomy": "lint",
     "check_races": "races",
-}
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f".{module}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
-
-
-__all__ = [
-    "CODES",
-    "Certificate",
-    "ERROR",
-    "Finding",
-    "WARNING",
-    "certify_schedule",
-    "check_conservation",
-    "check_races",
-    "check_summary",
-    "counter_documented",
-    "derived_transfer_totals",
-    "has_errors",
-    "lint_paths",
-    "lint_source",
-    "parse_taxonomy",
-    "sort_findings",
-]
+})

@@ -28,79 +28,38 @@ on: its antichains are exactly the op sets a multi-node schedule may run
 concurrently.
 """
 
-from .dependency import (
-    COMMUTING_ACCUMULATIONS,
-    DependencyGraph,
-    dependency_graph,
-    is_commuting_accumulation,
-)
-from .policies import (
-    BeladyReplayResult,
-    belady_replay,
-    replacement_gap,
-)
-from .rewriter import (
-    RewriteResult,
-    reschedule,
-    rewrite_schedule,
-    rewrite_trace,
-)
-from .scheduler import (
-    HEURISTICS,
-    ListScheduleResult,
-    Worklist,
-    list_schedule,
-)
-from .objective import IncrementalObjective, order_cost
-from .search import (
-    STRATEGIES,
-    AnnealStats,
-    SearchResult,
-    anneal_search,
-    beam_search,
-    lookahead_search,
-    run_chain,
-    search_order,
-)
-from .compare import (
-    CASES,
-    Comparison,
-    ComparisonRow,
-    RecordedCase,
-    compare_case,
-    record_case,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "COMMUTING_ACCUMULATIONS",
-    "DependencyGraph",
-    "dependency_graph",
-    "is_commuting_accumulation",
-    "BeladyReplayResult",
-    "belady_replay",
-    "replacement_gap",
-    "RewriteResult",
-    "reschedule",
-    "rewrite_schedule",
-    "rewrite_trace",
-    "HEURISTICS",
-    "ListScheduleResult",
-    "Worklist",
-    "list_schedule",
-    "IncrementalObjective",
-    "order_cost",
-    "STRATEGIES",
-    "AnnealStats",
-    "SearchResult",
-    "anneal_search",
-    "beam_search",
-    "lookahead_search",
-    "run_chain",
-    "search_order",
-    "CASES",
-    "Comparison",
-    "ComparisonRow",
-    "RecordedCase",
-    "compare_case",
-    "record_case",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "COMMUTING_ACCUMULATIONS": "dependency",
+    "DependencyGraph": "dependency",
+    "dependency_graph": "dependency",
+    "is_commuting_accumulation": "dependency",
+    "BeladyReplayResult": "policies",
+    "belady_replay": "policies",
+    "replacement_gap": "policies",
+    "RewriteResult": "rewriter",
+    "reschedule": "rewriter",
+    "rewrite_schedule": "rewriter",
+    "rewrite_trace": "rewriter",
+    "HEURISTICS": "scheduler",
+    "ListScheduleResult": "scheduler",
+    "Worklist": "scheduler",
+    "list_schedule": "scheduler",
+    "IncrementalObjective": "objective",
+    "order_cost": "objective",
+    "STRATEGIES": "search",
+    "AnnealStats": "search",
+    "SearchResult": "search",
+    "anneal_search": "search",
+    "beam_search": "search",
+    "lookahead_search": "search",
+    "run_chain": "search",
+    "search_order": "search",
+    "CASES": "compare",
+    "Comparison": "compare",
+    "ComparisonRow": "compare",
+    "RecordedCase": "compare",
+    "compare_case": "compare",
+    "record_case": "compare",
+})

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..analysis.lru_replay import lru_replay
 from ..baselines.ooc_chol import ooc_chol
 from ..baselines.ooc_syrk import ooc_syrk
 from ..core.bounds import cholesky_lower_bound, syrk_lower_bound
@@ -32,7 +31,6 @@ from ..errors import ConfigurationError
 from ..machine.machine import TwoLevelMachine
 from ..sched.schedule import Schedule, record_schedule, replay_schedule
 from ..trace.compiled import CompiledTrace, compile_trace
-from ..utils.rng import random_spd_matrix, random_tall_matrix
 from .dependency import DependencyGraph
 from .policies import belady_replay
 from .rewriter import RewriteResult, reschedule, rewrite_schedule
@@ -56,7 +54,25 @@ def _syrk_shapes(n: int, mcols: int) -> dict[str, tuple[int, int]]:
 
 
 def _syrk_inputs(n: int, mcols: int, seed: int) -> dict[str, np.ndarray]:
+    from ..utils.rng import random_tall_matrix
+
     return {"A": random_tall_matrix(n, mcols, seed=seed), "C": np.zeros((n, n))}
+
+
+def _syr2k_inputs(n: int, mcols: int, seed: int) -> dict[str, np.ndarray]:
+    from ..utils.rng import random_tall_matrix
+
+    return {
+        "A": random_tall_matrix(n, mcols, seed=seed),
+        "B": random_tall_matrix(n, mcols, seed=seed + 1),
+        "C": np.zeros((n, n)),
+    }
+
+
+def _chol_inputs(n: int, mcols: int, seed: int) -> dict[str, np.ndarray]:
+    from ..utils.rng import random_spd_matrix
+
+    return {"A": random_spd_matrix(n, seed=seed)}
 
 
 def _syrk_bound(n: int, mcols: int, s: int) -> float:
@@ -81,11 +97,7 @@ _KERNELS = {
     "syr2k": _Kernel(
         "TBS SYR2K extension",
         lambda n, mcols: {"A": (n, mcols), "B": (n, mcols), "C": (n, n)},
-        lambda n, mcols, seed: {
-            "A": random_tall_matrix(n, mcols, seed=seed),
-            "B": random_tall_matrix(n, mcols, seed=seed + 1),
-            "C": np.zeros((n, n)),
-        },
+        _syr2k_inputs,
         lambda m, n, mcols: tbs_syr2k(m, "A", "B", "C", range(n), range(mcols)),
         lambda n, mcols, s: syr2k_lower_bound(n, mcols, s, form="exact"),
         ("C",),
@@ -93,7 +105,7 @@ _KERNELS = {
     "chol": _Kernel(
         "OOC_CHOL (left-looking Cholesky)",
         lambda n, mcols: {"A": (n, n)},
-        lambda n, mcols, seed: {"A": random_spd_matrix(n, seed=seed)},
+        _chol_inputs,
         lambda m, n, mcols: ooc_chol(m, "A", range(n)),
         lambda n, mcols, s: cholesky_lower_bound(n, s, form="exact"),
         ("A",),
@@ -265,6 +277,8 @@ def compare_case(
     up to FP reassociation — ``exact`` stays ``None``).  ``search_kwargs``
     maps a strategy name to extra keyword arguments for it.
     """
+    from ..analysis.lru_replay import lru_replay
+
     trace = case.trace
     graph = DependencyGraph.from_trace(trace)
     comp = Comparison(case=case, graph=graph)

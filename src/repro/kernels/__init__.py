@@ -6,66 +6,34 @@ updates) together with the data-access functional ``D(B)`` of Proposition
 3.4; ``flops`` centralizes work-counting conventions.
 """
 
-from .reference import (
-    syrk_reference,
-    cholesky_reference,
-    cholesky_lower_in_place,
-    cholesky_element_loops,
-    syrk_element_loops,
-    trsm_right_lower_transpose,
-    trsm_element_loops,
-    gemm_reference,
-    lu_nopivot_reference,
-    lu_nopivot_in_place,
-)
-from .opsets import (
-    syrk_opset_size,
-    cholesky_update_count,
-    iter_syrk_ops,
-    iter_cholesky_updates,
-    restriction,
-    symmetric_footprint,
-    data_accessed,
-)
-from .flops import (
-    syrk_mults,
-    syrk_flops,
-    cholesky_mults,
-    cholesky_flops,
-    gemm_mults,
-    gemm_flops,
-    trsm_mults,
-    trsm_flops,
-    lu_mults,
-    lu_flops,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "syrk_reference",
-    "cholesky_reference",
-    "cholesky_lower_in_place",
-    "cholesky_element_loops",
-    "syrk_element_loops",
-    "trsm_right_lower_transpose",
-    "trsm_element_loops",
-    "gemm_reference",
-    "lu_nopivot_reference",
-    "lu_nopivot_in_place",
-    "syrk_opset_size",
-    "cholesky_update_count",
-    "iter_syrk_ops",
-    "iter_cholesky_updates",
-    "restriction",
-    "symmetric_footprint",
-    "data_accessed",
-    "syrk_mults",
-    "syrk_flops",
-    "cholesky_mults",
-    "cholesky_flops",
-    "gemm_mults",
-    "gemm_flops",
-    "trsm_mults",
-    "trsm_flops",
-    "lu_mults",
-    "lu_flops",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "syrk_reference": "reference",
+    "cholesky_reference": "reference",
+    "cholesky_lower_in_place": "reference",
+    "cholesky_element_loops": "reference",
+    "syrk_element_loops": "reference",
+    "trsm_right_lower_transpose": "reference",
+    "trsm_element_loops": "reference",
+    "gemm_reference": "reference",
+    "lu_nopivot_reference": "reference",
+    "lu_nopivot_in_place": "reference",
+    "syrk_opset_size": "opsets",
+    "cholesky_update_count": "opsets",
+    "iter_syrk_ops": "opsets",
+    "iter_cholesky_updates": "opsets",
+    "restriction": "opsets",
+    "symmetric_footprint": "opsets",
+    "data_accessed": "opsets",
+    "syrk_mults": "flops",
+    "syrk_flops": "flops",
+    "cholesky_mults": "flops",
+    "cholesky_flops": "flops",
+    "gemm_mults": "flops",
+    "gemm_flops": "flops",
+    "trsm_mults": "flops",
+    "trsm_flops": "flops",
+    "lu_mults": "flops",
+    "lu_flops": "flops",
+})

@@ -8,33 +8,20 @@ between them.  It is the measurement instrument for the whole reproduction:
 reproduces the paper's quantities exactly rather than approximately.
 """
 
-from .regions import (
-    Region,
-    tile_region,
-    triangle_block_region,
-    lower_tile_region,
-    column_segment_region,
-    row_segment_region,
-    merge_regions,
-)
-from .slow_memory import SlowMemory
-from .fast_memory import FastMemory
-from .tracker import IOStats
-from .machine import TwoLevelMachine
-from .pebble import LRUPebbleMachine, ExplicitPebbleMachine
+from .._exports import lazy_exports
 
-__all__ = [
-    "Region",
-    "tile_region",
-    "triangle_block_region",
-    "lower_tile_region",
-    "column_segment_region",
-    "row_segment_region",
-    "merge_regions",
-    "SlowMemory",
-    "FastMemory",
-    "IOStats",
-    "TwoLevelMachine",
-    "LRUPebbleMachine",
-    "ExplicitPebbleMachine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Region": "regions",
+    "tile_region": "regions",
+    "triangle_block_region": "regions",
+    "lower_tile_region": "regions",
+    "column_segment_region": "regions",
+    "row_segment_region": "regions",
+    "merge_regions": "regions",
+    "SlowMemory": "slow_memory",
+    "FastMemory": "fast_memory",
+    "IOStats": "tracker",
+    "TwoLevelMachine": "machine",
+    "LRUPebbleMachine": "pebble",
+    "ExplicitPebbleMachine": "pebble",
+})

@@ -53,9 +53,13 @@ from ..errors import ConfigurationError
 from ..utils.intervals import as_index_array, is_strictly_increasing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
     """A set of elements of one named matrix.
+
+    Regions compare and hash by identity: the process-wide region table
+    builds one object per distinct input, and fast memory holds loaded
+    regions by identity too.
 
     Attributes
     ----------

@@ -24,48 +24,28 @@ pipeline that produces those numbers inspectable without perturbing it:
   (``python -m repro report saved.json``).
 """
 
-from .convergence import AnnealSeries, RoundSeries, series_from_dict
-from .probe import (
-    NULL_PROBE,
-    NullProbe,
-    RecordingProbe,
-    Timer,
-    get_probe,
-    probe_scope,
-    set_probe,
-    timed,
-)
-from .provenance import SCHEMA_VERSION, provenance_stamp
-from .report import (
-    REPORT_SCHEMA,
-    build_report,
-    load_report,
-    render_report,
-    render_series,
-    save_report,
-)
-from .timeline import export_timeline, timeline_events
+from .._exports import lazy_exports
 
-__all__ = [
-    "AnnealSeries",
-    "RoundSeries",
-    "series_from_dict",
-    "NULL_PROBE",
-    "NullProbe",
-    "RecordingProbe",
-    "Timer",
-    "get_probe",
-    "probe_scope",
-    "set_probe",
-    "timed",
-    "SCHEMA_VERSION",
-    "provenance_stamp",
-    "REPORT_SCHEMA",
-    "build_report",
-    "load_report",
-    "render_report",
-    "render_series",
-    "save_report",
-    "export_timeline",
-    "timeline_events",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AnnealSeries": "convergence",
+    "RoundSeries": "convergence",
+    "series_from_dict": "convergence",
+    "NULL_PROBE": "probe",
+    "NullProbe": "probe",
+    "RecordingProbe": "probe",
+    "Timer": "probe",
+    "get_probe": "probe",
+    "probe_scope": "probe",
+    "set_probe": "probe",
+    "timed": "probe",
+    "SCHEMA_VERSION": "provenance",
+    "provenance_stamp": "provenance",
+    "REPORT_SCHEMA": "report",
+    "build_report": "report",
+    "load_report": "report",
+    "render_report": "report",
+    "render_series": "report",
+    "save_report": "report",
+    "export_timeline": "timeline",
+    "timeline_events": "timeline",
+})

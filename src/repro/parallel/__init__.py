@@ -47,78 +47,39 @@ worse than the best seed of its {partitioner} x {order} portfolio.
 Experiment E18 measures the joint walk against the decoupled pipelines.
 """
 
-from .executor import (
-    PARTITIONERS,
-    POLICIES,
-    ExecutorSummary,
-    ShardReport,
-    execute_graph,
-    partition_graph,
-)
-from .cosearch import (
-    CoSearchCost,
-    CoSearchResult,
-    CoSearchState,
-    cosearch,
-    cosearch_cost,
-    cosearch_portfolio,
-)
-from .makespan import MakespanLedger, MakespanResult, makespan_model
-from .partition import (
-    BlockSpec,
-    NodeAssignment,
-    balance_cap,
-    square_tile_assignment,
-    triangle_block_assignment,
-)
-from .refine import (
-    EVAL_POLICIES,
-    REFINE_STRATEGIES,
-    PartitionLedger,
-    RefineResult,
-    movable_units,
-    partition_cost,
-    refine_partition,
-    refine_partitions,
-    write_groups,
-)
-from .simulate import (
-    NodeReport,
-    ParallelSummary,
-    simulate_syrk,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BlockSpec",
-    "NodeAssignment",
-    "balance_cap",
-    "square_tile_assignment",
-    "triangle_block_assignment",
-    "MakespanLedger",
-    "MakespanResult",
-    "makespan_model",
-    "CoSearchCost",
-    "CoSearchResult",
-    "CoSearchState",
-    "cosearch",
-    "cosearch_cost",
-    "cosearch_portfolio",
-    "EVAL_POLICIES",
-    "REFINE_STRATEGIES",
-    "PartitionLedger",
-    "RefineResult",
-    "movable_units",
-    "partition_cost",
-    "refine_partition",
-    "refine_partitions",
-    "write_groups",
-    "NodeReport",
-    "ParallelSummary",
-    "simulate_syrk",
-    "PARTITIONERS",
-    "POLICIES",
-    "ExecutorSummary",
-    "ShardReport",
-    "execute_graph",
-    "partition_graph",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "BlockSpec": "partition",
+    "NodeAssignment": "partition",
+    "balance_cap": "partition",
+    "square_tile_assignment": "partition",
+    "triangle_block_assignment": "partition",
+    "MakespanLedger": "makespan",
+    "MakespanResult": "makespan",
+    "makespan_model": "makespan",
+    "CoSearchCost": "cosearch",
+    "CoSearchResult": "cosearch",
+    "CoSearchState": "cosearch",
+    "cosearch": "cosearch",
+    "cosearch_cost": "cosearch",
+    "cosearch_portfolio": "cosearch",
+    "EVAL_POLICIES": "refine",
+    "REFINE_STRATEGIES": "refine",
+    "PartitionLedger": "refine",
+    "RefineResult": "refine",
+    "movable_units": "refine",
+    "partition_cost": "refine",
+    "refine_partition": "refine",
+    "refine_partitions": "refine",
+    "write_groups": "refine",
+    "NodeReport": "simulate",
+    "ParallelSummary": "simulate",
+    "simulate_syrk": "simulate",
+    "PARTITIONERS": "executor",
+    "POLICIES": "executor",
+    "ExecutorSummary": "executor",
+    "ShardReport": "executor",
+    "execute_graph": "executor",
+    "partition_graph": "executor",
+})

@@ -64,7 +64,6 @@ from ..trace.replay import belady_replay_trace, lru_replay_trace
 from .makespan import MakespanResult, makespan_model
 from .partition import balance_cap, deal_least_loaded
 from .refine import write_groups
-from .simulate import fleet_imbalance, fleet_mean
 
 PARTITIONERS = ("level-greedy", "locality", "owner-computes")
 POLICIES = ("rewrite", "lru", "belady")
@@ -221,6 +220,8 @@ class ExecutorSummary:
 
     @property
     def mean_recv(self) -> float:
+        from .simulate import fleet_mean
+
         return fleet_mean([r.recv for r in self.shards])
 
     @property
@@ -268,6 +269,8 @@ class ExecutorSummary:
 
     @property
     def compute_imbalance(self) -> float:
+        from .simulate import fleet_imbalance
+
         return fleet_imbalance([r.mults for r in self.shards])
 
     @property

@@ -25,6 +25,10 @@ task order, never completion order, so parallelism degree changes
 wall-clock only — every merged result is independent of ``jobs``.
 """
 
-from .pool import SearchPool, parallel_map, task_seed
+from .._exports import lazy_exports
 
-__all__ = ["SearchPool", "parallel_map", "task_seed"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SearchPool": "pool",
+    "parallel_map": "pool",
+    "task_seed": "pool",
+})

@@ -24,7 +24,7 @@ Design rules, shared by all consumers:
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ..errors import ConfigurationError
@@ -70,7 +70,7 @@ class SearchPool:
     def __init__(self, jobs: int = 1, chunk_size: int | None = None):
         self.jobs = int(jobs)
         self.chunk_size = chunk_size
-        self._executor: ProcessPoolExecutor | None = None
+        self._executor: Executor | None = None
 
     def __enter__(self) -> "SearchPool":
         return self
@@ -83,6 +83,19 @@ class SearchPool:
             self._executor.shutdown()
             self._executor = None
 
+    def _start(self) -> Executor:
+        """The process executor, started on first use (importing it loads
+        ``multiprocessing``, which a serial run never needs)."""
+        if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            workers = max(1, self.jobs)
+            self._executor = ProcessPoolExecutor(max_workers=workers)
+            probe = get_probe()
+            if probe.enabled:
+                probe.count("pool.workers", workers)
+        return self._executor
+
     def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
         """Submit one task; returns its :class:`concurrent.futures.Future`.
 
@@ -93,14 +106,11 @@ class SearchPool:
         ``asyncio.wrap_future``), so running inline would defeat the point.
         ``fn`` and ``args`` must be picklable.
         """
+        executor = self._start()
         probe = get_probe()
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=max(1, self.jobs))
-            if probe.enabled:
-                probe.count("pool.workers", max(1, self.jobs))
         if probe.enabled:
             probe.count("pool.tasks", 1)
-        return self._executor.submit(fn, *args)
+        return executor.submit(fn, *args)
 
     def map(self, fn: Callable[[T], R], tasks: Iterable[T]) -> list[R]:
         """Apply ``fn`` to every task; results in task order, always."""
@@ -112,12 +122,8 @@ class SearchPool:
                 if probe.enabled:
                     probe.count("pool.tasks", len(items))
                 return results
-            if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-                if probe.enabled:
-                    probe.count("pool.workers", self.jobs)
             chunk = self.chunk_size or max(1, -(-len(items) // self.jobs))
-            results = list(self._executor.map(fn, items, chunksize=chunk))
+            results = list(self._start().map(fn, items, chunksize=chunk))
             if probe.enabled:
                 probe.count("pool.tasks", len(items))
                 probe.count("pool.chunks", _chunk_count(len(items), chunk))

@@ -11,51 +11,28 @@ columns (:mod:`repro.sched.columns`) and builds its step objects only
 when a caller reads them.
 """
 
-from .ops import (
-    ComputeOp,
-    OuterColsUpdate,
-    syrk_outer_update,
-    TriangleUpdate,
-    TriangleCrossUpdate,
-    GemmOuterUpdate,
-    TrsmSolveStep,
-    UpperSolveStep,
-    UnitLowerSolveStep,
-    CholFactorResident,
-    LuFactorResident,
-    cholesky_mults,
-    cholesky_flops,
-)
-from .schedule import (
-    Schedule,
-    LoadStep,
-    EvictStep,
-    ComputeStep,
-    record_schedule,
-    replay_schedule,
-)
-from .validate import validate_schedule, schedule_footprint
+from .._exports import lazy_exports
 
-__all__ = [
-    "ComputeOp",
-    "OuterColsUpdate",
-    "syrk_outer_update",
-    "TriangleUpdate",
-    "TriangleCrossUpdate",
-    "GemmOuterUpdate",
-    "TrsmSolveStep",
-    "UpperSolveStep",
-    "UnitLowerSolveStep",
-    "CholFactorResident",
-    "LuFactorResident",
-    "cholesky_mults",
-    "cholesky_flops",
-    "Schedule",
-    "LoadStep",
-    "EvictStep",
-    "ComputeStep",
-    "record_schedule",
-    "replay_schedule",
-    "validate_schedule",
-    "schedule_footprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ComputeOp": "ops",
+    "OuterColsUpdate": "ops",
+    "syrk_outer_update": "ops",
+    "TriangleUpdate": "ops",
+    "TriangleCrossUpdate": "ops",
+    "GemmOuterUpdate": "ops",
+    "TrsmSolveStep": "ops",
+    "UpperSolveStep": "ops",
+    "UnitLowerSolveStep": "ops",
+    "CholFactorResident": "ops",
+    "LuFactorResident": "ops",
+    "cholesky_mults": "ops",
+    "cholesky_flops": "ops",
+    "Schedule": "schedule",
+    "LoadStep": "schedule",
+    "EvictStep": "schedule",
+    "ComputeStep": "schedule",
+    "record_schedule": "schedule",
+    "replay_schedule": "schedule",
+    "validate_schedule": "validate",
+    "schedule_footprint": "validate",
+})

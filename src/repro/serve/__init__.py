@@ -24,17 +24,15 @@ warm-hit vs cold-search latency, hit rate vs cache size under a zipf
 request stream, and the LRU-vs-Belady eviction gap on one log.
 """
 
-from .cache import ScheduleCache, log_to_trace
-from .frontend import SEARCHERS, ScheduleService, run_searcher, warm_store
-from .store import ScheduleKey, ScheduleStore
+from .._exports import lazy_exports
 
-__all__ = [
-    "SEARCHERS",
-    "ScheduleCache",
-    "ScheduleKey",
-    "ScheduleService",
-    "ScheduleStore",
-    "log_to_trace",
-    "run_searcher",
-    "warm_store",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SEARCHERS": "frontend",
+    "ScheduleCache": "cache",
+    "ScheduleKey": "store",
+    "ScheduleService": "frontend",
+    "ScheduleStore": "store",
+    "log_to_trace": "cache",
+    "run_searcher": "frontend",
+    "warm_store": "frontend",
+})

@@ -21,39 +21,22 @@ suite as oracles (``tests/replay_oracles.py``: the access stream, LRU and
 Belady/MIN), and every engine count is pinned to them bit for bit.
 """
 
-from .compiled import CompiledTrace, compile_trace
-from .io import (
-    FORMAT_VERSIONS,
-    load_schedule,
-    load_trace,
-    read_header,
-    save_schedule,
-    save_trace,
-)
-from .replay import (
-    BeladyReplayResult,
-    LruCursor,
-    LruLedger,
-    LruReplayResult,
-    belady_replay_trace,
-    lru_replay_trace,
-    sweep_replay_trace,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "CompiledTrace",
-    "compile_trace",
-    "FORMAT_VERSIONS",
-    "load_schedule",
-    "load_trace",
-    "read_header",
-    "save_schedule",
-    "save_trace",
-    "BeladyReplayResult",
-    "LruCursor",
-    "LruLedger",
-    "LruReplayResult",
-    "belady_replay_trace",
-    "lru_replay_trace",
-    "sweep_replay_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CompiledTrace": "compiled",
+    "compile_trace": "compiled",
+    "FORMAT_VERSIONS": "io",
+    "load_schedule": "io",
+    "load_trace": "io",
+    "read_header": "io",
+    "save_schedule": "io",
+    "save_trace": "io",
+    "BeladyReplayResult": "replay",
+    "LruCursor": "replay",
+    "LruLedger": "replay",
+    "LruReplayResult": "replay",
+    "belady_replay_trace": "replay",
+    "lru_replay_trace": "replay",
+    "sweep_replay_trace": "replay",
+})

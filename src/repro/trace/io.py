@@ -66,16 +66,17 @@ recorded or hand-built schedule derives them from its steps
 Loading a schedule checks the columns in whole-container numpy passes:
 every step kind, matrix and op type is known; the lengths are
 non-negative and sum to the size of ``index_data``, which holds no
-negative index; every load or evict flat lies below its matrix's
-``rows * cols``; and every op index array is duplicate-free and, like
-every integer scalar, lies below the rows or columns of each matrix it
-indexes, as ``OP_SPECS`` declares (a solve step's ``t`` lies below its
-array's length).  Each op type's params checks write its index arrays'
-bounds into one limit per array, so one comparison bounds all of
-``index_data`` and one sort of (array, index) keys finds any repeat.  A
-container that fails raises :class:`~repro.errors.ConfigurationError`
-(naming the op type and field of an index out of bounds or repeated),
-so the serve store reads it as a corrupt miss.  A container that loads
+negative index; every index array is duplicate-free; every load or
+evict flat lies below its matrix's ``rows * cols``; and every op index
+array, like every integer scalar, lies below the rows or columns of
+each matrix it indexes, as ``OP_SPECS`` declares (a solve step's ``t``
+lies below its array's length).  Each op type's params checks write its
+index arrays' bounds into one limit per array, so one comparison bounds
+all of ``index_data`` and one sort of (array, index) keys over all of it
+finds any repeat.  A container that fails raises
+:class:`~repro.errors.ConfigurationError` (naming the op type and field
+of an index out of bounds or repeated, or the load or evict span), so
+the serve store reads it as a corrupt miss.  A container that loads
 builds every one of its steps.
 
 It builds them only when asked.  The loaded schedule carries its checked
@@ -451,6 +452,23 @@ def _op_field(
     return f"{cls.name} {list(OP_SPECS[cls][1])[span - slot[step]]}"
 
 
+def _repeated_span(span: np.ndarray, data: np.ndarray, n_spans: int) -> int | None:
+    """The first index array that repeats an index, or ``None``; ``span``
+    names the array of each entry of ``data`` and is non-decreasing."""
+    width = int(data.max(initial=0)) + 1
+    if n_spans * width > np.iinfo(np.int64).max:  # (array, index) keys would overflow
+        order = np.lexsort((data, span))
+        span, data = span[order], data[order]
+        hit = np.flatnonzero((span[1:] == span[:-1]) & (data[1:] == data[:-1]))
+        return int(span[hit[0]]) if hit.size else None
+    keyed = span * width + data
+    # The keys arrive nearly sorted (spans in order, most index sets
+    # sorted), which the stable sort's merge runs take in one pass.
+    keyed.sort(kind="stable")
+    hit = np.flatnonzero(keyed[1:] == keyed[:-1])
+    return int(keyed[hit[0]] // width) if hit.size else None
+
+
 def load_schedule(path: str | os.PathLike | IO[bytes], key: dict | None = None) -> Schedule:
     """Load a schedule written by :func:`save_schedule`.
 
@@ -513,13 +531,11 @@ def load_schedule(path: str | os.PathLike | IO[bytes], key: dict | None = None) 
         if field is None:
             raise ConfigurationError("a load/evict flat index lies outside its matrix")
         raise ConfigurationError(f"a {field} index lies outside a matrix it indexes")
-    op_entry = np.repeat(compute, arity)[span]  # the op index arrays' entries
-    values = data[op_entry]
-    width = int(values.max(initial=0)) + 1
-    keyed = np.sort(span[op_entry] * width + values)
-    repeated = np.flatnonzero(keyed[1:] == keyed[:-1])
-    if repeated.size:
-        field = _op_field(int(keyed[repeated[0]] // width), slot, kind, ref, op_classes)
+    repeated = _repeated_span(span, data, lengths.size)
+    if repeated is not None:
+        field = _op_field(repeated, slot, kind, ref, op_classes)
+        if field is None:
+            raise ConfigurationError("a load/evict span repeats a flat index")
         raise ConfigurationError(f"a {field} index set repeats an index")
 
     columns = ScheduleColumns(

@@ -1,48 +1,27 @@
 """Shared low-level utilities: primes/coprimality, index intervals, seeded
 matrix generators, ASCII table formatting, and argument checking."""
 
-from .primes import (
-    primes_up_to,
-    primorial_up_to,
-    is_coprime,
-    largest_coprime_below,
-    coprime_count_in_primorial_interval,
-    coprime_gap_statistics,
-)
-from .intervals import (
-    block_starts,
-    block_ranges,
-    split_indices,
-    contiguous_runs,
-)
-from .rng import (
-    random_tall_matrix,
-    random_spd_matrix,
-    random_diag_dominant_matrix,
-    random_lower_triangular,
-)
-from .fmt import Table, format_float, format_ratio
-from .checks import check_positive, check_matrix, check_square
+from .._exports import lazy_exports
 
-__all__ = [
-    "primes_up_to",
-    "primorial_up_to",
-    "is_coprime",
-    "largest_coprime_below",
-    "coprime_count_in_primorial_interval",
-    "coprime_gap_statistics",
-    "block_starts",
-    "block_ranges",
-    "split_indices",
-    "contiguous_runs",
-    "random_tall_matrix",
-    "random_spd_matrix",
-    "random_diag_dominant_matrix",
-    "random_lower_triangular",
-    "Table",
-    "format_float",
-    "format_ratio",
-    "check_positive",
-    "check_matrix",
-    "check_square",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "primes_up_to": "primes",
+    "primorial_up_to": "primes",
+    "is_coprime": "primes",
+    "largest_coprime_below": "primes",
+    "coprime_count_in_primorial_interval": "primes",
+    "coprime_gap_statistics": "primes",
+    "block_starts": "intervals",
+    "block_ranges": "intervals",
+    "split_indices": "intervals",
+    "contiguous_runs": "intervals",
+    "random_tall_matrix": "rng",
+    "random_spd_matrix": "rng",
+    "random_diag_dominant_matrix": "rng",
+    "random_lower_triangular": "rng",
+    "Table": "fmt",
+    "format_float": "fmt",
+    "format_ratio": "fmt",
+    "check_positive": "checks",
+    "check_matrix": "checks",
+    "check_square": "checks",
+})

@@ -113,7 +113,7 @@ def as_distinct_index_array(x) -> np.ndarray:
     ``x`` is kept.
     """
     arr = as_index_array(x)
-    if not is_strictly_increasing(arr) and np.unique(arr).size != arr.size:
+    if not is_strictly_increasing(arr) and not is_strictly_increasing(np.sort(arr)):
         raise ConfigurationError("rows must be duplicate-free")
     return arr
 

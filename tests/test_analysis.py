@@ -156,10 +156,12 @@ class TestOptimum:
 
 
 #: What a serving process and the CLI import.  Spelled out here so the
-#: guard does not depend on any caller's import list.
+#: guard does not depend on any caller's import list.  Packages export
+#: lazily, so the front end is named as well as its package.
 SERVE_PATH_MODULES = (
     "repro",
     "repro.serve",
+    "repro.serve.frontend",
     "repro.graph.compare",
     "repro.graph.dependency",
     "repro.graph.rewriter",
@@ -169,12 +171,48 @@ SERVE_PATH_MODULES = (
     "repro.__main__",
 )
 
+#: What a serving process imports: the serve path without the CLI.
+SERVING = ",".join(m for m in SERVE_PATH_MODULES if m != "repro.__main__")
+
+#: Modules no request calls, which a serving process must not load.
+NOT_SERVED = (
+    "repro.analysis",
+    "repro.baselines.gemm",
+    "repro.baselines.lu",
+    "repro.baselines.naive",
+    "repro.core.balanced",
+    "repro.core.lbc",
+    "repro.core.tbs_tiled",
+    "repro.core.triangle",
+    "repro.kernels.reference",
+    "repro.machine.pebble",
+    "repro.obs.provenance",
+    "repro.obs.report",
+    "repro.obs.timeline",
+    "repro.parallel.simulate",
+    "repro.utils.fmt",
+    "repro.utils.rng",
+    "repro.viz",
+    "multiprocessing",
+)
+
+
+def run_fresh(script: str, *args: str) -> None:
+    """Run ``script`` in a fresh interpreter on this checkout; it must exit 0."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
 
 def test_serve_path_imports_no_scipy():
     """A fresh interpreter that imports the serve path and the CLI loads no
     scipy module; the Section 4 cross-check loads ``scipy.optimize`` only
     when it is called, and still matches the closed form."""
-    script = textwrap.dedent("""
+    run_fresh("""
         import importlib, sys
         for name in sys.argv[1:]:
             importlib.import_module(name)
@@ -187,14 +225,55 @@ def test_serve_path_imports_no_scipy():
         assert "scipy.optimize" in sys.modules
         closed = solve_p_doubleprime(45.0).value
         assert abs(value - closed) <= 1e-4 * closed, (value, closed)
-    """)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c", script, *SERVE_PATH_MODULES],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
+    """, *SERVE_PATH_MODULES)
+
+
+def test_serve_path_loads_only_what_requests_call():
+    """A serving process, which imports the serve path without the CLI,
+    loads no analysis, renderer, pebble machine, reference kernel or
+    report module, and no ``multiprocessing``: packages export lazily,
+    and the serve-path modules import what no request calls where it is
+    called."""
+    run_fresh("""
+        import importlib, sys
+        for name in sys.argv[1].split(","):
+            importlib.import_module(name)
+        banned = sys.argv[2].split(",")
+        loaded = sorted(m for m in sys.modules
+                        if any(m == b or m.startswith(b + ".") for b in banned))
+        assert not loaded, loaded
+    """, SERVING, ",".join(NOT_SERVED))
+
+
+def test_cold_misses_import_nothing():
+    """Once the serve path is imported, a cold miss of each policy loads
+    no ``repro`` or numpy module for the first time: the TBS key reaches
+    the leftover strip's disjointness check, where ``np.intersect1d``
+    loaded ``numpy.ma`` on the first miss of every serving process."""
+    run_fresh("""
+        import asyncio, importlib, sys, tempfile
+        for name in sys.argv[1].split(","):
+            importlib.import_module(name)
+        from repro.serve import ScheduleCache, ScheduleKey, ScheduleService, ScheduleStore
+
+        keys = [
+            ScheduleKey("tbs", 33, 6, 15),
+            ScheduleKey("syr2k", 16, 6, 15, policy="search"),
+            ScheduleKey("chol", 16, 6, 15, p=2, policy="cosearch"),
+        ]
+        before = set(sys.modules)
+        with tempfile.TemporaryDirectory() as root:
+            service = ScheduleService(ScheduleStore(root), ScheduleCache(4), workers=0)
+            try:
+                for key in keys:
+                    asyncio.run(service.get_schedule(key))
+            finally:
+                service.close()
+            assert len(ScheduleStore(root)) == len(keys)
+        new = sorted(m for m in set(sys.modules) - before
+                     if m.split(".")[0] in ("repro", "numpy"))
+        assert not new, new
+    """, SERVING)
 
 
 class TestSweep:

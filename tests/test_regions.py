@@ -12,6 +12,7 @@ from repro.machine.regions import (
     tile_region,
     triangle_block_region,
 )
+from repro.sched.schedule import EvictStep, LoadStep
 
 
 def unflatten(region: Region, ncols: int) -> set[tuple[int, int]]:
@@ -111,3 +112,16 @@ class TestRegionBasics:
         r = tile_region("C", [0, 1], [0, 1, 2], ncols=5)
         assert len(r) == 6
         assert "C" in repr(r) and "n=6" in repr(r)
+
+    def test_identity_equality(self):
+        """Regions compare and hash by identity, so ``==``, ``in`` and
+        ``list.remove`` over regions and the steps that hold them never
+        compare flat arrays (which raised for more than one element)."""
+        a, b = Region("C", np.array([0, 1])), Region("C", np.array([0, 1]))
+        assert a == a and a != b and not (a == b)
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+        steps = [LoadStep(b), LoadStep(a), EvictStep(a, writeback=False)]
+        assert LoadStep(a) in steps and LoadStep(a) == steps[1]
+        steps.remove(LoadStep(a))
+        assert steps == [LoadStep(b), EvictStep(a, writeback=False)]
+        assert len({LoadStep(a), LoadStep(a), LoadStep(b)}) == 2

@@ -306,6 +306,55 @@ class TestScheduleStore:
         store.put(key, case.schedule)  # the next put repairs the entry
         assert case.check_exact(store.get(key))
 
+    @pytest.mark.parametrize("step_kind", [0, 1], ids=["load", "evict"])
+    def test_repeated_flat_reads_as_miss(self, store, case, key, step_kind):
+        """A load or evict span that repeats a flat would load an element
+        twice or evict it twice, and certify would then report RPS102 and
+        RPS101: the loader rejects it, so ``get`` counts a corrupt miss."""
+        store.put(key, case.schedule)
+        path = store.object_path(key)
+        header, arrays = read_columns(path)
+        (start, _), = next(
+            spans
+            for kind, spans in zip(arrays["kind"], step_spans(header, arrays))
+            if kind == step_kind and spans[0][1] - spans[0][0] >= 2
+        )
+        arrays["index_data"][start + 1] = arrays["index_data"][start]
+        write_columns(path, header, arrays)
+        with pytest.raises(ConfigurationError, match="a load/evict span repeats a flat"):
+            load_schedule(path)
+        with probe_scope() as probe:
+            assert store.get(key) is None
+        assert probe.counters["serve.store.corrupt"] == 1
+
+    def test_repeat_check_on_flats_near_int64(self, tmp_path, case):
+        """Flats of a 2**31 - 1 square matrix reach 2**62, where (array,
+        flat) keys overflow int64: the fifth of five one-flat loads would
+        key its flat 2**34 - 4 onto the first's flat 0.  The loader sorts
+        the pairs instead, so it finds no repeat there, and finds a real
+        one."""
+        path = tmp_path / "wide.npz"
+        save_schedule(case.schedule, path)
+        header, _ = read_columns(path)
+        side = 2**31 - 1
+        header = dict(header, shapes=[[side, side] for _ in header["shapes"]], ops=[])
+
+        def write_loads(lengths: list[int], flats: list[int]) -> None:
+            write_columns(path, header, {
+                "kind": np.zeros(len(lengths), dtype=np.int8),
+                "ref": np.zeros(len(lengths), dtype=np.int32),
+                "writeback": np.zeros(len(lengths), dtype=bool),
+                "lengths": np.array(lengths, dtype=np.int64),
+                "index_data": np.array(flats, dtype=np.int64),
+            })
+
+        top = side * side - 1
+        write_loads([1] * 5, [0, top, 1, 2, 2**34 - 4])
+        assert len(load_schedule(path)) == 5
+        write_loads([1, 2, 1, 1, 1], [0, top, top, 1, 2, 2**34 - 4])
+        with pytest.raises(ConfigurationError, match="a load/evict span repeats"):
+            load_schedule(path)
+
     @pytest.mark.parametrize("row", [20, 500])
     def test_op_row_past_matrix_reads_as_miss(self, store, row):
         """A stored op row at or past its matrix's row count is corrupt.
