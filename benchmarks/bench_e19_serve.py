@@ -42,6 +42,7 @@ import time
 
 import pytest
 
+from repro.obs.probe import probe_scope
 from repro.serve import (
     ScheduleCache,
     ScheduleKey,
@@ -69,16 +70,18 @@ def e16_key(smoke: bool) -> ScheduleKey:
 
 async def _serve_cold_then_warm(store_root, key):
     service = ScheduleService(ScheduleStore(store_root), ScheduleCache(4))
-    t0 = time.perf_counter()
-    first = await service.get_schedule(key)
-    cold = time.perf_counter() - t0
-    warm_times = []
-    for _ in range(WARM_HITS):
+    with probe_scope() as probe:
         t0 = time.perf_counter()
-        hit = await service.get_schedule(key)
-        warm_times.append(time.perf_counter() - t0)
-        assert hit is first  # memory tier returns the hot object itself
-    assert service.searches == 1 and service.hits == WARM_HITS
+        first = await service.get_schedule(key)
+        cold = time.perf_counter() - t0
+        warm_times = []
+        for _ in range(WARM_HITS):
+            t0 = time.perf_counter()
+            hit = await service.get_schedule(key)
+            warm_times.append(time.perf_counter() - t0)
+            assert hit is first  # memory tier returns the hot object itself
+    assert probe.counters["serve.searches"] == 1
+    assert probe.counters["serve.hits"] == WARM_HITS
     service.close()
     return cold, sum(warm_times) / len(warm_times)
 
@@ -89,22 +92,26 @@ async def _serve_disk_hits(store_root, key):
     times = []
     for _ in range(DISK_READS):
         service = ScheduleService(ScheduleStore(store_root), ScheduleCache(4))
-        t0 = time.perf_counter()
-        await service.get_schedule(key)
-        times.append(time.perf_counter() - t0)
+        with probe_scope() as probe:
+            t0 = time.perf_counter()
+            await service.get_schedule(key)
+            times.append(time.perf_counter() - t0)
         service.close()
-        assert service.store_hits == 1 and service.searches == 0
+        assert probe.counters["serve.store_hits"] == 1
+        assert "serve.searches" not in probe.counters
     return statistics.median(times)
 
 
 async def _serve_fanout(store_root, key):
+    """``(searches, coalesced)`` of FANOUT concurrent requests for ``key``."""
     service = ScheduleService(ScheduleStore(store_root), ScheduleCache(4))
-    results = await asyncio.gather(
-        *[service.get_schedule(key) for _ in range(FANOUT)]
-    )
+    with probe_scope() as probe:
+        results = await asyncio.gather(
+            *[service.get_schedule(key) for _ in range(FANOUT)]
+        )
     assert all(r is results[0] for r in results)
     service.close()
-    return service
+    return probe.counters.get("serve.searches", 0), probe.counters.get("serve.coalesced", 0)
 
 
 def test_e19_cold_vs_warm(tmp_path, smoke, once, capsys):
@@ -116,9 +123,9 @@ def test_e19_cold_vs_warm(tmp_path, smoke, once, capsys):
     disk = asyncio.run(_serve_disk_hits(str(tmp_path / "store"), key))
 
     # Single flight on a fresh store: FANOUT concurrent cold duplicates.
-    service = asyncio.run(_serve_fanout(str(tmp_path / "fanout"), key))
-    assert service.searches == 1, "duplicate in-flight requests must coalesce"
-    assert service.coalesced == FANOUT - 1
+    searches, coalesced = asyncio.run(_serve_fanout(str(tmp_path / "fanout"), key))
+    assert searches == 1, "duplicate in-flight requests must coalesce"
+    assert coalesced == FANOUT - 1
 
     rows = [{
         "experiment": "cold_vs_warm",
@@ -129,8 +136,8 @@ def test_e19_cold_vs_warm(tmp_path, smoke, once, capsys):
         "disk_hit_median_s": disk,
         "disk_reads": DISK_READS,
         "fanout": FANOUT,
-        "fanout_searches": service.searches,
-        "fanout_coalesced": service.coalesced,
+        "fanout_searches": searches,
+        "fanout_coalesced": coalesced,
     }]
 
     with capsys.disabled():
@@ -139,8 +146,7 @@ def test_e19_cold_vs_warm(tmp_path, smoke, once, capsys):
                    "coalesced"])
         t.add_row(
             [key.canonical(), f"{cold * 1e3:.1f} ms", f"{disk * 1e3:.1f} ms",
-             f"{warm * 1e6:.1f} us", f"{speedup:,.0f}x", service.searches,
-             service.coalesced]
+             f"{warm * 1e6:.1f} us", f"{speedup:,.0f}x", searches, coalesced]
         )
         print("\n" + t.render())
 

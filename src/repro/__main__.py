@@ -692,14 +692,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             latencies = asyncio.run(run_stream(service))
         finally:
             service.close()
-    snap = service.stats_snapshot()
+    tiers = [probe.counters.get(f"serve.{name}", 0)
+             for name in ("requests", "hits", "store_hits", "searches", "coalesced")]
     t = Table(["requests", "mem hits", "store hits", "searches", "coalesced",
                "evictions", "hit rate"])
-    t.add_row(
-        [snap["requests"], snap["hits"], snap["store_hits"], snap["searches"],
-         snap["coalesced"], snap["cache_evictions"],
-         f"{cache.hit_rate:.3f}"]
-    )
+    t.add_row([*tiers, cache.evictions, f"{cache.hit_rate:.3f}"])
     print(t.render())
     search_t = probe.timers.get("serve.search")
     warm = sorted(latencies)[len(latencies) // 2]
@@ -874,6 +871,8 @@ def main(argv: list[str] | None = None) -> int:
     ssub = p_srv.add_subparsers(dest="serve_command", required=True)
 
     def serve_key_args(sp):
+        from .serve.store import _POLICIES
+
         sp.add_argument("--store", required=True, help="store root directory")
         sp.add_argument("--kernel", choices=sorted(CASES), default="tbs")
         sp.add_argument("--ns", type=int, nargs="+", default=[40],
@@ -881,7 +880,7 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--m", type=int, default=6)
         sp.add_argument("--s", type=int, default=15)
         sp.add_argument("--p", type=int, default=1)
-        sp.add_argument("--policy", choices=["heuristic", "search", "cosearch"],
+        sp.add_argument("--policy", choices=_POLICIES,
                         default="heuristic", help="searcher pipeline (part of the key)")
         sp.add_argument("--alpha", type=float, default=1.0)
         sp.add_argument("--beta", type=float, default=1.0)

@@ -8,11 +8,10 @@ factory for fresh numeric machines holding the *same* seeded input values
 against, computed on first use.
 
 :func:`compare_case` produces the full comparison for one case: explicit
-volume, LRU and Belady replays of the original order, a validated,
-numerically-checked rewrite per scheduling heuristic, and — when asked —
-per search strategy (``search:beam`` / ``search:lookahead`` /
-``search:anneal`` rows, each order found by :mod:`repro.graph.search` and
-dressed into an explicit stream by the same rewriter).
+volume, LRU and Belady replays of the original order, and a validated,
+numerically-checked rewrite per scheduling heuristic.
+:func:`searched_orders` runs named strategies of :mod:`repro.graph.search`
+on a case's DAG (the co-search's seed portfolio).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from ..sched.schedule import Schedule, record_schedule, replay_schedule
 from ..trace.compiled import CompiledTrace, compile_trace
 from .dependency import DependencyGraph
 from .policies import belady_replay
-from .rewriter import RewriteResult, reschedule, rewrite_schedule
+from .rewriter import RewriteResult, reschedule
 from .scheduler import HEURISTICS
 from .search import SearchResult, search_order
 
@@ -214,10 +213,9 @@ def searched_orders(
 ) -> "dict[str, SearchResult]":
     """Run each named search strategy; ``{"search:<name>": SearchResult}``.
 
-    The labeled-order producer shared by :func:`compare_case` (which
-    dresses each order into an explicit stream) and the joint co-search's
-    seed portfolio (:mod:`repro.parallel.cosearch`, which pairs each order
-    with every partitioner).  ``search_kwargs`` maps a strategy name to
+    The labeled-order producer of the joint co-search's seed portfolio
+    (:mod:`repro.parallel.cosearch`, which pairs each order with every
+    partitioner).  ``search_kwargs`` maps a strategy name to
     extra keyword arguments; ``relax_reductions`` is the per-strategy
     default, overridable per strategy through ``search_kwargs``.
     """
@@ -261,21 +259,12 @@ def compare_case(
     heuristics: tuple[str, ...] = HEURISTICS,
     *,
     check_numerics: bool = True,
-    search_strategies: tuple[str, ...] = (),
-    relax_reductions: bool = False,
-    search_kwargs: dict | None = None,
 ) -> Comparison:
-    """Explicit vs LRU vs Belady vs rescheduled/searched volumes for one case.
+    """Explicit vs LRU vs Belady vs rescheduled volumes for one case.
 
     The schedule is compiled to the trace IR exactly once; the DAG
-    extraction, both replays, every rewrite and every search consume the
-    same :class:`~repro.trace.compiled.CompiledTrace`.  ``search_strategies``
-    names strategies of :mod:`repro.graph.search` to run after the
-    heuristics (rows ``search:<strategy>``); ``relax_reductions`` applies
-    to the searches only (heuristic rows stay bit-exact), and relaxed
-    search rows skip the bit-exactness check (results are then equal only
-    up to FP reassociation — ``exact`` stays ``None``).  ``search_kwargs``
-    maps a strategy name to extra keyword arguments for it.
+    extraction, both replays and every rewrite consume the same
+    :class:`~repro.trace.compiled.CompiledTrace`.
     """
     from ..analysis.lru_replay import lru_replay
 
@@ -301,23 +290,5 @@ def compare_case(
                 valid=True,  # reschedule() already ran validate_schedule
                 exact=exact,
             )
-        )
-    for label, found in searched_orders(
-        graph, case.capacity, tuple(search_strategies),
-        relax_reductions=relax_reductions, search_kwargs=search_kwargs,
-    ).items():
-        rewrite = rewrite_schedule(
-            trace, case.capacity, found.order, graph=graph,
-            relax_reductions=found.relax_reductions,
-        )
-        rewrite.heuristic = label
-        exact = (
-            case.check_exact(rewrite.schedule)
-            if check_numerics and not found.relax_reductions
-            else None
-        )
-        comp.rewrites[label] = rewrite
-        comp.rows.append(
-            ComparisonRow(label, rewrite.loads, rewrite.stores, valid=True, exact=exact)
         )
     return comp

@@ -76,7 +76,6 @@ from typing import Any, Callable, Sequence
 from ..errors import ConfigurationError, ScheduleError
 from ..obs.convergence import AnnealSeries, RoundSeries
 from ..obs.probe import get_probe
-from ..sched.ops import ComputeOp
 from ..trace.replay import LruLedger
 from .dependency import DependencyGraph
 from .objective import IncrementalObjective, order_cost
@@ -326,14 +325,6 @@ class SearchResult:
     #: or :class:`~repro.obs.convergence.RoundSeries`) when the run was
     #: recorded — ``record_convergence=True`` or an enabled probe; else None.
     convergence: "AnnealSeries | RoundSeries | None" = None
-
-    def ops(self) -> list[ComputeOp]:
-        """The compute ops in searched order."""
-        return [self.graph.ops[i] for i in self.order]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.order == list(range(len(self.graph)))
 
 
 def _finish(

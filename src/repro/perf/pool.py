@@ -53,10 +53,6 @@ def task_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _chunk_count(n_tasks: int, chunk_size: int) -> int:
-    return -(-n_tasks // chunk_size)
-
-
 class SearchPool:
     """A reusable deterministic fan-out pool (context manager).
 
@@ -67,9 +63,8 @@ class SearchPool:
     loop, repeated capacity sweeps).
     """
 
-    def __init__(self, jobs: int = 1, chunk_size: int | None = None):
+    def __init__(self, jobs: int = 1):
         self.jobs = int(jobs)
-        self.chunk_size = chunk_size
         self._executor: Executor | None = None
 
     def __enter__(self) -> "SearchPool":
@@ -122,11 +117,11 @@ class SearchPool:
                 if probe.enabled:
                     probe.count("pool.tasks", len(items))
                 return results
-            chunk = self.chunk_size or max(1, -(-len(items) // self.jobs))
+            chunk = -(-len(items) // self.jobs)
             results = list(self._start().map(fn, items, chunksize=chunk))
             if probe.enabled:
                 probe.count("pool.tasks", len(items))
-                probe.count("pool.chunks", _chunk_count(len(items), chunk))
+                probe.count("pool.chunks", -(-len(items) // chunk))
         return results
 
 
@@ -135,7 +130,6 @@ def parallel_map(
     tasks: Iterable[T],
     *,
     jobs: int = 1,
-    chunk_size: int | None = None,
 ) -> list[R]:
     """One-shot order-preserving map over ``jobs`` worker processes.
 
@@ -146,5 +140,5 @@ def parallel_map(
     """
     items = list(tasks)
     jobs = min(int(jobs), len(items))
-    with SearchPool(jobs, chunk_size) as pool:
+    with SearchPool(jobs) as pool:
         return pool.map(fn, items)

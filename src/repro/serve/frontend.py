@@ -20,7 +20,9 @@ four tiers, fastest first —
    pool when the service was built with ``workers > 0``, a thread
    otherwise.  The worker files the result in the store (atomic put),
    the front end reads it back and promotes it to memory, and every
-   coalesced waiter wakes with it.
+   coalesced waiter wakes with it.  A search that raises counts
+   ``serve.failed`` and every waiter gets its exception; the next
+   request for the key searches again.
 
 Only a miss leaves the loop (its search, and under a ``searcher=``
 override its put), so the loop stays free to coalesce requests while a
@@ -29,16 +31,17 @@ a ``verify_store`` read included.  On a thread the loop would still run
 only at the interpreter's switch interval (5 ms by default), because the
 read holds the interpreter lock for nearly all of its time.
 
-Counters (``serve.{requests,hits,misses,coalesced,searches,store_hits,
-evictions}`` plus ``serve.store.{puts,corrupt,stale}``) report into the
-active probe *and* into plain attributes on the service, so the CLI can
-print a stats table without a recording probe installed.
+The service keeps no counters of its own: each request counts
+``serve.requests`` and its tier into the active probe, and each miss
+ends as ``serve.searches`` or ``serve.failed``, so ``requests == hits +
+coalesced + store_hits + misses`` and ``misses == searches + failed`` on
+any completed stream.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from ..errors import ConfigurationError
 from ..obs.probe import get_probe, timed
@@ -127,14 +130,9 @@ SEARCHERS: dict[str, Callable[[ScheduleKey], Schedule]] = {
 
 
 def run_searcher(key: ScheduleKey) -> Schedule:
-    """Run the searcher pipeline ``key.policy`` names."""
-    searcher = SEARCHERS.get(key.policy)
-    if searcher is None:
-        raise ConfigurationError(
-            f"unknown serving policy {key.policy!r}; "
-            f"choose from {', '.join(SEARCHERS)}"
-        )
-    return searcher(key)
+    """Run the searcher pipeline ``key.policy`` names (a key refuses an
+    unknown policy when it is built)."""
+    return SEARCHERS[key.policy](key)
 
 
 def _search_to_store(task: tuple[str, dict]) -> str:
@@ -188,12 +186,13 @@ class ScheduleService:
     lazily and must be released with :meth:`close` (or ``async with``).
     ``searcher`` overrides the per-key :data:`SEARCHERS` dispatch with one
     callable (test seam; it and the put of its result run on a thread).
+    Every count goes to the active probe (module docstring).
     """
 
     def __init__(
         self,
         store: ScheduleStore,
-        cache: ScheduleCache | None = None,
+        cache: ScheduleCache,
         *,
         searcher: Callable[[ScheduleKey], Schedule] | None = None,
         workers: int = 0,
@@ -208,12 +207,6 @@ class ScheduleService:
         self.verify_store = verify_store
         self._pool = SearchPool(workers) if workers > 0 else None
         self._inflight: dict[str, asyncio.Future] = {}
-        self.requests = 0
-        self.hits = 0
-        self.store_hits = 0
-        self.misses = 0
-        self.coalesced = 0
-        self.searches = 0
 
     async def __aenter__(self) -> "ScheduleService":
         return self
@@ -225,51 +218,46 @@ class ScheduleService:
         if self._pool is not None:
             self._pool.close()
 
-    def _count(self, stat: str, probe_name: str) -> None:
-        setattr(self, stat, getattr(self, stat) + 1)
-        probe = get_probe()
-        if probe.enabled:
-            probe.count(probe_name)
-
     # -- the serving path ------------------------------------------------ #
     async def get_schedule(self, key: ScheduleKey) -> Schedule:
         """Resolve ``key``: memory → in-flight search → disk → search."""
         digest = key.digest()
-        self._count("requests", "serve.requests")
-        if self.cache is not None:
-            hit = self.cache.get(digest)
-            if hit is not None:
-                self._count("hits", "serve.hits")
-                return hit
+        probe = get_probe()
+        probe.count("serve.requests")
+        hit = self.cache.get(digest)
+        if hit is not None:
+            probe.count("serve.hits")
+            return hit
         existing = self._inflight.get(digest)
         if existing is not None and not existing.done():
-            self._count("coalesced", "serve.coalesced")
+            probe.count("serve.coalesced")
             return await asyncio.shield(existing)
         # A disk hit is read here, on the loop, with no await between the
         # lookup and the return, so no other request sees it half done.
         schedule = self.store.get(key, verify=self.verify_store)
         if schedule is not None:
-            self._count("store_hits", "serve.store_hits")
-            if self.cache is not None:
-                self.cache.put(digest, schedule)
+            probe.count("serve.store_hits")
+            self.cache.put(digest, schedule)
             return schedule
         # Single flight: the fill runs as its own task so a cancelled
         # requester never kills the search its coalesced peers wait on.
+        probe.count("serve.misses")
         task = asyncio.get_running_loop().create_task(self._fill(key, digest))
         self._inflight[digest] = task
         return await asyncio.shield(task)
 
     async def _fill(self, key: ScheduleKey, digest: str) -> Schedule:
         try:
-            self._count("misses", "serve.misses")
             with timed("serve.search"):
                 schedule = await self._search(key)
-            self._count("searches", "serve.searches")
-            if self.cache is not None:
-                self.cache.put(digest, schedule)
-            return schedule
+        except BaseException:
+            get_probe().count("serve.failed")
+            raise
         finally:
             self._inflight.pop(digest, None)
+        get_probe().count("serve.searches")
+        self.cache.put(digest, schedule)
+        return schedule
 
     async def _search(self, key: ScheduleKey) -> Schedule:
         loop = asyncio.get_running_loop()
@@ -290,19 +278,3 @@ class ScheduleService:
                 f"search for {key} completed but left no readable store entry"
             )
         return schedule
-
-    # -- reporting ------------------------------------------------------- #
-    def stats_snapshot(self) -> dict:
-        """The service's own counters (probe-independent) as one dict."""
-        snap = {
-            "requests": self.requests,
-            "hits": self.hits,
-            "store_hits": self.store_hits,
-            "misses": self.misses,
-            "coalesced": self.coalesced,
-            "searches": self.searches,
-        }
-        if self.cache is not None:
-            snap["cache_entries"] = len(self.cache)
-            snap["cache_evictions"] = self.cache.evictions
-        return snap

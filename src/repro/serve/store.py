@@ -63,6 +63,10 @@ def _whole_number(name: str, value) -> int:
     raise ConfigurationError(f"key field {name} must be a whole number, got {value!r}")
 
 
+#: Every serving policy, and the CLI's ``--policy`` choices: one searcher
+#: pipeline each in :data:`repro.serve.frontend.SEARCHERS`, which must
+#: list these names in this order (``tests/test_serve.py`` checks it).
+_POLICIES = ("heuristic", "search", "cosearch")
 #: Serving policies whose searchers read neither the node count ``p`` nor
 #: the latency constants ``alpha`` and ``beta``.
 _SINGLE_NODE_POLICIES = frozenset({"heuristic", "search"})
@@ -74,8 +78,9 @@ class ScheduleKey:
 
     ``policy`` names the searcher pipeline that produces the schedule
     (``heuristic`` / ``search`` / ``cosearch`` — see
-    :data:`repro.serve.frontend.SEARCHERS`), and is part of the hash:
-    the same kernel shape served under two policies is two entries.
+    :data:`repro.serve.frontend.SEARCHERS`; any other name is refused),
+    and is part of the hash: the same kernel shape served under two
+    policies is two entries.
     ``n``/``m``/``s``/``p`` are normalized to ints, so ``15``, ``15.0`` and
     ``numpy.int64(15)`` address the same object; a value that is not a
     whole number (``15.5``, ``True``, ``"15"``) is rejected rather than
@@ -98,6 +103,11 @@ class ScheduleKey:
     beta: float = 1.0
 
     def __post_init__(self):
+        if self.policy not in _POLICIES:
+            # Refused here, so a bad key reaches no store read and no search.
+            raise ConfigurationError(
+                f"unknown serving policy {self.policy!r}; choose from {', '.join(_POLICIES)}"
+            )
         # Normalize numeric types so equal tuples hash equally regardless
         # of how the caller spelled them (1 vs 1.0, numpy ints, ...).
         for name in ("n", "m", "s", "p"):
@@ -238,8 +248,9 @@ class ScheduleStore:
 
     def key_at(self, digest: str) -> ScheduleKey | None:
         """The key the object at ``digest`` holds in its header, or ``None``
-        when it holds none, holds another digest's key, or is missing,
-        stale, torn or otherwise unreadable."""
+        when it holds none, holds one no key can be built from (an unknown
+        policy, say), holds another digest's key, or is missing, stale,
+        torn or otherwise unreadable."""
         try:
             key = ScheduleKey.from_dict(read_header(self.object_path(digest)).get("key"))
         except (TypeError, ValueError):  # includes ConfigurationError

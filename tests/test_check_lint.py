@@ -235,7 +235,7 @@ class TestStoreVerify:
     def test_service_falls_through_to_search(self, seeded_store):
         import asyncio
 
-        from repro.serve.frontend import ScheduleService
+        from repro.serve import ScheduleCache, ScheduleService
 
         store, key, case = seeded_store
         i = next(
@@ -248,10 +248,11 @@ class TestStoreVerify:
         )
         save_schedule(bad, store.object_path(key), key.as_dict())
         service = ScheduleService(
-            store, searcher=lambda k: case.schedule, verify_store=True
+            store, ScheduleCache(2), searcher=lambda k: case.schedule, verify_store=True
         )
-        got = asyncio.run(service.get_schedule(key))
+        with probe_scope() as probe:
+            got = asyncio.run(service.get_schedule(key))
         assert len(got) == len(case.schedule)
-        assert service.misses == 1 and service.searches == 1
+        assert probe.counters["serve.misses"] == probe.counters["serve.searches"] == 1
         # the repaired entry now verifies
         assert store.get(key, verify=True) is not None

@@ -122,7 +122,6 @@ class TestParallelMap:
         expect = [square(x) for x in items]
         assert parallel_map(square, items, jobs=1) == expect
         assert parallel_map(square, items, jobs=4) == expect
-        assert parallel_map(square, items, jobs=4, chunk_size=2) == expect
 
     def test_empty_and_single(self):
         assert parallel_map(square, [], jobs=4) == []

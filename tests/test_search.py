@@ -236,11 +236,6 @@ class TestStrategies:
         with pytest.raises(ConfigurationError):
             anneal_search(chol_graph, S, iters=0, start="nope")
 
-    def test_result_ops_follow_order(self, tbs_graph):
-        result = search_order(tbs_graph, S, "beam")
-        ops = result.ops()
-        assert ops == [tbs_graph.ops[i] for i in result.order]
-
     def test_unknown_strategy(self, tbs_graph):
         with pytest.raises(ConfigurationError):
             search_order(tbs_graph, S, "exhaustive")
@@ -258,21 +253,3 @@ class TestStrategies:
         with pytest.raises(ConfigurationError):
             search_order(bare, S, "beam")
 
-
-class TestCompareIntegration:
-    def test_search_rows_in_comparison(self, tbs_case):
-        from repro.graph import compare_case
-
-        comp = compare_case(
-            tbs_case, ("original",), search_strategies=("beam",),
-            relax_reductions=True,
-            search_kwargs={"beam": {"width": 2}},
-        )
-        row = comp.row("search:beam")
-        assert row.valid is True and row.exact is None  # relaxed: no bit check
-        assert "search:beam" in comp.rewrites
-        strict = compare_case(
-            tbs_case, (), search_strategies=("anneal",),
-            search_kwargs={"anneal": {"iters": 30}},
-        )
-        assert strict.row("search:anneal").exact is True

@@ -35,6 +35,7 @@ from repro.obs.probe import probe_scope
 from repro.sched.columns import OP_SPECS
 from repro.sched.schedule import Schedule, record_schedule, replay_schedule
 from repro.serve import (
+    SEARCHERS,
     ScheduleCache,
     ScheduleKey,
     ScheduleService,
@@ -42,6 +43,7 @@ from repro.serve import (
     log_to_trace,
     warm_store,
 )
+from repro.serve.store import _POLICIES
 from repro.trace.io import load_schedule, read_header, save_schedule
 from repro.trace.replay import belady_replay_trace, lru_replay_trace
 
@@ -94,6 +96,18 @@ def _op_tampers():
         for f, kind in scalars.items():
             if kind is not float:
                 yield cls, f, "range"
+
+
+def _save_under_own_digest(store, schedule, fields: dict) -> str:
+    """File ``schedule`` at the digest of ``fields``, which its header holds
+    as its key, whether or not a :class:`ScheduleKey` accepts them."""
+    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    path = store.object_path(digest)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    save_schedule(schedule, path, fields)
+    assert read_header(path)["key"] == fields
+    return digest
 
 
 class TestScheduleKey:
@@ -188,14 +202,16 @@ class TestScheduleKey:
     def test_key_at_reads_a_negative_constant_as_no_key(self, store, case):
         fields = {**ScheduleKey("tbs", 20, 3, 10, p=2, policy="cosearch").as_dict(),
                   "alpha": -1.0}
-        canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode()).hexdigest()
-        path = store.object_path(digest)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        save_schedule(case.schedule, path, fields)
-        assert read_header(path)["key"] == fields
+        digest = _save_under_own_digest(store, case.schedule, fields)
         assert store.key_at(digest) is None
         assert store.keys() == []
+
+    def test_key_at_reads_an_unknown_policy_as_no_key(self, store, case):
+        fields = {**ScheduleKey("tbs", 20, 3, 10).as_dict(), "policy": "magic"}
+        digest = _save_under_own_digest(store, case.schedule, fields)
+        assert store.key_at(digest) is None
+        assert store.keys() == []
+        assert store.stats()["per_policy"] == {"?": 1}
 
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -722,6 +738,11 @@ def run_counting(coro):
     return asyncio.run(main()), executor.submitted
 
 
+def served(probe, *tiers):
+    """The probe's ``serve.<tier>`` counts, 0 for a tier never counted."""
+    return tuple(probe.counters.get(f"serve.{tier}", 0) for tier in tiers)
+
+
 class TestScheduleService:
     def test_single_flight(self, store, case, key):
         searcher = SlowSearcher(case.schedule)
@@ -736,10 +757,7 @@ class TestScheduleService:
             results = run(fan_out())
         assert searcher.calls == 1
         assert all(r is results[0] for r in results)
-        assert service.searches == 1 and service.misses == 1
-        assert service.coalesced == 15
-        assert probe.counters["serve.coalesced"] == 15
-        assert probe.counters["serve.searches"] == 1
+        assert served(probe, "requests", "misses", "searches", "coalesced") == (16, 1, 1, 15)
 
     def test_hits_submit_nothing(self, store, case, key):
         """A disk hit is read on the loop and a memory hit never leaves it."""
@@ -749,15 +767,17 @@ class TestScheduleService:
         async def twice():
             return [await service.get_schedule(key) for _ in range(2)]
 
-        (disk, memory), submitted = run_counting(twice())
+        with probe_scope() as probe:
+            (disk, memory), submitted = run_counting(twice())
         assert disk is memory and submitted == []
-        assert (service.store_hits, service.hits, service.misses) == (1, 1, 0)
+        assert served(probe, "store_hits", "hits", "misses") == (1, 1, 0)
 
     def test_miss_submits_only_its_search(self, store, key):
         service = ScheduleService(store, ScheduleCache(4))
-        _, submitted = run_counting(service.get_schedule(key))
+        with probe_scope() as probe:
+            _, submitted = run_counting(service.get_schedule(key))
         assert [fn.__name__ for fn in submitted] == ["_search_to_store"]
-        assert (service.misses, service.searches, service.store_hits) == (1, 1, 0)
+        assert served(probe, "misses", "searches", "store_hits") == (1, 1, 0)
 
     def test_searcher_miss_submits_its_search_and_put(self, store, case, key):
         searcher = SlowSearcher(case.schedule, delay=0.0)
@@ -765,43 +785,35 @@ class TestScheduleService:
         _, submitted = run_counting(service.get_schedule(key))
         assert submitted == [searcher, store.put]
 
-    @pytest.mark.parametrize("cached", [True, False])
-    def test_concurrent_requests_for_a_stored_key(self, store, case, key, cached):
+    def test_concurrent_requests_for_a_stored_key(self, store, case, key):
         """A disk hit has no await between lookup and return, so concurrent
-        requests for a stored key never coalesce: with a cache the first is
-        a store hit and the rest memory hits, without one each is a store
-        hit."""
+        requests for a stored key never coalesce: the first is a store hit
+        and the rest memory hits."""
         store.put(key, case.schedule)
-        service = ScheduleService(store, ScheduleCache(4) if cached else None)
+        service = ScheduleService(store, ScheduleCache(4))
 
         async def fan_out():
             return await asyncio.gather(*[service.get_schedule(key) for _ in range(8)])
 
-        results, submitted = run_counting(fan_out())
-        tiers = (service.store_hits, service.hits, service.coalesced, service.misses)
-        assert tiers == ((1, 7, 0, 0) if cached else (8, 0, 0, 0))
+        with probe_scope() as probe:
+            results, submitted = run_counting(fan_out())
+        assert served(probe, "store_hits", "hits", "coalesced", "misses") == (1, 7, 0, 0)
         assert submitted == []
-        assert (len({id(r) for r in results}) == 1) == cached
+        assert len({id(r) for r in results}) == 1
 
     def test_memory_then_store_tiers(self, store, case, key):
         searcher = SlowSearcher(case.schedule, delay=0.0)
         service = ScheduleService(store, ScheduleCache(4), searcher=searcher)
-        run(service.get_schedule(key))
-        run(service.get_schedule(key))
-        assert (service.searches, service.hits, service.store_hits) == (1, 1, 0)
+        with probe_scope() as probe:
+            run(service.get_schedule(key))
+            run(service.get_schedule(key))
+        assert served(probe, "searches", "hits", "store_hits") == (1, 1, 0)
         # a fresh service over the same root serves from disk, no search
         cold = ScheduleService(store, ScheduleCache(4), searcher=searcher)
-        run(cold.get_schedule(key))
-        assert (cold.searches, cold.store_hits) == (0, 1)
+        with probe_scope() as probe:
+            run(cold.get_schedule(key))
+        assert served(probe, "searches", "store_hits") == (0, 1)
         assert searcher.calls == 1
-
-    def test_no_cache_tier(self, store, case, key):
-        searcher = SlowSearcher(case.schedule, delay=0.0)
-        service = ScheduleService(store, None, searcher=searcher)
-        run(service.get_schedule(key))
-        run(service.get_schedule(key))
-        assert service.hits == 0 and service.store_hits == 1
-        assert service.stats_snapshot()["searches"] == 1
 
     def test_corrupt_store_falls_through_to_search(self, store, case, key):
         store.put(key, case.schedule)
@@ -814,21 +826,29 @@ class TestScheduleService:
         assert store.get(key) is not None  # ... and the search repaired it
 
     def test_search_failure_propagates_then_retries(self, store, case, key):
+        """A failed fill counts once as ``serve.failed``, not as a search,
+        and every request that joined it gets its exception."""
         searcher = SlowSearcher(case.schedule, delay=0.01, fail_first=True)
 
         async def herd():
             return await asyncio.gather(
-                *[service.get_schedule(key) for _ in range(4)],
+                *[service.get_schedule(key) for _ in range(3)],
                 return_exceptions=True,
             )
 
         service = ScheduleService(store, ScheduleCache(4), searcher=searcher)
-        results = run(herd())
-        assert all(isinstance(r, RuntimeError) for r in results)
+        with probe_scope() as probe:
+            results = run(herd())
+        assert isinstance(results[0], RuntimeError)
+        assert all(r is results[0] for r in results)
         assert searcher.calls == 1         # the herd shared one failure
+        assert served(probe, "requests", "misses", "coalesced", "failed", "searches") == (
+            3, 1, 2, 1, 0)
         # the failed flight is gone; the next request searches again
-        assert run(service.get_schedule(key)) is case.schedule
+        with probe_scope() as probe:
+            assert run(service.get_schedule(key)) is case.schedule
         assert searcher.calls == 2
+        assert served(probe, "requests", "misses", "searches", "failed") == (1, 1, 1, 0)
 
     def test_concurrency_stress(self, store, case):
         keys = [ScheduleKey("tbs", 20, 3, 10 + i) for i in range(6)]
@@ -840,40 +860,45 @@ class TestScheduleService:
         async def herd():
             return await asyncio.gather(*[service.get_schedule(k) for k in stream])
 
-        results = run(herd())
+        with probe_scope() as probe:
+            results = run(herd())
         distinct = len({k.digest() for k in stream})
         assert searcher.calls == distinct  # one search per distinct key, ever
-        assert service.searches == distinct
         assert len(results) == len(stream)
         assert len(service.cache) <= 3
-        snap = service.stats_snapshot()
-        assert snap["requests"] == len(stream)
-        assert (snap["hits"] + snap["store_hits"] + snap["misses"]
-                + snap["coalesced"]) == len(stream)
+        requests, hits, store_hits, misses, coalesced, searches = served(
+            probe, "requests", "hits", "store_hits", "misses", "coalesced", "searches")
+        assert requests == len(stream) == hits + store_hits + misses + coalesced
+        assert misses == searches == distinct
 
     def test_real_searcher_by_policy(self, store, key):
         service = ScheduleService(store, ScheduleCache(2))
-        schedule = run(service.get_schedule(key))
+        with probe_scope() as probe:
+            schedule = run(service.get_schedule(key))
         assert isinstance(schedule, Schedule)
-        assert service.searches == 1
+        assert served(probe, "searches") == (1,)
         case = record_case(*CASE_ARGS)
         assert case.check_exact(schedule)
 
-    def test_unknown_policy_raises(self, store):
-        bad = ScheduleKey("tbs", 20, 3, 10, policy="magic")
-        service = ScheduleService(store, ScheduleCache(2))
+    def test_unknown_policy_raises(self):
+        """The key refuses the policy, so no request reaches the store or a
+        searcher; the policies a key accepts are the ones a searcher serves."""
+        with pytest.raises(ConfigurationError, match="unknown serving policy 'magic'"):
+            ScheduleKey("tbs", 20, 3, 10, policy="magic")
         with pytest.raises(ConfigurationError, match="policy"):
-            run(service.get_schedule(bad))
+            ScheduleKey.from_dict({**ScheduleKey("tbs", 20, 3, 10).as_dict(), "policy": "magic"})
+        assert tuple(SEARCHERS) == _POLICIES
 
     def test_async_context_manager(self, store, case, key):
         async def scenario():
             async with ScheduleService(
-                store, searcher=SlowSearcher(case.schedule, delay=0.0)
+                store, ScheduleCache(2), searcher=SlowSearcher(case.schedule, delay=0.0)
             ) as service:
-                await service.get_schedule(key)
-                return service
+                return await service.get_schedule(key)
 
-        assert run(scenario()).searches == 1
+        with probe_scope() as probe:
+            assert run(scenario()) is case.schedule
+        assert served(probe, "searches") == (1,)
 
 
 class TestWarmStore:

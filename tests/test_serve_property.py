@@ -11,8 +11,11 @@ sweeps otherwise (mirroring ``test_trace_property.py``):
   ``lru_replay_trace`` counts on the log-as-trace, and never fewer than
   the Belady floor ``belady_replay_trace`` counts there;
 * **single flight** — any multiset of concurrent requests runs exactly
-  one search per distinct key; every duplicate coalesces and every
-  requester gets the identical object;
+  one search per distinct key not already stored; every duplicate of a
+  miss coalesces, every requester gets the identical object, or the
+  identical exception when the search fails, and the probe's tier counts
+  add up (``requests == hits + coalesced + store_hits + misses`` and
+  ``misses == searches + failed``) after every pass of the stream;
 * **corruption tolerance** — any strict-prefix truncation or byte-level
   mangling of a stored object reads as a miss (``None``), never an
   exception; and any one corrupted entry of a column (a step kind, a
@@ -80,11 +83,13 @@ def assert_cache_matches_engines(log, capacity):
 
 
 class CountingSearcher:
-    """Slow fake searcher: counts calls, forces requests to overlap."""
+    """Slow fake searcher: counts calls, forces requests to overlap, and
+    raises for every key in ``failing``."""
 
-    def __init__(self, schedule, delay=0.03):
+    def __init__(self, schedule, delay=0.03, failing=frozenset()):
         self.schedule = schedule
         self.delay = delay
+        self.failing = failing
         self.calls = 0
         self._lock = threading.Lock()
 
@@ -92,31 +97,83 @@ class CountingSearcher:
         with self._lock:
             self.calls += 1
         time.sleep(self.delay)
+        if key in self.failing:
+            raise RuntimeError(f"search for {key} failed")
         return self.schedule
 
 
-def assert_single_flight(dup_counts):
-    """``dup_counts[i]`` concurrent requests for key ``i`` → one search each."""
+#: What a key of a single-flight stream is: not stored (``cold``), stored
+#: before the stream (``stored``) or one whose every search raises (``bad``).
+KINDS = ("cold", "stored", "bad")
+
+
+#: The front end's tier counters, ``serve.<name>`` on the probe.
+TIERS = ("requests", "hits", "coalesced", "store_hits", "misses", "searches", "failed")
+
+
+def assert_tiers_add_up(tier):
+    """The front end's two identities on a completed stream."""
+    assert tier["requests"] == (
+        tier["hits"] + tier["coalesced"] + tier["store_hits"] + tier["misses"])
+    assert tier["misses"] == tier["searches"] + tier["failed"]
+
+
+def expected_tiers(dup_counts, kinds, rounds):
+    """The tier counts after ``rounds`` passes.  Every request of a pass
+    takes its first step in one loop turn, so per key the first request
+    reads disk (``stored``) or misses and the rest join its search, unless
+    the key is cached, when all of them hit memory.  A ``bad`` key is never
+    cached: it misses and coalesces in every pass."""
+    tier = dict.fromkeys(TIERS, 0)
+    for c, kind in zip(dup_counts, kinds):
+        tier["requests"] += rounds * c
+        if kind == "bad":
+            tier["misses"] += rounds
+            tier["failed"] += rounds
+            tier["coalesced"] += rounds * (c - 1)
+        elif kind == "stored":
+            tier["store_hits"] += 1
+            tier["hits"] += rounds * c - 1
+        else:
+            tier["misses"] += 1
+            tier["searches"] += 1
+            tier["coalesced"] += c - 1
+            tier["hits"] += (rounds - 1) * c
+    return tier
+
+
+def assert_single_flight(dup_counts, kinds=None):
+    """``dup_counts[i]`` concurrent requests for key ``i`` of kind
+    ``kinds[i]`` (all ``cold`` by default), sent twice through one service:
+    one search per cold key, ever, and one per bad key per pass."""
+    kinds = kinds or ["cold"] * len(dup_counts)
     schedule = cached_case("tbs", 6, 2, 8).schedule
     keys = [ScheduleKey("tbs", 6 + i, 2, 8) for i in range(len(dup_counts))]
     stream = [k for k, c in zip(keys, dup_counts) for _ in range(c)]
-    searcher = CountingSearcher(schedule)
-    with tempfile.TemporaryDirectory() as root:
-        service = ScheduleService(ScheduleStore(root), ScheduleCache(8),
-                                  searcher=searcher)
+    bad = {k for k, kind in zip(keys, kinds) if kind == "bad"}
+    searcher = CountingSearcher(schedule, failing=bad)
+    with tempfile.TemporaryDirectory() as root, probe_scope() as probe:
+        store = ScheduleStore(root)
+        for k, kind in zip(keys, kinds):
+            if kind == "stored":
+                store.put(k, schedule)
+        service = ScheduleService(store, ScheduleCache(8), searcher=searcher)
 
         async def herd():
             return await asyncio.gather(
-                *[service.get_schedule(k) for k in stream]
+                *[service.get_schedule(k) for k in stream], return_exceptions=True
             )
 
-        results = asyncio.run(herd())
-    assert searcher.calls == len(keys)
-    assert service.searches == len(keys)
-    assert service.coalesced == len(stream) - len(keys)
-    by_key = {k.digest(): r for k, r in zip(stream, results)}
-    for k, r in zip(stream, results):
-        assert r is by_key[k.digest()]  # every duplicate got the same object
+        for rounds in (1, 2):
+            results = asyncio.run(herd())
+            tier = {name: probe.counters.get(f"serve.{name}", 0) for name in TIERS}
+            assert_tiers_add_up(tier)
+            assert tier == expected_tiers(dup_counts, kinds, rounds)
+            by_key = {k: r for k, r in zip(stream, results)}
+            for k, r in zip(stream, results):
+                assert r is by_key[k]  # every duplicate got the same object
+                assert isinstance(r, RuntimeError) == (k in bad)
+            assert searcher.calls == kinds.count("cold") + rounds * len(bad)
 
 
 def assert_corruption_tolerated(mangle):
@@ -211,10 +268,11 @@ if HAVE_HYPOTHESIS:
         assert_cache_matches_engines([f"k{i}" for i in log], capacity)
 
     @settings(max_examples=6, deadline=None)
-    @given(dup_counts=st.lists(st.integers(min_value=1, max_value=6),
-                               min_size=1, max_size=4))
-    def test_single_flight_hypothesis(dup_counts):
-        assert_single_flight(dup_counts)
+    @given(keys=st.lists(st.tuples(st.integers(min_value=1, max_value=6),
+                                   st.sampled_from(KINDS)),
+                         min_size=1, max_size=4))
+    def test_single_flight_hypothesis(keys):
+        assert_single_flight([c for c, _ in keys], [kind for _, kind in keys])
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -273,6 +331,7 @@ def test_single_flight_seeded_sweep():
     for _ in range(4):
         counts = [int(c) for c in rng.integers(1, 7, size=rng.integers(1, 5))]
         assert_single_flight(counts)
+        assert_single_flight(counts, [KINDS[i] for i in rng.integers(0, 3, size=len(counts))])
 
 
 def test_corruption_tolerated_seeded_sweep():
