@@ -52,8 +52,8 @@ def main() -> None:
     for part in PARTITIONERS:
         seed = partition_graph(graph, P, part)
         refined = refine_partition(graph, seed, P, S, strategy="greedy")
-        seed_span = makespan_model(graph, seed, p=P, weights=mults)
-        ref_span = makespan_model(graph, refined.owner, p=P, weights=mults)
+        seed_span = makespan_model(graph, seed, p=P)
+        ref_span = makespan_model(graph, refined.owner, p=P)
         t.add_row(
             [part, format_int(refined.seed_cost), format_int(refined.cost),
              f"{1 - refined.cost / max(1, refined.seed_cost):.1%}",

@@ -621,7 +621,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = ScheduleStore(args.store)
 
     if args.serve_command == "warm":
-        keys = _serve_keys(args)
+        keys = list(dict.fromkeys(_serve_keys(args)))  # a repeated --ns is one key
         print(banner(f"serve warm: {len(keys)} keys -> {args.store}"))
         with timed("serve.warm") as tm:
             searched = warm_store(store, keys, jobs=args.jobs, force=args.force)

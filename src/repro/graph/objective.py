@@ -39,7 +39,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..obs.probe import get_probe
 from ..trace.compiled import CompiledTrace
-from ..trace.replay import LruCursor, belady_replay_trace, lru_replay_trace
+from ..trace.replay import LruCursor, lru_replay_trace
 from .dependency import DependencyGraph
 from .scheduler import Worklist
 
@@ -111,17 +111,17 @@ class IncrementalObjective:
         other.elem_ops = self.elem_ops
         return other
 
-    def candidates(self, limit: int, *, cold: int = 2) -> list[tuple[int, int]]:
+    def candidates(self, limit: int) -> list[tuple[int, int]]:
         """Up to ``limit`` ready nodes as ``(miss_count, node)``, best first.
 
         Proposals are the ready ops sharing at least one element with the
         cache contents (their miss count falls out of the overlap counter:
-        footprint size minus resident hits), plus the ``cold`` lowest-index
-        ready nodes so a search can always open a fresh dependence chain.
-        Sorted by (miss count, index).  A count is an optimistic lower
-        bound on what :meth:`emit` will charge (exact unless the op evicts
-        part of its own footprint mid-op); counts rank candidates, while
-        accumulated ``cost`` stays exact.
+        footprint size minus resident hits), plus the two lowest-index
+        ready nodes that share none, so a search can always open a fresh
+        dependence chain.  Sorted by (miss count, index).  A count is an
+        optimistic lower bound on what :meth:`emit` will charge (exact
+        unless the op evicts part of its own footprint mid-op); counts rank
+        candidates, while accumulated ``cost`` stays exact.
         """
         ready = self.worklist.ready
         if not ready:
@@ -134,10 +134,10 @@ class IncrementalObjective:
                     overlap[o] = overlap.get(o, 0) + 1
         sizes = self.sizes
         out = [(sizes[v] - ov, v) for v, ov in overlap.items()]
-        if cold and len(out) < len(ready):
-            seen = set(overlap)
+        if len(out) < len(ready):
+            cold = 2
             for v in sorted(ready):
-                if v not in seen:
+                if v not in overlap:
                     out.append((sizes[v], v))
                     cold -= 1
                     if not cold:
@@ -146,25 +146,14 @@ class IncrementalObjective:
         return out[:limit]
 
 
-def order_cost(
-    trace: CompiledTrace,
-    order: "list[int]",
-    capacity: int,
-    *,
-    policy: str = "lru",
-) -> int:
-    """Q (loads) of a complete candidate order at ``capacity``.
+def order_cost(trace: CompiledTrace, order: "list[int]", capacity: int) -> int:
+    """LRU loads (the search objective) of a complete candidate order at
+    ``capacity``.
 
     Reorders the compiled trace in place of recompiling (shared element
-    interning) and replays it under ``policy`` (``"lru"`` — the search
-    objective — or ``"belady"`` for the per-order floor).
+    interning) and replays it.
     """
-    if policy not in ("lru", "belady"):
-        raise ConfigurationError(f"unknown policy {policy!r}; use 'lru' or 'belady'")
     probe = get_probe()
     if probe.enabled:
         probe.count("search.order_costs")
-    reordered = trace.reorder(order)
-    if policy == "belady":
-        return belady_replay_trace(reordered, capacity).loads
-    return lru_replay_trace(reordered, capacity).loads
+    return lru_replay_trace(trace.reorder(order), capacity).loads

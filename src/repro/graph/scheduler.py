@@ -15,9 +15,9 @@ Heuristics (``HEURISTICS``):
                    chain to completion before starting the next, the order
                    that keeps a reduction's accumulator hot;
 ``"locality"``     among ready nodes, prefer the one with the most elements
-                   touched within the last ``window`` emitted ops (a greedy
-                   reuse-distance rule): reuse what is still in fast memory
-                   before moving on;
+                   touched within the last :data:`LOCALITY_WINDOW` emitted
+                   ops (a greedy reuse-distance rule): reuse what is still
+                   in fast memory before moving on;
 ``"fan-out"``      most effective successors first: release as much of the
                    DAG as possible early (a span-reduction order, useful as
                    a parallel-frontier baseline).
@@ -28,12 +28,11 @@ deterministic and replayable.
 The locality pass scores only ready ops, on score levels: a set of ready
 ops per score, and a running bound on the highest non-empty level, whose
 lowest index is the pick.  Emitting an op changes the hot status of two
-groups of elements only: its own (hot for the next ``window`` steps) and
-those of the op emitted ``window`` steps earlier that nothing has touched
-since (they leave the window).  Each change moves every ready op on that
+groups of elements only: its own (hot for the next window of steps) and
+those of the op emitted a window earlier that nothing has touched since
+(they leave the window).  Each change moves every ready op on that
 element one level.  A released op is scored afresh from its elements, so
-an op that is not ready has no score to keep.  At window 0 nothing is
-ever hot, and the order is ``"original"``'s.
+an op that is not ready has no score to keep.
 
 :class:`Worklist`, the copyable ready-frontier state of a scheduling pass,
 is exposed so the order-search engine (:mod:`repro.graph.search`) can
@@ -49,6 +48,9 @@ from ..errors import ConfigurationError, ScheduleError
 from .dependency import DependencyGraph
 
 HEURISTICS = ("original", "depth-first", "locality", "fan-out")
+
+#: The ``"locality"`` look-back, in emitted ops.
+LOCALITY_WINDOW = 4
 
 
 class Worklist:
@@ -143,8 +145,9 @@ def _schedule_depth_first(succs: list[tuple[int, ...]], indeg: list[int]) -> lis
     return order
 
 
-def _schedule_locality(worklist: Worklist, window: int) -> list[int]:
+def _schedule_locality(worklist: Worklist) -> list[int]:
     # Ready ops only, on score levels (see the module docstring).
+    window = LOCALITY_WINDOW
     elems = worklist.graph.op_elements.rows()
     # Untouched elements sit below every window floor, t - window >= -window.
     last_touch = [-window - 1] * (worklist.graph.element_ops.ptr.size - 1)
@@ -203,31 +206,19 @@ def list_schedule(
     heuristic: str = "original",
     *,
     relax_reductions: bool = False,
-    locality_window: int = 4,
 ) -> ListScheduleResult:
     """Emit a legal total order of ``graph`` under the chosen heuristic.
 
     With ``relax_reductions=True`` edges that carry only the ``"reduction"``
     kind are ignored, enlarging the legal order space at the cost of
     bit-exactness (results then match only up to FP reassociation).
-    ``locality_window`` is the ``"locality"`` look-back in emitted ops, an
-    ``int`` >= 0 (``ConfigurationError`` otherwise; 0 gives index order).
     """
     if heuristic not in HEURISTICS:
         raise ConfigurationError(
             f"unknown heuristic {heuristic!r}; choose from {', '.join(HEURISTICS)}"
         )
-    if (
-        not isinstance(locality_window, int)
-        or isinstance(locality_window, bool)
-        or locality_window < 0
-    ):
-        raise ConfigurationError(
-            f"locality_window must be an int >= 0, got {locality_window!r}"
-        )
-    if heuristic == "locality" and locality_window:
-        worklist = Worklist(graph, relax_reductions=relax_reductions)
-        order = _schedule_locality(worklist, locality_window)
+    if heuristic == "locality":
+        order = _schedule_locality(Worklist(graph, relax_reductions=relax_reductions))
     else:
         succs = graph.succ_lists(relax_reductions=relax_reductions)
         indeg = graph.indegrees(relax_reductions=relax_reductions)
@@ -235,7 +226,7 @@ def list_schedule(
             order = _schedule_depth_first(succs, indeg)
         elif heuristic == "fan-out":
             order = _schedule_by_priority(succs, indeg, lambda v: (-len(succs[v]), v))
-        else:  # original, or locality at window 0, where nothing is ever hot
+        else:
             order = _schedule_by_priority(succs, indeg, lambda v: v)
     if len(order) != len(graph):
         raise ScheduleError(

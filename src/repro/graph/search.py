@@ -9,12 +9,11 @@ load count that scored it:
 
 ``beam_search``
     Keep the ``width`` best partial orders; each step, every surviving
-    order is extended with its ``expand`` most promising ready ops
-    (incremental miss counts from
+    order is extended with its :data:`BEAM_EXPAND` most promising ready
+    ops (incremental miss counts from
     :class:`~repro.graph.objective.IncrementalObjective`) and the joint
     frontier is pruned by accumulated cost — which is always the exact
-    LRU load count of the partial order.  One-shot greedy is the
-    ``width=1, expand=1`` corner.
+    LRU load count of the partial order.
 
 ``lookahead_search``
     Greedy with rollouts: each candidate next op is evaluated by emitting
@@ -28,8 +27,8 @@ load count that scored it:
     neighborhood reverses or rotates short segments of the current order
     (the moves that re-interleave commuting ``+=`` chains when reduction
     edges are relaxed).  A proposal costs only what it changes.  The
-    walk starts from a legal order and a move permutes one window, so
-    legality is checked on the window's own edges
+    walk starts from the index order, which is legal, and a move permutes
+    one window, so legality is checked on the window's own edges
     (:meth:`~repro.graph.dependency.DependencyGraph.is_valid_window`).
     The candidate's LRU loads come from a
     :class:`~repro.trace.replay.LruLedger`, which keeps each op's
@@ -51,11 +50,11 @@ Three walks run on it: :class:`OrderWalk` here, the joint
 walk (:mod:`repro.parallel.refine`).  The order move
 (:class:`OrderMove`) exists once, for the order walk and co-search.
 
-Every strategy can narrate itself: ``record_convergence=True`` (or an
-enabled :mod:`repro.obs.probe`) attaches iteration-level telemetry to the
-result — the annealer's ``(iter, temp, cost, best, accepted)`` series,
-beam search's per-position best-cost trace — without touching any RNG, so
-recorded and unrecorded runs return bit-identical orders.
+Every strategy narrates itself under a recording :mod:`repro.obs.probe`:
+it attaches iteration-level telemetry to the result — the annealer's
+``(iter, temp, cost, best, accepted)`` series, beam search's per-position
+best-cost trace — without touching any RNG, so recorded and unrecorded
+runs return bit-identical orders.
 
 Every strategy is deterministic given its parameters (annealing takes a
 seed) and every returned order is validated against the graph before it
@@ -79,10 +78,16 @@ from ..obs.probe import get_probe
 from ..trace.replay import LruLedger
 from .dependency import DependencyGraph
 from .objective import IncrementalObjective, order_cost
-from .scheduler import HEURISTICS, list_schedule
+from .scheduler import list_schedule
 
 #: Search strategies, in the order the CLI and benches report them.
 STRATEGIES = ("beam", "lookahead", "anneal")
+
+#: Ready ops each surviving beam order is extended with, per step.
+BEAM_EXPAND = 3
+
+#: Most promising ready ops a lookahead step considers.
+LOOKAHEAD_BREADTH = 4
 
 
 # --------------------------------------------------------------------- #
@@ -322,8 +327,8 @@ class SearchResult:
     evaluations: int = 0
     params: dict = field(default_factory=dict)
     #: convergence telemetry (an :class:`~repro.obs.convergence.AnnealSeries`
-    #: or :class:`~repro.obs.convergence.RoundSeries`) when the run was
-    #: recorded — ``record_convergence=True`` or an enabled probe; else None.
+    #: or :class:`~repro.obs.convergence.RoundSeries`) when a recording
+    #: probe was active; else None.
     convergence: "AnnealSeries | RoundSeries | None" = None
 
 
@@ -372,9 +377,7 @@ def beam_search(
     capacity: int,
     *,
     width: int = 4,
-    expand: int = 3,
     relax_reductions: bool = False,
-    record_convergence: bool = False,
 ) -> SearchResult:
     """Top-``width`` partial orders, scored by incremental LRU loads.
 
@@ -384,15 +387,15 @@ def beam_search(
     be quadratic); ties break toward the lower op index everywhere, so
     the result is deterministic.
 
-    With ``record_convergence=True`` (or an enabled probe) the result
-    carries a :class:`~repro.obs.convergence.RoundSeries` of the beam
-    head's accumulated cost per emitted position.
+    Under a recording probe the result carries a
+    :class:`~repro.obs.convergence.RoundSeries` of the beam head's
+    accumulated cost per emitted position.
     """
-    if width < 1 or expand < 1:
-        raise ConfigurationError("beam width and expand must be >= 1")
+    if width < 1:
+        raise ConfigurationError("beam width must be >= 1")
     n = len(graph)
     series = None
-    if record_convergence or get_probe().enabled:
+    if get_probe().enabled:
         series = RoundSeries(label=f"beam width={width}", engine="beam")
     root = IncrementalObjective(graph, capacity, relax_reductions=relax_reductions)
     beams: list[tuple[IncrementalObjective, tuple | None]] = [(root, None)]
@@ -400,7 +403,7 @@ def beam_search(
     for step in range(n):
         children: list[tuple[int, int, IncrementalObjective, tuple]] = []
         for obj, tail in beams:
-            for _miss, v in obj.candidates(expand):
+            for _miss, v in obj.candidates(BEAM_EXPAND):
                 child = obj.clone()
                 child.emit(v)
                 evaluations += 1
@@ -419,7 +422,7 @@ def beam_search(
     order.reverse()
     return _finish(
         graph, "beam", relax_reductions, capacity, order, best_obj.cost,
-        evaluations, {"width": width, "expand": expand}, series,
+        evaluations, {"width": width}, series,
     )
 
 
@@ -432,23 +435,22 @@ def lookahead_search(
     capacity: int,
     *,
     depth: int = 4,
-    breadth: int = 4,
     relax_reductions: bool = False,
 ) -> SearchResult:
     """Greedy with ``depth``-step rollouts of the cheapest-miss rule.
 
-    For each of the ``breadth`` most promising ready ops, emit it on a
-    cloned state, roll the greedy rule ``depth`` further ops on the
-    suffix cursor, and commit the op whose rollout accumulated the fewest
-    loads (ties: fewer immediate misses, then lower index).
+    For each of the :data:`LOOKAHEAD_BREADTH` most promising ready ops,
+    emit it on a cloned state, roll the greedy rule ``depth`` further ops
+    on the suffix cursor, and commit the op whose rollout accumulated the
+    fewest loads (ties: fewer immediate misses, then lower index).
     """
-    if depth < 0 or breadth < 1:
-        raise ConfigurationError("lookahead depth must be >= 0, breadth >= 1")
+    if depth < 0:
+        raise ConfigurationError("lookahead depth must be >= 0")
     obj = IncrementalObjective(graph, capacity, relax_reductions=relax_reductions)
     order: list[int] = []
     evaluations = 0
     while not obj.done:
-        cands = obj.candidates(breadth)
+        cands = obj.candidates(LOOKAHEAD_BREADTH)
         if len(cands) == 1 or depth == 0 or cands[0][0] < cands[1][0]:
             # A strict immediate winner needs no rollout: deferring
             # mandatory expensive ops always looks cheap at a fixed
@@ -477,27 +479,13 @@ def lookahead_search(
         order.append(choice)
     return _finish(
         graph, "lookahead", relax_reductions, capacity, order, obj.cost,
-        evaluations, {"depth": depth, "breadth": breadth},
+        evaluations, {"depth": depth},
     )
 
 
 # --------------------------------------------------------------------- #
 # simulated annealing over segment interleavings
 # --------------------------------------------------------------------- #
-
-def _start_order(graph: DependencyGraph, start, relax: bool) -> list[int]:
-    if start is None:
-        # The cheap heuristics; callers with time to spare pass a
-        # locality/beam/lookahead order in explicitly.
-        return list_schedule(graph, "original", relax_reductions=relax).order
-    if isinstance(start, str):
-        if start not in HEURISTICS:
-            raise ConfigurationError(
-                f"unknown start heuristic {start!r}; choose from {', '.join(HEURISTICS)}"
-            )
-        return list_schedule(graph, start, relax_reductions=relax).order
-    return list(start)
-
 
 def reduction_class_of(graph: DependencyGraph) -> list[int]:
     """Per-op reduction-class index (``-1`` for ops in no class).
@@ -657,8 +645,6 @@ def anneal_search(
     iters: int = 800,
     seed: int = 0,
     relax_reductions: bool = False,
-    start: "str | list[int] | None" = None,
-    record_convergence: bool = False,
     chains: int = 1,
     jobs: int = 1,
 ) -> SearchResult:
@@ -677,9 +663,9 @@ def anneal_search(
     explores only bit-exact chain permutations; pass
     ``relax_reductions=True`` to open the interleaving space the
     neighborhood is designed for.  The check covers only the edges inside
-    the moved window, which is exact because the walk starts from a legal
-    order (an illegal or incomplete ``start`` raises ``ScheduleError``
-    before the walk).  Each legal proposal is costed by the
+    the moved window, which is exact because the walk starts from the
+    index order (the ``"original"`` list schedule), which every edge of a
+    trace-built graph respects.  Each legal proposal is costed by the
     :class:`OrderWalk`'s LRU ledger, which keeps per-op loads: it reads
     the cache state before the window off the last ``capacity`` distinct
     elements there and replays until the ops after the window have
@@ -688,8 +674,8 @@ def anneal_search(
     :data:`T_END` and returns the best order ever seen, re-costed from
     cold as a cross-check.
 
-    ``chains > 1`` runs a portfolio of independent chains from the same
-    start order (:func:`run_chains`): chain 0 is exactly the classic
+    ``chains > 1`` runs a portfolio of independent chains from the index
+    order (:func:`run_chains`): chain 0 is exactly the classic
     serial run, chain ``k`` draws its own RNG stream and scales the
     starting temperature by :data:`_CHAIN_TEMP_LADDER`, and the merge
     takes the minimum by ``(cost, chain_index)`` — deterministic and never
@@ -697,8 +683,8 @@ def anneal_search(
     over worker processes; the merged result is bit-identical for any
     ``jobs``.
 
-    With ``record_convergence=True`` (or an enabled probe) the result
-    carries the per-iteration ``(iter, temp, cost, best, accepted)``
+    Under a recording probe the result carries the per-iteration
+    ``(iter, temp, cost, best, accepted)``
     :class:`~repro.obs.convergence.AnnealSeries` of the winning chain —
     recording never touches the RNG, so the returned order is bit-identical
     either way.
@@ -712,18 +698,11 @@ def anneal_search(
             "order search needs the graph's compiled trace; build the "
             "graph with DependencyGraph.from_trace/from_schedule"
         )
-    order = _start_order(graph, start, relax_reductions)
-    # Proposals are checked window by window, which is exact only when
-    # the walk starts from a legal order.
-    if not graph.is_valid_order(order, relax_reductions=relax_reductions):
-        raise ScheduleError(
-            "anneal start order is not a legal order of the graph"
-        )
+    start = list_schedule(graph, "original", relax_reductions=relax_reductions).order
     runs, winner = run_chains(
         partial(OrderWalk, graph, capacity, relax_reductions),
-        [order] * chains, [f"anneal iters={iters}"] * chains,
-        iters=iters, seed=seed, jobs=jobs,
-        record=record_convergence or get_probe().enabled,
+        [start] * chains, [f"anneal iters={iters}"] * chains,
+        iters=iters, seed=seed, jobs=jobs, record=get_probe().enabled,
     )
     best = runs[winner]
     params = {"iters": iters, "seed": seed, **best.params}

@@ -29,8 +29,8 @@ node-to-node transfers — experiment E14 measures the result against the
 per-node lower bounds in :mod:`repro.core.bounds`.
 
 On top of the one-shot partitioners, :mod:`repro.parallel.refine` locally
-*searches* the assignment space (single-op / reduction-class / write-group
-moves, incremental ``max(recv + transfer_in)`` ledger, greedy and annealing
+*searches* the assignment space (single-op / reduction-class moves,
+incremental ``max(recv + transfer_in)`` ledger, greedy and annealing
 drivers) and never returns a partition measured worse than its seed, and
 :mod:`repro.parallel.makespan` scores any ``(owner, order)`` pair with a
 mults-weighted critical-path/latency model — experiment E16 measures both.
@@ -72,7 +72,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "partition_cost": "refine",
     "refine_partition": "refine",
     "refine_partitions": "refine",
-    "write_groups": "refine",
     "NodeReport": "simulate",
     "ParallelSummary": "simulate",
     "simulate_syrk": "simulate",
@@ -82,4 +81,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "ShardReport": "executor",
     "execute_graph": "executor",
     "partition_graph": "executor",
+    "write_groups": "executor",
 })

@@ -53,7 +53,7 @@ states and measures (:meth:`~repro.graph.dependency.DependencyGraph.table`).
 
 The state is one of the three walks of the shared annealing engine:
 :func:`cosearch` runs one chain per seed of a portfolio of
-{all partitioners} × {recorded + heuristic + searched orders} through
+{all partitioners} × {recorded, locality and annealed orders} through
 :func:`repro.graph.search.run_chains`, which fans the chains over the
 process pool (:mod:`repro.perf.pool` — chain 0 is the classic serial run
 and the merged result is bit-identical at any ``jobs``), and each chain
@@ -84,7 +84,7 @@ from ..trace.compiled import CompiledTrace
 from ..trace.replay import LruLedger, _reuse_distances
 from .executor import PARTITIONERS, partition_graph
 from .makespan import MakespanLedger, makespan_model
-from .refine import OwnerMove, PartitionLedger
+from .refine import BALANCE_SLACK, OwnerMove, PartitionLedger
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,6 @@ class CoSearchState:
         alpha: float = 1.0,
         beta: float = 1.0,
         relax_reductions: bool = True,
-        balance_slack: float | None = 1.5,
     ):
         if graph.trace is None:
             raise ConfigurationError(
@@ -290,7 +289,7 @@ class CoSearchState:
             beta=beta, relax_reductions=relax_reductions,
         )
         self.order_move = OrderMove(graph, relax_reductions)
-        self.owner_move = OwnerMove(self.ledger, balance_slack=balance_slack)
+        self.owner_move = OwnerMove(self.ledger)
         self.order_moves = 0
         self.owner_moves = 0
         #: owner proposals the annealer rejected on their bound.
@@ -471,12 +470,12 @@ class CoSearchResult:
         return self.measured.makespan if self.measured is not None else 0.0
 
 
-def _state(graph, p, s, alpha, beta, relax_reductions, balance_slack, start):
+def _state(graph, p, s, alpha, beta, relax_reductions, start):
     """Module-level (picklable) walk builder: one state per portfolio seed."""
     order, owner = start
     return CoSearchState(
         graph, owner, p, s, order=order, alpha=alpha, beta=beta,
-        relax_reductions=relax_reductions, balance_slack=balance_slack,
+        relax_reductions=relax_reductions,
     )
 
 
@@ -486,15 +485,12 @@ def cosearch_portfolio(
     s: int,
     *,
     relax_reductions: bool = True,
-    heuristics: tuple[str, ...] = ("locality",),
-    search_strategies: tuple[str, ...] = ("anneal",),
     search_kwargs: dict | None = None,
-    balance_slack: float = 1.2,
 ) -> list[tuple[str, list[int], list[int]]]:
     """The seed portfolio: {all partitioners} × {orders}, labeled.
 
-    Orders are the recorded order, each named worklist heuristic, and
-    each searched order (:func:`repro.graph.compare.searched_orders` at
+    Orders are the recorded order, the ``"locality"`` list schedule and
+    the annealed order (:func:`repro.graph.compare.searched_orders` at
     capacity ``s``); owners come from every one-shot partitioner.  Each
     ``(label, order, owner)`` triple seeds one co-search chain — and
     because searched orders and refined-style owners are *in* the
@@ -502,25 +498,20 @@ def cosearch_portfolio(
     pipeline it is compared against.
     """
     orders: list[tuple[str, list[int]]] = [
-        ("recorded", list(range(len(graph))))
+        ("recorded", list(range(len(graph)))),
+        (
+            "locality",
+            list_schedule(graph, "locality", relax_reductions=relax_reductions).order,
+        ),
     ]
-    for heuristic in heuristics:
-        orders.append(
-            (
-                heuristic,
-                list_schedule(
-                    graph, heuristic, relax_reductions=relax_reductions
-                ).order,
-            )
-        )
     for label, found in searched_orders(
-        graph, s, tuple(search_strategies),
+        graph, s, ("anneal",),
         relax_reductions=relax_reductions, search_kwargs=search_kwargs,
     ).items():
         orders.append((label, found.order))
     seeds = []
     for partitioner in PARTITIONERS:
-        owner = partition_graph(graph, p, partitioner, balance_slack=balance_slack)
+        owner = partition_graph(graph, p, partitioner)
         for olabel, order in orders:
             seeds.append((f"{partitioner}|{olabel}", list(order), list(owner)))
     return seeds
@@ -538,11 +529,7 @@ def cosearch(
     beta: float = 1.0,
     relax_reductions: bool = True,
     seeds: "list[tuple[str, list[int], list[int]]] | None" = None,
-    heuristics: tuple[str, ...] = ("locality",),
-    search_strategies: tuple[str, ...] = ("anneal",),
     search_kwargs: dict | None = None,
-    balance_slack: float | None = 1.5,
-    record_convergence: bool = False,
 ) -> CoSearchResult:
     """Jointly search orders and ownerships from a labeled seed portfolio.
 
@@ -584,21 +571,16 @@ def cosearch(
     if seeds is None:
         seeds = cosearch_portfolio(
             graph, p, s, relax_reductions=relax_reductions,
-            heuristics=heuristics, search_strategies=search_strategies,
             search_kwargs=search_kwargs,
         )
     if not seeds:
         raise ConfigurationError("co-search needs at least one portfolio seed")
     probe = get_probe()
-    want_series = record_convergence or probe.enabled
-
     runs, winner = run_chains(
-        partial(
-            _state, graph, p, s, alpha, beta, relax_reductions, balance_slack
-        ),
+        partial(_state, graph, p, s, alpha, beta, relax_reductions),
         [(order, owner) for _label, order, owner in seeds],
         [f"cosearch {label}" for label, _order, _owner in seeds],
-        iters=iters, seed=seed, jobs=jobs, record=want_series,
+        iters=iters, seed=seed, jobs=jobs, record=probe.enabled,
     )
     # The seeds' costs are their chains' starting ledger costs; the best
     # one is the floor of the never-worse postcondition, so it rests on a
@@ -642,7 +624,7 @@ def cosearch(
         "iters": iters, "seed": seed, "jobs": jobs, "chains": len(seeds),
         "alpha": alpha, "beta": beta,
         "relax_reductions": relax_reductions,
-        "balance_slack": balance_slack,
+        "balance_slack": BALANCE_SLACK,
         **runs[winner].params,
         **work,
         "measures": measures,

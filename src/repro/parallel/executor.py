@@ -24,8 +24,9 @@ Partitioners (:data:`PARTITIONERS`):
                       runnable work per node, ignores data placement;
 ``"locality"``        greedy data-affinity: assign each op (in topological
                       order) to the node already owning most of its operand
-                      elements, subject to a load cap.  Minimizes the cut at
-                      some cost in balance;
+                      elements, subject to a load cap of
+                      :data:`LOCALITY_SLACK` times the mean.  Minimizes the
+                      cut at some cost in balance;
 ``"owner-computes"``  every op lands on the node that owns its *output*
                       elements (ops sharing written elements are grouped and
                       dealt as units).  Each element is written by exactly
@@ -54,19 +55,23 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ConfigurationError, ScheduleError
-from ..graph.dependency import DependencyGraph
+from ..graph.dependency import WRITE, DependencyGraph
 from ..graph.rewriter import rewrite_trace
 from ..obs.probe import get_probe, timed
 from ..sched.schedule import ComputeStep, Schedule
 from ..sched.validate import validate_schedule
 from ..trace.compiled import CompiledTrace, compile_trace
 from ..trace.replay import belady_replay_trace, lru_replay_trace
+from ..utils.unionfind import DisjointSets
 from .makespan import MakespanResult, makespan_model
 from .partition import balance_cap, deal_least_loaded
-from .refine import write_groups
 
 PARTITIONERS = ("level-greedy", "locality", "owner-computes")
 POLICIES = ("rewrite", "lru", "belady")
+
+#: The locality partitioner's load cap, as a multiple of the mean node
+#: load (:func:`~repro.parallel.partition.balance_cap`).
+LOCALITY_SLACK = 1.2
 
 
 # ---------------------------------------------------------------------- #
@@ -93,12 +98,9 @@ def _partition_levels(graph: DependencyGraph, p: int) -> list[int]:
     return owner
 
 
-def _partition_locality(graph: DependencyGraph, p: int, slack: float) -> list[int]:
+def _partition_locality(graph: DependencyGraph, p: int) -> list[int]:
     weights = _op_weights(graph)
-    # Exact integer cap: the float expression `slack * total / p` can round
-    # below the true bound and spuriously reject exact-balance placements
-    # at slack=1.0 (see balance_cap).
-    cap = balance_cap(sum(weights), p, slack)
+    cap = balance_cap(sum(weights), p, LOCALITY_SLACK)
     owner = [0] * len(graph)
     loads = [0] * p
     elem_owner: dict[int, int] = {}
@@ -119,6 +121,22 @@ def _partition_locality(graph: DependencyGraph, p: int, slack: float) -> list[in
     return owner
 
 
+def write_groups(graph: DependencyGraph) -> list[list[int]]:
+    """Maximal op groups linked by shared written elements.
+
+    The owner-computes granularity: keeping each group on one node keeps
+    every element written by exactly one node (no reduction class ever
+    splits).  Singleton groups are included, so the list partitions the
+    op set.
+    """
+    sets = DisjointSets(len(graph))
+    records = graph.element_ops
+    for writers in records.rows((records.bits & WRITE) != 0):
+        for v in writers[1:]:
+            sets.union(v, writers[0])
+    return sorted(sets.groups().values(), key=lambda g: g[0])
+
+
 def _partition_owner_computes(graph: DependencyGraph, p: int) -> list[int]:
     # Deal whole write-groups, so every element's writers land on one node
     # (reduction classes never split; no write transfers).
@@ -137,8 +155,6 @@ def partition_graph(
     graph: DependencyGraph,
     p: int,
     heuristic: str = "level-greedy",
-    *,
-    balance_slack: float = 1.2,
 ) -> list[int]:
     """Partition the DAG's ops across ``p`` nodes; returns ``owner[op]``."""
     if p < 1:
@@ -152,7 +168,7 @@ def partition_graph(
     if heuristic == "level-greedy":
         return _partition_levels(graph, p)
     if heuristic == "locality":
-        return _partition_locality(graph, p, balance_slack)
+        return _partition_locality(graph, p)
     return _partition_owner_computes(graph, p)
 
 
@@ -419,11 +435,8 @@ def execute_graph(
                     peak_memory=int(peak),
                 )
             )
-    mult_weights = [float(op.mults) for op in graph.ops]
     with timed("executor.makespan"):
-        span = makespan_model(
-            graph, owner, p=p, alpha=alpha, beta=beta, weights=mult_weights
-        )
+        span = makespan_model(graph, owner, p=p, alpha=alpha, beta=beta)
     probe = get_probe()
     if probe.enabled:
         probe.count("executor.runs")

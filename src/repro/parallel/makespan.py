@@ -6,8 +6,8 @@ different times: one may serialize its work on a bottleneck node or chain
 its transfers along the critical path.  This module scores any
 ``(owner, order)`` pair with the classic DAG-scheduling makespan model:
 
-* every op ``v`` costs ``weights[v]`` time units on its node (the fleet
-  convention is *mults*, so makespans are comparable to compute volumes);
+* every op ``v`` costs its mults in time units on its node, so makespans
+  are comparable to compute volumes;
 * ops placed on the same node serialize in ``order`` (each node is one
   sequential worker — exactly how the executor replays a shard);
 * a dependence edge crossing nodes charges a latency of
@@ -19,16 +19,17 @@ its transfers along the critical path.  This module scores any
 * same-node edges cost nothing beyond the serialization they imply.
 
 ``finish(v)`` is then ``max(node available, max over preds of
-finish(u) + edge latency) + weights[v]`` and the makespan is the largest
+finish(u) + edge latency) + mults(v)`` and the makespan is the largest
 finish time.  :func:`makespan_model` computes the whole timeline from
 cold — fine for scoring a finished run, hopeless inside a search loop
 that re-scores thousands of candidate ``(order, owner)`` pairs.
 :class:`MakespanLedger` is the delta-evaluating form the joint co-search
 (:mod:`repro.parallel.cosearch`) drives: edge latencies are precomputed
-once, the forward pass is checkpointed every ``interval`` positions, and
-a candidate differing from the committed state only from position ``i``
-on re-runs the pass from the nearest checkpoint at or before ``i`` and
-stops as soon as every later finish is provably unchanged — bit-identical
+once, the forward pass is checkpointed every ``max(8, n // 64)``
+positions of an ``n``-op order, and a candidate differing from the
+committed state only from position ``i`` on re-runs the pass from the
+nearest checkpoint at or before ``i`` and stops as soon as every later
+finish is provably unchanged — bit-identical
 to the cold model by construction (same float operations in the same
 association order; pinned by randomized regression tests).  A finish
 time depends only on the owner map and each node's program, so a move
@@ -67,12 +68,12 @@ class MakespanResult:
     alpha: float
     beta: float
     #: the largest finish time — the model's estimate of wall-clock, in
-    #: op-weight units (mults by default) plus edge latencies.
+    #: mults plus edge latencies.
     makespan: float
     #: weighted critical path: the floor with unbounded nodes and free
     #: communication.
     critical_path: float
-    #: per-node summed op weights (busy time, ignoring waits).
+    #: per-node summed op mults (busy time, ignoring waits).
     node_busy: tuple[float, ...]
     #: total latency charged on cross-node edges (each edge once).
     comm_latency: float
@@ -81,7 +82,8 @@ class MakespanResult:
     bottleneck: int
     #: per-op execution start time: the moment the op's node is free *and*
     #: every predecessor (plus its edge latency) has arrived — i.e.
-    #: ``finish[v] - weights[v]``.  Indexed by op, not by order position.
+    #: ``finish[v]`` minus the op's mults.  Indexed by op, not by order
+    #: position.
     start: tuple[float, ...] = ()
     #: per-op finish time; ``max(finish) == makespan`` (asserted in tests).
     finish: tuple[float, ...] = ()
@@ -111,7 +113,6 @@ def makespan_model(
     order: Sequence[int] | None = None,
     alpha: float = 1.0,
     beta: float = 1.0,
-    weights: Sequence[float] | None = None,
     relax_reductions: bool = False,
 ) -> MakespanResult:
     """Score the ``(owner, order)`` pair under the latency model.
@@ -119,8 +120,8 @@ def makespan_model(
     ``owner[v]`` places op ``v`` on a node; ``order`` is the global
     execution order (default: the recorded order, which is what the
     executor replays) and must be legal for the graph under
-    ``relax_reductions``.  ``weights`` defaults to per-op mults.  ``p``
-    defaults to ``max(owner) + 1``; idle trailing nodes are allowed.
+    ``relax_reductions``.  ``p`` defaults to ``max(owner) + 1``; idle
+    trailing nodes are allowed.
     """
     n = len(graph)
     if len(owner) != n:
@@ -134,11 +135,7 @@ def makespan_model(
         raise ConfigurationError("owner indices must be >= 0")
     if alpha < 0 or beta < 0:
         raise ConfigurationError("alpha and beta must be >= 0")
-    default_weights = weights is None
-    if default_weights:
-        weights = op_weights(graph)
-    elif len(weights) != n:
-        raise ConfigurationError(f"weights has {len(weights)} entries for {n} ops")
+    weights = op_weights(graph)
     if order is None:
         order = range(n)
     elif not graph.is_valid_order(list(order), relax_reductions=relax_reductions):
@@ -168,9 +165,9 @@ def makespan_model(
             if arrival > t:
                 t = arrival
         start[v] = t
-        finish[v] = t + float(weights[v])
+        finish[v] = t + weights[v]
         node_avail[q] = finish[v]
-        node_busy[q] += float(weights[v])
+        node_busy[q] += weights[v]
         if finish[v] > makespan:
             makespan, bottleneck = finish[v], v
     return MakespanResult(
@@ -178,9 +175,8 @@ def makespan_model(
         alpha=alpha,
         beta=beta,
         makespan=makespan,
-        critical_path=(
-            graph.table("critical_path_mults", lambda: graph.critical_path_cost(weights))
-            if default_weights else graph.critical_path_cost(list(weights))
+        critical_path=graph.table(
+            "critical_path_mults", lambda: graph.critical_path_cost(weights)
         ),
         node_busy=tuple(node_busy),
         comm_latency=comm_latency,
@@ -193,7 +189,7 @@ def makespan_model(
 
 
 def op_weights(graph: DependencyGraph) -> list[float]:
-    """Per-op mults as floats: the default op weights (a shared table)."""
+    """Per-op mults as floats: the op weights (a shared table)."""
     return graph.table(
         "mults", lambda: [float(op.mults) for op in graph.ops]
     )
@@ -268,9 +264,7 @@ class MakespanLedger:
         order: Sequence[int] | None = None,
         alpha: float = 1.0,
         beta: float = 1.0,
-        weights: Sequence[float] | None = None,
         relax_reductions: bool = False,
-        interval: int | None = None,
     ):
         n = len(graph)
         if len(owner) != n:
@@ -284,24 +278,18 @@ class MakespanLedger:
             raise ConfigurationError("owner indices must be >= 0")
         if alpha < 0 or beta < 0:
             raise ConfigurationError("alpha and beta must be >= 0")
-        if weights is None:
-            weights = op_weights(graph)
-        elif len(weights) != n:
-            raise ConfigurationError(f"weights has {len(weights)} entries for {n} ops")
         if order is None:
             order = list(range(n))
         elif not graph.is_valid_order(list(order), relax_reductions=relax_reductions):
             raise ScheduleError("makespan order is not a legal order of the graph")
-        if interval is not None and interval < 1:
-            raise ConfigurationError(f"interval must be >= 1, got {interval}")
 
         self.graph = graph
         self.p = p
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.relax_reductions = relax_reductions
-        self.weights = [float(w) for w in weights]
-        self.interval = int(interval) if interval is not None else max(8, n // 64)
+        self.weights = op_weights(graph)
+        self.interval = max(8, n // 64)
         self._preds = latency_preds(graph, relax_reductions, alpha, beta)
         self._succs = graph.succ_lists(relax_reductions=relax_reductions)
         self.order = [int(v) for v in order]

@@ -107,8 +107,7 @@ def balance_cap(total: int, p: int, slack: float) -> int:
     integer floor of the real bound ``slack * total / p``.  Evaluating that
     bound in floating point can round *below* the true value (e.g.
     ``total = 2**53 + 1`` loses its last bit before the division), which
-    made ``balance_slack = 1.0`` spuriously reject exact-balance
-    placements.  ``Fraction`` keeps the comparison exact: an integer load
+    made a slack of 1.0 spuriously reject exact-balance placements.  ``Fraction`` keeps the comparison exact: an integer load
     ``x`` satisfies ``x <= slack * total / p`` iff
     ``x <= balance_cap(total, p, slack)``.  The float ``slack`` is snapped
     to the simplest nearby rational (``limit_denominator``), so a nominal

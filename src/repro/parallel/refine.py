@@ -5,8 +5,8 @@ The one-shot partitioners of :mod:`repro.parallel.executor` fix a trade:
 thousands of transferred elements on a SYRK DAG), ``owner-computes`` keeps
 classes whole but ignores everything else.  This module *searches* the
 assignment space between them: take any seed ``owner[]``, propose local
-moves — one op, a whole reduction class, or a whole write-group — and keep
-the moves that lower the fleet's bounding quantity
+moves — one op or a whole reduction class — and keep the moves that lower
+the fleet's bounding quantity
 
     ``max_q ( recv_q + transfer_in_q )``
 
@@ -34,7 +34,8 @@ Pricing a candidate move (:meth:`PartitionLedger.price`) reads both off
 the reference counts, and applying an accepted one updates them, each in
 time proportional to the moved ops' footprints and incident edges.  One
 move, :class:`OwnerMove` (a unit of ops and a destination under the
-balance cap), serves both strategies and the joint co-search:
+balance cap of :data:`BALANCE_SLACK` times the mean load), serves both
+strategies and the joint co-search:
 steepest-descent ``greedy`` prices the units that can move work off — or
 producers onto — the bottleneck node and applies the best, and ``anneal``
 draws them at random in :class:`OwnerWalk`, a walk of the shared
@@ -48,31 +49,31 @@ assignment is re-measured with real per-shard replays
 whenever the search result does not genuinely improve the measured
 objective — refinement can never hand back a worse partition than it was
 given.  Legality is structural: every op keeps exactly one owner in
-``0..p-1`` (an exact cover of the op set), and ``keep_writers_together``
-restricts moves to whole write-groups so an owner-computes-style seed
-keeps its every-element-written-by-one-node invariant — the same
-write-groups (:func:`write_groups`) that the executor's owner-computes
-partitioner deals whole.
+``0..p-1`` (an exact cover of the op set).
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..graph.dependency import WRITE, DependencyGraph
+from ..graph.dependency import DependencyGraph
 from ..graph.search import run_chain
 from ..obs.convergence import RoundSeries
-from ..obs.probe import get_probe
+from ..obs.probe import get_probe, probe_scope
 from ..perf.pool import parallel_map, task_seed
 from ..trace.replay import belady_replay_trace, lru_replay_trace
-from ..utils.unionfind import DisjointSets
 from .partition import balance_cap
 
 #: Refinement strategies, in the order the CLI and benches report them.
 REFINE_STRATEGIES = ("greedy", "anneal", "greedy+anneal")
+
+#: The owner moves' load cap, as a multiple of the mean node load
+#: (:func:`~repro.parallel.partition.balance_cap`).
+BALANCE_SLACK = 1.5
 
 #: Destinations the greedy pass tries per move (the cheapest nodes first);
 #: the Metropolis strategy explores all of them.
@@ -138,47 +139,26 @@ def partition_cost(
     return worst
 
 
-def write_groups(graph: DependencyGraph) -> list[list[int]]:
-    """Maximal op groups linked by shared written elements.
-
-    The owner-computes granularity: keeping each group on one node keeps
-    every element written by exactly one node (no reduction class ever
-    splits).  Singleton groups are included, so the list partitions the
-    op set.
-    """
-    sets = DisjointSets(len(graph))
-    records = graph.element_ops
-    for writers in records.rows((records.bits & WRITE) != 0):
-        for v in writers[1:]:
-            sets.union(v, writers[0])
-    return sorted(sets.groups().values(), key=lambda g: g[0])
-
-
-def movable_units(
-    graph: DependencyGraph, *, keep_writers_together: bool = False
-) -> tuple[list[list[int]], list[list[int]]]:
+def movable_units(graph: DependencyGraph) -> tuple[list[list[int]], list[list[int]]]:
     """The ownership-move granularity shared by the refiner and co-search.
 
     Returns ``(units, op_units)``: the movable op groups and, per op, the
-    indices of the units containing it.  Write-groups when the exclusive-
-    writer invariant must survive; otherwise single ops plus whole
-    reduction classes (the group moves that relocate a ``+=`` chain
-    without ever splitting it).  A shared read-only table of the graph.
+    indices of the units containing it.  The units are the single ops
+    plus the whole reduction classes (the group moves that relocate a
+    ``+=`` chain without ever splitting it).  A shared read-only table of
+    the graph.
     """
 
     def build():
-        if keep_writers_together:
-            units = write_groups(graph)
-        else:
-            units = [[v] for v in range(len(graph))]
-            units.extend(graph.reduction_classes())
+        units = [[v] for v in range(len(graph))]
+        units.extend(graph.reduction_classes())
         op_units: list[list[int]] = [[] for _ in range(len(graph))]
         for ui, group in enumerate(units):
             for v in group:
                 op_units[v].append(ui)
         return units, op_units
 
-    return graph.table(("movable_units", keep_writers_together), build)
+    return graph.table("movable_units", build)
 
 
 def _partition_tables(graph: DependencyGraph):
@@ -364,43 +344,32 @@ class OwnerMove:
     """The one ownership move, shared by the refiner and co-search.
 
     Holds the movable units of :func:`movable_units` and the balance cap:
-    ``balance_slack`` caps every node's mults at ``slack * total / p``
+    every node's mults stay within :data:`BALANCE_SLACK` ``* total / p``
     (exact integer cap, :func:`~repro.parallel.partition.balance_cap`;
     relaxed to the ledger's own maximum when the assignment already
-    exceeds it), and ``None`` disables it.  The greedy pass ranks these
-    units itself; :meth:`draw` is the random move of the refiner's walk
-    and of co-search.
+    exceeds it).  The greedy pass ranks these units itself; :meth:`draw`
+    is the random move of the refiner's walk and of co-search.
     """
 
-    def __init__(
-        self,
-        ledger: PartitionLedger,
-        *,
-        keep_writers_together: bool = False,
-        balance_slack: float | None = 1.5,
-    ):
+    def __init__(self, ledger: PartitionLedger):
         self.ledger = ledger
-        self.units, self.op_units = movable_units(
-            ledger.graph, keep_writers_together=keep_writers_together
-        )
+        self.units, self.op_units = movable_units(ledger.graph)
         self.group_units = [g for g in self.units if len(g) > 1]
-        self.cap = None
-        if balance_slack is not None:
-            self.cap = max(
-                balance_cap(sum(ledger.weights), ledger.p, balance_slack),
-                max(ledger.loads, default=0),
-            )
+        self.cap = max(
+            balance_cap(sum(ledger.weights), ledger.p, BALANCE_SLACK),
+            max(ledger.loads, default=0),
+        )
 
     def fits(self, q: int, weight: int) -> bool:
         """Whether node ``q`` can take ``weight`` more mults under the cap."""
-        return self.cap is None or self.ledger.loads[q] + weight <= self.cap
+        return self.ledger.loads[q] + weight <= self.cap
 
     def draw(self, rng: random.Random) -> tuple[list[int], int] | None:
         """A random ``(unit, destination)`` that changes the assignment and
         respects the cap, or ``None``.
 
-        Three in ten draws take a multi-op unit (a reduction class or a
-        write-group), the rest the unit of a random op.
+        Three in ten draws take a multi-op unit (a reduction class), the
+        rest the unit of a random op.
         """
         ledger = self.ledger
         n = len(ledger.owner)
@@ -502,8 +471,8 @@ class RefineResult:
     #: :class:`~repro.obs.convergence.RoundSeries` (one row per accepted
     #: move), ``"anneal"`` to an
     #: :class:`~repro.obs.convergence.AnnealSeries` (one row per Metropolis
-    #: iteration).  Populated when ``record_convergence=True`` or a
-    #: recording probe is active; empty otherwise.
+    #: iteration).  Populated when a recording probe is active; empty
+    #: otherwise.
     convergence: dict = field(default_factory=dict)
 
     @property
@@ -591,25 +560,17 @@ def refine_partition(
     iters: int = 600,
     seed: int = 0,
     max_moves: int = 256,
-    balance_slack: float | None = 1.5,
-    keep_writers_together: bool = False,
     eval_policy: str = "belady",
-    record_convergence: bool = False,
 ) -> RefineResult:
     """Locally search the assignment space around a seed ``owner[]``.
 
-    ``strategy`` is one of :data:`REFINE_STRATEGIES`.  ``balance_slack``
-    caps every node's mults at ``slack * total / p`` (exact integer cap,
-    :func:`~repro.parallel.partition.balance_cap`; relaxed to the seed's
-    own maximum when the seed already exceeds it); ``None`` disables the
-    constraint.  ``keep_writers_together`` restricts moves to whole
-    write-groups, preserving an owner-computes seed's exclusive-writer
-    invariant.  The returned assignment is guaranteed — by a final
-    measured comparison under ``eval_policy`` — to never exceed the seed's
-    ``max(recv + transfer_in)``.  ``record_convergence`` fills
-    :attr:`RefineResult.convergence` with the per-engine model-cost
-    trajectories (implied whenever a recording probe is active); recording
-    touches no RNG, so a recorded run returns bit-identical assignments.
+    ``strategy`` is one of :data:`REFINE_STRATEGIES`.  Every node's mults
+    stay within the :class:`OwnerMove` balance cap.  The returned
+    assignment is guaranteed — by a final measured comparison under
+    ``eval_policy`` — to never exceed the seed's ``max(recv +
+    transfer_in)``.  Under a recording probe :attr:`RefineResult.convergence`
+    holds the per-engine model-cost trajectories; recording touches no
+    RNG, so a recorded run returns bit-identical assignments.
     """
     if strategy not in REFINE_STRATEGIES:
         raise ConfigurationError(
@@ -630,20 +591,16 @@ def refine_partition(
     model_seed = ledger.cost()
     params: dict = {
         "strategy": strategy, "iters": iters, "seed": seed,
-        "max_moves": max_moves, "balance_slack": balance_slack,
-        "keep_writers_together": keep_writers_together,
+        "max_moves": max_moves, "balance_slack": BALANCE_SLACK,
     }
 
-    move = OwnerMove(
-        ledger, keep_writers_together=keep_writers_together,
-        balance_slack=balance_slack,
-    )
+    move = OwnerMove(ledger)
     best_owner = list(seed_owner)
     best_model = model_seed
     moves = 0
     evaluations = 0
     probe = get_probe()
-    record = record_convergence or probe.enabled
+    record = probe.enabled
     convergence: dict = {}
 
     if strategy in ("greedy", "greedy+anneal"):
@@ -719,12 +676,16 @@ def refine_partition(
 def _refine_task(task) -> RefineResult:
     """Module-level (picklable) worker: refine one seed assignment.
 
+    A worker's probe is its own, so ``record`` carries the parent's: the
+    worker refines inside a :func:`~repro.obs.probe.probe_scope` when the
+    parent records, and the convergence series travel back on the result.
     The result ships back without its graph reference — the parent holds
     the one shared graph and reattaches it, so workers never pickle the
     whole DAG into their return value.
     """
-    graph, owner, p, s, kwargs = task
-    result = refine_partition(graph, owner, p, s, **kwargs)
+    graph, owner, p, s, kwargs, record = task
+    with probe_scope() if record else nullcontext():
+        result = refine_partition(graph, owner, p, s, **kwargs)
     result.graph = None
     return result
 
@@ -737,7 +698,6 @@ def refine_partitions(
     *,
     jobs: int = 1,
     seed: int = 0,
-    record_convergence: bool = False,
     **kwargs,
 ) -> list[RefineResult]:
     """Refine many seed assignments concurrently; results in seed order.
@@ -751,27 +711,23 @@ def refine_partitions(
     seed-list order).  Each refinement keeps its own never-worse
     postcondition; remaining keyword arguments pass through unchanged.
 
-    Worker probes are process-local, so under ``jobs > 1`` the parent
+    Worker probes are process-local, so under ``jobs > 1`` each worker
+    records into its own probe while the parent's records, and the parent
     re-emits the aggregate ``refine.{runs,moves,evaluations,reverted}``
-    counters after the merge (convergence series still travel back on the
-    results themselves).
+    counters and the results' convergence series after the merge.
     """
-    tasks = []
     probe = get_probe()
-    for i, owner in enumerate(owners):
-        task_kwargs = dict(
-            kwargs,
-            seed=task_seed(seed, i),
-            record_convergence=record_convergence or probe.enabled,
-        )
-        tasks.append((graph, list(owner), p, s, task_kwargs))
+    tasks = [
+        (graph, list(owner), p, s, dict(kwargs, seed=task_seed(seed, i)), probe.enabled)
+        for i, owner in enumerate(owners)
+    ]
     if not tasks:
         return []
     jobs = min(int(jobs), len(tasks))
     if jobs <= 1:
         # In-process: refine_partition emits its own probe counters and
         # attachments; no graph stripping needed.
-        return [refine_partition(g, o, pp, ss, **kw) for g, o, pp, ss, kw in tasks]
+        return [refine_partition(g, o, pp, ss, **kw) for g, o, pp, ss, kw, _ in tasks]
     results = parallel_map(_refine_task, tasks, jobs=jobs)
     for result in results:
         result.graph = graph
@@ -782,7 +738,7 @@ def refine_partitions(
         reverted = sum(1 for r in results if r.reverted)
         if reverted:
             probe.count("refine.reverted", reverted)
-        for i, result in enumerate(results):
+        for result in results:
             for engine, series in result.convergence.items():
                 probe.attach(f"convergence.refine.{engine}", series)
     return results

@@ -24,12 +24,12 @@ four tiers, fastest first —
    ``serve.failed`` and every waiter gets its exception; the next
    request for the key searches again.
 
-Only a miss leaves the loop (its search, and under a ``searcher=``
-override its put), so the loop stays free to coalesce requests while a
-search is in flight.  A disk read holds the loop for as long as it runs,
-a ``verify_store`` read included.  On a thread the loop would still run
-only at the interpreter's switch interval (5 ms by default), because the
-read holds the interpreter lock for nearly all of its time.
+Only a miss's search leaves the loop, so the loop stays free to
+coalesce requests while a search is in flight.  A disk read holds the
+loop for as long as it runs, a ``verify_store`` read included.  On a
+thread the loop would still run only at the interpreter's switch
+interval (5 ms by default), because the read holds the interpreter lock
+for nearly all of its time.
 
 The service keeps no counters of its own: each request counts
 ``serve.requests`` and its tier into the active probe, and each miss
@@ -166,9 +166,9 @@ def warm_store(
     no key, and one copied over another key's path holds that key, so
     all three are searched and rewritten like missing ones.
     ``force=True`` re-searches keys already present (e.g. after a
-    searcher budget change).
+    searcher budget change).  A key listed twice is searched once.
     """
-    todo = [k for k in keys if force or k not in store]
+    todo = [k for k in dict.fromkeys(keys) if force or k not in store]
     parallel_map(_search_to_store, [(store.root, k.as_dict()) for k in todo], jobs=jobs)
     probe = get_probe()
     if probe.enabled and todo:
@@ -184,8 +184,6 @@ class ScheduleService:
     runs on a thread, or with ``workers > 0`` on a
     :class:`~repro.perf.pool.SearchPool` process pool, which is created
     lazily and must be released with :meth:`close` (or ``async with``).
-    ``searcher`` overrides the per-key :data:`SEARCHERS` dispatch with one
-    callable (test seam; it and the put of its result run on a thread).
     Every count goes to the active probe (module docstring).
     """
 
@@ -194,13 +192,11 @@ class ScheduleService:
         store: ScheduleStore,
         cache: ScheduleCache,
         *,
-        searcher: Callable[[ScheduleKey], Schedule] | None = None,
         workers: int = 0,
         verify_store: bool = False,
     ):
         self.store = store
         self.cache = cache
-        self.searcher = searcher
         #: statically certify every schedule fetched from disk before
         #: serving it (see :meth:`ScheduleStore.get`); an invalid object
         #: is a miss and the fall-through search repairs it.
@@ -260,18 +256,13 @@ class ScheduleService:
         return schedule
 
     async def _search(self, key: ScheduleKey) -> Schedule:
-        loop = asyncio.get_running_loop()
-        if self.searcher is not None:
-            schedule = await loop.run_in_executor(None, self.searcher, key)
-            await loop.run_in_executor(None, self.store.put, key, schedule)
-            return schedule
         task = (self.store.root, key.as_dict())
         if self._pool is not None:
             # The worker files the schedule itself (atomic put); only the
             # digest crosses the process boundary, never the object graph.
             await asyncio.wrap_future(self._pool.submit(_search_to_store, task))
         else:
-            await loop.run_in_executor(None, _search_to_store, task)
+            await asyncio.get_running_loop().run_in_executor(None, _search_to_store, task)
         schedule = self.store.get(key, verify=self.verify_store)
         if schedule is None:  # pragma: no cover - defensive
             raise ConfigurationError(

@@ -4,7 +4,8 @@ Order search, co-search and partition refinement all anneal.  The
 digests below are fixed values: a change to how a chain is driven, how a
 portfolio picks its winner or how a move is drawn must leave every
 returned order, owner, cost, evaluation count, winning chain and
-per-iteration convergence series unchanged.
+per-iteration convergence series unchanged.  Each run records its series
+under its own :func:`~repro.obs.probe.probe_scope`.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import pytest
 from repro.graph.compare import record_case
 from repro.graph.dependency import DependencyGraph
 from repro.graph.search import anneal_search
+from repro.obs.probe import probe_scope
 from repro.parallel import partition_graph, refine_partition
 from repro.parallel.cosearch import cosearch
 
@@ -31,6 +33,7 @@ COSEARCH_PARAMS = (
     "balance_slack", "accepted", "acceptance_rate", "illegal",
     "order_moves", "owner_moves",
 )
+REFINE_PARAMS = ("iters", "seed", "accepted", "acceptance_rate", "skipped")
 
 #: (kernel, N, relax_reductions, chains) -> digest of ``anneal_search``.
 ANNEAL_PINS = {
@@ -71,9 +74,9 @@ COSEARCH_PINS = {
 #: strategy -> digest of ``refine_partition`` on tbs N=24, p=4.
 REFINE_PINS = {
     "anneal":
-        "3e5326ca93aa95082ac3f612c14af46fdb5884c892569a71968d6b950600302d",
+        "7984a6deabf6349c92ec94a21d81684af166fd7efe2979c26cba518a057ba18d",
     "greedy+anneal":
-        "e0e84d35a5298cbec96a206523437ca273d2576cc07f188556b797d5f314f40a",
+        "9387c423de84ce7711aa28925d2ca7dcd0d456046712f3ca4d0908fe370e82f8",
 }
 
 _GRAPHS: dict = {}
@@ -97,10 +100,11 @@ def picked(params: dict, keys) -> dict:
 
 
 def anneal_digest(kernel, n, relax, chains) -> str:
-    r = anneal_search(
-        graph(kernel, n), S, iters=200, seed=7, relax_reductions=relax,
-        chains=chains, record_convergence=True,
-    )
+    with probe_scope():
+        r = anneal_search(
+            graph(kernel, n), S, iters=200, seed=7, relax_reductions=relax,
+            chains=chains,
+        )
     return digest({
         "order": r.order, "cost": r.cost, "evaluations": r.evaluations,
         "params": picked(r.params, ANNEAL_PARAMS),
@@ -109,10 +113,11 @@ def anneal_digest(kernel, n, relax, chains) -> str:
 
 
 def cosearch_digest(p) -> str:
-    r = cosearch(
-        graph("tbs", 24), p, S, iters=80, seed=0, record_convergence=True,
-        search_kwargs={"anneal": {"iters": 30, "seed": 0}},
-    )
+    with probe_scope():
+        r = cosearch(
+            graph("tbs", 24), p, S, iters=80, seed=0,
+            search_kwargs={"anneal": {"iters": 30, "seed": 0}},
+        )
     return digest({
         "order": r.order, "owner": list(r.owner), "cost": r.cost,
         "seed_cost": r.seed_cost, "seed_label": r.seed_label,
@@ -125,15 +130,16 @@ def cosearch_digest(p) -> str:
 
 def refine_digest(strategy) -> str:
     g = graph("tbs", 24)
-    r = refine_partition(
-        g, partition_graph(g, 4, "level-greedy"), 4, S, strategy=strategy,
-        iters=200, seed=3, record_convergence=True,
-    )
+    with probe_scope():
+        r = refine_partition(
+            g, partition_graph(g, 4, "level-greedy"), 4, S, strategy=strategy,
+            iters=200, seed=3,
+        )
     return digest({
         "owner": list(r.owner), "cost": r.cost, "seed_cost": r.seed_cost,
         "model_seed": r.model_seed, "model_cost": r.model_cost,
         "moves": r.moves, "evaluations": r.evaluations,
-        "reverted": r.reverted, "params": r.params,
+        "reverted": r.reverted, "params": picked(r.params, REFINE_PARAMS),
         "series": {k: v.as_dict() for k, v in sorted(r.convergence.items())},
     })
 

@@ -234,8 +234,9 @@ class TestStoreVerify:
 
     def test_service_falls_through_to_search(self, seeded_store):
         import asyncio
+        from unittest import mock
 
-        from repro.serve import ScheduleCache, ScheduleService
+        from repro.serve import SEARCHERS, ScheduleCache, ScheduleService
 
         store, key, case = seeded_store
         i = next(
@@ -247,10 +248,9 @@ class TestStoreVerify:
             shapes=case.schedule.shapes,
         )
         save_schedule(bad, store.object_path(key), key.as_dict())
-        service = ScheduleService(
-            store, ScheduleCache(2), searcher=lambda k: case.schedule, verify_store=True
-        )
-        with probe_scope() as probe:
+        service = ScheduleService(store, ScheduleCache(2), verify_store=True)
+        fake = dict.fromkeys(SEARCHERS, lambda k: case.schedule)
+        with mock.patch.dict(SEARCHERS, fake), probe_scope() as probe:
             got = asyncio.run(service.get_schedule(key))
         assert len(got) == len(case.schedule)
         assert probe.counters["serve.misses"] == probe.counters["serve.searches"] == 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from repro.parallel import (
     cosearch_cost,
     cosearch_portfolio,
     makespan_model,
-    movable_units,
     partition_graph,
 )
 from repro.parallel.cosearch import CoSearchCost
@@ -162,14 +162,15 @@ class TestMakespanLedger:
         rng = random.Random(5)
         n, p = len(tbs_graph), 4
         owner = list(partition_graph(tbs_graph, p, "locality"))
-        ledger = MakespanLedger(tbs_graph, owner, p=p, interval=8)
+        ledger = MakespanLedger(tbs_graph, owner, p=p)
+        interval = ledger.interval
         # A dropped candidate that re-times every op (all on one node),
         # then one that re-times from a late op whose predecessor sits
         # before its checkpoint: the committed finish must be read.
         ledger.score(owner=[0] * n, from_pos=0)
         v = max(
             v for v in range(n)
-            if any(u < v // 8 * 8 for u in tbs_graph.effective_preds(v))
+            if any(u < v // interval * interval for u in tbs_graph.effective_preds(v))
         )
         late = list(owner)
         late[v] = (late[v] + 1) % p
@@ -187,29 +188,29 @@ class TestMakespanLedger:
             cold = makespan_model(tbs_graph, owner, p=p)
             assert ledger.makespan == cold.makespan
             assert ledger.finish == list(cold.finish)
-        fresh = MakespanLedger(tbs_graph, owner, p=p, interval=8)
+        fresh = MakespanLedger(tbs_graph, owner, p=p)
         assert ledger.checkpoints == fresh.checkpoints
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stopped_passes_match_cold_model(self, seed):
         """The early stop is exact: random moves on a Cholesky DAG (long
         dependence chains, so a changed op often feeds an op far past
-        the moved window), with and without commits, at any interval and
-        latency."""
+        the moved window), with and without commits, at any latency."""
         from repro.graph.compare import record_case
         from repro.graph.search import propose_segment_move, reduction_class_of
 
         graph = DependencyGraph.from_trace(record_case("chol", 12, 3, 15).trace)
         n, class_of = len(graph), reduction_class_of(graph)
         rng = random.Random(seed)
-        p, interval = rng.choice([2, 3, 4]), rng.choice([1, 2, 3, 5, 8])
+        p = rng.choice([2, 3, 4])
         alpha, beta = rng.choice([(1.0, 1.0), (0.0, 1.0), (5.0, 0.5), (1.0, 0.0)])
         owner = [rng.randrange(p) for _ in range(n)]
         order = list(range(n))
         ledger = MakespanLedger(
             graph, owner, p=p, order=order, alpha=alpha, beta=beta,
-            relax_reductions=True, interval=interval,
+            relax_reductions=True,
         )
+        interval = ledger.interval
         stopped = 0
         for _ in range(250):
             if rng.random() < 0.5:
@@ -244,7 +245,7 @@ class TestMakespanLedger:
                 assert ledger.finish == list(cold.finish)
         fresh = MakespanLedger(
             graph, owner, p=p, order=order, alpha=alpha, beta=beta,
-            relax_reductions=True, interval=interval,
+            relax_reductions=True,
         )
         assert ledger.checkpoints == fresh.checkpoints
         assert stopped > 0
@@ -267,45 +268,41 @@ class TestMakespanLedger:
         """Op v moves from node 0 to node 1 and still finishes at the same
         time, and every node's availability at the checkpoint is the
         committed one; but v's successor w past the checkpoint now pays
-        the cross-node latency, so the pass must not stop there."""
-        u0, u1, v, x, y, w = range(6)
+        the cross-node latency, so the pass must not stop there.  Three
+        independent ops pad the order so that w sits right after the
+        first checkpoint."""
+        u0, u1, v, x, y, w = 0, 1, 2, 3, 4, 8
         graph = DependencyGraph.from_edges(
-            6, [(a, b, "raw") for a, b in ((u0, v), (u1, x), (u1, y), (v, w))]
+            9, [(a, b, "raw") for a, b in ((u0, v), (u1, x), (u1, y), (v, w))],
+            ops=[SimpleNamespace(mults=m) for m in (1, 10, 1, 1, 1, 1, 1, 1, 1)],
         )
-        weights = [1.0, 10.0, 1.0, 1.0, 1.0, 1.0]
-        owner = [2, 2, 0, 0, 1, 0]
-        ledger = MakespanLedger(
-            graph, owner, p=3, alpha=20.0, beta=0.0, weights=weights,
-            interval=5,
-        )
+        owner = [2, 2, 0, 0, 1, 2, 2, 2, 0]
+        ledger = MakespanLedger(graph, owner, p=3, alpha=20.0, beta=0.0)
+        assert ledger.interval == w
         moved = list(owner)
         moved[v] = 1
         got = ledger.score(owner=moved, from_pos=v, settled=v + 1)
-        cold = makespan_model(
-            graph, moved, p=3, alpha=20.0, beta=0.0, weights=weights
-        )
+        cold = makespan_model(graph, moved, p=3, alpha=20.0, beta=0.0)
         assert cold.finish[v] == ledger.finish[v]  # v's finish is unchanged
         assert got == cold.makespan > ledger.makespan
 
     def test_reorder_rebuilds_checkpoints_without_retiming(self, tbs_graph):
         """A swap of adjacent ops on different nodes across a checkpoint
         changes no program: finish times stand, checkpoints move."""
-        n, p, interval = len(tbs_graph), 4, 8
+        n, p = len(tbs_graph), 4
         owner = [v % p for v in range(n)]
         order = list(range(n))
         ledger = MakespanLedger(
-            tbs_graph, owner, p=p, order=order, relax_reductions=True,
-            interval=interval,
+            tbs_graph, owner, p=p, order=order, relax_reductions=True
         )
-        c = 2 * interval
+        c = 2 * ledger.interval
         cand = order[: c - 1] + [order[c], order[c - 1]] + order[c + 1 :]
         assert tbs_graph.is_valid_order(cand, relax_reductions=True)
         finish, work = list(ledger.finish), ledger.work
         ledger.reorder(cand, c - 1, c + 1)
         assert ledger.work == work and ledger.finish == finish
         fresh = MakespanLedger(
-            tbs_graph, owner, p=p, order=cand, relax_reductions=True,
-            interval=interval,
+            tbs_graph, owner, p=p, order=cand, relax_reductions=True
         )
         assert ledger.makespan == fresh.makespan
         assert ledger.finish == fresh.finish
@@ -325,16 +322,21 @@ class TestMakespanLedger:
         rng.random()  # keep the fixture rng untouched pattern explicit
 
     def test_interval_does_not_change_result(self, tbs_graph):
-        owner = list(partition_graph(tbs_graph, 4, "locality"))
-        cold = makespan_model(tbs_graph, owner, p=4)
-        for interval in (1, 5, 64, 10**6):
-            ledger = MakespanLedger(tbs_graph, owner, p=4, interval=interval)
-            assert ledger.makespan == cold.makespan
-            owner2 = list(owner)
-            owner2[7] = (owner2[7] + 1) % 4
-            got = ledger.score(owner=owner2, from_pos=7)
-            cold2 = makespan_model(tbs_graph, owner2, p=4)
-            assert got == cold2.makespan
+        """Checkpoints every ``max(8, n // 64)`` positions: both arms
+        score and commit as the cold model and a fresh ledger do."""
+        intervals = []
+        for graph in (tbs_graph, build_graph(48, 6)):
+            owner = list(partition_graph(graph, 4, "locality"))
+            ledger = MakespanLedger(graph, owner, p=4)
+            intervals.append(ledger.interval)
+            assert ledger.makespan == makespan_model(graph, owner, p=4).makespan
+            v = len(graph) // 2
+            owner[v] = (owner[v] + 1) % 4
+            got = ledger.score(owner=owner, from_pos=v, settled=v + 1)
+            assert got == makespan_model(graph, owner, p=4).makespan
+            ledger.commit()
+            assert ledger.checkpoints == MakespanLedger(graph, owner, p=4).checkpoints
+        assert intervals == [8, 14]
 
     def test_empty_graph(self):
         g = build_graph(2, 1)  # smallest recordable case
@@ -423,7 +425,7 @@ class TestCoSearchState:
         p, s = 4, 15
         rng = random.Random(11)
         owner = partition_graph(tbs_graph, p, "level-greedy")
-        state = CoSearchState(tbs_graph, owner, p, s, balance_slack=None)
+        state = CoSearchState(tbs_graph, owner, p, s)
         committed = 0
         for _ in range(200):
             proposal = state.step(rng)
@@ -539,23 +541,14 @@ class TestCoSearchState:
         p, s = 4, 15
         rng = random.Random(9)
         state = CoSearchState(
-            tbs_graph, partition_graph(tbs_graph, p, "locality"), p, s,
-            balance_slack=1.2,
+            tbs_graph, partition_graph(tbs_graph, p, "locality"), p, s
         )
         cap = state.owner_move.cap
-        assert cap is not None
         for _ in range(150):
             proposal = state.step(rng)
             if proposal is not None:
                 proposal[1]()
         assert max(state.ledger.loads) <= cap
-
-    def test_keep_writers_together_units(self, tbs_graph):
-        units, op_units = movable_units(tbs_graph, keep_writers_together=True)
-        owned = sorted(v for unit in units for v in unit)
-        assert owned == list(range(len(tbs_graph)))
-        for v in range(len(tbs_graph)):
-            assert v in units[op_units[v][0]]
 
     def test_rejects_bad_params(self, tbs_graph):
         owner = partition_graph(tbs_graph, 4, "locality")

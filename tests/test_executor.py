@@ -64,23 +64,6 @@ class TestPartitioners:
             max(int(op.mults), 1) for op in tbs_graph.ops
         )
 
-    def test_locality_slack_one_accepts_exact_balance(self):
-        # Regression: the float cap `slack * sum(weights) / p` rounded below
-        # the exact bound when the total is unrepresentable, so at
-        # balance_slack=1.0 every node was "full", the cap fell back to
-        # all-nodes, and affinity piled uniform ops onto one node.  The
-        # integer cap keeps exact balance reachable: three uniform ops that
-        # share an operand must still spread one-per-node.
-        class _HugeOp:
-            mults = 3002399751580331  # 3 * mults == 2**53 + 1 (inexact)
-
-        graph = DependencyGraph.from_edges(
-            3, [], ops=[_HugeOp()] * 3,
-            inputs=[{99}] * 3, writes=[{100 + i} for i in range(3)],
-        )
-        owner = partition_graph(graph, 3, "locality", balance_slack=1.0)
-        assert sorted(owner) == [0, 1, 2]
-
     def test_bad_args(self, tbs_graph):
         with pytest.raises(ConfigurationError):
             partition_graph(tbs_graph, 0)

@@ -30,12 +30,12 @@ from repro.graph import (
     reschedule,
     rewrite_trace,
 )
+from repro.graph.scheduler import LOCALITY_WINDOW
 from repro.sched.schedule import ComputeStep, LoadStep, record_schedule
 from repro.trace.compiled import compile_trace
 from repro.trace.replay import belady_replay_trace
 
 KERNELS = ("tbs", "syr2k", "chol", "ocs")
-WINDOWS = (0, 1, 2, 4, 7)
 _CASES: dict = {}
 
 
@@ -65,24 +65,20 @@ def step_signature(schedule) -> list[tuple]:
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_locality_order_matches_rescan(kernel, relax):
     _case, graph = case_of(kernel, 20, 6, 15)
-    for window in WINDOWS:
-        got = list_schedule(
-            graph, "locality", relax_reductions=relax, locality_window=window
-        ).order
-        want = rescan_locality_order(graph, relax_reductions=relax, window=window)
-        assert got == want, f"window {window}"
+    got = list_schedule(graph, "locality", relax_reductions=relax).order
+    assert got == rescan_locality_order(
+        graph, relax_reductions=relax, window=LOCALITY_WINDOW
+    )
 
 
 @pytest.mark.parametrize("relax", [False, True])
 @pytest.mark.parametrize("kernel", ("tbs", "syr2k", "chol"))
 def test_locality_order_matches_heap(kernel, relax):
     _case, graph = case_of(kernel, 60, 6, 15)
-    for window in (0, 1, 4):
-        got = list_schedule(
-            graph, "locality", relax_reductions=relax, locality_window=window
-        ).order
-        want = heap_locality_order(graph, relax_reductions=relax, window=window)
-        assert got == want, f"window {window}"
+    got = list_schedule(graph, "locality", relax_reductions=relax).order
+    assert got == heap_locality_order(
+        graph, relax_reductions=relax, window=LOCALITY_WINDOW
+    )
 
 
 def neighbours(graph, v: int, preds: bool) -> list[tuple[int, frozenset[str]]]:

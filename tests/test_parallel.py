@@ -109,7 +109,7 @@ class TestDealBalance:
 
 class TestBalanceCap:
     """Regression: the float expression ``slack * total / p`` can round
-    below the true bound, so ``balance_slack=1.0`` spuriously rejected
+    below the true bound, so a slack of 1.0 spuriously rejected
     exact-balance placements; ``balance_cap`` stays exact."""
 
     def test_simple_values(self):

@@ -291,13 +291,29 @@ def tbs_graph():
     return DependencyGraph.from_trace(case.trace)
 
 
+def convergence_attachments(probe) -> dict:
+    """The probe's ``convergence.*`` attachments, as plain dicts."""
+    return {
+        name: series.as_dict()
+        for name, series in probe.attachments.items()
+        if name.startswith("convergence.")
+    }
+
+
 def test_multi_chain_jobs_invariant(tbs_graph):
-    serial = anneal_search(tbs_graph, 15, iters=150, seed=3, chains=3, jobs=1)
-    fanned = anneal_search(tbs_graph, 15, iters=150, seed=3, chains=3, jobs=4)
+    with probe_scope() as serial_probe:
+        serial = anneal_search(tbs_graph, 15, iters=150, seed=3, chains=3, jobs=1)
+    with probe_scope() as fanned_probe:
+        fanned = anneal_search(tbs_graph, 15, iters=150, seed=3, chains=3, jobs=4)
     assert serial.cost == fanned.cost
     assert serial.order == fanned.order
     strip = lambda p: {k: v for k, v in p.items() if k != "jobs"}
     assert strip(serial.params) == strip(fanned.params)  # jobs is provenance only
+    # the winning chain's series is recorded where it ran and travels back
+    assert serial.convergence.as_dict() == fanned.convergence.as_dict()
+    recorded = convergence_attachments(serial_probe)
+    assert list(recorded) == ["convergence.search.anneal"]
+    assert recorded == convergence_attachments(fanned_probe)
 
 
 def test_chain_zero_reproduces_single_chain(tbs_graph):
@@ -318,9 +334,19 @@ def test_multi_seed_refine_jobs_invariant(tbs_graph):
         for part in ("level-greedy", "locality")
     ]
     kwargs = dict(strategy="anneal", iters=120, eval_policy="belady")
-    serial = refine_partitions(tbs_graph, owners, 4, 15, jobs=1, seed=5, **kwargs)
-    fanned = refine_partitions(tbs_graph, owners, 4, 15, jobs=4, seed=5, **kwargs)
+    with probe_scope() as serial_probe:
+        serial = refine_partitions(tbs_graph, owners, 4, 15, jobs=1, seed=5, **kwargs)
+    with probe_scope() as fanned_probe:
+        fanned = refine_partitions(tbs_graph, owners, 4, 15, jobs=4, seed=5, **kwargs)
     assert [(r.cost, r.owner) for r in serial] == [(r.cost, r.owner) for r in fanned]
+    # workers record under their own probes; the series travel back on
+    # the results and the parent attaches them in seed order
+    series = lambda rs: [{k: s.as_dict() for k, s in r.convergence.items()} for r in rs]
+    assert series(serial) == series(fanned)
+    assert all("anneal" in r.convergence for r in fanned)
+    recorded = convergence_attachments(serial_probe)
+    assert list(recorded) == ["convergence.refine.anneal", "convergence.refine.anneal#2"]
+    assert recorded == convergence_attachments(fanned_probe)
     for r in fanned:
         assert r.cost <= r.seed_cost  # never-worse survives the fan-out
         assert r.graph is tbs_graph  # parent reattached the shared DAG

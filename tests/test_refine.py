@@ -19,6 +19,7 @@ from repro.parallel import (
     refine_partition,
     write_groups,
 )
+from repro.parallel.refine import BALANCE_SLACK
 
 try:
     from hypothesis import given, settings
@@ -238,25 +239,12 @@ class TestRefinePartition:
         assert result.improved
         assert result.moves > 0
 
-    def test_keep_writers_together_preserves_exclusive_writers(self, tbs_graph):
-        seed = partition_graph(tbs_graph, 4, "owner-computes")
-        result = refine_partition(
-            tbs_graph, seed, 4, S, strategy="greedy", keep_writers_together=True
-        )
-        writer: dict[int, int] = {}
-        for v in range(len(tbs_graph)):
-            for key in tbs_graph.writes(v):
-                assert writer.setdefault(key, result.owner[v]) == result.owner[v]
-
     def test_balance_slack_respected(self, tbs_graph):
         seed = partition_graph(tbs_graph, 4, "level-greedy")
-        slack = 1.1
-        result = refine_partition(
-            tbs_graph, seed, 4, S, strategy="greedy", balance_slack=slack
-        )
+        result = refine_partition(tbs_graph, seed, 4, S, strategy="greedy")
         weights = [max(int(op.mults), 1) for op in tbs_graph.ops]
         cap = max(
-            balance_cap(sum(weights), 4, slack),
+            balance_cap(sum(weights), 4, BALANCE_SLACK),
             max(
                 sum(w for v, w in enumerate(weights) if seed[v] == q)
                 for q in range(4)
@@ -332,20 +320,19 @@ class TestMakespanModel:
         assert ms.n_cross_edges == 0 and ms.comm_latency == 0.0
 
     def test_custom_order_and_weights(self, tbs_graph):
+        """On one node any legal order takes the summed mults, and the
+        critical path weighs each op by its mults."""
         owner = [0] * len(tbs_graph)
         order = tbs_graph.topological_order()
-        ms = makespan_model(
-            tbs_graph, owner, order=order, weights=[1.0] * len(tbs_graph)
-        )
-        assert ms.makespan == len(tbs_graph)
-        assert ms.critical_path == int(tbs_graph.critical_path_cost())
+        ms = makespan_model(tbs_graph, owner, order=order)
+        mults = [float(op.mults) for op in tbs_graph.ops]
+        assert ms.makespan == sum(mults)
+        assert ms.critical_path == tbs_graph.critical_path_cost(mults)
 
     def test_bad_args(self, tbs_graph):
         n = len(tbs_graph)
         with pytest.raises(ConfigurationError):
             makespan_model(tbs_graph, [0] * (n - 1))
-        with pytest.raises(ConfigurationError):
-            makespan_model(tbs_graph, [0] * n, weights=[1.0])
         with pytest.raises(ConfigurationError):
             makespan_model(tbs_graph, [0] * n, alpha=-1.0)
         with pytest.raises(ConfigurationError):

@@ -13,10 +13,7 @@ package):
   the seed's, re-measured independently with :func:`partition_cost`;
 * the returned bookkeeping is consistent: ``cost``/``seed_cost`` equal
   independent re-measurements, and a reverted run hands the seed back
-  verbatim;
-* with ``keep_writers_together`` every written element still has exactly
-  one owning node (the write-group constraint of the owner-computes
-  partitioner).
+  verbatim.
 """
 
 import numpy as np
@@ -55,11 +52,11 @@ def build_graph(kernel_name: str, n: int, mc: int, s: int) -> DependencyGraph:
     return DependencyGraph.from_trace(compile_trace(schedule))
 
 
-def check_refinement(graph, p, s, partitioner, strategy, seed, keep_writers):
+def check_refinement(graph, p, s, partitioner, strategy, seed):
     seed_owner = partition_graph(graph, p, partitioner)
     result = refine_partition(
         graph, seed_owner, p, s, strategy=strategy, iters=60, max_moves=24,
-        seed=seed, keep_writers_together=keep_writers,
+        seed=seed,
     )
     label = (partitioner, strategy, p, seed)
     # legal exact cover: every op owned exactly once, owners in range
@@ -73,11 +70,6 @@ def check_refinement(graph, p, s, partitioner, strategy, seed, keep_writers):
     assert measured <= measured_seed, label
     if result.reverted:
         assert result.owner == tuple(seed_owner), label
-    if keep_writers:
-        writer: dict[int, int] = {}
-        for v in range(len(graph)):
-            for key in graph.writes(v):
-                assert writer.setdefault(key, result.owner[v]) == result.owner[v]
 
 
 if HAVE_HYPOTHESIS:
@@ -97,20 +89,7 @@ if HAVE_HYPOTHESIS:
         kernel, n, mc, s, p, partitioner, strategy, seed
     ):
         graph = build_graph(kernel, n, mc, s)
-        check_refinement(graph, p, s, partitioner, strategy, seed,
-                         keep_writers=False)
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        n=st.integers(min_value=10, max_value=20),
-        mc=st.integers(min_value=1, max_value=2),
-        p=st.sampled_from(PS),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_refinement_write_constraint_hypothesis(n, mc, p, seed):
-        graph = build_graph("tbs", n, mc, 12)
-        check_refinement(graph, p, 12, "owner-computes", "greedy", seed,
-                         keep_writers=True)
+        check_refinement(graph, p, s, partitioner, strategy, seed)
 
 
 def test_refinement_legal_and_never_worse_seeded_sweep():
@@ -125,15 +104,4 @@ def test_refinement_legal_and_never_worse_seeded_sweep():
         strategy = "greedy" if rng.random() < 0.5 else "anneal"
         graph = build_graph(kernel, n, mc, s)
         check_refinement(graph, p, s, partitioner, strategy,
-                         int(rng.integers(0, 2**16)), keep_writers=False)
-
-
-def test_refinement_write_constraint_seeded_sweep():
-    rng = np.random.default_rng(9)
-    for _ in range(3):
-        n = int(rng.integers(10, 21))
-        mc = int(rng.integers(1, 3))
-        p = int(rng.choice(PS))
-        graph = build_graph("tbs", n, mc, 12)
-        check_refinement(graph, p, 12, "owner-computes", "greedy",
-                         int(rng.integers(0, 2**16)), keep_writers=True)
+                         int(rng.integers(0, 2**16)))

@@ -16,8 +16,7 @@ package):
   cache there, and the suffix replayed from it agrees with a cold full
   replay at every split point;
 * the annealers' window-local legality check agrees with the full check
-  on every segment move proposed from a legal order, and an illegal start
-  order is rejected before the walk begins.
+  on every segment move proposed from a legal order.
 """
 
 import random
@@ -28,7 +27,6 @@ import pytest
 from repro import TwoLevelMachine
 from repro.baselines.ooc_syrk import ooc_syrk
 from repro.core.tbs import tbs_syrk
-from repro.errors import ScheduleError
 from repro.graph.compare import record_case
 from repro.graph.dependency import DependencyGraph
 from repro.graph.objective import order_cost
@@ -36,7 +34,6 @@ from repro.graph.rewriter import rewrite_schedule
 from repro.graph.scheduler import HEURISTICS, list_schedule
 from repro.graph.search import (
     STRATEGIES,
-    anneal_search,
     propose_segment_move,
     reduction_class_of,
     search_order,
@@ -232,21 +229,3 @@ def test_window_legality_matches_full_check_seeded(kernel, relax):
     if not relax:
         # strict mode rejects some proposals: both verdicts are compared
         assert False in verdicts
-
-
-@pytest.mark.parametrize("kernel", sorted(WINDOW_CASES))
-def test_anneal_rejects_illegal_start(kernel):
-    graph = window_graph(kernel)
-    legal = list_schedule(graph, "original").order
-    # Swap the endpoints of one edge: the order keeps its op set but
-    # breaks that edge.
-    u, v, _kinds = graph.edges()[0]
-    illegal = list(legal)
-    iu, iv = illegal.index(u), illegal.index(v)
-    illegal[iu], illegal[iv] = v, u
-    assert not graph.is_valid_order(illegal)
-    with pytest.raises(ScheduleError, match="start order"):
-        anneal_search(graph, 15, iters=20, start=illegal)
-    # ... and so is a start that is not a permutation of the ops.
-    with pytest.raises(ScheduleError, match="start order"):
-        anneal_search(graph, 15, iters=20, start=legal[:-1])

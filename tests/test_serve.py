@@ -20,6 +20,7 @@ import os
 import shutil
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -738,6 +739,12 @@ def run_counting(coro):
     return asyncio.run(main()), executor.submitted
 
 
+def faked(searcher):
+    """Serve every policy through ``searcher`` on the production miss path
+    (search, put and read-back from the store)."""
+    return mock.patch.dict(SEARCHERS, dict.fromkeys(SEARCHERS, searcher))
+
+
 def served(probe, *tiers):
     """The probe's ``serve.<tier>`` counts, 0 for a tier never counted."""
     return tuple(probe.counters.get(f"serve.{tier}", 0) for tier in tiers)
@@ -746,14 +753,14 @@ def served(probe, *tiers):
 class TestScheduleService:
     def test_single_flight(self, store, case, key):
         searcher = SlowSearcher(case.schedule)
-        service = ScheduleService(store, ScheduleCache(4), searcher=searcher)
+        service = ScheduleService(store, ScheduleCache(4))
 
         async def fan_out():
             return await asyncio.gather(
                 *[service.get_schedule(key) for _ in range(16)]
             )
 
-        with probe_scope() as probe:
+        with faked(searcher), probe_scope() as probe:
             results = run(fan_out())
         assert searcher.calls == 1
         assert all(r is results[0] for r in results)
@@ -779,12 +786,6 @@ class TestScheduleService:
         assert [fn.__name__ for fn in submitted] == ["_search_to_store"]
         assert served(probe, "misses", "searches", "store_hits") == (1, 1, 0)
 
-    def test_searcher_miss_submits_its_search_and_put(self, store, case, key):
-        searcher = SlowSearcher(case.schedule, delay=0.0)
-        service = ScheduleService(store, ScheduleCache(4), searcher=searcher)
-        _, submitted = run_counting(service.get_schedule(key))
-        assert submitted == [searcher, store.put]
-
     def test_concurrent_requests_for_a_stored_key(self, store, case, key):
         """A disk hit has no await between lookup and return, so concurrent
         requests for a stored key never coalesce: the first is a store hit
@@ -803,14 +804,14 @@ class TestScheduleService:
 
     def test_memory_then_store_tiers(self, store, case, key):
         searcher = SlowSearcher(case.schedule, delay=0.0)
-        service = ScheduleService(store, ScheduleCache(4), searcher=searcher)
-        with probe_scope() as probe:
+        service = ScheduleService(store, ScheduleCache(4))
+        with faked(searcher), probe_scope() as probe:
             run(service.get_schedule(key))
             run(service.get_schedule(key))
         assert served(probe, "searches", "hits", "store_hits") == (1, 1, 0)
         # a fresh service over the same root serves from disk, no search
-        cold = ScheduleService(store, ScheduleCache(4), searcher=searcher)
-        with probe_scope() as probe:
+        cold = ScheduleService(store, ScheduleCache(4))
+        with faked(searcher), probe_scope() as probe:
             run(cold.get_schedule(key))
         assert served(probe, "searches", "store_hits") == (0, 1)
         assert searcher.calls == 1
@@ -820,8 +821,9 @@ class TestScheduleService:
         with open(store.object_path(key), "wb") as fh:
             fh.write(b"garbage")
         searcher = SlowSearcher(case.schedule, delay=0.0)
-        service = ScheduleService(store, ScheduleCache(4), searcher=searcher)
-        run(service.get_schedule(key))
+        service = ScheduleService(store, ScheduleCache(4))
+        with faked(searcher):
+            run(service.get_schedule(key))
         assert searcher.calls == 1         # corrupt entry read as a miss
         assert store.get(key) is not None  # ... and the search repaired it
 
@@ -836,8 +838,8 @@ class TestScheduleService:
                 return_exceptions=True,
             )
 
-        service = ScheduleService(store, ScheduleCache(4), searcher=searcher)
-        with probe_scope() as probe:
+        service = ScheduleService(store, ScheduleCache(4))
+        with faked(searcher), probe_scope() as probe:
             results = run(herd())
         assert isinstance(results[0], RuntimeError)
         assert all(r is results[0] for r in results)
@@ -845,8 +847,8 @@ class TestScheduleService:
         assert served(probe, "requests", "misses", "coalesced", "failed", "searches") == (
             3, 1, 2, 1, 0)
         # the failed flight is gone; the next request searches again
-        with probe_scope() as probe:
-            assert run(service.get_schedule(key)) is case.schedule
+        with faked(searcher), probe_scope() as probe:
+            assert case.check_exact(run(service.get_schedule(key)))
         assert searcher.calls == 2
         assert served(probe, "requests", "misses", "searches", "failed") == (1, 1, 1, 0)
 
@@ -855,12 +857,12 @@ class TestScheduleService:
         rng = np.random.default_rng(3)
         stream = [keys[i] for i in rng.integers(0, len(keys), size=60)]
         searcher = SlowSearcher(case.schedule, delay=0.02)
-        service = ScheduleService(store, ScheduleCache(3), searcher=searcher)
+        service = ScheduleService(store, ScheduleCache(3))
 
         async def herd():
             return await asyncio.gather(*[service.get_schedule(k) for k in stream])
 
-        with probe_scope() as probe:
+        with faked(searcher), probe_scope() as probe:
             results = run(herd())
         distinct = len({k.digest() for k in stream})
         assert searcher.calls == distinct  # one search per distinct key, ever
@@ -891,23 +893,27 @@ class TestScheduleService:
 
     def test_async_context_manager(self, store, case, key):
         async def scenario():
-            async with ScheduleService(
-                store, ScheduleCache(2), searcher=SlowSearcher(case.schedule, delay=0.0)
-            ) as service:
+            async with ScheduleService(store, ScheduleCache(2)) as service:
                 return await service.get_schedule(key)
 
-        with probe_scope() as probe:
-            assert run(scenario()) is case.schedule
+        with faked(SlowSearcher(case.schedule, delay=0.0)), probe_scope() as probe:
+            assert case.check_exact(run(scenario()))
         assert served(probe, "searches") == (1,)
 
 
 class TestWarmStore:
-    def test_warm_fills_misses_only(self, store, key):
+    def test_warm_fills_misses_only(self, store, case, key):
         other = ScheduleKey("tbs", 22, 3, 10)
         assert warm_store(store, [key, other]) == [key, other]
         assert warm_store(store, [key, other]) == []
         assert warm_store(store, [key], force=True) == [key]
         assert len(store) == 2
+        # a key listed twice is searched once
+        searcher = SlowSearcher(case.schedule, delay=0.0)
+        with faked(searcher), probe_scope() as probe:
+            assert warm_store(store, [key, key], force=True) == [key]
+        assert searcher.calls == 1
+        assert probe.counters["serve.searches"] == 1
 
     def test_warm_repairs_stale_and_misfiled_objects(self, store, case, key):
         """An object in format v2 holds no key, and a copy filed under
@@ -945,9 +951,10 @@ class TestServeCli:
         root = str(tmp_path / "store")
         base = ["--store", root, "--kernel", "tbs", "--ns", "20", "22",
                 "--m", "3", "--s", "10"]
-        assert main(["serve", "warm"] + base) == 0
+        # a repeated --ns is one key, searched once
+        assert main(["serve", "warm"] + base + ["--ns", "20", "22", "22"]) == 0
         out = capsys.readouterr().out
-        assert "2 searched" in out
+        assert "2 searched, 0 already present" in out
         assert main(["serve", "warm"] + base) == 0
         assert "0 searched" in capsys.readouterr().out
         assert main(

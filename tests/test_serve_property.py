@@ -30,6 +30,7 @@ import os
 import tempfile
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from repro.graph.compare import record_case
 from repro.obs.probe import probe_scope
 from repro.sched.schedule import ComputeStep
 from repro.serve import (
+    SEARCHERS,
     ScheduleCache,
     ScheduleKey,
     ScheduleService,
@@ -152,12 +154,17 @@ def assert_single_flight(dup_counts, kinds=None):
     stream = [k for k, c in zip(keys, dup_counts) for _ in range(c)]
     bad = {k for k, kind in zip(keys, kinds) if kind == "bad"}
     searcher = CountingSearcher(schedule, failing=bad)
-    with tempfile.TemporaryDirectory() as root, probe_scope() as probe:
+    fake = dict.fromkeys(SEARCHERS, searcher)
+    with (
+        tempfile.TemporaryDirectory() as root,
+        probe_scope() as probe,
+        mock.patch.dict(SEARCHERS, fake),
+    ):
         store = ScheduleStore(root)
         for k, kind in zip(keys, kinds):
             if kind == "stored":
                 store.put(k, schedule)
-        service = ScheduleService(store, ScheduleCache(8), searcher=searcher)
+        service = ScheduleService(store, ScheduleCache(8))
 
         async def herd():
             return await asyncio.gather(
